@@ -94,6 +94,9 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("omega", "omega0", "lambda_min", "lambda_max", "tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name.replace('_', '-')} must be finite")
         if self.lambda_min > self.lambda_max:
             raise ValueError("lambda-min must not exceed lambda-max")
         if self.lambda_steps < 1:
@@ -428,7 +431,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def load_config_file(path: str) -> dict:
-    """Parse a ``key = value`` file; '#' starts a comment."""
+    """Parse a ``key = value`` file; '#' starts a comment.
+
+    Keys are the long flag names (``-`` or ``_``); any other key is rejected.
+    """
     values: dict = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -441,7 +447,10 @@ def load_config_file(path: str) -> dict:
                 key, _, val = line.partition(":")
             else:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            values[key.strip().replace("-", "_")] = val.strip()
+            key = key.strip().replace("-", "_")
+            if key not in _DEFAULTS:
+                raise ValueError(f"{path}:{lineno}: unknown key '{key}'")
+            values[key] = val.strip()
     return values
 
 

@@ -7,7 +7,7 @@ separately (the CLI maps them to distinct exit codes).
 
 
 class SolverError(RuntimeError):
-    """A dense eigensolver failed to converge or returned garbage."""
+    """An eigensolver (dense LAPACK or sparse ARPACK) failed to converge."""
 
 
 class ConvergenceError(RuntimeError):

@@ -5,7 +5,9 @@ The Hamiltonian is
     H = omega * b'b  +  omega0 * Jz  +  (lam / sqrt(N)) * (b' + b)(J+ + J-)
 
 acting on |n>|j,m> with Fock number n <= n_cutoff and collective spin
-j = N/2.  All operators are dense matrices; the basis is boson-major,
+j = N/2.  Operators are dense matrices, except that the parity block the
+ground-state solver diagonalizes is built as a CSR matrix when it is large
+(see ``build_hamiltonian_block``).  The basis is boson-major,
 idx(n, m) = n*(N+1) + (m+j), so a partial trace over either subsystem is
 a contiguous block operation.
 """
@@ -34,6 +36,8 @@ class ModelParams:
     n_atoms: int
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in (self.omega, self.omega0, self.lam)):
+            raise ValueError("omega, omega0 and lam must be finite")
         if self.omega <= 0 or self.omega0 <= 0:
             raise ValueError("omega and omega0 must be positive")
         if self.lam < 0:
@@ -188,17 +192,35 @@ def build_hamiltonian(params: ModelParams, indexer: BasisIndexer) -> HermitianOp
 
 
 def build_hamiltonian_block(
-    params: ModelParams, indexer: BasisIndexer, indices: np.ndarray
-) -> np.ndarray:
+    params: ModelParams, indexer: BasisIndexer, indices: np.ndarray, *, sparse: bool = False
+):
     """Restriction of the Hamiltonian to a set of basis indices, as a real matrix.
 
-    All matrix elements of H are real in this basis, so the block is returned
-    as float64.  Couplings leading outside the index set are dropped, which is
-    the projector restriction P H P; for a parity-closed index set no coupling
-    is lost.
+    All matrix elements of H are real in this basis, so the block is float64:
+    a dense ndarray, or a ``scipy.sparse.csr_array`` when ``sparse`` is set.
+    Both are assembled from the same (row, col, value) triplets.  Couplings
+    leading outside the index set are dropped, which is the projector
+    restriction P H P; for a parity-closed index set no coupling is lost.
     """
     if indexer.n_atoms != params.n_atoms:
         raise ValueError("indexer and params disagree on n_atoms")
+    size = np.asarray(indices).size
+    rows, cols, values = _block_triplets(params, indexer, indices)
+    if sparse:
+        # imported here: scipy.sparse adds import time and memory to every run
+        # of the CLI, and only large blocks need it
+        import scipy.sparse
+
+        return scipy.sparse.csr_array((values, (rows, cols)), shape=(size, size))
+    block = np.zeros((size, size))
+    block[rows, cols] = values
+    return block
+
+
+def _block_triplets(
+    params: ModelParams, indexer: BasisIndexer, indices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzero elements of P H P as (row, col, value) arrays, each position once."""
     indices = np.asarray(indices, dtype=np.int64)
     spin_dim = indexer.spin_dim
     j = indexer.j
@@ -208,12 +230,15 @@ def build_hamiltonian_block(
 
     n = indices // spin_dim
     k = indices % spin_dim
-    block = np.zeros((size, size))
-    block[np.arange(size), np.arange(size)] = params.omega * n + params.omega0 * (k - j)
+    diag = np.arange(size)
+    rows, cols = [diag], [diag]
+    values = [params.omega * n + params.omega0 * (k - j)]
 
     g = params.lam / math.sqrt(params.n_atoms)
     m = k - j
-    # raising ladder factors sqrt(j(j+1) - m(m+1)) for J+ and m(m-1) for J-
+    # raising ladder factors sqrt(j(j+1) - m(m+1)) for J+ and m(m-1) for J-;
+    # each coupling moves n by one and the two ladders move k in opposite
+    # directions, so no position is emitted twice
     for dk, ladder in ((1, j * (j + 1) - m * (m + 1)), (-1, j * (j + 1) - m * (m - 1))):
         src_ok = (n < indexer.n_cutoff) & (k + dk >= 0) & (k + dk < spin_dim)
         src = np.flatnonzero(src_ok)
@@ -221,9 +246,10 @@ def build_hamiltonian_block(
         keep = tgt >= 0
         src, tgt = src[keep], tgt[keep]
         amp = g * np.sqrt((n[src] + 1) * ladder[src])
-        block[tgt, src] += amp
-        block[src, tgt] += amp
-    return block
+        rows += [tgt, src]
+        cols += [src, tgt]
+        values += [amp, amp]
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
 
 
 def build_parity(params: ModelParams, indexer: BasisIndexer) -> HermitianOperator:

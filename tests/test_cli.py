@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import dicke_qfi.solver
 from dicke_qfi.cli import (
@@ -210,6 +211,29 @@ def test_invalid_grid_exit_code():
     assert main(["sweep", "--tol", "-1"]) == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--omega", "--omega0", "--lambda-min", "--lambda-max", "--tol"])
+def test_non_finite_argument_exit_code(flag, value, capsys):
+    assert main(["thermo", f"{flag}={value}", "--out", "-"]) == 2
+    assert f"{flag[2:]} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [
+    scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0))),
+    scipy.sparse.linalg.ArpackError(-9999),
+])
+def test_lanczos_failure_exit_code(error, tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+    # N = 1 at cutoff 600 gives an even block of dimension 601, above the threshold
+    code = main(["sweep", "--n-atoms", "1", "--lambda-min", "0.5", "--lambda-max", "0.5",
+                 "--lambda-steps", "1", "--fock-cutoff", "600",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 4
+
+
 def test_io_error_exit_code(tmp_path):
     code = main(["sweep", *SMALL_SWEEP, "--out", str(tmp_path / "no" / "dir" / "x.csv")])
     assert code == 3
@@ -232,6 +256,14 @@ def test_config_file_with_flag_override(tmp_path):
     assert payload["meta"]["lambda_steps"] == 2
     assert payload["meta"]["n_atoms"] == [1, 2]
     assert payload["meta"]["tol"] == 1e-8
+
+
+def test_config_file_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("omega0 = 2.0\nn_atom = 50\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    assert "n_atom" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_format_value_round_trip():

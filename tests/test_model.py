@@ -27,6 +27,10 @@ def test_params_validation():
         ModelParams(1.0, 1.0, -0.1, 2)
     with pytest.raises(ValueError):
         ModelParams(1.0, 1.0, 0.0, 0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for args in ((bad, 1.0, 0.1), (1.0, bad, 0.1), (1.0, 1.0, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                ModelParams(*args, 2)
 
 
 def test_boson_ladder_minimal():
@@ -217,6 +221,9 @@ def test_block_restriction_reproduces_action():
     h = build_hamiltonian(params, indexer).matrix
     block = build_hamiltonian_block(params, indexer, even)
     assert np.max(np.abs(block - h[np.ix_(even, even)].real)) < 1e-14
+    # the CSR form holds the same elements, bit for bit
+    assert np.array_equal(build_hamiltonian_block(params, indexer, even, sparse=True).toarray(),
+                          block)
     rng = np.random.default_rng(3)
     vec = np.zeros(indexer.dimension)
     vec[even] = rng.standard_normal(even.size)

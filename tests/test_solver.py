@@ -2,18 +2,29 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
+import dicke_qfi.solver
+from dicke_qfi.cli import compute_sweep_record
 from dicke_qfi.errors import ConvergenceError
 from dicke_qfi.model import (
     BasisIndexer,
     ModelParams,
     build_boson_ops,
     build_hamiltonian,
+    build_hamiltonian_block,
     build_parity,
     build_spin_ops,
+    parity_block_indices,
 )
-from dicke_qfi.solver import converge_cutoff, expectation, ground_state, initial_cutoff
+from dicke_qfi.solver import (
+    SPARSE_MIN_DIM,
+    converge_cutoff,
+    expectation,
+    ground_state,
+    initial_cutoff,
+)
 from dicke_qfi.states import partial_trace_atoms
 
 
@@ -158,3 +169,35 @@ def test_expectation_nbar_against_doubled_cutoff():
         partial_trace_atoms(gs2), np.diag(np.arange(2 * n_cutoff + 1.0))
     ).real
     assert abs(nbar - nbar2) < 1e-8
+
+
+@pytest.mark.parametrize("n_atoms,lam,n_cutoff", [(20, 1.0, 170), (5, 0.8, 199)])
+def test_lanczos_matches_dense_above_threshold(n_atoms, lam, n_cutoff):
+    params = ModelParams(1.0, 1.0, lam, n_atoms)
+    indexer = BasisIndexer(n_cutoff, n_atoms)
+    even, _ = parity_block_indices(indexer)
+    assert even.size > SPARSE_MIN_DIM
+    gs = ground_state(params, n_cutoff)
+    block = build_hamiltonian_block(params, indexer, even)
+    energies, vecs = scipy.linalg.eigh(block, subset_by_index=[0, 0])
+    assert abs(gs.energy - energies[0]) < 1e-12
+    assert abs(abs(np.vdot(vecs[:, 0], gs.vector[even])) - 1.0) < 1e-12
+    pivot = np.argmax(np.abs(gs.vector))
+    assert gs.vector[pivot].real > 0
+    assert gs.vector[pivot].imag == 0.0
+    again = ground_state(params, n_cutoff)
+    assert again.energy == gs.energy
+    assert np.array_equal(again.vector, gs.vector)
+
+
+@pytest.mark.parametrize("n_cutoff", [SPARSE_MIN_DIM - 1, SPARSE_MIN_DIM])
+def test_observables_agree_across_solver_threshold(n_cutoff, monkeypatch):
+    # for N = 1 the even block has dimension n_cutoff + 1, so these two
+    # cutoffs sit just below and just above the threshold; each point is
+    # solved by both solvers, moving the threshold to switch between them
+    assert parity_block_indices(BasisIndexer(n_cutoff, 1))[0].size == n_cutoff + 1
+    default = compute_sweep_record(1.0, 1.0, 0.8, 1, 1e-10, n_cutoff)
+    other = 10**9 if n_cutoff + 1 > SPARSE_MIN_DIM else 0
+    monkeypatch.setattr(dicke_qfi.solver, "SPARSE_MIN_DIM", other)
+    switched = compute_sweep_record(1.0, 1.0, 0.8, 1, 1e-10, n_cutoff)
+    assert_allclose(switched.row(), default.row(), rtol=1e-12, atol=1e-14)
