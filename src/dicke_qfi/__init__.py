@@ -20,12 +20,13 @@ from .model import (
     build_spin_ops,
     parity_block_indices,
 )
-from .solver import GroundState, converge_cutoff, expectation, ground_state
+from .solver import GroundState, converge_cutoff, expectation, ground_state, solve
 from .states import (
     DensityMatrix,
     SpectralDecomposition,
     partial_trace_atoms,
     partial_trace_field,
+    schmidt_decompose,
     spectral_decompose,
 )
 from .metrology import (
@@ -90,7 +91,9 @@ __all__ = [
     "qfi_mixed",
     "quad_variance_thermo",
     "quadrature_variance",
+    "schmidt_decompose",
     "sld_qfi_oracle",
+    "solve",
     "spectral_decompose",
     "spin_squeezing_xi2",
     "spin_variance",

@@ -25,6 +25,7 @@ from .metrology import (
     default_field_grid,
     husimi_atoms,
     husimi_field,
+    mean_and_variance,
     number_operator,
     qfi_atoms,
     qfi_field,
@@ -32,8 +33,8 @@ from .metrology import (
     spin_squeezing_xi2,
 )
 from .model import ModelParams, parity_signs
-from .solver import DEFAULT_TOL, converge_cutoff, ground_state
-from .states import partial_trace_atoms, partial_trace_field, spectral_decompose
+from .solver import DEFAULT_TOL, converge_cutoff, solve
+from .states import schmidt_decompose
 from .thermo import (
     GUARD_BAND_REL,
     critical_scaling_probe,
@@ -171,29 +172,24 @@ def compute_sweep_record(
     """Solve one (N, lambda) point and evaluate every sweep observable."""
     params = ModelParams(omega, omega0, lam, n_atoms)
     try:
-        if fock_cutoff is not None:
-            gs = ground_state(params, fock_cutoff)
-            n_cut = fock_cutoff
-        else:
-            n_cut, gs = converge_cutoff(params, tol)
-    except ConvergenceError as exc:
-        last = exc.steps[-1].n_cutoff if exc.steps else 0
-        nan = math.nan
-        return SweepRecord(lam, n_atoms, last, nan, nan, nan, nan, nan, nan,
-                           nan, nan, nan, nan, nan, converged=False)
+        gs = solve(params, tol, fock_cutoff)
+    except (ConvergenceError, SolverError) as exc:
+        # n_cutoff is the last cutoff of the doubling trajectory, or the fixed one
+        steps = exc.steps if isinstance(exc, ConvergenceError) else ()
+        last = steps[-1].n_cutoff if steps else (fock_cutoff or 0)
+        return SweepRecord(lam, n_atoms, last, *[math.nan] * 11, converged=False)
 
-    rho_b = partial_trace_atoms(gs)
-    rho_a = partial_trace_field(gs)
-    nbar = float(np.trace(rho_b.matrix @ number_operator(rho_b.dim).matrix).real)
-    fb = qfi_field(rho_b)
-    fa = qfi_atoms(rho_a)
-    squeezing = spin_squeezing_xi2(rho_a)
-    quad_scaled = 4.0 * quadrature_variance(rho_b, math.pi / 2)
+    field, atoms = schmidt_decompose(gs)
+    nbar, _ = mean_and_variance(field, number_operator(field.dim))
+    fb = qfi_field(field)
+    fa = qfi_atoms(atoms)
+    squeezing = spin_squeezing_xi2(atoms)
+    quad_scaled = 4.0 * quadrature_variance(field, math.pi / 2)
     parity = float(np.sum(parity_signs(gs.indexer) * np.abs(gs.vector) ** 2))
     return SweepRecord(
         lam=lam,
         n_atoms=n_atoms,
-        n_cutoff=n_cut,
+        n_cutoff=gs.n_cutoff,
         ground_energy=gs.energy,
         nbar=nbar,
         f_b=fb.value,
@@ -203,8 +199,8 @@ def compute_sweep_record(
         xi2=squeezing.xi2,
         quad_var_scaled=quad_scaled,
         parity_expect=parity,
-        discarded_mass_a=spectral_decompose(rho_a).discarded_mass,
-        discarded_mass_b=spectral_decompose(rho_b).discarded_mass,
+        discarded_mass_a=atoms.discarded_mass,
+        discarded_mass_b=field.discarded_mass,
     )
 
 
@@ -254,18 +250,13 @@ def run_husimi(config: SweepConfig) -> list[dict]:
     for n in config.n_atoms_list:
         for lam in config.lambda_grid():
             params = ModelParams(config.omega, config.omega0, float(lam), n)
-            if config.fock_cutoff is not None:
-                gs = ground_state(params, config.fock_cutoff)
-            else:
-                _, gs = converge_cutoff(params, config.tol)
-            rho_a = partial_trace_field(gs)
-            rho_b = partial_trace_atoms(gs)
+            field, atoms = schmidt_decompose(solve(params, config.tol, config.fock_cutoff))
             theta, phi = default_atom_grid(atoms_points)
-            q_a = husimi_atoms(rho_a, theta, phi)
+            q_a = husimi_atoms(atoms, theta, phi)
             q_a_max = float(q_a.max())
-            nbar = float(np.trace(rho_b.matrix @ number_operator(rho_b.dim).matrix).real)
+            nbar, _ = mean_and_variance(field, number_operator(field.dim))
             re_axis, im_axis, alpha = default_field_grid(nbar, field_points)
-            q_b = husimi_field(rho_b, alpha)
+            q_b = husimi_field(field, alpha)
             grids.append({
                 "lambda": float(lam),
                 "n_atoms": n,

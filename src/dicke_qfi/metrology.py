@@ -13,19 +13,22 @@ oracle for testing.
 The atomic QFI is evaluated directly with G = Jx: the Ramsey sequence
 (pi/2 pulse about Jy, then phase accumulation under Jz) conjugates the
 generator into Jx, and the QFI is invariant under that fixed unitary.
+
+Functions of one reduced state take its SpectralDecomposition {p_k, |v_k>}
+and form no density matrix: Tr(rho A) = sum_k p_k <v_k|A|v_k>.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 from scipy.special import gammaln
 
 from .model import HermitianOperator, build_boson_ops, build_spin_ops
-from .states import DensityMatrix, SpectralDecomposition, spectral_decompose
+from .states import SpectralDecomposition
 
 #: points per axis of the default Husimi grids
 FIELD_GRID_POINTS = 201
@@ -45,18 +48,34 @@ class QfiResult:
 
 @dataclass(frozen=True)
 class SqueezingResult:
-    """Minimized variance over the two candidate angles plus the raw moments."""
+    """Minimized variance over the two candidate angles and the squeezing parameter."""
 
     variance_min: float
     optimal_angle: float
     xi2: float
-    raw_moments: tuple[complex, complex, complex]
 
 
 def _generator_matrix(generator) -> np.ndarray:
     if isinstance(generator, HermitianOperator):
         return generator.matrix
     return np.asarray(generator)
+
+
+def _check_space(state: SpectralDecomposition, space: str, caller: str) -> None:
+    if state.space != space:
+        raise ValueError(f"{caller} expects a {space}-space state")
+
+
+def mean_and_variance(state: SpectralDecomposition, op) -> tuple[float, float]:
+    """Tr(rho A) and Tr(rho A^2) - Tr(rho A)^2 of a Hermitian A.
+
+    Tr(rho A) = sum_k p_k <v_k|A|v_k> and Tr(rho A^2) = sum_k p_k ||A v_k||^2,
+    with A the full truncated-space matrix.
+    """
+    av = _generator_matrix(op) @ state.vectors
+    mean = float(state.weights @ np.real(np.sum(state.vectors.conj() * av, axis=0)))
+    mean_sq = float(state.weights @ np.sum(np.abs(av) ** 2, axis=0))
+    return mean, mean_sq - mean**2
 
 
 def number_operator(dim: int) -> HermitianOperator:
@@ -141,109 +160,69 @@ def sld_qfi_oracle(decomp: SpectralDecomposition, generator) -> float:
     return float(np.sum(terms * np.abs(overlap) ** 2, where=mask))
 
 
-def qfi_field(rho_b: DensityMatrix) -> QfiResult:
+def qfi_field(field: SpectralDecomposition) -> QfiResult:
     """QFI of the field state for the phase generator b'b, scaled by 4*nbar.
 
     With nbar = 0 (decoupled vacuum) the scaled ratio is undefined and
     reported as NaN.
     """
-    if rho_b.space != "boson":
-        raise ValueError("qfi_field expects a boson-space density matrix")
-    number = number_operator(rho_b.dim)
-    nbar = float(np.trace(rho_b.matrix @ number.matrix).real)
-    decomp = spectral_decompose(rho_b)
-    result = qfi_mixed(decomp, number, label="field(b'b)")
-    scaled = result.value / (4.0 * nbar) if nbar > 0 else math.nan
-    return QfiResult(result.value, scaled, result.generator_label,
-                     result.variance_term, result.correction_term)
+    _check_space(field, "boson", "qfi_field")
+    number = number_operator(field.dim)
+    nbar, _ = mean_and_variance(field, number)
+    result = qfi_mixed(field, number, label="field(b'b)")
+    return replace(result, scaled=result.value / (4.0 * nbar) if nbar > 0 else math.nan)
 
 
-def qfi_atoms(rho_a: DensityMatrix) -> QfiResult:
+def qfi_atoms(atoms: SpectralDecomposition) -> QfiResult:
     """QFI of the atomic state for the Ramsey generator Jx, scaled by N."""
-    if rho_a.space != "spin":
-        raise ValueError("qfi_atoms expects a spin-space density matrix")
-    n_atoms = rho_a.dim - 1
-    decomp = spectral_decompose(rho_a)
-    result = qfi_mixed(decomp, jx_operator(n_atoms), label="atoms(Jx)")
-    return QfiResult(result.value, result.value / n_atoms, result.generator_label,
-                     result.variance_term, result.correction_term)
+    _check_space(atoms, "spin", "qfi_atoms")
+    n_atoms = atoms.dim - 1
+    result = qfi_mixed(atoms, jx_operator(n_atoms), label="atoms(Jx)")
+    return replace(result, scaled=result.value / n_atoms)
 
 
-def _moments_field(rho_b: DensityMatrix) -> tuple[complex, complex, complex]:
-    annihilate, number = build_boson_ops(rho_b.dim - 1)
-    mat = rho_b.matrix
-    b1 = complex(np.trace(mat @ annihilate))
-    b2 = complex(np.trace(mat @ (annihilate @ annihilate)))
-    nb = complex(np.trace(mat @ number.matrix))
-    return b1, b2, nb
-
-
-def quadrature_variance(rho_b: DensityMatrix, sigma: float) -> float:
+def quadrature_variance(field: SpectralDecomposition, sigma: float) -> float:
     """Variance of X_sigma, computed as <X^2> - <X>^2 on the truncated space."""
-    if rho_b.space != "boson":
-        raise ValueError("quadrature_variance expects a boson-space density matrix")
-    x = quadrature_operator(rho_b.dim, sigma).matrix
-    mean = np.trace(rho_b.matrix @ x).real
-    mean_sq = np.trace(rho_b.matrix @ (x @ x)).real
-    return float(mean_sq - mean**2)
+    _check_space(field, "boson", "quadrature_variance")
+    return mean_and_variance(field, quadrature_operator(field.dim, sigma))[1]
 
 
-def optimal_quadrature(rho_b: DensityMatrix) -> SqueezingResult:
+def _best_angle(v0: float, v90: float) -> tuple[float, float]:
+    """(angle, variance) of the smaller candidate; ties break to pi/2."""
+    if v0 < v90 - 1e-12 * max(1.0, abs(v90)):
+        return 0.0, v0
+    return math.pi / 2, v90
+
+
+def optimal_quadrature(field: SpectralDecomposition) -> SqueezingResult:
     """Minimize the quadrature variance over the two candidates sigma = 0, pi/2.
 
     Ties (isotropic states) break to pi/2 so sweep outputs stay continuous
     through the decoupled limit.  xi2 reports 4*(dX_{pi/2})^2 regardless of
     which angle wins.
     """
-    v0 = quadrature_variance(rho_b, 0.0)
-    v90 = quadrature_variance(rho_b, math.pi / 2)
-    if v0 < v90 - 1e-12 * max(1.0, abs(v90)):
-        angle, vmin = 0.0, v0
-    else:
-        angle, vmin = math.pi / 2, v90
-    return SqueezingResult(
-        variance_min=vmin,
-        optimal_angle=angle,
-        xi2=4.0 * v90,
-        raw_moments=_moments_field(rho_b),
-    )
+    v90 = quadrature_variance(field, math.pi / 2)
+    angle, vmin = _best_angle(quadrature_variance(field, 0.0), v90)
+    return SqueezingResult(variance_min=vmin, optimal_angle=angle, xi2=4.0 * v90)
 
 
-def spin_variance(rho_a: DensityMatrix, phi: float) -> float:
+def spin_variance(atoms: SpectralDecomposition, phi: float) -> float:
     """Variance of J_phi = Jx cos(phi) + Jy sin(phi)."""
-    if rho_a.space != "spin":
-        raise ValueError("spin_variance expects a spin-space density matrix")
-    spin = build_spin_ops(rho_a.dim - 1)
-    j_phi = spin.jx * math.cos(phi) + spin.jy * math.sin(phi)
-    mean = np.trace(rho_a.matrix @ j_phi).real
-    mean_sq = np.trace(rho_a.matrix @ (j_phi @ j_phi)).real
-    return float(mean_sq - mean**2)
+    _check_space(atoms, "spin", "spin_variance")
+    spin = build_spin_ops(atoms.dim - 1)
+    return mean_and_variance(atoms, spin.jx * math.cos(phi) + spin.jy * math.sin(phi))[1]
 
 
-def spin_squeezing_xi2(rho_a: DensityMatrix) -> SqueezingResult:
+def spin_squeezing_xi2(atoms: SpectralDecomposition) -> SqueezingResult:
     """Spin squeezing parameter xi^2 = 4*(dJy)^2 / N with the optimal angle.
 
     The candidate squeezing angles are phi = 0 and pi/2 (the variance is
     harmonic in 2*phi); ties break to pi/2.
     """
-    n_atoms = rho_a.dim - 1
-    v0 = spin_variance(rho_a, 0.0)
-    v90 = spin_variance(rho_a, math.pi / 2)
-    if v0 < v90 - 1e-12 * max(1.0, abs(v90)):
-        angle, vmin = 0.0, v0
-    else:
-        angle, vmin = math.pi / 2, v90
-    spin = build_spin_ops(n_atoms)
-    mat = rho_a.matrix
-    jy2 = complex(np.trace(mat @ (spin.jy @ spin.jy)))
-    jp2 = complex(np.trace(mat @ (spin.jplus @ spin.jplus)))
-    jperp = complex(np.trace(mat @ (spin.jx @ spin.jx + spin.jy @ spin.jy)))
-    return SqueezingResult(
-        variance_min=vmin,
-        optimal_angle=angle,
-        xi2=4.0 * v90 / n_atoms,
-        raw_moments=(jy2, jp2, jperp),
-    )
+    v90 = spin_variance(atoms, math.pi / 2)
+    angle, vmin = _best_angle(spin_variance(atoms, 0.0), v90)
+    return SqueezingResult(variance_min=vmin, optimal_angle=angle,
+                           xi2=4.0 * v90 / (atoms.dim - 1))
 
 
 def coherent_amplitudes(alpha: np.ndarray, dim: int) -> np.ndarray:
@@ -270,25 +249,20 @@ def coherent_amplitudes(alpha: np.ndarray, dim: int) -> np.ndarray:
     return amps
 
 
-def husimi_field(rho_b: DensityMatrix, alpha: np.ndarray) -> np.ndarray:
+def husimi_field(field: SpectralDecomposition, alpha: np.ndarray) -> np.ndarray:
     """Q_B(alpha) = <alpha|rho_B|alpha> evaluated on a grid of amplitudes.
 
     The grid should satisfy |alpha|^2 << n_cutoff for the truncated coherent
     states to be faithful.
     """
-    if rho_b.space != "boson":
-        raise ValueError("husimi_field expects a boson-space density matrix")
-    alpha = np.asarray(alpha, dtype=complex)
-    out = np.empty(alpha.size)
-    mat = rho_b.matrix
+    _check_space(field, "boson", "husimi_field")
+    flat = np.asarray(alpha, dtype=complex).ravel()
+    out = np.empty(flat.size)
     chunk = 4096
-    flat = alpha.ravel()
     for start in range(0, flat.size, chunk):
-        block = coherent_amplitudes(flat[start : start + chunk], rho_b.dim)
-        out[start : start + chunk] = np.einsum(
-            "pn,nm,pm->p", block.conj(), mat, block, optimize=True
-        ).real
-    return out.reshape(alpha.shape)
+        block = coherent_amplitudes(flat[start : start + chunk], field.dim)
+        out[start : start + chunk] = _husimi(block, field)
+    return out.reshape(np.shape(alpha))
 
 
 def default_field_grid(
@@ -325,12 +299,15 @@ def spin_coherent_amplitudes(theta: np.ndarray, phi: np.ndarray, n_atoms: int) -
     return amp_theta[:, None, :] * phase[None, :, :]
 
 
-def husimi_atoms(rho_a: DensityMatrix, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+def husimi_atoms(atoms: SpectralDecomposition, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Q_A(theta, phi) = <theta,phi|rho_A|theta,phi> on a product grid."""
-    if rho_a.space != "spin":
-        raise ValueError("husimi_atoms expects a spin-space density matrix")
-    amps = spin_coherent_amplitudes(theta, phi, rho_a.dim - 1)
-    return np.einsum("tpk,kl,tpl->tp", amps.conj(), rho_a.matrix, amps, optimize=True).real
+    _check_space(atoms, "spin", "husimi_atoms")
+    return _husimi(spin_coherent_amplitudes(theta, phi, atoms.dim - 1), atoms)
+
+
+def _husimi(amps: np.ndarray, state: SpectralDecomposition) -> np.ndarray:
+    """sum_k p_k |<c|v_k>|^2 for coherent-state amplitudes <n|c> along the last axis."""
+    return np.abs(amps.conj() @ state.vectors) ** 2 @ state.weights
 
 
 def default_atom_grid(points: int = ATOM_GRID_POINTS) -> tuple[np.ndarray, np.ndarray]:

@@ -194,6 +194,15 @@ def converge_cutoff(
             return n_cutoff, GroundState(gs.energy, gs.vector, params, n_cutoff, info)
 
 
+def solve(
+    params: ModelParams, tol: float = DEFAULT_TOL, fock_cutoff: int | None = None
+) -> GroundState:
+    """Ground state at a fixed Fock cutoff, or by converge_cutoff when none is given."""
+    if fock_cutoff is not None:
+        return ground_state(params, fock_cutoff)
+    return converge_cutoff(params, tol)[1]
+
+
 def expectation(state, op) -> complex:
     """<psi|A|psi> for a state vector or Tr(rho A) for a density matrix.
 

@@ -1,9 +1,11 @@
-"""Reduced density matrices of the ground state and their spectral form.
+"""Reduced states of the ground state in spectral form.
 
-The boson-major basis ordering makes both partial traces plain reshaped
-matrix products.  Spectral decompositions drop eigenvalues at or below a
-weight floor and report the discarded mass so downstream QFI errors can
-be bounded.
+In the boson-major basis the ground state is a (n_cutoff+1) x (N+1) grid
+psi, and one thin SVD psi = U S V^H (its Schmidt decomposition) gives both
+reduced states with the shared weights S^2.  Dense partial traces and their
+eigendecomposition serve hand-built mixed states and checks.  Decompositions
+drop weights at or below a floor and report the discarded mass so
+downstream QFI errors can be bounded.
 """
 
 from __future__ import annotations
@@ -51,10 +53,11 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues above the weight floor, descending, with matching eigenvectors."""
+    """A state on one subsystem: weights above the floor, descending, with eigenvectors."""
 
     weights: np.ndarray
     vectors: np.ndarray  # column k is the eigenvector of weights[k]
+    space: Space
     weight_floor: float
     discarded_mass: float
 
@@ -88,24 +91,40 @@ def partial_trace_field(gs: GroundState) -> DensityMatrix:
     return DensityMatrix(rho, "spin")
 
 
+def _retained(
+    weights: np.ndarray, vectors: np.ndarray, space: Space, weight_floor: float
+) -> SpectralDecomposition:
+    """Keep the descending weights above ``weight_floor`` and their vectors."""
+    if weight_floor < 0:
+        raise ValueError("weight_floor must be >= 0")
+    keep = weights > weight_floor
+    return SpectralDecomposition(weights[keep], vectors[:, keep], space,
+                                 float(weight_floor), float(np.sum(weights[~keep])))
+
+
+def schmidt_decompose(
+    gs: GroundState, weight_floor: float = DEFAULT_WEIGHT_FLOOR
+) -> tuple[SpectralDecomposition, SpectralDecomposition]:
+    """(field, atoms) reduced states of a ground state from one thin SVD.
+
+    psi = U S V^H: the field eigenvectors are the columns of U, the atomic
+    ones those of conj(V) = vh.T, and both carry the weights S^2.
+    """
+    try:
+        u, s, vh = scipy.linalg.svd(_amplitude_grid(gs), full_matrices=False)
+    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise SolverError(f"Schmidt decomposition failed: {exc}") from exc
+    return (_retained(s**2, u, "boson", weight_floor),
+            _retained(s**2, vh.T, "spin", weight_floor))
+
+
 def spectral_decompose(
     rho: DensityMatrix, weight_floor: float = DEFAULT_WEIGHT_FLOOR
 ) -> SpectralDecomposition:
     """Eigenpairs of a density matrix with weights above ``weight_floor``."""
-    if weight_floor < 0:
-        raise ValueError("weight_floor must be >= 0")
     try:
         evals, evecs = scipy.linalg.eigh(rho.matrix)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise SolverError(f"density-matrix eigensolver failed: {exc}") from exc
     order = np.argsort(evals)[::-1]
-    evals = evals[order]
-    evecs = evecs[:, order]
-    keep = evals > weight_floor
-    discarded = float(np.sum(evals[~keep]))
-    return SpectralDecomposition(
-        weights=evals[keep].copy(),
-        vectors=evecs[:, keep].copy(),
-        weight_floor=float(weight_floor),
-        discarded_mass=discarded,
-    )
+    return _retained(evals[order], evecs[:, order], rho.space, weight_floor)

@@ -61,7 +61,6 @@ class ThermoPoint:
     gamma: float
     c: float
     s: float
-    omega_tilde: float
     omega_atoms: float
     omega_field: float
     exp_b_omega_atoms: float
@@ -71,6 +70,8 @@ class ThermoPoint:
 
 def thermo_point(omega: float, omega0: float, lam: float) -> ThermoPoint:
     """Evaluate order parameters, polariton energies, and thermal factors at one lambda."""
+    if not all(math.isfinite(v) for v in (omega, omega0, lam)):
+        raise ValueError("omega, omega0 and lam must be finite")
     if omega <= 0 or omega0 <= 0:
         raise ValueError("omega and omega0 must be positive")
     if lam < 0:
@@ -122,7 +123,6 @@ def thermo_point(omega: float, omega0: float, lam: float) -> ThermoPoint:
         gamma=gamma,
         c=c,
         s=s,
-        omega_tilde=omega0 * (1.0 + mu) / (2.0 * mu),
         omega_atoms=omega_atoms,
         omega_field=omega_field,
         exp_b_omega_atoms=exp_atoms,

@@ -1,17 +1,30 @@
 import pytest
 
-from dicke_qfi import ModelParams, converge_cutoff, partial_trace_atoms, partial_trace_field
+from dicke_qfi import (
+    ModelParams,
+    converge_cutoff,
+    partial_trace_atoms,
+    partial_trace_field,
+    schmidt_decompose,
+)
 
 
 @pytest.fixture(scope="session")
 def ultrastrong_n6():
-    """Converged N=6, lambda=2 ground state with both reduced states."""
+    """Converged N=6, lambda=2 ground state with both reduced states.
+
+    ``rho_a``/``rho_b`` are the dense partial traces, ``atoms``/``field`` the
+    Schmidt decomposition.
+    """
     params = ModelParams(1.0, 1.0, 2.0, 6)
     n_cutoff, gs = converge_cutoff(params, 1e-10)
+    field, atoms = schmidt_decompose(gs)
     return {
         "params": params,
         "n_cutoff": n_cutoff,
         "gs": gs,
         "rho_a": partial_trace_field(gs),
         "rho_b": partial_trace_atoms(gs),
+        "atoms": atoms,
+        "field": field,
     }

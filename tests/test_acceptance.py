@@ -27,7 +27,7 @@ from dicke_qfi.metrology import (
 )
 from dicke_qfi.model import ModelParams
 from dicke_qfi.solver import converge_cutoff, ground_state
-from dicke_qfi.states import partial_trace_atoms, partial_trace_field, spectral_decompose
+from dicke_qfi.states import schmidt_decompose, spectral_decompose
 from dicke_qfi.thermo import (
     critical_scaling_probe,
     nbar_thermo,
@@ -178,7 +178,7 @@ def test_criterion_06_husimi_maximum_regression():
     for lam in (0.0, 0.54, 1.0):
         params = ModelParams(1.0, 1.0, lam, 20)
         _, gs = converge_cutoff(params, 1e-10)
-        q = husimi_atoms(partial_trace_field(gs), theta, phi)
+        q = husimi_atoms(schmidt_decompose(gs)[1], theta, phi)
         maxima[lam] = float(q.max())
     elapsed = time.perf_counter() - start
     assert abs(maxima[0.0] - 1.0) < 1e-9
@@ -240,12 +240,12 @@ def test_criterion_08_qfi_oracle_equivalence():
 
 def test_criterion_09_ultrastrong_asymptotics(ultrastrong_n6):
     params = ultrastrong_n6["params"]
-    rho_a, rho_b = ultrastrong_n6["rho_a"], ultrastrong_n6["rho_b"]
+    atoms, field = ultrastrong_n6["atoms"], ultrastrong_n6["field"]
     ref = ultrastrong_reference(params)
-    fa = qfi_atoms(rho_a).scaled
-    fb = qfi_field(rho_b).scaled
-    var_x0 = quadrature_variance(rho_b, 0.0)
-    var_jx = spin_variance(rho_a, 0.0)
+    fa = qfi_atoms(atoms).scaled
+    fb = qfi_field(field).scaled
+    var_x0 = quadrature_variance(field, 0.0)
+    var_jx = spin_variance(atoms, 0.0)
     assert fa < 0.1
     assert 0.8 < fb < 1.2
     assert abs(var_x0 - ref.var_x0) < 0.1 * ref.var_x0

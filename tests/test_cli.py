@@ -228,10 +228,16 @@ def test_lanczos_failure_exit_code(error, tmp_path, monkeypatch):
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
     # N = 1 at cutoff 600 gives an even block of dimension 601, above the threshold
-    code = main(["sweep", "--n-atoms", "1", "--lambda-min", "0.5", "--lambda-max", "0.5",
-                 "--lambda-steps", "1", "--fock-cutoff", "600",
-                 "--out", str(tmp_path / "x.csv")])
+    out = tmp_path / "x.csv"
+    code = main(["sweep", "--n-atoms", "1", "--lambda-min", "0.4", "--lambda-max", "0.5",
+                 "--lambda-steps", "2", "--fock-cutoff", "600", "--out", str(out)])
     assert code == 4
+    # each failed point is a NaN row, and the sweep still writes every row and the footer
+    header, rows, footer = read_csv_rows(out)
+    assert tuple(header) == SWEEP_COLUMNS
+    assert [row[:3] for row in rows] == [["0.4", "1", "600"], ["0.5", "1", "600"]]
+    assert all(math.isnan(float(v)) for row in rows for v in row[3:])
+    assert len(footer) == 1 and "failed_points=[[0.4, 1], [0.5, 1]]" in footer[0]
 
 
 def test_io_error_exit_code(tmp_path):

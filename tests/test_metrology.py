@@ -22,26 +22,35 @@ from dicke_qfi.metrology import (
     spin_squeezing_xi2,
     spin_variance,
 )
-from dicke_qfi.model import ModelParams
+from dicke_qfi.model import ModelParams, build_boson_ops
 from dicke_qfi.solver import ground_state
-from dicke_qfi.states import DensityMatrix, partial_trace_atoms, partial_trace_field, spectral_decompose
+from dicke_qfi.states import (
+    DensityMatrix,
+    SpectralDecomposition,
+    schmidt_decompose,
+    spectral_decompose,
+)
 
 
-def coherent_density(alpha: complex, dim: int) -> DensityMatrix:
+def coherent_state(alpha: complex, dim: int) -> SpectralDecomposition:
     vec = coherent_amplitudes(np.array([alpha]), dim)[0]
     vec = vec / np.linalg.norm(vec)
-    return DensityMatrix(np.outer(vec, vec.conj()), "boson")
+    return spectral_decompose(DensityMatrix(np.outer(vec, vec.conj()), "boson"))
 
 
-def vacuum_density(dim: int) -> DensityMatrix:
-    return coherent_density(0.0, dim)
+def vacuum_state(dim: int) -> SpectralDecomposition:
+    return coherent_state(0.0, dim)
+
+
+def atoms_of(params: ModelParams, n_cutoff: int) -> SpectralDecomposition:
+    return schmidt_decompose(ground_state(params, n_cutoff))[1]
 
 
 @pytest.fixture(scope="module")
 def squeezed_n20():
     # N=20 slightly above threshold; cutoff checked converged in the solver tests
-    gs = ground_state(ModelParams(1.0, 1.0, 0.54, 20), 114)
-    return partial_trace_field(gs), partial_trace_atoms(gs)  # (atoms, field)
+    field, atoms = schmidt_decompose(ground_state(ModelParams(1.0, 1.0, 0.54, 20), 114))
+    return atoms, field
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +58,7 @@ def squeezed_n20():
 
 def test_qfi_coherent_field_hits_classical_limit():
     alpha = 1.2
-    rho = coherent_density(alpha, 50)
+    rho = coherent_state(alpha, 50)
     result = qfi_field(rho)
     assert abs(result.value - 4 * alpha**2) / (4 * alpha**2) < 1e-8
     assert abs(result.scaled - 1.0) < 1e-8
@@ -59,7 +68,7 @@ def test_qfi_coherent_spin_state_is_atom_number():
     n_atoms = 7
     rho = np.zeros((n_atoms + 1, n_atoms + 1), dtype=complex)
     rho[0, 0] = 1.0  # |j,-j>
-    result = qfi_atoms(DensityMatrix(rho, "spin"))
+    result = qfi_atoms(spectral_decompose(DensityMatrix(rho, "spin")))
     assert abs(result.value - n_atoms) < 1e-12
     assert abs(result.scaled - 1.0) < 1e-12
 
@@ -151,7 +160,7 @@ def test_qfi_dimension_mismatch_rejected():
 
 
 def test_field_qfi_vacuum_scaled_undefined():
-    result = qfi_field(vacuum_density(12))
+    result = qfi_field(vacuum_state(12))
     assert result.value == 0.0
     assert math.isnan(result.scaled)
 
@@ -160,24 +169,24 @@ def test_field_qfi_vacuum_scaled_undefined():
 # quadratures and spin squeezing
 
 def test_quadrature_vacuum_isotropic():
-    rho = vacuum_density(12)
+    rho = vacuum_state(12)
     for sigma in (0.0, 0.3, math.pi / 2):
         assert abs(quadrature_variance(rho, sigma) - 0.25) < 1e-12
 
 
 def test_quadrature_coherent_displacement_invariant():
-    rho = coherent_density(1.1 + 0.4j, 60)
+    rho = coherent_state(1.1 + 0.4j, 60)
     for sigma in (0.0, math.pi / 2):
         assert abs(quadrature_variance(rho, sigma) - 0.25) < 1e-8
 
 
 def test_quadrature_squeezed_below_vacuum(squeezed_n20):
-    _, rho_b = squeezed_n20
-    assert quadrature_variance(rho_b, math.pi / 2) < 0.25
+    _, field = squeezed_n20
+    assert quadrature_variance(field, math.pi / 2) < 0.25
 
 
 def test_optimal_quadrature_tie_breaks_to_phase():
-    result = optimal_quadrature(vacuum_density(12))
+    result = optimal_quadrature(vacuum_state(12))
     assert result.optimal_angle == math.pi / 2
     assert abs(result.xi2 - 1.0) < 1e-12
 
@@ -188,49 +197,49 @@ def test_optimal_quadrature_sign_rule():
     vec = np.zeros(dim, dtype=complex)
     vec[0], vec[2] = 1.0, -0.3
     vec /= np.linalg.norm(vec)
-    rho = DensityMatrix(np.outer(vec, vec.conj()), "boson")
+    rho = spectral_decompose(DensityMatrix(np.outer(vec, vec.conj()), "boson"))
+    b, _ = build_boson_ops(dim - 1)
+    assert np.vdot(vec, b @ b @ vec).real < 0
     result = optimal_quadrature(rho)
-    assert result.raw_moments[1].real < 0
     assert result.optimal_angle == 0.0
     assert result.variance_min == quadrature_variance(rho, 0.0)
 
 
 def test_optimal_quadrature_dicke(squeezed_n20):
-    _, rho_b = squeezed_n20
-    assert optimal_quadrature(rho_b).optimal_angle == math.pi / 2
+    _, field = squeezed_n20
+    assert optimal_quadrature(field).optimal_angle == math.pi / 2
 
 
 def test_spin_variance_css_isotropic():
     n_atoms = 9
     rho = np.zeros((n_atoms + 1, n_atoms + 1), dtype=complex)
     rho[0, 0] = 1.0
-    css = DensityMatrix(rho, "spin")
+    css = spectral_decompose(DensityMatrix(rho, "spin"))
     for phi in (0.0, 0.7, math.pi / 2):
         assert abs(spin_variance(css, phi) - n_atoms / 4) < 1e-12
 
 
 def test_spin_variance_ultrastrong_antisqueezed(ultrastrong_n6):
-    var_jx = spin_variance(ultrastrong_n6["rho_a"], 0.0)
+    var_jx = spin_variance(ultrastrong_n6["atoms"], 0.0)
     n = ultrastrong_n6["params"].n_atoms
     assert abs(var_jx - n**2 / 4) < 0.1 * n**2 / 4
 
 
 def test_spin_squeezing_decoupled_unity():
-    gs = ground_state(ModelParams(1.0, 1.0, 0.0, 6), 8)
-    result = spin_squeezing_xi2(partial_trace_field(gs))
+    result = spin_squeezing_xi2(atoms_of(ModelParams(1.0, 1.0, 0.0, 6), 8))
     assert abs(result.xi2 - 1.0) < 1e-12
 
 
 def test_spin_squeezing_dip(squeezed_n20):
-    rho_a, _ = squeezed_n20
-    result = spin_squeezing_xi2(rho_a)
+    atoms, _ = squeezed_n20
+    result = spin_squeezing_xi2(atoms)
     assert result.xi2 < 1.0
     assert result.optimal_angle == math.pi / 2
-    assert spin_variance(rho_a, math.pi / 2) < 20 / 4
+    assert spin_variance(atoms, math.pi / 2) < 20 / 4
 
 
 def test_spin_squeezing_ultrastrong_returns_to_unity(ultrastrong_n6):
-    result = spin_squeezing_xi2(ultrastrong_n6["rho_a"])
+    result = spin_squeezing_xi2(ultrastrong_n6["atoms"])
     assert result.xi2 <= 1.0 + 1e-9
     assert abs(result.xi2 - 1.0) < 0.1
 
@@ -239,7 +248,7 @@ def test_spin_squeezing_ultrastrong_returns_to_unity(ultrastrong_n6):
 # Husimi distributions
 
 def test_husimi_field_vacuum_gaussian():
-    rho = vacuum_density(16)
+    rho = vacuum_state(16)
     axis = np.linspace(-2, 2, 21)
     re, im = np.meshgrid(axis, axis, indexing="ij")
     alpha = re + 1j * im
@@ -252,7 +261,7 @@ def test_husimi_field_bounds_and_normalization(ultrastrong_n6):
     number = number_operator(rho_b.dim)
     nbar = np.trace(rho_b.matrix @ number.matrix).real
     re_axis, im_axis, alpha = default_field_grid(nbar, 121)
-    q = husimi_field(rho_b, alpha)
+    q = husimi_field(ultrastrong_n6["field"], alpha)
     # Q is bounded below by rho's smallest eigenvalue, which is PSD to 1e-10
     assert np.all(q >= -1e-10)
     assert np.all(q <= 1.0 + 1e-12)
@@ -267,25 +276,25 @@ def test_husimi_field_ultrastrong_lobes(ultrastrong_n6):
     number = number_operator(rho_b.dim)
     nbar = np.trace(rho_b.matrix @ number.matrix).real
     re_axis, _, alpha = default_field_grid(nbar, 161)
-    q = husimi_field(rho_b, alpha)
+    field = ultrastrong_n6["field"]
+    q = husimi_field(field, alpha)
     i, j = np.unravel_index(np.argmax(q), q.shape)
     spacing = re_axis[1] - re_axis[0]
     assert abs(abs(re_axis[i]) - alpha0) < 2 * spacing
     assert abs(q[i, j] - 0.5) < 0.1
     # mirror lobe carries the same weight
-    mirrored = husimi_field(rho_b, np.array([-re_axis[i] + 0j]))[0]
+    mirrored = husimi_field(field, np.array([-re_axis[i] + 0j]))[0]
     assert abs(mirrored - q[i, j]) < 1e-6
 
 
 def test_husimi_field_two_lobes_n20():
     # above threshold the field splits into two displaced lobes at +-alpha0
     params = ModelParams(1.0, 1.0, 1.0, 20)
-    gs = ground_state(params, 340)  # converged cutoff per the solver tests
-    rho_b = partial_trace_atoms(gs)
+    field, _ = schmidt_decompose(ground_state(params, 340))  # converged cutoff per the solver tests
     alpha0 = params.lam * math.sqrt(params.n_atoms) / params.omega
     axis = np.linspace(-1.5 * alpha0, 1.5 * alpha0, 81)
     re, im = np.meshgrid(axis, axis, indexing="ij")
-    q = husimi_field(rho_b, re + 1j * im)
+    q = husimi_field(field, re + 1j * im)
     spacing = axis[1] - axis[0]
     i, j = np.unravel_index(np.argmax(q), q.shape)
     assert abs(abs(axis[i]) - alpha0) < 2 * spacing
@@ -297,34 +306,32 @@ def test_husimi_field_two_lobes_n20():
 
 def test_husimi_atoms_decoupled_closed_form():
     n_atoms = 10
-    gs = ground_state(ModelParams(1.0, 1.0, 0.0, n_atoms), 8)
-    rho_a = partial_trace_field(gs)
     theta, phi = default_atom_grid(61)
-    q = husimi_atoms(rho_a, theta, phi)
+    q = husimi_atoms(atoms_of(ModelParams(1.0, 1.0, 0.0, n_atoms), 8), theta, phi)
     expected = np.cos(theta / 2) ** (2 * n_atoms)
     assert_allclose(q, expected[:, None] * np.ones_like(phi)[None, :], atol=1e-12)
     assert abs(q.max() - 1.0) < 1e-12
 
 
 def test_husimi_atoms_bounds(squeezed_n20):
-    rho_a, _ = squeezed_n20
+    atoms, _ = squeezed_n20
     theta, phi = default_atom_grid(61)
-    q = husimi_atoms(rho_a, theta, phi)
+    q = husimi_atoms(atoms, theta, phi)
     assert np.all(q >= -1e-14)
     assert np.all(q <= 1.0 + 1e-12)
 
 
 def test_space_tags_enforced(squeezed_n20):
-    rho_a, rho_b = squeezed_n20
+    atoms, field = squeezed_n20
     with pytest.raises(ValueError):
-        qfi_field(rho_a)
+        qfi_field(atoms)
     with pytest.raises(ValueError):
-        qfi_atoms(rho_b)
+        qfi_atoms(field)
     with pytest.raises(ValueError):
-        quadrature_variance(rho_a, 0.0)
+        quadrature_variance(atoms, 0.0)
     with pytest.raises(ValueError):
-        spin_variance(rho_b, 0.0)
+        spin_variance(field, 0.0)
     with pytest.raises(ValueError):
-        husimi_field(rho_a, np.zeros((2, 2), dtype=complex))
+        husimi_field(atoms, np.zeros((2, 2), dtype=complex))
     with pytest.raises(ValueError):
-        husimi_atoms(rho_b, np.array([0.0]), np.array([0.0]))
+        husimi_atoms(field, np.array([0.0]), np.array([0.0]))

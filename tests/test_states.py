@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
-from dicke_qfi.model import ModelParams, build_boson_ops, build_spin_ops
-from dicke_qfi.solver import converge_cutoff, expectation, ground_state
+from dicke_qfi.model import ModelParams, build_boson_ops, build_spin_ops, parity_block_indices
+from dicke_qfi.solver import SPARSE_MIN_DIM, converge_cutoff, expectation, ground_state
 from dicke_qfi.states import (
     DensityMatrix,
+    SpectralDecomposition,
     partial_trace_atoms,
     partial_trace_field,
+    schmidt_decompose,
     spectral_decompose,
 )
 
@@ -105,6 +107,8 @@ def test_spectral_decompose_reconstruction(dicke_n6):
 def test_spectral_decompose_rejects_negative_floor(dicke_n6):
     with pytest.raises(ValueError):
         spectral_decompose(partial_trace_atoms(dicke_n6), weight_floor=-1.0)
+    with pytest.raises(ValueError):
+        schmidt_decompose(dicke_n6, weight_floor=-1.0)
 
 
 def test_density_matrix_validation():
@@ -112,3 +116,25 @@ def test_density_matrix_validation():
         DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]), "boson")
     with pytest.raises(ValueError):
         DensityMatrix(np.eye(2), "boson")
+
+
+def _rebuild(decomp: SpectralDecomposition) -> np.ndarray:
+    return (decomp.vectors * decomp.weights) @ decomp.vectors.conj().T
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3, 0.54, 1.0])
+@pytest.mark.parametrize("n_atoms, n_cutoff, lanczos", [(1, 30, False), (6, 40, False),
+                                                        (20, 80, True)])
+def test_schmidt_matches_partial_trace_spectra(n_atoms, n_cutoff, lanczos, lam):
+    gs = ground_state(ModelParams(1.0, 1.0, lam, n_atoms), n_cutoff)
+    even, _ = parity_block_indices(gs.indexer)
+    assert (even.size > SPARSE_MIN_DIM) == lanczos
+    field, atoms = schmidt_decompose(gs)
+    assert_array_equal(field.weights, atoms.weights)
+    for schmidt, rho in ((field, partial_trace_atoms(gs)), (atoms, partial_trace_field(gs))):
+        oracle = spectral_decompose(rho)
+        assert schmidt.space == oracle.space
+        assert schmidt.rank == oracle.rank
+        assert np.max(np.abs(schmidt.weights - oracle.weights)) < 1e-12
+        assert np.max(np.abs(_rebuild(schmidt) - _rebuild(oracle))) < 1e-12
+        assert abs(schmidt.discarded_mass - oracle.discarded_mass) < 1e-12

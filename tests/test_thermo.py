@@ -59,6 +59,10 @@ def test_rejects_bad_arguments():
         thermo_point(0.0, 1.0, 0.1)
     with pytest.raises(ValueError):
         thermo_point(1.0, 1.0, -0.1)
+    for bad in (math.nan, math.inf, -math.inf):
+        for args in ((bad, 1.0, 0.5), (1.0, bad, 0.5), (1.0, 1.0, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                thermo_point(*args)
     with pytest.raises(ValueError):
         critical_scaling_probe(1.0, 1.0, side="sideways")
 
