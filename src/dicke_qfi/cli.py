@@ -19,14 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .errors import ConvergenceError, SolverError
+from .errors import SolverError
 from .metrology import (
     default_atom_grid,
     default_field_grid,
     husimi_atoms,
     husimi_field,
-    mean_and_variance,
-    number_operator,
+    mean_number,
     qfi_atoms,
     qfi_field,
     quadrature_variance,
@@ -173,31 +172,25 @@ def compute_sweep_record(
     params = ModelParams(omega, omega0, lam, n_atoms)
     try:
         gs = solve(params, tol, fock_cutoff)
-    except (ConvergenceError, SolverError) as exc:
-        # n_cutoff is the last cutoff of the doubling trajectory, or the fixed one
-        steps = exc.steps if isinstance(exc, ConvergenceError) else ()
-        last = steps[-1].n_cutoff if steps else (fock_cutoff or 0)
-        return SweepRecord(lam, n_atoms, last, *[math.nan] * 11, converged=False)
+    except SolverError as exc:  # ConvergenceError included; n_cutoff is the last one tried
+        return SweepRecord(lam, n_atoms, exc.n_cutoff, *[math.nan] * 11, converged=False)
 
     field, atoms = schmidt_decompose(gs)
-    nbar, _ = mean_and_variance(field, number_operator(field.dim))
     fb = qfi_field(field)
     fa = qfi_atoms(atoms)
-    squeezing = spin_squeezing_xi2(atoms)
-    quad_scaled = 4.0 * quadrature_variance(field, math.pi / 2)
     parity = float(np.sum(parity_signs(gs.indexer) * np.abs(gs.vector) ** 2))
     return SweepRecord(
         lam=lam,
         n_atoms=n_atoms,
         n_cutoff=gs.n_cutoff,
         ground_energy=gs.energy,
-        nbar=nbar,
+        nbar=mean_number(field),
         f_b=fb.value,
         f_b_scaled=fb.scaled,
         f_a=fa.value,
         f_a_scaled=fa.scaled,
-        xi2=squeezing.xi2,
-        quad_var_scaled=quad_scaled,
+        xi2=spin_squeezing_xi2(atoms).xi2,
+        quad_var_scaled=4.0 * quadrature_variance(field, math.pi / 2),
         parity_expect=parity,
         discarded_mass_a=atoms.discarded_mass,
         discarded_mass_b=field.discarded_mass,
@@ -254,8 +247,7 @@ def run_husimi(config: SweepConfig) -> list[dict]:
             theta, phi = default_atom_grid(atoms_points)
             q_a = husimi_atoms(atoms, theta, phi)
             q_a_max = float(q_a.max())
-            nbar, _ = mean_and_variance(field, number_operator(field.dim))
-            re_axis, im_axis, alpha = default_field_grid(nbar, field_points)
+            re_axis, im_axis, alpha = default_field_grid(mean_number(field), field_points)
             q_b = husimi_field(field, alpha)
             grids.append({
                 "lambda": float(lam),
@@ -297,7 +289,7 @@ def run_convergence(config: SweepConfig) -> tuple[list[tuple], int]:
             try:
                 _, gs = converge_cutoff(params, config.tol)
                 steps = gs.convergence.steps
-            except ConvergenceError as exc:
+            except SolverError as exc:  # ConvergenceError included
                 steps = exc.steps
                 code = 4
             for i, step in enumerate(steps):
@@ -537,7 +529,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"dicke-qfi: i/o error: {exc}", file=sys.stderr)
         return 3
-    except (ConvergenceError, SolverError) as exc:
+    except SolverError as exc:  # ConvergenceError included
         print(f"dicke-qfi: {exc}", file=sys.stderr)
         return 4
 

@@ -78,6 +78,11 @@ def mean_and_variance(state: SpectralDecomposition, op) -> tuple[float, float]:
     return mean, mean_sq - mean**2
 
 
+def mean_number(field: SpectralDecomposition) -> float:
+    """<b'b> = sum_k p_k sum_n n |v_k(n)|^2, from the diagonal of b'b."""
+    return float(field.weights @ (np.arange(field.dim) @ np.abs(field.vectors) ** 2))
+
+
 def number_operator(dim: int) -> HermitianOperator:
     """b'b on a Fock space of the given dimension."""
     _, number = build_boson_ops(dim - 1)
@@ -167,9 +172,8 @@ def qfi_field(field: SpectralDecomposition) -> QfiResult:
     reported as NaN.
     """
     _check_space(field, "boson", "qfi_field")
-    number = number_operator(field.dim)
-    nbar, _ = mean_and_variance(field, number)
-    result = qfi_mixed(field, number, label="field(b'b)")
+    nbar = mean_number(field)
+    result = qfi_mixed(field, number_operator(field.dim), label="field(b'b)")
     return replace(result, scaled=result.value / (4.0 * nbar) if nbar > 0 else math.nan)
 
 

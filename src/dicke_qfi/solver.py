@@ -93,7 +93,7 @@ def ground_state(params: ModelParams, n_cutoff: int) -> GroundState:
         try:
             energies, vecs = scipy.linalg.eigh(block, subset_by_index=[0, 0])
         except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-            raise SolverError(f"eigensolver failed at n_cutoff={n_cutoff}: {exc}") from exc
+            raise SolverError(f"eigh failed at n_cutoff={n_cutoff}: {exc}", n_cutoff) from exc
         energy, amplitudes = energies[0], vecs[:, 0]
     vector = np.zeros(indexer.dimension, dtype=complex)
     vector[even] = amplitudes
@@ -131,9 +131,8 @@ def _lanczos_lowest(
     try:
         energies, vecs = scipy.sparse.linalg.eigsh(block, k=1, which="SA", v0=start, rng=0)
     except scipy.sparse.linalg.ArpackError as exc:  # ArpackNoConvergence included
-        raise SolverError(
-            f"Lanczos eigensolver failed at n_cutoff={indexer.n_cutoff}: {exc}"
-        ) from exc
+        msg = f"Lanczos eigensolver failed at n_cutoff={indexer.n_cutoff}: {exc}"
+        raise SolverError(msg, indexer.n_cutoff) from exc
     return energies[0], vecs[:, 0]
 
 
@@ -161,7 +160,8 @@ def converge_cutoff(
     tol * max(1, |E|) across the last doubling.  A state whose tail is
     exactly zero (decoupled limit) is accepted at the starting cutoff.
     Raises ConvergenceError if the cutoff would exceed ``hard_cap``
-    (module-level HARD_CAP when not given).
+    (module-level HARD_CAP when not given); a SolverError from any step
+    carries the steps completed before it.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -171,27 +171,27 @@ def converge_cutoff(
     if n_cutoff < 1:
         raise ValueError("starting cutoff must be >= 1")
 
-    gs = ground_state(params, n_cutoff)
-    steps = [CutoffStep(n_cutoff, gs.energy, gs.convergence.tail_population)]
-    if gs.convergence.tail_population == 0.0:
-        info = ConvergenceInfo(0.0, None, tuple(steps))
-        return n_cutoff, GroundState(gs.energy, gs.vector, params, n_cutoff, info)
-
+    steps: list[CutoffStep] = []
     while True:
-        doubled = 2 * n_cutoff
-        if doubled > hard_cap:
-            raise ConvergenceError(
-                f"Fock cutoff would exceed the hard cap {hard_cap} "
-                f"(lam={params.lam}, N={params.n_atoms}, tol={tol})",
-                steps=steps,
-            )
-        nxt = ground_state(params, doubled)
-        shift = abs(nxt.energy - gs.energy)
-        steps.append(CutoffStep(doubled, nxt.energy, nxt.convergence.tail_population))
-        n_cutoff, gs = doubled, nxt
-        if gs.convergence.tail_population < tol and shift < tol * max(1.0, abs(gs.energy)):
-            info = ConvergenceInfo(gs.convergence.tail_population, shift, tuple(steps))
+        try:
+            gs = ground_state(params, n_cutoff)
+        except SolverError as exc:
+            raise SolverError(str(exc), n_cutoff, steps) from exc
+        tail = gs.convergence.tail_population
+        if steps:
+            shift = abs(gs.energy - steps[-1].energy)
+            done = tail < tol and shift < tol * max(1.0, abs(gs.energy))
+        else:  # decoupled limit: a zero tail is accepted at the starting cutoff
+            shift, done = None, tail == 0.0
+        steps.append(CutoffStep(n_cutoff, gs.energy, tail))
+        if done:
+            info = ConvergenceInfo(tail, shift, tuple(steps))
             return n_cutoff, GroundState(gs.energy, gs.vector, params, n_cutoff, info)
+        if 2 * n_cutoff > hard_cap:
+            msg = (f"Fock cutoff would exceed the hard cap {hard_cap} "
+                   f"(lam={params.lam}, N={params.n_atoms}, tol={tol})")
+            raise ConvergenceError(msg, n_cutoff, steps)
+        n_cutoff *= 2
 
 
 def solve(

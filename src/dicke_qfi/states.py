@@ -102,20 +102,19 @@ def _retained(
                                  float(weight_floor), float(np.sum(weights[~keep])))
 
 
-def schmidt_decompose(
-    gs: GroundState, weight_floor: float = DEFAULT_WEIGHT_FLOOR
-) -> tuple[SpectralDecomposition, SpectralDecomposition]:
+def schmidt_decompose(gs: GroundState) -> tuple[SpectralDecomposition, SpectralDecomposition]:
     """(field, atoms) reduced states of a ground state from one thin SVD.
 
     psi = U S V^H: the field eigenvectors are the columns of U, the atomic
-    ones those of conj(V) = vh.T, and both carry the weights S^2.
+    ones those of conj(V) = vh.T, and both carry the weights S^2 above
+    DEFAULT_WEIGHT_FLOOR.
     """
     try:
         u, s, vh = scipy.linalg.svd(_amplitude_grid(gs), full_matrices=False)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise SolverError(f"Schmidt decomposition failed: {exc}") from exc
-    return (_retained(s**2, u, "boson", weight_floor),
-            _retained(s**2, vh.T, "spin", weight_floor))
+    return (_retained(s**2, u, "boson", DEFAULT_WEIGHT_FLOOR),
+            _retained(s**2, vh.T, "spin", DEFAULT_WEIGHT_FLOOR))
 
 
 def spectral_decompose(

@@ -1,7 +1,9 @@
 import pytest
 
+import dicke_qfi.solver
 from dicke_qfi import (
     ModelParams,
+    SolverError,
     converge_cutoff,
     partial_trace_atoms,
     partial_trace_field,
@@ -28,3 +30,19 @@ def ultrastrong_n6():
         "atoms": atoms,
         "field": field,
     }
+
+
+@pytest.fixture
+def fail_solves_above(monkeypatch):
+    """Call with a cutoff to make every ground-state solve above it raise SolverError."""
+    real = dicke_qfi.solver.ground_state
+
+    def install(max_cutoff):
+        def solve_or_fail(params, n_cutoff):
+            if n_cutoff > max_cutoff:
+                raise SolverError(f"forced failure at n_cutoff={n_cutoff}", n_cutoff)
+            return real(params, n_cutoff)
+
+        monkeypatch.setattr(dicke_qfi.solver, "ground_state", solve_or_fail)
+
+    return install

@@ -240,6 +240,24 @@ def test_lanczos_failure_exit_code(error, tmp_path, monkeypatch):
     assert len(footer) == 1 and "failed_points=[[0.4, 1], [0.5, 1]]" in footer[0]
 
 
+def test_solver_failure_mid_doubling(tmp_path, fail_solves_above):
+    # lambda = 0 is accepted at cutoff 20; lambda = 1 (N = 2) starts at 26 and fails at 52
+    fail_solves_above(26)
+    args = ["--n-atoms", "2", "--lambda-min", "0", "--lambda-max", "1", "--lambda-steps", "2"]
+    out = tmp_path / "s.csv"
+    assert main(["sweep", *args, "--out", str(out)]) == 4
+    header, rows, footer = read_csv_rows(out)
+    assert rows[0][:3] == ["0.0", "2", "20"] and not math.isnan(float(rows[0][3]))
+    assert rows[1][:3] == ["1.0", "2", "52"]
+    assert all(math.isnan(float(v)) for v in rows[1][3:])
+    assert "failed_points=[[1.0, 2]]" in footer[0]
+    # the convergence report keeps both trajectories up to the failing solve
+    out = tmp_path / "c.csv"
+    assert main(["convergence", *args, "--out", str(out)]) == 4
+    _, rows, _ = read_csv_rows(out)
+    assert [row[:4] for row in rows] == [["0.0", "2", "0", "20"], ["1.0", "2", "0", "26"]]
+
+
 def test_io_error_exit_code(tmp_path):
     code = main(["sweep", *SMALL_SWEEP, "--out", str(tmp_path / "no" / "dir" / "x.csv")])
     assert code == 3

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 import dicke_qfi.solver
 from dicke_qfi.cli import compute_sweep_record
-from dicke_qfi.errors import ConvergenceError
+from dicke_qfi.errors import ConvergenceError, SolverError
 from dicke_qfi.model import (
     BasisIndexer,
     ModelParams,
@@ -117,6 +117,16 @@ def test_converge_hard_cap_raises_with_steps():
     with pytest.raises(ConvergenceError) as excinfo:
         converge_cutoff(params, 1e-10, n_start=20, hard_cap=40)
     assert len(excinfo.value.steps) >= 1
+    assert excinfo.value.n_cutoff == excinfo.value.steps[-1].n_cutoff == 40
+
+
+def test_solver_error_keeps_completed_steps(fail_solves_above):
+    fail_solves_above(20)
+    with pytest.raises(SolverError) as excinfo:
+        converge_cutoff(ModelParams(1.0, 1.0, 1.0, 2), 1e-10, n_start=20)
+    assert not isinstance(excinfo.value, ConvergenceError)
+    assert excinfo.value.n_cutoff == 40
+    assert [step.n_cutoff for step in excinfo.value.steps] == [20]
 
 
 def test_converged_nbar_stable_under_further_doubling():
