@@ -232,18 +232,27 @@ def run_thermo(config: SweepConfig) -> list[tuple]:
     return rows
 
 
-def run_husimi(config: SweepConfig) -> list[dict]:
-    """Husimi grids of both subsystems for each (N, lambda)."""
+def run_husimi(config: SweepConfig) -> tuple[list[dict], list[list]]:
+    """Husimi grids of both subsystems for each (N, lambda), and the failed points.
+
+    A point whose solve fails is skipped and listed as [lambda, N].
+    """
     points = config.grid_points
     atoms_points = points if points is not None else 181
     field_points = points if points is not None else 201
     if atoms_points < 11 or field_points < 11:
         raise ValueError("husimi grids need at least 11 points per axis")
     grids = []
+    failed = []
     for n in config.n_atoms_list:
         for lam in config.lambda_grid():
             params = ModelParams(config.omega, config.omega0, float(lam), n)
-            field, atoms = schmidt_decompose(solve(params, config.tol, config.fock_cutoff))
+            try:
+                gs = solve(params, config.tol, config.fock_cutoff)
+            except SolverError:  # ConvergenceError included
+                failed.append([float(lam), n])
+                continue
+            field, atoms = schmidt_decompose(gs)
             theta, phi = default_atom_grid(atoms_points)
             q_a = husimi_atoms(atoms, theta, phi)
             q_a_max = float(q_a.max())
@@ -266,7 +275,7 @@ def run_husimi(config: SweepConfig) -> list[dict]:
                     "q_max": float(q_b.max()),
                 },
             })
-    return grids
+    return grids, failed
 
 
 def run_scaling(config: SweepConfig) -> tuple[list, int]:
@@ -416,7 +425,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def load_config_file(path: str) -> dict:
     """Parse a ``key = value`` file; '#' starts a comment.
 
-    Keys are the long flag names (``-`` or ``_``); any other key is rejected.
+    A line may also read ``key: value``; a line holding both separators
+    splits at the first ``=``.  Keys are the long flag names (``-`` or
+    ``_``); any other key is rejected.  List values are comma or space
+    separated.
     """
     values: dict = {}
     with open(path, encoding="utf-8") as handle:
@@ -494,8 +506,12 @@ def _dispatch(config: SweepConfig) -> int:
                         config.output_format)
             return 0
         if config.mode == "husimi":
-            write_husimi(stream, run_husimi(config), config.meta(), config.output_format)
-            return 0
+            grids, failed = run_husimi(config)
+            meta = config.meta()
+            if failed:
+                meta["failed_points"] = failed
+            write_husimi(stream, grids, meta, config.output_format)
+            return 4 if failed else 0
         if config.mode == "scaling":
             probes, code = run_scaling(config)
             columns = ("side", "eps1_exponent", "dfa_exponent", "dfb_exponent",

@@ -15,7 +15,10 @@ The atomic QFI is evaluated directly with G = Jx: the Ramsey sequence
 generator into Jx, and the QFI is invariant under that fixed unitary.
 
 Functions of one reduced state take its SpectralDecomposition {p_k, |v_k>}
-and form no density matrix: Tr(rho A) = sum_k p_k <v_k|A|v_k>.
+and form no density matrix: Tr(rho A) = sum_k p_k <v_k|A|v_k>.  Everything
+above needs A only through the products A v_k.  For the field observables
+b'b and X_sigma those come from the diagonal and bidiagonal ladder rules in
+O(n_cutoff * rank), so no (n_cutoff+1)^2 field matrix is built.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import gammaln
 
-from .model import HermitianOperator, build_boson_ops, build_spin_ops
+from .model import HermitianOperator, build_spin_ops
 from .states import SpectralDecomposition
 
 #: points per axis of the default Husimi grids
@@ -72,7 +75,11 @@ def mean_and_variance(state: SpectralDecomposition, op) -> tuple[float, float]:
     Tr(rho A) = sum_k p_k <v_k|A|v_k> and Tr(rho A^2) = sum_k p_k ||A v_k||^2,
     with A the full truncated-space matrix.
     """
-    av = _generator_matrix(op) @ state.vectors
+    return _moments(state, _generator_matrix(op) @ state.vectors)
+
+
+def _moments(state: SpectralDecomposition, av: np.ndarray) -> tuple[float, float]:
+    """mean_and_variance from the products A v_k, column k of ``av``."""
     mean = float(state.weights @ np.real(np.sum(state.vectors.conj() * av, axis=0)))
     mean_sq = float(state.weights @ np.sum(np.abs(av) ** 2, axis=0))
     return mean, mean_sq - mean**2
@@ -83,22 +90,22 @@ def mean_number(field: SpectralDecomposition) -> float:
     return float(field.weights @ (np.arange(field.dim) @ np.abs(field.vectors) ** 2))
 
 
-def number_operator(dim: int) -> HermitianOperator:
-    """b'b on a Fock space of the given dimension."""
-    _, number = build_boson_ops(dim - 1)
-    return number
-
-
 def jx_operator(n_atoms: int) -> HermitianOperator:
     """Jx for j = N/2."""
     return HermitianOperator(build_spin_ops(n_atoms).jx, "spin")
 
 
-def quadrature_operator(dim: int, sigma: float) -> HermitianOperator:
-    """X_sigma = (b e^{-i sigma} + b' e^{i sigma}) / 2 on the truncated space."""
-    annihilate, _ = build_boson_ops(dim - 1)
-    x = (annihilate * np.exp(-1j * sigma) + annihilate.conj().T * np.exp(1j * sigma)) / 2
-    return HermitianOperator(x, "boson")
+def _quadrature_times(vectors: np.ndarray, sigma: float) -> np.ndarray:
+    """X_sigma v = (e^{-i sigma} b v + e^{i sigma} b'v) / 2 for each column v.
+
+    On the truncated space (b v)[n] = sqrt(n+1) v[n+1] below the top level
+    and (b'v)[n] = sqrt(n) v[n-1] above the vacuum, zero otherwise.
+    """
+    root = np.sqrt(np.arange(1, vectors.shape[0]))[:, None]
+    xv = np.zeros_like(vectors, dtype=complex)
+    xv[:-1] = root * vectors[1:] * np.exp(-1j * sigma)
+    xv[1:] += root * vectors[:-1] * np.exp(1j * sigma)
+    return xv / 2
 
 
 def qfi_mixed(
@@ -113,9 +120,13 @@ def qfi_mixed(
     g = _generator_matrix(generator)
     if g.shape[0] != decomp.dim:
         raise ValueError("generator dimension does not match the decomposition")
+    return _qfi(decomp, g @ decomp.vectors, label)
+
+
+def _qfi(decomp: SpectralDecomposition, gv: np.ndarray, label: str) -> QfiResult:
+    """qfi_mixed from the products G v_k, column k of ``gv``."""
     p = decomp.weights
     vecs = decomp.vectors
-    gv = g @ vecs
     overlap = vecs.conj().T @ gv  # overlap[m, n] = <psi_m|G|psi_n>
     second_moment = np.sum(np.abs(gv) ** 2, axis=0)
     first_moment = np.real(np.diag(overlap))
@@ -173,7 +184,8 @@ def qfi_field(field: SpectralDecomposition) -> QfiResult:
     """
     _check_space(field, "boson", "qfi_field")
     nbar = mean_number(field)
-    result = qfi_mixed(field, number_operator(field.dim), label="field(b'b)")
+    # b'b is diagonal: (b'b v)[n] = n v[n]
+    result = _qfi(field, np.arange(field.dim)[:, None] * field.vectors, "field(b'b)")
     return replace(result, scaled=result.value / (4.0 * nbar) if nbar > 0 else math.nan)
 
 
@@ -188,7 +200,7 @@ def qfi_atoms(atoms: SpectralDecomposition) -> QfiResult:
 def quadrature_variance(field: SpectralDecomposition, sigma: float) -> float:
     """Variance of X_sigma, computed as <X^2> - <X>^2 on the truncated space."""
     _check_space(field, "boson", "quadrature_variance")
-    return mean_and_variance(field, quadrature_operator(field.dim, sigma))[1]
+    return _moments(field, _quadrature_times(field.vectors, sigma))[1]
 
 
 def _best_angle(v0: float, v90: float) -> tuple[float, float]:

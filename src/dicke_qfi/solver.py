@@ -137,14 +137,19 @@ def _lanczos_lowest(
 
 
 def initial_cutoff(params: ModelParams) -> int:
-    """Doubling start point: max(20, ceil(8*lam^2*N/omega^2) + 10).
+    """Doubling start point: max(20, ceil(nb + 8*sqrt(nb)) + 10), nb = lam^2*N/omega^2.
 
-    The mean-field boson number scales as lam^2*N/omega^2, so 8x that plus
-    margin comfortably covers the fluctuations; the doubling loop makes this
-    heuristic safe rather than load-bearing.
+    In mean field the field is a coherent state of amplitude
+    lam*sqrt(N)*sin(theta)/omega, so nb bounds its boson number.  The Fock
+    occupation is a peak of width ~sqrt(nb) at or below nb, and 8 widths plus
+    10 levels reach past where it falls below 1e-14.  Starting there, and
+    not at a multiple of nb, makes the second solve of the doubling loop (at
+    twice this cutoff) the converged one, so each point solves a space sized
+    to the Fock range it occupies.  A start that is too low costs one more
+    doubling, never a wrong answer.
     """
-    scale = 8 * params.lam**2 * params.n_atoms / params.omega**2
-    return max(20, math.ceil(scale) + 10)
+    nb = params.lam**2 * params.n_atoms / params.omega**2
+    return max(20, math.ceil(nb + 8 * math.sqrt(nb)) + 10)
 
 
 def converge_cutoff(

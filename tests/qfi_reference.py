@@ -1,8 +1,22 @@
-"""Shared randomized-state helpers for the QFI equivalence checks."""
+"""Shared randomized-state helpers and dense field operators for the QFI checks."""
 
 import numpy as np
 
+from dicke_qfi.model import HermitianOperator, build_boson_ops
 from dicke_qfi.states import DensityMatrix
+
+
+def number_operator(dim: int) -> HermitianOperator:
+    """Dense b'b on a Fock space of the given dimension."""
+    _, number = build_boson_ops(dim - 1)
+    return number
+
+
+def quadrature_operator(dim: int, sigma: float) -> HermitianOperator:
+    """Dense X_sigma = (b e^{-i sigma} + b' e^{i sigma}) / 2 on the truncated space."""
+    annihilate, _ = build_boson_ops(dim - 1)
+    x = (annihilate * np.exp(-1j * sigma) + annihilate.conj().T * np.exp(1j * sigma)) / 2
+    return HermitianOperator(x, "boson")
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:

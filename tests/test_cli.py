@@ -1,10 +1,12 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+import dicke_qfi.model
 import dicke_qfi.solver
 from dicke_qfi.cli import (
     SWEEP_COLUMNS,
@@ -13,6 +15,8 @@ from dicke_qfi.cli import (
     format_value,
     main,
 )
+from dicke_qfi.model import ModelParams
+from dicke_qfi.solver import initial_cutoff
 
 SMALL_SWEEP = [
     "--n-atoms", "2", "--lambda-min", "0", "--lambda-max", "0.4",
@@ -241,21 +245,60 @@ def test_lanczos_failure_exit_code(error, tmp_path, monkeypatch):
 
 
 def test_solver_failure_mid_doubling(tmp_path, fail_solves_above):
-    # lambda = 0 is accepted at cutoff 20; lambda = 1 (N = 2) starts at 26 and fails at 52
-    fail_solves_above(26)
+    # lambda = 0 is accepted at cutoff 20; lambda = 1 (N = 2) fails at its first doubling
+    start = initial_cutoff(ModelParams(1.0, 1.0, 1.0, 2))
+    fail_solves_above(start)
     args = ["--n-atoms", "2", "--lambda-min", "0", "--lambda-max", "1", "--lambda-steps", "2"]
     out = tmp_path / "s.csv"
     assert main(["sweep", *args, "--out", str(out)]) == 4
     header, rows, footer = read_csv_rows(out)
     assert rows[0][:3] == ["0.0", "2", "20"] and not math.isnan(float(rows[0][3]))
-    assert rows[1][:3] == ["1.0", "2", "52"]
+    assert rows[1][:3] == ["1.0", "2", str(2 * start)]
     assert all(math.isnan(float(v)) for v in rows[1][3:])
     assert "failed_points=[[1.0, 2]]" in footer[0]
     # the convergence report keeps both trajectories up to the failing solve
     out = tmp_path / "c.csv"
     assert main(["convergence", *args, "--out", str(out)]) == 4
     _, rows, _ = read_csv_rows(out)
-    assert [row[:4] for row in rows] == [["0.0", "2", "0", "20"], ["1.0", "2", "0", "26"]]
+    assert [row[:4] for row in rows] == [["0.0", "2", "0", "20"], ["1.0", "2", "0", str(start)]]
+
+
+def test_husimi_skips_failed_point(tmp_path, fail_solves_above):
+    # lambda = 0 is accepted at cutoff 20; lambda = 1 (N = 2) fails at its first doubling
+    fail_solves_above(initial_cutoff(ModelParams(1.0, 1.0, 1.0, 2)))
+    args = ["husimi", "--n-atoms", "2", "--lambda-min", "0", "--lambda-max", "1",
+            "--lambda-steps", "2", "--grid-points", "11"]
+    out = tmp_path / "h.json"
+    assert main([*args, "--format", "json", "--out", str(out)]) == 4
+    payload = json.loads(out.read_text())
+    assert [(g["lambda"], g["n_atoms"]) for g in payload["grids"]] == [(0.0, 2)]
+    assert payload["meta"]["failed_points"] == [[1.0, 2]]
+    out = tmp_path / "h.csv"
+    assert main([*args, "--out", str(out)]) == 4
+    _, rows, footer = read_csv_rows(out)
+    assert len(rows) == 2 * 11 * 11 and {row[0] for row in rows} == {"0.0"}
+    assert "failed_points=[[1.0, 2]]" in footer[0]
+
+
+def test_field_side_builds_no_dense_operator(tmp_path, monkeypatch):
+    # every dense field operator comes from build_boson_ops; make it unusable
+    def refuse(n_cutoff):
+        raise AssertionError(f"dense field operator built at n_cutoff={n_cutoff}")
+
+    original = dicke_qfi.model.build_boson_ops
+    for name, module in list(sys.modules.items()):
+        if name == "dicke_qfi" or name.startswith("dicke_qfi."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, refuse)
+    record = compute_sweep_record(1.0, 1.0, 0.5, 2, 1e-10, 600)
+    assert record.converged and record.n_cutoff == 600
+    assert all(math.isfinite(v) for v in record.row())
+    out = tmp_path / "h.json"
+    assert main(["husimi", "--n-atoms", "2", "--lambda-min", "0.5", "--lambda-steps", "1",
+                 "--fock-cutoff", "600", "--grid-points", "11", "--format", "json",
+                 "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["grids"]) == 1
 
 
 def test_io_error_exit_code(tmp_path):

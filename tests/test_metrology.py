@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from qfi_reference import pure_state_qfi, random_density, random_hermitian
+from qfi_reference import number_operator, pure_state_qfi, random_density, random_hermitian
 
 from dicke_qfi.metrology import (
     coherent_amplitudes,
@@ -12,7 +12,6 @@ from dicke_qfi.metrology import (
     husimi_atoms,
     husimi_field,
     jx_operator,
-    number_operator,
     optimal_quadrature,
     qfi_atoms,
     qfi_field,

@@ -1,39 +1,38 @@
 """Property-based checks of the reduced-state observables over random model parameters.
 
-Each example solves the even-parity block at a small fixed Fock cutoff; the
-invariants below hold for any pure state of the truncated model, converged
-or not.
+The invariants below hold for any pure state of the truncated model,
+converged or not.  They are checked at a small fixed Fock cutoff, at the
+cutoff ``converge_cutoff`` picks, and at converged points whose even block
+is solved by Lanczos.  The banded field kernels behind ``qfi_field`` and
+``quadrature_variance`` are checked against the dense operators.
 """
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from qfi_reference import number_operator, quadrature_operator
 
 from dicke_qfi.metrology import (
     jx_operator,
     mean_and_variance,
-    number_operator,
     qfi_atoms,
     qfi_field,
     qfi_mixed,
+    quadrature_variance,
     sld_qfi_oracle,
 )
-from dicke_qfi.model import ModelParams, parity_signs
-from dicke_qfi.solver import ground_state
+from dicke_qfi.model import ModelParams, parity_block_indices, parity_signs
+from dicke_qfi.solver import SPARSE_MIN_DIM, converge_cutoff, ground_state
 from dicke_qfi.states import partial_trace_field, schmidt_decompose
 
 N_CUTOFF = 16
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(
-    omega=st.floats(0.2, 3.0),
-    omega0=st.floats(0.2, 3.0),
-    lam=st.floats(0.0, 2.0),
-    n_atoms=st.integers(1, 6),
-)
-def test_reduced_state_invariants(omega, omega0, lam, n_atoms):
-    gs = ground_state(ModelParams(omega, omega0, lam, n_atoms), N_CUTOFF)
+def check_invariants(gs):
+    n_atoms = gs.params.n_atoms
     assert abs(np.sum(parity_signs(gs.indexer) * np.abs(gs.vector) ** 2) - 1.0) < 1e-12
     field, atoms = schmidt_decompose(gs)
     # the field weights are the spectrum of the atomic reduced state
@@ -52,3 +51,39 @@ def test_reduced_state_invariants(omega, omega0, lam, n_atoms):
     for state, generator in ((atoms, jx_operator(n_atoms)), (field, number)):
         oracle = sld_qfi_oracle(state, generator)
         assert abs(qfi_mixed(state, generator).value - oracle) <= 1e-8 * max(1.0, oracle)
+
+    # banded field kernels against the dense operators
+    assert abs(f_b - sld_qfi_oracle(field, number)) <= 1e-8 * max(1.0, f_b)
+    assert abs(f_b - qfi_mixed(field, number).value) <= 1e-12 * max(1.0, f_b)
+    for sigma in (0.0, math.pi / 2):
+        dense = mean_and_variance(field, quadrature_operator(field.dim, sigma))[1]
+        assert abs(quadrature_variance(field, sigma) - dense) <= 1e-12 * max(1.0, dense)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    omega=st.floats(0.2, 3.0),
+    omega0=st.floats(0.2, 3.0),
+    lam=st.floats(0.0, 2.0),
+    n_atoms=st.integers(1, 6),
+)
+def test_reduced_state_invariants(omega, omega0, lam, n_atoms):
+    check_invariants(ground_state(ModelParams(omega, omega0, lam, n_atoms), N_CUTOFF))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    omega=st.floats(0.5, 3.0),
+    omega0=st.floats(0.2, 3.0),
+    lam=st.floats(0.0, 2.0),
+    n_atoms=st.integers(1, 6),
+)
+def test_reduced_state_invariants_converged(omega, omega0, lam, n_atoms):
+    check_invariants(converge_cutoff(ModelParams(omega, omega0, lam, n_atoms), 1e-10)[1])
+
+
+@pytest.mark.parametrize("omega,omega0,lam,n_atoms", [(1.0, 1.0, 1.0, 20), (0.3, 3.0, 1.0, 6)])
+def test_reduced_state_invariants_lanczos(omega, omega0, lam, n_atoms):
+    _, gs = converge_cutoff(ModelParams(omega, omega0, lam, n_atoms), 1e-10)
+    assert parity_block_indices(gs.indexer)[0].size > SPARSE_MIN_DIM
+    check_invariants(gs)

@@ -90,7 +90,25 @@ def test_parity_purity(lam, n_atoms):
 def test_initial_cutoff_heuristic():
     assert initial_cutoff(ModelParams(1.0, 1.0, 0.0, 2)) == 20
     assert initial_cutoff(ModelParams(1.0, 1.0, 0.1, 2)) == 20
-    assert initial_cutoff(ModelParams(1.0, 1.0, 1.0, 20)) == 170
+    # nb = lam^2 N / omega^2 = 20: ceil(20 + 8 sqrt(20)) + 10
+    assert initial_cutoff(ModelParams(1.0, 1.0, 1.0, 20)) == 66
+    assert initial_cutoff(ModelParams(1.0, 1.0, 3.0, 2)) == 62
+
+
+@pytest.mark.parametrize("omega,omega0,lam,n_atoms", [
+    (1.0, 1.0, 1.0, 20), (1.0, 1.0, 3.0, 2), (1.0, 1.0, 0.5, 20),
+    (0.3, 3.0, 0.5, 10), (0.3, 3.0, 1.0, 10), (3.0, 0.2, 1.0, 6), (3.0, 0.2, 2.0, 6),
+    (1.0, 1.0, 1.0, 50), (1.0, 1.0, 1.0, 100),
+])
+def test_initial_cutoff_converges_in_one_doubling(omega, omega0, lam, n_atoms):
+    # the start covers the occupied Fock range, so the second solve is the converged one;
+    # the earlier start, ceil(8 nb) + 10, solved spaces 3-5x larger
+    params = ModelParams(omega, omega0, lam, n_atoms)
+    n_cutoff, gs = converge_cutoff(params, 1e-10)
+    assert len(gs.convergence.steps) == 2
+    assert n_cutoff == 2 * initial_cutoff(params)
+    former_start = max(20, math.ceil(8 * lam**2 * n_atoms / omega**2) + 10)
+    assert n_cutoff <= 2 * former_start
 
 
 def test_converge_decoupled_returns_at_start():
