@@ -15,7 +15,6 @@ from .model import (
     HermitianOperator,
     ModelParams,
     build_boson_ops,
-    build_hamiltonian,
     build_parity,
     build_spin_ops,
     parity_block_indices,
@@ -69,7 +68,6 @@ __all__ = [
     "SqueezingResult",
     "ThermoPoint",
     "build_boson_ops",
-    "build_hamiltonian",
     "build_parity",
     "build_spin_ops",
     "converge_cutoff",

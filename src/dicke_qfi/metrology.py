@@ -17,8 +17,9 @@ generator into Jx, and the QFI is invariant under that fixed unitary.
 Functions of one reduced state take its SpectralDecomposition {p_k, |v_k>}
 and form no density matrix: Tr(rho A) = sum_k p_k <v_k|A|v_k>.  Everything
 above needs A only through the products A v_k.  For the field observables
-b'b and X_sigma those come from the diagonal and bidiagonal ladder rules in
-O(n_cutoff * rank), so no (n_cutoff+1)^2 field matrix is built.
+b'b and X_sigma, and the spin observables J_phi = Jx cos(phi) + Jy sin(phi),
+those come from the diagonal and bidiagonal ladder rules in O(dim * rank),
+so no dense field or spin matrix is built.
 """
 
 from __future__ import annotations
@@ -30,12 +31,17 @@ import numpy as np
 import scipy.linalg
 from scipy.special import gammaln
 
-from .model import HermitianOperator, build_spin_ops
+from .model import HermitianOperator
 from .states import SpectralDecomposition
 
 #: points per axis of the default Husimi grids
 FIELD_GRID_POINTS = 201
 ATOM_GRID_POINTS = 181
+
+#: largest (grid points x Fock levels) array of coherent-state amplitudes
+#: husimi_field forms at once; each element costs about 80 bytes at the peak
+#: of coherent_amplitudes, so a chunk stays near 20 MiB at any cutoff
+HUSIMI_CHUNK_ELEMENTS = 2**18
 
 
 @dataclass(frozen=True)
@@ -90,22 +96,33 @@ def mean_number(field: SpectralDecomposition) -> float:
     return float(field.weights @ (np.arange(field.dim) @ np.abs(field.vectors) ** 2))
 
 
-def jx_operator(n_atoms: int) -> HermitianOperator:
-    """Jx for j = N/2."""
-    return HermitianOperator(build_spin_ops(n_atoms).jx, "spin")
+def _ladder_times(vectors: np.ndarray, lowering: np.ndarray, angle: float) -> np.ndarray:
+    """(e^{-i angle} L v + e^{i angle} L'v) / 2 for each column v.
+
+    L lowers by one level, (L v)[n] = lowering[n] v[n+1] below the top
+    level, and L' raises, (L'v)[n] = lowering[n-1] v[n-1] above the bottom.
+    """
+    coeff = lowering[:, None]
+    out = np.zeros_like(vectors, dtype=complex)
+    out[:-1] = coeff * vectors[1:] * np.exp(-1j * angle)
+    out[1:] += coeff * vectors[:-1] * np.exp(1j * angle)
+    return out / 2
 
 
 def _quadrature_times(vectors: np.ndarray, sigma: float) -> np.ndarray:
-    """X_sigma v = (e^{-i sigma} b v + e^{i sigma} b'v) / 2 for each column v.
+    """X_sigma v = (e^{-i sigma} b v + e^{i sigma} b'v) / 2, with (b v)[n] = sqrt(n+1) v[n+1]."""
+    return _ladder_times(vectors, np.sqrt(np.arange(1, vectors.shape[0])), sigma)
 
-    On the truncated space (b v)[n] = sqrt(n+1) v[n+1] below the top level
-    and (b'v)[n] = sqrt(n) v[n-1] above the vacuum, zero otherwise.
+
+def _spin_times(vectors: np.ndarray, phi: float) -> np.ndarray:
+    """J_phi v = (e^{i phi} J- v + e^{-i phi} J+ v) / 2 on the |j,m> basis, m ascending.
+
+    (J- v)[k] = sqrt(j(j+1) - m(m+1)) v[k+1] with m = k - j, the rule
+    J+|j,m> = sqrt(j(j+1) - m(m+1)) |j,m+1> read backwards.
     """
-    root = np.sqrt(np.arange(1, vectors.shape[0]))[:, None]
-    xv = np.zeros_like(vectors, dtype=complex)
-    xv[:-1] = root * vectors[1:] * np.exp(-1j * sigma)
-    xv[1:] += root * vectors[:-1] * np.exp(1j * sigma)
-    return xv / 2
+    j = (vectors.shape[0] - 1) / 2
+    m = np.arange(vectors.shape[0] - 1) - j
+    return _ladder_times(vectors, np.sqrt(j * (j + 1) - m * (m + 1)), -phi)
 
 
 def qfi_mixed(
@@ -192,9 +209,8 @@ def qfi_field(field: SpectralDecomposition) -> QfiResult:
 def qfi_atoms(atoms: SpectralDecomposition) -> QfiResult:
     """QFI of the atomic state for the Ramsey generator Jx, scaled by N."""
     _check_space(atoms, "spin", "qfi_atoms")
-    n_atoms = atoms.dim - 1
-    result = qfi_mixed(atoms, jx_operator(n_atoms), label="atoms(Jx)")
-    return replace(result, scaled=result.value / n_atoms)
+    result = _qfi(atoms, _spin_times(atoms.vectors, 0.0), "atoms(Jx)")
+    return replace(result, scaled=result.value / (atoms.dim - 1))
 
 
 def quadrature_variance(field: SpectralDecomposition, sigma: float) -> float:
@@ -225,8 +241,7 @@ def optimal_quadrature(field: SpectralDecomposition) -> SqueezingResult:
 def spin_variance(atoms: SpectralDecomposition, phi: float) -> float:
     """Variance of J_phi = Jx cos(phi) + Jy sin(phi)."""
     _check_space(atoms, "spin", "spin_variance")
-    spin = build_spin_ops(atoms.dim - 1)
-    return mean_and_variance(atoms, spin.jx * math.cos(phi) + spin.jy * math.sin(phi))[1]
+    return _moments(atoms, _spin_times(atoms.vectors, phi))[1]
 
 
 def spin_squeezing_xi2(atoms: SpectralDecomposition) -> SqueezingResult:
@@ -269,12 +284,14 @@ def husimi_field(field: SpectralDecomposition, alpha: np.ndarray) -> np.ndarray:
     """Q_B(alpha) = <alpha|rho_B|alpha> evaluated on a grid of amplitudes.
 
     The grid should satisfy |alpha|^2 << n_cutoff for the truncated coherent
-    states to be faithful.
+    states to be faithful.  Grid points are taken in chunks of at most
+    HUSIMI_CHUNK_ELEMENTS // (n_cutoff+1), so memory does not grow with the
+    cutoff.
     """
     _check_space(field, "boson", "husimi_field")
     flat = np.asarray(alpha, dtype=complex).ravel()
     out = np.empty(flat.size)
-    chunk = 4096
+    chunk = max(1, HUSIMI_CHUNK_ELEMENTS // field.dim)
     for start in range(0, flat.size, chunk):
         block = coherent_amplitudes(flat[start : start + chunk], field.dim)
         out[start : start + chunk] = _husimi(block, field)

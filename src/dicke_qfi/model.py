@@ -174,23 +174,6 @@ def build_spin_ops(n_atoms: int) -> SpinOperators:
     return SpinOperators(jx, jy, jz, jplus, jminus)
 
 
-def build_hamiltonian(params: ModelParams, indexer: BasisIndexer) -> HermitianOperator:
-    """Full Dicke Hamiltonian on the product space, assembled by Kronecker products."""
-    if indexer.n_atoms != params.n_atoms:
-        raise ValueError("indexer and params disagree on n_atoms")
-    annihilate, number = build_boson_ops(indexer.n_cutoff)
-    spin = build_spin_ops(params.n_atoms)
-    eye_b = np.eye(indexer.boson_dim)
-    eye_s = np.eye(indexer.spin_dim)
-    coupling = params.lam / math.sqrt(params.n_atoms)
-    h = (
-        params.omega * np.kron(number.matrix, eye_s)
-        + params.omega0 * np.kron(eye_b, spin.jz)
-        + coupling * np.kron(annihilate + annihilate.conj().T, spin.jplus + spin.jminus)
-    )
-    return HermitianOperator(h, "product")
-
-
 def build_hamiltonian_block(
     params: ModelParams, indexer: BasisIndexer, indices: np.ndarray, *, sparse: bool = False
 ):

@@ -8,7 +8,13 @@ up to SPARSE_MIN_DIM are solved by dense LAPACK ``eigh``, larger ones are
 built as CSR and solved by implicitly restarted Lanczos (ARPACK ``eigsh``)
 from a fixed start vector, in O(dim) memory.  Cutoff convergence doubles
 n_cutoff until the Fock tail population and the energy shift across one
-doubling both drop below tolerance.
+doubling both drop below tolerance.  Each solve after the first starts
+Lanczos from the previous cutoff's ground state, zero-padded to the larger
+Fock space; that start is nearly converged, so the warm-started solve takes
+the Lanczos path from the smaller size WARM_SPARSE_MIN_DIM.  The warm start
+stays inside one (N, lambda) point, so results do not depend on the order
+or the process in which points are solved.  Every ground state carries its
+residual ||H psi - E psi|| on the even block as a certificate.
 """
 
 from __future__ import annotations
@@ -33,6 +39,16 @@ HARD_CAP = 2**14
 #: and below that ARPACK's fixed cost per call dominates
 SPARSE_MIN_DIM = 512
 
+#: the same threshold for a solve warm-started from the previous cutoff's
+#: ground state at N > 2.  Timed on the doubled solve (one BLAS thread):
+#: the warm start converges in 21-61 matrix-vector products, against
+#: 90-180 cold, and ties dense ``eigh`` near dim 190 for N >= 5 and near
+#: dim 260 for N = 3, 4 (dim 256, N = 6: 1.6 ms against 2.8 ms; dim 1397,
+#: N = 20: 4.8 ms against 262 ms).  At N <= 2 it needs 90-140 products and
+#: still loses at dim 277 (N = 1: 4.9 ms against 4.2 ms), so those blocks
+#: keep SPARSE_MIN_DIM
+WARM_SPARSE_MIN_DIM = SPARSE_MIN_DIM // 2
+
 
 @dataclass(frozen=True)
 class CutoffStep:
@@ -45,10 +61,14 @@ class CutoffStep:
 
 @dataclass(frozen=True)
 class ConvergenceInfo:
-    """Tail population of the final state and energy shift over the last doubling."""
+    """Tail population of the final state and energy shift over the last doubling.
+
+    ``residual`` is ||H psi - E psi|| of the unit-norm state on the even block.
+    """
 
     tail_population: float
     energy_shift: float | None
+    residual: float
     steps: tuple[CutoffStep, ...] = ()
 
 
@@ -74,20 +94,29 @@ def tail_population(vector: np.ndarray, indexer: BasisIndexer) -> float:
     return float(np.sum(np.abs(psi[start:, :]) ** 2))
 
 
-def ground_state(params: ModelParams, n_cutoff: int) -> GroundState:
+def ground_state(
+    params: ModelParams, n_cutoff: int, previous: GroundState | None = None
+) -> GroundState:
     """Lowest eigenpair of H restricted to the even-parity block.
 
     Blocks above SPARSE_MIN_DIM are solved by sparse Lanczos, smaller ones
-    by dense ``eigh``.  The block eigenvector is embedded back into the
-    product basis and phase-fixed so the largest-magnitude amplitude is
-    real positive.
+    by dense ``eigh``.  ``previous``, a ground state of the same model at a
+    lower cutoff, is the Lanczos start vector, and then blocks above
+    WARM_SPARSE_MIN_DIM take the Lanczos path (for N > 2).  The block
+    eigenvector is embedded back into the product basis and phase-fixed so
+    the largest-magnitude amplitude is real positive.
     """
     if n_cutoff < 1:
         raise ValueError("n_cutoff must be >= 1")
+    if previous is not None and (previous.params != params or previous.n_cutoff > n_cutoff):
+        raise ValueError("previous must be a ground state of the same model at a lower cutoff")
     indexer = BasisIndexer(n_cutoff, params.n_atoms)
     even, _ = parity_block_indices(indexer)
-    if even.size > SPARSE_MIN_DIM:
-        energy, amplitudes = _lanczos_lowest(params, indexer, even)
+    warm = previous is not None and params.n_atoms > 2
+    if even.size > (WARM_SPARSE_MIN_DIM if warm else SPARSE_MIN_DIM):
+        block = build_hamiltonian_block(params, indexer, even, sparse=True)
+        start = _start_vector(indexer, even, previous)
+        energy, amplitudes = _lanczos_lowest(block, start, n_cutoff)
     else:
         block = build_hamiltonian_block(params, indexer, even)
         try:
@@ -95,6 +124,7 @@ def ground_state(params: ModelParams, n_cutoff: int) -> GroundState:
         except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
             raise SolverError(f"eigh failed at n_cutoff={n_cutoff}: {exc}", n_cutoff) from exc
         energy, amplitudes = energies[0], vecs[:, 0]
+    residual = float(np.linalg.norm(block @ amplitudes - energy * amplitudes))
     vector = np.zeros(indexer.dimension, dtype=complex)
     vector[even] = amplitudes
     vector /= np.linalg.norm(vector)
@@ -107,32 +137,44 @@ def ground_state(params: ModelParams, n_cutoff: int) -> GroundState:
         vector=vector,
         params=params,
         n_cutoff=n_cutoff,
-        convergence=ConvergenceInfo(tail_population=tail, energy_shift=None),
+        convergence=ConvergenceInfo(tail_population=tail, energy_shift=None, residual=residual),
     )
 
 
-def _lanczos_lowest(
-    params: ModelParams, indexer: BasisIndexer, even: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair of the even block by ARPACK, deterministic for fixed input.
+def _start_vector(
+    indexer: BasisIndexer, even: np.ndarray, previous: GroundState | None
+) -> np.ndarray:
+    """Lanczos start on the even block: ``previous`` zero-padded, or (-1)^n.
 
-    The start vector is (-1)^n on each block index.  Conjugating H by
+    The previous amplitude grid fills the first Fock levels of the larger
+    grid.  Without one the start is (-1)^n: conjugating H by
     D = diag((-1)^n) makes every off-diagonal element non-positive, so the
     ground state is D times a positive vector and overlaps this start
-    vector strictly.  A fixed seed covers the random restarts ARPACK draws
-    after a Lanczos breakdown.
+    vector strictly.
+    """
+    if previous is None:
+        return np.where((even // indexer.spin_dim) % 2 == 0, 1.0, -1.0)
+    grid = np.zeros((indexer.boson_dim, indexer.spin_dim))
+    old = previous.indexer
+    grid[: old.boson_dim] = previous.vector.real.reshape(old.boson_dim, old.spin_dim)
+    return grid.ravel()[even]
+
+
+def _lanczos_lowest(block, start: np.ndarray, n_cutoff: int) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair of a sparse block by ARPACK, deterministic for fixed input.
+
+    A fixed seed covers the random restarts ARPACK draws after a Lanczos
+    breakdown.
     """
     # imported here: scipy.sparse.linalg adds import time and memory to every
     # run of the CLI, and only large blocks need it
     import scipy.sparse.linalg
 
-    block = build_hamiltonian_block(params, indexer, even, sparse=True)
-    start = np.where((even // indexer.spin_dim) % 2 == 0, 1.0, -1.0)
     try:
         energies, vecs = scipy.sparse.linalg.eigsh(block, k=1, which="SA", v0=start, rng=0)
     except scipy.sparse.linalg.ArpackError as exc:  # ArpackNoConvergence included
-        msg = f"Lanczos eigensolver failed at n_cutoff={indexer.n_cutoff}: {exc}"
-        raise SolverError(msg, indexer.n_cutoff) from exc
+        msg = f"Lanczos eigensolver failed at n_cutoff={n_cutoff}: {exc}"
+        raise SolverError(msg, n_cutoff) from exc
     return energies[0], vecs[:, 0]
 
 
@@ -177,9 +219,10 @@ def converge_cutoff(
         raise ValueError("starting cutoff must be >= 1")
 
     steps: list[CutoffStep] = []
+    gs = None
     while True:
         try:
-            gs = ground_state(params, n_cutoff)
+            gs = ground_state(params, n_cutoff, gs)
         except SolverError as exc:
             raise SolverError(str(exc), n_cutoff, steps) from exc
         tail = gs.convergence.tail_population
@@ -190,7 +233,7 @@ def converge_cutoff(
             shift, done = None, tail == 0.0
         steps.append(CutoffStep(n_cutoff, gs.energy, tail))
         if done:
-            info = ConvergenceInfo(tail, shift, tuple(steps))
+            info = ConvergenceInfo(tail, shift, gs.convergence.residual, tuple(steps))
             return n_cutoff, GroundState(gs.energy, gs.vector, params, n_cutoff, info)
         if 2 * n_cutoff > hard_cap:
             msg = (f"Fock cutoff would exceed the hard cap {hard_cap} "

@@ -38,10 +38,10 @@ def fail_solves_above(monkeypatch):
     real = dicke_qfi.solver.ground_state
 
     def install(max_cutoff):
-        def solve_or_fail(params, n_cutoff):
+        def solve_or_fail(params, n_cutoff, previous=None):
             if n_cutoff > max_cutoff:
                 raise SolverError(f"forced failure at n_cutoff={n_cutoff}", n_cutoff)
-            return real(params, n_cutoff)
+            return real(params, n_cutoff, previous)
 
         monkeypatch.setattr(dicke_qfi.solver, "ground_state", solve_or_fail)
 

@@ -1,9 +1,34 @@
-"""Shared randomized-state helpers and dense field operators for the QFI checks."""
+"""Shared randomized-state helpers and dense operators for the QFI checks."""
+
+import math
 
 import numpy as np
 
-from dicke_qfi.model import HermitianOperator, build_boson_ops
+from dicke_qfi.model import (
+    BasisIndexer,
+    HermitianOperator,
+    ModelParams,
+    build_boson_ops,
+    build_spin_ops,
+)
 from dicke_qfi.states import DensityMatrix
+
+
+def build_hamiltonian(params: ModelParams, indexer: BasisIndexer) -> HermitianOperator:
+    """Full Dicke Hamiltonian on the product space, assembled by Kronecker products."""
+    if indexer.n_atoms != params.n_atoms:
+        raise ValueError("indexer and params disagree on n_atoms")
+    annihilate, number = build_boson_ops(indexer.n_cutoff)
+    spin = build_spin_ops(params.n_atoms)
+    eye_b = np.eye(indexer.boson_dim)
+    eye_s = np.eye(indexer.spin_dim)
+    coupling = params.lam / math.sqrt(params.n_atoms)
+    h = (
+        params.omega * np.kron(number.matrix, eye_s)
+        + params.omega0 * np.kron(eye_b, spin.jz)
+        + coupling * np.kron(annihilate + annihilate.conj().T, spin.jplus + spin.jminus)
+    )
+    return HermitianOperator(h, "product")
 
 
 def number_operator(dim: int) -> HermitianOperator:
@@ -17,6 +42,17 @@ def quadrature_operator(dim: int, sigma: float) -> HermitianOperator:
     annihilate, _ = build_boson_ops(dim - 1)
     x = (annihilate * np.exp(-1j * sigma) + annihilate.conj().T * np.exp(1j * sigma)) / 2
     return HermitianOperator(x, "boson")
+
+
+def jx_operator(n_atoms: int) -> HermitianOperator:
+    """Dense Jx for j = N/2."""
+    return HermitianOperator(build_spin_ops(n_atoms).jx, "spin")
+
+
+def spin_operator(n_atoms: int, phi: float) -> HermitianOperator:
+    """Dense J_phi = Jx cos(phi) + Jy sin(phi) for j = N/2."""
+    spin = build_spin_ops(n_atoms)
+    return HermitianOperator(spin.jx * math.cos(phi) + spin.jy * math.sin(phi), "spin")
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:

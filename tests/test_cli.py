@@ -15,8 +15,8 @@ from dicke_qfi.cli import (
     format_value,
     main,
 )
-from dicke_qfi.model import ModelParams
-from dicke_qfi.solver import initial_cutoff
+from dicke_qfi.model import BasisIndexer, ModelParams, parity_block_indices
+from dicke_qfi.solver import WARM_SPARSE_MIN_DIM, initial_cutoff
 
 SMALL_SWEEP = [
     "--n-atoms", "2", "--lambda-min", "0", "--lambda-max", "0.4",
@@ -72,6 +72,19 @@ def test_sweep_workers_match_serial(tmp_path):
     serial, parallel = tmp_path / "serial.csv", tmp_path / "par.csv"
     args = ["sweep", "--n-atoms", "1", "--n-atoms", "2", "--lambda-min", "0",
             "--lambda-max", "0.3", "--lambda-steps", "3", "--tol", "1e-8"]
+    assert main([*args, "--out", str(serial)]) == 0
+    assert main([*args, "--workers", "2", "--out", str(parallel)]) == 0
+    assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_sweep_workers_match_serial_warm_lanczos(tmp_path):
+    # every point's doubled solve is warm-started Lanczos (even block dim 431 to 704)
+    for lam in (0.1, 0.3, 0.5):
+        cutoff = 2 * initial_cutoff(ModelParams(1.0, 1.0, lam, 20))
+        assert parity_block_indices(BasisIndexer(cutoff, 20))[0].size > WARM_SPARSE_MIN_DIM
+    serial, parallel = tmp_path / "serial.csv", tmp_path / "par.csv"
+    args = ["sweep", "--n-atoms", "20", "--lambda-min", "0.1", "--lambda-max", "0.5",
+            "--lambda-steps", "3"]
     assert main([*args, "--out", str(serial)]) == 0
     assert main([*args, "--workers", "2", "--out", str(parallel)]) == 0
     assert serial.read_bytes() == parallel.read_bytes()
@@ -280,17 +293,21 @@ def test_husimi_skips_failed_point(tmp_path, fail_solves_above):
     assert "failed_points=[[1.0, 2]]" in footer[0]
 
 
-def test_field_side_builds_no_dense_operator(tmp_path, monkeypatch):
-    # every dense field operator comes from build_boson_ops; make it unusable
-    def refuse(n_cutoff):
-        raise AssertionError(f"dense field operator built at n_cutoff={n_cutoff}")
+def refuse_everywhere(monkeypatch, original):
+    """Make ``original`` raise under every name a dicke_qfi module holds it by."""
+    def refuse(*args):
+        raise AssertionError(f"{original.__name__}{args} called")
 
-    original = dicke_qfi.model.build_boson_ops
     for name, module in list(sys.modules.items()):
         if name == "dicke_qfi" or name.startswith("dicke_qfi."):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, refuse)
+
+
+def test_field_side_builds_no_dense_operator(tmp_path, monkeypatch):
+    # every dense field operator comes from build_boson_ops; make it unusable
+    refuse_everywhere(monkeypatch, dicke_qfi.model.build_boson_ops)
     record = compute_sweep_record(1.0, 1.0, 0.5, 2, 1e-10, 600)
     assert record.converged and record.n_cutoff == 600
     assert all(math.isfinite(v) for v in record.row())
@@ -300,6 +317,14 @@ def test_field_side_builds_no_dense_operator(tmp_path, monkeypatch):
                  "--out", str(out)]) == 0
     assert len(json.loads(out.read_text())["grids"]) == 1
 
+
+def test_sweep_point_builds_no_dense_spin_operator(monkeypatch):
+    # every dense spin operator comes from build_spin_ops; make it unusable
+    refuse_everywhere(monkeypatch, dicke_qfi.model.build_spin_ops)
+    for n_atoms, lam in ((1, 0.5), (6, 1.5), (20, 1.0)):
+        record = compute_sweep_record(1.0, 1.0, lam, n_atoms, 1e-10, None)
+        assert record.converged
+        assert all(math.isfinite(v) for v in record.row())
 
 def test_io_error_exit_code(tmp_path):
     code = main(["sweep", *SMALL_SWEEP, "--out", str(tmp_path / "no" / "dir" / "x.csv")])

@@ -5,13 +5,14 @@ import pytest
 from numpy.testing import assert_allclose
 from qfi_reference import number_operator, pure_state_qfi, random_density, random_hermitian
 
+import dicke_qfi.metrology
 from dicke_qfi.metrology import (
+    HUSIMI_CHUNK_ELEMENTS,
     coherent_amplitudes,
     default_atom_grid,
     default_field_grid,
     husimi_atoms,
     husimi_field,
-    jx_operator,
     optimal_quadrature,
     qfi_atoms,
     qfi_field,
@@ -266,6 +267,29 @@ def test_husimi_field_bounds_and_normalization(ultrastrong_n6):
     assert np.all(q <= 1.0 + 1e-12)
     cell = (re_axis[1] - re_axis[0]) * (im_axis[1] - im_axis[0])
     assert abs(q.sum() * cell / math.pi - 1.0) < 1e-3
+
+
+def test_husimi_field_chunks_bounded_at_large_cutoff(monkeypatch):
+    # at cutoff 2000 a chunk is 131 grid points, so the 41 x 41 grid takes 13 chunks;
+    # Q must equal the single-chunk evaluation bit for bit
+    field, _ = schmidt_decompose(ground_state(ModelParams(1.0, 1.0, 0.5, 2), 2000))
+    axis = np.linspace(-3.0, 3.0, 41)
+    alpha = axis[:, None] + 1j * axis[None, :]
+    amps = coherent_amplitudes(alpha.ravel(), field.dim)
+    single = np.abs(amps.conj() @ field.vectors) ** 2 @ field.weights
+
+    rows = []
+    real = dicke_qfi.metrology.coherent_amplitudes
+
+    def record_rows(points, dim):
+        rows.append(np.size(points))
+        return real(points, dim)
+
+    monkeypatch.setattr(dicke_qfi.metrology, "coherent_amplitudes", record_rows)
+    q = husimi_field(field, alpha)
+    assert len(rows) > 1 and sum(rows) == alpha.size
+    assert max(rows) * field.dim <= HUSIMI_CHUNK_ELEMENTS
+    assert np.array_equal(q.ravel(), single)
 
 
 def test_husimi_field_ultrastrong_lobes(ultrastrong_n6):

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from qfi_reference import build_hamiltonian
 
 from dicke_qfi.model import (
     BasisIndexer,
     HermitianOperator,
     ModelParams,
     build_boson_ops,
-    build_hamiltonian,
     build_hamiltonian_block,
     build_parity,
     build_spin_ops,

@@ -4,7 +4,8 @@ The invariants below hold for any pure state of the truncated model,
 converged or not.  They are checked at a small fixed Fock cutoff, at the
 cutoff ``converge_cutoff`` picks, and at converged points whose even block
 is solved by Lanczos.  The banded field kernels behind ``qfi_field`` and
-``quadrature_variance`` are checked against the dense operators.
+``quadrature_variance``, and the spin ladder kernels behind ``qfi_atoms`` and
+``spin_variance``, are checked against the dense operators.
 """
 
 import math
@@ -13,20 +14,31 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from qfi_reference import number_operator, quadrature_operator
+from qfi_reference import (
+    jx_operator,
+    number_operator,
+    quadrature_operator,
+    random_density,
+    spin_operator,
+)
 
 from dicke_qfi.metrology import (
-    jx_operator,
     mean_and_variance,
     qfi_atoms,
     qfi_field,
     qfi_mixed,
     quadrature_variance,
     sld_qfi_oracle,
+    spin_variance,
 )
 from dicke_qfi.model import ModelParams, parity_block_indices, parity_signs
 from dicke_qfi.solver import SPARSE_MIN_DIM, converge_cutoff, ground_state
-from dicke_qfi.states import partial_trace_field, schmidt_decompose
+from dicke_qfi.states import (
+    DensityMatrix,
+    partial_trace_field,
+    schmidt_decompose,
+    spectral_decompose,
+)
 
 N_CUTOFF = 16
 
@@ -58,6 +70,30 @@ def check_invariants(gs):
     for sigma in (0.0, math.pi / 2):
         dense = mean_and_variance(field, quadrature_operator(field.dim, sigma))[1]
         assert abs(quadrature_variance(field, sigma) - dense) <= 1e-12 * max(1.0, dense)
+    check_spin_kernels(atoms, 0.0)
+    check_spin_kernels(atoms, math.pi / 2)
+
+
+def check_spin_kernels(atoms, phi):
+    """Ladder-rule Jx QFI and J_phi variance against the dense build_spin_ops matrices."""
+    n_atoms = atoms.dim - 1
+    f_a = qfi_atoms(atoms).value
+    assert abs(f_a - qfi_mixed(atoms, jx_operator(n_atoms)).value) <= 1e-12 * max(1.0, f_a)
+    dense = mean_and_variance(atoms, spin_operator(n_atoms, phi))[1]
+    assert abs(spin_variance(atoms, phi) - dense) <= 1e-12 * max(1.0, dense)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n_atoms=st.integers(1, 40),
+    rank=st.integers(1, 4),
+    phi=st.floats(0.0, 2 * math.pi),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_spin_kernels_random_states(n_atoms, rank, phi, seed):
+    # complex mixed states, which ground states (real amplitudes) never are
+    rho = random_density(np.random.default_rng(seed), n_atoms + 1, min(rank, n_atoms + 1))
+    check_spin_kernels(spectral_decompose(DensityMatrix(rho.matrix, "spin")), phi)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from numpy.testing import assert_allclose
+from qfi_reference import build_hamiltonian
 
 import dicke_qfi.solver
 from dicke_qfi.cli import compute_sweep_record
@@ -12,7 +14,6 @@ from dicke_qfi.model import (
     BasisIndexer,
     ModelParams,
     build_boson_ops,
-    build_hamiltonian,
     build_hamiltonian_block,
     build_parity,
     build_spin_ops,
@@ -20,6 +21,7 @@ from dicke_qfi.model import (
 )
 from dicke_qfi.solver import (
     SPARSE_MIN_DIM,
+    WARM_SPARSE_MIN_DIM,
     converge_cutoff,
     expectation,
     ground_state,
@@ -229,3 +231,98 @@ def test_observables_agree_across_solver_threshold(n_cutoff, monkeypatch):
     monkeypatch.setattr(dicke_qfi.solver, "SPARSE_MIN_DIM", other)
     switched = compute_sweep_record(1.0, 1.0, 0.8, 1, 1e-10, n_cutoff)
     assert_allclose(switched.row(), default.row(), rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("n_atoms,lam", [
+    (20, 1e-9), (20, 1e-5), (20, 0.5), (20, 1.0), (20, 2.0), (6, 1.5), (50, 1.0),
+])
+def test_warm_start_matches_cold_dense_solve(n_atoms, lam, monkeypatch):
+    # the doubled solve starts Lanczos from the first solve's state, zero-padded;
+    # it must find the state a dense solve finds at the final cutoff, every time
+    starts = []
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def record_start(*args, v0=None, **kwargs):
+        starts.append(v0)
+        return eigsh(*args, v0=v0, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", record_start)
+    params = ModelParams(1.0, 1.0, lam, n_atoms)
+    n_cutoff, gs = converge_cutoff(params, 1e-10)
+    assert [step.n_cutoff for step in gs.convergence.steps] == [n_cutoff // 2, n_cutoff]
+    even, _ = parity_block_indices(gs.indexer)
+    assert even.size > WARM_SPARSE_MIN_DIM
+    warm_start = starts[-1]
+
+    first = ground_state(params, n_cutoff // 2)
+    padded = np.zeros((n_cutoff + 1, n_atoms + 1))
+    padded[: n_cutoff // 2 + 1] = first.vector.real.reshape(n_cutoff // 2 + 1, n_atoms + 1)
+    assert np.array_equal(warm_start, padded.ravel()[even])
+
+    block = build_hamiltonian_block(params, gs.indexer, even)
+    energies, vecs = scipy.linalg.eigh(block, subset_by_index=[0, 0], overwrite_a=True)
+    del block
+    assert abs(gs.energy - energies[0]) <= 1e-12 * max(1.0, abs(energies[0]))
+    assert abs(np.vdot(vecs[:, 0], gs.vector[even])) >= 1.0 - 1e-12
+    again = converge_cutoff(params, 1e-10)[1]
+    assert again.energy == gs.energy
+    assert np.array_equal(again.vector, gs.vector)
+
+
+@pytest.mark.parametrize("n_atoms,lam,lanczos", [(1, 8.0, False), (2, 4.0, False), (3, 2.5, True)])
+def test_warm_start_keeps_small_n_dense(n_atoms, lam, lanczos, monkeypatch):
+    # all three doubled blocks lie between WARM_SPARSE_MIN_DIM and SPARSE_MIN_DIM;
+    # at N <= 2 they stay on dense eigh, from N = 3 they take the warm Lanczos path
+    calls = []
+    eigsh = scipy.sparse.linalg.eigsh
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
+                        lambda *args, **kwargs: calls.append(1) or eigsh(*args, **kwargs))
+    n_cutoff, gs = converge_cutoff(ModelParams(1.0, 1.0, lam, n_atoms), 1e-10)
+    even, _ = parity_block_indices(gs.indexer)
+    assert WARM_SPARSE_MIN_DIM < even.size <= SPARSE_MIN_DIM
+    assert len(calls) == (1 if lanczos else 0)
+
+
+@pytest.mark.parametrize("n_atoms,lam,n_cutoff", [(3, 0.5, 20), (20, 1.0, 170), (20, 1.0, None)])
+def test_residual_certificate(n_atoms, lam, n_cutoff):
+    # dense eigh, cold Lanczos, and the warm-started Lanczos of cutoff doubling
+    params = ModelParams(1.0, 1.0, lam, n_atoms)
+    if n_cutoff is None:
+        n_cutoff, gs = converge_cutoff(params, 1e-10)
+        first = ground_state(params, gs.convergence.steps[0].n_cutoff)
+        assert gs.convergence.residual == ground_state(params, n_cutoff, first).convergence.residual
+    else:
+        gs = ground_state(params, n_cutoff)
+    even, _ = parity_block_indices(gs.indexer)
+    psi = gs.vector[even]
+    block = build_hamiltonian_block(params, gs.indexer, even, sparse=True)
+    recomputed = np.linalg.norm(block @ psi - gs.energy * psi)
+    bound = 1e-12 * max(1.0, abs(gs.energy))
+    assert 0.0 <= gs.convergence.residual <= bound
+    assert recomputed <= bound
+
+
+@pytest.mark.parametrize("module,name,n_atoms,n_cutoff", [
+    (scipy.linalg, "eigh", 3, 20), (scipy.sparse.linalg, "eigsh", 20, 170),
+])
+def test_residual_measures_returned_vector(module, name, n_atoms, n_cutoff, monkeypatch):
+    # an eigensolver returning a slightly wrong vector must show in the certificate
+    solve = getattr(module, name)
+
+    def perturbed(*args, **kwargs):
+        energies, vecs = solve(*args, **kwargs)
+        vecs[:, 0] += 1e-6 * np.cos(np.arange(vecs.shape[0]))
+        return energies, vecs / np.linalg.norm(vecs[:, 0])
+
+    monkeypatch.setattr(module, name, perturbed)
+    gs = ground_state(ModelParams(1.0, 1.0, 0.5, n_atoms), n_cutoff)
+    assert gs.convergence.residual > 1e-8
+
+
+def test_ground_state_rejects_foreign_previous():
+    params = ModelParams(1.0, 1.0, 0.5, 3)
+    previous = ground_state(params, 20)
+    with pytest.raises(ValueError):
+        ground_state(params, 10, previous)
+    with pytest.raises(ValueError):
+        ground_state(ModelParams(1.0, 1.0, 0.6, 3), 40, previous)
