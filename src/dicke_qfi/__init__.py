@@ -19,7 +19,7 @@ from .model import (
     build_spin_ops,
     parity_block_indices,
 )
-from .solver import GroundState, converge_cutoff, expectation, ground_state, solve
+from .solver import GroundState, converge_cutoff, ground_state, solve
 from .states import (
     DensityMatrix,
     SpectralDecomposition,
@@ -72,7 +72,6 @@ __all__ = [
     "build_spin_ops",
     "converge_cutoff",
     "critical_scaling_probe",
-    "expectation",
     "ground_state",
     "husimi_atoms",
     "husimi_field",

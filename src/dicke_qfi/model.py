@@ -5,9 +5,10 @@ The Hamiltonian is
     H = omega * b'b  +  omega0 * Jz  +  (lam / sqrt(N)) * (b' + b)(J+ + J-)
 
 acting on |n>|j,m> with Fock number n <= n_cutoff and collective spin
-j = N/2.  Operators are dense matrices, except that the parity block the
-ground-state solver diagonalizes is built as a CSR matrix when it is large
-(see ``build_hamiltonian_block``).  The basis is boson-major,
+j = N/2.  Operators are dense matrices, except the even-parity block the
+ground-state solver diagonalizes, which is built as a symmetric band
+(``build_hamiltonian_band``) or as a CSR matrix (``build_hamiltonian_block``)
+and never as a dense array.  The basis is boson-major,
 idx(n, m) = n*(N+1) + (m+j), so a partial trace over either subsystem is
 a contiguous block operation.
 """
@@ -174,36 +175,47 @@ def build_spin_ops(n_atoms: int) -> SpinOperators:
     return SpinOperators(jx, jy, jz, jplus, jminus)
 
 
-def build_hamiltonian_block(
-    params: ModelParams, indexer: BasisIndexer, indices: np.ndarray, *, sparse: bool = False
-):
-    """Restriction of the Hamiltonian to a set of basis indices, as a real matrix.
+def build_hamiltonian_block(params: ModelParams, indexer: BasisIndexer, indices: np.ndarray):
+    """Restriction of the Hamiltonian to a set of basis indices, as a real CSR matrix.
 
-    All matrix elements of H are real in this basis, so the block is float64:
-    a dense ndarray, or a ``scipy.sparse.csr_array`` when ``sparse`` is set.
-    Both are assembled from the same (row, col, value) triplets.  Couplings
-    leading outside the index set are dropped, which is the projector
-    restriction P H P; for a parity-closed index set no coupling is lost.
+    All matrix elements of H are real in this basis, so the block is a
+    float64 ``scipy.sparse.csr_array``.  Couplings leading outside the index
+    set are dropped, which is the projector restriction P H P; for a
+    parity-closed index set no coupling is lost.
     """
-    if indexer.n_atoms != params.n_atoms:
-        raise ValueError("indexer and params disagree on n_atoms")
+    # imported here: scipy.sparse adds import time and memory to every run of
+    # the CLI, and only blocks too wide for the banded solver need it
+    import scipy.sparse
+
     size = np.asarray(indices).size
     rows, cols, values = _block_triplets(params, indexer, indices)
-    if sparse:
-        # imported here: scipy.sparse adds import time and memory to every run
-        # of the CLI, and only large blocks need it
-        import scipy.sparse
+    return scipy.sparse.csr_array((values, (rows, cols)), shape=(size, size))
 
-        return scipy.sparse.csr_array((values, (rows, cols)), shape=(size, size))
-    block = np.zeros((size, size))
-    block[rows, cols] = values
-    return block
+
+def build_hamiltonian_band(
+    params: ModelParams, indexer: BasisIndexer, indices: np.ndarray
+) -> np.ndarray:
+    """P H P in LAPACK upper symmetric band storage, shape (kd + 1, len(indices)).
+
+    ``band[kd + i - j, j] = H[i, j]`` for ``max(0, j - kd) <= i <= j``, where
+    kd is the largest |i - j| of a coupling in the order of ``indices``.  The
+    elements are the same triplets ``build_hamiltonian_block`` assembles.
+    """
+    rows, cols, values = _block_triplets(params, indexer, indices)
+    upper = rows <= cols
+    rows, cols, values = rows[upper], cols[upper], values[upper]
+    kd = int(np.max(cols - rows))
+    band = np.zeros((kd + 1, np.asarray(indices).size))
+    band[kd + rows - cols, cols] = values
+    return band
 
 
 def _block_triplets(
     params: ModelParams, indexer: BasisIndexer, indices: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nonzero elements of P H P as (row, col, value) arrays, each position once."""
+    if indexer.n_atoms != params.n_atoms:
+        raise ValueError("indexer and params disagree on n_atoms")
     indices = np.asarray(indices, dtype=np.int64)
     spin_dim = indexer.spin_dim
     j = indexer.j

@@ -3,18 +3,26 @@
 The finite-N ground state lives in the even n+m+j sector, so only that
 block is diagonalized; this halves the matrix and avoids the near-degenerate
 even/odd mixing a full-space eigensolver produces deep in the superradiant
-regime.  The eigensolver is picked from the block size: blocks of dimension
-up to SPARSE_MIN_DIM are solved by dense LAPACK ``eigh``, larger ones are
-built as CSR and solved by implicitly restarted Lanczos (ARPACK ``eigsh``)
-from a fixed start vector, in O(dim) memory.  Cutoff convergence doubles
-n_cutoff until the Fock tail population and the energy shift across one
-doubling both drop below tolerance.  Each solve after the first starts
-Lanczos from the previous cutoff's ground state, zero-padded to the larger
-Fock space; that start is nearly converged, so the warm-started solve takes
-the Lanczos path from the smaller size WARM_SPARSE_MIN_DIM.  The warm start
-stays inside one (N, lambda) point, so results do not depend on the order
-or the process in which points are solved.  Every ground state carries its
-residual ||H psi - E psi|| on the even block as a certificate.
+regime.  In ascending index order the block is banded, with half-bandwidth
+kd = (N+1)//2 + 1 (kd = 1 at N = 1) whatever the cutoff.  Blocks with
+N <= BANDED_MAX_ATOMS are solved by shifted inverse iteration on the band:
+LAPACK ``dpbtrf`` factors H - sigma I, which succeeds exactly when sigma
+lies below the lowest eigenvalue, and ``dpbtrs`` applies the inverse, in
+O(dim kd^2) time and O(dim kd) memory.  Each successful factorization proves
+sigma < E0, and a solve returns only after one has succeeded within
+2 r + BRACKET_RTOL max(1, |E|) of the returned Rayleigh quotient E, where
+r = ||H psi - E psi||; so E0 is bracketed, E - delta < E0 <= E.  Blocks
+of larger N are built as CSR and solved by implicitly restarted Lanczos
+(ARPACK ``eigsh``) from a fixed start vector, in O(dim) memory.
+
+Cutoff convergence doubles n_cutoff until the Fock tail population and the
+energy shift across one doubling both drop below tolerance.  Each solve
+after the first starts from the previous cutoff's ground state, zero-padded
+to the larger Fock space, whose energy bounds the new one from above.  The
+warm start stays inside one (N, lambda) point, so results do not depend on
+the order or the process in which points are solved.  Every ground state
+carries its residual ||H psi - E psi|| on the even block, and a banded one
+its certified lower bound on the energy.
 """
 
 from __future__ import annotations
@@ -23,10 +31,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import ConvergenceError, SolverError
-from .model import BasisIndexer, HermitianOperator, ModelParams, build_hamiltonian_block, parity_block_indices
+from .model import (
+    BasisIndexer,
+    ModelParams,
+    build_hamiltonian_band,
+    build_hamiltonian_block,
+    parity_block_indices,
+)
 
 #: default tolerance for both the tail-population and energy-shift tests
 DEFAULT_TOL = 1e-10
@@ -34,20 +48,20 @@ DEFAULT_TOL = 1e-10
 #: largest Fock cutoff converge_cutoff will attempt
 HARD_CAP = 2**14
 
-#: even blocks above this dimension go to sparse Lanczos, the rest to dense
-#: LAPACK; with one BLAS thread the two cost about the same at dim 400-500,
-#: and below that ARPACK's fixed cost per call dominates
-SPARSE_MIN_DIM = 512
+#: even blocks of up to this many atoms (kd <= 51) take the banded solver,
+#: larger N Lanczos.  Timed per point, cold and doubled solve together (one
+#: BLAS thread), Lanczos takes 1.00, 1.06 and 2.79x the banded time at
+#: N = 100 and lambda = 0.5, 1 and 2, but 0.76, 0.96 and 2.35x at N = 125;
+#: the band also costs O(dim kd) memory against Lanczos' O(dim)
+BANDED_MAX_ATOMS = 100
 
-#: the same threshold for a solve warm-started from the previous cutoff's
-#: ground state at N > 2.  Timed on the doubled solve (one BLAS thread):
-#: the warm start converges in 21-61 matrix-vector products, against
-#: 90-180 cold, and ties dense ``eigh`` near dim 190 for N >= 5 and near
-#: dim 260 for N = 3, 4 (dim 256, N = 6: 1.6 ms against 2.8 ms; dim 1397,
-#: N = 20: 4.8 ms against 262 ms).  At N <= 2 it needs 90-140 products and
-#: still loses at dim 277 (N = 1: 4.9 ms against 4.2 ms), so those blocks
-#: keep SPARSE_MIN_DIM
-WARM_SPARSE_MIN_DIM = SPARSE_MIN_DIM // 2
+#: relative slack of the energy bracket: a banded solve returns once a
+#: factorization has succeeded within 2 r + BRACKET_RTOL * max(1, |E|) of E
+BRACKET_RTOL = 1e-12
+
+#: inverse-iteration steps after which a banded solve is declared failed;
+#: converged solves take 2 to 12
+MAX_INVERSE_ITERATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -64,12 +78,16 @@ class ConvergenceInfo:
     """Tail population of the final state and energy shift over the last doubling.
 
     ``residual`` is ||H psi - E psi|| of the unit-norm state on the even block.
+    ``lower_bound`` is a shift sigma at which H - sigma I had a Cholesky
+    factor, so sigma < E0 <= energy; at lam = 0 it is the exact energy, and
+    it is None for a Lanczos solve.
     """
 
     tail_population: float
     energy_shift: float | None
     residual: float
     steps: tuple[CutoffStep, ...] = ()
+    lower_bound: float | None = None
 
 
 @dataclass(frozen=True)
@@ -99,10 +117,11 @@ def ground_state(
 ) -> GroundState:
     """Lowest eigenpair of H restricted to the even-parity block.
 
-    Blocks above SPARSE_MIN_DIM are solved by sparse Lanczos, smaller ones
-    by dense ``eigh``.  ``previous``, a ground state of the same model at a
-    lower cutoff, is the Lanczos start vector, and then blocks above
-    WARM_SPARSE_MIN_DIM take the Lanczos path (for N > 2).  The block
+    Up to BANDED_MAX_ATOMS atoms the block is solved by certified shifted
+    inverse iteration on the band, above it by sparse Lanczos.
+    ``previous``, a ground state of the same model at a lower cutoff, is the
+    start vector and its energy an upper bound.  At lam = 0 the block is
+    diagonal and the exact unit vector |0>|j,-j> is returned.  The block
     eigenvector is embedded back into the product basis and phase-fixed so
     the largest-magnitude amplitude is real positive.
     """
@@ -112,19 +131,23 @@ def ground_state(
         raise ValueError("previous must be a ground state of the same model at a lower cutoff")
     indexer = BasisIndexer(n_cutoff, params.n_atoms)
     even, _ = parity_block_indices(indexer)
-    warm = previous is not None and params.n_atoms > 2
-    if even.size > (WARM_SPARSE_MIN_DIM if warm else SPARSE_MIN_DIM):
-        block = build_hamiltonian_block(params, indexer, even, sparse=True)
-        start = _start_vector(indexer, even, previous)
-        energy, amplitudes = _lanczos_lowest(block, start, n_cutoff)
+    start = _start_vector(indexer, even, previous)
+    if params.lam == 0:
+        # the diagonal omega n + omega0 m is lowest at n = 0, m = -j: even index 0
+        energy = lower_bound = -params.omega0 * params.j
+        residual = 0.0
+        amplitudes = np.zeros(even.size)
+        amplitudes[0] = 1.0
+    elif params.n_atoms <= BANDED_MAX_ATOMS:
+        band = build_hamiltonian_band(params, indexer, even)
+        energy, amplitudes, residual, lower_bound = _banded_lowest(
+            band, start, params, previous, n_cutoff
+        )
     else:
         block = build_hamiltonian_block(params, indexer, even)
-        try:
-            energies, vecs = scipy.linalg.eigh(block, subset_by_index=[0, 0])
-        except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-            raise SolverError(f"eigh failed at n_cutoff={n_cutoff}: {exc}", n_cutoff) from exc
-        energy, amplitudes = energies[0], vecs[:, 0]
-    residual = float(np.linalg.norm(block @ amplitudes - energy * amplitudes))
+        energy, amplitudes = _lanczos_lowest(block, start, n_cutoff)
+        residual = float(np.linalg.norm(block @ amplitudes - energy * amplitudes))
+        lower_bound = None
     vector = np.zeros(indexer.dimension, dtype=complex)
     vector[even] = amplitudes
     vector /= np.linalg.norm(vector)
@@ -132,19 +155,14 @@ def ground_state(
     phase = vector[pivot] / abs(vector[pivot])
     vector = vector * phase.conjugate()
     tail = tail_population(vector, indexer)
-    return GroundState(
-        energy=float(energy),
-        vector=vector,
-        params=params,
-        n_cutoff=n_cutoff,
-        convergence=ConvergenceInfo(tail_population=tail, energy_shift=None, residual=residual),
-    )
+    info = ConvergenceInfo(tail, None, residual, lower_bound=lower_bound)
+    return GroundState(float(energy), vector, params, n_cutoff, info)
 
 
 def _start_vector(
     indexer: BasisIndexer, even: np.ndarray, previous: GroundState | None
 ) -> np.ndarray:
-    """Lanczos start on the even block: ``previous`` zero-padded, or (-1)^n.
+    """Start vector on the even block: ``previous`` zero-padded, or (-1)^n.
 
     The previous amplitude grid fills the first Fock levels of the larger
     grid.  Without one the start is (-1)^n: conjugating H by
@@ -158,6 +176,113 @@ def _start_vector(
     old = previous.indexer
     grid[: old.boson_dim] = previous.vector.real.reshape(old.boson_dim, old.spin_dim)
     return grid.ravel()[even]
+
+
+def _mean_field_energy(params: ModelParams) -> float:
+    """Lowest energy of a coherent field state times a spin coherent state."""
+    if params.lam <= params.lambda_cr:
+        return -params.omega0 * params.j
+    return -params.n_atoms * (
+        params.lam**2 / params.omega + params.omega0**2 * params.omega / (16 * params.lam**2)
+    )
+
+
+def _banded_lowest(
+    band: np.ndarray,
+    start: np.ndarray,
+    params: ModelParams,
+    previous: GroundState | None,
+    n_cutoff: int,
+) -> tuple[float, np.ndarray, float, float]:
+    """Lowest eigenpair of a banded block: (energy, unit vector, residual, lower bound).
+
+    Shifted inverse iteration x = (H - sigma I)^-1 psi from ``start``.  The
+    first shift sits below an upper bound U on E0: the energy of
+    ``previous``, or the Rayleigh quotient of a cold start, which is poor
+    for (-1)^n, so a cold shift is also held below the mean-field energy by
+    the zero-point scale (omega + omega0)/2.  Each step yields the Rayleigh
+    quotient E and residual r of the iterate.  Some eigenvalue lies within
+    r of E, so once the iterate is near the ground state E0 > E - 2r; the
+    shift moves up to E - 2r - slack/2 when that cuts its distance to E by
+    4x or more, or when the residual stops halving.  A solve returns once
+    the residual has stopped halving, E has settled to within the slack,
+    and the current shift, a proven lower bound, lies within 2r + slack of
+    E.  A residual that stops halving while E still moves is no floor: far
+    from convergence the residual can grow for a step while E drops.
+    """
+    kd = band.shape[0] - 1
+    offsets = [d for d in range(1, kd + 1) if band[kd - d].any()]
+    vector = start / np.linalg.norm(start)
+    if previous is not None:
+        upper = previous.energy
+        shift = upper - 1e-3 * abs(upper)
+    else:
+        upper = float(vector @ _band_matvec(band, offsets, vector))
+        zero_point = (params.omega + params.omega0) / 2
+        shift = min(_mean_field_energy(params) - zero_point, upper - 1e-3 * abs(upper))
+    factor, shift = _factor_below(band, offsets, shift, upper - shift, n_cutoff)
+    last_energy = last_residual = math.inf
+    for _ in range(MAX_INVERSE_ITERATIONS):
+        solved, _ = lapack.dpbtrs(factor, vector)
+        vector = solved / np.linalg.norm(solved)
+        applied = _band_matvec(band, offsets, vector)
+        energy = float(vector @ applied)
+        residual = float(np.linalg.norm(applied - energy * vector))
+        slack = BRACKET_RTOL * max(1.0, abs(energy))
+        bracketed = energy - shift <= 2 * residual + slack
+        stalled = 2 * residual >= last_residual
+        if bracketed and stalled and abs(energy - last_energy) <= slack:
+            return energy, vector, residual, shift
+        if not bracketed and (stalled or 8 * residual <= energy - shift):
+            # a failed factorization steps down by r + slack/4, which still
+            # brackets E when r is at its floor, well below the slack
+            target = energy - 2 * residual - slack / 2
+            factor, shift = _factor_below(band, offsets, target, residual + slack / 4, n_cutoff)
+        last_energy, last_residual = energy, residual
+    msg = (f"banded inverse iteration did not converge in {MAX_INVERSE_ITERATIONS} steps "
+           f"at n_cutoff={n_cutoff}")
+    raise SolverError(msg, n_cutoff)
+
+
+def _factor_below(
+    band: np.ndarray, offsets: list[int], shift: float, step: float, n_cutoff: int
+) -> tuple[np.ndarray, float]:
+    """Cholesky factor of H - shift I, stepping the shift down until one exists.
+
+    A failed factorization means the shift was not below E0 (or rounding
+    put it there); the next attempt lies ``step`` lower and the step
+    doubles.  Once a shift below the Gershgorin bound of H, under which
+    H - shift I is positive definite, has failed too, the factorization
+    itself is broken and SolverError is raised.
+    """
+    kd = band.shape[0] - 1
+    floor = None
+    while True:
+        shifted = band.copy()
+        shifted[kd] -= shift
+        factor, info = lapack.dpbtrf(shifted, overwrite_ab=1)
+        if info == 0:
+            return factor, shift
+        if floor is None:
+            absolute = np.abs(band)
+            radius = _band_matvec(absolute, offsets, np.ones(band.shape[1])) - absolute[kd]
+            floor = float(np.min(band[kd] - radius))
+        if not shift >= floor:
+            msg = f"banded Cholesky factorization failed at n_cutoff={n_cutoff} (info={info})"
+            raise SolverError(msg, n_cutoff)
+        shift -= step
+        step *= 2
+
+
+def _band_matvec(band: np.ndarray, offsets: list[int], x: np.ndarray) -> np.ndarray:
+    """H x from upper band storage, over the main diagonal and the nonzero ``offsets``."""
+    kd = band.shape[0] - 1
+    y = band[kd] * x
+    for d in offsets:
+        coupling = band[kd - d, d:]
+        y[:-d] += coupling * x[d:]
+        y[d:] += coupling * x[:-d]
+    return y
 
 
 def _lanczos_lowest(block, start: np.ndarray, n_cutoff: int) -> tuple[float, np.ndarray]:
@@ -233,7 +358,8 @@ def converge_cutoff(
             shift, done = None, tail == 0.0
         steps.append(CutoffStep(n_cutoff, gs.energy, tail))
         if done:
-            info = ConvergenceInfo(tail, shift, gs.convergence.residual, tuple(steps))
+            info = ConvergenceInfo(tail, shift, gs.convergence.residual, tuple(steps),
+                                   gs.convergence.lower_bound)
             return n_cutoff, GroundState(gs.energy, gs.vector, params, n_cutoff, info)
         if 2 * n_cutoff > hard_cap:
             msg = (f"Fock cutoff would exceed the hard cap {hard_cap} "
@@ -250,28 +376,3 @@ def solve(
         return ground_state(params, fock_cutoff)
     return converge_cutoff(params, tol)[1]
 
-
-def expectation(state, op) -> complex:
-    """<psi|A|psi> for a state vector or Tr(rho A) for a density matrix.
-
-    Accepts a GroundState, a DensityMatrix, or a bare ndarray (1-D vector /
-    2-D density matrix); ``op`` may be a HermitianOperator or a bare matrix.
-    The full complex value is returned so callers can monitor the imaginary
-    part as a diagnostic.
-    """
-    matrix = op.matrix if isinstance(op, HermitianOperator) else np.asarray(op)
-    if hasattr(state, "vector"):
-        array = np.asarray(state.vector)
-    elif hasattr(state, "matrix"):
-        array = np.asarray(state.matrix)
-    else:
-        array = np.asarray(state)
-    if array.ndim == 1:
-        if array.shape[0] != matrix.shape[0]:
-            raise ValueError("state and operator dimensions do not match")
-        return complex(np.vdot(array, matrix @ array))
-    if array.ndim == 2:
-        if array.shape != matrix.shape:
-            raise ValueError("state and operator dimensions do not match")
-        return complex(np.trace(array @ matrix))
-    raise ValueError("state must be a vector or a density matrix")

@@ -1,4 +1,4 @@
-"""Shared randomized-state helpers and dense operators for the QFI checks."""
+"""Shared randomized-state helpers, dense operators and oracles for the checks."""
 
 import math
 
@@ -9,6 +9,7 @@ from dicke_qfi.model import (
     HermitianOperator,
     ModelParams,
     build_boson_ops,
+    build_hamiltonian_block,
     build_spin_ops,
 )
 from dicke_qfi.states import DensityMatrix
@@ -29,6 +30,39 @@ def build_hamiltonian(params: ModelParams, indexer: BasisIndexer) -> HermitianOp
         + coupling * np.kron(annihilate + annihilate.conj().T, spin.jplus + spin.jminus)
     )
     return HermitianOperator(h, "product")
+
+
+def dense_hamiltonian_block(
+    params: ModelParams, indexer: BasisIndexer, indices: np.ndarray
+) -> np.ndarray:
+    """P H P as a dense float64 array, for ``scipy.linalg.eigh`` oracles."""
+    return build_hamiltonian_block(params, indexer, indices).toarray()
+
+
+def expectation(state, op) -> complex:
+    """<psi|A|psi> for a state vector or Tr(rho A) for a density matrix.
+
+    Accepts a GroundState, a DensityMatrix, or a bare ndarray (1-D vector /
+    2-D density matrix); ``op`` may be a HermitianOperator or a bare matrix.
+    The full complex value is returned so callers can monitor the imaginary
+    part as a diagnostic.
+    """
+    matrix = op.matrix if isinstance(op, HermitianOperator) else np.asarray(op)
+    if hasattr(state, "vector"):
+        array = np.asarray(state.vector)
+    elif hasattr(state, "matrix"):
+        array = np.asarray(state.matrix)
+    else:
+        array = np.asarray(state)
+    if array.ndim == 1:
+        if array.shape[0] != matrix.shape[0]:
+            raise ValueError("state and operator dimensions do not match")
+        return complex(np.vdot(array, matrix @ array))
+    if array.ndim == 2:
+        if array.shape != matrix.shape:
+            raise ValueError("state and operator dimensions do not match")
+        return complex(np.trace(array @ matrix))
+    raise ValueError("state must be a vector or a density matrix")
 
 
 def number_operator(dim: int) -> HermitianOperator:

@@ -1,9 +1,11 @@
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 import scipy.sparse.linalg
 
 import dicke_qfi.model
@@ -16,7 +18,7 @@ from dicke_qfi.cli import (
     main,
 )
 from dicke_qfi.model import BasisIndexer, ModelParams, parity_block_indices
-from dicke_qfi.solver import WARM_SPARSE_MIN_DIM, initial_cutoff
+from dicke_qfi.solver import BANDED_MAX_ATOMS, initial_cutoff
 
 SMALL_SWEEP = [
     "--n-atoms", "2", "--lambda-min", "0", "--lambda-max", "0.4",
@@ -78,12 +80,11 @@ def test_sweep_workers_match_serial(tmp_path):
 
 
 def test_sweep_workers_match_serial_warm_lanczos(tmp_path):
-    # every point's doubled solve is warm-started Lanczos (even block dim 431 to 704)
-    for lam in (0.1, 0.3, 0.5):
-        cutoff = 2 * initial_cutoff(ModelParams(1.0, 1.0, lam, 20))
-        assert parity_block_indices(BasisIndexer(cutoff, 20))[0].size > WARM_SPARSE_MIN_DIM
+    # N = 101 is more than the banded solver takes, so every point's doubled
+    # solve is warm-started Lanczos (even block dim 2091 to 7803)
+    assert 101 > BANDED_MAX_ATOMS
     serial, parallel = tmp_path / "serial.csv", tmp_path / "par.csv"
-    args = ["sweep", "--n-atoms", "20", "--lambda-min", "0.1", "--lambda-max", "0.5",
+    args = ["sweep", "--n-atoms", "101", "--lambda-min", "0.1", "--lambda-max", "0.5",
             "--lambda-steps", "3"]
     assert main([*args, "--out", str(serial)]) == 0
     assert main([*args, "--workers", "2", "--out", str(parallel)]) == 0
@@ -244,17 +245,31 @@ def test_lanczos_failure_exit_code(error, tmp_path, monkeypatch):
         raise error
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
-    # N = 1 at cutoff 600 gives an even block of dimension 601, above the threshold
+    # N = 101 is more than the banded solver takes, so its blocks go to Lanczos
+    assert 101 > BANDED_MAX_ATOMS
+    check_failed_sweep(tmp_path, "101", "10")
+
+
+def test_banded_failure_exit_code(tmp_path, monkeypatch):
+    dpbtrf = scipy.linalg.lapack.dpbtrf
+    monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf",
+                        lambda ab, **kwargs: (dpbtrf(ab, **kwargs)[0], 1))
+    check_failed_sweep(tmp_path, "1", "600")
+
+
+def check_failed_sweep(tmp_path, n_atoms, fock_cutoff):
     out = tmp_path / "x.csv"
-    code = main(["sweep", "--n-atoms", "1", "--lambda-min", "0.4", "--lambda-max", "0.5",
-                 "--lambda-steps", "2", "--fock-cutoff", "600", "--out", str(out)])
+    code = main(["sweep", "--n-atoms", n_atoms, "--lambda-min", "0.4", "--lambda-max", "0.5",
+                 "--lambda-steps", "2", "--fock-cutoff", fock_cutoff, "--out", str(out)])
     assert code == 4
     # each failed point is a NaN row, and the sweep still writes every row and the footer
     header, rows, footer = read_csv_rows(out)
     assert tuple(header) == SWEEP_COLUMNS
-    assert [row[:3] for row in rows] == [["0.4", "1", "600"], ["0.5", "1", "600"]]
+    assert [row[:3] for row in rows] == [["0.4", n_atoms, fock_cutoff],
+                                         ["0.5", n_atoms, fock_cutoff]]
     assert all(math.isnan(float(v)) for row in rows for v in row[3:])
-    assert len(footer) == 1 and "failed_points=[[0.4, 1], [0.5, 1]]" in footer[0]
+    assert len(footer) == 1
+    assert f"failed_points=[[0.4, {n_atoms}], [0.5, {n_atoms}]]" in footer[0]
 
 
 def test_solver_failure_mid_doubling(tmp_path, fail_solves_above):
@@ -325,6 +340,22 @@ def test_sweep_point_builds_no_dense_spin_operator(monkeypatch):
         record = compute_sweep_record(1.0, 1.0, lam, n_atoms, 1e-10, None)
         assert record.converged
         assert all(math.isfinite(v) for v in record.row())
+
+
+@pytest.mark.parametrize("n_atoms,lam", [(2, 3.0), (6, 1.5), (20, 2.0)])
+def test_sweep_point_allocates_no_dense_block(n_atoms, lam):
+    # a point's traced peak stays below half of one dense float64 copy of its
+    # final even block (dim 188, 375 and 3413 here), which a dense eigensolve needs
+    tracemalloc.start()
+    try:
+        record = compute_sweep_record(1.0, 1.0, lam, n_atoms, 1e-10, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert record.converged
+    dim = parity_block_indices(BasisIndexer(record.n_cutoff, n_atoms))[0].size
+    assert peak < 8 * dim**2 / 2
+
 
 def test_io_error_exit_code(tmp_path):
     code = main(["sweep", *SMALL_SWEEP, "--out", str(tmp_path / "no" / "dir" / "x.csv")])

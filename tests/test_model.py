@@ -10,6 +10,7 @@ from dicke_qfi.model import (
     HermitianOperator,
     ModelParams,
     build_boson_ops,
+    build_hamiltonian_band,
     build_hamiltonian_block,
     build_parity,
     build_spin_ops,
@@ -219,11 +220,16 @@ def test_block_restriction_reproduces_action():
     indexer = BasisIndexer(7, 3)
     even, _ = parity_block_indices(indexer)
     h = build_hamiltonian(params, indexer).matrix
-    block = build_hamiltonian_block(params, indexer, even)
+    block = build_hamiltonian_block(params, indexer, even).toarray()
     assert np.max(np.abs(block - h[np.ix_(even, even)].real)) < 1e-14
-    # the CSR form holds the same elements, bit for bit
-    assert np.array_equal(build_hamiltonian_block(params, indexer, even, sparse=True).toarray(),
-                          block)
+    # the band holds the same elements, bit for bit, and nothing outside it
+    band = build_hamiltonian_band(params, indexer, even)
+    kd = band.shape[0] - 1
+    assert kd == 3 and band.shape[1] == even.size  # kd = (N+1)//2 + 1
+    for d in range(kd + 1):
+        assert np.array_equal(band[kd - d, d:], np.diagonal(block, d))
+        assert not band[kd - d, :d].any()
+    assert not np.triu(block, kd + 1).any()
     rng = np.random.default_rng(3)
     vec = np.zeros(indexer.dimension)
     vec[even] = rng.standard_normal(even.size)
@@ -233,3 +239,4 @@ def test_block_restriction_reproduces_action():
     odd_mask = np.ones(indexer.dimension, dtype=bool)
     odd_mask[even] = False
     assert np.max(np.abs(applied[odd_mask])) == 0.0
+

@@ -1,26 +1,33 @@
-"""Property-based checks of the reduced-state observables over random model parameters.
+"""Property-based checks of the ground-state solver and the reduced-state observables.
 
-The invariants below hold for any pure state of the truncated model,
-converged or not.  They are checked at a small fixed Fock cutoff, at the
-cutoff ``converge_cutoff`` picks, and at converged points whose even block
-is solved by Lanczos.  The banded field kernels behind ``qfi_field`` and
-``quadrature_variance``, and the spin ladder kernels behind ``qfi_atoms`` and
-``spin_variance``, are checked against the dense operators.
+The banded solver's energy, vector and energy bracket are checked against
+dense ``eigh`` of the same even block.  The observable invariants below hold
+for any pure state of the truncated model, converged or not.  They are
+checked at a small fixed Fock cutoff, at the cutoff ``converge_cutoff``
+picks, and at converged points whose even block is solved by Lanczos.  The
+banded field kernels behind ``qfi_field`` and ``quadrature_variance``, and
+the spin ladder kernels behind ``qfi_atoms`` and ``spin_variance``, are
+checked against the dense operators.
 """
 
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from qfi_reference import (
+    dense_hamiltonian_block,
     jx_operator,
     number_operator,
     quadrature_operator,
     random_density,
     spin_operator,
 )
+from scipy.linalg import lapack
+
+import dicke_qfi.solver
 
 from dicke_qfi.metrology import (
     mean_and_variance,
@@ -31,8 +38,14 @@ from dicke_qfi.metrology import (
     sld_qfi_oracle,
     spin_variance,
 )
-from dicke_qfi.model import ModelParams, parity_block_indices, parity_signs
-from dicke_qfi.solver import SPARSE_MIN_DIM, converge_cutoff, ground_state
+from dicke_qfi.model import (
+    BasisIndexer,
+    ModelParams,
+    build_hamiltonian_band,
+    parity_block_indices,
+    parity_signs,
+)
+from dicke_qfi.solver import BRACKET_RTOL, converge_cutoff, ground_state
 from dicke_qfi.states import (
     DensityMatrix,
     partial_trace_field,
@@ -119,7 +132,41 @@ def test_reduced_state_invariants_converged(omega, omega0, lam, n_atoms):
 
 
 @pytest.mark.parametrize("omega,omega0,lam,n_atoms", [(1.0, 1.0, 1.0, 20), (0.3, 3.0, 1.0, 6)])
-def test_reduced_state_invariants_lanczos(omega, omega0, lam, n_atoms):
+def test_reduced_state_invariants_lanczos(omega, omega0, lam, n_atoms, monkeypatch):
+    # both points are banded by default; with the threshold at 0 Lanczos solves them
+    monkeypatch.setattr(dicke_qfi.solver, "BANDED_MAX_ATOMS", 0)
     _, gs = converge_cutoff(ModelParams(omega, omega0, lam, n_atoms), 1e-10)
-    assert parity_block_indices(gs.indexer)[0].size > SPARSE_MIN_DIM
+    assert gs.convergence.lower_bound is None
     check_invariants(gs)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    lam=st.floats(0.0, 3.0),
+    n_atoms=st.integers(1, 8),
+    n_cutoff=st.integers(1, 60),
+    warm=st.booleans(),
+)
+def test_banded_solver_matches_dense_eigh(lam, n_atoms, n_cutoff, warm):
+    params = ModelParams(1.0, 1.0, lam, n_atoms)
+    previous = ground_state(params, max(1, n_cutoff // 2)) if warm else None
+    gs = ground_state(params, n_cutoff, previous)
+    indexer = BasisIndexer(n_cutoff, n_atoms)
+    even, _ = parity_block_indices(indexer)
+    energies, vecs = scipy.linalg.eigh(dense_hamiltonian_block(params, indexer, even))
+    e_dense = energies[0]
+    scale = max(1.0, abs(e_dense))
+    assert abs(gs.energy - e_dense) <= 1e-12 * scale
+    psi = gs.vector[even].real
+    dense = vecs[:, 0] * np.sign(vecs[:, 0] @ psi)
+    # the vector error is bounded by the residual over the gap to the next level
+    assert np.linalg.norm(psi - dense) <= 1e-12 * max(1.0, scale / (energies[1] - e_dense))
+    # the bracket: H - lower_bound I has a Cholesky factor, within 2 r + slack of E
+    lower = gs.convergence.lower_bound
+    width = gs.energy - lower
+    assert 0.0 <= width <= 2 * gs.convergence.residual + BRACKET_RTOL * max(1.0, abs(gs.energy))
+    assert gs.energy <= e_dense + 1e-12 * abs(gs.energy)
+    shifted = build_hamiltonian_band(params, indexer, even)
+    if lam > 0:
+        shifted[-1] -= lower
+        assert lapack.dpbtrf(shifted)[1] == 0

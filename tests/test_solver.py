@@ -5,7 +5,8 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 from numpy.testing import assert_allclose
-from qfi_reference import build_hamiltonian
+from qfi_reference import build_hamiltonian, dense_hamiltonian_block, expectation
+from scipy.linalg import lapack
 
 import dicke_qfi.solver
 from dicke_qfi.cli import compute_sweep_record
@@ -20,14 +21,18 @@ from dicke_qfi.model import (
     parity_block_indices,
 )
 from dicke_qfi.solver import (
-    SPARSE_MIN_DIM,
-    WARM_SPARSE_MIN_DIM,
+    BANDED_MAX_ATOMS,
+    BRACKET_RTOL,
     converge_cutoff,
-    expectation,
     ground_state,
     initial_cutoff,
 )
 from dicke_qfi.states import partial_trace_atoms
+
+
+def force_lanczos(monkeypatch, n_atoms):
+    """Move the banded-path threshold just below N."""
+    monkeypatch.setattr(dicke_qfi.solver, "BANDED_MAX_ATOMS", n_atoms - 1)
 
 
 def _product_op(boson_op, spin_op, indexer):
@@ -202,16 +207,20 @@ def test_expectation_nbar_against_doubled_cutoff():
 
 
 @pytest.mark.parametrize("n_atoms,lam,n_cutoff", [(20, 1.0, 170), (5, 0.8, 199)])
-def test_lanczos_matches_dense_above_threshold(n_atoms, lam, n_cutoff):
+def test_lanczos_matches_dense_above_threshold(n_atoms, lam, n_cutoff, monkeypatch):
+    # both blocks are banded by default; the threshold is moved below their N
     params = ModelParams(1.0, 1.0, lam, n_atoms)
     indexer = BasisIndexer(n_cutoff, n_atoms)
     even, _ = parity_block_indices(indexer)
-    assert even.size > SPARSE_MIN_DIM
+    energies, vecs = scipy.linalg.eigh(dense_hamiltonian_block(params, indexer, even),
+                                       subset_by_index=[0, 0])
+    banded = ground_state(params, n_cutoff)
+    force_lanczos(monkeypatch, n_atoms)
     gs = ground_state(params, n_cutoff)
-    block = build_hamiltonian_block(params, indexer, even)
-    energies, vecs = scipy.linalg.eigh(block, subset_by_index=[0, 0])
-    assert abs(gs.energy - energies[0]) < 1e-12
-    assert abs(abs(np.vdot(vecs[:, 0], gs.vector[even])) - 1.0) < 1e-12
+    assert gs.convergence.lower_bound is None
+    for state in (gs, banded):
+        assert abs(state.energy - energies[0]) < 1e-12
+        assert abs(abs(np.vdot(vecs[:, 0], state.vector[even])) - 1.0) < 1e-12
     pivot = np.argmax(np.abs(gs.vector))
     assert gs.vector[pivot].real > 0
     assert gs.vector[pivot].imag == 0.0
@@ -220,72 +229,90 @@ def test_lanczos_matches_dense_above_threshold(n_atoms, lam, n_cutoff):
     assert np.array_equal(again.vector, gs.vector)
 
 
-@pytest.mark.parametrize("n_cutoff", [SPARSE_MIN_DIM - 1, SPARSE_MIN_DIM])
+@pytest.mark.parametrize("n_cutoff", [511, 512])
 def test_observables_agree_across_solver_threshold(n_cutoff, monkeypatch):
-    # for N = 1 the even block has dimension n_cutoff + 1, so these two
-    # cutoffs sit just below and just above the threshold; each point is
-    # solved by both solvers, moving the threshold to switch between them
-    assert parity_block_indices(BasisIndexer(n_cutoff, 1))[0].size == n_cutoff + 1
-    default = compute_sweep_record(1.0, 1.0, 0.8, 1, 1e-10, n_cutoff)
-    other = 10**9 if n_cutoff + 1 > SPARSE_MIN_DIM else 0
-    monkeypatch.setattr(dicke_qfi.solver, "SPARSE_MIN_DIM", other)
-    switched = compute_sweep_record(1.0, 1.0, 0.8, 1, 1e-10, n_cutoff)
-    assert_allclose(switched.row(), default.row(), rtol=1e-12, atol=1e-14)
+    # the same N = 1 points (even block dimension n_cutoff + 1) by the banded
+    # solver and by Lanczos, moving the threshold to switch between them
+    banded = compute_sweep_record(1.0, 1.0, 0.8, 1, 1e-10, n_cutoff)
+    force_lanczos(monkeypatch, 1)
+    lanczos = compute_sweep_record(1.0, 1.0, 0.8, 1, 1e-10, n_cutoff)
+    assert_allclose(lanczos.row(), banded.row(), rtol=1e-12, atol=1e-14)
 
 
 @pytest.mark.parametrize("n_atoms,lam", [
-    (20, 1e-9), (20, 1e-5), (20, 0.5), (20, 1.0), (20, 2.0), (6, 1.5), (50, 1.0),
+    (20, 1e-9), (20, 1e-5), (20, 0.5), (20, 1.0), (20, 2.0), (6, 1.5), (101, 0.1),
 ])
 def test_warm_start_matches_cold_dense_solve(n_atoms, lam, monkeypatch):
-    # the doubled solve starts Lanczos from the first solve's state, zero-padded;
-    # it must find the state a dense solve finds at the final cutoff, every time
+    # the doubled solve starts from the first solve's state, zero-padded, on the
+    # banded path (N <= 100) or the Lanczos path (N = 101, at a cutoff small enough
+    # for the dense oracle); it must find the state a dense solve finds, every time
     starts = []
-    eigsh = scipy.sparse.linalg.eigsh
+    dpbtrs, eigsh = lapack.dpbtrs, scipy.sparse.linalg.eigsh
+
+    def record_rhs(factor, rhs, **kwargs):
+        starts.append(rhs)
+        return dpbtrs(factor, rhs, **kwargs)
 
     def record_start(*args, v0=None, **kwargs):
         starts.append(v0)
         return eigsh(*args, v0=v0, **kwargs)
 
+    monkeypatch.setattr(lapack, "dpbtrs", record_rhs)
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", record_start)
     params = ModelParams(1.0, 1.0, lam, n_atoms)
     n_cutoff, gs = converge_cutoff(params, 1e-10)
     assert [step.n_cutoff for step in gs.convergence.steps] == [n_cutoff // 2, n_cutoff]
     even, _ = parity_block_indices(gs.indexer)
-    assert even.size > WARM_SPARSE_MIN_DIM
-    warm_start = starts[-1]
+    lanczos = n_atoms > BANDED_MAX_ATOMS
+    assert (gs.convergence.lower_bound is None) == lanczos
+    warm_start = next(v for v in starts if v.size == even.size)
 
     first = ground_state(params, n_cutoff // 2)
     padded = np.zeros((n_cutoff + 1, n_atoms + 1))
     padded[: n_cutoff // 2 + 1] = first.vector.real.reshape(n_cutoff // 2 + 1, n_atoms + 1)
-    assert np.array_equal(warm_start, padded.ravel()[even])
+    padded = padded.ravel()[even]
+    # eigsh takes the start as given, inverse iteration normalizes it first
+    assert np.array_equal(warm_start, padded if lanczos else padded / np.linalg.norm(padded))
 
-    block = build_hamiltonian_block(params, gs.indexer, even)
+    block = dense_hamiltonian_block(params, gs.indexer, even)
     energies, vecs = scipy.linalg.eigh(block, subset_by_index=[0, 0], overwrite_a=True)
     del block
     assert abs(gs.energy - energies[0]) <= 1e-12 * max(1.0, abs(energies[0]))
     assert abs(np.vdot(vecs[:, 0], gs.vector[even])) >= 1.0 - 1e-12
+    if not lanczos:
+        assert gs.convergence.lower_bound <= energies[0]
     again = converge_cutoff(params, 1e-10)[1]
     assert again.energy == gs.energy
     assert np.array_equal(again.vector, gs.vector)
 
 
-@pytest.mark.parametrize("n_atoms,lam,lanczos", [(1, 8.0, False), (2, 4.0, False), (3, 2.5, True)])
-def test_warm_start_keeps_small_n_dense(n_atoms, lam, lanczos, monkeypatch):
-    # all three doubled blocks lie between WARM_SPARSE_MIN_DIM and SPARSE_MIN_DIM;
-    # at N <= 2 they stay on dense eigh, from N = 3 they take the warm Lanczos path
+@pytest.mark.parametrize("n_atoms,lam", [(1, 8.0), (2, 4.0), (3, 2.5), (100, 0.5), (101, 0.5)])
+def test_solver_path_follows_atom_count(n_atoms, lam, monkeypatch):
+    # N <= BANDED_MAX_ATOMS is banded and certified, cold and warm; larger N
+    # go to Lanczos, cold and warm; the block dimension plays no part
     calls = []
     eigsh = scipy.sparse.linalg.eigsh
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
                         lambda *args, **kwargs: calls.append(1) or eigsh(*args, **kwargs))
-    n_cutoff, gs = converge_cutoff(ModelParams(1.0, 1.0, lam, n_atoms), 1e-10)
-    even, _ = parity_block_indices(gs.indexer)
-    assert WARM_SPARSE_MIN_DIM < even.size <= SPARSE_MIN_DIM
-    assert len(calls) == (1 if lanczos else 0)
+    _, gs = converge_cutoff(ModelParams(1.0, 1.0, lam, n_atoms), 1e-10)
+    assert len(gs.convergence.steps) == 2
+    lanczos = n_atoms > BANDED_MAX_ATOMS
+    assert len(calls) == (2 if lanczos else 0)
+    assert (gs.convergence.lower_bound is None) == lanczos
 
 
-@pytest.mark.parametrize("n_atoms,lam,n_cutoff", [(3, 0.5, 20), (20, 1.0, 170), (20, 1.0, None)])
-def test_residual_certificate(n_atoms, lam, n_cutoff):
-    # dense eigh, cold Lanczos, and the warm-started Lanczos of cutoff doubling
+@pytest.mark.parametrize("n_atoms,lam,n_cutoff,lanczos", [
+    pytest.param(3, 0.5, 20, False, id="3-0.5-20"),
+    pytest.param(20, 1.0, 170, False, id="20-1.0-170"),
+    pytest.param(20, 1.0, None, False, id="20-1.0-None"),
+    pytest.param(20, 1.0, 170, True, id="lanczos-20-1.0-170"),
+    pytest.param(20, 1.0, None, True, id="lanczos-20-1.0-None"),
+])
+def test_residual_certificate(n_atoms, lam, n_cutoff, lanczos, monkeypatch):
+    # cold solves and the warm-started one of cutoff doubling, on the banded
+    # path and, with the threshold moved below N = 20, on the Lanczos path
+    if lanczos:
+        force_lanczos(monkeypatch, n_atoms)
     params = ModelParams(1.0, 1.0, lam, n_atoms)
     if n_cutoff is None:
         n_cutoff, gs = converge_cutoff(params, 1e-10)
@@ -295,28 +322,50 @@ def test_residual_certificate(n_atoms, lam, n_cutoff):
         gs = ground_state(params, n_cutoff)
     even, _ = parity_block_indices(gs.indexer)
     psi = gs.vector[even]
-    block = build_hamiltonian_block(params, gs.indexer, even, sparse=True)
+    block = build_hamiltonian_block(params, gs.indexer, even)
     recomputed = np.linalg.norm(block @ psi - gs.energy * psi)
     bound = 1e-12 * max(1.0, abs(gs.energy))
     assert 0.0 <= gs.convergence.residual <= bound
     assert recomputed <= bound
+    if lanczos:
+        assert gs.convergence.lower_bound is None
+    else:
+        # the energy bracket: a proven lower bound within 2 r + slack of E
+        width = gs.energy - gs.convergence.lower_bound
+        assert 0.0 < width <= 2 * gs.convergence.residual + BRACKET_RTOL * max(1.0, abs(gs.energy))
 
 
 @pytest.mark.parametrize("module,name,n_atoms,n_cutoff", [
-    (scipy.linalg, "eigh", 3, 20), (scipy.sparse.linalg, "eigsh", 20, 170),
+    (lapack, "dpbtrs", 3, 20), (scipy.sparse.linalg, "eigsh", 20, 170),
 ])
 def test_residual_measures_returned_vector(module, name, n_atoms, n_cutoff, monkeypatch):
-    # an eigensolver returning a slightly wrong vector must show in the certificate
+    # a solver returning slightly wrong vectors must show in the certificate
     solve = getattr(module, name)
 
     def perturbed(*args, **kwargs):
+        if name == "dpbtrs":  # the solution x of (H - sigma) x = psi, and LAPACK's info
+            x, info = solve(*args, **kwargs)
+            return x + 1e-6 * np.linalg.norm(x) * np.cos(np.arange(x.size)), info
         energies, vecs = solve(*args, **kwargs)
         vecs[:, 0] += 1e-6 * np.cos(np.arange(vecs.shape[0]))
         return energies, vecs / np.linalg.norm(vecs[:, 0])
 
     monkeypatch.setattr(module, name, perturbed)
+    if name == "eigsh":
+        force_lanczos(monkeypatch, n_atoms)
     gs = ground_state(ModelParams(1.0, 1.0, 0.5, n_atoms), n_cutoff)
     assert gs.convergence.residual > 1e-8
+
+
+def test_banded_factorization_failure_raises(monkeypatch):
+    # a Cholesky factorization that fails even below the Gershgorin bound is a
+    # broken solver, not a shift above E0
+    dpbtrf = lapack.dpbtrf
+    monkeypatch.setattr(lapack, "dpbtrf", lambda ab, **kwargs: (dpbtrf(ab, **kwargs)[0], 1))
+    with pytest.raises(SolverError) as excinfo:
+        ground_state(ModelParams(1.0, 1.0, 0.5, 3), 20)
+    assert excinfo.value.n_cutoff == 20
+    assert "Cholesky" in str(excinfo.value)
 
 
 def test_ground_state_rejects_foreign_previous():

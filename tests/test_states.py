@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dicke_qfi.model import ModelParams, build_boson_ops, build_spin_ops, parity_block_indices
-from dicke_qfi.solver import SPARSE_MIN_DIM, converge_cutoff, expectation, ground_state
+from qfi_reference import expectation
+
+import dicke_qfi.solver
+from dicke_qfi.model import ModelParams, build_boson_ops, build_spin_ops
+from dicke_qfi.solver import converge_cutoff, ground_state
 from dicke_qfi.states import (
     DensityMatrix,
     SpectralDecomposition,
@@ -123,10 +126,12 @@ def _rebuild(decomp: SpectralDecomposition) -> np.ndarray:
 @pytest.mark.parametrize("lam", [0.0, 0.3, 0.54, 1.0])
 @pytest.mark.parametrize("n_atoms, n_cutoff, lanczos", [(1, 30, False), (6, 40, False),
                                                         (20, 80, True)])
-def test_schmidt_matches_partial_trace_spectra(n_atoms, n_cutoff, lanczos, lam):
+def test_schmidt_matches_partial_trace_spectra(n_atoms, n_cutoff, lanczos, lam, monkeypatch):
+    # N = 20 is banded by default; the lanczos cases move the threshold below it
+    if lanczos:
+        monkeypatch.setattr(dicke_qfi.solver, "BANDED_MAX_ATOMS", n_atoms - 1)
     gs = ground_state(ModelParams(1.0, 1.0, lam, n_atoms), n_cutoff)
-    even, _ = parity_block_indices(gs.indexer)
-    assert (even.size > SPARSE_MIN_DIM) == lanczos
+    assert (gs.convergence.lower_bound is None) == (lanczos and lam > 0)
     field, atoms = schmidt_decompose(gs)
     for schmidt, rho in ((field, partial_trace_atoms(gs)), (atoms, partial_trace_field(gs))):
         oracle = spectral_decompose(rho)
