@@ -235,7 +235,9 @@ def run_thermo(config: SweepConfig) -> list[tuple]:
 def run_husimi(config: SweepConfig) -> tuple[list[dict], list[list]]:
     """Husimi grids of both subsystems for each (N, lambda), and the failed points.
 
-    A point whose solve fails is skipped and listed as [lambda, N].
+    Axes and grids are float64 arrays; a Python float list costs about four
+    times the memory.  A point whose solve fails is skipped and listed as
+    [lambda, N].
     """
     points = config.grid_points
     atoms_points = points if points is not None else 181
@@ -262,16 +264,16 @@ def run_husimi(config: SweepConfig) -> tuple[list[dict], list[list]]:
                 "lambda": float(lam),
                 "n_atoms": n,
                 "atoms": {
-                    "theta": theta.tolist(),
-                    "phi": phi.tolist(),
-                    "q": q_a.tolist(),
+                    "theta": theta,
+                    "phi": phi,
+                    "q": q_a,
                     "q_max": q_a_max,
-                    "q_normalized": (q_a / q_a_max).tolist(),
+                    "q_normalized": q_a / q_a_max,
                 },
                 "field": {
-                    "re_alpha": re_axis.tolist(),
-                    "im_alpha": im_axis.tolist(),
-                    "q": q_b.tolist(),
+                    "re_alpha": re_axis,
+                    "im_alpha": im_axis,
+                    "q": q_b,
                     "q_max": float(q_b.max()),
                 },
             })
@@ -289,14 +291,17 @@ def run_scaling(config: SweepConfig) -> tuple[list, int]:
 
 
 def run_convergence(config: SweepConfig) -> tuple[list[tuple], int]:
-    """Cutoff-doubling trajectories for every (N, lambda); partial rows on failure."""
+    """Cutoff-doubling trajectories for every (N, lambda); partial rows on failure.
+
+    ``fock_cutoff``, when given, is the first cutoff of each trajectory.
+    """
     rows: list[tuple] = []
     code = 0
     for n in config.n_atoms_list:
         for lam in config.lambda_grid():
             params = ModelParams(config.omega, config.omega0, float(lam), n)
             try:
-                _, gs = converge_cutoff(params, config.tol)
+                _, gs = converge_cutoff(params, config.tol, n_start=config.fock_cutoff)
                 steps = gs.convergence.steps
             except SolverError as exc:  # ConvergenceError included
                 steps = exc.steps
@@ -353,29 +358,26 @@ def write_table(stream, columns, rows, meta: dict, fmt: str) -> None:
 
 
 def write_husimi(stream, grids: list[dict], meta: dict, fmt: str) -> None:
+    """Write ``run_husimi`` grids; each array becomes a list only while it is written."""
     if fmt == "json":
         json.dump({"meta": meta, "grids": grids}, stream, indent=2, sort_keys=True,
-                  allow_nan=False)
+                  allow_nan=False, default=lambda array: array.tolist())
         stream.write("\n")
         return
     stream.write(",".join(HUSIMI_COLUMNS) + "\n")
     maxima = {}
     for grid in grids:
         lam, n = grid["lambda"], grid["n_atoms"]
-        atoms = grid["atoms"]
-        maxima[f"q_max_atoms_N{n}_lambda{format_value(lam)}"] = atoms["q_max"]
-        for i, th in enumerate(atoms["theta"]):
-            for jj, ph in enumerate(atoms["phi"]):
-                q = atoms["q"][i][jj]
-                stream.write(",".join(format_value(v) for v in
-                                      (lam, n, "atoms", th, ph, q, q / atoms["q_max"])) + "\n")
-        fld = grid["field"]
-        maxima[f"q_max_field_N{n}_lambda{format_value(lam)}"] = fld["q_max"]
-        for i, re_a in enumerate(fld["re_alpha"]):
-            for jj, im_a in enumerate(fld["im_alpha"]):
-                q = fld["q"][i][jj]
-                stream.write(",".join(format_value(v) for v in
-                                      (lam, n, "field", re_a, im_a, q, q / fld["q_max"])) + "\n")
+        for subsystem, x_axis, y_axis in (("atoms", "theta", "phi"),
+                                          ("field", "re_alpha", "im_alpha")):
+            sub = grid[subsystem]
+            q_max = sub["q_max"]
+            maxima[f"q_max_{subsystem}_N{n}_lambda{format_value(lam)}"] = q_max
+            ys = sub[y_axis].tolist()
+            for x, q_row in zip(sub[x_axis].tolist(), sub["q"].tolist()):
+                for y, q in zip(ys, q_row):
+                    stream.write(",".join(format_value(v) for v in
+                                          (lam, n, subsystem, x, y, q, q / q_max)) + "\n")
     stream.write(_meta_footer({**meta, **maxima}) + "\n")
 
 
@@ -413,7 +415,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="repeatable; defaults to 2 6 10 20")
         p.add_argument("--tol", type=float)
         p.add_argument("--fock-cutoff", dest="fock_cutoff", type=int,
-                       help="fixed cutoff, disables automatic convergence")
+                       help="fixed cutoff, disables automatic convergence; "
+                            "in convergence, the first cutoff of the doubling")
         p.add_argument("--grid-points", dest="grid_points", type=int,
                        help="points per Husimi grid axis (>= 11)")
         p.add_argument("--out", help="output path, '-' for stdout")

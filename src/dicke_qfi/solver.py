@@ -11,18 +11,22 @@ lies below the lowest eigenvalue, and ``dpbtrs`` applies the inverse, in
 O(dim kd^2) time and O(dim kd) memory.  Each successful factorization proves
 sigma < E0, and a solve returns only after one has succeeded within
 2 r + BRACKET_RTOL max(1, |E|) of the returned Rayleigh quotient E, where
-r = ||H psi - E psi||; so E0 is bracketed, E - delta < E0 <= E.  Blocks
-of larger N are built as CSR and solved by implicitly restarted Lanczos
-(ARPACK ``eigsh``) from a fixed start vector, in O(dim) memory.
+r = ||H psi - E psi||; so E0 is bracketed, E - delta < E0 <= E.  Its time
+is set by the number of factorizations: about three for a cold solve and
+one for a doubled one.  Blocks of larger N are built as CSR and solved by
+implicitly restarted Lanczos (ARPACK ``eigsh``) in O(dim) memory.
 
 Cutoff convergence doubles n_cutoff until the Fock tail population and the
-energy shift across one doubling both drop below tolerance.  Each solve
-after the first starts from the previous cutoff's ground state, zero-padded
-to the larger Fock space, whose energy bounds the new one from above.  The
-warm start stays inside one (N, lambda) point, so results do not depend on
-the order or the process in which points are solved.  Every ground state
-carries its residual ||H psi - E psi|| on the even block, and a banded one
-its certified lower bound on the energy.
+energy shift across one doubling both drop below tolerance.  The first
+solve of a point starts from the even-parity part of the mean-field state,
+a coherent field times a spin coherent state, which depends on the point
+alone.  Each solve after the first starts from the previous cutoff's ground
+state, zero-padded to the larger Fock space, whose energy bounds the new
+one from above; a banded one also takes the previous lower bound as its
+shift.  The warm start stays inside one (N, lambda) point, so results do
+not depend on the order or the process in which points are solved.  Every
+ground state carries its residual ||H psi - E psi|| on the even block, and
+a banded one its certified lower bound on the energy.
 """
 
 from __future__ import annotations
@@ -120,10 +124,11 @@ def ground_state(
     Up to BANDED_MAX_ATOMS atoms the block is solved by certified shifted
     inverse iteration on the band, above it by sparse Lanczos.
     ``previous``, a ground state of the same model at a lower cutoff, is the
-    start vector and its energy an upper bound.  At lam = 0 the block is
-    diagonal and the exact unit vector |0>|j,-j> is returned.  The block
-    eigenvector is embedded back into the product basis and phase-fixed so
-    the largest-magnitude amplitude is real positive.
+    start vector and its energy an upper bound; without it the start is the
+    mean-field state.  At lam = 0 the block is diagonal and the exact unit
+    vector |0>|j,-j> is returned.  The block eigenvector is embedded back
+    into the product basis and phase-fixed so the largest-magnitude
+    amplitude is real positive.
     """
     if n_cutoff < 1:
         raise ValueError("n_cutoff must be >= 1")
@@ -131,7 +136,7 @@ def ground_state(
         raise ValueError("previous must be a ground state of the same model at a lower cutoff")
     indexer = BasisIndexer(n_cutoff, params.n_atoms)
     even, _ = parity_block_indices(indexer)
-    start = _start_vector(indexer, even, previous)
+    start = _start_vector(params, indexer, even, previous)
     if params.lam == 0:
         # the diagonal omega n + omega0 m is lowest at n = 0, m = -j: even index 0
         energy = lower_bound = -params.omega0 * params.j
@@ -160,31 +165,51 @@ def ground_state(
 
 
 def _start_vector(
-    indexer: BasisIndexer, even: np.ndarray, previous: GroundState | None
+    params: ModelParams, indexer: BasisIndexer, even: np.ndarray, previous: GroundState | None
 ) -> np.ndarray:
-    """Start vector on the even block: ``previous`` zero-padded, or (-1)^n.
+    """Start vector on the even block: ``previous`` zero-padded, or the mean-field state.
 
     The previous amplitude grid fills the first Fock levels of the larger
-    grid.  Without one the start is (-1)^n: conjugating H by
+    grid.  Without one the start is the even-parity restriction of the
+    mean-field product state: |0>|j,-j> at or below lambda_cr; above it a
+    coherent field of amplitude alpha = -lam sqrt(N) sin(theta)/omega times
+    a spin coherent state with cos(theta) = lambda_cr^2/lam^2.  Each factor
+    is built in log space and scaled to a largest amplitude of 1, so no
+    factorial overflows and the product peaks near 1.  Conjugating H by
     D = diag((-1)^n) makes every off-diagonal element non-positive, so the
-    ground state is D times a positive vector and overlaps this start
-    vector strictly.
+    ground state is D times a positive vector.  The start is D times a
+    non-negative, nonzero vector (alpha < 0, and the spin amplitudes
+    cos(theta/2)^(N-k) sin(theta/2)^k are non-negative), so it overlaps the
+    ground state strictly.
     """
-    if previous is None:
-        return np.where((even // indexer.spin_dim) % 2 == 0, 1.0, -1.0)
-    grid = np.zeros((indexer.boson_dim, indexer.spin_dim))
-    old = previous.indexer
-    grid[: old.boson_dim] = previous.vector.real.reshape(old.boson_dim, old.spin_dim)
-    return grid.ravel()[even]
-
-
-def _mean_field_energy(params: ModelParams) -> float:
-    """Lowest energy of a coherent field state times a spin coherent state."""
+    if previous is not None:
+        grid = np.zeros((indexer.boson_dim, indexer.spin_dim))
+        old = previous.indexer
+        grid[: old.boson_dim] = previous.vector.real.reshape(old.boson_dim, old.spin_dim)
+        return grid.ravel()[even]
     if params.lam <= params.lambda_cr:
-        return -params.omega0 * params.j
-    return -params.n_atoms * (
-        params.lam**2 / params.omega + params.omega0**2 * params.omega / (16 * params.lam**2)
-    )
+        start = np.zeros(even.size)
+        start[0] = 1.0  # even index 0 is |0>|j,-j>
+        return start
+    # lam > lambda_cr makes cos(theta) < 1, so every logarithm below is finite
+    cos_theta = (params.lambda_cr / params.lam) ** 2
+    sin_theta = math.sqrt(1.0 - cos_theta**2)
+    log_alpha = math.log(params.lam * math.sqrt(params.n_atoms) * sin_theta / params.omega)
+    n_atoms = params.n_atoms
+    log_factorial = np.cumsum(np.log(np.arange(1.0, max(indexer.n_cutoff, n_atoms) + 1)))
+    log_factorial = np.concatenate(([0.0], log_factorial))
+    # |alpha|^n / sqrt(n!) and sqrt(C(N, k)) cos(theta/2)^(N-k) sin(theta/2)^k
+    n = np.arange(indexer.boson_dim)
+    log_field = n * log_alpha - 0.5 * log_factorial[: indexer.boson_dim]
+    k = np.arange(indexer.spin_dim)
+    log_spin = (0.5 * (log_factorial[n_atoms] - log_factorial[: n_atoms + 1]
+                       - log_factorial[n_atoms::-1])
+                + (n_atoms - k) * (0.5 * math.log((1.0 + cos_theta) / 2))
+                + k * (0.5 * math.log((1.0 - cos_theta) / 2)))
+    field = np.exp(log_field - log_field.max())
+    field[1::2] *= -1.0
+    spin = np.exp(log_spin - log_spin.max())
+    return np.outer(field, spin).ravel()[even]
 
 
 def _banded_lowest(
@@ -196,15 +221,22 @@ def _banded_lowest(
 ) -> tuple[float, np.ndarray, float, float]:
     """Lowest eigenpair of a banded block: (energy, unit vector, residual, lower bound).
 
-    Shifted inverse iteration x = (H - sigma I)^-1 psi from ``start``.  The
-    first shift sits below an upper bound U on E0: the energy of
-    ``previous``, or the Rayleigh quotient of a cold start, which is poor
-    for (-1)^n, so a cold shift is also held below the mean-field energy by
-    the zero-point scale (omega + omega0)/2.  Each step yields the Rayleigh
-    quotient E and residual r of the iterate.  Some eigenvalue lies within
-    r of E, so once the iterate is near the ground state E0 > E - 2r; the
-    shift moves up to E - 2r - slack/2 when that cuts its distance to E by
-    4x or more, or when the residual stops halving.  A solve returns once
+    Shifted inverse iteration x = (H - sigma I)^-1 psi from ``start``.  Its
+    cost is the number of Cholesky factorizations, each worth about five
+    solves at these bandwidths.  A doubled solve factors first at the lower
+    bound of ``previous``.  That bound lay below E0 at the smaller cutoff;
+    the new E0 is lower still by the truncation error, so the factorization
+    normally succeeds, and since the new E is at most the previous energy it
+    normally certifies at once.  Only if it fails does the shift step down
+    from 1e-3 |U| below the previous energy U.  A cold solve starts
+    (omega + omega0)/8, about the zero-point energy the mean field misses,
+    below the Rayleigh quotient U of the mean-field start, and steps down by
+    that much, doubling, until a factorization exists.  Each step yields the
+    Rayleigh quotient E and residual r of the iterate.  Some eigenvalue lies
+    within r of E, so once the iterate is near the ground state E0 > E - 2r.
+    The shift moves up to E - 2r - slack/2 only when the last solve cut the
+    residual by 20x or less: convergence is slow, or r is at its floor and
+    the shift is still too far below E to certify.  A solve returns once
     the residual has stopped halving, E has settled to within the slack,
     and the current shift, a proven lower bound, lies within 2r + slack of
     E.  A residual that stops halving while E still moves is no floor: far
@@ -214,13 +246,16 @@ def _banded_lowest(
     offsets = [d for d in range(1, kd + 1) if band[kd - d].any()]
     vector = start / np.linalg.norm(start)
     if previous is not None:
-        upper = previous.energy
-        shift = upper - 1e-3 * abs(upper)
+        shift = previous.convergence.lower_bound
+        factor, info = _shifted_cholesky(band, shift)
+        if info != 0:
+            upper = previous.energy
+            step = 1e-3 * abs(upper)
+            factor, shift = _factor_below(band, offsets, upper - step, step, n_cutoff)
     else:
         upper = float(vector @ _band_matvec(band, offsets, vector))
-        zero_point = (params.omega + params.omega0) / 2
-        shift = min(_mean_field_energy(params) - zero_point, upper - 1e-3 * abs(upper))
-    factor, shift = _factor_below(band, offsets, shift, upper - shift, n_cutoff)
+        step = (params.omega + params.omega0) / 8
+        factor, shift = _factor_below(band, offsets, upper - step, step, n_cutoff)
     last_energy = last_residual = math.inf
     for _ in range(MAX_INVERSE_ITERATIONS):
         solved, _ = lapack.dpbtrs(factor, vector)
@@ -233,7 +268,7 @@ def _banded_lowest(
         stalled = 2 * residual >= last_residual
         if bracketed and stalled and abs(energy - last_energy) <= slack:
             return energy, vector, residual, shift
-        if not bracketed and (stalled or 8 * residual <= energy - shift):
+        if not bracketed and 20 * residual >= last_residual:
             # a failed factorization steps down by r + slack/4, which still
             # brackets E when r is at its floor, well below the slack
             target = energy - 2 * residual - slack / 2
@@ -255,15 +290,13 @@ def _factor_below(
     H - shift I is positive definite, has failed too, the factorization
     itself is broken and SolverError is raised.
     """
-    kd = band.shape[0] - 1
     floor = None
     while True:
-        shifted = band.copy()
-        shifted[kd] -= shift
-        factor, info = lapack.dpbtrf(shifted, overwrite_ab=1)
+        factor, info = _shifted_cholesky(band, shift)
         if info == 0:
             return factor, shift
         if floor is None:
+            kd = band.shape[0] - 1
             absolute = np.abs(band)
             radius = _band_matvec(absolute, offsets, np.ones(band.shape[1])) - absolute[kd]
             floor = float(np.min(band[kd] - radius))
@@ -272,6 +305,13 @@ def _factor_below(
             raise SolverError(msg, n_cutoff)
         shift -= step
         step *= 2
+
+
+def _shifted_cholesky(band: np.ndarray, shift: float) -> tuple[np.ndarray, int]:
+    """LAPACK ``dpbtrf`` of H - shift I: the band factor and info, 0 exactly on success."""
+    shifted = band.copy()
+    shifted[-1] -= shift
+    return lapack.dpbtrf(shifted, overwrite_ab=1)
 
 
 def _band_matvec(band: np.ndarray, offsets: list[int], x: np.ndarray) -> np.ndarray:
@@ -329,8 +369,9 @@ def converge_cutoff(
     """Double the Fock cutoff until the ground state is converged.
 
     Convergence requires tail_population < tol and an energy shift below
-    tol * max(1, |E|) across the last doubling.  A state whose tail is
-    exactly zero (decoupled limit) is accepted at the starting cutoff.
+    tol * max(1, |E|) across the last doubling.  At lam = 0 the state is
+    exact and is accepted at the starting cutoff; at any lam > 0 a tail that
+    underflows to zero is no proof, so at least one doubling is solved.
     Raises ConvergenceError if the cutoff would exceed ``hard_cap``
     (module-level HARD_CAP when not given); a SolverError from any step
     carries the steps completed before it.
@@ -354,8 +395,8 @@ def converge_cutoff(
         if steps:
             shift = abs(gs.energy - steps[-1].energy)
             done = tail < tol and shift < tol * max(1.0, abs(gs.energy))
-        else:  # decoupled limit: a zero tail is accepted at the starting cutoff
-            shift, done = None, tail == 0.0
+        else:  # decoupled limit: the exact state is accepted at the starting cutoff
+            shift, done = None, params.lam == 0
         steps.append(CutoffStep(n_cutoff, gs.energy, tail))
         if done:
             info = ConvergenceInfo(tail, shift, gs.convergence.residual, tuple(steps),

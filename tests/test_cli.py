@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import sys
@@ -11,11 +12,14 @@ import scipy.sparse.linalg
 import dicke_qfi.model
 import dicke_qfi.solver
 from dicke_qfi.cli import (
+    HUSIMI_COLUMNS,
     SWEEP_COLUMNS,
     SweepConfig,
     compute_sweep_record,
     format_value,
     main,
+    run_husimi,
+    write_husimi,
 )
 from dicke_qfi.model import BasisIndexer, ModelParams, parity_block_indices
 from dicke_qfi.solver import BANDED_MAX_ATOMS, initial_cutoff
@@ -170,6 +174,71 @@ def test_husimi_csv_long_form(tmp_path):
     assert any("q_max_atoms" in line for line in footer)
 
 
+def _as_lists(value):
+    """The grids as run_husimi held them before: every array a nested float list."""
+    if isinstance(value, list):
+        return [_as_lists(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _as_lists(item) for key, item in value.items()}
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def _write_husimi_lists(stream, grids, meta, fmt):
+    """Reference writer over list-held grids, as write_husimi wrote them."""
+    if fmt == "json":
+        json.dump({"meta": meta, "grids": grids}, stream, indent=2, sort_keys=True,
+                  allow_nan=False)
+        stream.write("\n")
+        return
+    stream.write(",".join(HUSIMI_COLUMNS) + "\n")
+    maxima = {}
+    for grid in grids:
+        lam, n = grid["lambda"], grid["n_atoms"]
+        for subsystem, x_axis, y_axis in (("atoms", "theta", "phi"),
+                                          ("field", "re_alpha", "im_alpha")):
+            sub = grid[subsystem]
+            maxima[f"q_max_{subsystem}_N{n}_lambda{format_value(lam)}"] = sub["q_max"]
+            for i, x in enumerate(sub[x_axis]):
+                for jj, y in enumerate(sub[y_axis]):
+                    q = sub["q"][i][jj]
+                    stream.write(",".join(format_value(v) for v in (
+                        lam, n, subsystem, x, y, q, q / sub["q_max"])) + "\n")
+    stream.write("# meta " + " ".join(
+        f"{k}={format_value(v)}" for k, v in sorted({**meta, **maxima}.items())
+        if v is not None) + "\n")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_husimi_array_grids_write_list_bytes(fmt):
+    config = SweepConfig(mode="husimi", n_atoms_list=(2,), lambda_min=0.0, lambda_max=1.0,
+                         lambda_steps=3, grid_points=11)
+    grids, failed = run_husimi(config)
+    assert not failed
+    assert all(isinstance(g["atoms"]["q"], np.ndarray) for g in grids)
+    written, reference = io.StringIO(), io.StringIO()
+    write_husimi(written, grids, config.meta(), fmt)
+    _write_husimi_lists(reference, _as_lists(grids), config.meta(), fmt)
+    assert written.getvalue() == reference.getvalue()
+
+
+def test_husimi_memory_does_not_hold_lists(tmp_path):
+    # repeated points at one coupling: each extra point may keep its float64
+    # grids (8 bytes a cell), not float lists (about 32 bytes a cell)
+    points = 81
+    peaks = []
+    for steps in (1, 6):
+        tracemalloc.start()
+        try:
+            assert main(["husimi", "--n-atoms", "2", "--lambda-min", "0.5", "--lambda-max",
+                         "0.5", "--lambda-steps", str(steps), "--grid-points", str(points),
+                         "--format", "json", "--out", str(tmp_path / "h.json")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    array_bytes = 8 * 3 * points**2  # q and q_normalized of the atoms, q of the field
+    assert peaks[1] - peaks[0] < 5 * 2 * array_bytes
+
+
 def test_scaling_report(tmp_path):
     out = tmp_path / "sc.csv"
     assert main(["scaling", "--out", str(out)]) == 0
@@ -211,6 +280,18 @@ def test_convergence_trajectory_energies_monotone(tmp_path):
     energies = [float(dict(zip(header, r))["energy"]) for r in rows]
     assert len(energies) >= 2
     assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
+
+
+def test_convergence_fock_cutoff_starts_trajectory(tmp_path):
+    # --fock-cutoff C is the first cutoff of the doubling, not ignored
+    out = tmp_path / "c7.csv"
+    assert main(["convergence", "--n-atoms", "2", "--lambda-min", "1", "--lambda-max", "1",
+                 "--lambda-steps", "1", "--fock-cutoff", "7", "--out", str(out)]) == 0
+    header, rows, footer = read_csv_rows(out)
+    cutoffs = [int(dict(zip(header, row))["n_cutoff"]) for row in rows]
+    assert cutoffs[0] == 7
+    assert cutoffs == [7 * 2**i for i in range(len(cutoffs))] and len(cutoffs) >= 2
+    assert "fock_cutoff=7" in footer[0]
 
 
 def test_convergence_hard_cap_partial_output(tmp_path, monkeypatch):

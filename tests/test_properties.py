@@ -142,13 +142,16 @@ def test_reduced_state_invariants_lanczos(omega, omega0, lam, n_atoms, monkeypat
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
+    omega=st.floats(0.2, 3.0),
+    omega0=st.floats(0.2, 3.0),
     lam=st.floats(0.0, 3.0),
     n_atoms=st.integers(1, 8),
     n_cutoff=st.integers(1, 60),
     warm=st.booleans(),
 )
-def test_banded_solver_matches_dense_eigh(lam, n_atoms, n_cutoff, warm):
-    params = ModelParams(1.0, 1.0, lam, n_atoms)
+def test_banded_solver_matches_dense_eigh(omega, omega0, lam, n_atoms, n_cutoff, warm):
+    # the cold start and first shift depend on omega and omega0 through the mean field
+    params = ModelParams(omega, omega0, lam, n_atoms)
     previous = ground_state(params, max(1, n_cutoff // 2)) if warm else None
     gs = ground_state(params, n_cutoff, previous)
     indexer = BasisIndexer(n_cutoff, n_atoms)

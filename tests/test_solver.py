@@ -103,13 +103,15 @@ def test_initial_cutoff_heuristic():
 
 
 @pytest.mark.parametrize("omega,omega0,lam,n_atoms", [
+    (1.0, 1.0, 1e-12, 20), (1.0, 1.0, 1e-9, 20),
     (1.0, 1.0, 1.0, 20), (1.0, 1.0, 3.0, 2), (1.0, 1.0, 0.5, 20),
     (0.3, 3.0, 0.5, 10), (0.3, 3.0, 1.0, 10), (3.0, 0.2, 1.0, 6), (3.0, 0.2, 2.0, 6),
     (1.0, 1.0, 1.0, 50), (1.0, 1.0, 1.0, 100),
 ])
 def test_initial_cutoff_converges_in_one_doubling(omega, omega0, lam, n_atoms):
     # the start covers the occupied Fock range, so the second solve is the converged one;
-    # the earlier start, ceil(8 nb) + 10, solved spaces 3-5x larger
+    # the earlier start, ceil(8 nb) + 10, solved spaces 3-5x larger.  At tiny lam the
+    # top Fock levels underflow to a zero tail, which must not end the doubling early
     params = ModelParams(omega, omega0, lam, n_atoms)
     n_cutoff, gs = converge_cutoff(params, 1e-10)
     assert len(gs.convergence.steps) == 2
@@ -284,6 +286,65 @@ def test_warm_start_matches_cold_dense_solve(n_atoms, lam, monkeypatch):
     again = converge_cutoff(params, 1e-10)[1]
     assert again.energy == gs.energy
     assert np.array_equal(again.vector, gs.vector)
+
+
+@pytest.mark.parametrize("omega,omega0,n_atoms", [
+    (1.0, 1.0, 20), (1.0, 1.0, 2), (1.0, 1.0, 1), (0.3, 3.0, 6), (3.0, 0.2, 5),
+])
+@pytest.mark.parametrize("ratio", [0.5, 1.0, 1.5, 3.0])
+def test_mean_field_start_overlaps_ground_state(omega, omega0, n_atoms, ratio):
+    # the cold start is (-1)^n times a non-negative vector below, at and above
+    # lambda_cr, so it overlaps the ground state, (-1)^n times a positive vector;
+    # the mean field makes that overlap large, not just nonzero
+    params = ModelParams(omega, omega0, ratio * math.sqrt(omega * omega0) / 2, n_atoms)
+    indexer = BasisIndexer(initial_cutoff(params), n_atoms)
+    even, _ = parity_block_indices(indexer)
+    start = dicke_qfi.solver._start_vector(params, indexer, even, None)
+    signs = np.where((even // indexer.spin_dim) % 2 == 0, 1.0, -1.0)
+    assert np.all(signs * start >= 0.0)
+    assert 0.0 < np.max(np.abs(start)) <= 1.0
+    _, vecs = scipy.linalg.eigh(dense_hamiltonian_block(params, indexer, even),
+                                subset_by_index=[0, 0])
+    overlap = abs(vecs[:, 0] @ start) / np.linalg.norm(start)
+    assert overlap > 0.8
+
+
+@pytest.mark.parametrize("n_atoms,lam_max,steps,max_dpbtrf,parent_dpbtrs", [
+    ((20,), 1.0, 21, 90, 232), ((1, 2), 3.0, 801, 7000, 18117),
+])
+def test_banded_factorization_counts(n_atoms, lam_max, steps, max_dpbtrf, parent_dpbtrs,
+                                     monkeypatch):
+    # the benchmark sweep grids at tol 1e-10: a doubled solve factors once, at the
+    # first solve's lower bound, and a cold one about three times (from 169 and 13908
+    # factorizations with the (-1)^n start); the solves stay within 10% of 232 and 18117,
+    # and every solve keeps its certified bracket
+    counts = {"dpbtrf": 0, "dpbtrs": 0, "cold": [], "warm": []}
+    for name in ("dpbtrf", "dpbtrs"):
+        def counted(*args, _name=name, _real=getattr(lapack, name), **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(lapack, name, counted)
+    solve = dicke_qfi.solver.ground_state
+
+    def solve_counted(params, n_cutoff, previous=None):
+        before = counts["dpbtrf"]
+        gs = solve(params, n_cutoff, previous)
+        if params.lam > 0:  # lam = 0 is exact and factors nothing
+            counts["cold" if previous is None else "warm"].append(counts["dpbtrf"] - before)
+            width = gs.energy - gs.convergence.lower_bound
+            slack = BRACKET_RTOL * max(1.0, abs(gs.energy))
+            assert 0.0 <= width <= 2 * gs.convergence.residual + slack
+        return gs
+
+    monkeypatch.setattr(dicke_qfi.solver, "ground_state", solve_counted)
+    for n in n_atoms:
+        for lam in np.linspace(0.0, lam_max, steps):
+            converge_cutoff(ModelParams(1.0, 1.0, float(lam), n), 1e-10)
+    assert counts["warm"] == [1] * len(counts["warm"])
+    assert sum(counts["cold"]) <= 3.5 * len(counts["cold"])
+    assert counts["dpbtrf"] <= max_dpbtrf
+    assert counts["dpbtrs"] <= 1.1 * parent_dpbtrs
 
 
 @pytest.mark.parametrize("n_atoms,lam", [(1, 8.0), (2, 4.0), (3, 2.5), (100, 0.5), (101, 0.5)])
