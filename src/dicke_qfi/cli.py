@@ -21,6 +21,8 @@ import numpy as np
 from . import __version__
 from .errors import SolverError
 from .metrology import (
+    ATOM_GRID_POINTS,
+    FIELD_GRID_POINTS,
     default_atom_grid,
     default_field_grid,
     husimi_atoms,
@@ -105,6 +107,10 @@ class SweepConfig:
             raise ValueError("every n-atoms value must be >= 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if self.fock_cutoff is not None and self.fock_cutoff < 1:
+            raise ValueError("fock-cutoff must be >= 1")
+        if self.grid_points is not None and self.grid_points < 11:
+            raise ValueError("husimi grids need at least 11 points per axis")
         if self.output_format not in ("csv", "json"):
             raise ValueError("format must be csv or json")
         if self.workers < 1:
@@ -240,10 +246,8 @@ def run_husimi(config: SweepConfig) -> tuple[list[dict], list[list]]:
     [lambda, N].
     """
     points = config.grid_points
-    atoms_points = points if points is not None else 181
-    field_points = points if points is not None else 201
-    if atoms_points < 11 or field_points < 11:
-        raise ValueError("husimi grids need at least 11 points per axis")
+    atoms_points = points if points is not None else ATOM_GRID_POINTS
+    field_points = points if points is not None else FIELD_GRID_POINTS
     grids = []
     failed = []
     for n in config.n_atoms_list:

@@ -50,7 +50,6 @@ class QfiResult:
 
     value: float
     scaled: float
-    generator_label: str
     variance_term: float
     correction_term: float
 
@@ -125,9 +124,7 @@ def _spin_times(vectors: np.ndarray, phi: float) -> np.ndarray:
     return _ladder_times(vectors, np.sqrt(j * (j + 1) - m * (m + 1)), -phi)
 
 
-def qfi_mixed(
-    decomp: SpectralDecomposition, generator, label: str = "custom"
-) -> QfiResult:
+def qfi_mixed(decomp: SpectralDecomposition, generator) -> QfiResult:
     """Mixed-state QFI from a spectral decomposition.
 
     Both sums run over the retained weights; the per-eigenvector variances
@@ -137,10 +134,10 @@ def qfi_mixed(
     g = _generator_matrix(generator)
     if g.shape[0] != decomp.dim:
         raise ValueError("generator dimension does not match the decomposition")
-    return _qfi(decomp, g @ decomp.vectors, label)
+    return _qfi(decomp, g @ decomp.vectors)
 
 
-def _qfi(decomp: SpectralDecomposition, gv: np.ndarray, label: str) -> QfiResult:
+def _qfi(decomp: SpectralDecomposition, gv: np.ndarray) -> QfiResult:
     """qfi_mixed from the products G v_k, column k of ``gv``."""
     p = decomp.weights
     vecs = decomp.vectors
@@ -161,7 +158,6 @@ def _qfi(decomp: SpectralDecomposition, gv: np.ndarray, label: str) -> QfiResult
     return QfiResult(
         value=value,
         scaled=math.nan,
-        generator_label=label,
         variance_term=variance_term,
         correction_term=correction_term,
     )
@@ -202,14 +198,14 @@ def qfi_field(field: SpectralDecomposition) -> QfiResult:
     _check_space(field, "boson", "qfi_field")
     nbar = mean_number(field)
     # b'b is diagonal: (b'b v)[n] = n v[n]
-    result = _qfi(field, np.arange(field.dim)[:, None] * field.vectors, "field(b'b)")
+    result = _qfi(field, np.arange(field.dim)[:, None] * field.vectors)
     return replace(result, scaled=result.value / (4.0 * nbar) if nbar > 0 else math.nan)
 
 
 def qfi_atoms(atoms: SpectralDecomposition) -> QfiResult:
     """QFI of the atomic state for the Ramsey generator Jx, scaled by N."""
     _check_space(atoms, "spin", "qfi_atoms")
-    result = _qfi(atoms, _spin_times(atoms.vectors, 0.0), "atoms(Jx)")
+    result = _qfi(atoms, _spin_times(atoms.vectors, 0.0))
     return replace(result, scaled=result.value / (atoms.dim - 1))
 
 

@@ -6,9 +6,9 @@ The Hamiltonian is
 
 acting on |n>|j,m> with Fock number n <= n_cutoff and collective spin
 j = N/2.  Operators are dense matrices, except the even-parity block the
-ground-state solver diagonalizes, which is built as a symmetric band
-(``build_hamiltonian_band``) or as a CSR matrix (``build_hamiltonian_block``)
-and never as a dense array.  The basis is boson-major,
+ground-state solver diagonalizes, which ``build_even_block`` gives as its
+main diagonal and at most three nonzero upper diagonals, never as a dense
+array.  The basis is boson-major,
 idx(n, m) = n*(N+1) + (m+j), so a partial trace over either subsystem is
 a contiguous block operation.
 """
@@ -25,6 +25,9 @@ Space = Literal["product", "boson", "spin"]
 
 #: max-norm tolerance used when validating Hermiticity of constructed matrices
 HERMITICITY_TOL = 1e-12
+
+#: a real symmetric block: its main diagonal and its upper diagonals keyed by offset
+EvenBlock = tuple[np.ndarray, dict[int, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -175,76 +178,45 @@ def build_spin_ops(n_atoms: int) -> SpinOperators:
     return SpinOperators(jx, jy, jz, jplus, jminus)
 
 
-def build_hamiltonian_block(params: ModelParams, indexer: BasisIndexer, indices: np.ndarray):
-    """Restriction of the Hamiltonian to a set of basis indices, as a real CSR matrix.
+def build_even_block(params: ModelParams, indexer: BasisIndexer) -> EvenBlock:
+    """The even-parity block P H P: its main diagonal and its nonzero upper diagonals.
 
-    All matrix elements of H are real in this basis, so the block is a
-    float64 ``scipy.sparse.csr_array``.  Couplings leading outside the index
-    set are dropped, which is the projector restriction P H P; for a
-    parity-closed index set no coupling is lost.
+    All matrix elements of H are real in this basis.  ``upper[d][p]`` is
+    the element at (p, p + d) of the block in ascending index order; the
+    offsets are ascending, at most three of them.  The block never couples
+    the odd sector, so no element is lost by the restriction.
+
+    Full index i of the even sector sits at block position i // 2, since
+    exactly one of 2p and 2p + 1 has even n + m + j.  A coupling moves
+    (n, m+j) to (n + 1, m+j +- 1), i to i + N + 1 +- 1, so its offset is
+    N/2 or N/2 + 1 for even N and (N-1)/2 to (N+3)/2 for odd N, set by the
+    parity of i; at N = 1 every coupling has offset 1.
     """
-    # imported here: scipy.sparse adds import time and memory to every run of
-    # the CLI, and only blocks too wide for the banded solver need it
-    import scipy.sparse
-
-    size = np.asarray(indices).size
-    rows, cols, values = _block_triplets(params, indexer, indices)
-    return scipy.sparse.csr_array((values, (rows, cols)), shape=(size, size))
-
-
-def build_hamiltonian_band(
-    params: ModelParams, indexer: BasisIndexer, indices: np.ndarray
-) -> np.ndarray:
-    """P H P in LAPACK upper symmetric band storage, shape (kd + 1, len(indices)).
-
-    ``band[kd + i - j, j] = H[i, j]`` for ``max(0, j - kd) <= i <= j``, where
-    kd is the largest |i - j| of a coupling in the order of ``indices``.  The
-    elements are the same triplets ``build_hamiltonian_block`` assembles.
-    """
-    rows, cols, values = _block_triplets(params, indexer, indices)
-    upper = rows <= cols
-    rows, cols, values = rows[upper], cols[upper], values[upper]
-    kd = int(np.max(cols - rows))
-    band = np.zeros((kd + 1, np.asarray(indices).size))
-    band[kd + rows - cols, cols] = values
-    return band
-
-
-def _block_triplets(
-    params: ModelParams, indexer: BasisIndexer, indices: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nonzero elements of P H P as (row, col, value) arrays, each position once."""
     if indexer.n_atoms != params.n_atoms:
         raise ValueError("indexer and params disagree on n_atoms")
-    indices = np.asarray(indices, dtype=np.int64)
     spin_dim = indexer.spin_dim
+    # position p holds whichever of the full indices 2p and 2p + 1 is even
+    size = (indexer.dimension + 1) // 2
+    first = 2 * np.arange(size)
+    index = first + (first // spin_dim + first % spin_dim) % 2
+    n, k = np.divmod(index, spin_dim)
     j = indexer.j
-    size = indices.size
-    pos = np.full(indexer.dimension, -1, dtype=np.int64)
-    pos[indices] = np.arange(size)
-
-    n = indices // spin_dim
-    k = indices % spin_dim
-    diag = np.arange(size)
-    rows, cols = [diag], [diag]
-    values = [params.omega * n + params.omega0 * (k - j)]
+    m = k - j
+    diagonal = params.omega * n + params.omega0 * m
 
     g = params.lam / math.sqrt(params.n_atoms)
-    m = k - j
-    # raising ladder factors sqrt(j(j+1) - m(m+1)) for J+ and m(m-1) for J-;
-    # each coupling moves n by one and the two ladders move k in opposite
-    # directions, so no position is emitted twice
+    upper: dict[int, np.ndarray] = {}
+    # ladder factors j(j+1) - m(m+1) of J+ and j(j+1) - m(m-1) of J-; the
+    # coupling from position p lands at full index i + N + 1 + dk, whose
+    # position fixes the offset, so no element is written twice
     for dk, ladder in ((1, j * (j + 1) - m * (m + 1)), (-1, j * (j + 1) - m * (m - 1))):
-        src_ok = (n < indexer.n_cutoff) & (k + dk >= 0) & (k + dk < spin_dim)
-        src = np.flatnonzero(src_ok)
-        tgt = pos[(n[src] + 1) * spin_dim + (k[src] + dk)]
-        keep = tgt >= 0
-        src, tgt = src[keep], tgt[keep]
+        src = np.flatnonzero((n < indexer.n_cutoff) & (k + dk >= 0) & (k + dk < spin_dim))
         amp = g * np.sqrt((n[src] + 1) * ladder[src])
-        rows += [tgt, src]
-        cols += [src, tgt]
-        values += [amp, amp]
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
+        offsets = (index[src] + spin_dim + dk) // 2 - src
+        for d in np.unique(offsets):
+            at = offsets == d
+            upper.setdefault(int(d), np.zeros(size - d))[src[at]] = amp[at]
+    return diagonal, dict(sorted(upper.items()))
 
 
 def build_parity(params: ModelParams, indexer: BasisIndexer) -> HermitianOperator:

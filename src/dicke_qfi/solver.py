@@ -13,8 +13,10 @@ sigma < E0, and a solve returns only after one has succeeded within
 2 r + BRACKET_RTOL max(1, |E|) of the returned Rayleigh quotient E, where
 r = ||H psi - E psi||; so E0 is bracketed, E - delta < E0 <= E.  Its time
 is set by the number of factorizations: about three for a cold solve and
-one for a doubled one.  Blocks of larger N are built as CSR and solved by
-implicitly restarted Lanczos (ARPACK ``eigsh``) in O(dim) memory.
+one for a doubled one.  Blocks of larger N are solved by implicitly
+restarted Lanczos (ARPACK ``eigsh``) in O(dim) memory.  Both paths apply
+the block as ``build_even_block`` gives it, its diagonals by offset; only
+the Cholesky factorization lays them out as a LAPACK band.
 
 Cutoff convergence doubles n_cutoff until the Fock tail population and the
 energy shift across one doubling both drop below tolerance.  The first
@@ -38,13 +40,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import ConvergenceError, SolverError
-from .model import (
-    BasisIndexer,
-    ModelParams,
-    build_hamiltonian_band,
-    build_hamiltonian_block,
-    parity_block_indices,
-)
+from .model import BasisIndexer, EvenBlock, ModelParams, build_even_block, parity_block_indices
 
 #: default tolerance for both the tail-population and energy-shift tests
 DEFAULT_TOL = 1e-10
@@ -144,14 +140,13 @@ def ground_state(
         amplitudes = np.zeros(even.size)
         amplitudes[0] = 1.0
     elif params.n_atoms <= BANDED_MAX_ATOMS:
-        band = build_hamiltonian_band(params, indexer, even)
         energy, amplitudes, residual, lower_bound = _banded_lowest(
-            band, start, params, previous, n_cutoff
+            build_even_block(params, indexer), start, params, previous, n_cutoff
         )
     else:
-        block = build_hamiltonian_block(params, indexer, even)
-        energy, amplitudes = _lanczos_lowest(block, start, n_cutoff)
-        residual = float(np.linalg.norm(block @ amplitudes - energy * amplitudes))
+        energy, amplitudes, residual = _lanczos_lowest(
+            build_even_block(params, indexer), start, n_cutoff
+        )
         lower_bound = None
     vector = np.zeros(indexer.dimension, dtype=complex)
     vector[even] = amplitudes
@@ -213,7 +208,7 @@ def _start_vector(
 
 
 def _banded_lowest(
-    band: np.ndarray,
+    block: EvenBlock,
     start: np.ndarray,
     params: ModelParams,
     previous: GroundState | None,
@@ -242,25 +237,23 @@ def _banded_lowest(
     E.  A residual that stops halving while E still moves is no floor: far
     from convergence the residual can grow for a step while E drops.
     """
-    kd = band.shape[0] - 1
-    offsets = [d for d in range(1, kd + 1) if band[kd - d].any()]
     vector = start / np.linalg.norm(start)
     if previous is not None:
         shift = previous.convergence.lower_bound
-        factor, info = _shifted_cholesky(band, shift)
+        factor, info = _shifted_cholesky(block, shift)
         if info != 0:
             upper = previous.energy
             step = 1e-3 * abs(upper)
-            factor, shift = _factor_below(band, offsets, upper - step, step, n_cutoff)
+            factor, shift = _factor_below(block, upper - step, step, n_cutoff)
     else:
-        upper = float(vector @ _band_matvec(band, offsets, vector))
+        upper = float(vector @ _block_matvec(block, vector))
         step = (params.omega + params.omega0) / 8
-        factor, shift = _factor_below(band, offsets, upper - step, step, n_cutoff)
+        factor, shift = _factor_below(block, upper - step, step, n_cutoff)
     last_energy = last_residual = math.inf
     for _ in range(MAX_INVERSE_ITERATIONS):
         solved, _ = lapack.dpbtrs(factor, vector)
         vector = solved / np.linalg.norm(solved)
-        applied = _band_matvec(band, offsets, vector)
+        applied = _block_matvec(block, vector)
         energy = float(vector @ applied)
         residual = float(np.linalg.norm(applied - energy * vector))
         slack = BRACKET_RTOL * max(1.0, abs(energy))
@@ -272,7 +265,7 @@ def _banded_lowest(
             # a failed factorization steps down by r + slack/4, which still
             # brackets E when r is at its floor, well below the slack
             target = energy - 2 * residual - slack / 2
-            factor, shift = _factor_below(band, offsets, target, residual + slack / 4, n_cutoff)
+            factor, shift = _factor_below(block, target, residual + slack / 4, n_cutoff)
         last_energy, last_residual = energy, residual
     msg = (f"banded inverse iteration did not converge in {MAX_INVERSE_ITERATIONS} steps "
            f"at n_cutoff={n_cutoff}")
@@ -280,7 +273,7 @@ def _banded_lowest(
 
 
 def _factor_below(
-    band: np.ndarray, offsets: list[int], shift: float, step: float, n_cutoff: int
+    block: EvenBlock, shift: float, step: float, n_cutoff: int
 ) -> tuple[np.ndarray, float]:
     """Cholesky factor of H - shift I, stepping the shift down until one exists.
 
@@ -292,14 +285,14 @@ def _factor_below(
     """
     floor = None
     while True:
-        factor, info = _shifted_cholesky(band, shift)
+        factor, info = _shifted_cholesky(block, shift)
         if info == 0:
             return factor, shift
         if floor is None:
-            kd = band.shape[0] - 1
-            absolute = np.abs(band)
-            radius = _band_matvec(absolute, offsets, np.ones(band.shape[1])) - absolute[kd]
-            floor = float(np.min(band[kd] - radius))
+            diagonal, upper = block
+            # |couplings| times a vector of ones: each row's Gershgorin radius
+            absolute = (np.zeros(diagonal.size), {d: np.abs(c) for d, c in upper.items()})
+            floor = float(np.min(diagonal - _block_matvec(absolute, np.ones(diagonal.size))))
         if not shift >= floor:
             msg = f"banded Cholesky factorization failed at n_cutoff={n_cutoff} (info={info})"
             raise SolverError(msg, n_cutoff)
@@ -307,40 +300,61 @@ def _factor_below(
         step *= 2
 
 
-def _shifted_cholesky(band: np.ndarray, shift: float) -> tuple[np.ndarray, int]:
+def _shifted_cholesky(block: EvenBlock, shift: float) -> tuple[np.ndarray, int]:
     """LAPACK ``dpbtrf`` of H - shift I: the band factor and info, 0 exactly on success."""
-    shifted = band.copy()
-    shifted[-1] -= shift
-    return lapack.dpbtrf(shifted, overwrite_ab=1)
+    diagonal, upper = block
+    kd = max(upper)
+    band = np.zeros((kd + 1, diagonal.size))
+    band[kd] = diagonal - shift
+    for d, coupling in upper.items():
+        band[kd - d, d:] = coupling
+    return lapack.dpbtrf(band, overwrite_ab=1)
 
 
-def _band_matvec(band: np.ndarray, offsets: list[int], x: np.ndarray) -> np.ndarray:
-    """H x from upper band storage, over the main diagonal and the nonzero ``offsets``."""
-    kd = band.shape[0] - 1
-    y = band[kd] * x
-    for d in offsets:
-        coupling = band[kd - d, d:]
+def _block_matvec(block: EvenBlock, x: np.ndarray) -> np.ndarray:
+    """H x: each row adds its diagonal term, then for each offset upward both couplings."""
+    diagonal, upper = block
+    y = diagonal * x
+    for d, coupling in upper.items():
         y[:-d] += coupling * x[d:]
         y[d:] += coupling * x[:-d]
     return y
 
 
-def _lanczos_lowest(block, start: np.ndarray, n_cutoff: int) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair of a sparse block by ARPACK, deterministic for fixed input.
+def _lanczos_lowest(
+    block: EvenBlock, start: np.ndarray, n_cutoff: int
+) -> tuple[float, np.ndarray, float]:
+    """Lowest eigenpair of the block by ARPACK and its residual, deterministic for fixed input.
 
     A fixed seed covers the random restarts ARPACK draws after a Lanczos
-    breakdown.
+    breakdown.  Each row of H x is summed from left to right: lower
+    couplings, diagonal, upper couplings.  Another order changes the
+    rounding, and through ARPACK the output bits.
     """
     # imported here: scipy.sparse.linalg adds import time and memory to every
     # run of the CLI, and only large blocks need it
     import scipy.sparse.linalg
 
+    diagonal, upper = block
+
+    def matvec(x: np.ndarray) -> np.ndarray:
+        x = x.ravel()
+        y = np.zeros_like(x)
+        for d, coupling in reversed(upper.items()):
+            y[d:] += coupling * x[:-d]
+        y += diagonal * x
+        for d, coupling in upper.items():
+            y[:-d] += coupling * x[d:]
+        return y
+
+    operator = scipy.sparse.linalg.LinearOperator((diagonal.size,) * 2, matvec=matvec, dtype=float)
     try:
-        energies, vecs = scipy.sparse.linalg.eigsh(block, k=1, which="SA", v0=start, rng=0)
+        energies, vecs = scipy.sparse.linalg.eigsh(operator, k=1, which="SA", v0=start, rng=0)
     except scipy.sparse.linalg.ArpackError as exc:  # ArpackNoConvergence included
         msg = f"Lanczos eigensolver failed at n_cutoff={n_cutoff}: {exc}"
         raise SolverError(msg, n_cutoff) from exc
-    return energies[0], vecs[:, 0]
+    vector = vecs[:, 0]
+    return energies[0], vector, float(np.linalg.norm(matvec(vector) - energies[0] * vector))
 
 
 def initial_cutoff(params: ModelParams) -> int:

@@ -9,7 +9,7 @@ from dicke_qfi.model import (
     HermitianOperator,
     ModelParams,
     build_boson_ops,
-    build_hamiltonian_block,
+    build_even_block,
     build_spin_ops,
 )
 from dicke_qfi.states import DensityMatrix
@@ -32,11 +32,15 @@ def build_hamiltonian(params: ModelParams, indexer: BasisIndexer) -> HermitianOp
     return HermitianOperator(h, "product")
 
 
-def dense_hamiltonian_block(
-    params: ModelParams, indexer: BasisIndexer, indices: np.ndarray
-) -> np.ndarray:
-    """P H P as a dense float64 array, for ``scipy.linalg.eigh`` oracles."""
-    return build_hamiltonian_block(params, indexer, indices).toarray()
+def dense_hamiltonian_block(params: ModelParams, indexer: BasisIndexer) -> np.ndarray:
+    """The even-parity block P H P as a dense float64 array, for ``scipy.linalg.eigh`` oracles."""
+    diagonal, upper = build_even_block(params, indexer)
+    block = np.diag(diagonal)
+    rows = np.arange(diagonal.size)
+    for d, coupling in upper.items():
+        block[rows[:-d], rows[d:]] = coupling
+        block[rows[d:], rows[:-d]] = coupling
+    return block
 
 
 def expectation(state, op) -> complex:

@@ -310,6 +310,21 @@ def test_invalid_grid_exit_code():
     assert main(["sweep", "--tol", "-1"]) == 2
 
 
+@pytest.mark.parametrize("mode,flag,value", [
+    ("sweep", "--fock-cutoff", "0"),
+    ("convergence", "--fock-cutoff", "0"),
+    ("husimi", "--grid-points", "5"),
+])
+def test_invalid_argument_keeps_output_file(mode, flag, value, tmp_path, capsys):
+    # rejected while the configuration is resolved, before FILE is opened
+    out = tmp_path / "out.txt"
+    out.write_bytes(b"earlier output\n")
+    assert main([mode, "--n-atoms", "2", "--lambda-steps", "1", flag, value,
+                 "--out", str(out)]) == 2
+    assert out.read_bytes() == b"earlier output\n"
+    assert "invalid argument" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("flag", ["--omega", "--omega0", "--lambda-min", "--lambda-max", "--tol"])
 def test_non_finite_argument_exit_code(flag, value, capsys):

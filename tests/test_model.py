@@ -5,13 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 from qfi_reference import build_hamiltonian
 
+import dicke_qfi.solver
 from dicke_qfi.model import (
     BasisIndexer,
     HermitianOperator,
     ModelParams,
     build_boson_ops,
-    build_hamiltonian_band,
-    build_hamiltonian_block,
+    build_even_block,
     build_parity,
     build_spin_ops,
     parity_block_indices,
@@ -216,27 +216,33 @@ def test_parity_block_sizes(n_atoms, n_cutoff):
 
 
 def test_block_restriction_reproduces_action():
-    params = ModelParams(1.0, 1.2, 0.6, 3)
-    indexer = BasisIndexer(7, 3)
-    even, _ = parity_block_indices(indexer)
-    h = build_hamiltonian(params, indexer).matrix
-    block = build_hamiltonian_block(params, indexer, even).toarray()
-    assert np.max(np.abs(block - h[np.ix_(even, even)].real)) < 1e-14
-    # the band holds the same elements, bit for bit, and nothing outside it
-    band = build_hamiltonian_band(params, indexer, even)
-    kd = band.shape[0] - 1
-    assert kd == 3 and band.shape[1] == even.size  # kd = (N+1)//2 + 1
-    for d in range(kd + 1):
-        assert np.array_equal(band[kd - d, d:], np.diagonal(block, d))
-        assert not band[kd - d, :d].any()
-    assert not np.triu(block, kd + 1).any()
-    rng = np.random.default_rng(3)
-    vec = np.zeros(indexer.dimension)
-    vec[even] = rng.standard_normal(even.size)
-    applied = h @ vec
-    assert np.max(np.abs(applied[even] - block @ vec[even])) < 1e-12
-    # an even-parity vector never leaks into the odd sector
-    odd_mask = np.ones(indexer.dimension, dtype=bool)
-    odd_mask[even] = False
-    assert np.max(np.abs(applied[odd_mask])) == 0.0
+    # one, two and three coupling offsets; the Kronecker product is the oracle
+    for n_atoms, n_cutoff, offsets in ((1, 6, [1]), (2, 5, [1, 2]), (3, 7, [1, 2, 3]),
+                                       (4, 6, [2, 3])):
+        params = ModelParams(1.0, 1.2, 0.6, n_atoms)
+        indexer = BasisIndexer(n_cutoff, n_atoms)
+        even, _ = parity_block_indices(indexer)
+        h = build_hamiltonian(params, indexer).matrix
+        oracle = h[np.ix_(even, even)].real
+        diagonal, upper = build_even_block(params, indexer)
+        assert diagonal.size == even.size
+        assert list(upper) == offsets
+        assert np.max(np.abs(diagonal - np.diagonal(oracle))) < 1e-14
+        kd = max(upper)
+        assert kd == (1 if n_atoms == 1 else (n_atoms + 1) // 2 + 1)
+        for d in range(1, kd + 1):
+            coupling = upper.get(d, np.zeros(even.size - d))
+            assert np.max(np.abs(coupling - np.diagonal(oracle, d))) < 1e-14
+        # nothing beyond kd
+        assert not np.triu(oracle, kd + 1).any()
+        rng = np.random.default_rng(3)
+        vec = np.zeros(indexer.dimension)
+        vec[even] = rng.standard_normal(even.size)
+        applied = h @ vec
+        block_applied = dicke_qfi.solver._block_matvec((diagonal, upper), vec[even])
+        assert np.max(np.abs(applied[even] - block_applied)) < 1e-12
+        # an even-parity vector never leaks into the odd sector
+        odd_mask = np.ones(indexer.dimension, dtype=bool)
+        odd_mask[even] = False
+        assert np.max(np.abs(applied[odd_mask])) == 0.0
 

@@ -41,7 +41,6 @@ from dicke_qfi.metrology import (
 from dicke_qfi.model import (
     BasisIndexer,
     ModelParams,
-    build_hamiltonian_band,
     parity_block_indices,
     parity_signs,
 )
@@ -156,7 +155,8 @@ def test_banded_solver_matches_dense_eigh(omega, omega0, lam, n_atoms, n_cutoff,
     gs = ground_state(params, n_cutoff, previous)
     indexer = BasisIndexer(n_cutoff, n_atoms)
     even, _ = parity_block_indices(indexer)
-    energies, vecs = scipy.linalg.eigh(dense_hamiltonian_block(params, indexer, even))
+    block = dense_hamiltonian_block(params, indexer)
+    energies, vecs = scipy.linalg.eigh(block)
     e_dense = energies[0]
     scale = max(1.0, abs(e_dense))
     assert abs(gs.energy - e_dense) <= 1e-12 * scale
@@ -169,7 +169,11 @@ def test_banded_solver_matches_dense_eigh(omega, omega0, lam, n_atoms, n_cutoff,
     width = gs.energy - lower
     assert 0.0 <= width <= 2 * gs.convergence.residual + BRACKET_RTOL * max(1.0, abs(gs.energy))
     assert gs.energy <= e_dense + 1e-12 * abs(gs.energy)
-    shifted = build_hamiltonian_band(params, indexer, even)
     if lam > 0:
-        shifted[-1] -= lower
+        # H - lower I in LAPACK upper band storage, kd = (N+1)//2 + 1 (a zero row at N = 1)
+        kd = (n_atoms + 1) // 2 + 1
+        shifted = np.zeros((kd + 1, even.size))
+        for d in range(kd + 1):
+            shifted[kd - d, d:] = np.diagonal(block, d)
+        shifted[kd] -= lower
         assert lapack.dpbtrf(shifted)[1] == 0

@@ -15,7 +15,6 @@ from dicke_qfi.model import (
     BasisIndexer,
     ModelParams,
     build_boson_ops,
-    build_hamiltonian_block,
     build_parity,
     build_spin_ops,
     parity_block_indices,
@@ -214,7 +213,7 @@ def test_lanczos_matches_dense_above_threshold(n_atoms, lam, n_cutoff, monkeypat
     params = ModelParams(1.0, 1.0, lam, n_atoms)
     indexer = BasisIndexer(n_cutoff, n_atoms)
     even, _ = parity_block_indices(indexer)
-    energies, vecs = scipy.linalg.eigh(dense_hamiltonian_block(params, indexer, even),
+    energies, vecs = scipy.linalg.eigh(dense_hamiltonian_block(params, indexer),
                                        subset_by_index=[0, 0])
     banded = ground_state(params, n_cutoff)
     force_lanczos(monkeypatch, n_atoms)
@@ -229,6 +228,19 @@ def test_lanczos_matches_dense_above_threshold(n_atoms, lam, n_cutoff, monkeypat
     again = ground_state(params, n_cutoff)
     assert again.energy == gs.energy
     assert np.array_equal(again.vector, gs.vector)
+
+
+@pytest.mark.parametrize("n_atoms", [101, 102])
+def test_banded_matches_lanczos_above_threshold(n_atoms, monkeypatch):
+    # the same block by Lanczos and, with the threshold moved up to N, by the
+    # banded solver, at an odd N (three coupling offsets) and an even N (two)
+    params = ModelParams(1.0, 1.0, 0.8, n_atoms)
+    lanczos = ground_state(params, 40)
+    monkeypatch.setattr(dicke_qfi.solver, "BANDED_MAX_ATOMS", n_atoms)
+    banded = ground_state(params, 40)
+    assert lanczos.convergence.lower_bound is None
+    assert banded.convergence.lower_bound is not None
+    assert abs(banded.energy - lanczos.energy) <= 1e-12 * abs(lanczos.energy)
 
 
 @pytest.mark.parametrize("n_cutoff", [511, 512])
@@ -276,7 +288,7 @@ def test_warm_start_matches_cold_dense_solve(n_atoms, lam, monkeypatch):
     # eigsh takes the start as given, inverse iteration normalizes it first
     assert np.array_equal(warm_start, padded if lanczos else padded / np.linalg.norm(padded))
 
-    block = dense_hamiltonian_block(params, gs.indexer, even)
+    block = dense_hamiltonian_block(params, gs.indexer)
     energies, vecs = scipy.linalg.eigh(block, subset_by_index=[0, 0], overwrite_a=True)
     del block
     assert abs(gs.energy - energies[0]) <= 1e-12 * max(1.0, abs(energies[0]))
@@ -303,7 +315,7 @@ def test_mean_field_start_overlaps_ground_state(omega, omega0, n_atoms, ratio):
     signs = np.where((even // indexer.spin_dim) % 2 == 0, 1.0, -1.0)
     assert np.all(signs * start >= 0.0)
     assert 0.0 < np.max(np.abs(start)) <= 1.0
-    _, vecs = scipy.linalg.eigh(dense_hamiltonian_block(params, indexer, even),
+    _, vecs = scipy.linalg.eigh(dense_hamiltonian_block(params, indexer),
                                 subset_by_index=[0, 0])
     overlap = abs(vecs[:, 0] @ start) / np.linalg.norm(start)
     assert overlap > 0.8
@@ -383,7 +395,7 @@ def test_residual_certificate(n_atoms, lam, n_cutoff, lanczos, monkeypatch):
         gs = ground_state(params, n_cutoff)
     even, _ = parity_block_indices(gs.indexer)
     psi = gs.vector[even]
-    block = build_hamiltonian_block(params, gs.indexer, even)
+    block = dense_hamiltonian_block(params, gs.indexer)
     recomputed = np.linalg.norm(block @ psi - gs.energy * psi)
     bound = 1e-12 * max(1.0, abs(gs.energy))
     assert 0.0 <= gs.convergence.residual <= bound
