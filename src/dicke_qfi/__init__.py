@@ -10,24 +10,9 @@ their critical scaling at the superradiant transition.
 __version__ = "0.1.0"
 
 from .errors import ConvergenceError, SolverError
-from .model import (
-    BasisIndexer,
-    HermitianOperator,
-    ModelParams,
-    build_boson_ops,
-    build_parity,
-    build_spin_ops,
-    parity_block_indices,
-)
+from .model import BasisIndexer, ModelParams, parity_block_indices
 from .solver import GroundState, converge_cutoff, ground_state, solve
-from .states import (
-    DensityMatrix,
-    SpectralDecomposition,
-    partial_trace_atoms,
-    partial_trace_field,
-    schmidt_decompose,
-    spectral_decompose,
-)
+from .states import SpectralDecomposition, schmidt_decompose
 from .metrology import (
     QfiResult,
     SqueezingResult,
@@ -36,9 +21,7 @@ from .metrology import (
     optimal_quadrature,
     qfi_atoms,
     qfi_field,
-    qfi_mixed,
     quadrature_variance,
-    sld_qfi_oracle,
     spin_squeezing_xi2,
     spin_variance,
 )
@@ -58,18 +41,13 @@ from .thermo import (
 __all__ = [
     "BasisIndexer",
     "ConvergenceError",
-    "DensityMatrix",
     "GroundState",
-    "HermitianOperator",
     "ModelParams",
     "QfiResult",
     "SolverError",
     "SpectralDecomposition",
     "SqueezingResult",
     "ThermoPoint",
-    "build_boson_ops",
-    "build_parity",
-    "build_spin_ops",
     "converge_cutoff",
     "critical_scaling_probe",
     "ground_state",
@@ -78,20 +56,15 @@ __all__ = [
     "nbar_thermo",
     "optimal_quadrature",
     "parity_block_indices",
-    "partial_trace_atoms",
-    "partial_trace_field",
     "qfi_atoms",
     "qfi_atoms_thermo",
     "qfi_field",
     "qfi_field_scaled_limit",
     "qfi_field_thermo",
-    "qfi_mixed",
     "quad_variance_thermo",
     "quadrature_variance",
     "schmidt_decompose",
-    "sld_qfi_oracle",
     "solve",
-    "spectral_decompose",
     "spin_squeezing_xi2",
     "spin_variance",
     "thermo_point",

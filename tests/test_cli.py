@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 import scipy.linalg.lapack
 import scipy.sparse.linalg
+from qfi_reference import build_spin_ops
 
-import dicke_qfi.model
 import dicke_qfi.solver
 from dicke_qfi.cli import (
     HUSIMI_COLUMNS,
@@ -404,24 +404,18 @@ def test_husimi_skips_failed_point(tmp_path, fail_solves_above):
     assert "failed_points=[[1.0, 2]]" in footer[0]
 
 
-def refuse_everywhere(monkeypatch, original):
-    """Make ``original`` raise under every name a dicke_qfi module holds it by."""
-    def refuse(*args):
-        raise AssertionError(f"{original.__name__}{args} called")
-
-    for name, module in list(sys.modules.items()):
-        if name == "dicke_qfi" or name.startswith("dicke_qfi."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, refuse)
-
-
-def test_field_side_builds_no_dense_operator(tmp_path, monkeypatch):
-    # every dense field operator comes from build_boson_ops; make it unusable
-    refuse_everywhere(monkeypatch, dicke_qfi.model.build_boson_ops)
-    record = compute_sweep_record(1.0, 1.0, 0.5, 2, 1e-10, 600)
+def test_field_side_builds_no_dense_operator(tmp_path):
+    # one dense float64 field operator at cutoff 600 takes 2.9 MB; the point's
+    # traced peak stays a quarter below that, so no field observable builds one
+    tracemalloc.start()
+    try:
+        record = compute_sweep_record(1.0, 1.0, 0.5, 2, 1e-10, 600)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert record.converged and record.n_cutoff == 600
     assert all(math.isfinite(v) for v in record.row())
+    assert peak < 8 * 601**2 / 4
     out = tmp_path / "h.json"
     assert main(["husimi", "--n-atoms", "2", "--lambda-min", "0.5", "--lambda-steps", "1",
                  "--fock-cutoff", "600", "--grid-points", "11", "--format", "json",
@@ -429,9 +423,12 @@ def test_field_side_builds_no_dense_operator(tmp_path, monkeypatch):
     assert len(json.loads(out.read_text())["grids"]) == 1
 
 
-def test_sweep_point_builds_no_dense_spin_operator(monkeypatch):
-    # every dense spin operator comes from build_spin_ops; make it unusable
-    refuse_everywhere(monkeypatch, dicke_qfi.model.build_spin_ops)
+def test_sweep_point_builds_no_dense_spin_operator():
+    # the dense spin matrices are test oracles: no module of the package holds a builder
+    for name, module in list(sys.modules.items()):
+        if name == "dicke_qfi" or name.startswith("dicke_qfi."):
+            assert not hasattr(module, "build_spin_ops"), name
+            assert not any(value is build_spin_ops for value in vars(module).values()), name
     for n_atoms, lam in ((1, 0.5), (6, 1.5), (20, 1.0)):
         record = compute_sweep_record(1.0, 1.0, lam, n_atoms, 1e-10, None)
         assert record.converged

@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from qfi_reference import number_operator, pure_state_qfi, random_density, random_hermitian
+from qfi_reference import (
+    build_boson_ops,
+    number_operator,
+    pure_state_qfi,
+    qfi_mixed,
+    random_density,
+    random_hermitian,
+    sld_qfi_oracle,
+    spectral_decompose,
+)
 
 import dicke_qfi.metrology
 from dicke_qfi.metrology import (
@@ -16,26 +25,22 @@ from dicke_qfi.metrology import (
     optimal_quadrature,
     qfi_atoms,
     qfi_field,
-    qfi_mixed,
     quadrature_variance,
-    sld_qfi_oracle,
     spin_squeezing_xi2,
     spin_variance,
 )
-from dicke_qfi.model import ModelParams, build_boson_ops
+from dicke_qfi.model import ModelParams
 from dicke_qfi.solver import ground_state
-from dicke_qfi.states import (
-    DensityMatrix,
-    SpectralDecomposition,
-    schmidt_decompose,
-    spectral_decompose,
-)
+from dicke_qfi.states import SpectralDecomposition, schmidt_decompose
+
+
+def pure_state(vec: np.ndarray, space: str) -> SpectralDecomposition:
+    """A hand-built pure state: weight 1 on the normalized ``vec``."""
+    return SpectralDecomposition(np.ones(1), (vec / np.linalg.norm(vec))[:, None], space, 0.0)
 
 
 def coherent_state(alpha: complex, dim: int) -> SpectralDecomposition:
-    vec = coherent_amplitudes(np.array([alpha]), dim)[0]
-    vec = vec / np.linalg.norm(vec)
-    return spectral_decompose(DensityMatrix(np.outer(vec, vec.conj()), "boson"))
+    return pure_state(coherent_amplitudes(np.array([alpha]), dim)[0], "boson")
 
 
 def vacuum_state(dim: int) -> SpectralDecomposition:
@@ -66,16 +71,13 @@ def test_qfi_coherent_field_hits_classical_limit():
 
 def test_qfi_coherent_spin_state_is_atom_number():
     n_atoms = 7
-    rho = np.zeros((n_atoms + 1, n_atoms + 1), dtype=complex)
-    rho[0, 0] = 1.0  # |j,-j>
-    result = qfi_atoms(spectral_decompose(DensityMatrix(rho, "spin")))
+    result = qfi_atoms(pure_state(np.eye(n_atoms + 1)[0], "spin"))  # |j,-j>
     assert abs(result.value - n_atoms) < 1e-12
     assert abs(result.scaled - 1.0) < 1e-12
 
 
 def test_qfi_maximally_mixed_qubit_vanishes():
-    rho = DensityMatrix(np.eye(2) / 2, "spin")
-    decomp = spectral_decompose(rho)
+    decomp = spectral_decompose(np.eye(2) / 2, "spin")
     sigma_z_half = np.diag([0.5, -0.5])
     assert qfi_mixed(decomp, sigma_z_half).value == 0.0
 
@@ -85,7 +87,7 @@ def test_qfi_matches_sld_oracle_rank3():
     for _ in range(20):
         rho = random_density(rng, 3, 3)
         g = random_hermitian(rng, 3)
-        decomp = spectral_decompose(rho)
+        decomp = spectral_decompose(rho, "boson")
         direct = qfi_mixed(decomp, g).value
         oracle = sld_qfi_oracle(decomp, g)
         assert abs(direct - oracle) <= 1e-8 * max(1.0, abs(oracle))
@@ -96,7 +98,7 @@ def test_qfi_matches_sld_oracle_full_rank_4x4():
     for _ in range(20):
         rho = random_density(rng, 4, 4)
         g = random_hermitian(rng, 4)
-        decomp = spectral_decompose(rho)
+        decomp = spectral_decompose(rho, "boson")
         assert abs(qfi_mixed(decomp, g).value - sld_qfi_oracle(decomp, g)) < 1e-8
 
 
@@ -104,22 +106,22 @@ def test_oracle_pure_state_collapses_to_variance():
     rng = np.random.default_rng(5)
     rho = random_density(rng, 5, 1)
     g = random_hermitian(rng, 5)
-    decomp = spectral_decompose(rho)
+    decomp = spectral_decompose(rho, "boson")
     expected = pure_state_qfi(decomp.vectors[:, 0], g)
     assert abs(sld_qfi_oracle(decomp, g) - expected) < 1e-10 * max(1.0, expected)
 
 
 def test_oracle_commuting_case_vanishes():
-    rho = DensityMatrix(np.diag([0.6, 0.3, 0.1]).astype(complex), "boson")
+    rho = np.diag([0.6, 0.3, 0.1]).astype(complex)
     g = np.diag([1.0, 2.0, 5.0])
-    assert abs(sld_qfi_oracle(spectral_decompose(rho), g)) < 1e-14
+    assert abs(sld_qfi_oracle(spectral_decompose(rho, "boson"), g)) < 1e-14
 
 
 def test_pure_collapse_is_exact():
     rng = np.random.default_rng(9)
     rho = random_density(rng, 6, 1)
     g = random_hermitian(rng, 6)
-    result = qfi_mixed(spectral_decompose(rho), g)
+    result = qfi_mixed(spectral_decompose(rho, "boson"), g)
     assert result.correction_term == 0.0
     assert result.value == result.variance_term
 
@@ -128,7 +130,7 @@ def test_qfi_quadratic_in_generator_scale():
     rng = np.random.default_rng(31)
     rho = random_density(rng, 4, 3)
     g = random_hermitian(rng, 4)
-    decomp = spectral_decompose(rho)
+    decomp = spectral_decompose(rho, "boson")
     f1 = qfi_mixed(decomp, g).value
     f2 = qfi_mixed(decomp, 2.0 * g).value
     assert abs(f2 - 4.0 * f1) < 1e-10 * max(1.0, abs(f1))
@@ -137,8 +139,8 @@ def test_qfi_quadratic_in_generator_scale():
 def test_qfi_convexity_sanity():
     # 50:50 mixture of two eigenstates of G has zero QFI
     g = np.diag([0.0, 1.0, 2.0])
-    rho = DensityMatrix(np.diag([0.5, 0.5, 0.0]).astype(complex), "boson")
-    assert qfi_mixed(spectral_decompose(rho), g).value <= 1e-14
+    rho = np.diag([0.5, 0.5, 0.0]).astype(complex)
+    assert qfi_mixed(spectral_decompose(rho, "boson"), g).value <= 1e-14
     # generic 50:50 mixture never beats the average of its branches
     rng = np.random.default_rng(17)
     g = random_hermitian(rng, 4)
@@ -148,15 +150,14 @@ def test_qfi_convexity_sanity():
     vb = vb_raw - va * np.vdot(va, vb_raw)
     vb /= np.linalg.norm(vb)
     mix = 0.5 * np.outer(va, va.conj()) + 0.5 * np.outer(vb, vb.conj())
-    mixed = qfi_mixed(spectral_decompose(DensityMatrix(mix, "boson")), g).value
+    mixed = qfi_mixed(spectral_decompose(mix, "boson"), g).value
     average = 0.5 * pure_state_qfi(va, g) + 0.5 * pure_state_qfi(vb, g)
     assert mixed <= average + 1e-10
 
 
 def test_qfi_dimension_mismatch_rejected():
-    rho = DensityMatrix(np.eye(2) / 2, "spin")
     with pytest.raises(ValueError):
-        qfi_mixed(spectral_decompose(rho), np.eye(3))
+        qfi_mixed(spectral_decompose(np.eye(2) / 2, "spin"), np.eye(3))
 
 
 def test_field_qfi_vacuum_scaled_undefined():
@@ -197,7 +198,7 @@ def test_optimal_quadrature_sign_rule():
     vec = np.zeros(dim, dtype=complex)
     vec[0], vec[2] = 1.0, -0.3
     vec /= np.linalg.norm(vec)
-    rho = spectral_decompose(DensityMatrix(np.outer(vec, vec.conj()), "boson"))
+    rho = pure_state(vec, "boson")
     b, _ = build_boson_ops(dim - 1)
     assert np.vdot(vec, b @ b @ vec).real < 0
     result = optimal_quadrature(rho)
@@ -212,9 +213,7 @@ def test_optimal_quadrature_dicke(squeezed_n20):
 
 def test_spin_variance_css_isotropic():
     n_atoms = 9
-    rho = np.zeros((n_atoms + 1, n_atoms + 1), dtype=complex)
-    rho[0, 0] = 1.0
-    css = spectral_decompose(DensityMatrix(rho, "spin"))
+    css = pure_state(np.eye(n_atoms + 1)[0], "spin")
     for phi in (0.0, 0.7, math.pi / 2):
         assert abs(spin_variance(css, phi) - n_atoms / 4) < 1e-12
 
@@ -258,8 +257,7 @@ def test_husimi_field_vacuum_gaussian():
 
 def test_husimi_field_bounds_and_normalization(ultrastrong_n6):
     rho_b = ultrastrong_n6["rho_b"]
-    number = number_operator(rho_b.dim)
-    nbar = np.trace(rho_b.matrix @ number.matrix).real
+    nbar = np.trace(rho_b @ number_operator(rho_b.shape[0])).real
     re_axis, im_axis, alpha = default_field_grid(nbar, 121)
     q = husimi_field(ultrastrong_n6["field"], alpha)
     # Q is bounded below by rho's smallest eigenvalue, which is PSD to 1e-10
@@ -296,8 +294,7 @@ def test_husimi_field_ultrastrong_lobes(ultrastrong_n6):
     rho_b = ultrastrong_n6["rho_b"]
     params = ultrastrong_n6["params"]
     alpha0 = params.lam * math.sqrt(params.n_atoms) / params.omega
-    number = number_operator(rho_b.dim)
-    nbar = np.trace(rho_b.matrix @ number.matrix).real
+    nbar = np.trace(rho_b @ number_operator(rho_b.shape[0])).real
     re_axis, _, alpha = default_field_grid(nbar, 161)
     field = ultrastrong_n6["field"]
     q = husimi_field(field, alpha)

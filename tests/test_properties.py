@@ -20,24 +20,21 @@ from hypothesis import strategies as st
 from qfi_reference import (
     dense_hamiltonian_block,
     jx_operator,
+    mean_and_variance,
     number_operator,
+    partial_trace_field,
+    qfi_mixed,
     quadrature_operator,
     random_density,
+    sld_qfi_oracle,
+    spectral_decompose,
     spin_operator,
 )
 from scipy.linalg import lapack
 
 import dicke_qfi.solver
 
-from dicke_qfi.metrology import (
-    mean_and_variance,
-    qfi_atoms,
-    qfi_field,
-    qfi_mixed,
-    quadrature_variance,
-    sld_qfi_oracle,
-    spin_variance,
-)
+from dicke_qfi.metrology import qfi_atoms, qfi_field, quadrature_variance, spin_variance
 from dicke_qfi.model import (
     BasisIndexer,
     ModelParams,
@@ -45,12 +42,7 @@ from dicke_qfi.model import (
     parity_signs,
 )
 from dicke_qfi.solver import BRACKET_RTOL, converge_cutoff, ground_state
-from dicke_qfi.states import (
-    DensityMatrix,
-    partial_trace_field,
-    schmidt_decompose,
-    spectral_decompose,
-)
+from dicke_qfi.states import schmidt_decompose
 
 N_CUTOFF = 16
 
@@ -60,7 +52,7 @@ def check_invariants(gs):
     assert abs(np.sum(parity_signs(gs.indexer) * np.abs(gs.vector) ** 2) - 1.0) < 1e-12
     field, atoms = schmidt_decompose(gs)
     # the field weights are the spectrum of the atomic reduced state
-    atom_spectrum = np.linalg.eigvalsh(partial_trace_field(gs).matrix)[::-1]
+    atom_spectrum = np.linalg.eigvalsh(partial_trace_field(gs))[::-1]
     assert np.max(np.abs(field.weights - atom_spectrum[: field.rank])) < 1e-12
     for state in (field, atoms):
         assert abs(np.sum(state.weights) + state.discarded_mass - 1.0) < 1e-12
@@ -87,7 +79,7 @@ def check_invariants(gs):
 
 
 def check_spin_kernels(atoms, phi):
-    """Ladder-rule Jx QFI and J_phi variance against the dense build_spin_ops matrices."""
+    """Ladder-rule Jx QFI and J_phi variance against the dense spin matrices."""
     n_atoms = atoms.dim - 1
     f_a = qfi_atoms(atoms).value
     assert abs(f_a - qfi_mixed(atoms, jx_operator(n_atoms)).value) <= 1e-12 * max(1.0, f_a)
@@ -105,7 +97,7 @@ def check_spin_kernels(atoms, phi):
 def test_spin_kernels_random_states(n_atoms, rank, phi, seed):
     # complex mixed states, which ground states (real amplitudes) never are
     rho = random_density(np.random.default_rng(seed), n_atoms + 1, min(rank, n_atoms + 1))
-    check_spin_kernels(spectral_decompose(DensityMatrix(rho.matrix, "spin")), phi)
+    check_spin_kernels(spectral_decompose(rho, "spin"), phi)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
