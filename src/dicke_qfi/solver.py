@@ -92,7 +92,7 @@ class ConvergenceInfo:
 
 @dataclass(frozen=True)
 class GroundState:
-    """Ground energy and unit-norm state vector on the full product basis."""
+    """Ground energy and real unit-norm state vector on the full product basis."""
 
     energy: float
     vector: np.ndarray
@@ -123,8 +123,8 @@ def ground_state(
     start vector and its energy an upper bound; without it the start is the
     mean-field state.  At lam = 0 the block is diagonal and the exact unit
     vector |0>|j,-j> is returned.  The block eigenvector is embedded back
-    into the product basis and phase-fixed so the largest-magnitude
-    amplitude is real positive.
+    into the product basis as a real vector, sign-fixed so the
+    largest-magnitude amplitude is positive.
     """
     if n_cutoff < 1:
         raise ValueError("n_cutoff must be >= 1")
@@ -148,12 +148,11 @@ def ground_state(
             build_even_block(params, indexer), start, n_cutoff
         )
         lower_bound = None
-    vector = np.zeros(indexer.dimension, dtype=complex)
+    vector = np.zeros(indexer.dimension)
     vector[even] = amplitudes
     vector /= np.linalg.norm(vector)
-    pivot = int(np.argmax(np.abs(vector)))
-    phase = vector[pivot] / abs(vector[pivot])
-    vector = vector * phase.conjugate()
+    if vector[np.argmax(np.abs(vector))] < 0:
+        vector = -vector
     tail = tail_population(vector, indexer)
     info = ConvergenceInfo(tail, None, residual, lower_bound=lower_bound)
     return GroundState(float(energy), vector, params, n_cutoff, info)
@@ -180,7 +179,7 @@ def _start_vector(
     if previous is not None:
         grid = np.zeros((indexer.boson_dim, indexer.spin_dim))
         old = previous.indexer
-        grid[: old.boson_dim] = previous.vector.real.reshape(old.boson_dim, old.spin_dim)
+        grid[: old.boson_dim] = previous.vector.reshape(old.boson_dim, old.spin_dim)
         return grid.ravel()[even]
     if params.lam <= params.lambda_cr:
         start = np.zeros(even.size)

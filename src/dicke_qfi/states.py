@@ -1,7 +1,7 @@
 """Reduced states of the ground state in spectral form.
 
-In the boson-major basis the ground state is a (n_cutoff+1) x (N+1) grid
-psi, and one thin SVD psi = U S V^H (its Schmidt decomposition) gives
+In the boson-major basis the ground state is a real (n_cutoff+1) x (N+1)
+grid psi, and one thin SVD psi = U S V^T (its Schmidt decomposition) gives
 both reduced states with the shared weights S^2, so no density matrix is
 formed.  A hand-built state enters as a SpectralDecomposition of its
 weights and eigenvectors.  Decompositions drop weights at or below
@@ -60,9 +60,9 @@ def _retained(weights: np.ndarray, vectors: np.ndarray, space: Space) -> Spectra
 def schmidt_decompose(gs: GroundState) -> tuple[SpectralDecomposition, SpectralDecomposition]:
     """(field, atoms) reduced states of a ground state from one thin SVD.
 
-    psi = U S V^H: the field eigenvectors are the columns of U, the atomic
-    ones those of conj(V) = vh.T, and both carry the weights S^2 above
-    DEFAULT_WEIGHT_FLOOR.
+    The grid is real, so the SVD runs in real arithmetic: psi = U S V^T.
+    The field eigenvectors are the columns of U, the atomic ones those of
+    V = vh.T, and both carry the weights S^2 above DEFAULT_WEIGHT_FLOOR.
     """
     try:
         u, s, vh = scipy.linalg.svd(_amplitude_grid(gs), full_matrices=False)

@@ -49,13 +49,17 @@ def test_decoupled_ground_state():
     assert gs.convergence.tail_population == 0.0
 
 
-def test_ground_state_norm_and_phase():
-    params = ModelParams(1.0, 1.0, 0.6, 3)
-    gs = ground_state(params, 24)
+@pytest.mark.parametrize("lam,lanczos", [(0.6, False), (0.6, True), (0.0, False)],
+                         ids=["banded", "lanczos", "decoupled"])
+def test_ground_state_norm_and_phase(lam, lanczos, monkeypatch):
+    # H and its even block are real, so the state is stored real and sign-fixed
+    if lanczos:
+        force_lanczos(monkeypatch, 3)
+    gs = ground_state(ModelParams(1.0, 1.0, lam, 3), 24)
+    assert (gs.convergence.lower_bound is None) == lanczos
+    assert gs.vector.dtype == np.float64
     assert abs(np.linalg.norm(gs.vector) - 1.0) < 1e-12
-    pivot = np.argmax(np.abs(gs.vector))
-    assert gs.vector[pivot].real > 0
-    assert abs(gs.vector[pivot].imag) < 1e-14
+    assert gs.vector[np.argmax(np.abs(gs.vector))] > 0
 
 
 def test_vanishing_coherence_from_parity():
