@@ -99,6 +99,10 @@ class SweepConfig:
         for name in ("omega", "omega0", "lambda_min", "lambda_max", "tol"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name.replace('_', '-')} must be finite")
+        if self.omega <= 0 or self.omega0 <= 0:
+            raise ValueError("omega and omega0 must be positive")
+        if self.lambda_min < 0:
+            raise ValueError("lambda-min must be non-negative")
         if self.lambda_min > self.lambda_max:
             raise ValueError("lambda-min must not exceed lambda-max")
         if self.lambda_steps < 1:

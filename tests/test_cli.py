@@ -314,6 +314,11 @@ def test_invalid_grid_exit_code():
     ("sweep", "--fock-cutoff", "0"),
     ("convergence", "--fock-cutoff", "0"),
     ("husimi", "--grid-points", "5"),
+    ("sweep", "--omega", "-1"),
+    ("husimi", "--omega0", "0"),
+    ("convergence", "--lambda-min", "-0.5"),
+    ("thermo", "--omega", "-1"),
+    ("scaling", "--omega", "0"),
 ])
 def test_invalid_argument_keeps_output_file(mode, flag, value, tmp_path, capsys):
     # rejected while the configuration is resolved, before FILE is opened
