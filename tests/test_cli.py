@@ -411,7 +411,7 @@ def test_husimi_skips_failed_point(tmp_path, fail_solves_above):
 
 def test_field_side_builds_no_dense_operator(tmp_path):
     # one dense float64 field operator at cutoff 600 takes 2.9 MB; the point's
-    # traced peak stays a quarter below that, so no field observable builds one
+    # traced peak stays below a quarter of that, so no field observable builds one
     tracemalloc.start()
     try:
         record = compute_sweep_record(1.0, 1.0, 0.5, 2, 1e-10, 600)
