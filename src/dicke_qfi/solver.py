@@ -45,7 +45,7 @@ from .model import BasisIndexer, EvenBlock, ModelParams, build_even_block, parit
 #: default tolerance for both the tail-population and energy-shift tests
 DEFAULT_TOL = 1e-10
 
-#: largest Fock cutoff converge_cutoff will attempt
+#: largest Fock cutoff converge_cutoff will attempt, its starting one included
 HARD_CAP = 2**14
 
 #: even blocks of up to this many atoms (kd <= 51) take the banded solver,
@@ -335,15 +335,20 @@ def _lanczos_lowest(
     import scipy.sparse.linalg
 
     diagonal, upper = block
+    # every call writes the same two buffers, and ARPACK copies each product
+    # into its workspace: a fresh dim-sized array per call page-faults anew
+    # whenever the allocator has handed the last one back to the system
+    y = np.empty_like(diagonal)
+    term = np.empty_like(diagonal)
 
     def matvec(x: np.ndarray) -> np.ndarray:
         x = x.ravel()
-        y = np.zeros_like(x)
+        y.fill(0.0)
         for d, coupling in reversed(upper.items()):
-            y[d:] += coupling * x[:-d]
-        y += diagonal * x
+            y[d:] += np.multiply(coupling, x[:-d], out=term[d:])
+        y[:] += np.multiply(diagonal, x, out=term)
         for d, coupling in upper.items():
-            y[:-d] += coupling * x[d:]
+            y[:-d] += np.multiply(coupling, x[d:], out=term[:-d])
         return y
 
     operator = scipy.sparse.linalg.LinearOperator((diagonal.size,) * 2, matvec=matvec, dtype=float)
@@ -386,8 +391,9 @@ def converge_cutoff(
     exact and is accepted at the starting cutoff; at any lam > 0 a tail that
     underflows to zero is no proof, so at least one doubling is solved.
     Raises ConvergenceError if the cutoff would exceed ``hard_cap``
-    (module-level HARD_CAP when not given); a SolverError from any step
-    carries the steps completed before it.
+    (module-level HARD_CAP when not given), the starting one included: a
+    start above the cap fails with no steps and allocates nothing.  A
+    SolverError from any step carries the steps completed before it.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -396,6 +402,10 @@ def converge_cutoff(
     n_cutoff = initial_cutoff(params) if n_start is None else int(n_start)
     if n_cutoff < 1:
         raise ValueError("starting cutoff must be >= 1")
+    if n_cutoff > hard_cap:
+        msg = (f"starting Fock cutoff {n_cutoff} exceeds the hard cap {hard_cap} "
+               f"(lam={params.lam}, N={params.n_atoms})")
+        raise ConvergenceError(msg, n_cutoff)
 
     steps: list[CutoffStep] = []
     gs = None

@@ -11,7 +11,7 @@ import numpy as np
 import scipy.linalg
 
 from dicke_qfi.metrology import QfiResult, _moments, _qfi
-from dicke_qfi.model import BasisIndexer, ModelParams, build_even_block
+from dicke_qfi.model import BasisIndexer, EvenBlock, ModelParams, build_even_block
 from dicke_qfi.states import DEFAULT_WEIGHT_FLOOR, SpectralDecomposition, Space, _retained
 
 
@@ -68,6 +68,39 @@ def build_hamiltonian(params: ModelParams, indexer: BasisIndexer) -> np.ndarray:
         + params.omega0 * np.kron(eye_b, spin.jz)
         + coupling * np.kron(annihilate + annihilate.conj().T, spin.jplus + spin.jminus)
     )
+
+
+def even_block_from_scratch(params: ModelParams, indexer: BasisIndexer) -> EvenBlock:
+    """The even block in closed form, rebuilt on every call with no cache.
+
+    The same arithmetic as ``model.build_even_block``, which must match it
+    bit for bit; the couplings carry g = lam / sqrt(N) from the start.
+    """
+    spin_dim = indexer.spin_dim
+    size = (indexer.dimension + 1) // 2
+    first = 2 * np.arange(size)
+    index = first + (first // spin_dim + first % spin_dim) % 2
+    n, k = np.divmod(index, spin_dim)
+    j = indexer.j
+    m = k - j
+    diagonal = params.omega * n + params.omega0 * m
+    g = params.lam / math.sqrt(params.n_atoms)
+    upper: dict[int, np.ndarray] = {}
+    for dk, ladder in ((1, j * (j + 1) - m * (m + 1)), (-1, j * (j + 1) - m * (m - 1))):
+        src = np.flatnonzero((n < indexer.n_cutoff) & (k + dk >= 0) & (k + dk < spin_dim))
+        amp = g * np.sqrt((n[src] + 1) * ladder[src])
+        offsets = (index[src] + spin_dim + dk) // 2 - src
+        for d in np.unique(offsets):
+            at = offsets == d
+            upper.setdefault(int(d), np.zeros(size - d))[src[at]] = amp[at]
+    return diagonal, dict(sorted(upper.items()))
+
+
+def parity_signs_from_scratch(indexer: BasisIndexer) -> np.ndarray:
+    """(-1)^(n+m+j) at idx(n, m) as float64, computed from the flat index."""
+    flat = np.arange(indexer.dimension)
+    exponent = flat // indexer.spin_dim + flat % indexer.spin_dim
+    return np.where(exponent % 2 == 0, 1.0, -1.0)
 
 
 def dense_hamiltonian_block(params: ModelParams, indexer: BasisIndexer) -> np.ndarray:

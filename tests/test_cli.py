@@ -83,6 +83,19 @@ def test_sweep_workers_match_serial(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+def test_sweep_workers_match_serial_revisited_cutoffs(tmp_path):
+    # 25 couplings share a few first cutoffs per N, and the pool hands points
+    # of both N to each process, whose own skeleton cache sees them out of order
+    serial, parallel = tmp_path / "serial.json", tmp_path / "par.json"
+    args = ["sweep", "--n-atoms", "1", "--n-atoms", "2", "--lambda-min", "0",
+            "--lambda-max", "3", "--lambda-steps", "25", "--format", "json"]
+    assert main([*args, "--out", str(serial)]) == 0
+    assert main([*args, "--workers", "2", "--out", str(parallel)]) == 0
+    assert serial.read_bytes() == parallel.read_bytes()
+    cutoffs = [row["n_cutoff"] for row in json.loads(serial.read_text())["rows"]]
+    assert len(set(cutoffs)) < len(cutoffs)
+
+
 def test_sweep_workers_match_serial_warm_lanczos(tmp_path):
     # N = 101 is more than the banded solver takes, so every point's doubled
     # solve is warm-started Lanczos (even block dim 2091 to 7803)
@@ -105,6 +118,19 @@ def test_sweep_flags_unconverged_point(tmp_path, monkeypatch):
     record = dict(zip(header, rows[0]))
     assert math.isnan(float(record["ground_energy"]))
     assert any("failed_points" in line for line in footer)
+
+
+def test_sweep_start_above_hard_cap_is_a_failed_row(tmp_path):
+    # the first cutoff, about 1e13, is refused before anything is allocated
+    out = tmp_path / "cap.csv"
+    code = main(["sweep", "--n-atoms", "1000", "--lambda-min", "1e5", "--lambda-max",
+                 "1e5", "--lambda-steps", "1", "--out", str(out)])
+    assert code == 4
+    header, rows, footer = read_csv_rows(out)
+    record = dict(zip(header, rows[0]))
+    assert int(record["n_cutoff"]) == initial_cutoff(ModelParams(1.0, 1.0, 1e5, 1000))
+    assert all(math.isnan(float(record[col])) for col in SWEEP_COLUMNS[3:])
+    assert "failed_points=[[100000.0, 1000]]" in footer[-1]
 
 
 def test_fixed_cutoff_override(tmp_path):
@@ -295,7 +321,8 @@ def test_convergence_fock_cutoff_starts_trajectory(tmp_path):
 
 
 def test_convergence_hard_cap_partial_output(tmp_path, monkeypatch):
-    monkeypatch.setattr(dicke_qfi.solver, "HARD_CAP", 32)
+    # the trajectory starts at 74, under the cap, and its doubling to 148 trips it
+    monkeypatch.setattr(dicke_qfi.solver, "HARD_CAP", 100)
     out = tmp_path / "cap.csv"
     code = main(["convergence", "--n-atoms", "6", "--lambda-min", "2.0",
                  "--lambda-max", "2.0", "--lambda-steps", "1", "--out", str(out)])

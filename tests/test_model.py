@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from qfi_reference import build_boson_ops, build_hamiltonian, build_spin_ops
+from qfi_reference import (
+    build_boson_ops,
+    build_hamiltonian,
+    build_spin_ops,
+    even_block_from_scratch,
+    parity_signs_from_scratch,
+)
 
 import dicke_qfi.solver
 from dicke_qfi.model import (
@@ -238,3 +244,65 @@ def test_block_restriction_reproduces_action():
         odd_mask[even] = False
         assert np.max(np.abs(applied[odd_mask])) == 0.0
 
+
+
+# (omega, omega0, lam): lam = 0, the critical point, either side of it, and
+# integers, whose products with the cached unsigned Fock numbers must not wrap
+BLOCK_PARAMS = ((1.0, 1.0, 0.0), (1.0, 1.0, 0.5), (0.7, 1.3, 2.5), (1.9, 0.4, 0.1),
+                (300, 7, 2))
+
+
+@pytest.mark.parametrize("n_atoms", [*range(1, 8), 20, 21, 100, 101])
+def test_cached_block_matches_closed_form_bitwise(n_atoms):
+    # every cutoff is built under each parameter set in turn and its
+    # predecessor once more, so each cache hit follows a block of another
+    # lam or omega, or another cutoff; nothing of one build may leak into the next
+    def check(params, indexer):
+        diagonal, upper = build_even_block(params, indexer)
+        expected_diagonal, expected_upper = even_block_from_scratch(params, indexer)
+        assert np.array_equal(diagonal, expected_diagonal)
+        assert diagonal.dtype == np.float64
+        assert list(upper) == list(expected_upper)
+        for d, coupling in upper.items():
+            assert np.array_equal(coupling, expected_upper[d])
+        signs = parity_signs_from_scratch(indexer)
+        even, odd = parity_block_indices(indexer)
+        assert np.array_equal(parity_signs(indexer), signs)
+        assert np.array_equal(even, np.flatnonzero(signs > 0))
+        assert np.array_equal(odd, np.flatnonzero(signs < 0))
+
+    for n_cutoff in range(1, 42):
+        for omega, omega0, lam in BLOCK_PARAMS:
+            params = ModelParams(omega, omega0, lam, n_atoms)
+            check(params, BasisIndexer(n_cutoff, n_atoms))
+            if n_cutoff > 1:
+                check(params, BasisIndexer(n_cutoff - 1, n_atoms))
+
+
+def test_cached_parity_arrays_are_read_only():
+    indexer = BasisIndexer(9, 3)
+    even, odd = parity_block_indices(indexer)
+    signs = parity_signs(indexer)
+    before = [even.copy(), odd.copy(), signs.copy()]
+    for array in (even, odd, signs):
+        with pytest.raises(ValueError):
+            array[0] = 7
+    again = [*parity_block_indices(indexer), parity_signs(indexer)]
+    for old, new in zip(before, again):
+        assert np.array_equal(old, new)
+
+
+def test_even_block_arrays_are_fresh_and_writable():
+    params = ModelParams(1.0, 1.0, 0.8, 3)
+    indexer = BasisIndexer(9, 3)
+    diagonal, upper = build_even_block(params, indexer)
+    expected_diagonal, expected_upper = even_block_from_scratch(params, indexer)
+    diagonal[:] = -1.0
+    for coupling in upper.values():
+        coupling[:] = -1.0
+    upper.clear()
+    diagonal, upper = build_even_block(params, indexer)
+    assert np.array_equal(diagonal, expected_diagonal)
+    assert list(upper) == list(expected_upper)
+    for d, coupling in upper.items():
+        assert np.array_equal(coupling, expected_upper[d])

@@ -149,6 +149,26 @@ def test_converge_hard_cap_raises_with_steps():
     assert excinfo.value.n_cutoff == excinfo.value.steps[-1].n_cutoff == 40
 
 
+def test_converge_start_above_hard_cap_fails_before_solving(monkeypatch):
+    # lam = 1e5 at N = 1000 starts the doubling at about 1e13 Fock levels
+    params = ModelParams(1.0, 1.0, 1e5, 1000)
+    start = initial_cutoff(params)
+    assert start > dicke_qfi.solver.HARD_CAP
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a start above the hard cap must not be solved")
+
+    monkeypatch.setattr(dicke_qfi.solver, "ground_state", no_solve)
+    with pytest.raises(ConvergenceError) as excinfo:
+        converge_cutoff(params, 1e-10)
+    assert excinfo.value.n_cutoff == start
+    assert excinfo.value.steps == ()
+    with pytest.raises(ConvergenceError) as excinfo:
+        converge_cutoff(ModelParams(1.0, 1.0, 0.5, 2), 1e-10, n_start=41, hard_cap=40)
+    assert excinfo.value.n_cutoff == 41
+    assert excinfo.value.steps == ()
+
+
 def test_solver_error_keeps_completed_steps(fail_solves_above):
     fail_solves_above(20)
     with pytest.raises(SolverError) as excinfo:
