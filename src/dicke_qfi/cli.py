@@ -5,6 +5,10 @@ Output is deterministic: floats are serialized in shortest round-trip
 decimal form, columns and row order are fixed, and identical configs
 produce byte-identical files.  Exit codes: 0 success, 2 invalid argument,
 3 I/O error, 4 convergence failure or low-confidence fit.
+
+``SweepConfig`` is the single declaration of the settings: each of its
+fields gives a setting's name, default, text parser and help, and the flags,
+the config-file keys and the meta record are all derived from its fields.
 """
 
 from __future__ import annotations
@@ -14,11 +18,11 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import __version__
+from . import __version__, solver
 from .errors import SolverError
 from .metrology import (
     ATOM_GRID_POINTS,
@@ -61,41 +65,53 @@ HUSIMI_COLUMNS = ("lambda", "n_atoms", "subsystem", "x", "y", "q", "q_norm")
 
 CONVERGENCE_COLUMNS = ("lambda", "n_atoms", "step", "n_cutoff", "energy", "tail_population")
 
-_DEFAULTS = {
-    "omega": 1.0,
-    "omega0": 1.0,
-    "lambda_min": 0.0,
-    "lambda_max": 1.0,
-    "lambda_steps": 101,
-    "n_atoms": [2, 6, 10, 20],
-    "tol": DEFAULT_TOL,
-    "fock_cutoff": None,
-    "grid_points": None,
-    "out": "-",
-    "format": "csv",
-    "workers": 1,
-}
+FORMATS = ("csv", "json")
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in text.replace(",", " ").split())
+
+
+def _setting(default, parse, help: str, **flag):
+    """A SweepConfig field that is also a CLI setting.
+
+    ``parse`` reads the value from config-file text, and from the flag unless
+    ``flag`` overrides it; ``flag`` holds any further argparse keywords.
+    """
+    shown = " ".join(map(str, default)) if isinstance(default, tuple) else default
+    flag = {"type": parse, "help": f"{help} (default: {shown})", **flag}
+    return field(default=default, metadata={"parse": parse, "flag": flag})
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Resolved run configuration shared by all subcommands."""
+    """Resolved run configuration shared by all subcommands.
+
+    Every field but ``mode`` is a setting, named as its config-file key and
+    as its flag (``lambda_min`` is ``--lambda-min``).
+    """
 
     mode: str
-    omega: float = 1.0
-    omega0: float = 1.0
-    lambda_min: float = 0.0
-    lambda_max: float = 1.0
-    lambda_steps: int = 101
-    n_atoms_list: tuple[int, ...] = (2, 6, 10, 20)
-    tol: float = DEFAULT_TOL
-    fock_cutoff: int | None = None
-    grid_points: int | None = None
-    output_path: str = "-"
-    output_format: str = "csv"
-    workers: int = 1
+    omega: float = _setting(1.0, float, "boson frequency")
+    omega0: float = _setting(1.0, float, "atomic level splitting")
+    lambda_min: float = _setting(0.0, float, "first coupling of the grid")
+    lambda_max: float = _setting(1.0, float, "last coupling of the grid")
+    lambda_steps: int = _setting(101, int, "couplings in the grid")
+    n_atoms: tuple[int, ...] = _setting((2, 6, 10, 20), _int_list, "atom number, repeatable",
+                                        type=int, action="append")
+    tol: float = _setting(DEFAULT_TOL, float, "convergence tolerance")
+    fock_cutoff: int | None = _setting(
+        None, int, "fixed Fock cutoff, converged per point if unset; in convergence, "
+                   "the first cutoff of the doubling")
+    grid_points: int | None = _setting(
+        None, int, f"points per Husimi grid axis (>= 11), {ATOM_GRID_POINTS} "
+                   f"(atoms) and {FIELD_GRID_POINTS} (field) if unset")
+    out: str = _setting("-", str, "output path, '-' for stdout")
+    format: str = _setting("csv", str, "output format", choices=FORMATS)
+    workers: int = _setting(1, int, "worker processes for sweep points")
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_atoms", tuple(self.n_atoms))  # argparse appends to a list
         for name in ("omega", "omega0", "lambda_min", "lambda_max", "tol"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name.replace('_', '-')} must be finite")
@@ -107,15 +123,16 @@ class SweepConfig:
             raise ValueError("lambda-min must not exceed lambda-max")
         if self.lambda_steps < 1:
             raise ValueError("lambda-steps must be >= 1")
-        if any(n < 1 for n in self.n_atoms_list):
+        if any(n < 1 for n in self.n_atoms):
             raise ValueError("every n-atoms value must be >= 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.fock_cutoff is not None and self.fock_cutoff < 1:
-            raise ValueError("fock-cutoff must be >= 1")
+        # read through the module, so that a patched solver.HARD_CAP governs it too
+        if self.fock_cutoff is not None and not 1 <= self.fock_cutoff <= solver.HARD_CAP:
+            raise ValueError(f"fock-cutoff must be between 1 and {solver.HARD_CAP}")
         if self.grid_points is not None and self.grid_points < 11:
             raise ValueError("husimi grids need at least 11 points per axis")
-        if self.output_format not in ("csv", "json"):
+        if self.format not in FORMATS:
             raise ValueError("format must be csv or json")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
@@ -125,20 +142,19 @@ class SweepConfig:
             return np.array([self.lambda_min])
         return np.linspace(self.lambda_min, self.lambda_max, self.lambda_steps)
 
+    def points(self) -> list[ModelParams]:
+        """Every (N, lambda) point in output order: N outer, lambda inner."""
+        return [ModelParams(self.omega, self.omega0, float(lam), n)
+                for n in self.n_atoms for lam in self.lambda_grid()]
+
     def meta(self) -> dict:
-        return {
-            "version": __version__,
-            "mode": self.mode,
-            "omega": self.omega,
-            "omega0": self.omega0,
-            "lambda_min": self.lambda_min,
-            "lambda_max": self.lambda_max,
-            "lambda_steps": self.lambda_steps,
-            "n_atoms": list(self.n_atoms_list),
-            "tol": self.tol,
-            "fock_cutoff": self.fock_cutoff,
-            "grid_points": self.grid_points,
-        }
+        """The version and every setting that shapes the results, n_atoms as a list."""
+        meta = {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("out", "format", "workers")}
+        return {**meta, "n_atoms": list(self.n_atoms), "version": __version__}
+
+
+_SETTINGS = {f.name: f for f in fields(SweepConfig) if f.name != "mode"}
 
 
 @dataclass(frozen=True)
@@ -213,11 +229,8 @@ def _sweep_task(task: tuple) -> SweepRecord:
 
 def run_sweep(config: SweepConfig) -> tuple[list[SweepRecord], int]:
     """All (N, lambda) records in deterministic order plus the exit code."""
-    tasks = [
-        (config.omega, config.omega0, float(lam), n, config.tol, config.fock_cutoff)
-        for n in config.n_atoms_list
-        for lam in config.lambda_grid()
-    ]
+    tasks = [(p.omega, p.omega0, p.lam, p.n_atoms, config.tol, config.fock_cutoff)
+             for p in config.points()]
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             records = list(pool.map(_sweep_task, tasks))
@@ -254,37 +267,35 @@ def run_husimi(config: SweepConfig) -> tuple[list[dict], list[list]]:
     field_points = points if points is not None else FIELD_GRID_POINTS
     grids = []
     failed = []
-    for n in config.n_atoms_list:
-        for lam in config.lambda_grid():
-            params = ModelParams(config.omega, config.omega0, float(lam), n)
-            try:
-                gs = solve(params, config.tol, config.fock_cutoff)
-            except SolverError:  # ConvergenceError included
-                failed.append([float(lam), n])
-                continue
-            field, atoms = schmidt_decompose(gs)
-            theta, phi = default_atom_grid(atoms_points)
-            q_a = husimi_atoms(atoms, theta, phi)
-            q_a_max = float(q_a.max())
-            re_axis, im_axis, alpha = default_field_grid(mean_number(field), field_points)
-            q_b = husimi_field(field, alpha)
-            grids.append({
-                "lambda": float(lam),
-                "n_atoms": n,
-                "atoms": {
-                    "theta": theta,
-                    "phi": phi,
-                    "q": q_a,
-                    "q_max": q_a_max,
-                    "q_normalized": q_a / q_a_max,
-                },
-                "field": {
-                    "re_alpha": re_axis,
-                    "im_alpha": im_axis,
-                    "q": q_b,
-                    "q_max": float(q_b.max()),
-                },
-            })
+    for params in config.points():
+        try:
+            gs = solve(params, config.tol, config.fock_cutoff)
+        except SolverError:  # ConvergenceError included
+            failed.append([params.lam, params.n_atoms])
+            continue
+        field, atoms = schmidt_decompose(gs)
+        theta, phi = default_atom_grid(atoms_points)
+        q_a = husimi_atoms(atoms, theta, phi)
+        q_a_max = float(q_a.max())
+        re_axis, im_axis, alpha = default_field_grid(mean_number(field), field_points)
+        q_b = husimi_field(field, alpha)
+        grids.append({
+            "lambda": params.lam,
+            "n_atoms": params.n_atoms,
+            "atoms": {
+                "theta": theta,
+                "phi": phi,
+                "q": q_a,
+                "q_max": q_a_max,
+                "q_normalized": q_a / q_a_max,
+            },
+            "field": {
+                "re_alpha": re_axis,
+                "im_alpha": im_axis,
+                "q": q_b,
+                "q_max": float(q_b.max()),
+            },
+        })
     return grids, failed
 
 
@@ -305,18 +316,16 @@ def run_convergence(config: SweepConfig) -> tuple[list[tuple], int]:
     """
     rows: list[tuple] = []
     code = 0
-    for n in config.n_atoms_list:
-        for lam in config.lambda_grid():
-            params = ModelParams(config.omega, config.omega0, float(lam), n)
-            try:
-                _, gs = converge_cutoff(params, config.tol, n_start=config.fock_cutoff)
-                steps = gs.convergence.steps
-            except SolverError as exc:  # ConvergenceError included
-                steps = exc.steps
-                code = 4
-            for i, step in enumerate(steps):
-                rows.append((float(lam), n, i, step.n_cutoff, step.energy,
-                             step.tail_population))
+    for params in config.points():
+        try:
+            _, gs = converge_cutoff(params, config.tol, n_start=config.fock_cutoff)
+            steps = gs.convergence.steps
+        except SolverError as exc:  # ConvergenceError included
+            steps = exc.steps
+            code = 4
+        for i, step in enumerate(steps):
+            rows.append((params.lam, params.n_atoms, i, step.n_cutoff, step.energy,
+                         step.tail_population))
     return rows, code
 
 
@@ -412,34 +421,22 @@ def _build_parser() -> argparse.ArgumentParser:
         ("scaling", "critical-exponent probe on both sides of lambda_cr"),
         ("convergence", "Fock-cutoff doubling trajectories"),
     ):
-        p = sub.add_parser(mode, help=blurb)
+        # a flag that is not given stays out of the namespace, so the file or
+        # the default applies
+        p = sub.add_parser(mode, help=blurb, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", help="key = value file; explicit flags override it")
-        p.add_argument("--omega", type=float)
-        p.add_argument("--omega0", type=float)
-        p.add_argument("--lambda-min", dest="lambda_min", type=float)
-        p.add_argument("--lambda-max", dest="lambda_max", type=float)
-        p.add_argument("--lambda-steps", dest="lambda_steps", type=int)
-        p.add_argument("--n-atoms", dest="n_atoms", type=int, action="append",
-                       help="repeatable; defaults to 2 6 10 20")
-        p.add_argument("--tol", type=float)
-        p.add_argument("--fock-cutoff", dest="fock_cutoff", type=int,
-                       help="fixed cutoff, disables automatic convergence; "
-                            "in convergence, the first cutoff of the doubling")
-        p.add_argument("--grid-points", dest="grid_points", type=int,
-                       help="points per Husimi grid axis (>= 11)")
-        p.add_argument("--out", help="output path, '-' for stdout")
-        p.add_argument("--format", choices=("csv", "json"))
-        p.add_argument("--workers", type=int)
+        for name, setting in _SETTINGS.items():
+            p.add_argument("--" + name.replace("_", "-"), **setting.metadata["flag"])
     return parser
 
 
 def load_config_file(path: str) -> dict:
-    """Parse a ``key = value`` file; '#' starts a comment.
+    """Parse a ``key = value`` file into setting values; '#' starts a comment.
 
     A line may also read ``key: value``; a line holding both separators
     splits at the first ``=``.  Keys are the long flag names (``-`` or
-    ``_``); any other key is rejected.  List values are comma or space
-    separated.
+    ``_``); any other key, or a value its setting cannot parse, is rejected.
+    List values are comma or space separated.
     """
     values: dict = {}
     with open(path, encoding="utf-8") as handle:
@@ -454,74 +451,42 @@ def load_config_file(path: str) -> dict:
             else:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key = key.strip().replace("-", "_")
-            if key not in _DEFAULTS:
+            if key not in _SETTINGS:
                 raise ValueError(f"{path}:{lineno}: unknown key '{key}'")
-            values[key] = val.strip()
+            try:
+                values[key] = _SETTINGS[key].metadata["parse"](val.strip())
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 
-def _coerce(key: str, raw):
-    if isinstance(raw, str):
-        if key in ("omega", "omega0", "lambda_min", "lambda_max", "tol"):
-            return float(raw)
-        if key in ("lambda_steps", "fock_cutoff", "grid_points", "workers"):
-            return int(raw)
-        if key == "n_atoms":
-            return [int(tok) for tok in raw.replace(",", " ").split()]
-    return raw
-
-
 def resolve_config(args: argparse.Namespace) -> SweepConfig:
-    """Merge CLI flags over an optional config file over built-in defaults."""
-    file_values = load_config_file(args.config) if args.config else {}
-    resolved = {}
-    for key, default in _DEFAULTS.items():
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            resolved[key] = cli_value
-        elif key in file_values:
-            resolved[key] = _coerce(key, file_values[key])
-        else:
-            resolved[key] = default
-    return SweepConfig(
-        mode=args.mode,
-        omega=resolved["omega"],
-        omega0=resolved["omega0"],
-        lambda_min=resolved["lambda_min"],
-        lambda_max=resolved["lambda_max"],
-        lambda_steps=resolved["lambda_steps"],
-        n_atoms_list=tuple(resolved["n_atoms"]),
-        tol=resolved["tol"],
-        fock_cutoff=resolved["fock_cutoff"],
-        grid_points=resolved["grid_points"],
-        output_path=resolved["out"],
-        output_format=resolved["format"],
-        workers=resolved["workers"],
-    )
+    """Merge the flags given over an optional config file over the field defaults."""
+    flags = vars(args).copy()
+    mode, path = flags.pop("mode"), flags.pop("config", None)
+    resolved = load_config_file(path) if path else {}
+    resolved.update(flags)
+    return SweepConfig(mode=mode, **resolved)
 
 
 def _dispatch(config: SweepConfig) -> int:
-    stream, close = _open_output(config.output_path)
+    stream, close = _open_output(config.out)
+    meta, fmt = config.meta(), config.format
     try:
         if config.mode == "sweep":
             records, code = run_sweep(config)
-            meta = config.meta()
-            failed = [[r.lam, r.n_atoms] for r in records if not r.converged]
-            if failed:
-                meta["failed_points"] = failed
-            write_table(stream, SWEEP_COLUMNS, [r.row() for r in records], meta,
-                        config.output_format)
+            if code:
+                meta["failed_points"] = [[r.lam, r.n_atoms] for r in records if not r.converged]
+            write_table(stream, SWEEP_COLUMNS, [r.row() for r in records], meta, fmt)
             return code
         if config.mode == "thermo":
-            write_table(stream, THERMO_COLUMNS, run_thermo(config), config.meta(),
-                        config.output_format)
+            write_table(stream, THERMO_COLUMNS, run_thermo(config), meta, fmt)
             return 0
         if config.mode == "husimi":
             grids, failed = run_husimi(config)
-            meta = config.meta()
             if failed:
                 meta["failed_points"] = failed
-            write_husimi(stream, grids, meta, config.output_format)
+            write_husimi(stream, grids, meta, fmt)
             return 4 if failed else 0
         if config.mode == "scaling":
             probes, code = run_scaling(config)
@@ -532,12 +497,11 @@ def _dispatch(config: SweepConfig) -> int:
                  p.eps1_residual, p.dfa_residual, p.dfb_residual, int(p.low_confidence))
                 for p in probes
             ]
-            write_table(stream, columns, rows, config.meta(), config.output_format)
+            write_table(stream, columns, rows, meta, fmt)
             return code
         if config.mode == "convergence":
             rows, code = run_convergence(config)
-            write_table(stream, CONVERGENCE_COLUMNS, rows, config.meta(),
-                        config.output_format)
+            write_table(stream, CONVERGENCE_COLUMNS, rows, meta, fmt)
             return code
         raise ValueError(f"unknown mode {config.mode}")
     finally:

@@ -382,7 +382,6 @@ def converge_cutoff(
     tol: float = DEFAULT_TOL,
     *,
     n_start: int | None = None,
-    hard_cap: int | None = None,
 ) -> tuple[int, GroundState]:
     """Double the Fock cutoff until the ground state is converged.
 
@@ -390,20 +389,18 @@ def converge_cutoff(
     tol * max(1, |E|) across the last doubling.  At lam = 0 the state is
     exact and is accepted at the starting cutoff; at any lam > 0 a tail that
     underflows to zero is no proof, so at least one doubling is solved.
-    Raises ConvergenceError if the cutoff would exceed ``hard_cap``
-    (module-level HARD_CAP when not given), the starting one included: a
-    start above the cap fails with no steps and allocates nothing.  A
-    SolverError from any step carries the steps completed before it.
+    Raises ConvergenceError if the cutoff would exceed HARD_CAP, the
+    starting one included: a start above the cap fails with no steps and
+    allocates nothing.  A SolverError from any step carries the steps
+    completed before it.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if hard_cap is None:
-        hard_cap = HARD_CAP
     n_cutoff = initial_cutoff(params) if n_start is None else int(n_start)
     if n_cutoff < 1:
         raise ValueError("starting cutoff must be >= 1")
-    if n_cutoff > hard_cap:
-        msg = (f"starting Fock cutoff {n_cutoff} exceeds the hard cap {hard_cap} "
+    if n_cutoff > HARD_CAP:
+        msg = (f"starting Fock cutoff {n_cutoff} exceeds the hard cap {HARD_CAP} "
                f"(lam={params.lam}, N={params.n_atoms})")
         raise ConvergenceError(msg, n_cutoff)
 
@@ -425,8 +422,8 @@ def converge_cutoff(
             info = ConvergenceInfo(tail, shift, gs.convergence.residual, tuple(steps),
                                    gs.convergence.lower_bound)
             return n_cutoff, GroundState(gs.energy, gs.vector, params, n_cutoff, info)
-        if 2 * n_cutoff > hard_cap:
-            msg = (f"Fock cutoff would exceed the hard cap {hard_cap} "
+        if 2 * n_cutoff > HARD_CAP:
+            msg = (f"Fock cutoff would exceed the hard cap {HARD_CAP} "
                    f"(lam={params.lam}, N={params.n_atoms}, tol={tol})")
             raise ConvergenceError(msg, n_cutoff, steps)
         n_cutoff *= 2

@@ -61,7 +61,7 @@ def finite_sweep():
         lambda_min=0.0,
         lambda_max=1.0,
         lambda_steps=101,
-        n_atoms_list=(2, 20),
+        n_atoms=(2, 20),
         tol=1e-10,
     )
     start = time.perf_counter()
@@ -69,7 +69,7 @@ def finite_sweep():
     elapsed = time.perf_counter() - start
     assert code == 0
     by_n = {
-        n: [r for r in records if r.n_atoms == n] for n in config.n_atoms_list
+        n: [r for r in records if r.n_atoms == n] for n in config.n_atoms
     }
     lams = np.array([r.lam for r in by_n[20]])
     return {

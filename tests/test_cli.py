@@ -3,6 +3,7 @@ import json
 import math
 import sys
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import scipy.linalg.lapack
 import scipy.sparse.linalg
 from qfi_reference import build_spin_ops
 
+import dicke_qfi.cli
 import dicke_qfi.solver
 from dicke_qfi.cli import (
     HUSIMI_COLUMNS,
@@ -236,7 +238,7 @@ def _write_husimi_lists(stream, grids, meta, fmt):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_husimi_array_grids_write_list_bytes(fmt):
-    config = SweepConfig(mode="husimi", n_atoms_list=(2,), lambda_min=0.0, lambda_max=1.0,
+    config = SweepConfig(mode="husimi", n_atoms=(2,), lambda_min=0.0, lambda_max=1.0,
                          lambda_steps=3, grid_points=11)
     grids, failed = run_husimi(config)
     assert not failed
@@ -340,6 +342,9 @@ def test_invalid_grid_exit_code():
 @pytest.mark.parametrize("mode,flag,value", [
     ("sweep", "--fock-cutoff", "0"),
     ("convergence", "--fock-cutoff", "0"),
+    ("sweep", "--fock-cutoff", str(dicke_qfi.solver.HARD_CAP + 1)),
+    ("husimi", "--fock-cutoff", str(dicke_qfi.solver.HARD_CAP + 1)),
+    ("convergence", "--fock-cutoff", str(dicke_qfi.solver.HARD_CAP + 1)),
     ("husimi", "--grid-points", "5"),
     ("sweep", "--omega", "-1"),
     ("husimi", "--omega0", "0"),
@@ -514,6 +519,44 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+# one non-default value per setting: its flags, its config-file text, the value
+# it resolves to, and file text its parser rejects (None where any text parses)
+SETTING_VALUES = {
+    "omega": (["--omega", "2.5"], "2.5", 2.5, "fast"),
+    "omega0": (["--omega0", "0.5"], "0.5", 0.5, "1,5"),
+    "lambda_min": (["--lambda-min", "0.25"], "0.25", 0.25, "x"),
+    "lambda_max": (["--lambda-max", "2"], "2", 2.0, "two"),
+    "lambda_steps": (["--lambda-steps", "3"], "3", 3, "3.0"),
+    "n_atoms": (["--n-atoms", "1", "--n-atoms", "3"], "1, 3", (1, 3), "1, three"),
+    "tol": (["--tol", "1e-8"], "1e-8", 1e-8, "tight"),
+    "fock_cutoff": (["--fock-cutoff", "7"], "7", 7, "7.5"),
+    "grid_points": (["--grid-points", "15"], "15", 15, "many"),
+    "out": (["--out", "run.csv"], "run.csv", "run.csv", None),
+    "format": (["--format", "json"], "json", "json", None),
+    "workers": (["--workers", "2"], "2", 2, "two"),
+}
+
+
+@pytest.mark.parametrize("mode", ["sweep", "husimi", "thermo", "scaling", "convergence"])
+@pytest.mark.parametrize("name", [f.name for f in fields(SweepConfig) if f.name != "mode"])
+def test_every_setting_resolves_from_flag_and_file(name, mode, tmp_path, monkeypatch, capsys):
+    flag_args, text, value, malformed = SETTING_VALUES[name]
+    expected = SweepConfig(mode=mode, **{name: value})
+    assert expected != SweepConfig(mode=mode)
+    resolved = []
+    monkeypatch.setattr(dicke_qfi.cli, "_dispatch", lambda config: resolved.append(config) or 0)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{name.replace('_', '-')} = {text}\n")
+    assert main([mode, *flag_args]) == 0
+    assert main([mode, "--config", str(cfg)]) == 0
+    assert resolved == [expected, expected]
+    if malformed is not None:
+        # file values are parsed as the file is read, so a flag does not mask a bad one
+        cfg.write_text(f"{name} = {malformed}\n")
+        assert main([mode, "--config", str(cfg), *flag_args]) == 2
+        assert f"{cfg}:1: {name}:" in capsys.readouterr().err
+
+
 def test_format_value_round_trip():
     assert format_value(0.1) == "0.1"
     assert format_value(1 / 3) == repr(1 / 3)
@@ -536,6 +579,6 @@ def test_sweep_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(mode="sweep", lambda_steps=0)
     with pytest.raises(ValueError):
-        SweepConfig(mode="sweep", n_atoms_list=(0,))
+        SweepConfig(mode="sweep", n_atoms=(0,))
     with pytest.raises(ValueError):
-        SweepConfig(mode="sweep", output_format="yaml")
+        SweepConfig(mode="sweep", format="yaml")

@@ -141,10 +141,11 @@ def test_converge_records_doubling_trajectory():
     assert gs.convergence.tail_population < 1e-10
 
 
-def test_converge_hard_cap_raises_with_steps():
+def test_converge_hard_cap_raises_with_steps(monkeypatch):
+    monkeypatch.setattr(dicke_qfi.solver, "HARD_CAP", 40)
     params = ModelParams(1.0, 1.0, 2.0, 6)  # needs n_cutoff ~ 200
     with pytest.raises(ConvergenceError) as excinfo:
-        converge_cutoff(params, 1e-10, n_start=20, hard_cap=40)
+        converge_cutoff(params, 1e-10, n_start=20)
     assert len(excinfo.value.steps) >= 1
     assert excinfo.value.n_cutoff == excinfo.value.steps[-1].n_cutoff == 40
 
@@ -163,8 +164,9 @@ def test_converge_start_above_hard_cap_fails_before_solving(monkeypatch):
         converge_cutoff(params, 1e-10)
     assert excinfo.value.n_cutoff == start
     assert excinfo.value.steps == ()
+    monkeypatch.setattr(dicke_qfi.solver, "HARD_CAP", 40)
     with pytest.raises(ConvergenceError) as excinfo:
-        converge_cutoff(ModelParams(1.0, 1.0, 0.5, 2), 1e-10, n_start=41, hard_cap=40)
+        converge_cutoff(ModelParams(1.0, 1.0, 0.5, 2), 1e-10, n_start=41)
     assert excinfo.value.n_cutoff == 41
     assert excinfo.value.steps == ()
 
