@@ -35,7 +35,7 @@ from .metrology import (
     qfi_atoms,
     qfi_field,
     quadrature_variance,
-    spin_squeezing_xi2,
+    spin_variance,
 )
 from .model import ModelParams, parity_signs
 from .solver import DEFAULT_TOL, converge_cutoff, solve
@@ -67,6 +67,10 @@ CONVERGENCE_COLUMNS = ("lambda", "n_atoms", "step", "n_cutoff", "energy", "tail_
 
 FORMATS = ("csv", "json")
 
+#: most couplings a grid may hold: at 10^6 the grid alone is 8 MB and a
+#: thermo run's rows some hundreds of MB, and no curve needs a finer one
+MAX_LAMBDA_STEPS = 10**6
+
 
 def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.replace(",", " ").split())
@@ -96,7 +100,7 @@ class SweepConfig:
     omega0: float = _setting(1.0, float, "atomic level splitting")
     lambda_min: float = _setting(0.0, float, "first coupling of the grid")
     lambda_max: float = _setting(1.0, float, "last coupling of the grid")
-    lambda_steps: int = _setting(101, int, "couplings in the grid")
+    lambda_steps: int = _setting(101, int, f"couplings in the grid, at most {MAX_LAMBDA_STEPS}")
     n_atoms: tuple[int, ...] = _setting((2, 6, 10, 20), _int_list, "atom number, repeatable",
                                         type=int, action="append")
     tol: float = _setting(DEFAULT_TOL, float, "convergence tolerance")
@@ -121,8 +125,8 @@ class SweepConfig:
             raise ValueError("lambda-min must be non-negative")
         if self.lambda_min > self.lambda_max:
             raise ValueError("lambda-min must not exceed lambda-max")
-        if self.lambda_steps < 1:
-            raise ValueError("lambda-steps must be >= 1")
+        if not 1 <= self.lambda_steps <= MAX_LAMBDA_STEPS:
+            raise ValueError(f"lambda-steps must be between 1 and {MAX_LAMBDA_STEPS}")
         if any(n < 1 for n in self.n_atoms):
             raise ValueError("every n-atoms value must be >= 1")
         if self.tol <= 0:
@@ -215,7 +219,7 @@ def compute_sweep_record(
         f_b_scaled=fb.scaled,
         f_a=fa.value,
         f_a_scaled=fa.scaled,
-        xi2=spin_squeezing_xi2(atoms).xi2,
+        xi2=4.0 * spin_variance(atoms, math.pi / 2) / n_atoms,
         quad_var_scaled=4.0 * quadrature_variance(field, math.pi / 2),
         parity_expect=parity,
         discarded_mass_a=atoms.discarded_mass,

@@ -13,23 +13,27 @@ idx(n, m) = n*(N+1) + (m+j), so a partial trace over either subsystem is
 a contiguous block operation.
 
 Everything that does not depend on omega, omega0 or lam is built once
-per basis (N, n_cutoff): the even and odd index sets, the parity
-signs, n and m at each even position, and the couplings at g = 1 for each
-offset.  A bounded LRU cache keyed by the ``BasisIndexer`` keeps
-SKELETON_CACHE_SIZE = 3 of these skeletons, a point's two cutoffs c and 2c
-and the next point's first, and ``build_even_block``, ``parity_signs`` and
-``parity_block_indices`` all read the same entry.  Its arrays are
-read-only, indices int32 and n and m+j small unsigned integers, so an
-entry costs about 30 bytes per even position: 6.5 MiB at N = 400 and
-n_cutoff = 1140, half of it the float64 couplings.  Each process of a
+per atom number N: the even and odd index sets, the parity signs, n and m
+at each even position, and the couplings at g = 1 for each offset.  The
+basis at cutoff c is the first (c+1)(N+1) indices of any larger one, so
+one skeleton, built at the largest cutoff asked for so far, serves every
+smaller cutoff of that N as prefix views; ``build_even_block``,
+``parity_signs`` and ``parity_block_indices`` all read it.  A request above
+it rebuilds it at max(c, min(2 * capacity, HARD_CAP)), so it grows
+geometrically, a doubling sweep builds it a handful of times, and it never
+exceeds twice the largest request, nor the hard cap unless a request does.
+Its arrays are read-only, indices int32 and n and m+j small unsigned
+integers, so it costs about 30 bytes per even position: 6.5 MiB at N = 400
+and n_cutoff = 1140, half of it the float64 couplings.
+SKELETON_CACHE_SIZE atom numbers stay cached, and each process of a
 ``--workers`` pool has its own cache.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -37,8 +41,11 @@ import numpy as np
 #: a real symmetric block: its main diagonal and its upper diagonals keyed by offset
 EvenBlock = tuple[np.ndarray, dict[int, np.ndarray]]
 
-#: bases whose skeleton stays cached: a point's two cutoffs c and 2c, plus the
-#: next point's first cutoff, which on a dense coupling grid is c again
+#: largest Fock cutoff the solver attempts, its starting one included; a
+#: skeleton grows to at most this unless a single request is larger
+HARD_CAP = 2**14
+
+#: atom numbers whose skeleton stays cached
 SKELETON_CACHE_SIZE = 3
 
 
@@ -133,7 +140,7 @@ class _Skeleton(NamedTuple):
     number and m + j at each even position, and ``units`` pairs each
     coupling offset with sqrt((n+1) * ladder), the coupling at g = 1.
     Indices are int32 (int64 past 2^31) and n, k the smallest unsigned type
-    that holds them.
+    that holds them at the cutoff the skeleton was built at.
     """
 
     even: np.ndarray
@@ -144,8 +151,56 @@ class _Skeleton(NamedTuple):
     units: tuple[tuple[int, np.ndarray], ...]
 
 
-@lru_cache(maxsize=SKELETON_CACHE_SIZE)
+#: per cached atom number, least recently used first: the cutoff its skeleton
+#: was built at, the skeleton, and its prefix views handed out so far, by cutoff
+_skeletons: OrderedDict[int, tuple[int, _Skeleton, dict[int, _Skeleton]]] = OrderedDict()
+
+
 def _skeleton(indexer: BasisIndexer) -> _Skeleton:
+    """The skeleton of ``indexer``'s basis: a prefix view of its atom number's skeleton.
+
+    A cutoff above the cached skeleton's replaces it with one built at
+    max(n_cutoff, min(2 * capacity, HARD_CAP)), and drops the views of the
+    old one, so that it is freed once no caller holds them.
+    """
+    n_atoms, n_cutoff = indexer.n_atoms, indexer.n_cutoff
+    entry = _skeletons.get(n_atoms)
+    if entry is None or entry[0] < n_cutoff:
+        capacity = n_cutoff if entry is None else max(n_cutoff, min(2 * entry[0], HARD_CAP))
+        # the old skeleton goes first, so that the cache never holds both
+        del entry
+        _skeletons.pop(n_atoms, None)
+        entry = _skeletons[n_atoms] = (
+            capacity, _build_skeleton(BasisIndexer(capacity, n_atoms)), {})
+        if len(_skeletons) > SKELETON_CACHE_SIZE:
+            _skeletons.popitem(last=False)
+    else:
+        _skeletons.move_to_end(n_atoms)
+    _, base, views = entry
+    view = views.get(n_cutoff)
+    if view is None:
+        view = views[n_cutoff] = _prefix(base, indexer)
+    return view
+
+
+def _prefix(base: _Skeleton, indexer: BasisIndexer) -> _Skeleton:
+    """``indexer``'s skeleton as views of the first entries of a larger one of the same N.
+
+    The even positions of the smaller basis are the first (dim + 1) // 2 of
+    the larger, and its odd ones the first dim // 2.  A coupling preserves
+    parity, so one from Fock level n_cutoff lands at an even index past dim,
+    outside the first size - d entries of its offset d; an offset left
+    without a nonzero unit is dropped, as a build from scratch never makes it.
+    """
+    dim = indexer.dimension
+    size = (dim + 1) // 2
+    units = tuple((d, unit[: size - d]) for d, unit in base.units
+                  if d < size and unit[: size - d].any())
+    return _Skeleton(base.even[:size], base.odd[: dim // 2], base.signs[:dim],
+                     base.n[:size], base.k[:size], units)
+
+
+def _build_skeleton(indexer: BasisIndexer) -> _Skeleton:
     """Build the read-only skeleton of ``indexer``'s basis; see ``build_even_block``."""
     spin_dim = indexer.spin_dim
     # position p holds whichever of the full indices 2p and 2p + 1 is even
@@ -203,7 +258,7 @@ def build_even_block(params: ModelParams, indexer: BasisIndexer) -> EvenBlock:
     parity of i; at N = 1 every coupling has offset 1.
 
     The lambda-free part, n, m and sqrt((n+1) * ladder) per offset, comes
-    from the skeleton cache; the diagonal omega n + omega0 m and the
+    from the skeleton cache as views; the diagonal omega n + omega0 m and the
     couplings g * unit with g = lam / sqrt(N) are fresh arrays, the same
     floating-point operations as a build from scratch.
     """

@@ -40,13 +40,17 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import ConvergenceError, SolverError
-from .model import BasisIndexer, EvenBlock, ModelParams, build_even_block, parity_block_indices
+from .model import (
+    HARD_CAP,
+    BasisIndexer,
+    EvenBlock,
+    ModelParams,
+    build_even_block,
+    parity_block_indices,
+)
 
 #: default tolerance for both the tail-population and energy-shift tests
 DEFAULT_TOL = 1e-10
-
-#: largest Fock cutoff converge_cutoff will attempt, its starting one included
-HARD_CAP = 2**14
 
 #: even blocks of up to this many atoms (kd <= 51) take the banded solver,
 #: larger N Lanczos.  Timed per point, cold and doubled solve together (one

@@ -351,6 +351,9 @@ def test_invalid_grid_exit_code():
     ("convergence", "--lambda-min", "-0.5"),
     ("thermo", "--omega", "-1"),
     ("scaling", "--omega", "0"),
+    # a grid this long would not fit in memory; it is rejected before it is made
+    *((mode, "--lambda-steps", "1000000000000")
+      for mode in ("sweep", "husimi", "thermo", "scaling", "convergence")),
 ])
 def test_invalid_argument_keeps_output_file(mode, flag, value, tmp_path, capsys):
     # rejected while the configuration is resolved, before FILE is opened

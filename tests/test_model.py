@@ -1,7 +1,10 @@
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from qfi_reference import (
     build_boson_ops,
@@ -12,6 +15,7 @@ from qfi_reference import (
 )
 
 import dicke_qfi.solver
+from dicke_qfi import cli, model
 from dicke_qfi.model import (
     BasisIndexer,
     ModelParams,
@@ -252,31 +256,33 @@ BLOCK_PARAMS = ((1.0, 1.0, 0.0), (1.0, 1.0, 0.5), (0.7, 1.3, 2.5), (1.9, 0.4, 0.
                 (300, 7, 2))
 
 
+def assert_matches_scratch(params, indexer):
+    """The cached block, parity signs and sectors equal a build from scratch, bit for bit."""
+    diagonal, upper = build_even_block(params, indexer)
+    expected_diagonal, expected_upper = even_block_from_scratch(params, indexer)
+    assert np.array_equal(diagonal, expected_diagonal)
+    assert diagonal.dtype == np.float64
+    assert list(upper) == list(expected_upper)
+    for d, coupling in upper.items():
+        assert np.array_equal(coupling, expected_upper[d])
+    signs = parity_signs_from_scratch(indexer)
+    even, odd = parity_block_indices(indexer)
+    assert np.array_equal(parity_signs(indexer), signs)
+    assert np.array_equal(even, np.flatnonzero(signs > 0))
+    assert np.array_equal(odd, np.flatnonzero(signs < 0))
+
+
 @pytest.mark.parametrize("n_atoms", [*range(1, 8), 20, 21, 100, 101])
 def test_cached_block_matches_closed_form_bitwise(n_atoms):
     # every cutoff is built under each parameter set in turn and its
     # predecessor once more, so each cache hit follows a block of another
     # lam or omega, or another cutoff; nothing of one build may leak into the next
-    def check(params, indexer):
-        diagonal, upper = build_even_block(params, indexer)
-        expected_diagonal, expected_upper = even_block_from_scratch(params, indexer)
-        assert np.array_equal(diagonal, expected_diagonal)
-        assert diagonal.dtype == np.float64
-        assert list(upper) == list(expected_upper)
-        for d, coupling in upper.items():
-            assert np.array_equal(coupling, expected_upper[d])
-        signs = parity_signs_from_scratch(indexer)
-        even, odd = parity_block_indices(indexer)
-        assert np.array_equal(parity_signs(indexer), signs)
-        assert np.array_equal(even, np.flatnonzero(signs > 0))
-        assert np.array_equal(odd, np.flatnonzero(signs < 0))
-
     for n_cutoff in range(1, 42):
         for omega, omega0, lam in BLOCK_PARAMS:
             params = ModelParams(omega, omega0, lam, n_atoms)
-            check(params, BasisIndexer(n_cutoff, n_atoms))
+            assert_matches_scratch(params, BasisIndexer(n_cutoff, n_atoms))
             if n_cutoff > 1:
-                check(params, BasisIndexer(n_cutoff - 1, n_atoms))
+                assert_matches_scratch(params, BasisIndexer(n_cutoff - 1, n_atoms))
 
 
 def test_cached_parity_arrays_are_read_only():
@@ -306,3 +312,94 @@ def test_even_block_arrays_are_fresh_and_writable():
     assert list(upper) == list(expected_upper)
     for d, coupling in upper.items():
         assert np.array_equal(coupling, expected_upper[d])
+
+
+@pytest.fixture
+def skeleton_builds(monkeypatch):
+    """An empty skeleton cache, and the cutoff of each skeleton built, in order, by N."""
+    monkeypatch.setattr(model, "_skeletons", OrderedDict())
+    builds: dict[int, list[int]] = {}
+    real = model._build_skeleton
+
+    def counted(indexer):
+        builds.setdefault(indexer.n_atoms, []).append(indexer.n_cutoff)
+        return real(indexer)
+
+    monkeypatch.setattr(model, "_build_skeleton", counted)
+    return builds
+
+
+SKELETON_ATOMS = (*range(1, 9), 20, 21)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    requests=st.lists(st.tuples(st.sampled_from(SKELETON_ATOMS), st.integers(1, 60)),
+                      min_size=1, max_size=24),
+    order=st.sampled_from(("ascending", "descending", "mixed")),
+    hard_cap=st.sampled_from((model.HARD_CAP, 40)),
+    block_params=st.sampled_from(BLOCK_PARAMS),
+)
+def test_prefix_views_match_scratch_in_any_request_order(requests, order, hard_cap, block_params):
+    # interleaved atom numbers and cutoffs, with the hard cap both far off and
+    # below some requests; each answer is a view of whichever skeleton its N
+    # has at the time, and must equal a build from scratch all the same
+    if order != "mixed":
+        requests.sort(key=lambda request: request[1], reverse=order == "descending")
+    omega, omega0, lam = block_params
+    largest: dict[int, int] = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "_skeletons", OrderedDict())
+        patch.setattr(model, "HARD_CAP", hard_cap)
+        for n_atoms, n_cutoff in requests:
+            assert_matches_scratch(ModelParams(omega, omega0, lam, n_atoms),
+                                   BasisIndexer(n_cutoff, n_atoms))
+            largest[n_atoms] = max(largest.get(n_atoms, 0), n_cutoff)
+            capacity = model._skeletons[n_atoms][0]
+            assert n_cutoff <= capacity <= 2 * largest[n_atoms]
+            assert capacity <= hard_cap or capacity == largest[n_atoms]
+            assert len(model._skeletons) <= model.SKELETON_CACHE_SIZE
+
+
+def test_views_handed_out_survive_growth(skeleton_builds):
+    params = ModelParams(0.7, 1.3, 2.5, 5)
+    small = BasisIndexer(9, 5)
+    diagonal, upper = build_even_block(params, small)
+    handed_out = [*parity_block_indices(small), parity_signs(small), diagonal, *upper.values()]
+    copies = [array.copy() for array in handed_out]
+    # far past twice the first skeleton, so it is replaced and its views dropped
+    assert_matches_scratch(params, BasisIndexer(50, 5))
+    assert skeleton_builds[5] == [9, 50]
+    for array, copy in zip(handed_out, copies):
+        assert np.array_equal(array, copy)
+    assert_matches_scratch(params, small)  # now a view of the new skeleton
+    assert skeleton_builds[5] == [9, 50]
+
+
+def test_skeleton_grows_geometrically_under_the_hard_cap(skeleton_builds, monkeypatch):
+    monkeypatch.setattr(model, "HARD_CAP", 100)
+    for n_cutoff in range(1, 101):
+        parity_signs(BasisIndexer(n_cutoff, 3))
+    assert skeleton_builds[3] == [1, 2, 4, 8, 16, 32, 64, 100]
+    # a single request above the cap is built at its own size, no larger
+    parity_signs(BasisIndexer(130, 3))
+    assert skeleton_builds[3][-1] == 130
+
+
+def test_skeleton_cache_keeps_the_recent_atom_numbers(skeleton_builds, monkeypatch):
+    monkeypatch.setattr(model, "SKELETON_CACHE_SIZE", 3)
+    for n_atoms in (1, 2, 3, 1, 4):
+        parity_signs(BasisIndexer(10, n_atoms))
+    assert list(model._skeletons) == [3, 1, 4]
+    parity_signs(BasisIndexer(10, 1))
+    assert skeleton_builds[1] == [10]  # still cached: 2 was the least recently used
+
+
+def test_superradiant_sweep_builds_few_skeletons(skeleton_builds, tmp_path):
+    # initial_cutoff moves with lam^2 N, so nearly every point asks for a new
+    # cutoff pair; a skeleton per basis took 34 builds on this grid
+    argv = ["sweep", "--n-atoms", "20", "--lambda-steps", "21", "--out", str(tmp_path / "s.csv")]
+    assert cli.main(argv) == 0
+    assert len(skeleton_builds[20]) <= 4
+    assert cli.main(argv) == 0
+    assert len(skeleton_builds[20]) <= 4
