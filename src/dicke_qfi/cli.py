@@ -4,7 +4,8 @@ curves, critical-scaling probe, and cutoff-convergence reports.
 Output is deterministic: floats are serialized in shortest round-trip
 decimal form, columns and row order are fixed, and identical configs
 produce byte-identical files.  Exit codes: 0 success, 2 invalid argument,
-3 I/O error, 4 convergence failure or low-confidence fit.
+3 I/O error, 4 a failed (N, lambda) point or a low-confidence fit.
+``map_points`` solves the points of ``sweep``, ``husimi`` and ``convergence``.
 
 ``SweepConfig`` is the single declaration of the settings: each of its
 fields gives a setting's name, default, text parser and help, and the flags,
@@ -19,6 +20,8 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,6 +74,13 @@ FORMATS = ("csv", "json")
 #: thermo run's rows some hundreds of MB, and no curve needs a finer one
 MAX_LAMBDA_STEPS = 10**6
 
+#: most points per Husimi grid axis, about 10x the defaults: the atom grid is
+#: built whole, (P, P, N + 1) complex values, 1.3 GiB at P = 2001 and N = 20
+MAX_GRID_POINTS = 2001
+
+#: most worker processes, each an interpreter with its own solver memory
+MAX_WORKERS = 64
+
 
 def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.replace(",", " ").split())
@@ -108,11 +118,11 @@ class SweepConfig:
         None, int, "fixed Fock cutoff, converged per point if unset; in convergence, "
                    "the first cutoff of the doubling")
     grid_points: int | None = _setting(
-        None, int, f"points per Husimi grid axis (>= 11), {ATOM_GRID_POINTS} "
+        None, int, f"points per Husimi grid axis, 11 to {MAX_GRID_POINTS}, {ATOM_GRID_POINTS} "
                    f"(atoms) and {FIELD_GRID_POINTS} (field) if unset")
     out: str = _setting("-", str, "output path, '-' for stdout")
     format: str = _setting("csv", str, "output format", choices=FORMATS)
-    workers: int = _setting(1, int, "worker processes for sweep points")
+    workers: int = _setting(1, int, f"worker processes for the points, at most {MAX_WORKERS}")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_atoms", tuple(self.n_atoms))  # argparse appends to a list
@@ -134,12 +144,12 @@ class SweepConfig:
         # read through the module, so that a patched solver.HARD_CAP governs it too
         if self.fock_cutoff is not None and not 1 <= self.fock_cutoff <= solver.HARD_CAP:
             raise ValueError(f"fock-cutoff must be between 1 and {solver.HARD_CAP}")
-        if self.grid_points is not None and self.grid_points < 11:
-            raise ValueError("husimi grids need at least 11 points per axis")
+        if self.grid_points is not None and not 11 <= self.grid_points <= MAX_GRID_POINTS:
+            raise ValueError(f"husimi grids need 11 to {MAX_GRID_POINTS} points per axis")
         if self.format not in FORMATS:
             raise ValueError("format must be csv or json")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ValueError(f"workers must be between 1 and {MAX_WORKERS}")
 
     def lambda_grid(self) -> np.ndarray:
         if self.lambda_steps == 1:
@@ -161,8 +171,7 @@ class SweepConfig:
 _SETTINGS = {f.name: f for f in fields(SweepConfig) if f.name != "mode"}
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     """One row of a finite-N sweep; field order matches SWEEP_COLUMNS."""
 
     lam: float
@@ -179,39 +188,47 @@ class SweepRecord:
     parity_expect: float
     discarded_mass_a: float
     discarded_mass_b: float
-    converged: bool = field(default=True, compare=False)
-
-    def row(self) -> tuple:
-        return (
-            self.lam, self.n_atoms, self.n_cutoff, self.ground_energy, self.nbar,
-            self.f_b, self.f_b_scaled, self.f_a, self.f_a_scaled, self.xi2,
-            self.quad_var_scaled, self.parity_expect,
-            self.discarded_mass_a, self.discarded_mass_b,
-        )
 
 
-def compute_sweep_record(
-    omega: float,
-    omega0: float,
-    lam: float,
-    n_atoms: int,
-    tol: float,
-    fock_cutoff: int | None = None,
-) -> SweepRecord:
-    """Solve one (N, lambda) point and evaluate every sweep observable."""
-    params = ModelParams(omega, omega0, lam, n_atoms)
+def map_points(config: SweepConfig, point, failure) -> tuple[list, list[list]]:
+    """``point(params, config)`` at every (N, lambda) point, in output order, and the failed points.
+
+    A point that raises SolverError or MemoryError gives ``failure(params, exc)``
+    instead and is listed as [lambda, N].  Workers get at most one point each;
+    a result depends on its point alone, so not on the worker count.
+    """
+    points = config.points()
+    workers = min(config.workers, len(points))
+    tasks = (repeat(point), repeat(failure), points, repeat(config))
+    if workers == 1:
+        outcomes = list(map(_attempt, *tasks))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(_attempt, *tasks))
+    failed = [[p.lam, p.n_atoms] for p, (_, solved) in zip(points, outcomes) if not solved]
+    return [result for result, _ in outcomes], failed
+
+
+def _attempt(point, failure, params: ModelParams, config: SweepConfig) -> tuple[object, bool]:
+    """One point's result, or its failure's, and whether it was solved."""
     try:
-        gs = solve(params, tol, fock_cutoff)
-    except SolverError as exc:  # ConvergenceError included; n_cutoff is the last one tried
-        return SweepRecord(lam, n_atoms, exc.n_cutoff, *[math.nan] * 11, converged=False)
+        return point(params, config), True
+    except SolverError as exc:  # ConvergenceError included
+        return failure(params, exc), False
+    except MemoryError as exc:  # the solver maps its own; this covers the observables
+        return failure(params, SolverError(f"out of memory: {exc}")), False
 
+
+def compute_sweep_record(params: ModelParams, config: SweepConfig) -> SweepRecord:
+    """Solve one (N, lambda) point and evaluate every sweep observable."""
+    gs = solve(params, config.tol, config.fock_cutoff)
     field, atoms = schmidt_decompose(gs)
     fb = qfi_field(field)
     fa = qfi_atoms(atoms)
     parity = float(np.sum(parity_signs(gs.indexer) * np.abs(gs.vector) ** 2))
     return SweepRecord(
-        lam=lam,
-        n_atoms=n_atoms,
+        lam=params.lam,
+        n_atoms=params.n_atoms,
         n_cutoff=gs.n_cutoff,
         ground_energy=gs.energy,
         nbar=mean_number(field),
@@ -219,7 +236,7 @@ def compute_sweep_record(
         f_b_scaled=fb.scaled,
         f_a=fa.value,
         f_a_scaled=fa.scaled,
-        xi2=4.0 * spin_variance(atoms, math.pi / 2) / n_atoms,
+        xi2=4.0 * spin_variance(atoms, math.pi / 2) / params.n_atoms,
         quad_var_scaled=4.0 * quadrature_variance(field, math.pi / 2),
         parity_expect=parity,
         discarded_mass_a=atoms.discarded_mass,
@@ -227,21 +244,74 @@ def compute_sweep_record(
     )
 
 
-def _sweep_task(task: tuple) -> SweepRecord:
-    return compute_sweep_record(*task)
+def _failed_sweep_record(params: ModelParams, exc: SolverError) -> SweepRecord:
+    """A failed point's NaN row; its n_cutoff is the last cutoff tried."""
+    return SweepRecord(params.lam, params.n_atoms, exc.n_cutoff, *[math.nan] * 11)
 
 
-def run_sweep(config: SweepConfig) -> tuple[list[SweepRecord], int]:
-    """All (N, lambda) records in deterministic order plus the exit code."""
-    tasks = [(p.omega, p.omega0, p.lam, p.n_atoms, config.tol, config.fock_cutoff)
-             for p in config.points()]
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            records = list(pool.map(_sweep_task, tasks))
-    else:
-        records = [_sweep_task(t) for t in tasks]
-    failures = [r for r in records if not r.converged]
-    return records, (4 if failures else 0)
+def run_sweep(config: SweepConfig) -> tuple[list[SweepRecord], list[list]]:
+    """Every (N, lambda) record in output order, NaN where a point failed, and the failed points."""
+    return map_points(config, compute_sweep_record, _failed_sweep_record)
+
+
+def compute_husimi_grid(params: ModelParams, config: SweepConfig) -> dict:
+    """Husimi grids of both subsystems at one point, as float64 arrays (4x smaller than lists)."""
+    points = config.grid_points
+    gs = solve(params, config.tol, config.fock_cutoff)
+    field, atoms = schmidt_decompose(gs)
+    theta, phi = default_atom_grid(ATOM_GRID_POINTS if points is None else points)
+    q_a = husimi_atoms(atoms, theta, phi)
+    q_a_max = float(q_a.max())
+    re_axis, im_axis, alpha = default_field_grid(
+        mean_number(field), FIELD_GRID_POINTS if points is None else points)
+    q_b = husimi_field(field, alpha)
+    return {
+        "lambda": params.lam,
+        "n_atoms": params.n_atoms,
+        "atoms": {
+            "theta": theta,
+            "phi": phi,
+            "q": q_a,
+            "q_max": q_a_max,
+            "q_normalized": q_a / q_a_max,
+        },
+        "field": {
+            "re_alpha": re_axis,
+            "im_alpha": im_axis,
+            "q": q_b,
+            "q_max": float(q_b.max()),
+        },
+    }
+
+
+def _skipped(params: ModelParams, exc: SolverError) -> None:
+    """A failed Husimi point leaves no grid."""
+
+
+def run_husimi(config: SweepConfig) -> tuple[list[dict], list[list]]:
+    """The grids of every (N, lambda) point but the failed ones, and the failed points."""
+    grids, failed = map_points(config, compute_husimi_grid, _skipped)
+    return [grid for grid in grids if grid is not None], failed
+
+
+def compute_trajectory(params: ModelParams, config: SweepConfig) -> list[tuple]:
+    """The cutoff-doubling rows of one point; ``fock_cutoff``, when given, is its first cutoff."""
+    _, gs = converge_cutoff(params, config.tol, n_start=config.fock_cutoff)
+    return _trajectory_rows(params, gs.convergence)
+
+
+def _trajectory_rows(params: ModelParams, solved) -> list[tuple]:
+    """Rows of ``solved.steps``: a converged point's ConvergenceInfo, or a failed
+    point's SolverError, whose steps end before the failing solve.
+    """
+    return [(params.lam, params.n_atoms, i, step.n_cutoff, step.energy, step.tail_population)
+            for i, step in enumerate(solved.steps)]
+
+
+def run_convergence(config: SweepConfig) -> tuple[list[tuple], list[list]]:
+    """Every point's cutoff-doubling rows in output order, and the failed points."""
+    trajectories, failed = map_points(config, compute_trajectory, _trajectory_rows)
+    return [row for rows in trajectories for row in rows], failed
 
 
 def run_thermo(config: SweepConfig) -> list[tuple]:
@@ -259,50 +329,6 @@ def run_thermo(config: SweepConfig) -> list[tuple]:
     return rows
 
 
-def run_husimi(config: SweepConfig) -> tuple[list[dict], list[list]]:
-    """Husimi grids of both subsystems for each (N, lambda), and the failed points.
-
-    Axes and grids are float64 arrays; a Python float list costs about four
-    times the memory.  A point whose solve fails is skipped and listed as
-    [lambda, N].
-    """
-    points = config.grid_points
-    atoms_points = points if points is not None else ATOM_GRID_POINTS
-    field_points = points if points is not None else FIELD_GRID_POINTS
-    grids = []
-    failed = []
-    for params in config.points():
-        try:
-            gs = solve(params, config.tol, config.fock_cutoff)
-        except SolverError:  # ConvergenceError included
-            failed.append([params.lam, params.n_atoms])
-            continue
-        field, atoms = schmidt_decompose(gs)
-        theta, phi = default_atom_grid(atoms_points)
-        q_a = husimi_atoms(atoms, theta, phi)
-        q_a_max = float(q_a.max())
-        re_axis, im_axis, alpha = default_field_grid(mean_number(field), field_points)
-        q_b = husimi_field(field, alpha)
-        grids.append({
-            "lambda": params.lam,
-            "n_atoms": params.n_atoms,
-            "atoms": {
-                "theta": theta,
-                "phi": phi,
-                "q": q_a,
-                "q_max": q_a_max,
-                "q_normalized": q_a / q_a_max,
-            },
-            "field": {
-                "re_alpha": re_axis,
-                "im_alpha": im_axis,
-                "q": q_b,
-                "q_max": float(q_b.max()),
-            },
-        })
-    return grids, failed
-
-
 def run_scaling(config: SweepConfig) -> tuple[list, int]:
     """Fit critical exponents on both sides of lambda_cr."""
     probes = [
@@ -311,26 +337,6 @@ def run_scaling(config: SweepConfig) -> tuple[list, int]:
     ]
     code = 4 if any(p.low_confidence for p in probes) else 0
     return probes, code
-
-
-def run_convergence(config: SweepConfig) -> tuple[list[tuple], int]:
-    """Cutoff-doubling trajectories for every (N, lambda); partial rows on failure.
-
-    ``fock_cutoff``, when given, is the first cutoff of each trajectory.
-    """
-    rows: list[tuple] = []
-    code = 0
-    for params in config.points():
-        try:
-            _, gs = converge_cutoff(params, config.tol, n_start=config.fock_cutoff)
-            steps = gs.convergence.steps
-        except SolverError as exc:  # ConvergenceError included
-            steps = exc.steps
-            code = 4
-        for i, step in enumerate(steps):
-            rows.append((params.lam, params.n_atoms, i, step.n_cutoff, step.energy,
-                         step.tail_population))
-    return rows, code
 
 
 # ---------------------------------------------------------------------------
@@ -394,11 +400,12 @@ def write_husimi(stream, grids: list[dict], meta: dict, fmt: str) -> None:
             sub = grid[subsystem]
             q_max = sub["q_max"]
             maxima[f"q_max_{subsystem}_N{n}_lambda{format_value(lam)}"] = q_max
-            ys = sub[y_axis].tolist()
+            # leading cells once per row and y once per axis: a cell costs two reprs
+            head = f"{format_value(lam)},{format_value(n)},{subsystem},"
+            ys = [format_value(y) for y in sub[y_axis].tolist()]
             for x, q_row in zip(sub[x_axis].tolist(), sub["q"].tolist()):
-                for y, q in zip(ys, q_row):
-                    stream.write(",".join(format_value(v) for v in
-                                          (lam, n, subsystem, x, y, q, q / q_max)) + "\n")
+                row = f"{head}{format_value(x)},"
+                stream.writelines(f"{row}{y},{q!r},{q / q_max!r}\n" for y, q in zip(ys, q_row))
     stream.write(_meta_footer({**meta, **maxima}) + "\n")
 
 
@@ -477,21 +484,9 @@ def _dispatch(config: SweepConfig) -> int:
     stream, close = _open_output(config.out)
     meta, fmt = config.meta(), config.format
     try:
-        if config.mode == "sweep":
-            records, code = run_sweep(config)
-            if code:
-                meta["failed_points"] = [[r.lam, r.n_atoms] for r in records if not r.converged]
-            write_table(stream, SWEEP_COLUMNS, [r.row() for r in records], meta, fmt)
-            return code
         if config.mode == "thermo":
             write_table(stream, THERMO_COLUMNS, run_thermo(config), meta, fmt)
             return 0
-        if config.mode == "husimi":
-            grids, failed = run_husimi(config)
-            if failed:
-                meta["failed_points"] = failed
-            write_husimi(stream, grids, meta, fmt)
-            return 4 if failed else 0
         if config.mode == "scaling":
             probes, code = run_scaling(config)
             columns = ("side", "eps1_exponent", "dfa_exponent", "dfb_exponent",
@@ -503,11 +498,18 @@ def _dispatch(config: SweepConfig) -> int:
             ]
             write_table(stream, columns, rows, meta, fmt)
             return code
-        if config.mode == "convergence":
-            rows, code = run_convergence(config)
-            write_table(stream, CONVERGENCE_COLUMNS, rows, meta, fmt)
-            return code
-        raise ValueError(f"unknown mode {config.mode}")
+        run = {"sweep": run_sweep, "husimi": run_husimi, "convergence": run_convergence}
+        if config.mode not in run:
+            raise ValueError(f"unknown mode {config.mode}")
+        results, failed = run[config.mode](config)
+        if failed:
+            meta["failed_points"] = failed
+        if config.mode == "husimi":
+            write_husimi(stream, results, meta, fmt)
+        else:
+            columns = SWEEP_COLUMNS if config.mode == "sweep" else CONVERGENCE_COLUMNS
+            write_table(stream, columns, results, meta, fmt)
+        return 4 if failed else 0
     finally:
         if close:
             stream.close()
@@ -524,9 +526,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"dicke-qfi: i/o error: {exc}", file=sys.stderr)
         return 3
-    except SolverError as exc:  # ConvergenceError included
-        print(f"dicke-qfi: {exc}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

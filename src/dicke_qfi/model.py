@@ -25,14 +25,14 @@ exceeds twice the largest request, nor the hard cap unless a request does.
 Its arrays are read-only, indices int32 and n and m+j small unsigned
 integers, so it costs about 30 bytes per even position: 6.5 MiB at N = 400
 and n_cutoff = 1140, half of it the float64 couplings.
-SKELETON_CACHE_SIZE atom numbers stay cached, and each process of a
-``--workers`` pool has its own cache.
+Only the skeleton of the last atom number asked for stays cached: the CLI
+walks N outer and lambda inner, so each process, a ``--workers`` pool's
+included, asks for one N's cutoffs together.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -44,9 +44,6 @@ EvenBlock = tuple[np.ndarray, dict[int, np.ndarray]]
 #: largest Fock cutoff the solver attempts, its starting one included; a
 #: skeleton grows to at most this unless a single request is larger
 HARD_CAP = 2**14
-
-#: atom numbers whose skeleton stays cached
-SKELETON_CACHE_SIZE = 3
 
 
 @dataclass(frozen=True)
@@ -151,31 +148,28 @@ class _Skeleton(NamedTuple):
     units: tuple[tuple[int, np.ndarray], ...]
 
 
-#: per cached atom number, least recently used first: the cutoff its skeleton
-#: was built at, the skeleton, and its prefix views handed out so far, by cutoff
-_skeletons: OrderedDict[int, tuple[int, _Skeleton, dict[int, _Skeleton]]] = OrderedDict()
+#: the last atom number asked for, alone: the cutoff its skeleton was built
+#: at, the skeleton, and its prefix views handed out so far, by cutoff
+_skeletons: dict[int, tuple[int, _Skeleton, dict[int, _Skeleton]]] = {}
 
 
 def _skeleton(indexer: BasisIndexer) -> _Skeleton:
     """The skeleton of ``indexer``'s basis: a prefix view of its atom number's skeleton.
 
-    A cutoff above the cached skeleton's replaces it with one built at
-    max(n_cutoff, min(2 * capacity, HARD_CAP)), and drops the views of the
-    old one, so that it is freed once no caller holds them.
+    Another atom number, or a cutoff above the cached skeleton's, replaces
+    it; a larger cutoff of the same N builds at max(n_cutoff,
+    min(2 * capacity, HARD_CAP)).  The views of the old skeleton are dropped
+    with it, so that it is freed once no caller holds them.
     """
     n_atoms, n_cutoff = indexer.n_atoms, indexer.n_cutoff
     entry = _skeletons.get(n_atoms)
     if entry is None or entry[0] < n_cutoff:
         capacity = n_cutoff if entry is None else max(n_cutoff, min(2 * entry[0], HARD_CAP))
-        # the old skeleton goes first, so that the cache never holds both
+        # the old skeleton goes first, so that the cache never holds two
         del entry
-        _skeletons.pop(n_atoms, None)
+        _skeletons.clear()
         entry = _skeletons[n_atoms] = (
             capacity, _build_skeleton(BasisIndexer(capacity, n_atoms)), {})
-        if len(_skeletons) > SKELETON_CACHE_SIZE:
-            _skeletons.popitem(last=False)
-    else:
-        _skeletons.move_to_end(n_atoms)
     _, base, views = entry
     view = views.get(n_cutoff)
     if view is None:

@@ -128,31 +128,35 @@ def ground_state(
     mean-field state.  At lam = 0 the block is diagonal and the exact unit
     vector |0>|j,-j> is returned.  The block eigenvector is embedded back
     into the product basis as a real vector, sign-fixed so the
-    largest-magnitude amplitude is positive.
+    largest-magnitude amplitude is positive.  A MemoryError while the cutoff
+    is built or solved is raised as SolverError with this cutoff.
     """
     if n_cutoff < 1:
         raise ValueError("n_cutoff must be >= 1")
     if previous is not None and (previous.params != params or previous.n_cutoff > n_cutoff):
         raise ValueError("previous must be a ground state of the same model at a lower cutoff")
     indexer = BasisIndexer(n_cutoff, params.n_atoms)
-    even, _ = parity_block_indices(indexer)
-    start = _start_vector(params, indexer, even, previous)
-    if params.lam == 0:
-        # the diagonal omega n + omega0 m is lowest at n = 0, m = -j: even index 0
-        energy = lower_bound = -params.omega0 * params.j
-        residual = 0.0
-        amplitudes = np.zeros(even.size)
-        amplitudes[0] = 1.0
-    elif params.n_atoms <= BANDED_MAX_ATOMS:
-        energy, amplitudes, residual, lower_bound = _banded_lowest(
-            build_even_block(params, indexer), start, params, previous, n_cutoff
-        )
-    else:
-        energy, amplitudes, residual = _lanczos_lowest(
-            build_even_block(params, indexer), start, n_cutoff
-        )
-        lower_bound = None
-    vector = np.zeros(indexer.dimension)
+    try:
+        even, _ = parity_block_indices(indexer)
+        start = _start_vector(params, indexer, even, previous)
+        if params.lam == 0:
+            # the diagonal omega n + omega0 m is lowest at n = 0, m = -j: even index 0
+            energy = lower_bound = -params.omega0 * params.j
+            residual = 0.0
+            amplitudes = np.zeros(even.size)
+            amplitudes[0] = 1.0
+        elif params.n_atoms <= BANDED_MAX_ATOMS:
+            energy, amplitudes, residual, lower_bound = _banded_lowest(
+                build_even_block(params, indexer), start, params, previous, n_cutoff
+            )
+        else:
+            energy, amplitudes, residual = _lanczos_lowest(
+                build_even_block(params, indexer), start, n_cutoff
+            )
+            lower_bound = None
+        vector = np.zeros(indexer.dimension)
+    except MemoryError as exc:
+        raise SolverError(f"out of memory at n_cutoff={n_cutoff}: {exc}", n_cutoff) from exc
     vector[even] = amplitudes
     vector /= np.linalg.norm(vector)
     if vector[np.argmax(np.abs(vector))] < 0:

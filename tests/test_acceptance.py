@@ -65,9 +65,9 @@ def finite_sweep():
         tol=1e-10,
     )
     start = time.perf_counter()
-    records, code = run_sweep(config)
+    records, failed = run_sweep(config)
     elapsed = time.perf_counter() - start
-    assert code == 0
+    assert failed == []
     by_n = {
         n: [r for r in records if r.n_atoms == n] for n in config.n_atoms
     }

@@ -12,9 +12,12 @@ import scipy.sparse.linalg
 from qfi_reference import build_spin_ops
 
 import dicke_qfi.cli
+import dicke_qfi.model
 import dicke_qfi.solver
 from dicke_qfi.cli import (
     HUSIMI_COLUMNS,
+    MAX_GRID_POINTS,
+    MAX_WORKERS,
     SWEEP_COLUMNS,
     SweepConfig,
     compute_sweep_record,
@@ -30,6 +33,11 @@ SMALL_SWEEP = [
     "--n-atoms", "2", "--lambda-min", "0", "--lambda-max", "0.4",
     "--lambda-steps", "5", "--tol", "1e-8",
 ]
+
+
+def sweep_config(**settings):
+    """A sweep configuration at tol 1e-10, as compute_sweep_record takes it."""
+    return SweepConfig(mode="sweep", tol=1e-10, **settings)
 
 
 def read_csv_rows(path):
@@ -108,6 +116,44 @@ def test_sweep_workers_match_serial_warm_lanczos(tmp_path):
     assert main([*args, "--out", str(serial)]) == 0
     assert main([*args, "--workers", "2", "--out", str(parallel)]) == 0
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+@pytest.mark.parametrize("mode,fmt", [("husimi", "csv"), ("husimi", "json"),
+                                      ("convergence", "csv")])
+def test_point_modes_workers_match_serial(mode, fmt, tmp_path):
+    # husimi and convergence hand their points to the same pool as sweep
+    serial, parallel = tmp_path / f"serial.{fmt}", tmp_path / f"par.{fmt}"
+    args = [mode, "--n-atoms", "1", "--n-atoms", "2", "--lambda-min", "0", "--lambda-max", "1",
+            "--lambda-steps", "3", "--grid-points", "11", "--format", fmt]
+    assert main([*args, "--out", str(serial)]) == 0
+    assert main([*args, "--workers", "2", "--out", str(parallel)]) == 0
+    assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_pool_has_at_most_one_process_per_point(tmp_path, monkeypatch):
+    # a pool starts all of its processes at its first task, so it is sized to
+    # the points, and one point is solved in the calling process
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(dicke_qfi.cli, "ProcessPoolExecutor", SerialPool)
+    for mode in ("sweep", "husimi", "convergence"):
+        for steps in ("1", "3"):
+            assert main([mode, "--n-atoms", "2", "--lambda-steps", steps, "--grid-points", "11",
+                         "--workers", str(MAX_WORKERS), "--out", str(tmp_path / "out")]) == 0
+    assert sizes == [3, 3, 3]
 
 
 def test_sweep_flags_unconverged_point(tmp_path, monkeypatch):
@@ -329,8 +375,9 @@ def test_convergence_hard_cap_partial_output(tmp_path, monkeypatch):
     code = main(["convergence", "--n-atoms", "6", "--lambda-min", "2.0",
                  "--lambda-max", "2.0", "--lambda-steps", "1", "--out", str(out)])
     assert code == 4
-    _, rows, _ = read_csv_rows(out)
+    _, rows, footer = read_csv_rows(out)
     assert rows  # partial trajectory still written
+    assert "failed_points=[[2.0, 6]]" in footer[0]
 
 
 def test_invalid_grid_exit_code():
@@ -346,6 +393,10 @@ def test_invalid_grid_exit_code():
     ("husimi", "--fock-cutoff", str(dicke_qfi.solver.HARD_CAP + 1)),
     ("convergence", "--fock-cutoff", str(dicke_qfi.solver.HARD_CAP + 1)),
     ("husimi", "--grid-points", "5"),
+    # a grid this fine would not fit in memory
+    ("husimi", "--grid-points", "1000000000000"),
+    ("husimi", "--grid-points", str(MAX_GRID_POINTS + 1)),
+    *((mode, "--workers", str(MAX_WORKERS + 1)) for mode in ("sweep", "husimi", "convergence")),
     ("sweep", "--omega", "-1"),
     ("husimi", "--omega0", "0"),
     ("convergence", "--lambda-min", "-0.5"),
@@ -355,8 +406,10 @@ def test_invalid_grid_exit_code():
     *((mode, "--lambda-steps", "1000000000000")
       for mode in ("sweep", "husimi", "thermo", "scaling", "convergence")),
 ])
-def test_invalid_argument_keeps_output_file(mode, flag, value, tmp_path, capsys):
-    # rejected while the configuration is resolved, before FILE is opened
+def test_invalid_argument_keeps_output_file(mode, flag, value, tmp_path, capsys, monkeypatch):
+    # rejected while the configuration is resolved, before FILE is opened or
+    # any process is started
+    monkeypatch.setattr(dicke_qfi.cli, "ProcessPoolExecutor", None)
     out = tmp_path / "out.txt"
     out.write_bytes(b"earlier output\n")
     assert main([mode, "--n-atoms", "2", "--lambda-steps", "1", flag, value,
@@ -423,8 +476,9 @@ def test_solver_failure_mid_doubling(tmp_path, fail_solves_above):
     # the convergence report keeps both trajectories up to the failing solve
     out = tmp_path / "c.csv"
     assert main(["convergence", *args, "--out", str(out)]) == 4
-    _, rows, _ = read_csv_rows(out)
+    _, rows, footer = read_csv_rows(out)
     assert [row[:4] for row in rows] == [["0.0", "2", "0", "20"], ["1.0", "2", "0", str(start)]]
+    assert "failed_points=[[1.0, 2]]" in footer[0]
 
 
 def test_husimi_skips_failed_point(tmp_path, fail_solves_above):
@@ -444,17 +498,49 @@ def test_husimi_skips_failed_point(tmp_path, fail_solves_above):
     assert "failed_points=[[1.0, 2]]" in footer[0]
 
 
+def test_allocation_failure_is_a_failed_point(tmp_path, monkeypatch):
+    # a basis too large for memory fails its point, as a solver failure does
+    def out_of_memory(indexer):
+        raise MemoryError(f"no room for the basis of N = {indexer.n_atoms}")
+
+    monkeypatch.setattr(dicke_qfi.model, "_skeletons", {})
+    monkeypatch.setattr(dicke_qfi.model, "_build_skeleton", out_of_memory)
+    out = tmp_path / "m.csv"
+    assert main(["sweep", "--n-atoms", "3", "--lambda-steps", "1", "--out", str(out)]) == 4
+    header, rows, footer = read_csv_rows(out)
+    assert rows[0][:3] == ["0.0", "3", "20"]
+    assert all(math.isnan(float(v)) for v in rows[0][3:])
+    assert "failed_points=[[0.0, 3]]" in footer[0]
+
+
+def test_husimi_kernel_allocation_failure_skips_point(tmp_path, monkeypatch):
+    real = dicke_qfi.cli.husimi_atoms
+
+    def out_of_memory_at_n3(atoms, theta, phi):
+        if atoms.dim == 4:
+            raise MemoryError("no room for the N = 3 amplitudes")
+        return real(atoms, theta, phi)
+
+    monkeypatch.setattr(dicke_qfi.cli, "husimi_atoms", out_of_memory_at_n3)
+    out = tmp_path / "h.json"
+    assert main(["husimi", "--n-atoms", "2", "--n-atoms", "3", "--lambda-steps", "1",
+                 "--grid-points", "11", "--format", "json", "--out", str(out)]) == 4
+    payload = json.loads(out.read_text())
+    assert [(g["lambda"], g["n_atoms"]) for g in payload["grids"]] == [(0.0, 2)]
+    assert payload["meta"]["failed_points"] == [[0.0, 3]]
+
+
 def test_field_side_builds_no_dense_operator(tmp_path):
     # one dense float64 field operator at cutoff 600 takes 2.9 MB; the point's
     # traced peak stays below a quarter of that, so no field observable builds one
     tracemalloc.start()
     try:
-        record = compute_sweep_record(1.0, 1.0, 0.5, 2, 1e-10, 600)
+        record = compute_sweep_record(ModelParams(1.0, 1.0, 0.5, 2), sweep_config(fock_cutoff=600))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert record.converged and record.n_cutoff == 600
-    assert all(math.isfinite(v) for v in record.row())
+    assert record.n_cutoff == 600
+    assert all(math.isfinite(v) for v in record)
     assert peak < 8 * 601**2 / 4
     out = tmp_path / "h.json"
     assert main(["husimi", "--n-atoms", "2", "--lambda-min", "0.5", "--lambda-steps", "1",
@@ -470,9 +556,8 @@ def test_sweep_point_builds_no_dense_spin_operator():
             assert not hasattr(module, "build_spin_ops"), name
             assert not any(value is build_spin_ops for value in vars(module).values()), name
     for n_atoms, lam in ((1, 0.5), (6, 1.5), (20, 1.0)):
-        record = compute_sweep_record(1.0, 1.0, lam, n_atoms, 1e-10, None)
-        assert record.converged
-        assert all(math.isfinite(v) for v in record.row())
+        record = compute_sweep_record(ModelParams(1.0, 1.0, lam, n_atoms), sweep_config())
+        assert all(math.isfinite(v) for v in record)
 
 
 @pytest.mark.parametrize("n_atoms,lam", [(2, 3.0), (6, 1.5), (20, 2.0)])
@@ -481,11 +566,11 @@ def test_sweep_point_allocates_no_dense_block(n_atoms, lam):
     # final even block (dim 188, 375 and 3413 here), which a dense eigensolve needs
     tracemalloc.start()
     try:
-        record = compute_sweep_record(1.0, 1.0, lam, n_atoms, 1e-10, None)
+        record = compute_sweep_record(ModelParams(1.0, 1.0, lam, n_atoms), sweep_config())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert record.converged
+    assert math.isfinite(record.ground_energy)
     dim = parity_block_indices(BasisIndexer(record.n_cutoff, n_atoms))[0].size
     assert peak < 8 * dim**2 / 2
 
@@ -569,8 +654,8 @@ def test_format_value_round_trip():
 
 
 def test_compute_sweep_record_consistency():
-    record = compute_sweep_record(1.0, 1.0, 0.54, 6, 1e-10)
-    assert record.converged
+    record = compute_sweep_record(ModelParams(1.0, 1.0, 0.54, 6), sweep_config())
+    assert all(math.isfinite(v) for v in record)
     assert record.f_a > 0 and record.f_b > 0
     assert abs(record.parity_expect - 1.0) < 1e-8
     assert record.xi2 < 1.0

@@ -1,5 +1,4 @@
 import math
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -317,7 +316,7 @@ def test_even_block_arrays_are_fresh_and_writable():
 @pytest.fixture
 def skeleton_builds(monkeypatch):
     """An empty skeleton cache, and the cutoff of each skeleton built, in order, by N."""
-    monkeypatch.setattr(model, "_skeletons", OrderedDict())
+    monkeypatch.setattr(model, "_skeletons", {})
     builds: dict[int, list[int]] = {}
     real = model._build_skeleton
 
@@ -347,18 +346,20 @@ def test_prefix_views_match_scratch_in_any_request_order(requests, order, hard_c
     if order != "mixed":
         requests.sort(key=lambda request: request[1], reverse=order == "descending")
     omega, omega0, lam = block_params
-    largest: dict[int, int] = {}
+    largest = 0  # the largest request since the cached skeleton's N was last built
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(model, "_skeletons", OrderedDict())
+        patch.setattr(model, "_skeletons", {})
         patch.setattr(model, "HARD_CAP", hard_cap)
         for n_atoms, n_cutoff in requests:
+            if n_atoms not in model._skeletons:
+                largest = 0
             assert_matches_scratch(ModelParams(omega, omega0, lam, n_atoms),
                                    BasisIndexer(n_cutoff, n_atoms))
-            largest[n_atoms] = max(largest.get(n_atoms, 0), n_cutoff)
+            largest = max(largest, n_cutoff)
+            assert list(model._skeletons) == [n_atoms]  # the last N alone stays cached
             capacity = model._skeletons[n_atoms][0]
-            assert n_cutoff <= capacity <= 2 * largest[n_atoms]
-            assert capacity <= hard_cap or capacity == largest[n_atoms]
-            assert len(model._skeletons) <= model.SKELETON_CACHE_SIZE
+            assert n_cutoff <= capacity <= 2 * largest
+            assert capacity <= hard_cap or capacity == largest
 
 
 def test_views_handed_out_survive_growth(skeleton_builds):
@@ -384,15 +385,6 @@ def test_skeleton_grows_geometrically_under_the_hard_cap(skeleton_builds, monkey
     # a single request above the cap is built at its own size, no larger
     parity_signs(BasisIndexer(130, 3))
     assert skeleton_builds[3][-1] == 130
-
-
-def test_skeleton_cache_keeps_the_recent_atom_numbers(skeleton_builds, monkeypatch):
-    monkeypatch.setattr(model, "SKELETON_CACHE_SIZE", 3)
-    for n_atoms in (1, 2, 3, 1, 4):
-        parity_signs(BasisIndexer(10, n_atoms))
-    assert list(model._skeletons) == [3, 1, 4]
-    parity_signs(BasisIndexer(10, 1))
-    assert skeleton_builds[1] == [10]  # still cached: 2 was the least recently used
 
 
 def test_superradiant_sweep_builds_few_skeletons(skeleton_builds, tmp_path):

@@ -15,8 +15,9 @@ from qfi_reference import (
 )
 from scipy.linalg import lapack
 
+import dicke_qfi.model
 import dicke_qfi.solver
-from dicke_qfi.cli import compute_sweep_record
+from dicke_qfi.cli import SweepConfig, compute_sweep_record
 from dicke_qfi.errors import ConvergenceError, SolverError
 from dicke_qfi.model import BasisIndexer, ModelParams, parity_block_indices, parity_signs
 from dicke_qfi.solver import (
@@ -272,10 +273,12 @@ def test_banded_matches_lanczos_above_threshold(n_atoms, monkeypatch):
 def test_observables_agree_across_solver_threshold(n_cutoff, monkeypatch):
     # the same N = 1 points (even block dimension n_cutoff + 1) by the banded
     # solver and by Lanczos, moving the threshold to switch between them
-    banded = compute_sweep_record(1.0, 1.0, 0.8, 1, 1e-10, n_cutoff)
+    params = ModelParams(1.0, 1.0, 0.8, 1)
+    config = SweepConfig(mode="sweep", tol=1e-10, fock_cutoff=n_cutoff)
+    banded = compute_sweep_record(params, config)
     force_lanczos(monkeypatch, 1)
-    lanczos = compute_sweep_record(1.0, 1.0, 0.8, 1, 1e-10, n_cutoff)
-    assert_allclose(lanczos.row(), banded.row(), rtol=1e-12, atol=1e-14)
+    lanczos = compute_sweep_record(params, config)
+    assert_allclose(lanczos, banded, rtol=1e-12, atol=1e-14)
 
 
 @pytest.mark.parametrize("n_atoms,lam", [
@@ -464,6 +467,27 @@ def test_banded_factorization_failure_raises(monkeypatch):
         ground_state(ModelParams(1.0, 1.0, 0.5, 3), 20)
     assert excinfo.value.n_cutoff == 20
     assert "Cholesky" in str(excinfo.value)
+
+
+def test_out_of_memory_is_a_solver_error_at_its_cutoff(monkeypatch):
+    def out_of_memory(*args):
+        raise MemoryError("no room")
+
+    # while the basis is built
+    monkeypatch.setattr(dicke_qfi.model, "_skeletons", {})
+    monkeypatch.setattr(dicke_qfi.model, "_build_skeleton", out_of_memory)
+    with pytest.raises(SolverError) as excinfo:
+        ground_state(ModelParams(1.0, 1.0, 0.5, 3), 7)
+    assert excinfo.value.n_cutoff == 7
+    monkeypatch.undo()
+    # while the doubled cutoff's block is built, keeping the step before it
+    build = dicke_qfi.solver.build_even_block
+    monkeypatch.setattr(dicke_qfi.solver, "build_even_block", lambda params, indexer: (
+        out_of_memory() if indexer.n_cutoff > 20 else build(params, indexer)))
+    with pytest.raises(SolverError) as excinfo:
+        converge_cutoff(ModelParams(1.0, 1.0, 1.0, 2), 1e-10, n_start=20)
+    assert excinfo.value.n_cutoff == 40
+    assert [step.n_cutoff for step in excinfo.value.steps] == [20]
 
 
 def test_ground_state_rejects_foreign_previous():
