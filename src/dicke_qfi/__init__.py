@@ -10,15 +10,13 @@ their critical scaling at the superradiant transition.
 __version__ = "0.1.0"
 
 from .errors import ConvergenceError, SolverError
-from .model import BasisIndexer, ModelParams, parity_block_indices
+from .model import BasisIndexer, ModelParams, even_sector
 from .solver import GroundState, converge_cutoff, ground_state, solve
 from .states import SpectralDecomposition, schmidt_decompose
 from .metrology import (
     QfiResult,
-    SqueezingResult,
     husimi_atoms,
     husimi_field,
-    optimal_quadrature,
     qfi_atoms,
     qfi_field,
     quadrature_variance,
@@ -46,16 +44,14 @@ __all__ = [
     "QfiResult",
     "SolverError",
     "SpectralDecomposition",
-    "SqueezingResult",
     "ThermoPoint",
     "converge_cutoff",
     "critical_scaling_probe",
+    "even_sector",
     "ground_state",
     "husimi_atoms",
     "husimi_field",
     "nbar_thermo",
-    "optimal_quadrature",
-    "parity_block_indices",
     "qfi_atoms",
     "qfi_atoms_thermo",
     "qfi_field",

@@ -38,9 +38,9 @@ from .metrology import (
     qfi_atoms,
     qfi_field,
     quadrature_variance,
-    spin_variance,
+    spin_squeezing_xi2,
 )
-from .model import ModelParams, parity_signs
+from .model import ModelParams
 from .solver import DEFAULT_TOL, converge_cutoff, solve
 from .states import schmidt_decompose
 from .thermo import (
@@ -81,6 +81,16 @@ MAX_GRID_POINTS = 2001
 #: most worker processes, each an interpreter with its own solver memory
 MAX_WORKERS = 64
 
+#: most atoms per point: each Fock level holds N + 1 basis states, so at 10^6
+#: a point at the smallest first cutoff, 20, already spans 2.1e7 of them
+MAX_ATOMS = 10**6
+
+#: the box that omega, omega0 and lambda-max lie in (lambda-min may be 0): on
+#: it every thermodynamic-limit closed form and every first cutoff is finite
+PARAMETER_MIN = 1e-6
+PARAMETER_MAX = 1e6
+_BOX = f"{PARAMETER_MIN:g} to {PARAMETER_MAX:g}"
+
 
 def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.replace(",", " ").split())
@@ -106,12 +116,13 @@ class SweepConfig:
     """
 
     mode: str
-    omega: float = _setting(1.0, float, "boson frequency")
-    omega0: float = _setting(1.0, float, "atomic level splitting")
-    lambda_min: float = _setting(0.0, float, "first coupling of the grid")
-    lambda_max: float = _setting(1.0, float, "last coupling of the grid")
+    omega: float = _setting(1.0, float, f"boson frequency, {_BOX}")
+    omega0: float = _setting(1.0, float, f"atomic level splitting, {_BOX}")
+    lambda_min: float = _setting(0.0, float, "first coupling of the grid, at least 0")
+    lambda_max: float = _setting(1.0, float, f"last coupling of the grid, up to {PARAMETER_MAX:g}")
     lambda_steps: int = _setting(101, int, f"couplings in the grid, at most {MAX_LAMBDA_STEPS}")
-    n_atoms: tuple[int, ...] = _setting((2, 6, 10, 20), _int_list, "atom number, repeatable",
+    n_atoms: tuple[int, ...] = _setting((2, 6, 10, 20), _int_list,
+                                        f"atom number, 1 to {MAX_ATOMS}, repeatable",
                                         type=int, action="append")
     tol: float = _setting(DEFAULT_TOL, float, "convergence tolerance")
     fock_cutoff: int | None = _setting(
@@ -129,16 +140,21 @@ class SweepConfig:
         for name in ("omega", "omega0", "lambda_min", "lambda_max", "tol"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name.replace('_', '-')} must be finite")
-        if self.omega <= 0 or self.omega0 <= 0:
-            raise ValueError("omega and omega0 must be positive")
+        if not all(PARAMETER_MIN <= v <= PARAMETER_MAX for v in (self.omega, self.omega0)):
+            raise ValueError(f"omega and omega0 must be between {PARAMETER_MIN:g} "
+                             f"and {PARAMETER_MAX:g}")
         if self.lambda_min < 0:
             raise ValueError("lambda-min must be non-negative")
         if self.lambda_min > self.lambda_max:
             raise ValueError("lambda-min must not exceed lambda-max")
+        if self.lambda_max > PARAMETER_MAX:
+            raise ValueError(f"lambda-max must be at most {PARAMETER_MAX:g}")
         if not 1 <= self.lambda_steps <= MAX_LAMBDA_STEPS:
             raise ValueError(f"lambda-steps must be between 1 and {MAX_LAMBDA_STEPS}")
-        if any(n < 1 for n in self.n_atoms):
-            raise ValueError("every n-atoms value must be >= 1")
+        if not self.n_atoms:
+            raise ValueError("n-atoms needs at least one value")
+        if not all(1 <= n <= MAX_ATOMS for n in self.n_atoms):
+            raise ValueError(f"every n-atoms value must be between 1 and {MAX_ATOMS}")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         # read through the module, so that a patched solver.HARD_CAP governs it too
@@ -225,7 +241,6 @@ def compute_sweep_record(params: ModelParams, config: SweepConfig) -> SweepRecor
     field, atoms = schmidt_decompose(gs)
     fb = qfi_field(field)
     fa = qfi_atoms(atoms)
-    parity = float(np.sum(parity_signs(gs.indexer) * np.abs(gs.vector) ** 2))
     return SweepRecord(
         lam=params.lam,
         n_atoms=params.n_atoms,
@@ -236,9 +251,10 @@ def compute_sweep_record(params: ModelParams, config: SweepConfig) -> SweepRecor
         f_b_scaled=fb.scaled,
         f_a=fa.value,
         f_a_scaled=fa.scaled,
-        xi2=4.0 * spin_variance(atoms, math.pi / 2) / params.n_atoms,
+        xi2=spin_squeezing_xi2(atoms),
         quad_var_scaled=4.0 * quadrature_variance(field, math.pi / 2),
-        parity_expect=parity,
+        # <P>: the state lives in the even sector, so P acts on it as 1
+        parity_expect=float(np.sum(np.abs(gs.vector) ** 2)),
         discarded_mass_a=atoms.discarded_mass,
         discarded_mass_b=field.discarded_mass,
     )

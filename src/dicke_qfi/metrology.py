@@ -50,15 +50,6 @@ class QfiResult:
     correction_term: float
 
 
-@dataclass(frozen=True)
-class SqueezingResult:
-    """Minimized variance over the two candidate angles and the squeezing parameter."""
-
-    variance_min: float
-    optimal_angle: float
-    xi2: float
-
-
 def _check_space(state: SpectralDecomposition, space: str, caller: str) -> None:
     if state.space != space:
         raise ValueError(f"{caller} expects a {space}-space state")
@@ -166,41 +157,15 @@ def quadrature_variance(field: SpectralDecomposition, sigma: float) -> float:
     return _moments(field, _quadrature_times(field.vectors, sigma))[1]
 
 
-def _best_angle(v0: float, v90: float) -> tuple[float, float]:
-    """(angle, variance) of the smaller candidate; ties break to pi/2."""
-    if v0 < v90 - 1e-12 * max(1.0, abs(v90)):
-        return 0.0, v0
-    return math.pi / 2, v90
-
-
-def optimal_quadrature(field: SpectralDecomposition) -> SqueezingResult:
-    """Minimize the quadrature variance over the two candidates sigma = 0, pi/2.
-
-    Ties (isotropic states) break to pi/2 so sweep outputs stay continuous
-    through the decoupled limit.  xi2 reports 4*(dX_{pi/2})^2 regardless of
-    which angle wins.
-    """
-    v90 = quadrature_variance(field, math.pi / 2)
-    angle, vmin = _best_angle(quadrature_variance(field, 0.0), v90)
-    return SqueezingResult(variance_min=vmin, optimal_angle=angle, xi2=4.0 * v90)
-
-
 def spin_variance(atoms: SpectralDecomposition, phi: float) -> float:
     """Variance of J_phi = Jx cos(phi) + Jy sin(phi)."""
     _check_space(atoms, "spin", "spin_variance")
     return _moments(atoms, _spin_times(atoms.vectors, phi))[1]
 
 
-def spin_squeezing_xi2(atoms: SpectralDecomposition) -> SqueezingResult:
-    """Spin squeezing parameter xi^2 = 4*(dJy)^2 / N with the optimal angle.
-
-    The candidate squeezing angles are phi = 0 and pi/2 (the variance is
-    harmonic in 2*phi); ties break to pi/2.
-    """
-    v90 = spin_variance(atoms, math.pi / 2)
-    angle, vmin = _best_angle(spin_variance(atoms, 0.0), v90)
-    return SqueezingResult(variance_min=vmin, optimal_angle=angle,
-                           xi2=4.0 * v90 / (atoms.dim - 1))
+def spin_squeezing_xi2(atoms: SpectralDecomposition) -> float:
+    """Spin squeezing parameter xi^2 = 4*(dJy)^2 / N, with Jy = J_{pi/2}."""
+    return 4.0 * spin_variance(atoms, math.pi / 2) / (atoms.dim - 1)
 
 
 def coherent_amplitudes(alpha: np.ndarray, dim: int) -> np.ndarray:

@@ -5,26 +5,27 @@ The Hamiltonian is
     H = omega * b'b  +  omega0 * Jz  +  (lam / sqrt(N)) * (b' + b)(J+ + J-)
 
 acting on |n>|j,m> with Fock number n <= n_cutoff and collective spin
-j = N/2.  It commutes with the parity exp[i*pi*(b'b + Jz + j)], and the
-ground state lies in the even sector.  ``build_even_block`` gives that
-block as its main diagonal and at most three nonzero upper diagonals,
-never as a dense array.  The basis is boson-major,
-idx(n, m) = n*(N+1) + (m+j), so a partial trace over either subsystem is
-a contiguous block operation.
+j = N/2.  It commutes with the parity P = exp[i*pi*(b'b + Jz + j)], and the
+ground state lies in the even sector, so its <P> is its squared norm.
+``build_even_block`` gives that block as its main diagonal and at most
+three nonzero upper diagonals, never as a dense array.  The basis is
+boson-major, idx(n, m) = n*(N+1) + (m+j), so a partial trace over either
+subsystem is a contiguous block operation.
 
 Everything that does not depend on omega, omega0 or lam is built once
-per atom number N: the even and odd index sets, the parity signs, n and m
-at each even position, and the couplings at g = 1 for each offset.  The
-basis at cutoff c is the first (c+1)(N+1) indices of any larger one, so
-one skeleton, built at the largest cutoff asked for so far, serves every
-smaller cutoff of that N as prefix views; ``build_even_block``,
-``parity_signs`` and ``parity_block_indices`` all read it.  A request above
-it rebuilds it at max(c, min(2 * capacity, HARD_CAP)), so it grows
-geometrically, a doubling sweep builds it a handful of times, and it never
-exceeds twice the largest request, nor the hard cap unless a request does.
-Its arrays are read-only, indices int32 and n and m+j small unsigned
-integers, so it costs about 30 bytes per even position: 6.5 MiB at N = 400
-and n_cutoff = 1140, half of it the float64 couplings.
+per atom number N: the even index set, n and m+j at each even position,
+and the couplings at g = 1 for each offset.  The odd sector is never
+built: the block does not couple it, and the ground state has no weight
+there.  The basis at cutoff c is the first (c+1)(N+1) indices of any
+larger one, so one skeleton, built at the largest cutoff asked for so far,
+serves every smaller cutoff of that N as prefix views; ``build_even_block``
+and ``even_sector`` read it.  A request above it rebuilds it at
+max(c, min(2 * capacity, HARD_CAP)), so it grows geometrically, a doubling
+sweep builds it a handful of times, and it never exceeds twice the largest
+request, nor the hard cap unless a request does.  Its arrays are
+read-only, indices int32 and n and m+j small unsigned integers, so it
+costs about 24 bytes per even position: 5.2 MiB at N = 400 and
+n_cutoff = 1140, two thirds of it the float64 couplings.
 Only the skeleton of the last atom number asked for stays cached: the CLI
 walks N outer and lambda inner, so each process, a ``--workers`` pool's
 included, asks for one N's cutoffs together.
@@ -109,42 +110,29 @@ class BasisIndexer:
     def dimension(self) -> int:
         return self.boson_dim * self.spin_dim
 
-    def idx(self, n: int, m: float) -> int:
-        """Flat index of |n>|j,m>."""
-        k = m + self.j
-        ki = int(round(k))
-        if abs(k - ki) > 1e-9:
-            raise ValueError(f"m={m} is not on the ladder for j={self.j}")
-        if not 0 <= n <= self.n_cutoff:
-            raise ValueError(f"Fock number n={n} outside [0, {self.n_cutoff}]")
-        if not 0 <= ki <= self.n_atoms:
-            raise ValueError(f"projection m={m} outside [-j, +j]")
-        return n * self.spin_dim + ki
 
-    def nm(self, index: int) -> tuple[int, float]:
-        """Inverse of idx: flat index -> (n, m)."""
-        if not 0 <= index < self.dimension:
-            raise ValueError(f"index {index} outside [0, {self.dimension})")
-        n, k = divmod(index, self.spin_dim)
-        return n, k - self.j
+class EvenSector(NamedTuple):
+    """The even n+m+j sector of a basis, position by position, as read-only views.
+
+    ``index`` holds the full indices in ascending order, int32 (int64 past
+    2^31); ``n`` and ``k`` the Fock number and m + j at each, in the
+    smallest unsigned type that holds them.
+    """
+
+    index: np.ndarray
+    n: np.ndarray
+    k: np.ndarray
 
 
 class _Skeleton(NamedTuple):
-    """The parameter-free part of one basis: parity sectors and the block's unit pieces.
+    """The parameter-free part of one basis: its even sector and the block's unit pieces.
 
-    ``even`` and ``odd`` are the full indices of each sector in ascending
-    order and ``signs`` the parity diagonal; ``n`` and ``k`` are the Fock
-    number and m + j at each even position, and ``units`` pairs each
-    coupling offset with sqrt((n+1) * ladder), the coupling at g = 1.
-    Indices are int32 (int64 past 2^31) and n, k the smallest unsigned type
-    that holds them at the cutoff the skeleton was built at.
+    ``units`` pairs each coupling offset with sqrt((n+1) * ladder), the
+    coupling at g = 1.  n and k are typed at the cutoff the skeleton was
+    built at.
     """
 
-    even: np.ndarray
-    odd: np.ndarray
-    signs: np.ndarray
-    n: np.ndarray
-    k: np.ndarray
+    sector: EvenSector
     units: tuple[tuple[int, np.ndarray], ...]
 
 
@@ -181,17 +169,16 @@ def _prefix(base: _Skeleton, indexer: BasisIndexer) -> _Skeleton:
     """``indexer``'s skeleton as views of the first entries of a larger one of the same N.
 
     The even positions of the smaller basis are the first (dim + 1) // 2 of
-    the larger, and its odd ones the first dim // 2.  A coupling preserves
-    parity, so one from Fock level n_cutoff lands at an even index past dim,
-    outside the first size - d entries of its offset d; an offset left
-    without a nonzero unit is dropped, as a build from scratch never makes it.
+    the larger, at the same full indices.  A coupling preserves parity, so
+    one from Fock level n_cutoff lands at an even index past dim, outside
+    the first size - d entries of its offset d; an offset left without a
+    nonzero unit is dropped, as a build from scratch never makes it.
     """
     dim = indexer.dimension
     size = (dim + 1) // 2
     units = tuple((d, unit[: size - d]) for d, unit in base.units
                   if d < size and unit[: size - d].any())
-    return _Skeleton(base.even[:size], base.odd[: dim // 2], base.signs[:dim],
-                     base.n[:size], base.k[:size], units)
+    return _Skeleton(EvenSector(*(array[:size] for array in base.sector)), units)
 
 
 def _build_skeleton(indexer: BasisIndexer) -> _Skeleton:
@@ -217,24 +204,15 @@ def _build_skeleton(indexer: BasisIndexer) -> _Skeleton:
             at = offsets == d
             units.setdefault(int(d), np.zeros(size - d))[src[at]] = unit[at]
 
-    # the odd partner of position p is the other one of 2p and 2p + 1; for an
-    # odd dimension the last position has none
-    odd = (index ^ 1)[: indexer.dimension // 2]
-    signs = np.full(indexer.dimension, -1, dtype=np.int8)
-    signs[index] = 1
     index_type = np.int32 if indexer.dimension <= np.iinfo(np.int32).max else np.int64
-    skeleton = _Skeleton(
+    sector = EvenSector(
         index.astype(index_type),
-        odd.astype(index_type),
-        signs,
         n.astype(np.min_scalar_type(indexer.n_cutoff)),
         k.astype(np.min_scalar_type(indexer.n_atoms)),
-        tuple(sorted(units.items())),
     )
-    for array in (skeleton.even, skeleton.odd, skeleton.signs, skeleton.n, skeleton.k,
-                  *units.values()):
+    for array in (*sector, *units.values()):
         array.flags.writeable = False
-    return skeleton
+    return _Skeleton(sector, tuple(sorted(units.items())))
 
 
 def build_even_block(params: ModelParams, indexer: BasisIndexer) -> EvenBlock:
@@ -259,18 +237,13 @@ def build_even_block(params: ModelParams, indexer: BasisIndexer) -> EvenBlock:
     if indexer.n_atoms != params.n_atoms:
         raise ValueError("indexer and params disagree on n_atoms")
     skeleton = _skeleton(indexer)
+    sector = skeleton.sector
     # float(): an integer omega times the small unsigned n would wrap around
-    diagonal = float(params.omega) * skeleton.n + params.omega0 * (skeleton.k - indexer.j)
+    diagonal = float(params.omega) * sector.n + params.omega0 * (sector.k - indexer.j)
     g = params.lam / math.sqrt(params.n_atoms)
     return diagonal, {d: g * unit for d, unit in skeleton.units}
 
 
-def parity_signs(indexer: BasisIndexer) -> np.ndarray:
-    """Diagonal of the parity operator, (-1)^(n+m+j) at idx(n, m): read-only int8."""
-    return _skeleton(indexer).signs
-
-
-def parity_block_indices(indexer: BasisIndexer) -> tuple[np.ndarray, np.ndarray]:
-    """Even and odd n+m+j sectors of the basis: read-only ascending int32 indices."""
-    skeleton = _skeleton(indexer)
-    return skeleton.even, skeleton.odd
+def even_sector(indexer: BasisIndexer) -> EvenSector:
+    """The even n+m+j sector of ``indexer``'s basis: (index, n, k), read-only views."""
+    return _skeleton(indexer).sector

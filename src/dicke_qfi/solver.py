@@ -46,17 +46,17 @@ from .model import (
     EvenBlock,
     ModelParams,
     build_even_block,
-    parity_block_indices,
+    even_sector,
 )
 
 #: default tolerance for both the tail-population and energy-shift tests
 DEFAULT_TOL = 1e-10
 
 #: even blocks of up to this many atoms (kd <= 51) take the banded solver,
-#: larger N Lanczos.  Timed per point, cold and doubled solve together (one
-#: BLAS thread), Lanczos takes 1.00, 1.06 and 2.79x the banded time at
-#: N = 100 and lambda = 0.5, 1 and 2, but 0.76, 0.96 and 2.35x at N = 125;
-#: the band also costs O(dim kd) memory against Lanczos' O(dim)
+#: larger N Lanczos.  The banded path is the faster one at every N timed,
+#: but its band holds dim * kd floats against Lanczos' O(dim), so past this N
+#: it costs up to 4.5x the memory; README's table gives both paths' time and
+#: peak memory at N = 200 and 400
 BANDED_MAX_ATOMS = 100
 
 #: relative slack of the energy bracket: a banded solve returns once a
@@ -137,13 +137,12 @@ def ground_state(
         raise ValueError("previous must be a ground state of the same model at a lower cutoff")
     indexer = BasisIndexer(n_cutoff, params.n_atoms)
     try:
-        even, _ = parity_block_indices(indexer)
-        start = _start_vector(params, indexer, even, previous)
+        start = _start_vector(params, indexer, previous)
         if params.lam == 0:
             # the diagonal omega n + omega0 m is lowest at n = 0, m = -j: even index 0
             energy = lower_bound = -params.omega0 * params.j
             residual = 0.0
-            amplitudes = np.zeros(even.size)
+            amplitudes = np.zeros(start.size)
             amplitudes[0] = 1.0
         elif params.n_atoms <= BANDED_MAX_ATOMS:
             energy, amplitudes, residual, lower_bound = _banded_lowest(
@@ -157,7 +156,7 @@ def ground_state(
         vector = np.zeros(indexer.dimension)
     except MemoryError as exc:
         raise SolverError(f"out of memory at n_cutoff={n_cutoff}: {exc}", n_cutoff) from exc
-    vector[even] = amplitudes
+    vector[even_sector(indexer).index] = amplitudes
     vector /= np.linalg.norm(vector)
     if vector[np.argmax(np.abs(vector))] < 0:
         vector = -vector
@@ -167,30 +166,32 @@ def ground_state(
 
 
 def _start_vector(
-    params: ModelParams, indexer: BasisIndexer, even: np.ndarray, previous: GroundState | None
+    params: ModelParams, indexer: BasisIndexer, previous: GroundState | None
 ) -> np.ndarray:
     """Start vector on the even block: ``previous`` zero-padded, or the mean-field state.
 
-    The previous amplitude grid fills the first Fock levels of the larger
-    grid.  Without one the start is the even-parity restriction of the
-    mean-field product state: |0>|j,-j> at or below lambda_cr; above it a
+    The previous cutoff's even positions are the first of this one's, at the
+    same full indices, so its even amplitudes fill the first entries and the
+    rest stay zero.  Without it the start is the even-parity restriction of
+    the mean-field product state: |0>|j,-j> at or below lambda_cr; above it a
     coherent field of amplitude alpha = -lam sqrt(N) sin(theta)/omega times
-    a spin coherent state with cos(theta) = lambda_cr^2/lam^2.  Each factor
-    is built in log space and scaled to a largest amplitude of 1, so no
-    factorial overflows and the product peaks near 1.  Conjugating H by
-    D = diag((-1)^n) makes every off-diagonal element non-positive, so the
-    ground state is D times a positive vector.  The start is D times a
-    non-negative, nonzero vector (alpha < 0, and the spin amplitudes
-    cos(theta/2)^(N-k) sin(theta/2)^k are non-negative), so it overlaps the
-    ground state strictly.
+    a spin coherent state with cos(theta) = lambda_cr^2/lam^2, formed only
+    at the even positions.  Each factor is built in log space and scaled to a
+    largest amplitude of 1, so no factorial overflows and the product peaks
+    near 1.  Conjugating H by D = diag((-1)^n) makes every off-diagonal
+    element non-positive, so the ground state is D times a positive vector.
+    The start is D times a non-negative, nonzero vector (alpha < 0, and the
+    spin amplitudes cos(theta/2)^(N-k) sin(theta/2)^k are non-negative), so
+    it overlaps the ground state strictly.
     """
+    sector = even_sector(indexer)
     if previous is not None:
-        grid = np.zeros((indexer.boson_dim, indexer.spin_dim))
-        old = previous.indexer
-        grid[: old.boson_dim] = previous.vector.reshape(old.boson_dim, old.spin_dim)
-        return grid.ravel()[even]
+        start = np.zeros(sector.index.size)
+        size = (previous.vector.size + 1) // 2
+        start[:size] = previous.vector[sector.index[:size]]
+        return start
     if params.lam <= params.lambda_cr:
-        start = np.zeros(even.size)
+        start = np.zeros(sector.index.size)
         start[0] = 1.0  # even index 0 is |0>|j,-j>
         return start
     # lam > lambda_cr makes cos(theta) < 1, so every logarithm below is finite
@@ -211,7 +212,7 @@ def _start_vector(
     field = np.exp(log_field - log_field.max())
     field[1::2] *= -1.0
     spin = np.exp(log_spin - log_spin.max())
-    return np.outer(field, spin).ravel()[even]
+    return field[sector.n] * spin[sector.k]
 
 
 def _banded_lowest(

@@ -40,10 +40,6 @@ class SpectralDecomposition:
     def dim(self) -> int:
         return self.vectors.shape[0]
 
-    @property
-    def rank(self) -> int:
-        return self.weights.size
-
 
 def _amplitude_grid(gs: GroundState) -> np.ndarray:
     indexer = gs.indexer

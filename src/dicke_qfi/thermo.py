@@ -15,11 +15,14 @@ close to the critical coupling; that is what makes the scaling probe's
 power-law fits clean.
 
 Primary observables use the intermediate-free closed forms, which are
-regular at lambda_cr.  The effective frequencies Omega and the thermal
-factor e^{beta*Omega} are singular/indeterminate exactly at the critical
-point; they are kept for the field QFI, the boson number, and identity
-checks, and a guard band around lambda_cr switches the scaled field QFI to
-its finite limit 1 / [4 (dX_{pi/2})^2].
+regular at lambda_cr.  xi2 and the quadrature variance are written as sums
+of positive terms through eps1^2 + eps2^2 = omega^2 + (omega0/mu)^2, so no
+digit cancels however far omega and omega0 lie apart.  The effective
+frequencies Omega and the thermal factor e^{beta*Omega} are
+singular/indeterminate exactly at the critical point; they are kept for the
+field QFI, the boson number, and identity checks, and a guard band around
+lambda_cr switches the scaled field QFI to its finite limit
+1 / [4 (dX_{pi/2})^2].
 """
 
 from __future__ import annotations
@@ -147,15 +150,18 @@ def _coth_half(pt: ThermoPoint) -> float:
 
 
 def xi2_thermo(pt: ThermoPoint) -> float:
-    """Spin squeezing parameter, intermediate-free form; regular at lambda_cr."""
-    esum = pt.eps1 + pt.eps2
-    return pt.mu / (2 * pt.omega0) * (esum + (pt.omega0**2 / pt.mu**2 - pt.omega**2) / esum)
+    """Spin squeezing parameter mu ((omega0/mu)^2 + eps1 eps2) / (omega0 (eps1 + eps2)).
+
+    Intermediate-free and regular at lambda_cr, where eps1 = 0, mu = 1 and
+    it is omega0 / eps2.
+    """
+    return (pt.mu * ((pt.omega0 / pt.mu) ** 2 + pt.eps1 * pt.eps2)
+            / (pt.omega0 * (pt.eps1 + pt.eps2)))
 
 
 def quad_variance_thermo(pt: ThermoPoint) -> float:
-    """(dX_{pi/2})^2, intermediate-free form; regular everywhere."""
-    esum = pt.eps1 + pt.eps2
-    return (esum - (pt.omega0**2 / pt.mu**2 - pt.omega**2) / esum) / (8 * pt.omega)
+    """(dX_{pi/2})^2 = (omega^2 + eps1 eps2) / (4 omega (eps1 + eps2)); regular everywhere."""
+    return (pt.omega**2 + pt.eps1 * pt.eps2) / (4 * pt.omega * (pt.eps1 + pt.eps2))
 
 
 def qfi_atoms_thermo(pt: ThermoPoint, n_atoms: float) -> float:
@@ -297,7 +303,8 @@ def critical_scaling_probe(
     with step 1e-9*lambda_cr on a log-spaced grid of distances from lambda_cr,
     then the slopes of log|d/d lambda| against log|lambda - lambda_cr| are
     fitted by least squares; the exponent of eps1 itself is fitted the same
-    way.  Residuals above the threshold set the low-confidence flag.
+    way.  Residuals above the threshold, or an exponent or residual that is
+    not finite, set the low-confidence flag.
     """
     if side not in ("above", "below"):
         raise ValueError("side must be 'above' or 'below'")
@@ -328,7 +335,10 @@ def critical_scaling_probe(
     eps1_exp, eps1_res = _loglog_slope(deltas, eps1_vals)
     dfa_exp, dfa_res = _loglog_slope(deltas, dfa)
     dfb_exp, dfb_res = _loglog_slope(deltas, dfb)
-    low = max(eps1_res, dfa_res, dfb_res) > RESIDUAL_THRESHOLD
+    fit = (eps1_exp, dfa_exp, dfb_exp, eps1_res, dfa_res, dfb_res)
+    # max() skips a NaN, so a fit that is not finite is checked on its own
+    low = (not all(map(math.isfinite, fit))
+           or max(eps1_res, dfa_res, dfb_res) > RESIDUAL_THRESHOLD)
     return ScalingProbe(
         side=side,
         eps1_exponent=eps1_exp,

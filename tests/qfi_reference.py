@@ -96,11 +96,69 @@ def even_block_from_scratch(params: ModelParams, indexer: BasisIndexer) -> EvenB
     return diagonal, dict(sorted(upper.items()))
 
 
+def idx(indexer: BasisIndexer, n: int, m: float) -> int:
+    """Flat index n*(N+1) + (m+j) of |n>|j,m>; half-integer m enters through m + j."""
+    k = m + indexer.j
+    ki = int(round(k))
+    if abs(k - ki) > 1e-9:
+        raise ValueError(f"m={m} is not on the ladder for j={indexer.j}")
+    if not 0 <= n <= indexer.n_cutoff:
+        raise ValueError(f"Fock number n={n} outside [0, {indexer.n_cutoff}]")
+    if not 0 <= ki <= indexer.n_atoms:
+        raise ValueError(f"projection m={m} outside [-j, +j]")
+    return n * indexer.spin_dim + ki
+
+
+def nm(indexer: BasisIndexer, index: int) -> tuple[int, float]:
+    """Inverse of idx: flat index -> (n, m)."""
+    if not 0 <= index < indexer.dimension:
+        raise ValueError(f"index {index} outside [0, {indexer.dimension})")
+    n, k = divmod(index, indexer.spin_dim)
+    return n, k - indexer.j
+
+
 def parity_signs_from_scratch(indexer: BasisIndexer) -> np.ndarray:
     """(-1)^(n+m+j) at idx(n, m) as float64, computed from the flat index."""
     flat = np.arange(indexer.dimension)
     exponent = flat // indexer.spin_dim + flat % indexer.spin_dim
     return np.where(exponent % 2 == 0, 1.0, -1.0)
+
+
+def full_grid_start_vector(params: ModelParams, indexer: BasisIndexer, previous=None) -> np.ndarray:
+    """The solver's start vector formed on the full (n_cutoff+1) x (N+1) grid, then restricted.
+
+    ``previous`` (a ground state at a lower cutoff) is zero-padded to the
+    larger grid; without it the mean-field product state is formed as the
+    outer product of its field and spin factors, each built in log space.
+    The even entries are then read off through the parity signs.
+    """
+    even = np.flatnonzero(parity_signs_from_scratch(indexer) == 1)
+    if previous is not None:
+        grid = np.zeros((indexer.boson_dim, indexer.spin_dim))
+        old = previous.indexer
+        grid[: old.boson_dim] = previous.vector.reshape(old.boson_dim, old.spin_dim)
+        return grid.ravel()[even]
+    if params.lam <= params.lambda_cr:
+        start = np.zeros(even.size)
+        start[0] = 1.0
+        return start
+    cos_theta = (params.lambda_cr / params.lam) ** 2
+    sin_theta = math.sqrt(1.0 - cos_theta**2)
+    log_alpha = math.log(params.lam * math.sqrt(params.n_atoms) * sin_theta / params.omega)
+    n_atoms = params.n_atoms
+    log_factorial = np.cumsum(np.log(np.arange(1.0, max(indexer.n_cutoff, n_atoms) + 1)))
+    log_factorial = np.concatenate(([0.0], log_factorial))
+    n = np.arange(indexer.boson_dim)
+    log_field = n * log_alpha - 0.5 * log_factorial[: indexer.boson_dim]
+    k = np.arange(indexer.spin_dim)
+    log_spin = (0.5 * (log_factorial[n_atoms] - log_factorial[: n_atoms + 1]
+                       - log_factorial[n_atoms::-1])
+                + (n_atoms - k) * (0.5 * math.log((1.0 + cos_theta) / 2))
+                + k * (0.5 * math.log((1.0 - cos_theta) / 2)))
+    field = np.exp(log_field - log_field.max())
+    field[1::2] *= -1.0
+    spin = np.exp(log_spin - log_spin.max())
+    return np.outer(field, spin).ravel()[even]
 
 
 def dense_hamiltonian_block(params: ModelParams, indexer: BasisIndexer) -> np.ndarray:

@@ -9,24 +9,28 @@ import numpy as np
 import pytest
 import scipy.linalg.lapack
 import scipy.sparse.linalg
-from qfi_reference import build_spin_ops
+from qfi_reference import build_spin_ops, parity_signs_from_scratch
 
 import dicke_qfi.cli
 import dicke_qfi.model
 import dicke_qfi.solver
 from dicke_qfi.cli import (
     HUSIMI_COLUMNS,
+    MAX_ATOMS,
     MAX_GRID_POINTS,
     MAX_WORKERS,
+    PARAMETER_MAX,
+    PARAMETER_MIN,
     SWEEP_COLUMNS,
     SweepConfig,
     compute_sweep_record,
     format_value,
     main,
     run_husimi,
+    run_thermo,
     write_husimi,
 )
-from dicke_qfi.model import BasisIndexer, ModelParams, parity_block_indices
+from dicke_qfi.model import BasisIndexer, ModelParams, even_sector
 from dicke_qfi.solver import BANDED_MAX_ATOMS, initial_cutoff
 
 SMALL_SWEEP = [
@@ -325,6 +329,15 @@ def test_scaling_report(tmp_path):
         assert record["low_confidence"] == "0"
 
 
+def test_scaling_non_finite_fit_exit_code(tmp_path):
+    out = tmp_path / "sc_nan.csv"
+    assert main(["scaling", "--omega", "1000", "--out", str(out)]) == 4
+    header, rows, _ = read_csv_rows(out)
+    above = dict(zip(header, rows[1]))
+    assert above["dfb_exponent"] == "nan"
+    assert above["low_confidence"] == "1"
+
+
 def test_scaling_low_confidence_exit_code(tmp_path, monkeypatch):
     import dicke_qfi.thermo
 
@@ -405,6 +418,18 @@ def test_invalid_grid_exit_code():
     # a grid this long would not fit in memory; it is rejected before it is made
     *((mode, "--lambda-steps", "1000000000000")
       for mode in ("sweep", "husimi", "thermo", "scaling", "convergence")),
+    # outside the box of N, omega, omega0 and lambda, which once failed late
+    ("sweep", "--n-atoms", "1000000000000000000000"),
+    ("sweep", "--n-atoms", str(10**43)),
+    ("husimi", "--n-atoms", str(MAX_ATOMS + 1)),
+    ("sweep", "--omega", "1e-200"),
+    ("husimi", "--omega", "1e-200"),
+    ("convergence", "--omega0", "1e-200"),
+    ("sweep", "--lambda-max", "1e200"),
+    ("husimi", "--lambda-max", "1e200"),
+    ("scaling", "--omega", "1e-300"),
+    ("thermo", "--omega", "1e300"),
+    ("thermo", "--omega0", str(2 * PARAMETER_MAX)),
 ])
 def test_invalid_argument_keeps_output_file(mode, flag, value, tmp_path, capsys, monkeypatch):
     # rejected while the configuration is resolved, before FILE is opened or
@@ -414,6 +439,27 @@ def test_invalid_argument_keeps_output_file(mode, flag, value, tmp_path, capsys,
     out.write_bytes(b"earlier output\n")
     assert main([mode, "--n-atoms", "2", "--lambda-steps", "1", flag, value,
                  "--out", str(out)]) == 2
+    assert out.read_bytes() == b"earlier output\n"
+    assert "invalid argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    # a config file with no atom number once emptied FILE and exited 2
+    ["sweep", "--config", "{empty}"],
+    ["convergence", "--config", "{empty}"],
+    ["sweep", "--lambda-min", "1e200", "--lambda-max", "1e200", "--lambda-steps", "1"],
+    ["husimi", "--lambda-min", "1e200", "--lambda-max", "1e200", "--lambda-steps", "1"],
+    ["thermo", "--omega", "1e300", "--omega0", "1e300", "--lambda-max", "1e300",
+     "--lambda-steps", "3"],
+], ids=["sweep-empty-n-atoms", "convergence-empty-n-atoms", "sweep-lambda", "husimi-lambda",
+        "thermo-omega-lambda"])
+def test_out_of_range_run_keeps_output_file(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(dicke_qfi.cli, "ProcessPoolExecutor", None)
+    empty = tmp_path / "empty.cfg"
+    empty.write_text("n-atoms =\n")
+    out = tmp_path / "out.txt"
+    out.write_bytes(b"earlier output\n")
+    assert main([arg.format(empty=empty) for arg in argv] + ["--out", str(out)]) == 2
     assert out.read_bytes() == b"earlier output\n"
     assert "invalid argument" in capsys.readouterr().err
 
@@ -571,7 +617,7 @@ def test_sweep_point_allocates_no_dense_block(n_atoms, lam):
     finally:
         tracemalloc.stop()
     assert math.isfinite(record.ground_energy)
-    dim = parity_block_indices(BasisIndexer(record.n_cutoff, n_atoms))[0].size
+    dim = even_sector(BasisIndexer(record.n_cutoff, n_atoms)).index.size
     assert peak < 8 * dim**2 / 2
 
 
@@ -663,6 +709,16 @@ def test_compute_sweep_record_consistency():
     assert record.discarded_mass_b < 1e-10
 
 
+@pytest.mark.parametrize("n_atoms,lam", [(1, 0.8), (2, 0.3), (3, 1.2), (20, 0.6)])
+def test_parity_expect_is_the_signed_sum(n_atoms, lam):
+    # the squared norm equals sum (-1)^(n+m+j) |psi|^2 bit for bit: every odd entry is 0
+    params = ModelParams(1.0, 1.0, lam, n_atoms)
+    record = compute_sweep_record(params, sweep_config())
+    gs = dicke_qfi.solver.solve(params, 1e-10)
+    signed = float(np.sum(parity_signs_from_scratch(gs.indexer) * np.abs(gs.vector) ** 2))
+    assert record.parity_expect == signed
+
+
 def test_sweep_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(mode="sweep", lambda_steps=0)
@@ -670,3 +726,27 @@ def test_sweep_config_validation():
         SweepConfig(mode="sweep", n_atoms=(0,))
     with pytest.raises(ValueError):
         SweepConfig(mode="sweep", format="yaml")
+
+
+@pytest.mark.parametrize("omega,omega0", [(w, w0) for w in (PARAMETER_MIN, PARAMETER_MAX)
+                                          for w0 in (PARAMETER_MIN, PARAMETER_MAX)])
+@pytest.mark.parametrize("mode", ["sweep", "husimi", "thermo", "scaling", "convergence"])
+def test_parameter_box_corners_run_in_every_mode(mode, omega, omega0, tmp_path):
+    # lambda at 0, exactly at lambda_cr and at the top of the box: a point may
+    # fail (exit 4), but no corner raises or is rejected.  N = MAX_ATOMS at the
+    # top coupling starts above the hard cap, so it fails before it allocates
+    lcr = math.sqrt(omega * omega0) / 2
+    out = tmp_path / "out.txt"
+    for lambda_min, lambda_max, steps, n_atoms in ((0.0, PARAMETER_MAX, 2, 1), (lcr, lcr, 1, 1),
+                                                   (PARAMETER_MAX, PARAMETER_MAX, 1, MAX_ATOMS)):
+        argv = [mode, "--omega", repr(omega), "--omega0", repr(omega0),
+                "--lambda-min", repr(lambda_min), "--lambda-max", repr(lambda_max),
+                "--lambda-steps", str(steps), "--n-atoms", str(n_atoms), "--grid-points", "11",
+                "--out", str(out)]
+        assert main(argv) in ((0,) if mode == "thermo" else (0, 4))
+    if mode == "thermo":
+        for lam in (0.0, lcr, PARAMETER_MAX):
+            config = SweepConfig(mode="thermo", omega=omega, omega0=omega0, lambda_min=lam,
+                                 lambda_max=lam, lambda_steps=1)
+            assert all(math.isfinite(v) for v in run_thermo(config)[0])
+            assert initial_cutoff(ModelParams(omega, omega0, lam, MAX_ATOMS)) >= 20

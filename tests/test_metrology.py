@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from qfi_reference import (
-    build_boson_ops,
     number_operator,
     pure_state_qfi,
     qfi_mixed,
@@ -22,7 +21,6 @@ from dicke_qfi.metrology import (
     default_field_grid,
     husimi_atoms,
     husimi_field,
-    optimal_quadrature,
     qfi_atoms,
     qfi_field,
     quadrature_variance,
@@ -186,29 +184,10 @@ def test_quadrature_squeezed_below_vacuum(squeezed_n20):
     assert quadrature_variance(field, math.pi / 2) < 0.25
 
 
-def test_optimal_quadrature_tie_breaks_to_phase():
-    result = optimal_quadrature(vacuum_state(12))
-    assert result.optimal_angle == math.pi / 2
-    assert abs(result.xi2 - 1.0) < 1e-12
-
-
-def test_optimal_quadrature_sign_rule():
-    # Re<b^2> < 0 moves the squeezed axis to sigma = 0
-    dim = 8
-    vec = np.zeros(dim, dtype=complex)
-    vec[0], vec[2] = 1.0, -0.3
-    vec /= np.linalg.norm(vec)
-    rho = pure_state(vec, "boson")
-    b, _ = build_boson_ops(dim - 1)
-    assert np.vdot(vec, b @ b @ vec).real < 0
-    result = optimal_quadrature(rho)
-    assert result.optimal_angle == 0.0
-    assert result.variance_min == quadrature_variance(rho, 0.0)
-
-
 def test_optimal_quadrature_dicke(squeezed_n20):
+    # the Dicke field is squeezed at sigma = pi/2 and not at 0
     _, field = squeezed_n20
-    assert optimal_quadrature(field).optimal_angle == math.pi / 2
+    assert quadrature_variance(field, math.pi / 2) < 0.25 < quadrature_variance(field, 0.0)
 
 
 def test_spin_variance_css_isotropic():
@@ -225,22 +204,22 @@ def test_spin_variance_ultrastrong_antisqueezed(ultrastrong_n6):
 
 
 def test_spin_squeezing_decoupled_unity():
-    result = spin_squeezing_xi2(atoms_of(ModelParams(1.0, 1.0, 0.0, 6), 8))
-    assert abs(result.xi2 - 1.0) < 1e-12
+    xi2 = spin_squeezing_xi2(atoms_of(ModelParams(1.0, 1.0, 0.0, 6), 8))
+    assert abs(xi2 - 1.0) < 1e-12
 
 
 def test_spin_squeezing_dip(squeezed_n20):
     atoms, _ = squeezed_n20
-    result = spin_squeezing_xi2(atoms)
-    assert result.xi2 < 1.0
-    assert result.optimal_angle == math.pi / 2
+    assert spin_squeezing_xi2(atoms) < 1.0
+    # Jy = J_{pi/2} is the squeezed axis, and Jx the stretched one
+    assert spin_variance(atoms, math.pi / 2) < spin_variance(atoms, 0.0)
     assert spin_variance(atoms, math.pi / 2) < 20 / 4
 
 
 def test_spin_squeezing_ultrastrong_returns_to_unity(ultrastrong_n6):
-    result = spin_squeezing_xi2(ultrastrong_n6["atoms"])
-    assert result.xi2 <= 1.0 + 1e-9
-    assert abs(result.xi2 - 1.0) < 0.1
+    xi2 = spin_squeezing_xi2(ultrastrong_n6["atoms"])
+    assert xi2 <= 1.0 + 1e-9
+    assert abs(xi2 - 1.0) < 0.1
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ from qfi_reference import (
     build_hamiltonian,
     build_spin_ops,
     even_block_from_scratch,
+    idx,
+    nm,
     parity_signs_from_scratch,
 )
 
@@ -19,8 +21,7 @@ from dicke_qfi.model import (
     BasisIndexer,
     ModelParams,
     build_even_block,
-    parity_block_indices,
-    parity_signs,
+    even_sector,
 )
 
 
@@ -87,8 +88,8 @@ def test_indexer_roundtrip_bijection(n_atoms, n_cutoff):
     for n in range(n_cutoff + 1):
         for step in range(n_atoms + 1):
             m = -indexer.j + step
-            i = indexer.idx(n, m)
-            assert indexer.nm(i) == (n, m)
+            i = idx(indexer, n, m)
+            assert nm(indexer, i) == (n, m)
             seen.add(i)
     assert seen == set(range(indexer.dimension))
 
@@ -96,13 +97,13 @@ def test_indexer_roundtrip_bijection(n_atoms, n_cutoff):
 def test_indexer_rejects_bad_labels():
     indexer = BasisIndexer(3, 2)
     with pytest.raises(ValueError):
-        indexer.idx(4, 0)
+        idx(indexer, 4, 0)
     with pytest.raises(ValueError):
-        indexer.idx(0, 2.0)
+        idx(indexer, 0, 2.0)
     with pytest.raises(ValueError):
-        indexer.idx(0, 0.25)
+        idx(indexer, 0, 0.25)
     with pytest.raises(ValueError):
-        indexer.nm(indexer.dimension)
+        nm(indexer, indexer.dimension)
 
 
 def test_hamiltonian_decoupled_diagonal():
@@ -122,7 +123,7 @@ def _hamiltonian_by_hand(params: ModelParams, indexer: BasisIndexer) -> np.ndarr
     for n in range(indexer.n_cutoff + 1):
         for ki in range(params.n_atoms + 1):
             m = ki - j
-            row = indexer.idx(n, m)
+            row = idx(indexer, n, m)
             h[row, row] = params.omega * n + params.omega0 * m
             for dn in (-1, 1):
                 for dm in (-1, 1):
@@ -132,7 +133,7 @@ def _hamiltonian_by_hand(params: ModelParams, indexer: BasisIndexer) -> np.ndarr
                     boson = math.sqrt(n + 1) if dn == 1 else math.sqrt(n)
                     m_low = min(m, m + dm)
                     spin = math.sqrt(j * (j + 1) - m_low * (m_low + 1))
-                    h[indexer.idx(n2, k2 - j), row] = g * boson * spin
+                    h[idx(indexer, n2, k2 - j), row] = g * boson * spin
     return h
 
 
@@ -156,13 +157,13 @@ def test_hamiltonian_selection_rules():
     for _ in range(10):
         n = int(rng.integers(0, indexer.n_cutoff + 1))
         ki = int(rng.integers(0, params.n_atoms + 1))
-        column = h[:, indexer.idx(n, ki - indexer.j)]
-        allowed = {indexer.idx(n, ki - indexer.j)}
+        column = h[:, idx(indexer, n, ki - indexer.j)]
+        allowed = {idx(indexer, n, ki - indexer.j)}
         for dn in (-1, 1):
             for dm in (-1, 1):
                 n2, k2 = n + dn, ki + dm
                 if 0 <= n2 <= indexer.n_cutoff and 0 <= k2 <= params.n_atoms:
-                    allowed.add(indexer.idx(n2, k2 - indexer.j))
+                    allowed.add(idx(indexer, n2, k2 - indexer.j))
         assert set(np.flatnonzero(np.abs(column) > 0)) <= allowed
 
 
@@ -177,14 +178,14 @@ def test_hamiltonian_commutes_with_parity():
     params = ModelParams(1.0, 1.0, 0.7, 2)
     indexer = BasisIndexer(12, 2)
     h = build_hamiltonian(params, indexer)
-    p = np.diag(parity_signs(indexer))
+    p = np.diag(parity_signs_from_scratch(indexer))
     assert np.max(np.abs(h @ p - p @ h)) < 1e-12
 
 
 def test_parity_entries_and_square():
     params = ModelParams(1.0, 1.0, 0.5, 3)
     indexer = BasisIndexer(4, 3)
-    p = np.diag(parity_signs(indexer))
+    p = np.diag(parity_signs_from_scratch(indexer))
     assert p[0, 0] == 1.0  # idx(0, m=-j) has exponent zero
     assert_allclose(p @ p, np.eye(indexer.dimension), atol=1e-15)
 
@@ -192,7 +193,7 @@ def test_parity_entries_and_square():
 def test_parity_conjugation_flips_b_and_jx():
     params = ModelParams(1.0, 1.0, 0.5, 2)
     indexer = BasisIndexer(5, 2)
-    p = np.diag(parity_signs(indexer))
+    p = np.diag(parity_signs_from_scratch(indexer))
     b, _ = build_boson_ops(indexer.n_cutoff)
     spin = build_spin_ops(params.n_atoms)
     b_full = np.kron(b, np.eye(indexer.spin_dim))
@@ -202,15 +203,16 @@ def test_parity_conjugation_flips_b_and_jx():
 
 
 def test_parity_blocks_minimal_case():
-    even, odd = parity_block_indices(BasisIndexer(1, 1))
+    even = even_sector(BasisIndexer(1, 1)).index
     assert even.tolist() == [0, 3]
-    assert odd.tolist() == [1, 2]
 
 
 @pytest.mark.parametrize("n_atoms,n_cutoff", [(1, 6), (3, 9), (4, 10)])
 def test_parity_block_sizes(n_atoms, n_cutoff):
+    # the even sector and the odd one of the parity signs partition the basis
     indexer = BasisIndexer(n_cutoff, n_atoms)
-    even, odd = parity_block_indices(indexer)
+    even = even_sector(indexer).index
+    odd = np.flatnonzero(parity_signs_from_scratch(indexer) < 0)
     assert even.size + odd.size == indexer.dimension
     assert even.size > 0
     assert abs(even.size - odd.size) <= n_atoms + 1
@@ -222,7 +224,7 @@ def test_block_restriction_reproduces_action():
                                        (4, 6, [2, 3])):
         params = ModelParams(1.0, 1.2, 0.6, n_atoms)
         indexer = BasisIndexer(n_cutoff, n_atoms)
-        even, _ = parity_block_indices(indexer)
+        even = even_sector(indexer).index
         h = build_hamiltonian(params, indexer)
         oracle = h[np.ix_(even, even)].real
         diagonal, upper = build_even_block(params, indexer)
@@ -256,7 +258,7 @@ BLOCK_PARAMS = ((1.0, 1.0, 0.0), (1.0, 1.0, 0.5), (0.7, 1.3, 2.5), (1.9, 0.4, 0.
 
 
 def assert_matches_scratch(params, indexer):
-    """The cached block, parity signs and sectors equal a build from scratch, bit for bit."""
+    """The cached block and even sector equal a build from scratch, bit for bit."""
     diagonal, upper = build_even_block(params, indexer)
     expected_diagonal, expected_upper = even_block_from_scratch(params, indexer)
     assert np.array_equal(diagonal, expected_diagonal)
@@ -264,11 +266,11 @@ def assert_matches_scratch(params, indexer):
     assert list(upper) == list(expected_upper)
     for d, coupling in upper.items():
         assert np.array_equal(coupling, expected_upper[d])
-    signs = parity_signs_from_scratch(indexer)
-    even, odd = parity_block_indices(indexer)
-    assert np.array_equal(parity_signs(indexer), signs)
-    assert np.array_equal(even, np.flatnonzero(signs > 0))
-    assert np.array_equal(odd, np.flatnonzero(signs < 0))
+    sector = even_sector(indexer)
+    assert np.array_equal(sector.index, np.flatnonzero(parity_signs_from_scratch(indexer) == 1))
+    n, k = np.divmod(sector.index, indexer.spin_dim)
+    assert np.array_equal(sector.n, n)
+    assert np.array_equal(sector.k, k)
 
 
 @pytest.mark.parametrize("n_atoms", [*range(1, 8), 20, 21, 100, 101])
@@ -286,13 +288,12 @@ def test_cached_block_matches_closed_form_bitwise(n_atoms):
 
 def test_cached_parity_arrays_are_read_only():
     indexer = BasisIndexer(9, 3)
-    even, odd = parity_block_indices(indexer)
-    signs = parity_signs(indexer)
-    before = [even.copy(), odd.copy(), signs.copy()]
-    for array in (even, odd, signs):
+    sector = even_sector(indexer)
+    before = [array.copy() for array in sector]
+    for array in sector:
         with pytest.raises(ValueError):
             array[0] = 7
-    again = [*parity_block_indices(indexer), parity_signs(indexer)]
+    again = even_sector(indexer)
     for old, new in zip(before, again):
         assert np.array_equal(old, new)
 
@@ -366,7 +367,7 @@ def test_views_handed_out_survive_growth(skeleton_builds):
     params = ModelParams(0.7, 1.3, 2.5, 5)
     small = BasisIndexer(9, 5)
     diagonal, upper = build_even_block(params, small)
-    handed_out = [*parity_block_indices(small), parity_signs(small), diagonal, *upper.values()]
+    handed_out = [*even_sector(small), diagonal, *upper.values()]
     copies = [array.copy() for array in handed_out]
     # far past twice the first skeleton, so it is replaced and its views dropped
     assert_matches_scratch(params, BasisIndexer(50, 5))
@@ -380,10 +381,10 @@ def test_views_handed_out_survive_growth(skeleton_builds):
 def test_skeleton_grows_geometrically_under_the_hard_cap(skeleton_builds, monkeypatch):
     monkeypatch.setattr(model, "HARD_CAP", 100)
     for n_cutoff in range(1, 101):
-        parity_signs(BasisIndexer(n_cutoff, 3))
+        even_sector(BasisIndexer(n_cutoff, 3))
     assert skeleton_builds[3] == [1, 2, 4, 8, 16, 32, 64, 100]
     # a single request above the cap is built at its own size, no larger
-    parity_signs(BasisIndexer(130, 3))
+    even_sector(BasisIndexer(130, 3))
     assert skeleton_builds[3][-1] == 130
 
 

@@ -22,6 +22,7 @@ from qfi_reference import (
     jx_operator,
     mean_and_variance,
     number_operator,
+    parity_signs_from_scratch,
     partial_trace_field,
     qfi_mixed,
     quadrature_operator,
@@ -35,12 +36,7 @@ from scipy.linalg import lapack
 import dicke_qfi.solver
 
 from dicke_qfi.metrology import qfi_atoms, qfi_field, quadrature_variance, spin_variance
-from dicke_qfi.model import (
-    BasisIndexer,
-    ModelParams,
-    parity_block_indices,
-    parity_signs,
-)
+from dicke_qfi.model import BasisIndexer, ModelParams, even_sector
 from dicke_qfi.solver import BRACKET_RTOL, converge_cutoff, ground_state
 from dicke_qfi.states import schmidt_decompose
 
@@ -49,11 +45,11 @@ N_CUTOFF = 16
 
 def check_invariants(gs):
     n_atoms = gs.params.n_atoms
-    assert abs(np.sum(parity_signs(gs.indexer) * np.abs(gs.vector) ** 2) - 1.0) < 1e-12
+    assert abs(np.sum(parity_signs_from_scratch(gs.indexer) * np.abs(gs.vector) ** 2) - 1.0) < 1e-12
     field, atoms = schmidt_decompose(gs)
     # the field weights are the spectrum of the atomic reduced state
     atom_spectrum = np.linalg.eigvalsh(partial_trace_field(gs))[::-1]
-    assert np.max(np.abs(field.weights - atom_spectrum[: field.rank])) < 1e-12
+    assert np.max(np.abs(field.weights - atom_spectrum[: field.weights.size])) < 1e-12
     for state in (field, atoms):
         assert abs(np.sum(state.weights) + state.discarded_mass - 1.0) < 1e-12
 
@@ -146,7 +142,7 @@ def test_banded_solver_matches_dense_eigh(omega, omega0, lam, n_atoms, n_cutoff,
     previous = ground_state(params, max(1, n_cutoff // 2)) if warm else None
     gs = ground_state(params, n_cutoff, previous)
     indexer = BasisIndexer(n_cutoff, n_atoms)
-    even, _ = parity_block_indices(indexer)
+    even = even_sector(indexer).index
     block = dense_hamiltonian_block(params, indexer)
     energies, vecs = scipy.linalg.eigh(block)
     e_dense = energies[0]

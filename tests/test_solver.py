@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from qfi_reference import (
     build_boson_ops,
@@ -11,6 +13,8 @@ from qfi_reference import (
     build_spin_ops,
     dense_hamiltonian_block,
     expectation,
+    full_grid_start_vector,
+    parity_signs_from_scratch,
     partial_trace_atoms,
 )
 from scipy.linalg import lapack
@@ -19,7 +23,7 @@ import dicke_qfi.model
 import dicke_qfi.solver
 from dicke_qfi.cli import SweepConfig, compute_sweep_record
 from dicke_qfi.errors import ConvergenceError, SolverError
-from dicke_qfi.model import BasisIndexer, ModelParams, parity_block_indices, parity_signs
+from dicke_qfi.model import BasisIndexer, ModelParams, even_sector
 from dicke_qfi.solver import (
     BANDED_MAX_ATOMS,
     BRACKET_RTOL,
@@ -45,7 +49,7 @@ def test_decoupled_ground_state():
     expected = np.zeros(gs.indexer.dimension)
     expected[0] = 1.0  # |n=0>|j,-j>
     assert_allclose(gs.vector.real, expected, atol=1e-14)
-    parity = np.diag(parity_signs(gs.indexer))
+    parity = np.diag(parity_signs_from_scratch(gs.indexer))
     assert abs(expectation(gs, parity).real - 1.0) < 1e-12
     assert gs.convergence.tail_population == 0.0
 
@@ -93,7 +97,7 @@ def test_variational_monotonicity():
 def test_parity_purity(lam, n_atoms):
     params = ModelParams(1.0, 1.0, lam, n_atoms)
     _, gs = converge_cutoff(params, 1e-10)
-    parity = np.diag(parity_signs(gs.indexer))
+    parity = np.diag(parity_signs_from_scratch(gs.indexer))
     assert abs(expectation(gs, parity).real - 1.0) < 1e-8
 
 
@@ -238,7 +242,7 @@ def test_lanczos_matches_dense_above_threshold(n_atoms, lam, n_cutoff, monkeypat
     # both blocks are banded by default; the threshold is moved below their N
     params = ModelParams(1.0, 1.0, lam, n_atoms)
     indexer = BasisIndexer(n_cutoff, n_atoms)
-    even, _ = parity_block_indices(indexer)
+    even = even_sector(indexer).index
     energies, vecs = scipy.linalg.eigh(dense_hamiltonian_block(params, indexer),
                                        subset_by_index=[0, 0])
     banded = ground_state(params, n_cutoff)
@@ -304,7 +308,7 @@ def test_warm_start_matches_cold_dense_solve(n_atoms, lam, monkeypatch):
     params = ModelParams(1.0, 1.0, lam, n_atoms)
     n_cutoff, gs = converge_cutoff(params, 1e-10)
     assert [step.n_cutoff for step in gs.convergence.steps] == [n_cutoff // 2, n_cutoff]
-    even, _ = parity_block_indices(gs.indexer)
+    even = even_sector(gs.indexer).index
     lanczos = n_atoms > BANDED_MAX_ATOMS
     assert (gs.convergence.lower_bound is None) == lanczos
     warm_start = next(v for v in starts if v.size == even.size)
@@ -328,6 +332,25 @@ def test_warm_start_matches_cold_dense_solve(n_atoms, lam, monkeypatch):
     assert np.array_equal(again.vector, gs.vector)
 
 
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    n_atoms=st.integers(1, 25),
+    ratio=st.sampled_from((0.0, 0.5, 1.0, 1.01, 1.5, 3.0)),
+    omega=st.sampled_from((1.0, 0.3, 3.0)),
+    cutoffs=st.lists(st.integers(1, 60), min_size=2, max_size=2, unique=True).map(sorted),
+)
+def test_start_vector_matches_full_grid_oracle(n_atoms, ratio, omega, cutoffs):
+    # the cold start formed at the even positions alone, and the warm start
+    # copied at the previous even indices, equal the full-grid forms bit for bit
+    params = ModelParams(omega, 1.0, ratio * math.sqrt(omega) / 2, n_atoms)
+    small, large = cutoffs
+    indexer = BasisIndexer(large, n_atoms)
+    previous = ground_state(params, small)
+    for start in (None, previous):
+        expected = full_grid_start_vector(params, indexer, start)
+        assert np.array_equal(dicke_qfi.solver._start_vector(params, indexer, start), expected)
+
+
 @pytest.mark.parametrize("omega,omega0,n_atoms", [
     (1.0, 1.0, 20), (1.0, 1.0, 2), (1.0, 1.0, 1), (0.3, 3.0, 6), (3.0, 0.2, 5),
 ])
@@ -338,8 +361,8 @@ def test_mean_field_start_overlaps_ground_state(omega, omega0, n_atoms, ratio):
     # the mean field makes that overlap large, not just nonzero
     params = ModelParams(omega, omega0, ratio * math.sqrt(omega * omega0) / 2, n_atoms)
     indexer = BasisIndexer(initial_cutoff(params), n_atoms)
-    even, _ = parity_block_indices(indexer)
-    start = dicke_qfi.solver._start_vector(params, indexer, even, None)
+    even = even_sector(indexer).index
+    start = dicke_qfi.solver._start_vector(params, indexer, None)
     signs = np.where((even // indexer.spin_dim) % 2 == 0, 1.0, -1.0)
     assert np.all(signs * start >= 0.0)
     assert 0.0 < np.max(np.abs(start)) <= 1.0
@@ -421,7 +444,7 @@ def test_residual_certificate(n_atoms, lam, n_cutoff, lanczos, monkeypatch):
         assert gs.convergence.residual == ground_state(params, n_cutoff, first).convergence.residual
     else:
         gs = ground_state(params, n_cutoff)
-    even, _ = parity_block_indices(gs.indexer)
+    even = even_sector(gs.indexer).index
     psi = gs.vector[even]
     block = dense_hamiltonian_block(params, gs.indexer)
     recomputed = np.linalg.norm(block @ psi - gs.energy * psi)

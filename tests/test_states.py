@@ -83,7 +83,7 @@ def test_ultrastrong_mixture_weights(ultrastrong_n6):
 
 def test_spectral_decompose_pure_state():
     decomp = spectral_decompose(np.diag([1.0, 0.0, 0.0]).astype(complex), "boson")
-    assert decomp.rank == 1
+    assert decomp.weights.size == 1
     assert_allclose(decomp.weights, [1.0])
     assert abs(decomp.discarded_mass) < 1e-12
 
@@ -102,7 +102,7 @@ def test_spectral_decompose_reconstruction(dicke_n6):
     assert trace_norm <= abs(decomp.discarded_mass) + 1e-10
     assert abs(np.sum(decomp.weights) + decomp.discarded_mass - 1.0) < 1e-10
     overlaps = decomp.vectors.conj().T @ decomp.vectors
-    assert np.max(np.abs(overlaps - np.eye(decomp.rank))) < 1e-10
+    assert np.max(np.abs(overlaps - np.eye(decomp.weights.size))) < 1e-10
 
 
 def _rebuild(decomp: SpectralDecomposition) -> np.ndarray:
@@ -123,7 +123,7 @@ def test_schmidt_matches_partial_trace_spectra(n_atoms, n_cutoff, lanczos, lam, 
                                 (atoms, partial_trace_field(gs), "spin")):
         oracle = spectral_decompose(rho, space)
         assert schmidt.space == oracle.space
-        assert schmidt.rank == oracle.rank
+        assert schmidt.weights.size == oracle.weights.size
         assert np.max(np.abs(schmidt.weights - oracle.weights)) < 1e-12
         assert np.max(np.abs(_rebuild(schmidt) - _rebuild(oracle))) < 1e-12
         assert abs(schmidt.discarded_mass - oracle.discarded_mass) < 1e-12

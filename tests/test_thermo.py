@@ -236,6 +236,25 @@ def test_scaling_probe_resonance():
         assert not probe.low_confidence
 
 
+@pytest.mark.parametrize("omega,omega0", [(1e-6, 1e6), (1e6, 1e-6), (0.01, 100.0)])
+def test_dispersive_critical_point_keeps_every_digit(omega, omega0):
+    # at lambda_cr eps1 = 0 and mu = 1, so (dX)^2 = omega/(4 eps2) and xi2 = omega0/eps2;
+    # the forms that cancelled returned 0.0 at the first two points
+    pt = thermo_point(omega, omega0, math.sqrt(omega * omega0) / 2)
+    assert pt.critical
+    assert_allclose(quad_variance_thermo(pt), omega / (4 * pt.eps2), rtol=1e-12)
+    assert_allclose(xi2_thermo(pt), omega0 / pt.eps2, rtol=1e-12)
+    assert math.isfinite(qfi_field_scaled_limit(pt))
+    assert math.isfinite(qfi_atoms_thermo(pt, 1.0))
+
+
+def test_scaling_probe_non_finite_fit_is_low_confidence():
+    # at omega = 1000 the above-side field-QFI fit is NaN, which max() skipped
+    probe = critical_scaling_probe(1000.0, 1.0, "above")
+    assert not math.isfinite(probe.dfb_exponent)
+    assert probe.low_confidence
+
+
 def test_scaling_probe_off_resonance():
     # the gap exponent is universal; at omega0 = 2 the above-side derivative
     # fits carry visible subleading contamination inside the fixed window, so
