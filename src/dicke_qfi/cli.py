@@ -35,10 +35,7 @@ from .metrology import (
     husimi_atoms,
     husimi_field,
     mean_number,
-    qfi_atoms,
-    qfi_field,
-    quadrature_variance,
-    spin_squeezing_xi2,
+    sweep_observables,
 )
 from .model import ModelParams
 from .solver import DEFAULT_TOL, converge_cutoff, solve
@@ -239,20 +236,19 @@ def compute_sweep_record(params: ModelParams, config: SweepConfig) -> SweepRecor
     """Solve one (N, lambda) point and evaluate every sweep observable."""
     gs = solve(params, config.tol, config.fock_cutoff)
     field, atoms = schmidt_decompose(gs)
-    fb = qfi_field(field)
-    fa = qfi_atoms(atoms)
+    obs = sweep_observables(field, atoms)
     return SweepRecord(
         lam=params.lam,
         n_atoms=params.n_atoms,
         n_cutoff=gs.n_cutoff,
         ground_energy=gs.energy,
-        nbar=mean_number(field),
-        f_b=fb.value,
-        f_b_scaled=fb.scaled,
-        f_a=fa.value,
-        f_a_scaled=fa.scaled,
-        xi2=spin_squeezing_xi2(atoms),
-        quad_var_scaled=4.0 * quadrature_variance(field, math.pi / 2),
+        nbar=obs.nbar,
+        f_b=obs.f_b.value,
+        f_b_scaled=obs.f_b.scaled,
+        f_a=obs.f_a.value,
+        f_a_scaled=obs.f_a.scaled,
+        xi2=obs.xi2,
+        quad_var_scaled=4.0 * obs.quad_var,
         # <P>: the state lives in the even sector, so P acts on it as 1
         parity_expect=float(np.sum(np.abs(gs.vector) ** 2)),
         discarded_mass_a=atoms.discarded_mass,

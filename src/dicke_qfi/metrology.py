@@ -17,13 +17,21 @@ and form no density matrix: Tr(rho A) = sum_k p_k <v_k|A|v_k>.  Everything
 above needs A only through the products A v_k.  For the field observables
 b'b and X_sigma, and the spin observables J_phi = Jx cos(phi) + Jy sin(phi),
 those come from the diagonal and bidiagonal ladder rules in O(dim * rank),
-so no dense field or spin matrix is built.
+so no dense field or spin matrix is built.  A ladder observable at any
+angle is cos X + sin Y, and the products X v and -i Y v both come from the
+two shifted products L v and L'v, so Jx and Jy (X_0 and X_{pi/2}) share
+them.  The arithmetic follows the dtype of the eigenvectors: the real
+Schmidt vectors of a ground state take real arithmetic, and a hand-built
+complex state complex, in the same code.  ``sweep_observables`` gives every
+sweep column in one pass over each reduced state, through the kernels the
+public functions use, so with the same bits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln
@@ -55,80 +63,97 @@ def _check_space(state: SpectralDecomposition, space: str, caller: str) -> None:
         raise ValueError(f"{caller} expects a {space}-space state")
 
 
-def _moments(state: SpectralDecomposition, av: np.ndarray) -> tuple[float, float]:
-    """Tr(rho A) and Tr(rho A^2) - Tr(rho A)^2 from the products A v_k, column k of ``av``.
-
-    Tr(rho A) = sum_k p_k <v_k|A|v_k> and Tr(rho A^2) = sum_k p_k ||A v_k||^2,
-    with A the full truncated-space matrix.
-    """
-    mean = float(state.weights @ np.real(np.sum(state.vectors.conj() * av, axis=0)))
-    mean_sq = float(state.weights @ np.sum(np.abs(av) ** 2, axis=0))
-    return mean, mean_sq - mean**2
-
-
 def mean_number(field: SpectralDecomposition) -> float:
     """<b'b> = sum_k p_k sum_n n |v_k(n)|^2, from the diagonal of b'b."""
     return float(field.weights @ (np.arange(field.dim) @ np.abs(field.vectors) ** 2))
 
 
-def _ladder_times(vectors: np.ndarray, lowering: np.ndarray, angle: float) -> np.ndarray:
-    """(e^{-i angle} L v + e^{i angle} L'v) / 2 for each column v.
+def _ladder(vectors: np.ndarray, raising: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X v and -i Y v for each column v, with X = (L + L')/2 and Y = i(L' - L)/2.
 
-    L lowers by one level, (L v)[n] = lowering[n] v[n+1] below the top
-    level, and L' raises, (L'v)[n] = lowering[n-1] v[n-1] above the bottom.
+    L lowers by one level and L' raises; X and Y are Hermitian.  Both
+    products come from the two shifted ones, L v / 2 and L'v / 2, in the
+    dtype of v, so a real state keeps real arithmetic.  ``raising[n]``,
+    n = 0..dim, is the factor of L' from level n-1 to n:
+    (L'v)[n] = raising[n] v[n-1] and (L v)[n] = raising[n+1] v[n+1].  Both
+    are taken on v padded with a zero level at each end, so the bottom of
+    L'v and the top of L v are zero.
     """
-    coeff = lowering[:, None]
-    out = np.zeros_like(vectors, dtype=complex)
-    out[:-1] = coeff * vectors[1:] * np.exp(-1j * angle)
-    out[1:] += coeff * vectors[:-1] * np.exp(1j * angle)
-    return out / 2
+    half = raising[:, None] / 2
+    padded = np.zeros((vectors.shape[0] + 2, vectors.shape[1]), vectors.dtype)
+    padded[1:-1] = vectors
+    lowered = half[1:] * padded[2:]
+    raised = half[:-1] * padded[:-2]
+    return lowered + raised, raised - lowered
 
 
-def _quadrature_times(vectors: np.ndarray, sigma: float) -> np.ndarray:
-    """X_sigma v = (e^{-i sigma} b v + e^{i sigma} b'v) / 2, with (b v)[n] = sqrt(n+1) v[n+1]."""
-    return _ladder_times(vectors, np.sqrt(np.arange(1, vectors.shape[0])), sigma)
+def _field_ladder(field: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
+    """The quadratures X = X_0 and Y = X_{pi/2}: L = b, L' = b', (b'v)[n] = sqrt(n) v[n-1]."""
+    return _ladder(field.vectors, np.sqrt(np.arange(field.dim + 1.0)))
 
 
-def _spin_times(vectors: np.ndarray, phi: float) -> np.ndarray:
-    """J_phi v = (e^{i phi} J- v + e^{-i phi} J+ v) / 2 on the |j,m> basis, m ascending.
+def _spin_ladder(atoms: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
+    """X = Jx and Y = -Jy on the |j,m> basis, m ascending, with L = J- and L' = J+.
 
-    (J- v)[k] = sqrt(j(j+1) - m(m+1)) v[k+1] with m = k - j, the rule
-    J+|j,m> = sqrt(j(j+1) - m(m+1)) |j,m+1> read backwards.
+    J+|j,m-1> = sqrt(j(j+1) - m(m-1)) |j,m>, and with m = k - j the factor
+    is k (N + 1 - k), an exact integer that vanishes at k = 0 and N + 1.
     """
-    j = (vectors.shape[0] - 1) / 2
-    m = np.arange(vectors.shape[0] - 1) - j
-    return _ladder_times(vectors, np.sqrt(j * (j + 1) - m * (m + 1)), -phi)
+    k = np.arange(atoms.dim + 1.0)
+    return _ladder(atoms.vectors, np.sqrt(k * (atoms.dim - k)))
 
 
-def _qfi(decomp: SpectralDecomposition, gv: np.ndarray) -> QfiResult:
-    """Mixed-state QFI from the products G v_k, column k of ``gv``.
+def _variance(
+    state: SpectralDecomposition, ladder: tuple[np.ndarray, np.ndarray], angle: float
+) -> float:
+    """Variance of G = cos(angle) X + sin(angle) Y, as <G^2> - <G>^2 on the truncated space.
+
+    ``ladder`` is (x, y) = (X v, -i Y v) for each eigenvector v.  With
+    c = cos(angle), s = sin(angle) and G v = c x + i s y, each
+    eigenvector has <v|G|v> = c Re(v^H x) - s Im(v^H y) and
+    ||G v||^2 = c^2 ||x||^2 + s^2 ||y||^2 - 2 c s Im(x^H y).  Each weighted
+    sum sum_k p_k a_k^H b_k is one ``vdot`` of a and b p.  The imaginary
+    parts are zero for a real state.
+    """
+    c, s = math.cos(angle), math.sin(angle)
+    p, v, (x, y) = state.weights, state.vectors, ladder
+    xp, yp = x * p, y * p
+    mean = c * np.vdot(v, xp).real - s * np.vdot(v, yp).imag
+    square = ((c * c) * np.vdot(x, xp).real + (s * s) * np.vdot(y, yp).real
+              - (2 * c * s) * np.vdot(x, yp).imag)
+    return float(square - mean**2)
+
+
+def _qfi(decomp: SpectralDecomposition, gv: np.ndarray, norm: float = math.nan) -> QfiResult:
+    """Mixed-state QFI from the products G v_k, column k of ``gv``, and its value / ``norm``.
 
     Both sums run over the retained weights; the per-eigenvector variances
     use the full truncated-space generator, so matrix elements reaching
-    discarded eigenvectors enter the first term automatically.
+    discarded eigenvectors enter the first term automatically.  The
+    arithmetic has the dtype of the vectors and ``gv``.
     """
     p = decomp.weights
-    vecs = decomp.vectors
-    overlap = vecs.conj().T @ gv  # overlap[m, n] = <psi_m|G|psi_n>
-    second_moment = np.sum(np.abs(gv) ** 2, axis=0)
-    first_moment = np.real(np.diag(overlap))
-    variances = second_moment - first_moment**2
-    variance_term = float(4.0 * np.sum(p * variances))
+    overlap = decomp.vectors.conj().T @ gv  # overlap[m, n] = <psi_m|G|psi_n>
+    # ||G v_k||^2 - <v_k|G|v_k>^2; vecdot conjugates its first argument
+    variances = np.vecdot(gv, gv, axis=0).real - overlap.diagonal().real ** 2
+    variance_term = float(4.0 * (p @ variances))
 
-    pm = p[:, None] + p[None, :]
-    pair_weight = np.where(pm > 0, 8.0 * p[:, None] * p[None, :] / np.where(pm > 0, pm, 1.0), 0.0)
-    np.fill_diagonal(pair_weight, 0.0)
-    correction_term = float(np.sum(pair_weight * np.abs(overlap) ** 2))
+    pm = p[:, None] + p
+    # 8 p_m p_n / (p_m + p_n), and 0 where both weights are 0
+    pair_weight = (8.0 * p)[:, None] * p
+    np.divide(pair_weight, pm, out=pair_weight, where=pm > 0)
+    pair_weight.ravel()[:: p.size + 1] = 0.0  # the diagonal: only pairs m != n
+    correction_term = float((pair_weight * (overlap.conj() * overlap).real).sum())
 
     value = variance_term - correction_term
     if value < 0 and -value < 1e-10 * max(1.0, variance_term):
         value = 0.0
-    return QfiResult(
-        value=value,
-        scaled=math.nan,
-        variance_term=variance_term,
-        correction_term=correction_term,
-    )
+    return QfiResult(value, value / norm, variance_term, correction_term)
+
+
+def _field_qfi(field: SpectralDecomposition, nbar: float) -> QfiResult:
+    """QFI for b'b, scaled by 4 nbar; b'b is diagonal, (b'b v)[n] = n v[n]."""
+    return _qfi(field, np.arange(field.dim)[:, None] * field.vectors,
+                4.0 * nbar if nbar > 0 else math.nan)
 
 
 def qfi_field(field: SpectralDecomposition) -> QfiResult:
@@ -138,34 +163,67 @@ def qfi_field(field: SpectralDecomposition) -> QfiResult:
     reported as NaN.
     """
     _check_space(field, "boson", "qfi_field")
-    nbar = mean_number(field)
-    # b'b is diagonal: (b'b v)[n] = n v[n]
-    result = _qfi(field, np.arange(field.dim)[:, None] * field.vectors)
-    return replace(result, scaled=result.value / (4.0 * nbar) if nbar > 0 else math.nan)
+    return _field_qfi(field, mean_number(field))
 
 
 def qfi_atoms(atoms: SpectralDecomposition) -> QfiResult:
     """QFI of the atomic state for the Ramsey generator Jx, scaled by N."""
     _check_space(atoms, "spin", "qfi_atoms")
-    result = _qfi(atoms, _spin_times(atoms.vectors, 0.0))
-    return replace(result, scaled=result.value / (atoms.dim - 1))
+    jx_v, _ = _spin_ladder(atoms)
+    return _qfi(atoms, jx_v, atoms.dim - 1)
 
 
 def quadrature_variance(field: SpectralDecomposition, sigma: float) -> float:
-    """Variance of X_sigma, computed as <X^2> - <X>^2 on the truncated space."""
+    """Variance of X_sigma = (e^{-i sigma} b + e^{i sigma} b') / 2.
+
+    X_sigma = cos(sigma) X_0 + sin(sigma) X_{pi/2}, from the field ladder.
+    """
     _check_space(field, "boson", "quadrature_variance")
-    return _moments(field, _quadrature_times(field.vectors, sigma))[1]
+    return _variance(field, _field_ladder(field), sigma)
 
 
 def spin_variance(atoms: SpectralDecomposition, phi: float) -> float:
     """Variance of J_phi = Jx cos(phi) + Jy sin(phi)."""
     _check_space(atoms, "spin", "spin_variance")
-    return _moments(atoms, _spin_times(atoms.vectors, phi))[1]
+    return _variance(atoms, _spin_ladder(atoms), -phi)
 
 
 def spin_squeezing_xi2(atoms: SpectralDecomposition) -> float:
     """Spin squeezing parameter xi^2 = 4*(dJy)^2 / N, with Jy = J_{pi/2}."""
     return 4.0 * spin_variance(atoms, math.pi / 2) / (atoms.dim - 1)
+
+
+class SweepObservables(NamedTuple):
+    """The observables of one sweep row, as the public functions give them."""
+
+    nbar: float
+    f_b: QfiResult
+    f_a: QfiResult
+    xi2: float
+    quad_var: float  # variance of X_{pi/2}
+
+
+def sweep_observables(
+    field: SpectralDecomposition, atoms: SpectralDecomposition
+) -> SweepObservables:
+    """Every sweep observable in one pass over each reduced state.
+
+    The same kernels as ``mean_number``, ``qfi_field``, ``qfi_atoms``,
+    ``spin_squeezing_xi2`` and ``quadrature_variance(field, pi/2)``, so the
+    same bits; nbar is formed once and Jx and Jy share one spin ladder.
+    """
+    _check_space(field, "boson", "sweep_observables")
+    _check_space(atoms, "spin", "sweep_observables")
+    nbar = mean_number(field)
+    spin = _spin_ladder(atoms)  # (Jx v, -i Y v): Jx for F_A, Y = -Jy for xi2
+    n_atoms = atoms.dim - 1
+    return SweepObservables(
+        nbar=nbar,
+        f_b=_field_qfi(field, nbar),
+        f_a=_qfi(atoms, spin[0], n_atoms),
+        xi2=4.0 * _variance(atoms, spin, -math.pi / 2) / n_atoms,
+        quad_var=_variance(field, _field_ladder(field), math.pi / 2),
+    )
 
 
 def coherent_amplitudes(alpha: np.ndarray, dim: int) -> np.ndarray:

@@ -15,8 +15,9 @@ r = ||H psi - E psi||; so E0 is bracketed, E - delta < E0 <= E.  Its time
 is set by the number of factorizations: about three for a cold solve and
 one for a doubled one.  Blocks of larger N are solved by implicitly
 restarted Lanczos (ARPACK ``eigsh``) in O(dim) memory.  Both paths apply
-the block as ``build_even_block`` gives it, its diagonals by offset; only
-the Cholesky factorization lays them out as a LAPACK band.
+the block as ``build_even_block`` gives it, its diagonals by offset.  A
+banded solve lays them out as a LAPACK band once, and each of its
+factorizations copies that band and shifts its diagonal.
 
 Cutoff convergence doubles n_cutoff until the Fock tail population and the
 energy shift across one doubling both drop below tolerance.  The first
@@ -157,7 +158,7 @@ def ground_state(
     except MemoryError as exc:
         raise SolverError(f"out of memory at n_cutoff={n_cutoff}: {exc}", n_cutoff) from exc
     vector[even_sector(indexer).index] = amplitudes
-    vector /= np.linalg.norm(vector)
+    vector /= _norm(vector)
     if vector[np.argmax(np.abs(vector))] < 0:
         vector = -vector
     tail = tail_population(vector, indexer)
@@ -245,25 +246,28 @@ def _banded_lowest(
     E.  A residual that stops halving while E still moves is no floor: far
     from convergence the residual can grow for a step while E drops.
     """
-    vector = start / np.linalg.norm(start)
+    band = _band(block)
+    vector = start / _norm(start)
     if previous is not None:
         shift = previous.convergence.lower_bound
-        factor, info = _shifted_cholesky(block, shift)
+        factor, info = _shifted_cholesky(band, shift)
         if info != 0:
             upper = previous.energy
             step = 1e-3 * abs(upper)
-            factor, shift = _factor_below(block, upper - step, step, n_cutoff)
+            factor, shift = _factor_below(block, band, upper - step, step, n_cutoff)
     else:
         upper = float(vector @ _block_matvec(block, vector))
         step = (params.omega + params.omega0) / 8
-        factor, shift = _factor_below(block, upper - step, step, n_cutoff)
+        factor, shift = _factor_below(block, band, upper - step, step, n_cutoff)
     last_energy = last_residual = math.inf
     for _ in range(MAX_INVERSE_ITERATIONS):
         solved, _ = lapack.dpbtrs(factor, vector)
-        vector = solved / np.linalg.norm(solved)
+        vector = solved / _norm(solved)
         applied = _block_matvec(block, vector)
         energy = float(vector @ applied)
-        residual = float(np.linalg.norm(applied - energy * vector))
+        # the residual H psi - E psi overwrites H psi, which is not read again
+        applied -= energy * vector
+        residual = _norm(applied)
         slack = BRACKET_RTOL * max(1.0, abs(energy))
         bracketed = energy - shift <= 2 * residual + slack
         stalled = 2 * residual >= last_residual
@@ -273,7 +277,7 @@ def _banded_lowest(
             # a failed factorization steps down by r + slack/4, which still
             # brackets E when r is at its floor, well below the slack
             target = energy - 2 * residual - slack / 2
-            factor, shift = _factor_below(block, target, residual + slack / 4, n_cutoff)
+            factor, shift = _factor_below(block, band, target, residual + slack / 4, n_cutoff)
         last_energy, last_residual = energy, residual
     msg = (f"banded inverse iteration did not converge in {MAX_INVERSE_ITERATIONS} steps "
            f"at n_cutoff={n_cutoff}")
@@ -281,9 +285,12 @@ def _banded_lowest(
 
 
 def _factor_below(
-    block: EvenBlock, shift: float, step: float, n_cutoff: int
+    block: EvenBlock, band: np.ndarray, shift: float, step: float, n_cutoff: int
 ) -> tuple[np.ndarray, float]:
     """Cholesky factor of H - shift I, stepping the shift down until one exists.
+
+    ``band`` is ``block`` laid out by ``_band``; the block itself is read
+    only for the Gershgorin bound.
 
     A failed factorization means the shift was not below E0 (or rounding
     put it there); the next attempt lies ``step`` lower and the step
@@ -293,7 +300,7 @@ def _factor_below(
     """
     floor = None
     while True:
-        factor, info = _shifted_cholesky(block, shift)
+        factor, info = _shifted_cholesky(band, shift)
         if info == 0:
             return factor, shift
         if floor is None:
@@ -308,15 +315,31 @@ def _factor_below(
         step *= 2
 
 
-def _shifted_cholesky(block: EvenBlock, shift: float) -> tuple[np.ndarray, int]:
-    """LAPACK ``dpbtrf`` of H - shift I: the band factor and info, 0 exactly on success."""
+def _band(block: EvenBlock) -> np.ndarray:
+    """H in LAPACK upper band storage: row kd - d holds offset d, the diagonal is the last row."""
     diagonal, upper = block
     kd = max(upper)
     band = np.zeros((kd + 1, diagonal.size))
-    band[kd] = diagonal - shift
+    band[kd] = diagonal
     for d, coupling in upper.items():
         band[kd - d, d:] = coupling
-    return lapack.dpbtrf(band, overwrite_ab=1)
+    return band
+
+
+def _shifted_cholesky(band: np.ndarray, shift: float) -> tuple[np.ndarray, int]:
+    """LAPACK ``dpbtrf`` of H - shift I, H as ``_band`` lays it out: the factor and info.
+
+    info is 0 exactly on success.  The factorization overwrites a copy, so
+    ``band`` serves every shift of the solve.
+    """
+    shifted = band.copy()
+    shifted[-1] -= shift
+    return lapack.dpbtrf(shifted, overwrite_ab=1)
+
+
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a real 1-D array, the bits of ``np.linalg.norm`` without its dispatch."""
+    return math.sqrt(x @ x)
 
 
 def _block_matvec(block: EvenBlock, x: np.ndarray) -> np.ndarray:

@@ -22,7 +22,10 @@ frequencies Omega and the thermal factor e^{beta*Omega} are
 singular/indeterminate exactly at the critical point; they are kept for the
 field QFI, the boson number, and identity checks, and a guard band around
 lambda_cr switches the scaled field QFI to its finite limit
-1 / [4 (dX_{pi/2})^2].
+1 / [4 (dX_{pi/2})^2].  The field QFI and the boson number take
+eps_k - omega, omega^2 - Omega_field^2 and the mixing weights c^2, s^2 from
+closed forms with no cancelling difference, so they keep every digit as
+lambda -> 0, where each of those vanishes.
 """
 
 from __future__ import annotations
@@ -177,11 +180,40 @@ def nbar_thermo(pt: ThermoPoint, n_atoms: float) -> float:
     """
     if pt.critical:
         return math.inf
-    fluct = (
-        pt.s**2 * (pt.eps2 - pt.omega) ** 2 / pt.eps2
-        + pt.c**2 * (pt.eps1 - pt.omega) ** 2 / pt.eps1
-    ) / (4 * pt.omega)
+    c2, s2, shifted1, shifted2, _ = _field_shifts(pt)
+    fluct = (s2 * shifted2**2 / pt.eps2 + c2 * shifted1**2 / pt.eps1) / (4 * pt.omega)
     return fluct + n_atoms * pt.beta_s2_per_n
+
+
+def _field_shifts(pt: ThermoPoint) -> tuple[float, float, float, float, float]:
+    """(c^2, s^2, eps1 - omega, eps2 - omega, omega^2 - Omega_field^2), no digit cancelled.
+
+    With d = omega^2 - (omega0/mu)^2, q = 4 lam^2 omega omega0 mu and the
+    half gap h = sqrt(d^2/4 + q): eps1^2 - omega^2 = -d/2 - h,
+    eps2^2 - omega^2 = h - d/2, c^2 = (h - d/2) / (2h) and
+    s^2 = (h + d/2) / (2h).  Where h and |d|/2 would cancel, h - |d|/2 is
+    written as q / (h + |d|/2), and eps - omega is
+    (eps^2 - omega^2) / (eps + omega).  Omega_field^2 = <p^2>/<x^2> of the
+    field quadratures, and omega^2 <x^2> - <p^2> reduces to
+    q / (2 eps1 eps2 (eps1 + eps2)), so
+    omega^2 - Omega_field^2 = q / ((eps1 + eps2) (c^2 eps2 + s^2 eps1)).
+    Near lam = 0 the plain differences, and cos(gamma) near pi/2, lose the
+    digits of these O(lam) and O(lam^2) quantities.
+    """
+    omega = pt.omega
+    d = omega**2 - (pt.omega0 / pt.mu) ** 2
+    q = 4 * pt.lam**2 * omega * pt.omega0 * pt.mu
+    h = 0.5 * math.hypot(d, 4 * pt.lam * math.sqrt(omega * pt.omega0 * pt.mu))
+    if h == 0:  # lam = 0 at omega = omega0 / mu: gamma = 0, as in thermo_point
+        return 1.0, 0.0, 0.0, 0.0, 0.0
+    near = q / (h + abs(d) / 2) if q else 0.0  # h - |d|/2; 0 when q is, as then h = |d|/2
+    far = h + abs(d) / 2
+    if d >= 0:
+        c2, s2, square1, square2 = near / (2 * h), far / (2 * h), -far, near
+    else:
+        c2, s2, square1, square2 = far / (2 * h), near / (2 * h), -near, far
+    gap = q / ((pt.eps1 + pt.eps2) * (c2 * pt.eps2 + s2 * pt.eps1))
+    return c2, s2, square1 / (pt.eps1 + omega), square2 / (pt.eps2 + omega), gap
 
 
 @dataclass(frozen=True)
@@ -198,7 +230,8 @@ def _field_qfi_terms(pt: ThermoPoint, beta_s2: float) -> tuple[float, float]:
     big_o = pt.omega_field
     inv = 0.0 if math.isinf(pt.exp_b_omega_field) else 1.0 / pt.exp_b_omega_field
     ratio2 = (1.0 + inv) ** 2 / (1.0 + inv * inv)  # (e+1)^2 / (e^2+1)
-    t1 = (pt.omega**2 - big_o**2) ** 2 / (2 * pt.omega**2 * big_o**2) * ratio2
+    *_, omega2_gap = _field_shifts(pt)  # omega^2 - Omega^2
+    t1 = omega2_gap**2 / (2 * pt.omega**2 * big_o**2) * ratio2
     t2 = 4 * pt.omega * beta_s2 / big_o / _coth_half(pt) if beta_s2 > 0 else 0.0
     return t1, t2
 
@@ -288,7 +321,15 @@ class ScalingProbe:
 
 
 def _loglog_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    lx, ly = np.log(x), np.log(np.abs(y))
+    """Least-squares slope of log|y| against log x, and the rms residual of the fit.
+
+    Both are NaN when some |y| is 0 or not finite: its logarithm has no
+    finite value, and the fit none either.
+    """
+    abs_y = np.abs(y)
+    if not np.all(np.isfinite(abs_y) & (abs_y > 0)):
+        return math.nan, math.nan
+    lx, ly = np.log(x), np.log(abs_y)
     slope, intercept = np.polyfit(lx, ly, 1)
     rms = float(np.sqrt(np.mean((ly - (slope * lx + intercept)) ** 2)))
     return float(slope), rms

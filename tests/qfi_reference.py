@@ -10,9 +10,9 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from dicke_qfi.metrology import QfiResult, _moments, _qfi
+from dicke_qfi.metrology import QfiResult, _qfi
 from dicke_qfi.model import BasisIndexer, EvenBlock, ModelParams, build_even_block
-from dicke_qfi.states import DEFAULT_WEIGHT_FLOOR, SpectralDecomposition, Space, _retained
+from dicke_qfi.states import DEFAULT_WEIGHT_FLOOR, SpectralDecomposition, Space
 
 
 class SpinOperators(NamedTuple):
@@ -194,12 +194,21 @@ def spectral_decompose(rho: np.ndarray, space: Space) -> SpectralDecomposition:
     """Eigenpairs of a density matrix with weights above DEFAULT_WEIGHT_FLOOR, descending."""
     evals, evecs = scipy.linalg.eigh(rho)
     order = np.argsort(evals)[::-1]
-    return _retained(evals[order], evecs[:, order], space)
+    weights, vectors = evals[order], evecs[:, order]
+    keep = weights > DEFAULT_WEIGHT_FLOOR
+    return SpectralDecomposition(weights[keep], vectors[:, keep], space,
+                                 float(np.sum(weights[~keep])))
 
 
 def mean_and_variance(state: SpectralDecomposition, op: np.ndarray) -> tuple[float, float]:
-    """Tr(rho A) and Tr(rho A^2) - Tr(rho A)^2 with a dense A."""
-    return _moments(state, op @ state.vectors)
+    """Tr(rho A) and Tr(rho A^2) - Tr(rho A)^2 with a dense A.
+
+    Tr(rho A) = sum_k p_k <v_k|A|v_k> and Tr(rho A^2) = sum_k p_k ||A v_k||^2.
+    """
+    av = op @ state.vectors
+    mean = float(state.weights @ np.real(np.sum(state.vectors.conj() * av, axis=0)))
+    mean_sq = float(state.weights @ np.sum(np.abs(av) ** 2, axis=0))
+    return mean, mean_sq - mean**2
 
 
 def qfi_mixed(decomp: SpectralDecomposition, generator: np.ndarray) -> QfiResult:

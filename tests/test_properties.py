@@ -1,13 +1,16 @@
 """Property-based checks of the ground-state solver and the reduced-state observables.
 
-The banded solver's energy, vector and energy bracket are checked against
-dense ``eigh`` of the same even block.  The observable invariants below hold
-for any pure state of the truncated model, converged or not.  They are
-checked at a small fixed Fock cutoff, at the cutoff ``converge_cutoff``
-picks, and at converged points whose even block is solved by Lanczos.  The
-banded field kernels behind ``qfi_field`` and ``quadrature_variance``, and
-the spin ladder kernels behind ``qfi_atoms`` and ``spin_variance``, are
-checked against the dense operators.
+The banded solver's energy, vector, residual and energy bracket are checked
+against dense ``eigh`` of the same even block.  The observable invariants
+below hold for any pure state of the truncated model, converged or not.
+They are checked at a small fixed Fock cutoff, at the cutoff
+``converge_cutoff`` picks, and at converged points whose even block is
+solved by Lanczos.  The banded field kernels behind ``qfi_field`` and
+``quadrature_variance``, and the spin ladder kernels behind ``qfi_atoms``
+and ``spin_variance``, are checked against the dense operators on complex
+and real mixed states and on real ground states, at random angles; the
+sweep's one-pass columns are checked against the public functions bit for
+bit.
 """
 
 import math
@@ -19,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from qfi_reference import (
     dense_hamiltonian_block,
+    haar_basis,
     jx_operator,
     mean_and_variance,
     number_operator,
@@ -35,10 +39,18 @@ from scipy.linalg import lapack
 
 import dicke_qfi.solver
 
-from dicke_qfi.metrology import qfi_atoms, qfi_field, quadrature_variance, spin_variance
+from dicke_qfi.metrology import (
+    mean_number,
+    qfi_atoms,
+    qfi_field,
+    quadrature_variance,
+    spin_squeezing_xi2,
+    spin_variance,
+    sweep_observables,
+)
 from dicke_qfi.model import BasisIndexer, ModelParams, even_sector
-from dicke_qfi.solver import BRACKET_RTOL, converge_cutoff, ground_state
-from dicke_qfi.states import schmidt_decompose
+from dicke_qfi.solver import BRACKET_RTOL, converge_cutoff, ground_state, initial_cutoff
+from dicke_qfi.states import SpectralDecomposition, schmidt_decompose
 
 N_CUTOFF = 16
 
@@ -165,3 +177,99 @@ def test_banded_solver_matches_dense_eigh(omega, omega0, lam, n_atoms, n_cutoff,
             shifted[kd - d, d:] = np.diagonal(block, d)
         shifted[kd] -= lower
         assert lapack.dpbtrf(shifted)[1] == 0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    lam=st.floats(0.0, 3.0, exclude_min=True),
+    n_atoms=st.integers(1, 6),
+    warm=st.booleans(),
+)
+def test_banded_certificate_against_dense_block(lam, n_atoms, warm):
+    # the cold solve at the starting cutoff, or the warm one converge_cutoff returns
+    params = ModelParams(1.0, 1.0, lam, n_atoms)
+    gs = converge_cutoff(params, 1e-10)[1] if warm else ground_state(params, initial_cutoff(params))
+    psi = gs.vector[even_sector(gs.indexer).index]
+    block = dense_hamiltonian_block(params, gs.indexer)
+    e_dense = scipy.linalg.eigvalsh(block, subset_by_index=[0, 0])[0]
+    energy, lower, residual = gs.energy, gs.convergence.lower_bound, gs.convergence.residual
+    scale = max(1.0, abs(energy))
+    # the residual the solver returns is the one of the vector it returns
+    assert abs(residual - np.linalg.norm(block @ psi - energy * psi)) <= 1e-13 * scale
+    # the bracket holds E0, up to rounding of the dense eigenvalue at the top
+    assert lower < e_dense <= energy + 1e-13 * scale
+    assert energy - lower <= 2 * residual + BRACKET_RTOL * scale
+
+
+def random_real_density(rng, dim, rank):
+    """A real density matrix with exactly ``rank`` weights, each at least 0.1 / rank."""
+    basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    spectrum = np.zeros(dim)
+    spectrum[:rank] = rng.dirichlet(np.ones(rank)) * 0.9 + 0.1 / rank
+    rho = (basis * spectrum) @ basis.T
+    return (rho + rho.T) / 2
+
+
+def check_kernels(field, atoms, sigma, phi):
+    """The public field and spin functions against the dense operators, to 1e-11."""
+    def close(value, dense):
+        assert abs(value - dense) <= 1e-11 * max(1.0, abs(dense))
+
+    n_atoms = atoms.dim - 1
+    close(qfi_atoms(atoms).value, qfi_mixed(atoms, jx_operator(n_atoms)).value)
+    close(spin_variance(atoms, phi), mean_and_variance(atoms, spin_operator(n_atoms, phi))[1])
+    close(qfi_field(field).value, qfi_mixed(field, number_operator(field.dim)).value)
+    dense = mean_and_variance(field, quadrature_operator(field.dim, sigma))[1]
+    close(quadrature_variance(field, sigma), dense)
+
+
+def check_sweep_columns(field, atoms):
+    """The sweep's one-pass columns are the public functions' values, bit for bit."""
+    expected = (mean_number(field), qfi_field(field), qfi_atoms(atoms),
+                spin_squeezing_xi2(atoms), quadrature_variance(field, math.pi / 2))
+    # repr tells every float apart by its bits, and shows each NaN as nan
+    assert repr(tuple(sweep_observables(field, atoms))) == repr(expected)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n_atoms=st.integers(1, 30),
+    n_fock=st.integers(2, 40),
+    rank=st.integers(1, 4),
+    sigma=st.floats(0.0, 2 * math.pi),
+    phi=st.floats(0.0, 2 * math.pi),
+    seed=st.integers(0, 2**32 - 1),
+    real=st.booleans(),
+)
+def test_kernels_random_mixed_states(n_atoms, n_fock, rank, sigma, phi, seed, real):
+    # real states take real arithmetic in the kernels, complex ones complex
+    rng = np.random.default_rng(seed)
+    density = random_real_density if real else random_density
+    atoms = spectral_decompose(density(rng, n_atoms + 1, min(rank, n_atoms + 1)), "spin")
+    field = spectral_decompose(density(rng, n_fock, min(rank, n_fock)), "boson")
+    assert np.isrealobj(atoms.vectors) == real
+    check_kernels(field, atoms, sigma, phi)
+    check_sweep_columns(field, atoms)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    n_atoms=st.sampled_from([1, 2, 20]),
+    lam=st.floats(0.0, 1.5),
+    sigma=st.floats(0.0, 2 * math.pi),
+    phi=st.floats(0.0, 2 * math.pi),
+)
+def test_kernels_real_ground_states(n_atoms, lam, sigma, phi):
+    field, atoms = schmidt_decompose(converge_cutoff(ModelParams(1.0, 1.0, lam, n_atoms), 1e-10)[1])
+    assert field.vectors.dtype == atoms.vectors.dtype == np.float64
+    check_kernels(field, atoms, sigma, phi)
+    check_sweep_columns(field, atoms)
+
+
+def test_kernels_take_a_complex_pure_state():
+    # a hand-built complex state: a random unit vector on each subsystem
+    rng = np.random.default_rng(3)
+    field = SpectralDecomposition(np.ones(1), haar_basis(rng, 12)[:, :1], "boson", 0.0)
+    atoms = SpectralDecomposition(np.ones(1), haar_basis(rng, 6)[:, :1], "spin", 0.0)
+    check_kernels(field, atoms, 0.7, 2.1)
+    check_sweep_columns(field, atoms)

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from dicke_qfi.model import ModelParams
 from dicke_qfi.thermo import (
+    _loglog_slope,
     critical_scaling_probe,
     nbar_thermo,
     qfi_atoms_thermo,
@@ -158,6 +159,41 @@ def test_field_scaled_limit_matches_large_n():
         assert abs(qfi_field_scaled_limit(pt) - finite) < 1e-6
 
 
+@pytest.mark.parametrize("lam", [1e-2, 1e-4, 1e-6, 1e-7, 1e-8])
+def test_field_scaled_limit_weak_coupling_resonance(lam):
+    # at omega = omega0 = 1 the limit is 2 lam^2 (1 + O(lam^2)); the differences
+    # eps - omega and omega^2 - Omega^2 once cancelled to 2.04e-14 at 1e-7 and
+    # 9.9e-16 at 1e-8
+    value = qfi_field_scaled_limit(thermo_point(1.0, 1.0, lam))
+    assert_allclose(value, 2 * lam**2, rtol=max(1e-13, lam**2))
+
+
+def _field_scaled_limit_mp(omega, omega0, lam):
+    """F_B / (4 nbar) in the normal phase at 50 digits, from the plain formulas."""
+    mp = pytest.importorskip("mpmath").mp
+    mp.dps = 50
+    w, w0, lam = mp.mpf(omega), mp.mpf(omega0), mp.mpf(lam)
+    half_gap = mp.sqrt((w**2 - w0**2) ** 2 + 16 * lam**2 * w * w0) / 2
+    eps1 = mp.sqrt((w**2 + w0**2) / 2 - half_gap)
+    eps2 = mp.sqrt((w**2 + w0**2) / 2 + half_gap)
+    gamma = mp.atan2(4 * lam * mp.sqrt(w * w0), w0**2 - w**2) / 2
+    c, s = mp.cos(gamma), mp.sin(gamma)
+    coth = mp.sqrt(1 + (eps1 - eps2) ** 2 * (c * s) ** 2 / (eps1 * eps2))
+    big_o = eps1 * eps2 / (eps1 * s**2 + eps2 * c**2) * coth
+    e = (coth + 1) / (coth - 1)  # e^{beta Omega}, from coth(beta Omega / 2)
+    f_b = (w**2 - big_o**2) ** 2 / (2 * w**2 * big_o**2) * (e + 1) ** 2 / (e**2 + 1)
+    nbar = (s**2 * (eps2 - w) ** 2 / eps2 + c**2 * (eps1 - w) ** 2 / eps1) / (4 * w)
+    return float(f_b / (4 * nbar))
+
+
+@pytest.mark.parametrize("omega,omega0", [(2.0, 1.0), (1.0, 2.0), (0.3, 3.0), (1e3, 1e-3)])
+@pytest.mark.parametrize("fraction", [1e-12, 1e-8, 1e-4, 0.1, 0.5, 0.9, 0.999])
+def test_field_scaled_limit_against_mpmath(omega, omega0, fraction):
+    lam = fraction * math.sqrt(omega * omega0) / 2
+    expected = _field_scaled_limit_mp(omega, omega0, lam)
+    assert_allclose(qfi_field_scaled_limit(thermo_point(omega, omega0, lam)), expected, rtol=1e-11)
+
+
 def test_field_scaled_limit_endpoints():
     assert qfi_field_scaled_limit(thermo_point(1.0, 1.0, 0.0)) == 0.0
     crit = qfi_field_scaled_limit(thermo_point(1.0, 1.0, 0.5))
@@ -253,6 +289,17 @@ def test_scaling_probe_non_finite_fit_is_low_confidence():
     probe = critical_scaling_probe(1000.0, 1.0, "above")
     assert not math.isfinite(probe.dfb_exponent)
     assert probe.low_confidence
+
+
+def test_loglog_slope_without_a_finite_logarithm_is_nan():
+    # a zero or non-finite |y| has no finite logarithm: the fit is NaN, and no
+    # RuntimeWarning is raised (the suite turns one into an error)
+    x = np.array([1.0, 2.0, 4.0])
+    for bad in (0.0, math.nan, math.inf):
+        slope, rms = _loglog_slope(x, np.array([1.0, bad, 3.0]))
+        assert math.isnan(slope) and math.isnan(rms)
+    slope, rms = _loglog_slope(x, -(x**1.5))
+    assert abs(slope - 1.5) < 1e-12 and rms < 1e-12
 
 
 def test_scaling_probe_off_resonance():
