@@ -5,7 +5,13 @@ Output is deterministic: floats are serialized in shortest round-trip
 decimal form, columns and row order are fixed, and identical configs
 produce byte-identical files.  Exit codes: 0 success, 2 invalid argument,
 3 I/O error, 4 a failed (N, lambda) point or a low-confidence fit.
-``map_points`` solves the points of ``sweep``, ``husimi`` and ``convergence``.
+``map_points`` solves the points of ``sweep``, ``husimi`` and ``convergence``
+and yields their results in output order; ``husimi`` writes each point's
+grids as they come, so a run holds one point's grids at a time.  The JSON
+writers give the bytes of json.dump(indent=2, sort_keys=True) without
+building the document: table rows are formatted from repr, one write per
+row, and ``meta`` is written after the Husimi grids, once the failed
+points are known.
 
 ``SweepConfig`` is the single declaration of the settings: each of its
 fields gives a setting's name, default, text parser and help, and the flags,
@@ -18,6 +24,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from itertools import repeat
@@ -203,23 +210,36 @@ class SweepRecord(NamedTuple):
     discarded_mass_b: float
 
 
-def map_points(config: SweepConfig, point, failure) -> tuple[list, list[list]]:
-    """``point(params, config)`` at every (N, lambda) point, in output order, and the failed points.
+def map_points(config: SweepConfig, point, failure, failed: list) -> Iterator:
+    """Yield ``point(params, config)`` at every (N, lambda) point, in output order.
 
-    A point that raises SolverError or MemoryError gives ``failure(params, exc)``
-    instead and is listed as [lambda, N].  Workers get at most one point each;
-    a result depends on its point alone, so not on the worker count.
+    A point that raises SolverError or MemoryError yields ``failure(params, exc)``
+    instead, and [lambda, N] is appended to ``failed`` before it is yielded.
+    Serially each point is solved when its result is asked for, and no
+    result is held while the next point is solved, so a consumer that
+    writes and drops each result holds one point's at a time.  A pool takes
+    all points at once and yields them in order; results that finish before
+    they are asked for wait in this process.  Workers get at most one point
+    each; a result depends on its point alone, so not on the worker count.
     """
     points = config.points()
     workers = min(config.workers, len(points))
     tasks = (repeat(point), repeat(failure), points, repeat(config))
     if workers == 1:
-        outcomes = list(map(_attempt, *tasks))
+        yield from _in_order(map(_attempt, *tasks), points, failed)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_attempt, *tasks))
-    failed = [[p.lam, p.n_atoms] for p, (_, solved) in zip(points, outcomes) if not solved]
-    return [result for result, _ in outcomes], failed
+            yield from _in_order(pool.map(_attempt, *tasks), points, failed)
+
+
+def _in_order(outcomes, points: list[ModelParams], failed: list) -> Iterator:
+    """The results of ``_attempt`` outcomes, one per point, noting the failed points."""
+    for params in points:
+        result, solved = next(outcomes)
+        if not solved:
+            failed.append([params.lam, params.n_atoms])
+        yield result
+        del result  # not held while the next point is solved
 
 
 def _attempt(point, failure, params: ModelParams, config: SweepConfig) -> tuple[object, bool]:
@@ -263,17 +283,21 @@ def _failed_sweep_record(params: ModelParams, exc: SolverError) -> SweepRecord:
 
 def run_sweep(config: SweepConfig) -> tuple[list[SweepRecord], list[list]]:
     """Every (N, lambda) record in output order, NaN where a point failed, and the failed points."""
-    return map_points(config, compute_sweep_record, _failed_sweep_record)
+    failed: list[list] = []
+    return list(map_points(config, compute_sweep_record, _failed_sweep_record, failed)), failed
 
 
 def compute_husimi_grid(params: ModelParams, config: SweepConfig) -> dict:
-    """Husimi grids of both subsystems at one point, as float64 arrays (4x smaller than lists)."""
+    """Husimi grids of both subsystems at one point, as float64 arrays (4x smaller than lists).
+
+    The atoms' ``q_normalized`` is not stored: ``write_husimi`` forms q / q_max
+    as it writes.
+    """
     points = config.grid_points
     gs = solve(params, config.tol, config.fock_cutoff)
     field, atoms = schmidt_decompose(gs)
     theta, phi = default_atom_grid(ATOM_GRID_POINTS if points is None else points)
     q_a = husimi_atoms(atoms, theta, phi)
-    q_a_max = float(q_a.max())
     re_axis, im_axis, alpha = default_field_grid(
         mean_number(field), FIELD_GRID_POINTS if points is None else points)
     q_b = husimi_field(field, alpha)
@@ -284,8 +308,7 @@ def compute_husimi_grid(params: ModelParams, config: SweepConfig) -> dict:
             "theta": theta,
             "phi": phi,
             "q": q_a,
-            "q_max": q_a_max,
-            "q_normalized": q_a / q_a_max,
+            "q_max": float(q_a.max()),
         },
         "field": {
             "re_alpha": re_axis,
@@ -300,10 +323,15 @@ def _skipped(params: ModelParams, exc: SolverError) -> None:
     """A failed Husimi point leaves no grid."""
 
 
-def run_husimi(config: SweepConfig) -> tuple[list[dict], list[list]]:
-    """The grids of every (N, lambda) point but the failed ones, and the failed points."""
-    grids, failed = map_points(config, compute_husimi_grid, _skipped)
-    return [grid for grid in grids if grid is not None], failed
+def run_husimi(config: SweepConfig) -> tuple[Iterator[dict], list[list]]:
+    """The grids of every (N, lambda) point but the failed ones, and the failed points.
+
+    The grids are solved as they are taken, in output order, and the failed
+    points are complete once the grids are.
+    """
+    failed: list[list] = []
+    # filter, unlike a generator expression, keeps no reference to the last grid
+    return filter(None, map_points(config, compute_husimi_grid, _skipped, failed)), failed
 
 
 def compute_trajectory(params: ModelParams, config: SweepConfig) -> list[tuple]:
@@ -322,7 +350,8 @@ def _trajectory_rows(params: ModelParams, solved) -> list[tuple]:
 
 def run_convergence(config: SweepConfig) -> tuple[list[tuple], list[list]]:
     """Every point's cutoff-doubling rows in output order, and the failed points."""
-    trajectories, failed = map_points(config, compute_trajectory, _trajectory_rows)
+    failed: list[list] = []
+    trajectories = map_points(config, compute_trajectory, _trajectory_rows, failed)
     return [row for rows in trajectories for row in rows], failed
 
 
@@ -365,10 +394,21 @@ def format_value(value) -> str:
     return str(value)
 
 
-def _json_safe(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
+def _json_value(value) -> str:
+    """One table value as json.dump writes it, after numpy scalars become Python ones
+    and NaN and +-inf become None."""
+    if isinstance(value, float):  # np.float64 included, whose own repr names its type
+        return float.__repr__(value) if math.isfinite(value) else "null"
+    if type(value) is int:  # what json.dumps would give, without its encoder
+        return int.__repr__(value)
+    if isinstance(value, (np.integer, np.floating)):
+        return _json_value(value.item())
+    return json.dumps(value)
+
+
+def _json_member(value) -> str:
+    """``value`` as json.dump(indent=2, sort_keys=True) writes it as a member of the top object."""
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False).replace("\n", "\n  ")
 
 
 def _meta_footer(meta: dict) -> str:
@@ -376,32 +416,54 @@ def _meta_footer(meta: dict) -> str:
     return "# meta " + " ".join(parts)
 
 
-def write_table(stream, columns, rows, meta: dict, fmt: str) -> None:
+def write_table(stream, columns, rows: Iterable, meta: dict, fmt: str) -> None:
+    """Write ``rows`` with one ``write`` per row, as CSV with a meta footer or as JSON.
+
+    The JSON is the bytes of json.dump(indent=2, sort_keys=True) over
+    {"meta", "rows"}, each row an object of its columns, but no row object
+    is built and no row goes through json's indenting encoder.
+    """
     if fmt == "csv":
         stream.write(",".join(columns) + "\n")
         for row in rows:
             stream.write(",".join(format_value(v) for v in row) + "\n")
         stream.write(_meta_footer(meta) + "\n")
-    else:
-        payload = {
-            "meta": meta,
-            "rows": [
-                {col: _json_safe(v if not isinstance(v, (np.integer, np.floating))
-                                 else v.item())
-                 for col, v in zip(columns, row)}
-                for row in rows
-            ],
-        }
-        json.dump(payload, stream, indent=2, sort_keys=True, allow_nan=False)
-        stream.write("\n")
+        return
+    # a row is an object at depth 2, its members in sorted-key order
+    order = sorted(range(len(columns)), key=columns.__getitem__)
+    members = ",\n".join(f"      {json.dumps(columns[i]).replace('%', '%%')}: %s" for i in order)
+    row_text = f"    {{\n{members}\n    }}"
+    stream.write(f'{{\n  "meta": {_json_member(meta)},\n  "rows": [')
+    separator = "\n"
+    for row in rows:
+        stream.write(separator + row_text % tuple([_json_value(row[i]) for i in order]))
+        separator = ",\n"
+    stream.write("]\n}\n" if separator == "\n" else "\n  ]\n}\n")
 
 
-def write_husimi(stream, grids: list[dict], meta: dict, fmt: str) -> None:
-    """Write ``run_husimi`` grids; each array becomes a list only while it is written."""
+def write_husimi(stream, grids: Iterable[dict], meta: Callable[[], dict], fmt: str) -> None:
+    """Write ``run_husimi`` grids as they are taken, each array a list only while it is written.
+
+    ``meta()`` is called once the grids are exhausted, as both formats write it
+    last, so it may hold the failed points.  JSON is the bytes of
+    json.dump(indent=2, sort_keys=True) over {"grids", "meta"}, and the atoms'
+    q_normalized is formed as it is written.
+    """
     if fmt == "json":
-        json.dump({"meta": meta, "grids": grids}, stream, indent=2, sort_keys=True,
-                  allow_nan=False, default=lambda array: array.tolist())
-        stream.write("\n")
+        encoder = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False,
+                                   default=lambda array: array.tolist())
+        stream.write('{\n  "grids": [')
+        separator = "\n"
+        for grid in grids:
+            atoms = grid["atoms"]
+            grid = {**grid, "atoms": {**atoms, "q_normalized": atoms["q"] / atoms["q_max"]}}
+            stream.write(f"{separator}    ")
+            # a grid is an object at depth 2: every line after its first 4 more spaces in
+            stream.writelines(chunk.replace("\n", "\n    ") for chunk in encoder.iterencode(grid))
+            separator = ",\n"
+            del grid, atoms  # not held while the next point is solved
+        stream.write("]" if separator == "\n" else "\n  ]")
+        stream.write(f',\n  "meta": {_json_member(meta())}\n}}\n')
         return
     stream.write(",".join(HUSIMI_COLUMNS) + "\n")
     maxima = {}
@@ -418,7 +480,8 @@ def write_husimi(stream, grids: list[dict], meta: dict, fmt: str) -> None:
             for x, q_row in zip(sub[x_axis].tolist(), sub["q"].tolist()):
                 row = f"{head}{format_value(x)},"
                 stream.writelines(f"{row}{y},{q!r},{q / q_max!r}\n" for y, q in zip(ys, q_row))
-    stream.write(_meta_footer({**meta, **maxima}) + "\n")
+        del grid, sub  # not held while the next point is solved
+    stream.write(_meta_footer({**meta(), **maxima}) + "\n")
 
 
 def _open_output(path: str):
@@ -514,13 +577,16 @@ def _dispatch(config: SweepConfig) -> int:
         if config.mode not in run:
             raise ValueError(f"unknown mode {config.mode}")
         results, failed = run[config.mode](config)
-        if failed:
-            meta["failed_points"] = failed
+
+        def final_meta() -> dict:
+            """The meta record, once ``results`` are taken and ``failed`` is complete."""
+            return {**meta, "failed_points": failed} if failed else meta
+
         if config.mode == "husimi":
-            write_husimi(stream, results, meta, fmt)
+            write_husimi(stream, results, final_meta, fmt)
         else:
             columns = SWEEP_COLUMNS if config.mode == "sweep" else CONVERGENCE_COLUMNS
-            write_table(stream, columns, results, meta, fmt)
+            write_table(stream, columns, results, final_meta(), fmt)
         return 4 if failed else 0
     finally:
         if close:

@@ -25,6 +25,12 @@ Schmidt vectors of a ground state take real arithmetic, and a hand-built
 complex state complex, in the same code.  ``sweep_observables`` gives every
 sweep column in one pass over each reduced state, through the kernels the
 public functions use, so with the same bits.
+
+The Husimi kernels expand coherent states in log space, with the factorials
+from ``model.log_factorials``, the table the solver's start vector uses, so
+scipy.special is never imported.  Both form their amplitudes in chunks of
+at most HUSIMI_CHUNK_ELEMENTS, so their memory grows with neither the
+cutoff nor N.
 """
 
 from __future__ import annotations
@@ -34,17 +40,18 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
+from .model import log_factorials
 from .states import SpectralDecomposition
 
 #: points per axis of the default Husimi grids
 FIELD_GRID_POINTS = 201
 ATOM_GRID_POINTS = 181
 
-#: largest (grid points x Fock levels) array of coherent-state amplitudes
-#: husimi_field forms at once; each element costs about 80 bytes at the peak
-#: of coherent_amplitudes, so a chunk stays near 20 MiB at any cutoff
+#: largest (grid points x levels) array of coherent-state amplitudes that
+#: husimi_field and husimi_atoms form at once; each element costs about 80
+#: bytes at the peak of coherent_amplitudes, so a chunk stays near 20 MiB at
+#: any cutoff or atom number
 HUSIMI_CHUNK_ELEMENTS = 2**18
 
 
@@ -240,7 +247,7 @@ def coherent_amplitudes(alpha: np.ndarray, dim: int) -> np.ndarray:
     log_amp = (
         -0.5 * mag[:, None] ** 2
         + n[None, :] * log_mag[:, None]
-        - 0.5 * gammaln(n + 1)[None, :]
+        - 0.5 * log_factorials(dim - 1)[None, :]
     )
     phase = np.exp(1j * n[None, :] * np.angle(flat)[:, None])
     amps = np.exp(log_amp) * phase
@@ -291,8 +298,9 @@ def spin_coherent_amplitudes(theta: np.ndarray, phi: np.ndarray, n_atoms: int) -
     phi = np.asarray(phi, dtype=float)
     k = np.arange(n_atoms + 1)
     half = theta / 2
+    log_factorial = log_factorials(n_atoms)
     root_binom = np.exp(
-        0.5 * (gammaln(n_atoms + 1) - gammaln(k + 1) - gammaln(n_atoms - k + 1))
+        0.5 * (log_factorial[n_atoms] - log_factorial - log_factorial[::-1])
     )
     # np.power gives 0^0 = 1, so the poles theta = 0, pi come out exact
     cos_pow = np.power(np.cos(half)[:, None], (n_atoms - k)[None, :])
@@ -303,9 +311,22 @@ def spin_coherent_amplitudes(theta: np.ndarray, phi: np.ndarray, n_atoms: int) -
 
 
 def husimi_atoms(atoms: SpectralDecomposition, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Q_A(theta, phi) = <theta,phi|rho_A|theta,phi> on a product grid."""
+    """Q_A(theta, phi) = <theta,phi|rho_A|theta,phi> on a product grid.
+
+    The amplitudes are formed for a few theta rows at a time, at most
+    HUSIMI_CHUNK_ELEMENTS per chunk, so memory does not grow with N: the
+    whole (theta, phi, N+1) array would be 0.5 GB at N = 1000 on the
+    default grid.
+    """
     _check_space(atoms, "spin", "husimi_atoms")
-    return _husimi(spin_coherent_amplitudes(theta, phi, atoms.dim - 1), atoms)
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    out = np.empty((theta.size, phi.size))
+    chunk = max(1, HUSIMI_CHUNK_ELEMENTS // max(1, phi.size * atoms.dim))
+    for start in range(0, theta.size, chunk):
+        block = spin_coherent_amplitudes(theta[start : start + chunk], phi, atoms.dim - 1)
+        out[start : start + chunk] = _husimi(block, atoms)
+    return out
 
 
 def _husimi(amps: np.ndarray, state: SpectralDecomposition) -> np.ndarray:

@@ -247,3 +247,13 @@ def build_even_block(params: ModelParams, indexer: BasisIndexer) -> EvenBlock:
 def even_sector(indexer: BasisIndexer) -> EvenSector:
     """The even n+m+j sector of ``indexer``'s basis: (index, n, k), read-only views."""
     return _skeleton(indexer).sector
+
+
+def log_factorials(m: int) -> np.ndarray:
+    """log(n!) for n = 0..m, as running sums of log(n).
+
+    Every coherent-state expansion (the solver's mean-field start, the
+    Husimi kernels) takes its factorials from this one table, so none
+    overflows and all of them round alike.
+    """
+    return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, m + 1)))))

@@ -48,6 +48,7 @@ from .model import (
     ModelParams,
     build_even_block,
     even_sector,
+    log_factorials,
 )
 
 #: default tolerance for both the tail-population and energy-shift tests
@@ -200,8 +201,7 @@ def _start_vector(
     sin_theta = math.sqrt(1.0 - cos_theta**2)
     log_alpha = math.log(params.lam * math.sqrt(params.n_atoms) * sin_theta / params.omega)
     n_atoms = params.n_atoms
-    log_factorial = np.cumsum(np.log(np.arange(1.0, max(indexer.n_cutoff, n_atoms) + 1)))
-    log_factorial = np.concatenate(([0.0], log_factorial))
+    log_factorial = log_factorials(max(indexer.n_cutoff, n_atoms))
     # |alpha|^n / sqrt(n!) and sqrt(C(N, k)) cos(theta/2)^(N-k) sin(theta/2)^k
     n = np.arange(indexer.boson_dim)
     log_field = n * log_alpha - 0.5 * log_factorial[: indexer.boson_dim]

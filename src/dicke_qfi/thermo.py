@@ -25,7 +25,9 @@ lambda_cr switches the scaled field QFI to its finite limit
 1 / [4 (dX_{pi/2})^2].  The field QFI and the boson number take
 eps_k - omega, omega^2 - Omega_field^2 and the mixing weights c^2, s^2 from
 closed forms with no cancelling difference, so they keep every digit as
-lambda -> 0, where each of those vanishes.
+lambda -> 0, where each of those vanishes.  ``ThermoPoint.c`` and ``s`` are
+the square roots of those weights, so Omega and e^{beta*Omega} keep them
+too.
 """
 
 from __future__ import annotations
@@ -99,9 +101,11 @@ def thermo_point(omega: float, omega0: float, lam: float) -> ThermoPoint:
 
     two_gamma = math.atan2(4 * lam * math.sqrt(omega * omega0 * mu), (omega0 / mu) ** 2 - omega**2)
     gamma = two_gamma / 2
-    c, s = math.cos(gamma), math.sin(gamma)
+    # cos(gamma) of the angle near pi/2 has a relative error of about 1e-16 / lam
+    c2, s2, *_ = _mixing(omega, omega0, lam, mu)
+    c, s = math.sqrt(c2), math.sqrt(s2)
 
-    cs2 = (c * s) ** 2
+    cs2 = c2 * s2
     diff2 = (eps1 - eps2) ** 2
     if critical:
         # Omega -> 0 and beta*Omega -> 0 at the critical point; the regular
@@ -110,8 +114,8 @@ def thermo_point(omega: float, omega0: float, lam: float) -> ThermoPoint:
         exp_atoms = exp_field = 1.0
     else:
         root = math.sqrt(1.0 + diff2 * cs2 / (eps1 * eps2))
-        omega_atoms = eps1 * eps2 / (eps1 * c**2 + eps2 * s**2) * root
-        omega_field = eps1 * eps2 / (eps1 * s**2 + eps2 * c**2) * root
+        omega_atoms = eps1 * eps2 / (eps1 * c2 + eps2 * s2) * root
+        omega_field = eps1 * eps2 / (eps1 * s2 + eps2 * c2) * root
         exp_atoms = exp_field = _exp_from_cosh_minus_one(
             math.inf if diff2 * cs2 == 0.0 else 2 * eps1 * eps2 / (diff2 * cs2)
         )
@@ -185,35 +189,42 @@ def nbar_thermo(pt: ThermoPoint, n_atoms: float) -> float:
     return fluct + n_atoms * pt.beta_s2_per_n
 
 
-def _field_shifts(pt: ThermoPoint) -> tuple[float, float, float, float, float]:
-    """(c^2, s^2, eps1 - omega, eps2 - omega, omega^2 - Omega_field^2), no digit cancelled.
+def _mixing(
+    omega: float, omega0: float, lam: float, mu: float
+) -> tuple[float, float, float, float, float]:
+    """(c^2, s^2, eps1^2 - omega^2, eps2^2 - omega^2, q), no digit cancelled.
 
     With d = omega^2 - (omega0/mu)^2, q = 4 lam^2 omega omega0 mu and the
     half gap h = sqrt(d^2/4 + q): eps1^2 - omega^2 = -d/2 - h,
     eps2^2 - omega^2 = h - d/2, c^2 = (h - d/2) / (2h) and
     s^2 = (h + d/2) / (2h).  Where h and |d|/2 would cancel, h - |d|/2 is
-    written as q / (h + |d|/2), and eps - omega is
-    (eps^2 - omega^2) / (eps + omega).  Omega_field^2 = <p^2>/<x^2> of the
-    field quadratures, and omega^2 <x^2> - <p^2> reduces to
-    q / (2 eps1 eps2 (eps1 + eps2)), so
-    omega^2 - Omega_field^2 = q / ((eps1 + eps2) (c^2 eps2 + s^2 eps1)).
-    Near lam = 0 the plain differences, and cos(gamma) near pi/2, lose the
-    digits of these O(lam) and O(lam^2) quantities.
+    written as q / (h + |d|/2).  Near lam = 0 the plain differences, and
+    cos(gamma) near pi/2, lose the digits of these O(lam) and O(lam^2)
+    quantities.
     """
-    omega = pt.omega
-    d = omega**2 - (pt.omega0 / pt.mu) ** 2
-    q = 4 * pt.lam**2 * omega * pt.omega0 * pt.mu
-    h = 0.5 * math.hypot(d, 4 * pt.lam * math.sqrt(omega * pt.omega0 * pt.mu))
-    if h == 0:  # lam = 0 at omega = omega0 / mu: gamma = 0, as in thermo_point
+    d = omega**2 - (omega0 / mu) ** 2
+    q = 4 * lam**2 * omega * omega0 * mu
+    h = 0.5 * math.hypot(d, 4 * lam * math.sqrt(omega * omega0 * mu))
+    if h == 0:  # lam = 0 at omega = omega0 / mu: gamma = 0
         return 1.0, 0.0, 0.0, 0.0, 0.0
     near = q / (h + abs(d) / 2) if q else 0.0  # h - |d|/2; 0 when q is, as then h = |d|/2
     far = h + abs(d) / 2
     if d >= 0:
-        c2, s2, square1, square2 = near / (2 * h), far / (2 * h), -far, near
-    else:
-        c2, s2, square1, square2 = far / (2 * h), near / (2 * h), -near, far
+        return near / (2 * h), far / (2 * h), -far, near, q
+    return far / (2 * h), near / (2 * h), -near, far, q
+
+
+def _field_shifts(pt: ThermoPoint) -> tuple[float, float, float, float, float]:
+    """(c^2, s^2, eps1 - omega, eps2 - omega, omega^2 - Omega_field^2), no digit cancelled.
+
+    eps - omega is (eps^2 - omega^2) / (eps + omega), from ``_mixing``.
+    Omega_field^2 = <p^2>/<x^2> of the field quadratures, and
+    omega^2 <x^2> - <p^2> reduces to q / (2 eps1 eps2 (eps1 + eps2)), so
+    omega^2 - Omega_field^2 = q / ((eps1 + eps2) (c^2 eps2 + s^2 eps1)).
+    """
+    c2, s2, square1, square2, q = _mixing(pt.omega, pt.omega0, pt.lam, pt.mu)
     gap = q / ((pt.eps1 + pt.eps2) * (c2 * pt.eps2 + s2 * pt.eps1))
-    return c2, s2, square1 / (pt.eps1 + omega), square2 / (pt.eps2 + omega), gap
+    return c2, s2, square1 / (pt.eps1 + pt.omega), square2 / (pt.eps2 + pt.omega), gap
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,12 +26,12 @@ from dicke_qfi.cli import (
     PARAMETER_MIN,
     SWEEP_COLUMNS,
     SweepConfig,
+    compute_husimi_grid,
     compute_sweep_record,
     format_value,
     main,
-    run_husimi,
     run_thermo,
-    write_husimi,
+    write_table,
 )
 from dicke_qfi.model import BasisIndexer, ModelParams, even_sector
 from dicke_qfi.solver import BANDED_MAX_ATOMS, initial_cutoff
@@ -253,7 +256,7 @@ def test_husimi_csv_long_form(tmp_path):
 
 
 def _as_lists(value):
-    """The grids as run_husimi held them before: every array a nested float list."""
+    """A grid as run_husimi once held it: every array a nested float list."""
     if isinstance(value, list):
         return [_as_lists(item) for item in value]
     if isinstance(value, dict):
@@ -262,8 +265,11 @@ def _as_lists(value):
 
 
 def _write_husimi_lists(stream, grids, meta, fmt):
-    """Reference writer over list-held grids, as write_husimi wrote them."""
+    """Reference writer over a whole list of list-held grids, as write_husimi once wrote them."""
     if fmt == "json":
+        for grid in grids:
+            atoms = grid["atoms"]
+            atoms["q_normalized"] = [[q / atoms["q_max"] for q in row] for row in atoms["q"]]
         json.dump({"meta": meta, "grids": grids}, stream, indent=2, sort_keys=True,
                   allow_nan=False)
         stream.write("\n")
@@ -287,34 +293,107 @@ def _write_husimi_lists(stream, grids, meta, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_husimi_array_grids_write_list_bytes(fmt):
-    config = SweepConfig(mode="husimi", n_atoms=(2,), lambda_min=0.0, lambda_max=1.0,
+def test_husimi_array_grids_write_list_bytes(fmt, tmp_path):
+    # the streamed grids, written as they are solved, against one list of all of them
+    config = SweepConfig(mode="husimi", n_atoms=(1, 2), lambda_min=0.0, lambda_max=1.0,
                          lambda_steps=3, grid_points=11)
-    grids, failed = run_husimi(config)
-    assert not failed
+    grids = [compute_husimi_grid(params, config) for params in config.points()]
     assert all(isinstance(g["atoms"]["q"], np.ndarray) for g in grids)
-    written, reference = io.StringIO(), io.StringIO()
-    write_husimi(written, grids, config.meta(), fmt)
+    reference = io.StringIO()
     _write_husimi_lists(reference, _as_lists(grids), config.meta(), fmt)
-    assert written.getvalue() == reference.getvalue()
+    out = tmp_path / f"h.{fmt}"
+    for workers in ("1", "2"):
+        assert main(["husimi", "--n-atoms", "1", "--n-atoms", "2", "--lambda-min", "0",
+                     "--lambda-max", "1", "--lambda-steps", "3", "--grid-points", "11",
+                     "--format", fmt, "--workers", workers, "--out", str(out)]) == 0
+        assert out.read_text() == reference.getvalue()
 
 
 def test_husimi_memory_does_not_hold_lists(tmp_path):
-    # repeated points at one coupling: each extra point may keep its float64
-    # grids (8 bytes a cell), not float lists (about 32 bytes a cell)
+    # repeated points at one coupling: each grid is written and dropped before
+    # the next point is solved, so six points peak less than half of one
+    # point's float64 grids (8 bytes a cell) above one point; a grid held
+    # while the next is solved adds all of them
     points = 81
-    peaks = []
-    for steps in (1, 6):
-        tracemalloc.start()
-        try:
-            assert main(["husimi", "--n-atoms", "2", "--lambda-min", "0.5", "--lambda-max",
-                         "0.5", "--lambda-steps", str(steps), "--grid-points", str(points),
-                         "--format", "json", "--out", str(tmp_path / "h.json")]) == 0
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    array_bytes = 8 * 3 * points**2  # q and q_normalized of the atoms, q of the field
-    assert peaks[1] - peaks[0] < 5 * 2 * array_bytes
+    array_bytes = 8 * 2 * points**2  # q of the atoms and q of the field
+    for fmt in ("csv", "json"):
+        peaks = []
+        for steps in (1, 6):
+            tracemalloc.start()
+            try:
+                assert main(["husimi", "--n-atoms", "2", "--lambda-min", "0.5", "--lambda-max",
+                             "0.5", "--lambda-steps", str(steps), "--grid-points", str(points),
+                             "--format", fmt, "--out", str(tmp_path / f"h.{fmt}")]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < array_bytes / 2, fmt
+
+
+def _write_table_json_dump(stream, columns, rows, meta):
+    """Reference JSON table writer: one payload of row dicts through json.dump."""
+    def plain(value):
+        if isinstance(value, (np.integer, np.floating)):
+            value = value.item()
+        return None if isinstance(value, float) and not math.isfinite(value) else value
+
+    payload = {"meta": meta,
+               "rows": [{col: plain(v) for col, v in zip(columns, row)} for row in rows]}
+    json.dump(payload, stream, indent=2, sort_keys=True, allow_nan=False)
+    stream.write("\n")
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--n-atoms", "1", "--n-atoms", "2", "--lambda-max", "3", "--lambda-steps", "7"],
+    ["convergence", "--n-atoms", "2", "--n-atoms", "6", "--lambda-steps", "4"],
+    ["thermo", "--lambda-max", "2", "--lambda-steps", "9"],
+    ["scaling"],
+    ["scaling", "--omega", "1000"],  # a NaN fit, written as null
+], ids=["sweep", "convergence", "thermo", "scaling", "scaling-nan"])
+def test_write_table_json_matches_json_dump(args, tmp_path, monkeypatch):
+    calls = []
+    real = dicke_qfi.cli.write_table
+
+    def recording(stream, columns, rows, meta, fmt):
+        rows = list(rows)
+        calls.append((columns, rows, meta))
+        real(stream, columns, rows, meta, fmt)
+
+    monkeypatch.setattr(dicke_qfi.cli, "write_table", recording)
+    out = tmp_path / "t.json"
+    assert main([*args, "--format", "json", "--out", str(out)]) in (0, 4)
+    [(columns, rows, meta)] = calls
+    reference = io.StringIO()
+    _write_table_json_dump(reference, columns, rows, meta)
+    assert out.read_text() == reference.getvalue()
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [(0.1, 3, "below", math.nan, None),
+     (-0.0, np.int64(7), "above", math.inf, np.float64(2.5e-300)),
+     (np.float64(-math.inf), True, 'say "hi"\n', np.float64(math.nan), 1e16),
+     (np.float32(0.5), np.int32(-2), "", -1.0e-7, 123456789012345678901234567890)],
+], ids=["empty", "edge-values"])
+def test_write_table_json_values_match_json_dump(rows):
+    columns = ("x", "n", "side", "B", "a")  # written in sorted-key order: B, a, n, side, x
+    meta = {"mode": "scaling", "n_atoms": [1, 2], "fock_cutoff": None, "tol": 1e-10,
+            "failed_points": [[0.5, 2]]}
+    written, reference = io.StringIO(), io.StringIO()
+    write_table(written, columns, rows, meta, "json")
+    _write_table_json_dump(reference, columns, rows, meta)
+    assert written.getvalue() == reference.getvalue()
+
+
+def test_import_loads_neither_scipy_special_nor_sparse():
+    # every process, each --workers child included, pays for what the CLI imports
+    code = ("import sys, dicke_qfi.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+            "(['scipy', 'special'], ['scipy', 'sparse'])))")
+    src = str(Path(dicke_qfi.cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_scaling_report(tmp_path):

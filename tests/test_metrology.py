@@ -24,6 +24,7 @@ from dicke_qfi.metrology import (
     qfi_atoms,
     qfi_field,
     quadrature_variance,
+    spin_coherent_amplitudes,
     spin_squeezing_xi2,
     spin_variance,
 )
@@ -318,6 +319,32 @@ def test_husimi_atoms_bounds(squeezed_n20):
     q = husimi_atoms(atoms, theta, phi)
     assert np.all(q >= -1e-14)
     assert np.all(q <= 1.0 + 1e-12)
+
+
+def test_husimi_atoms_chunks_bounded_at_large_n(monkeypatch):
+    # at N = 2000 one theta row of a 21-point grid is 42021 amplitudes, so a
+    # chunk holds 6 rows and the grid takes 4; Q must match the whole product
+    n_atoms = 2000
+    theta, phi = default_atom_grid(21)
+    centers = spin_coherent_amplitudes(np.array([0.9, 1.6, 2.4]), np.array([0.3, 3.5]), n_atoms)
+    vectors, _ = np.linalg.qr(centers.reshape(-1, n_atoms + 1).T)
+    atoms = SpectralDecomposition(np.array([0.3, 0.25, 0.2, 0.1, 0.1, 0.05]), vectors, "spin", 0.0)
+    amplitudes = spin_coherent_amplitudes(theta, phi, n_atoms)
+    whole = np.abs(amplitudes.conj() @ vectors) ** 2 @ atoms.weights
+
+    rows = []
+    real = dicke_qfi.metrology.spin_coherent_amplitudes
+
+    def record_rows(theta_rows, phi_axis, n):
+        rows.append(np.size(theta_rows))
+        return real(theta_rows, phi_axis, n)
+
+    monkeypatch.setattr(dicke_qfi.metrology, "spin_coherent_amplitudes", record_rows)
+    q = husimi_atoms(atoms, theta, phi)
+    assert len(rows) > 1 and sum(rows) == theta.size
+    assert max(rows) * phi.size * (n_atoms + 1) <= HUSIMI_CHUNK_ELEMENTS
+    assert whole.max() > 0.1
+    assert_allclose(q, whole, rtol=1e-14, atol=1e-14 * whole.max())
 
 
 def test_space_tags_enforced(squeezed_n20):

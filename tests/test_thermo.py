@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from dicke_qfi.model import ModelParams
 from dicke_qfi.thermo import (
+    _coth_half,
     _loglog_slope,
     critical_scaling_probe,
     nbar_thermo,
@@ -192,6 +193,35 @@ def test_field_scaled_limit_against_mpmath(omega, omega0, fraction):
     lam = fraction * math.sqrt(omega * omega0) / 2
     expected = _field_scaled_limit_mp(omega, omega0, lam)
     assert_allclose(qfi_field_scaled_limit(thermo_point(omega, omega0, lam)), expected, rtol=1e-11)
+
+
+@pytest.mark.parametrize("lam", [1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-3])
+def test_mixing_and_thermal_factors_against_mpmath(lam):
+    # omega > omega0 puts gamma near pi/2 at weak coupling, where cos(gamma)
+    # of the angle kept only about 1e-16 / lam of its digits (5.7e-5 at 1e-12)
+    mp = pytest.importorskip("mpmath").mp
+    mp.dps = 50
+    pt = thermo_point(2.0, 1.0, lam)
+    w, w0, lam_mp = mp.mpf(2), mp.mpf(1), mp.mpf(lam)
+    half_gap = mp.sqrt((w**2 - w0**2) ** 2 + 16 * lam_mp**2 * w * w0) / 2
+    eps1 = mp.sqrt((w**2 + w0**2) / 2 - half_gap)
+    eps2 = mp.sqrt((w**2 + w0**2) / 2 + half_gap)
+    gamma = mp.atan2(4 * lam_mp * mp.sqrt(w * w0), w0**2 - w**2) / 2
+    c, s = mp.cos(gamma), mp.sin(gamma)
+    coth = mp.sqrt(1 + (eps1 - eps2) ** 2 * (c * s) ** 2 / (eps1 * eps2))
+    expected = {
+        "c": c,
+        "s": s,
+        "omega_atoms": eps1 * eps2 / (eps1 * c**2 + eps2 * s**2) * coth,
+        "omega_field": eps1 * eps2 / (eps1 * s**2 + eps2 * c**2) * coth,
+        "exp_b_omega_atoms": (coth + 1) / (coth - 1),
+        "exp_b_omega_field": (coth + 1) / (coth - 1),
+    }
+    for name, value in expected.items():
+        assert_allclose(getattr(pt, name), float(value), rtol=2e-15, err_msg=name)
+    assert_allclose(_coth_half(pt), float(coth), rtol=2e-15)
+    if lam == 1e-12:  # F_B / (4 nbar) -> lam^2 / 2 at omega = 2, omega0 = 1
+        assert_allclose(qfi_field_scaled_limit(pt), 5.0e-25, rtol=1e-14)
 
 
 def test_field_scaled_limit_endpoints():
