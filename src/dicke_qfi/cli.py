@@ -78,8 +78,9 @@ FORMATS = ("csv", "json")
 #: thermo run's rows some hundreds of MB, and no curve needs a finer one
 MAX_LAMBDA_STEPS = 10**6
 
-#: most points per Husimi grid axis, about 10x the defaults: the atom grid is
-#: built whole, (P, P, N + 1) complex values, 1.3 GiB at P = 2001 and N = 20
+#: most points per Husimi grid axis, about 10x the defaults.  The kernels work
+#: in chunks, but the field's P x P grids, both Q arrays and the writers' lists
+#: are whole: one N = 20 point at P = 2001 peaks at 275 MiB (CSV), 305 (JSON)
 MAX_GRID_POINTS = 2001
 
 #: most worker processes, each an interpreter with its own solver memory

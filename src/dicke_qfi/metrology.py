@@ -1,12 +1,15 @@
 """Quantum Fisher information, squeezing, and Husimi distributions.
 
 For a state with spectral weights {p_n} and eigenvectors {|psi_n>} the QFI
-with respect to a phase generated by G is
+with respect to a phase generated by G takes the symmetric-logarithmic-
+derivative form of Braunstein and Caves (PRL 72, 3439, 1994),
 
-    F = 4 sum_n p_n (dG)_n^2  -  sum_{m!=n} 8 p_m p_n / (p_m + p_n) |G_mn|^2,
+    F = 2 sum_{m,n} (p_m - p_n)^2 / (p_m + p_n) |G_mn|^2
+        + 4 sum_n p_n ||G psi_n - V V^H G psi_n||^2,
 
-where (dG)_n^2 is the variance of G in |psi_n> evaluated with the full
-truncated-space G.
+with V the retained eigenvectors, so the second sum pairs each of them
+with the complement of their span in the truncated space.  Every term is
+non-negative, so nothing cancels: a nearly pure state keeps its digits.
 
 The atomic QFI is evaluated directly with G = Jx: the Ramsey sequence
 (pi/2 pulse about Jy, then phase accumulation under Jz) conjugates the
@@ -57,12 +60,12 @@ HUSIMI_CHUNK_ELEMENTS = 2**18
 
 @dataclass(frozen=True)
 class QfiResult:
-    """QFI value, its classical-limit ratio, and the two terms of the sum."""
+    """QFI value, its classical-limit ratio, and the two terms of its sum."""
 
     value: float
     scaled: float
-    variance_term: float
-    correction_term: float
+    pair_term: float  # pairs of retained eigenvectors
+    complement_term: float  # each retained one with the complement of their span
 
 
 def _check_space(state: SpectralDecomposition, space: str, caller: str) -> None:
@@ -131,30 +134,22 @@ def _variance(
 
 
 def _qfi(decomp: SpectralDecomposition, gv: np.ndarray, norm: float = math.nan) -> QfiResult:
-    """Mixed-state QFI from the products G v_k, column k of ``gv``, and its value / ``norm``.
+    """SLD-form QFI from the products G v_k, column k of ``gv``, and its value / ``norm``.
 
-    Both sums run over the retained weights; the per-eigenvector variances
-    use the full truncated-space generator, so matrix elements reaching
-    discarded eigenvectors enter the first term automatically.  The
-    arithmetic has the dtype of the vectors and ``gv``.
+    The pair term runs over the retained weights; the complement term takes
+    the part of each G v_k outside their span, through the full
+    truncated-space G.  The arithmetic has the dtype of the vectors and ``gv``.
     """
-    p = decomp.weights
-    overlap = decomp.vectors.conj().T @ gv  # overlap[m, n] = <psi_m|G|psi_n>
-    # ||G v_k||^2 - <v_k|G|v_k>^2; vecdot conjugates its first argument
-    variances = np.vecdot(gv, gv, axis=0).real - overlap.diagonal().real ** 2
-    variance_term = float(4.0 * (p @ variances))
-
-    pm = p[:, None] + p
-    # 8 p_m p_n / (p_m + p_n), and 0 where both weights are 0
-    pair_weight = (8.0 * p)[:, None] * p
-    np.divide(pair_weight, pm, out=pair_weight, where=pm > 0)
-    pair_weight.ravel()[:: p.size + 1] = 0.0  # the diagonal: only pairs m != n
-    correction_term = float((pair_weight * (overlap.conj() * overlap).real).sum())
-
-    value = variance_term - correction_term
-    if value < 0 and -value < 1e-10 * max(1.0, variance_term):
-        value = 0.0
-    return QfiResult(value, value / norm, variance_term, correction_term)
+    p, v = decomp.weights, decomp.vectors
+    overlap = v.conj().T @ gv  # overlap[m, n] = <psi_m|G|psi_n>
+    diff = p[:, None] - p
+    pair_term = float(2.0 * ((diff * diff / (p[:, None] + p))
+                             * (overlap.conj() * overlap).real).sum())
+    # G v_k less its projection on the retained vectors; vecdot conjugates its first argument
+    outside = gv - v @ overlap
+    complement_term = float(4.0 * (p @ np.vecdot(outside, outside, axis=0).real))
+    value = pair_term + complement_term
+    return QfiResult(value, value / norm, pair_term, complement_term)
 
 
 def _field_qfi(field: SpectralDecomposition, nbar: float) -> QfiResult:

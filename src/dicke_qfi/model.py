@@ -12,27 +12,18 @@ three nonzero upper diagonals, never as a dense array.  The basis is
 boson-major, idx(n, m) = n*(N+1) + (m+j); even-sector position p holds
 full index 2p or 2p + 1, so no index array is stored.
 
-Everything that does not depend on omega, omega0 or lam is built once
-per atom number N: n and m+j at each even position, and the couplings at
-g = 1 for each offset.  The odd sector is never
-built: the block does not couple it, and the ground state has no weight
-there.  The basis at cutoff c is the first (c+1)(N+1) indices of any
-larger one, so one skeleton, built at the largest cutoff asked for so far,
-serves every smaller cutoff of that N as prefix views; ``build_even_block``
-and ``even_sector`` read it.  A request above it rebuilds it at
-max(c, min(2 * capacity, HARD_CAP)), so it grows geometrically, a doubling
-sweep builds it a handful of times, and it never exceeds twice the largest
-request, nor the hard cap unless a request does.  Its arrays are
-read-only, n and m+j small unsigned integers, so it costs about 20 bytes
-per even position: 4.4 MiB at N = 400 and n_cutoff = 1140, four fifths of
-it the float64 couplings.
-Only the skeleton of the last atom number asked for stays cached: the CLI
-walks N outer and lambda inner, so each process, a ``--workers`` pool's
-included, asks for one N's cutoffs together.
+The part that does not depend on omega, omega0 or lam, n and m+j at each
+even position and the couplings at g = 1, has a closed form.  The basis at
+cutoff c is a prefix of any larger one, so ``build_even_block`` and
+``even_sector`` read views of one skeleton built at the power of two at or
+above c, under a ``functools.lru_cache`` that keeps the last two.  The odd
+sector is never built: the block does not couple it, and the ground state
+has no weight there.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -41,10 +32,6 @@ import numpy as np
 
 #: a real symmetric block: its main diagonal and its upper diagonals keyed by offset
 EvenBlock = tuple[np.ndarray, dict[int, np.ndarray]]
-
-#: largest Fock cutoff the solver attempts, its starting one included; a
-#: skeleton grows to at most this unless a single request is larger
-HARD_CAP = 2**14
 
 
 @dataclass(frozen=True)
@@ -122,91 +109,55 @@ class EvenSector(NamedTuple):
     k: np.ndarray
 
 
-class _Skeleton(NamedTuple):
-    """The parameter-free part of one basis: its even sector and the block's unit pieces.
+@functools.lru_cache(maxsize=2)
+def _skeleton(n_atoms: int, capacity: int) -> tuple[EvenSector, tuple]:
+    """The read-only skeleton of N atoms' even block at cutoff ``capacity``.
 
-    ``units`` pairs each coupling offset with sqrt((n+1) * ladder), the
-    coupling at g = 1.  n and k are typed at the cutoff the skeleton was
-    built at.
+    (n, k) at each even position, k = m + j, and per coupling offset d the
+    units at g = 1 for positions 0 .. size - d - 1, zero where the ladder
+    ends: sqrt((n+1)(k+1)(N-k)) for b'J+ and sqrt((n+1) k (N+1-k)) for b'J-.
+    Even N place them at offsets N/2 + 1 and N/2, odd N by row parity.  An
+    offset without a coupling is left out: at N = 1 offsets 0 and 2, for
+    odd N at capacity 1 offset (N+3)/2.  Every other offset has one in the
+    first rows, so in every prefix a larger capacity serves.
     """
-
-    sector: EvenSector
-    units: tuple[tuple[int, np.ndarray], ...]
-
-
-#: the last atom number asked for, alone: the cutoff its skeleton was built
-#: at, the skeleton, and its prefix views handed out so far, by cutoff
-_skeletons: dict[int, tuple[int, _Skeleton, dict[int, _Skeleton]]] = {}
-
-
-def _skeleton(indexer: BasisIndexer) -> _Skeleton:
-    """The skeleton of ``indexer``'s basis: a prefix view of its atom number's skeleton.
-
-    Another atom number, or a cutoff above the cached skeleton's, replaces
-    it; a larger cutoff of the same N builds at max(n_cutoff,
-    min(2 * capacity, HARD_CAP)).  The views of the old skeleton are dropped
-    with it, so that it is freed once no caller holds them.
-    """
-    n_atoms, n_cutoff = indexer.n_atoms, indexer.n_cutoff
-    entry = _skeletons.get(n_atoms)
-    if entry is None or entry[0] < n_cutoff:
-        capacity = n_cutoff if entry is None else max(n_cutoff, min(2 * entry[0], HARD_CAP))
-        # the old skeleton goes first, so that the cache never holds two
-        del entry
-        _skeletons.clear()
-        entry = _skeletons[n_atoms] = (
-            capacity, _build_skeleton(BasisIndexer(capacity, n_atoms)), {})
-    _, base, views = entry
-    view = views.get(n_cutoff)
-    if view is None:
-        view = views[n_cutoff] = _prefix(base, indexer)
-    return view
-
-
-def _prefix(base: _Skeleton, indexer: BasisIndexer) -> _Skeleton:
-    """``indexer``'s skeleton as views of the first entries of a larger one of the same N.
-
-    The even positions of the smaller basis are the first (dim + 1) // 2 of
-    the larger, at the same full indices.  A coupling preserves parity, so
-    one from Fock level n_cutoff lands at an even index past dim, outside
-    the first size - d entries of its offset d; an offset left without a
-    nonzero unit is dropped, as a build from scratch never makes it.
-    """
-    dim = indexer.dimension
-    size = (dim + 1) // 2
-    units = tuple((d, unit[: size - d]) for d, unit in base.units
-                  if d < size and unit[: size - d].any())
-    return _Skeleton(EvenSector(*(array[:size] for array in base.sector)), units)
-
-
-def _build_skeleton(indexer: BasisIndexer) -> _Skeleton:
-    """Build the read-only skeleton of ``indexer``'s basis; see ``build_even_block``."""
-    spin_dim = indexer.spin_dim
-    # position p holds whichever of the full indices 2p and 2p + 1 is even
-    size = (indexer.dimension + 1) // 2
-    first = 2 * np.arange(size)
-    index = first + (first // spin_dim + first % spin_dim) % 2
-    n, k = np.divmod(index, spin_dim)
-    j = indexer.j
-    m = k - j
-
-    units: dict[int, np.ndarray] = {}
-    # ladder factors j(j+1) - m(m+1) of J+ and j(j+1) - m(m-1) of J-; the
-    # coupling from position p lands at full index i + N + 1 + dk, whose
-    # position fixes the offset, so no element is written twice
-    for dk, ladder in ((1, j * (j + 1) - m * (m + 1)), (-1, j * (j + 1) - m * (m - 1))):
-        src = np.flatnonzero((n < indexer.n_cutoff) & (k + dk >= 0) & (k + dk < spin_dim))
-        unit = np.sqrt((n[src] + 1) * ladder[src])
-        offsets = (index[src] + spin_dim + dk) // 2 - src
-        for d in np.unique(offsets):
-            at = offsets == d
-            units.setdefault(int(d), np.zeros(size - d))[src[at]] = unit[at]
-
-    sector = EvenSector(n.astype(np.min_scalar_type(indexer.n_cutoff)),
-                        k.astype(np.min_scalar_type(indexer.n_atoms)))
-    for array in (*sector, *units.values()):
+    spin_dim = n_atoms + 1
+    size = ((capacity + 1) * spin_dim + 1) // 2
+    half = spin_dim // 2
+    if n_atoms % 2 == 0:
+        n, k = np.divmod(2 * np.arange(size), spin_dim)
+    else:
+        n, k = np.divmod(np.arange(size), half)
+        k = 2 * k + n % 2
+    rung = n + 1.0
+    plus = np.sqrt(rung * ((k + 1) * (n_atoms - k)))
+    minus = np.sqrt(rung * (k * (spin_dim - k)))
+    if n_atoms % 2 == 0:
+        by_offset = {half: minus, half + 1: plus}
+    else:
+        even_row = n % 2 == 0
+        by_offset = {half - 1: np.where(even_row, minus, 0.0),
+                     half: np.where(even_row, plus, minus),
+                     half + 1: np.where(even_row, 0.0, plus)}
+    sector = EvenSector(n.astype(np.min_scalar_type(capacity)),
+                        k.astype(np.min_scalar_type(n_atoms)))
+    prefixes = ((d, unit[: size - d]) for d, unit in by_offset.items())
+    units = tuple((d, unit) for d, unit in prefixes if unit.any())
+    for array in (*sector, *(unit for _, unit in units)):
         array.flags.writeable = False
-    return _Skeleton(sector, tuple(sorted(units.items())))
+    return sector, units
+
+
+def _cached(indexer: BasisIndexer) -> tuple[EvenSector, tuple, int]:
+    """The skeleton that serves ``indexer``, and the number of its basis' even positions.
+
+    It is built at the power of two at or above the cutoff: the basis at c
+    is the first (c+1)(N+1) indices of any larger one, and a doubling pair
+    (c, 2c) reads the two cached entries.
+    """
+    capacity = 1 << (indexer.n_cutoff - 1).bit_length()
+    sector, units = _skeleton(indexer.n_atoms, capacity)
+    return sector, units, (indexer.dimension + 1) // 2
 
 
 def build_even_block(params: ModelParams, indexer: BasisIndexer) -> EvenBlock:
@@ -217,30 +168,28 @@ def build_even_block(params: ModelParams, indexer: BasisIndexer) -> EvenBlock:
     offsets are ascending, at most three of them.  The block never couples
     the odd sector, so no element is lost by the restriction.
 
-    Full index i of the even sector sits at block position i // 2, since
-    exactly one of 2p and 2p + 1 has even n + m + j.  A coupling moves
-    (n, m+j) to (n + 1, m+j +- 1), i to i + N + 1 +- 1, so its offset is
-    N/2 or N/2 + 1 for even N and (N-1)/2 to (N+3)/2 for odd N, set by the
-    parity of i; at N = 1 every coupling has offset 1.
-
-    The lambda-free part, n, m and sqrt((n+1) * ladder) per offset, comes
-    from the skeleton cache as views; the diagonal omega n + omega0 m and the
-    couplings g * unit with g = lam / sqrt(N) are fresh arrays, the same
-    floating-point operations as a build from scratch.
+    Full index i of the even sector sits at block position i // 2.  A
+    coupling moves (n, m+j) to (n + 1, m+j +- 1), i to i + N + 1 +- 1, so
+    its offset is N/2 or N/2 + 1 for even N and (N-1)/2 to (N+3)/2 for odd
+    N, set by the parity of i; at N = 1 every coupling has offset 1.  n,
+    m + j and the unit couplings are prefix views of the cached skeleton;
+    no coupling from level n_cutoff lands inside the block.  The diagonal
+    omega n + omega0 m and the couplings g * unit, g = lam / sqrt(N), are
+    fresh arrays, the same floating-point operations as a build from scratch.
     """
     if indexer.n_atoms != params.n_atoms:
         raise ValueError("indexer and params disagree on n_atoms")
-    skeleton = _skeleton(indexer)
-    sector = skeleton.sector
+    (n, k), units, size = _cached(indexer)
     # float(): an integer omega times the small unsigned n would wrap around
-    diagonal = float(params.omega) * sector.n + params.omega0 * (sector.k - indexer.j)
+    diagonal = float(params.omega) * n[:size] + params.omega0 * (k[:size] - indexer.j)
     g = params.lam / math.sqrt(params.n_atoms)
-    return diagonal, {d: g * unit for d, unit in skeleton.units}
+    return diagonal, {d: g * unit[: size - d] for d, unit in units}
 
 
 def even_sector(indexer: BasisIndexer) -> EvenSector:
     """The even n+m+j sector of ``indexer``'s basis: (n, k), read-only views."""
-    return _skeleton(indexer).sector
+    (n, k), _, size = _cached(indexer)
+    return EvenSector(n[:size], k[:size])
 
 
 def log_factorials(m: int) -> np.ndarray:

@@ -44,7 +44,6 @@ from scipy.linalg import lapack
 
 from .errors import ConvergenceError, SolverError
 from .model import (
-    HARD_CAP,
     BasisIndexer,
     EvenBlock,
     ModelParams,
@@ -52,6 +51,9 @@ from .model import (
     even_sector,
     log_factorials,
 )
+
+#: largest Fock cutoff the solver attempts, its starting one included
+HARD_CAP = 2**14
 
 #: default tolerance for both the tail-population and energy-shift tests
 DEFAULT_TOL = 1e-10

@@ -224,7 +224,7 @@ def mean_and_variance(state: SpectralDecomposition, op: np.ndarray) -> tuple[flo
 
 
 def qfi_mixed(decomp: SpectralDecomposition, generator: np.ndarray) -> QfiResult:
-    """The library's pair-sum QFI with a dense generator G, fed the products G v_k."""
+    """The library's SLD-form QFI with a dense generator G, fed the products G v_k."""
     return _qfi(decomp, generator @ decomp.vectors)
 
 
@@ -237,7 +237,8 @@ def sld_qfi_oracle(decomp: SpectralDecomposition, generator: np.ndarray) -> floa
 
         F = sum_{m,n: p_m + p_n > floor} 2 (p_m - p_n)^2 / (p_m + p_n) |G_mn|^2.
 
-    Equal to the pair-sum form whenever the dropped mass is zero.
+    The library's form sums the same terms, with the complement of the
+    retained eigenvectors taken whole instead of re-diagonalized.
     """
     rho = (decomp.vectors * decomp.weights) @ decomp.vectors.conj().T
     evals, evecs = scipy.linalg.eigh(rho)

@@ -235,8 +235,8 @@ def test_criterion_08_qfi_oracle_equivalence():
         generator = random_hermitian(rng, dim)
         decomp = spectral_decompose(rho, "boson")
         result = qfi_mixed(decomp, generator)
-        assert result.correction_term == 0.0
-        assert result.value == result.variance_term
+        assert result.pair_term == 0.0
+        assert result.value == result.complement_term
         expected = pure_state_qfi(decomp.vectors[:, 0], generator)
         assert abs(result.value - expected) <= 1e-12 * max(1.0, expected)
     _report(8, f"{checked} random mixed states matched the SLD oracle to 1e-8; "

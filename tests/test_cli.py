@@ -629,11 +629,11 @@ def test_husimi_skips_failed_point(tmp_path, fail_solves_above):
 def test_allocation_failure_is_a_failed_point(tmp_path, monkeypatch):
     # a basis too large for memory fails its point, as a solver failure does; the
     # point is coupled, as at lam = 0 the exact state is formed without the basis
-    def out_of_memory(indexer):
-        raise MemoryError(f"no room for the basis of N = {indexer.n_atoms}")
+    def out_of_memory(n_atoms, capacity):
+        raise MemoryError(f"no room for the basis of N = {n_atoms}")
 
-    monkeypatch.setattr(dicke_qfi.model, "_skeletons", {})
-    monkeypatch.setattr(dicke_qfi.model, "_build_skeleton", out_of_memory)
+    dicke_qfi.model._skeleton.cache_clear()
+    monkeypatch.setattr(dicke_qfi.model, "_skeleton", out_of_memory)
     out = tmp_path / "m.csv"
     argv = ["sweep", "--n-atoms", "3", "--lambda-min", "0.1", "--lambda-steps", "1"]
     assert main([*argv, "--out", str(out)]) == 4

@@ -121,8 +121,8 @@ def test_pure_collapse_is_exact():
     rho = random_density(rng, 6, 1)
     g = random_hermitian(rng, 6)
     result = qfi_mixed(spectral_decompose(rho, "boson"), g)
-    assert result.correction_term == 0.0
-    assert result.value == result.variance_term
+    assert result.pair_term == 0.0
+    assert result.value == result.complement_term
 
 
 def test_qfi_quadratic_in_generator_scale():

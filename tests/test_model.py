@@ -319,18 +319,10 @@ def test_even_block_arrays_are_fresh_and_writable():
 
 
 @pytest.fixture
-def skeleton_builds(monkeypatch):
-    """An empty skeleton cache, and the cutoff of each skeleton built, in order, by N."""
-    monkeypatch.setattr(model, "_skeletons", {})
-    builds: dict[int, list[int]] = {}
-    real = model._build_skeleton
-
-    def counted(indexer):
-        builds.setdefault(indexer.n_atoms, []).append(indexer.n_cutoff)
-        return real(indexer)
-
-    monkeypatch.setattr(model, "_build_skeleton", counted)
-    return builds
+def skeleton_cache():
+    """The skeleton cache, emptied; its ``cache_info().misses`` counts the builds."""
+    model._skeleton.cache_clear()
+    return model._skeleton
 
 
 SKELETON_ATOMS = (*range(1, 9), 20, 21)
@@ -341,62 +333,53 @@ SKELETON_ATOMS = (*range(1, 9), 20, 21)
     requests=st.lists(st.tuples(st.sampled_from(SKELETON_ATOMS), st.integers(1, 60)),
                       min_size=1, max_size=24),
     order=st.sampled_from(("ascending", "descending", "mixed")),
-    hard_cap=st.sampled_from((model.HARD_CAP, 40)),
     block_params=st.sampled_from(BLOCK_PARAMS),
 )
-def test_prefix_views_match_scratch_in_any_request_order(requests, order, hard_cap, block_params):
-    # interleaved atom numbers and cutoffs, with the hard cap both far off and
-    # below some requests; each answer is a view of whichever skeleton its N
-    # has at the time, and must equal a build from scratch all the same
+def test_prefix_views_match_scratch_in_any_request_order(requests, order, block_params):
+    # interleaved atom numbers and cutoffs; each answer is a view of whichever
+    # skeleton its (N, capacity) has cached at the time, or of a fresh one, and
+    # must equal a build from scratch all the same
     if order != "mixed":
         requests.sort(key=lambda request: request[1], reverse=order == "descending")
     omega, omega0, lam = block_params
-    largest = 0  # the largest request since the cached skeleton's N was last built
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(model, "_skeletons", {})
-        patch.setattr(model, "HARD_CAP", hard_cap)
-        for n_atoms, n_cutoff in requests:
-            if n_atoms not in model._skeletons:
-                largest = 0
-            assert_matches_scratch(ModelParams(omega, omega0, lam, n_atoms),
-                                   BasisIndexer(n_cutoff, n_atoms))
-            largest = max(largest, n_cutoff)
-            assert list(model._skeletons) == [n_atoms]  # the last N alone stays cached
-            capacity = model._skeletons[n_atoms][0]
-            assert n_cutoff <= capacity <= 2 * largest
-            assert capacity <= hard_cap or capacity == largest
+    model._skeleton.cache_clear()
+    for n_atoms, n_cutoff in requests:
+        assert_matches_scratch(ModelParams(omega, omega0, lam, n_atoms),
+                               BasisIndexer(n_cutoff, n_atoms))
+        assert model._skeleton.cache_info().currsize <= 2
 
 
-def test_views_handed_out_survive_growth(skeleton_builds):
+def test_doubling_pairs_read_two_cached_skeletons(skeleton_cache):
+    # a point solved at c and 2c reads the skeletons at the powers of two at or
+    # above them; walking c upwards builds each power of two once
+    for n_cutoff in range(1, 65):
+        for cutoff in (n_cutoff, 2 * n_cutoff):
+            even_sector(BasisIndexer(cutoff, 3))
+            assert skeleton_cache.cache_info().currsize <= 2
+    assert skeleton_cache.cache_info().misses == 8  # 1, 2, 4, ..., 128
+
+
+def test_views_handed_out_survive_eviction(skeleton_cache):
     params = ModelParams(0.7, 1.3, 2.5, 5)
     small = BasisIndexer(9, 5)
     diagonal, upper = build_even_block(params, small)
     handed_out = [*even_sector(small), diagonal, *upper.values()]
     copies = [array.copy() for array in handed_out]
-    # far past twice the first skeleton, so it is replaced and its views dropped
+    # two larger capacities, 64 and 128, evict the skeleton of the first views
     assert_matches_scratch(params, BasisIndexer(50, 5))
-    assert skeleton_builds[5] == [9, 50]
+    assert_matches_scratch(params, BasisIndexer(100, 5))
+    assert skeleton_cache.cache_info().misses == 3
     for array, copy in zip(handed_out, copies):
         assert np.array_equal(array, copy)
-    assert_matches_scratch(params, small)  # now a view of the new skeleton
-    assert skeleton_builds[5] == [9, 50]
+    assert_matches_scratch(params, small)  # a view of its rebuilt skeleton
+    assert skeleton_cache.cache_info().misses == 4
 
 
-def test_skeleton_grows_geometrically_under_the_hard_cap(skeleton_builds, monkeypatch):
-    monkeypatch.setattr(model, "HARD_CAP", 100)
-    for n_cutoff in range(1, 101):
-        even_sector(BasisIndexer(n_cutoff, 3))
-    assert skeleton_builds[3] == [1, 2, 4, 8, 16, 32, 64, 100]
-    # a single request above the cap is built at its own size, no larger
-    even_sector(BasisIndexer(130, 3))
-    assert skeleton_builds[3][-1] == 130
-
-
-def test_superradiant_sweep_builds_few_skeletons(skeleton_builds, tmp_path):
+def test_superradiant_sweep_builds_few_skeletons(skeleton_cache, tmp_path):
     # initial_cutoff moves with lam^2 N, so nearly every point asks for a new
     # cutoff pair; a skeleton per basis took 34 builds on this grid
     argv = ["sweep", "--n-atoms", "20", "--lambda-steps", "21", "--out", str(tmp_path / "s.csv")]
     assert cli.main(argv) == 0
-    assert len(skeleton_builds[20]) <= 4
+    assert skeleton_cache.cache_info().misses <= 4
     assert cli.main(argv) == 0
-    assert len(skeleton_builds[20]) <= 4
+    assert skeleton_cache.cache_info().misses <= 8

@@ -13,6 +13,7 @@ sweep's one-pass columns are checked against the public functions bit for
 bit.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -274,3 +275,33 @@ def test_kernels_take_a_complex_pure_state():
     atoms = SpectralDecomposition(np.ones(1), haar_basis(rng, 6)[:, :1], "spin", 0.0)
     check_kernels(field, atoms, 0.7, 2.1)
     check_sweep_columns(field, atoms)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n_atoms=st.integers(1, 60), lam=st.floats(0.05, 3.0))
+def test_qfi_matches_sld_oracle_to_rounding(n_atoms, lam):
+    # every term of the SLD form is non-negative, so F_A and F_B keep the
+    # oracle's digits where a variance less a correction would cancel
+    field, atoms = schmidt_decompose(converge_cutoff(ModelParams(1.0, 1.0, lam, n_atoms), 1e-10)[1])
+    for value, state, generator in ((qfi_atoms(atoms).value, atoms, jx_operator(n_atoms)),
+                                    (qfi_field(field).value, field, number_operator(field.dim))):
+        oracle = sld_qfi_oracle(state, generator)
+        assert abs(value - oracle) <= 1e-12 * oracle
+
+
+@pytest.mark.parametrize("n_atoms,lam", [(2, 0.00375), (60, 2.0)])
+def test_qfi_is_stable_under_rounding_of_the_state(n_atoms, lam):
+    # F_B at weak coupling and F_A deep in the superradiant phase, where a
+    # nearly pure reduced state made the pair-sum form lose digits
+    gs = converge_cutoff(ModelParams(1.0, 1.0, lam, n_atoms), 1e-10)[1]
+
+    def qfis(vector):
+        field, atoms = schmidt_decompose(dataclasses.replace(gs, vector=vector))
+        return np.array([qfi_atoms(atoms).value, qfi_field(field).value])
+
+    exact = qfis(gs.vector)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        signs = rng.choice([-1.0, 1.0], gs.vector.size)
+        moved = qfis(gs.vector * (1.0 + 1e-15 * signs))
+        assert np.all(np.abs(moved - exact) <= 1e-13 * exact)

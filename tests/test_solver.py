@@ -504,8 +504,8 @@ def test_out_of_memory_is_a_solver_error_at_its_cutoff(monkeypatch):
         raise MemoryError("no room")
 
     # while the basis is built
-    monkeypatch.setattr(dicke_qfi.model, "_skeletons", {})
-    monkeypatch.setattr(dicke_qfi.model, "_build_skeleton", out_of_memory)
+    dicke_qfi.model._skeleton.cache_clear()
+    monkeypatch.setattr(dicke_qfi.model, "_skeleton", out_of_memory)
     with pytest.raises(SolverError) as excinfo:
         ground_state(ModelParams(1.0, 1.0, 0.5, 3), 7)
     assert excinfo.value.n_cutoff == 7
