@@ -6,12 +6,13 @@ decimal form, columns and row order are fixed, and identical configs
 produce byte-identical files.  Exit codes: 0 success, 2 invalid argument,
 3 I/O error, 4 a failed (N, lambda) point or a low-confidence fit.
 ``map_points`` solves the points of ``sweep``, ``husimi`` and ``convergence``
-and yields their results in output order; ``husimi`` writes each point's
-grids as they come, so a run holds one point's grids at a time.  The JSON
-writers give the bytes of json.dump(indent=2, sort_keys=True) without
-building the document: table rows are formatted from repr, one write per
-row, and ``meta`` is written after the Husimi grids, once the failed
-points are known.
+in stacks, runs of consecutive points of one N that the solver solves
+together, and yields each point's result in output order; ``husimi``
+writes each point's grids as they come, so a run holds one point's grids
+at a time.  The JSON writers give the bytes of json.dump(indent=2,
+sort_keys=True) without building the document: table rows are formatted
+from repr, one write per row, and ``meta`` is written after the Husimi
+grids, once the failed points are known.
 
 ``SweepConfig`` is the single declaration of the settings: each of its
 fields gives a setting's name, default, text parser and help, and the flags,
@@ -27,7 +28,7 @@ import sys
 from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
-from itertools import repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -45,7 +46,7 @@ from .metrology import (
     sweep_observables,
 )
 from .model import ModelParams
-from .solver import DEFAULT_TOL, converge_cutoff, solve
+from .solver import DEFAULT_TOL, GroundState, converge_stack, solve_stack
 from .states import schmidt_decompose
 from .thermo import (
     critical_scaling_probe,
@@ -211,26 +212,34 @@ class SweepRecord(NamedTuple):
     discarded_mass_b: float
 
 
-def map_points(config: SweepConfig, point, failure, failed: list) -> Iterator:
-    """Yield ``point(params, config)`` at every (N, lambda) point, in output order.
+def map_points(config: SweepConfig, solve, point, failure, failed: list) -> Iterator:
+    """Yield ``point(gs, config)`` for the ground state of every (N, lambda) point, in output order.
 
-    A point that raises SolverError or MemoryError yields ``failure(params, exc)``
-    instead, and [lambda, N] is appended to ``failed`` before it is yielded.
-    Serially each point is solved when its result is asked for, and no
-    result is held while the next point is solved, so a consumer that
-    writes and drops each result holds one point's at a time.  A pool takes
-    all points at once and yields them in order; results that finish before
-    they are asked for wait in this process.  Workers get at most one point
-    each; a result depends on its point alone, so not on the worker count.
+    The points are cut into stacks by ``solver.stacks``, and ``solve(stack,
+    config)`` gives each point of a stack its GroundState or SolverError.  A
+    point whose solve failed, or whose ``point`` raises SolverError or
+    MemoryError, yields ``failure(params, exc)`` instead, and [lambda, N] is
+    appended to ``failed`` before it is yielded.  Serially each stack is
+    solved when its first result is asked for, and each of its points'
+    results is formed when it is asked for and not held while the next one
+    is formed, so a consumer that writes and drops each result holds one
+    point's at a time.  A pool takes all stacks at once, each at most
+    ceil(points / workers) points, so that every process gets work, and
+    yields the results in order; results that finish before they are asked
+    for wait in this process.  A result depends on its point alone, so not
+    on the stacks or the worker count.
     """
     points = config.points()
     workers = min(config.workers, len(points))
-    tasks = (repeat(point), repeat(failure), points, repeat(config))
+    stacked = solver.stacks(points, config.fock_cutoff, -(-len(points) // workers))
+    workers = min(workers, len(stacked))
+    tasks = (repeat(solve), repeat(point), repeat(failure), stacked, repeat(config))
     if workers == 1:
-        yield from _in_order(map(_attempt, *tasks), points, failed)
+        yield from _in_order(chain.from_iterable(map(_attempt, *tasks)), points, failed)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from _in_order(pool.map(_attempt, *tasks), points, failed)
+            outcomes = chain.from_iterable(pool.map(_attempt_all, *tasks))
+            yield from _in_order(outcomes, points, failed)
 
 
 def _in_order(outcomes, points: list[ModelParams], failed: list) -> Iterator:
@@ -243,19 +252,44 @@ def _in_order(outcomes, points: list[ModelParams], failed: list) -> Iterator:
         del result  # not held while the next point is solved
 
 
-def _attempt(point, failure, params: ModelParams, config: SweepConfig) -> tuple[object, bool]:
-    """One point's result, or its failure's, and whether it was solved."""
+def _attempt(solve, point, failure, stack: list[ModelParams], config: SweepConfig) -> Iterator:
+    """Each point's result, or its failure's, and whether it was solved, formed as it is taken."""
     try:
-        return point(params, config), True
-    except SolverError as exc:  # ConvergenceError included
-        return failure(params, exc), False
-    except MemoryError as exc:  # the solver maps its own; this covers the observables
-        return failure(params, SolverError(f"out of memory: {exc}")), False
+        states = solve(stack, config)
+    except MemoryError as exc:  # the solver maps its own; this covers the stack's bookkeeping
+        states = [SolverError(f"out of memory: {exc}")] * len(stack)
+    for params, gs in zip(stack, states):
+        if isinstance(gs, SolverError):
+            yield failure(params, gs), False
+            continue
+        try:
+            outcome = point(gs, config), True
+        except SolverError as exc:  # ConvergenceError included
+            outcome = failure(params, exc), False
+        except MemoryError as exc:  # the solver maps its own; this covers the observables
+            outcome = failure(params, SolverError(f"out of memory: {exc}")), False
+        yield outcome
+        del outcome  # not held while the next point's result is formed
 
 
-def compute_sweep_record(params: ModelParams, config: SweepConfig) -> SweepRecord:
-    """Solve one (N, lambda) point and evaluate every sweep observable."""
-    gs = solve(params, config.tol, config.fock_cutoff)
+def _attempt_all(solve, point, failure, stack: list[ModelParams], config: SweepConfig) -> list:
+    """``_attempt`` of a stack in a worker, every outcome formed, to be sent back."""
+    return list(_attempt(solve, point, failure, stack, config))
+
+
+def _solve(stack: list[ModelParams], config: SweepConfig) -> list:
+    """The stack's ground states, converged per point or at the fixed cutoff."""
+    return solve_stack(stack, config.tol, config.fock_cutoff)
+
+
+def _converge(stack: list[ModelParams], config: SweepConfig) -> list:
+    """The stack's converged ground states, ``fock_cutoff``, when given, their first cutoff."""
+    return converge_stack(stack, config.tol, n_start=config.fock_cutoff)
+
+
+def compute_sweep_record(gs: GroundState, config: SweepConfig) -> SweepRecord:
+    """Every sweep observable of one solved (N, lambda) point."""
+    params = gs.params
     field, atoms = schmidt_decompose(gs)
     obs = sweep_observables(field, atoms)
     return SweepRecord(
@@ -285,17 +319,18 @@ def _failed_sweep_record(params: ModelParams, exc: SolverError) -> SweepRecord:
 def run_sweep(config: SweepConfig) -> tuple[list[SweepRecord], list[list]]:
     """Every (N, lambda) record in output order, NaN where a point failed, and the failed points."""
     failed: list[list] = []
-    return list(map_points(config, compute_sweep_record, _failed_sweep_record, failed)), failed
+    records = map_points(config, _solve, compute_sweep_record, _failed_sweep_record, failed)
+    return list(records), failed
 
 
-def compute_husimi_grid(params: ModelParams, config: SweepConfig) -> dict:
-    """Husimi grids of both subsystems at one point, as float64 arrays (4x smaller than lists).
+def compute_husimi_grid(gs: GroundState, config: SweepConfig) -> dict:
+    """Husimi grids of both subsystems at one solved point, as float64 arrays.
 
-    The atoms' ``q_normalized`` is not stored: ``write_husimi`` forms q / q_max
-    as it writes.
+    Arrays take a quarter of the memory of lists.  The atoms'
+    ``q_normalized`` is not stored: ``write_husimi`` forms q / q_max as it
+    writes.
     """
-    points = config.grid_points
-    gs = solve(params, config.tol, config.fock_cutoff)
+    params, points = gs.params, config.grid_points
     field, atoms = schmidt_decompose(gs)
     theta, phi = default_atom_grid(ATOM_GRID_POINTS if points is None else points)
     q_a = husimi_atoms(atoms, theta, phi)
@@ -332,13 +367,12 @@ def run_husimi(config: SweepConfig) -> tuple[Iterator[dict], list[list]]:
     """
     failed: list[list] = []
     # filter, unlike a generator expression, keeps no reference to the last grid
-    return filter(None, map_points(config, compute_husimi_grid, _skipped, failed)), failed
+    return filter(None, map_points(config, _solve, compute_husimi_grid, _skipped, failed)), failed
 
 
-def compute_trajectory(params: ModelParams, config: SweepConfig) -> list[tuple]:
-    """The cutoff-doubling rows of one point; ``fock_cutoff``, when given, is its first cutoff."""
-    _, gs = converge_cutoff(params, config.tol, n_start=config.fock_cutoff)
-    return _trajectory_rows(params, gs.convergence)
+def compute_trajectory(gs: GroundState, config: SweepConfig) -> list[tuple]:
+    """The cutoff-doubling rows of one converged point."""
+    return _trajectory_rows(gs.params, gs.convergence)
 
 
 def _trajectory_rows(params: ModelParams, solved) -> list[tuple]:
@@ -352,7 +386,7 @@ def _trajectory_rows(params: ModelParams, solved) -> list[tuple]:
 def run_convergence(config: SweepConfig) -> tuple[list[tuple], list[list]]:
     """Every point's cutoff-doubling rows in output order, and the failed points."""
     failed: list[list] = []
-    trajectories = map_points(config, compute_trajectory, _trajectory_rows, failed)
+    trajectories = map_points(config, _converge, compute_trajectory, _trajectory_rows, failed)
     return [row for rows in trajectories for row in rows], failed
 
 

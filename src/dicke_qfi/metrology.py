@@ -138,13 +138,16 @@ def _qfi(decomp: SpectralDecomposition, gv: np.ndarray, norm: float = math.nan) 
 
     The pair term runs over the retained weights; the complement term takes
     the part of each G v_k outside their span, through the full
-    truncated-space G.  The arithmetic has the dtype of the vectors and ``gv``.
+    truncated-space G.  A pair of zero weights, which only a hand-built
+    state holds, has no SLD term and adds 0.  The arithmetic has the dtype
+    of the vectors and ``gv``.
     """
     p, v = decomp.weights, decomp.vectors
     overlap = v.conj().T @ gv  # overlap[m, n] = <psi_m|G|psi_n>
     diff = p[:, None] - p
-    pair_term = float(2.0 * ((diff * diff / (p[:, None] + p))
-                             * (overlap.conj() * overlap).real).sum())
+    total = p[:, None] + p
+    pair = np.divide(diff * diff, total, out=np.zeros_like(total), where=total > 0)
+    pair_term = float(2.0 * (pair * (overlap.conj() * overlap).real).sum())
     # G v_k less its projection on the retained vectors; vecdot conjugates its first argument
     outside = gv - v @ overlap
     complement_term = float(4.0 * (p @ np.vecdot(outside, outside, axis=0).real))

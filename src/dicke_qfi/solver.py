@@ -14,29 +14,38 @@ sigma < E0, and a solve returns only after one has succeeded within
 r = ||H psi - E psi||; so E0 is bracketed, E - delta < E0 <= E.  Its time
 is set by the number of factorizations: about three for a cold solve and
 one for a doubled one.  Blocks of larger N are solved by implicitly
-restarted Lanczos (ARPACK ``eigsh``) in O(dim) memory.  Both paths apply
-the block as ``build_even_block`` gives it, its diagonals by offset.  A
-banded solve lays them out as a LAPACK band once, and each of its
-factorizations copies that band and shifts its diagonal.
+restarted Lanczos (ARPACK ``eigsh``) in O(dim) memory, one at a time.
+
+Points are solved in stacks: consecutive points of one N, as ``stacks``
+groups them.  The banded blocks of a stack are laid end to end as one
+band, each after kd zero rows, so one ``dpbtrs`` and one matrix-vector
+product per iteration serve every point.  Each block keeps its own shift,
+factored by its own ``dpbtrf`` into its columns of the shared factor, its
+own stop and re-shift decisions, and its own failure.  The zero rows give
+every block the same neighbourhood in any stack, so a point's results do
+not depend on the stack it was solved in; ``ground_state``,
+``converge_cutoff`` and ``solve`` are the stacked code on a stack of one.
 
 A ground state holds only its even-sector amplitudes, in ascending full
 index; ``states.schmidt_decompose`` alone lays them on the product grid.
 Cutoff convergence doubles n_cutoff until the Fock tail population and the
-energy shift across one doubling both drop below tolerance.  The first
-solve of a point starts from the even-parity part of the mean-field state,
-a coherent field times a spin coherent state, which depends on the point
-alone.  Each solve after the first starts from the previous cutoff's ground
-state zero-padded, a prefix copy, whose energy bounds the new one from
-above; a banded one also takes the previous lower bound as its shift.  The
-warm start stays inside one (N, lambda) point, so results do
-not depend on the order or the process in which points are solved.  Every
-ground state carries its residual ||H psi - E psi|| on the even block, and
-a banded one its certified lower bound on the energy.
+energy shift across one doubling both drop below tolerance; a stack doubles
+in rounds, each round solving the points still open.  The first solve of a
+point starts from the even-parity part of the mean-field state, a coherent
+field times a spin coherent state, which depends on the point alone.  Each
+solve after the first starts from the previous cutoff's ground state
+zero-padded, a prefix copy, whose energy bounds the new one from above; a
+banded one also takes the previous lower bound as its shift.  The warm
+start stays inside one (N, lambda) point, so results do not depend on the
+order, the stack or the process in which points are solved.  Every ground
+state carries its residual ||H psi - E psi|| on the even block, and a
+banded one its certified lower bound on the energy.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +81,14 @@ BRACKET_RTOL = 1e-12
 #: inverse-iteration steps after which a banded solve is declared failed;
 #: converged solves take 2 to 12
 MAX_INVERSE_ITERATIONS = 100
+
+#: band elements a stack may hold at its first cutoffs.  Each point is
+#: charged its band, (kd + 1)(dim + kd), and STACK_ELEMENTS // 32 besides, so
+#: a stack holds at most 32 points.  At 2^15 the band takes 0.25 MiB at the
+#: first cutoffs, twice that once they double.  On the gated sweeps 2^16 and
+#: 64 points were at most 4% faster but held about 0.5 MiB more at the peak;
+#: 2^14 cut 21 couplings of N = 20 into stacks of 2 to 4, about 10% slower
+STACK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -121,6 +138,43 @@ def tail_population(vector: np.ndarray, indexer: BasisIndexer) -> float:
     return float(tail @ tail)
 
 
+def stacks(
+    points: Sequence[ModelParams], n_start: int | None = None, max_points: int | None = None
+) -> list[list[ModelParams]]:
+    """``points`` in order, cut into the stacks that ``solve_stack`` and ``converge_stack`` take.
+
+    A stack is a run of consecutive points of one N, at most ``max_points``
+    of them, whose bands at the first cutoff (``n_start``, or each point's
+    ``initial_cutoff``) fit STACK_ELEMENTS with each point's fixed charge.
+    A point of more than BANDED_MAX_ATOMS atoms, solved by Lanczos, is a
+    stack of its own.
+    """
+    cut: list[list[ModelParams]] = []
+    used = 0
+    for params in points:
+        n_atoms = params.n_atoms
+        kd = (n_atoms + 1) // 2 + 1
+        n_cutoff = initial_cutoff(params) if n_start is None else n_start
+        cost = (kd + 1) * (((n_cutoff + 1) * (n_atoms + 1) + 1) // 2 + kd) + STACK_ELEMENTS // 32
+        last = cut[-1] if cut else None
+        if (last is not None and last[0].n_atoms == n_atoms <= BANDED_MAX_ATOMS
+                and used + cost <= STACK_ELEMENTS
+                and (max_points is None or len(last) < max_points)):
+            last.append(params)
+            used += cost
+        else:
+            cut.append([params])
+            used = cost
+    return cut
+
+
+def _settled(outcome):
+    """A stacked function's outcome for one point, raised if it is its SolverError."""
+    if isinstance(outcome, SolverError):
+        raise outcome
+    return outcome
+
+
 def ground_state(
     params: ModelParams, n_cutoff: int, previous: GroundState | None = None
 ) -> GroundState:
@@ -134,35 +188,81 @@ def ground_state(
     vector |0>|j,-j> is returned.  The block eigenvector is kept as the
     eigensolver returns it, unit-norm, only sign-fixed so the
     largest-magnitude amplitude is positive.  A MemoryError while the cutoff
-    is built or solved is raised as SolverError with this cutoff.
+    is built or solved is raised as SolverError with this cutoff.  This is
+    ``ground_states`` on a stack of one.
     """
-    if n_cutoff < 1:
-        raise ValueError("n_cutoff must be >= 1")
-    if previous is not None and (previous.params != params or previous.n_cutoff > n_cutoff):
-        raise ValueError("previous must be a ground state of the same model at a lower cutoff")
-    indexer = BasisIndexer(n_cutoff, params.n_atoms)
-    try:
-        start = _start_vector(params, indexer, previous)
-        if params.lam == 0:
-            # the diagonal is lowest at |0>|j,-j>, even index 0, which the start is
-            energy = lower_bound = -params.omega0 * params.j
-            residual = 0.0
-            amplitudes = start
-        elif params.n_atoms <= BANDED_MAX_ATOMS:
-            energy, amplitudes, residual, lower_bound = _banded_lowest(
-                build_even_block(params, indexer), start, params, previous, n_cutoff
-            )
-        else:
-            energy, amplitudes, residual = _lanczos_lowest(
-                build_even_block(params, indexer), start, n_cutoff
-            )
-            lower_bound = None
-    except MemoryError as exc:
-        raise SolverError(f"out of memory at n_cutoff={n_cutoff}: {exc}", n_cutoff) from exc
-    vector = -amplitudes if amplitudes[np.argmax(np.abs(amplitudes))] < 0 else amplitudes
-    tail = tail_population(vector, indexer)
-    info = ConvergenceInfo(tail, None, residual, lower_bound=lower_bound)
-    return GroundState(float(energy), vector, params, n_cutoff, info)
+    return _settled(ground_states([params], [n_cutoff], [previous])[0])
+
+
+def ground_states(
+    points: Sequence[ModelParams],
+    cutoffs: Sequence[int],
+    previous: Sequence[GroundState | None] | None = None,
+) -> list[GroundState | SolverError]:
+    """``ground_state`` of each point of a stack of one N at its cutoff, solved together.
+
+    ``previous``, when given, holds each point's ground state at a lower
+    cutoff or None.  Each point gets its GroundState or the SolverError it
+    failed with; a failure leaves the other points' results as they are.
+    """
+    if previous is None:
+        previous = [None] * len(points)
+    if not len(points) == len(cutoffs) == len(previous):
+        raise ValueError("points, cutoffs and previous must have one entry per point")
+    if len({params.n_atoms for params in points}) > 1:
+        raise ValueError("a stack holds points of one atom number")
+    for params, n_cutoff, prev in zip(points, cutoffs, previous):
+        if n_cutoff < 1:
+            raise ValueError("n_cutoff must be >= 1")
+        if prev is not None and (prev.params != params or prev.n_cutoff > n_cutoff):
+            raise ValueError("previous must be a ground state of the same model at a lower cutoff")
+    # per point: its indexer, and (energy, amplitudes, residual, lower bound) or its SolverError
+    indexers = [BasisIndexer(n_cutoff, params.n_atoms) for params, n_cutoff in zip(points, cutoffs)]
+    solved: list = [None] * len(points)
+    index, blocks = [], []
+    for i, (params, indexer, prev) in enumerate(zip(points, indexers, previous)):
+        try:
+            if params.lam == 0:
+                # the diagonal is lowest at |0>|j,-j>, even index 0, which the start is
+                energy = -params.omega0 * params.j
+                solved[i] = (energy, _start_vector(params, indexer, prev), 0.0, energy)
+            elif params.n_atoms <= BANDED_MAX_ATOMS:
+                blocks.append(build_even_block(params, indexer))
+                index.append(i)
+            else:
+                block = build_even_block(params, indexer)
+                lanczos = _lanczos_lowest(block, _start_vector(params, indexer, prev),
+                                          indexer.n_cutoff)
+                solved[i] = (*lanczos, None)
+        except MemoryError as exc:
+            solved[i] = _out_of_memory(exc, indexer.n_cutoff)
+        except SolverError as exc:
+            solved[i] = exc
+    if blocks:
+        outcomes = _banded_lowest(blocks, [points[i] for i in index],
+                                  [previous[i] for i in index], [cutoffs[i] for i in index])
+        for i, outcome in zip(index, outcomes):
+            solved[i] = outcome
+    return [outcome if isinstance(outcome, SolverError)
+            else _ground_state(params, indexer, *outcome)
+            for params, indexer, outcome in zip(points, indexers, solved)]
+
+
+def _out_of_memory(exc: MemoryError, n_cutoff: int) -> SolverError:
+    error = SolverError(f"out of memory at n_cutoff={n_cutoff}: {exc}", n_cutoff)
+    error.__cause__ = exc
+    return error
+
+
+def _ground_state(
+    params: ModelParams, indexer: BasisIndexer, energy, amplitudes: np.ndarray, residual,
+    lower_bound
+) -> GroundState:
+    """A solved point as a GroundState: the sign fixed, its tail measured."""
+    vector = -amplitudes if amplitudes[np.abs(amplitudes).argmax()] < 0 else amplitudes
+    info = ConvergenceInfo(tail_population(vector, indexer), None, residual,
+                           lower_bound=lower_bound)
+    return GroundState(float(energy), vector, params, indexer.n_cutoff, info)
 
 
 def _start_vector(
@@ -172,118 +272,225 @@ def _start_vector(
 
     The previous cutoff's even positions are the first of this one's, at the
     same full indices, so its amplitudes fill the first entries and the rest
-    stay zero.  Without it the start is the even-parity restriction of
-    the mean-field product state: |0>|j,-j> at or below lambda_cr; above it a
-    coherent field of amplitude alpha = -lam sqrt(N) sin(theta)/omega times
-    a spin coherent state with cos(theta) = lambda_cr^2/lam^2, formed only
-    at the even positions.  Each factor is built in log space and scaled to a
-    largest amplitude of 1, so no factorial overflows and the product peaks
-    near 1.  Conjugating H by D = diag((-1)^n) makes every off-diagonal
-    element non-positive, so the ground state is D times a positive vector.
-    The start is D times a non-negative, nonzero vector (alpha < 0, and the
-    spin amplitudes cos(theta/2)^(N-k) sin(theta/2)^k are non-negative), so
-    it overlaps the ground state strictly.
+    stay zero.  Without it the start is |0>|j,-j>, even index 0, at or below
+    lambda_cr, and above it ``_mean_field_starts``.
     """
-    if previous is not None or params.lam <= params.lambda_cr:
-        # previous, or |0>|j,-j> at even index 0, zero-padded
-        head = np.ones(1) if previous is None else previous.vector
-        return np.concatenate((head, np.zeros((indexer.dimension + 1) // 2 - head.size)))
-    # lam > lambda_cr makes cos(theta) < 1, so every logarithm below is finite
-    cos_theta = (params.lambda_cr / params.lam) ** 2
-    sin_theta = math.sqrt(1.0 - cos_theta**2)
-    log_alpha = math.log(params.lam * math.sqrt(params.n_atoms) * sin_theta / params.omega)
-    n_atoms = params.n_atoms
-    log_factorial = log_factorials(max(indexer.n_cutoff, n_atoms))
-    # |alpha|^n / sqrt(n!) and sqrt(C(N, k)) cos(theta/2)^(N-k) sin(theta/2)^k
-    n = np.arange(indexer.boson_dim)
-    log_field = n * log_alpha - 0.5 * log_factorial[: indexer.boson_dim]
-    k = np.arange(indexer.spin_dim)
+    if previous is None and params.lam > params.lambda_cr:
+        return _mean_field_starts([params], [indexer.n_cutoff])[0]
+    head = np.ones(1) if previous is None else previous.vector
+    return np.concatenate((head, np.zeros((indexer.dimension + 1) // 2 - head.size)))
+
+
+def _mean_field_starts(points: Sequence[ModelParams], cutoffs: Sequence[int]) -> list[np.ndarray]:
+    """The mean-field start of each point of one N above lambda_cr, on its even block.
+
+    The even-parity restriction of the mean-field product state: a coherent
+    field of amplitude alpha = -lam sqrt(N) sin(theta)/omega times a spin
+    coherent state with cos(theta) = lambda_cr^2/lam^2, formed only at the
+    even positions.  Each factor is built in log space and scaled to a
+    largest amplitude of 1 over the point's own levels, so no factorial
+    overflows, the product peaks near 1, and a point's start does not
+    depend on the others.  Conjugating H by D = diag((-1)^n) makes every
+    off-diagonal element non-positive, so the ground state is D times a
+    positive vector.  The start is D times a non-negative, nonzero vector
+    (alpha < 0, and the spin amplitudes cos(theta/2)^(N-k) sin(theta/2)^k are
+    non-negative), so it overlaps the ground state strictly.  The points'
+    factors are formed as the rows of one array each.
+    """
+    n_atoms = points[0].n_atoms
+    largest = max(cutoffs)
+    log_factorial = log_factorials(max(largest, n_atoms))
+    scalars = []
+    for params in points:
+        # lam > lambda_cr makes cos(theta) < 1, so every logarithm is finite
+        cos_theta = (params.lambda_cr / params.lam) ** 2
+        sin_theta = math.sqrt(1.0 - cos_theta**2)
+        scalars.append((math.log(params.lam * math.sqrt(n_atoms) * sin_theta / params.omega),
+                        0.5 * math.log((1.0 + cos_theta) / 2),
+                        0.5 * math.log((1.0 - cos_theta) / 2)))
+    scalars = np.array(scalars)
+    log_alpha, log_cos, log_sin = scalars[:, 0:1], scalars[:, 1:2], scalars[:, 2:3]
+    # |alpha|^n / sqrt(n!) on each row's own levels n <= cutoff, scaled by their maximum
+    n = np.arange(largest + 1)
+    log_field = np.where(n <= np.array(cutoffs)[:, None],
+                         n * log_alpha - 0.5 * log_factorial[: largest + 1], -math.inf)
+    field = np.exp(log_field - np.maximum.reduce(log_field, axis=1, keepdims=True))
+    field[:, 1::2] *= -1.0
+    # sqrt(C(N, k)) cos(theta/2)^(N-k) sin(theta/2)^k
+    k = np.arange(n_atoms + 1)
     log_spin = (0.5 * (log_factorial[n_atoms] - log_factorial[: n_atoms + 1]
                        - log_factorial[n_atoms::-1])
-                + (n_atoms - k) * (0.5 * math.log((1.0 + cos_theta) / 2))
-                + k * (0.5 * math.log((1.0 - cos_theta) / 2)))
-    field = np.exp(log_field - log_field.max())
-    field[1::2] *= -1.0
-    spin = np.exp(log_spin - log_spin.max())
-    sector = even_sector(indexer)
-    return field[sector.n] * spin[sector.k]
+                + (n_atoms - k) * log_cos + k * log_sin)
+    spin = np.exp(log_spin - np.maximum.reduce(log_spin, axis=1, keepdims=True))
+    sector = even_sector(BasisIndexer(largest, n_atoms))
+    starts = []
+    for row, n_cutoff in enumerate(cutoffs):
+        size = ((n_cutoff + 1) * (n_atoms + 1) + 1) // 2
+        starts.append(field[row][sector.n[:size]] * spin[row][sector.k[:size]])
+    return starts
 
 
 def _banded_lowest(
-    block: EvenBlock,
-    start: np.ndarray,
-    params: ModelParams,
-    previous: GroundState | None,
-    n_cutoff: int,
-) -> tuple[float, np.ndarray, float, float]:
-    """Lowest eigenpair of a banded block: (energy, unit vector, residual, lower bound).
+    blocks: Sequence[EvenBlock],
+    points: Sequence[ModelParams],
+    previous: Sequence[GroundState | None],
+    cutoffs: Sequence[int],
+) -> list:
+    """Lowest eigenpairs of banded blocks of one N: per block (energy, unit vector,
+    residual, lower bound), or the SolverError it failed with.
 
-    Shifted inverse iteration x = (H - sigma I)^-1 psi from ``start``.  Its
-    cost is the number of Cholesky factorizations, each worth about five
-    solves at these bandwidths.  A doubled solve factors first at the lower
-    bound of ``previous``.  That bound lay below E0 at the smaller cutoff;
-    the new E0 is lower still by the truncation error, so the factorization
-    normally succeeds, and since the new E is at most the previous energy it
-    normally certifies at once.  Only if it fails does the shift step down
-    from 1e-3 |U| below the previous energy U.  A cold solve starts
-    (omega + omega0)/8, about the zero-point energy the mean field misses,
-    below the Rayleigh quotient U of the mean-field start, and steps down by
-    that much, doubling, until a factorization exists.  Each step yields the
-    Rayleigh quotient E and residual r of the iterate.  Some eigenvalue lies
-    within r of E, so once the iterate is near the ground state E0 > E - 2r.
-    The shift moves up to E - 2r - slack/2 only when the last solve cut the
-    residual by 20x or less: convergence is slow, or r is at its floor and
-    the shift is still too far below E to certify.  A solve returns once
-    the residual has stopped halving, E has settled to within the slack,
-    and the current shift, a proven lower bound, lies within 2r + slack of
-    E.  A residual that stops halving while E still moves is no floor: far
-    from convergence the residual can grow for a step while E drops.
+    Shifted inverse iteration x = (H - sigma I)^-1 psi from each start, the
+    previous state zero-padded or the mean-field state, as ``_start_vector``
+    gives it.  Its cost is the number of Cholesky factorizations, each worth
+    about five solves at these bandwidths.  A doubled solve factors first at the lower
+    bound of its ``previous``.  That bound lay below E0 at the smaller
+    cutoff; the new E0 is lower still by the truncation error, so the
+    factorization normally succeeds, and since the new E is at most the
+    previous energy it normally certifies at once.  Only if it fails does
+    the shift step down from 1e-3 |U| below the previous energy U.  A cold
+    solve starts (omega + omega0)/8, about the zero-point energy the mean
+    field misses, below the Rayleigh quotient U of the mean-field start, and
+    steps down by that much, doubling, until a factorization exists.  Each
+    step yields the Rayleigh quotient E and residual r of the iterate.  Some
+    eigenvalue lies within r of E, so once the iterate is near the ground
+    state E0 > E - 2r.  The shift moves up to E - 2r - slack/2 only when the
+    last solve cut the residual by 20x or less: convergence is slow, or r is
+    at its floor and the shift is still too far below E to certify.  A block
+    settles once its residual has stopped halving, E has settled to within
+    the slack, and its shift, a proven lower bound, lies within 2r + slack
+    of E.  A residual that stops halving while E still moves is no floor:
+    far from convergence the residual can grow for a step while E drops.
+
+    The blocks share one band, block b at rows first[b] .. first[b] + dim - 1
+    after kd zero rows, and kd zero rows end the band.  Every per-block sum
+    runs over a block and the kd zero rows after it, so it is the same sum
+    in any stack.  A settled block's result is kept and its rows go on
+    being solved, unread.  A failed block's factor becomes the identity and
+    its rows a unit vector: every factor in the band stays valid and every
+    iterate finite, so no 0 x inf reaches a neighbour through the zero rows.
     """
-    band = _band(block)
-    vector = start / _norm(start)
-    if previous is not None:
-        shift = previous.convergence.lower_bound
-        factor, info = _shifted_cholesky(band, shift)
-        if info != 0:
-            upper = previous.energy
-            step = 1e-3 * abs(upper)
-            factor, shift = _factor_below(block, band, upper - step, step, n_cutoff)
-    else:
-        upper = float(vector @ _block_matvec(block, vector))
-        step = (params.omega + params.omega0) / 8
-        factor, shift = _factor_below(block, band, upper - step, step, n_cutoff)
-    last_energy = last_residual = math.inf
-    for _ in range(MAX_INVERSE_ITERATIONS):
-        solved, _ = lapack.dpbtrs(factor, vector)
-        vector = solved / _norm(solved)
-        applied = _block_matvec(block, vector)
-        energy = float(vector @ applied)
-        # the residual H psi - E psi overwrites H psi, which is not read again
-        applied -= energy * vector
-        residual = _norm(applied)
-        slack = BRACKET_RTOL * max(1.0, abs(energy))
-        bracketed = energy - shift <= 2 * residual + slack
-        stalled = 2 * residual >= last_residual
-        if bracketed and stalled and abs(energy - last_energy) <= slack:
-            return energy, vector, residual, shift
-        if not bracketed and 20 * residual >= last_residual:
-            # a failed factorization steps down by r + slack/4, which still
-            # brackets E when r is at its floor, well below the slack
-            target = energy - 2 * residual - slack / 2
-            factor, shift = _factor_below(block, band, target, residual + slack / 4, n_cutoff)
-        last_energy, last_residual = energy, residual
-    msg = (f"banded inverse iteration did not converge in {MAX_INVERSE_ITERATIONS} steps "
-           f"at n_cutoff={n_cutoff}")
-    raise SolverError(msg, n_cutoff)
+    count = len(blocks)
+    outcomes: list = [None] * count
+    try:
+        kd = max(max(upper) for _, upper in blocks)
+        offsets = sorted({d for _, upper in blocks for d in upper})
+        first, ends = [], []
+        total = kd
+        for block_diagonal, _ in blocks:
+            first.append(total)
+            total += block_diagonal.size
+            ends.append(total)
+            total += kd
+        diagonal = np.zeros(total)
+        upper = {d: np.zeros(total - d) for d in offsets}
+        vector = np.zeros(total)
+        # each block's start as _start_vector forms it, written into the band
+        mean_field = []
+        for b, ((block_diagonal, block_upper), params, prev) in enumerate(
+                zip(blocks, points, previous)):
+            row = first[b]
+            diagonal[row:ends[b]] = block_diagonal
+            for d, coupling in block_upper.items():
+                upper[d][row:row + coupling.size] = coupling
+            if prev is not None:
+                vector[row:row + prev.vector.size] = prev.vector
+            elif params.lam <= params.lambda_cr:
+                vector[row] = 1.0
+            else:
+                mean_field.append(b)
+        if mean_field:
+            cold = _mean_field_starts([points[b] for b in mean_field],
+                                      [cutoffs[b] for b in mean_field])
+            for b, start in zip(mean_field, cold):
+                vector[first[b]:first[b] + start.size] = start
+        stack = (diagonal, upper)
+        factor = np.zeros((kd + 1, total), order="F")
+        factor[kd] = 1.0
+        bounds = np.array(first)
+        # rows per block when a per-block value is spread over the band: its own
+        # rows and the kd zero rows after them, the first block's leading ones too
+        spread = [end + kd - row for row, end in zip(first, ends)]
+        spread[0] += kd
+        spread = np.array(spread)
+        # the blocks still iterating, and per block its shift and last step's E and r
+        iterating = list(range(count))
+        shift = [0.0] * count
+        last_energy = [math.inf] * count
+        last_residual = [math.inf] * count
+
+        def isolate(b: int, error: SolverError) -> None:
+            outcomes[b] = error
+            iterating.remove(b)
+            row, end = first[b], ends[b]
+            factor[:, row:end] = 0.0
+            factor[kd, row:end] = 1.0
+            vector[row:end] = 0.0
+            vector[row] = 1.0
+
+        vector /= np.sqrt(np.add.reduceat(vector * vector, bounds)).repeat(spread)
+        if any(prev is None for prev in previous):
+            rayleigh = np.add.reduceat(vector * _block_matvec(stack, vector), bounds).tolist()
+        for b, (params, prev, n_cutoff) in enumerate(zip(points, previous, cutoffs)):
+            block, block_factor = blocks[b], factor[:, first[b]:ends[b]]
+            try:
+                if prev is not None:
+                    shift[b] = prev.convergence.lower_bound
+                    if _shifted_cholesky(block, block_factor, shift[b]) == 0:
+                        continue
+                    upper_bound = prev.energy
+                    step = 1e-3 * abs(upper_bound)
+                else:
+                    upper_bound = rayleigh[b]
+                    step = (params.omega + params.omega0) / 8
+                shift[b] = _factor_below(block, block_factor, upper_bound - step, step, n_cutoff)
+            except SolverError as exc:
+                isolate(b, exc)
+        for _ in range(MAX_INVERSE_ITERATIONS):
+            if not iterating:
+                break
+            # the solve overwrites the iterate, which is not read again
+            vector, _ = lapack.dpbtrs(factor, vector, overwrite_b=1)
+            vector /= np.sqrt(np.add.reduceat(vector * vector, bounds)).repeat(spread)
+            applied = _block_matvec(stack, vector)
+            energies = np.add.reduceat(vector * applied, bounds)
+            # the residual H psi - E psi overwrites H psi, which is not read again
+            applied -= energies.repeat(spread) * vector
+            residuals = np.sqrt(np.add.reduceat(applied * applied, bounds)).tolist()
+            energies = energies.tolist()
+            for b in tuple(iterating):
+                energy, residual = energies[b], residuals[b]
+                slack = BRACKET_RTOL * max(1.0, abs(energy))
+                bracketed = energy - shift[b] <= 2 * residual + slack
+                stalled = 2 * residual >= last_residual[b]
+                if bracketed and stalled and abs(energy - last_energy[b]) <= slack:
+                    outcomes[b] = (energy, vector[first[b]:ends[b]].copy(), residual, shift[b])
+                    iterating.remove(b)
+                    continue
+                if not bracketed and 20 * residual >= last_residual[b]:
+                    # a failed factorization steps down by r + slack/4, which still
+                    # brackets E when r is at its floor, well below the slack
+                    target = energy - 2 * residual - slack / 2
+                    try:
+                        shift[b] = _factor_below(blocks[b], factor[:, first[b]:ends[b]], target,
+                                                 residual + slack / 4, cutoffs[b])
+                    except SolverError as exc:
+                        isolate(b, exc)
+                        continue
+                last_energy[b], last_residual[b] = energy, residual
+        for b in iterating:
+            msg = (f"banded inverse iteration did not converge in {MAX_INVERSE_ITERATIONS} "
+                   f"steps at n_cutoff={cutoffs[b]}")
+            outcomes[b] = SolverError(msg, cutoffs[b])
+    except MemoryError as exc:
+        outcomes = [_out_of_memory(exc, n_cutoff) if outcome is None else outcome
+                    for outcome, n_cutoff in zip(outcomes, cutoffs)]
+    return outcomes
 
 
 def _factor_below(
-    block: EvenBlock, band: np.ndarray, shift: float, step: float, n_cutoff: int
-) -> tuple[np.ndarray, float]:
-    """Cholesky factor of H - shift I, stepping the shift down until one exists.
-
-    ``band`` is ``block`` laid out by ``_band``; the block itself is read
-    only for the Gershgorin bound.
+    block: EvenBlock, factor: np.ndarray, shift: float, step: float, n_cutoff: int
+) -> float:
+    """Factor H - shift I into ``factor``, stepping the shift down until a factor exists; the shift.
 
     A failed factorization means the shift was not below E0 (or rounding
     put it there); the next attempt lies ``step`` lower and the step
@@ -293,9 +500,9 @@ def _factor_below(
     """
     floor = None
     while True:
-        factor, info = _shifted_cholesky(band, shift)
+        info = _shifted_cholesky(block, factor, shift)
         if info == 0:
-            return factor, shift
+            return shift
         if floor is None:
             diagonal, upper = block
             # |couplings| times a vector of ones: each row's Gershgorin radius
@@ -308,31 +515,21 @@ def _factor_below(
         step *= 2
 
 
-def _band(block: EvenBlock) -> np.ndarray:
-    """H in LAPACK upper band storage: row kd - d holds offset d, the diagonal is the last row."""
-    diagonal, upper = block
-    kd = max(upper)
-    band = np.zeros((kd + 1, diagonal.size))
-    band[kd] = diagonal
-    for d, coupling in upper.items():
-        band[kd - d, d:] = coupling
-    return band
+def _shifted_cholesky(block: EvenBlock, factor: np.ndarray, shift: float) -> int:
+    """LAPACK ``dpbtrf`` of H - shift I in place in ``factor``; its info, 0 exactly on success.
 
-
-def _shifted_cholesky(band: np.ndarray, shift: float) -> tuple[np.ndarray, int]:
-    """LAPACK ``dpbtrf`` of H - shift I, H as ``_band`` lays it out: the factor and info.
-
-    info is 0 exactly on success.  The factorization overwrites a copy, so
-    ``band`` serves every shift of the solve.
+    ``factor`` is a Fortran-ordered (kd + 1, dim) array, H's columns of the
+    stack's factor: it is filled with H - shift I in upper band storage,
+    row kd - d holding offset d and the last row the diagonal, then factored.
     """
-    shifted = band.copy()
-    shifted[-1] -= shift
-    return lapack.dpbtrf(shifted, overwrite_ab=1)
-
-
-def _norm(x: np.ndarray) -> float:
-    """Euclidean norm of a real 1-D array, the bits of ``np.linalg.norm`` without its dispatch."""
-    return math.sqrt(x @ x)
+    diagonal, upper = block
+    kd = factor.shape[0] - 1
+    factor[:kd] = 0.0
+    np.subtract(diagonal, shift, out=factor[kd])
+    for d, coupling in upper.items():
+        factor[kd - d, d:] = coupling
+    _, info = lapack.dpbtrf(factor, overwrite_ab=1)
+    return info
 
 
 def _block_matvec(block: EvenBlock, x: np.ndarray) -> np.ndarray:
@@ -417,48 +614,85 @@ def converge_cutoff(
     Raises ConvergenceError if the cutoff would exceed HARD_CAP, the
     starting one included: a start above the cap fails with no steps and
     allocates nothing.  A SolverError from any step carries the steps
-    completed before it.
+    completed before it.  This is ``converge_stack`` on a stack of one.
+    """
+    gs = _settled(converge_stack([params], tol, n_start=n_start)[0])
+    return gs.n_cutoff, gs
+
+
+def converge_stack(
+    points: Sequence[ModelParams],
+    tol: float = DEFAULT_TOL,
+    *,
+    n_start: int | None = None,
+) -> list[GroundState | SolverError]:
+    """``converge_cutoff`` for each point of a stack of one N: its GroundState or its SolverError.
+
+    The stack doubles in rounds.  The first round solves every point cold
+    at its first cutoff, ``n_start`` or its ``initial_cutoff``; each later
+    round solves the points still open at twice their last cutoff, warm
+    from their last state.  A point leaves the stack when it converges or
+    fails, with its own cutoff and steps.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    n_cutoff = initial_cutoff(params) if n_start is None else int(n_start)
-    if n_cutoff < 1:
-        raise ValueError("starting cutoff must be >= 1")
-    if n_cutoff > HARD_CAP:
-        msg = (f"starting Fock cutoff {n_cutoff} exceeds the hard cap {HARD_CAP} "
-               f"(lam={params.lam}, N={params.n_atoms})")
-        raise ConvergenceError(msg, n_cutoff)
-
-    steps: list[CutoffStep] = []
-    gs = None
-    while True:
-        try:
-            gs = ground_state(params, n_cutoff, gs)
-        except SolverError as exc:
-            raise SolverError(str(exc), n_cutoff, steps) from exc
-        tail = gs.convergence.tail_population
-        if steps:
-            shift = abs(gs.energy - steps[-1].energy)
-            done = tail < tol and shift < tol * max(1.0, abs(gs.energy))
-        else:  # decoupled limit: the exact state is accepted at the starting cutoff
-            shift, done = None, params.lam == 0
-        steps.append(CutoffStep(n_cutoff, gs.energy, tail))
-        if done:
-            info = ConvergenceInfo(tail, shift, gs.convergence.residual, tuple(steps),
-                                   gs.convergence.lower_bound)
-            return n_cutoff, GroundState(gs.energy, gs.vector, params, n_cutoff, info)
-        if 2 * n_cutoff > HARD_CAP:
-            msg = (f"Fock cutoff would exceed the hard cap {HARD_CAP} "
-                   f"(lam={params.lam}, N={params.n_atoms}, tol={tol})")
-            raise ConvergenceError(msg, n_cutoff, steps)
-        n_cutoff *= 2
+    converged: list = [None] * len(points)
+    # per open point: its index, cutoff, completed steps and last ground state
+    open_points = []
+    for i, params in enumerate(points):
+        n_cutoff = initial_cutoff(params) if n_start is None else int(n_start)
+        if n_cutoff < 1:
+            raise ValueError("starting cutoff must be >= 1")
+        if n_cutoff > HARD_CAP:
+            msg = (f"starting Fock cutoff {n_cutoff} exceeds the hard cap {HARD_CAP} "
+                   f"(lam={params.lam}, N={params.n_atoms})")
+            converged[i] = ConvergenceError(msg, n_cutoff)
+        else:
+            open_points.append((i, n_cutoff, [], None))
+    while open_points:
+        solved = ground_states([points[i] for i, *_ in open_points],
+                               [n_cutoff for _, n_cutoff, *_ in open_points],
+                               [gs for *_, gs in open_points])
+        still_open = []
+        for (i, n_cutoff, steps, _), gs in zip(open_points, solved):
+            params = points[i]
+            if isinstance(gs, SolverError):
+                error = SolverError(str(gs), n_cutoff, steps)
+                error.__cause__ = gs
+                converged[i] = error
+                continue
+            tail = gs.convergence.tail_population
+            if steps:
+                shift = abs(gs.energy - steps[-1].energy)
+                done = tail < tol and shift < tol * max(1.0, abs(gs.energy))
+            else:  # decoupled limit: the exact state is accepted at the starting cutoff
+                shift, done = None, params.lam == 0
+            steps.append(CutoffStep(n_cutoff, gs.energy, tail))
+            if done:
+                info = ConvergenceInfo(tail, shift, gs.convergence.residual, tuple(steps),
+                                       gs.convergence.lower_bound)
+                converged[i] = GroundState(gs.energy, gs.vector, params, n_cutoff, info)
+            elif 2 * n_cutoff > HARD_CAP:
+                msg = (f"Fock cutoff would exceed the hard cap {HARD_CAP} "
+                       f"(lam={params.lam}, N={params.n_atoms}, tol={tol})")
+                converged[i] = ConvergenceError(msg, n_cutoff, steps)
+            else:
+                still_open.append((i, 2 * n_cutoff, steps, gs))
+        open_points = still_open
+    return converged
 
 
 def solve(
     params: ModelParams, tol: float = DEFAULT_TOL, fock_cutoff: int | None = None
 ) -> GroundState:
     """Ground state at a fixed Fock cutoff, or by converge_cutoff when none is given."""
-    if fock_cutoff is not None:
-        return ground_state(params, fock_cutoff)
-    return converge_cutoff(params, tol)[1]
+    return _settled(solve_stack([params], tol, fock_cutoff)[0])
 
+
+def solve_stack(
+    points: Sequence[ModelParams], tol: float = DEFAULT_TOL, fock_cutoff: int | None = None
+) -> list[GroundState | SolverError]:
+    """``solve`` for each point of a stack of one N: its GroundState or its SolverError."""
+    if fock_cutoff is not None:
+        return ground_states(points, [fock_cutoff] * len(points))
+    return converge_stack(points, tol)

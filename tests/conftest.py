@@ -28,15 +28,22 @@ def ultrastrong_n6():
 
 @pytest.fixture
 def fail_solves_above(monkeypatch):
-    """Call with a cutoff to make every ground-state solve above it raise SolverError."""
-    real = dicke_qfi.solver.ground_state
+    """Call with a cutoff to make every ground-state solve above it fail with SolverError.
+
+    The failing points of a stack get their SolverError; the others are solved.
+    """
+    real = dicke_qfi.solver.ground_states
 
     def install(max_cutoff):
-        def solve_or_fail(params, n_cutoff, previous=None):
-            if n_cutoff > max_cutoff:
-                raise SolverError(f"forced failure at n_cutoff={n_cutoff}", n_cutoff)
-            return real(params, n_cutoff, previous)
+        def solve_or_fail(points, cutoffs, previous=None):
+            previous = [None] * len(points) if previous is None else previous
+            kept = [i for i, n_cutoff in enumerate(cutoffs) if n_cutoff <= max_cutoff]
+            solved = iter(real([points[i] for i in kept], [cutoffs[i] for i in kept],
+                               [previous[i] for i in kept]))
+            return [next(solved) if n_cutoff <= max_cutoff
+                    else SolverError(f"forced failure at n_cutoff={n_cutoff}", n_cutoff)
+                    for n_cutoff in cutoffs]
 
-        monkeypatch.setattr(dicke_qfi.solver, "ground_state", solve_or_fail)
+        monkeypatch.setattr(dicke_qfi.solver, "ground_states", solve_or_fail)
 
     return install

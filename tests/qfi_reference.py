@@ -231,24 +231,27 @@ def qfi_mixed(decomp: SpectralDecomposition, generator: np.ndarray) -> QfiResult
 def sld_qfi_oracle(decomp: SpectralDecomposition, generator: np.ndarray) -> float:
     """Independent QFI evaluation in symmetric-logarithmic-derivative form.
 
-    The retained decomposition is reassembled into a density matrix, which is
-    re-diagonalized over the complete basis (zero-weight complement included).
-    Then
+    The given eigenvectors V are completed to an orthonormal basis of the
+    truncated space by the last columns of a complete QR of V, and the
+    complement takes weight zero.  Then, over every pair of that basis,
 
-        F = sum_{m,n: p_m + p_n > floor} 2 (p_m - p_n)^2 / (p_m + p_n) |G_mn|^2.
+        F = sum_{m,n: p_m + p_n > 0} 2 (p_m - p_n)^2 / (p_m + p_n) |G_mn|^2.
 
-    The library's form sums the same terms, with the complement of the
-    retained eigenvectors taken whole instead of re-diagonalized.
+    The weights are used as given, not re-diagonalized from a density
+    matrix, so a small weight keeps its relative accuracy.  The library's
+    form sums the same terms, with the complement of V taken whole through
+    a projection instead of pair by pair.
     """
-    rho = (decomp.vectors * decomp.weights) @ decomp.vectors.conj().T
-    evals, evecs = scipy.linalg.eigh(rho)
-    overlap = evecs.conj().T @ (generator @ evecs)
-    pm_sum = evals[:, None] + evals[None, :]
-    pm_diff = evals[:, None] - evals[None, :]
-    mask = pm_sum > DEFAULT_WEIGHT_FLOOR
+    rank = decomp.weights.size
+    complete, _ = np.linalg.qr(decomp.vectors, mode="complete")
+    basis = np.concatenate((decomp.vectors, complete[:, rank:]), axis=1)
+    weights = np.concatenate((decomp.weights, np.zeros(basis.shape[1] - rank)))
+    overlap = basis.conj().T @ (generator @ basis)
+    pm_sum = weights[:, None] + weights[None, :]
+    pm_diff = weights[:, None] - weights[None, :]
     terms = np.zeros_like(pm_sum)
-    np.divide(2.0 * pm_diff**2, pm_sum, out=terms, where=mask)
-    return float(np.sum(terms * np.abs(overlap) ** 2, where=mask))
+    np.divide(2.0 * pm_diff**2, pm_sum, out=terms, where=pm_sum > 0)
+    return float(np.sum(terms * np.abs(overlap) ** 2))
 
 
 def expectation(state, op: np.ndarray) -> complex:

@@ -34,7 +34,7 @@ from dicke_qfi.cli import (
     write_table,
 )
 from dicke_qfi.model import BasisIndexer, ModelParams
-from dicke_qfi.solver import BANDED_MAX_ATOMS, initial_cutoff
+from dicke_qfi.solver import BANDED_MAX_ATOMS, initial_cutoff, solve
 
 SMALL_SWEEP = [
     "--n-atoms", "2", "--lambda-min", "0", "--lambda-max", "0.4",
@@ -45,6 +45,11 @@ SMALL_SWEEP = [
 def sweep_config(**settings):
     """A sweep configuration at tol 1e-10, as compute_sweep_record takes it."""
     return SweepConfig(mode="sweep", tol=1e-10, **settings)
+
+
+def sweep_record(params, config):
+    """One point's sweep row, solved alone as the configuration asks."""
+    return compute_sweep_record(solve(params, config.tol, config.fock_cutoff), config)
 
 
 def read_csv_rows(path):
@@ -300,7 +305,7 @@ def test_husimi_array_grids_write_list_bytes(fmt, tmp_path):
     # the streamed grids, written as they are solved, against one list of all of them
     config = SweepConfig(mode="husimi", n_atoms=(1, 2), lambda_min=0.0, lambda_max=1.0,
                          lambda_steps=3, grid_points=11)
-    grids = [compute_husimi_grid(params, config) for params in config.points()]
+    grids = [compute_husimi_grid(solve(params, config.tol), config) for params in config.points()]
     assert all(isinstance(g["atoms"]["q"], np.ndarray) for g in grids)
     reference = io.StringIO()
     _write_husimi_lists(reference, _as_lists(grids), config.meta(), fmt)
@@ -665,7 +670,7 @@ def test_field_side_builds_no_dense_operator(tmp_path):
     # traced peak stays below a quarter of that, so no field observable builds one
     tracemalloc.start()
     try:
-        record = compute_sweep_record(ModelParams(1.0, 1.0, 0.5, 2), sweep_config(fock_cutoff=600))
+        record = sweep_record(ModelParams(1.0, 1.0, 0.5, 2), sweep_config(fock_cutoff=600))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -686,7 +691,7 @@ def test_sweep_point_builds_no_dense_spin_operator():
             assert not hasattr(module, "build_spin_ops"), name
             assert not any(value is build_spin_ops for value in vars(module).values()), name
     for n_atoms, lam in ((1, 0.5), (6, 1.5), (20, 1.0)):
-        record = compute_sweep_record(ModelParams(1.0, 1.0, lam, n_atoms), sweep_config())
+        record = sweep_record(ModelParams(1.0, 1.0, lam, n_atoms), sweep_config())
         assert all(math.isfinite(v) for v in record)
 
 
@@ -696,7 +701,7 @@ def test_sweep_point_allocates_no_dense_block(n_atoms, lam):
     # final even block (dim 188, 375 and 3413 here), which a dense eigensolve needs
     tracemalloc.start()
     try:
-        record = compute_sweep_record(ModelParams(1.0, 1.0, lam, n_atoms), sweep_config())
+        record = sweep_record(ModelParams(1.0, 1.0, lam, n_atoms), sweep_config())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -784,7 +789,7 @@ def test_format_value_round_trip():
 
 
 def test_compute_sweep_record_consistency():
-    record = compute_sweep_record(ModelParams(1.0, 1.0, 0.54, 6), sweep_config())
+    record = sweep_record(ModelParams(1.0, 1.0, 0.54, 6), sweep_config())
     assert all(math.isfinite(v) for v in record)
     assert record.f_a > 0 and record.f_b > 0
     assert abs(record.parity_expect - 1.0) < 1e-8
@@ -798,7 +803,7 @@ def test_parity_expect_is_the_signed_sum(n_atoms, lam):
     # the squared norm of the even amplitudes equals sum (-1)^(n+m+j) |psi|^2 over
     # the product basis, up to the rounding of the sums: every odd entry is 0
     params = ModelParams(1.0, 1.0, lam, n_atoms)
-    record = compute_sweep_record(params, sweep_config())
+    record = sweep_record(params, sweep_config())
     gs = dicke_qfi.solver.solve(params, 1e-10)
     signed = float(np.sum(parity_signs_from_scratch(gs.indexer) * product_vector(gs) ** 2))
     assert abs(record.parity_expect - signed) <= 1e-15

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,18 @@ def test_oracle_commuting_case_vanishes():
     rho = np.diag([0.6, 0.3, 0.1]).astype(complex)
     g = np.diag([1.0, 2.0, 5.0])
     assert abs(sld_qfi_oracle(spectral_decompose(rho, "boson"), g)) < 1e-14
+
+
+def test_zero_weight_pairs_add_nothing():
+    # a hand-built state may hold a zero weight, below the floor that
+    # schmidt_decompose keeps; the pair of zero weights has no SLD term, so the
+    # QFI is the pure state's, with no NaN and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with_zero = qfi_atoms(SpectralDecomposition(np.array([1.0, 0.0]), np.eye(2), "spin", 0.0))
+        pure = qfi_atoms(SpectralDecomposition(np.ones(1), np.eye(2)[:, :1], "spin", 0.0))
+    assert with_zero.value == pure.value == 1.0  # 4 Var(Jx) of |j, -j> at N = 1
+    assert with_zero.pair_term == 1.0 and with_zero.complement_term == 0.0
 
 
 def test_pure_collapse_is_exact():

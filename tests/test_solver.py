@@ -30,8 +30,12 @@ from dicke_qfi.solver import (
     BANDED_MAX_ATOMS,
     BRACKET_RTOL,
     converge_cutoff,
+    converge_stack,
     ground_state,
+    ground_states,
     initial_cutoff,
+    solve,
+    stacks,
 )
 
 
@@ -170,7 +174,7 @@ def test_converge_start_above_hard_cap_fails_before_solving(monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("a start above the hard cap must not be solved")
 
-    monkeypatch.setattr(dicke_qfi.solver, "ground_state", no_solve)
+    monkeypatch.setattr(dicke_qfi.solver, "ground_states", no_solve)
     with pytest.raises(ConvergenceError) as excinfo:
         converge_cutoff(params, 1e-10)
     assert excinfo.value.n_cutoff == start
@@ -284,9 +288,9 @@ def test_observables_agree_across_solver_threshold(n_cutoff, monkeypatch):
     # solver and by Lanczos, moving the threshold to switch between them
     params = ModelParams(1.0, 1.0, 0.8, 1)
     config = SweepConfig(mode="sweep", tol=1e-10, fock_cutoff=n_cutoff)
-    banded = compute_sweep_record(params, config)
+    banded = compute_sweep_record(solve(params, fock_cutoff=n_cutoff), config)
     force_lanczos(monkeypatch, 1)
-    lanczos = compute_sweep_record(params, config)
+    lanczos = compute_sweep_record(solve(params, fock_cutoff=n_cutoff), config)
     assert_allclose(lanczos, banded, rtol=1e-12, atol=1e-14)
 
 
@@ -304,7 +308,7 @@ def test_warm_start_matches_cold_dense_solve(n_atoms, lam, monkeypatch):
     dpbtrs, eigsh = lapack.dpbtrs, scipy.sparse.linalg.eigsh
 
     def record_rhs(factor, rhs, **kwargs):
-        starts.append(rhs)
+        starts.append(rhs.copy())  # the solve may overwrite it
         return dpbtrs(factor, rhs, **kwargs)
 
     def record_start(*args, v0=None, **kwargs):
@@ -318,15 +322,23 @@ def test_warm_start_matches_cold_dense_solve(n_atoms, lam, monkeypatch):
     assert [step.n_cutoff for step in gs.convergence.steps] == [n_cutoff // 2, n_cutoff]
     lanczos = n_atoms > BANDED_MAX_ATOMS
     assert (gs.convergence.lower_bound is None) == lanczos
-    warm_start = next(v for v in starts if v.size == gs.vector.size)
+    # eigsh takes the block alone; inverse iteration solves the stack's band,
+    # where a stack of one holds the block between kd zero rows on each side
+    kd = 0 if lanczos else max(dicke_qfi.model.build_even_block(params, gs.indexer)[1])
+    warm_start = next(v for v in starts if v.size == gs.vector.size + 2 * kd)
+    assert not warm_start[:kd].any() and not warm_start[warm_start.size - kd:].any()
+    warm_start = warm_start[kd:warm_start.size - kd]
 
     # the first state zero-padded on the full grid, read off at the even indices
     first = ground_state(params, n_cutoff // 2)
     padded = np.zeros((n_cutoff + 1, n_atoms + 1))
     padded[: n_cutoff // 2 + 1] = product_vector(first).reshape(n_cutoff // 2 + 1, n_atoms + 1)
     padded = padded.ravel()[even_indices(gs.indexer)]
-    # eigsh takes the start as given, inverse iteration normalizes it first
-    assert np.array_equal(warm_start, padded if lanczos else padded / np.linalg.norm(padded))
+    # eigsh takes the start as given; inverse iteration normalizes it first, by
+    # the sum over the block and the kd zero rows after it
+    if not lanczos:
+        padded /= math.sqrt(np.add.reduceat(np.concatenate((padded, np.zeros(kd))) ** 2, [0])[0])
+    assert np.array_equal(warm_start, padded)
 
     block = dense_hamiltonian_block(params, gs.indexer)
     energies, vecs = scipy.linalg.eigh(block, subset_by_index=[0, 0], overwrite_a=True)
@@ -385,37 +397,51 @@ def test_mean_field_start_overlaps_ground_state(omega, omega0, n_atoms, ratio):
 ])
 def test_banded_factorization_counts(n_atoms, lam_max, steps, max_dpbtrf, parent_dpbtrs,
                                      monkeypatch):
-    # the benchmark sweep grids at tol 1e-10: a doubled solve factors once, at the
-    # first solve's lower bound, and a cold one about three times (from 169 and 13908
-    # factorizations with the (-1)^n start); the solves stay within 10% of 232 and 18117,
-    # and every solve keeps its certified bracket
-    counts = {"dpbtrf": 0, "dpbtrs": 0, "cold": [], "warm": []}
+    # the benchmark sweep grids at tol 1e-10, solved in the sweep's stacks: a
+    # doubled solve factors its block once, at the first solve's lower bound, and a
+    # cold one about three times (from 169 and 13908 factorizations with the (-1)^n
+    # start); one dpbtrs per iteration serves a stack, and a stack iterates about as
+    # long as one point did (58 and 657 calls over 5 and 58 stacks, against 232 and
+    # 18117 solves of 21 and 1602 points one by one); every solve keeps its
+    # certified bracket
+    counts = {"dpbtrf": 0, "dpbtrs": 0}
     for name in ("dpbtrf", "dpbtrs"):
         def counted(*args, _name=name, _real=getattr(lapack, name), **kwargs):
             counts[_name] += 1
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(lapack, name, counted)
-    solve = dicke_qfi.solver.ground_state
+    # per block, keyed by its diagonal's id while the block is held: whether its
+    # solve is cold, and its factorizations
+    blocks = {}
+    build, factor = dicke_qfi.solver.build_even_block, dicke_qfi.solver._shifted_cholesky
 
-    def solve_counted(params, n_cutoff, previous=None):
-        before = counts["dpbtrf"]
-        gs = solve(params, n_cutoff, previous)
-        if params.lam > 0:  # lam = 0 is exact and factors nothing
-            counts["cold" if previous is None else "warm"].append(counts["dpbtrf"] - before)
-            width = gs.energy - gs.convergence.lower_bound
-            slack = BRACKET_RTOL * max(1.0, abs(gs.energy))
-            assert 0.0 <= width <= 2 * gs.convergence.residual + slack
-        return gs
+    def build_recorded(params, indexer):
+        block = build(params, indexer)
+        blocks[id(block[0])] = [block, indexer.n_cutoff == initial_cutoff(params), 0]
+        return block
 
-    monkeypatch.setattr(dicke_qfi.solver, "ground_state", solve_counted)
-    for n in n_atoms:
-        for lam in np.linspace(0.0, lam_max, steps):
-            converge_cutoff(ModelParams(1.0, 1.0, float(lam), n), 1e-10)
-    assert counts["warm"] == [1] * len(counts["warm"])
-    assert sum(counts["cold"]) <= 3.5 * len(counts["cold"])
-    assert counts["dpbtrf"] <= max_dpbtrf
-    assert counts["dpbtrs"] <= 1.1 * parent_dpbtrs
+    def factor_counted(block, *args):
+        blocks[id(block[0])][2] += 1
+        return factor(block, *args)
+
+    monkeypatch.setattr(dicke_qfi.solver, "build_even_block", build_recorded)
+    monkeypatch.setattr(dicke_qfi.solver, "_shifted_cholesky", factor_counted)
+    points = [ModelParams(1.0, 1.0, float(lam), n)
+              for n in n_atoms for lam in np.linspace(0.0, lam_max, steps)]
+    for stack in stacks(points):
+        for gs in converge_stack(stack, 1e-10):
+            if gs.params.lam > 0:  # lam = 0 is exact and factors nothing
+                width = gs.energy - gs.convergence.lower_bound
+                slack = BRACKET_RTOL * max(1.0, abs(gs.energy))
+                assert 0.0 <= width <= 2 * gs.convergence.residual + slack
+    cold = [n for _, is_cold, n in blocks.values() if is_cold]
+    warm = [n for _, is_cold, n in blocks.values() if not is_cold]
+    assert len(cold) == sum(p.lam > 0 for p in points)
+    assert warm == [1] * len(warm)
+    assert sum(cold) <= 3.5 * len(cold)
+    assert counts["dpbtrf"] == sum(n for *_, n in blocks.values()) <= max_dpbtrf
+    assert counts["dpbtrs"] <= 1.1 * parent_dpbtrs * len(stacks(points)) / len(points)
 
 
 @pytest.mark.parametrize("n_atoms,lam", [(1, 8.0), (2, 4.0), (3, 2.5), (100, 0.5), (101, 0.5)])
@@ -527,3 +553,99 @@ def test_ground_state_rejects_foreign_previous():
         ground_state(params, 10, previous)
     with pytest.raises(ValueError):
         ground_state(ModelParams(1.0, 1.0, 0.6, 3), 40, previous)
+
+
+def assert_same_bits(gs, other):
+    """Two ground states of one point, equal bit for bit."""
+    assert (gs.n_cutoff, gs.energy, gs.convergence.residual, gs.convergence.lower_bound) == (
+        other.n_cutoff, other.energy, other.convergence.residual, other.convergence.lower_bound)
+    assert gs.vector.tobytes() == other.vector.tobytes()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    n_atoms=st.sampled_from((1, 2, 3, 7, 20, 29, 40)),
+    lams=st.lists(st.floats(0.0, 2.0), min_size=2, max_size=6),
+    seed=st.integers(0, 2**16),
+)
+def test_stacked_point_matches_point_alone(n_atoms, lams, seed):
+    # a point solved alone, in its stack, and in a shuffled stack: the stack's
+    # band gives each block kd zero rows on both sides, so its bits do not depend
+    # on its neighbours (from N = 29, kd >= 16, BLAS dot kernels would otherwise
+    # group a block's first columns by their place in the band)
+    points = [ModelParams(1.0, 1.0, lam, n_atoms) for lam in lams]
+    alone = [converge_cutoff(params, 1e-10)[1] for params in points]
+    for gs, other in zip(alone, converge_stack(points, 1e-10)):
+        assert_same_bits(gs, other)
+    order = np.random.default_rng(seed).permutation(len(points))
+    for i, other in zip(order, converge_stack([points[i] for i in order], 1e-10)):
+        assert_same_bits(alone[i], other)
+
+
+def middle_failure(monkeypatch, failure):
+    """Three points of N = 3 at their own cutoffs, the middle one made to fail by ``failure``;
+    the outcomes of the stack, and the neighbours solved alone."""
+    points = [ModelParams(1.0, 1.0, lam, 3) for lam in (0.4, 0.9, 1.3)]
+    cutoffs = [20, 37, 24]
+    alone = [ground_state(params, n_cutoff) for params, n_cutoff in zip(points, cutoffs)]
+    failure(monkeypatch, points[1], cutoffs[1])
+    return ground_states(points, cutoffs), alone
+
+
+def fail_cholesky(monkeypatch, params, n_cutoff):
+    # every factorization of the middle block fails, below the Gershgorin bound too
+    size = (n_cutoff + 1) * 2
+    dpbtrf = lapack.dpbtrf
+    monkeypatch.setattr(lapack, "dpbtrf", lambda ab, **kwargs: (
+        (dpbtrf(ab, **kwargs)[0], 1) if ab.shape[1] == size else dpbtrf(ab, **kwargs)))
+
+
+def fail_build(monkeypatch, params, n_cutoff):
+    build = dicke_qfi.solver.build_even_block
+
+    def out_of_memory(point, indexer):
+        if point == params:
+            raise MemoryError("no room for the middle block")
+        return build(point, indexer)
+
+    monkeypatch.setattr(dicke_qfi.solver, "build_even_block", out_of_memory)
+
+
+@pytest.mark.parametrize("failure,message", [(fail_cholesky, "Cholesky"),
+                                             (fail_build, "out of memory")])
+def test_failed_block_fails_alone(failure, message, monkeypatch):
+    outcomes, alone = middle_failure(monkeypatch, failure)
+    assert isinstance(outcomes[1], SolverError) and message in str(outcomes[1])
+    assert outcomes[1].n_cutoff == 37
+    assert_same_bits(alone[0], outcomes[0])
+    assert_same_bits(alone[2], outcomes[2])
+
+
+def test_hard_cap_start_fails_alone(monkeypatch):
+    # the middle point starts above the cap, its neighbours converge at it
+    monkeypatch.setattr(dicke_qfi.solver, "HARD_CAP", 40)
+    points = [ModelParams(1.0, 1.0, lam, 2) for lam in (0.3, 3.0, 0.5)]
+    assert [initial_cutoff(params) for params in points] == [20, 62, 20]
+    alone = [converge_cutoff(points[0], 1e-10)[1], None, converge_cutoff(points[2], 1e-10)[1]]
+    outcomes = converge_stack(points, 1e-10)
+    assert isinstance(outcomes[1], ConvergenceError)
+    assert outcomes[1].n_cutoff == 62 and outcomes[1].steps == ()
+    assert_same_bits(alone[0], outcomes[0])
+    assert_same_bits(alone[2], outcomes[2])
+
+
+def test_stacks_follow_atom_number_budget_and_cap():
+    points = [ModelParams(1.0, 1.0, lam, n) for n in (2, 20, 101, 101) for lam in (0.1, 0.5, 1.0)]
+    cut = stacks(points)
+    assert [p for stack in cut for p in stack] == points
+    assert all(len({p.n_atoms for p in stack}) == 1 for stack in cut)
+    # Lanczos points are stacks of their own
+    assert [len(stack) for stack in cut if stack[0].n_atoms == 101] == [1] * 6
+    assert max(len(stack) for stack in stacks(points, max_points=2)) == 2
+    # the fixed charge per point caps a stack at 32 points
+    many = [ModelParams(1.0, 1.0, 0.0, 1)] * 200
+    assert 25 < max(len(stack) for stack in stacks(many, n_start=1)) <= 32
+    # a point whose band fills the budget stands alone
+    assert [len(stack) for stack in stacks(points[3:6], n_start=400)] == [1, 1, 1]
+    with pytest.raises(ValueError):
+        ground_states(points[2:4], [20, 20])
