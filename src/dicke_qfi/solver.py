@@ -222,16 +222,19 @@ def ground_states(
     index, blocks = [], []
     for i, (params, indexer, prev) in enumerate(zip(points, indexers, previous)):
         try:
+            if params.lam > 0 and params.n_atoms <= BANDED_MAX_ATOMS:
+                blocks.append(build_even_block(params, indexer))
+                index.append(i)
+                continue
+            # the lambda = 0 and Lanczos points take their start zero-padded to the block
+            [head] = _starts([params], [indexer.n_cutoff], [prev])
+            start = np.concatenate((head, np.zeros((indexer.dimension + 1) // 2 - head.size)))
             if params.lam == 0:
                 # the diagonal is lowest at |0>|j,-j>, even index 0, which the start is
                 energy = -params.omega0 * params.j
-                solved[i] = (energy, _start_vector(params, indexer, prev), 0.0, energy)
-            elif params.n_atoms <= BANDED_MAX_ATOMS:
-                blocks.append(build_even_block(params, indexer))
-                index.append(i)
+                solved[i] = (energy, start, 0.0, energy)
             else:
-                block = build_even_block(params, indexer)
-                lanczos = _lanczos_lowest(block, _start_vector(params, indexer, prev),
+                lanczos = _lanczos_lowest(build_even_block(params, indexer), start,
                                           indexer.n_cutoff)
                 solved[i] = (*lanczos, None)
         except MemoryError as exc:
@@ -265,20 +268,25 @@ def _ground_state(
     return GroundState(float(energy), vector, params, indexer.n_cutoff, info)
 
 
-def _start_vector(
-    params: ModelParams, indexer: BasisIndexer, previous: GroundState | None
-) -> np.ndarray:
-    """Start vector on the even block: ``previous`` zero-padded, or the mean-field state.
+def _starts(
+    points: Sequence[ModelParams], cutoffs: Sequence[int], previous: Sequence[GroundState | None]
+) -> list[np.ndarray]:
+    """Each point's start on its even block, without the trailing zeros that fill it.
 
     The previous cutoff's even positions are the first of this one's, at the
-    same full indices, so its amplitudes fill the first entries and the rest
-    stay zero.  Without it the start is |0>|j,-j>, even index 0, at or below
-    lambda_cr, and above it ``_mean_field_starts``.
+    same full indices, so a ``previous`` ground state's amplitudes are its
+    start.  Without one the start is |0>|j,-j>, even index 0, at or below
+    lambda_cr, and above it the point's ``_mean_field_starts`` row.
     """
-    if previous is None and params.lam > params.lambda_cr:
-        return _mean_field_starts([params], [indexer.n_cutoff])[0]
-    head = np.ones(1) if previous is None else previous.vector
-    return np.concatenate((head, np.zeros((indexer.dimension + 1) // 2 - head.size)))
+    unit = np.ones(1)  # read, never written, like each previous vector
+    starts = [unit if prev is None else prev.vector for prev in previous]
+    cold = [i for i, (params, prev) in enumerate(zip(points, previous))
+            if prev is None and params.lam > params.lambda_cr]
+    if cold:
+        rows = _mean_field_starts([points[i] for i in cold], [cutoffs[i] for i in cold])
+        for i, row in zip(cold, rows):
+            starts[i] = row
+    return starts
 
 
 def _mean_field_starts(points: Sequence[ModelParams], cutoffs: Sequence[int]) -> list[np.ndarray]:
@@ -340,7 +348,7 @@ def _banded_lowest(
     residual, lower bound), or the SolverError it failed with.
 
     Shifted inverse iteration x = (H - sigma I)^-1 psi from each start, the
-    previous state zero-padded or the mean-field state, as ``_start_vector``
+    previous state zero-padded or the mean-field state, as ``_starts``
     gives it.  Its cost is the number of Cholesky factorizations, each worth
     about five solves at these bandwidths.  A doubled solve factors first at the lower
     bound of its ``previous``.  That bound lay below E0 at the smaller
@@ -384,25 +392,13 @@ def _banded_lowest(
         diagonal = np.zeros(total)
         upper = {d: np.zeros(total - d) for d in offsets}
         vector = np.zeros(total)
-        # each block's start as _start_vector forms it, written into the band
-        mean_field = []
-        for b, ((block_diagonal, block_upper), params, prev) in enumerate(
-                zip(blocks, points, previous)):
+        for b, ((block_diagonal, block_upper), start) in enumerate(
+                zip(blocks, _starts(points, cutoffs, previous))):
             row = first[b]
             diagonal[row:ends[b]] = block_diagonal
             for d, coupling in block_upper.items():
                 upper[d][row:row + coupling.size] = coupling
-            if prev is not None:
-                vector[row:row + prev.vector.size] = prev.vector
-            elif params.lam <= params.lambda_cr:
-                vector[row] = 1.0
-            else:
-                mean_field.append(b)
-        if mean_field:
-            cold = _mean_field_starts([points[b] for b in mean_field],
-                                      [cutoffs[b] for b in mean_field])
-            for b, start in zip(mean_field, cold):
-                vector[first[b]:first[b] + start.size] = start
+            vector[row:row + start.size] = start
         stack = (diagonal, upper)
         factor = np.zeros((kd + 1, total), order="F")
         factor[kd] = 1.0

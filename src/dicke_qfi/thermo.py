@@ -1,33 +1,36 @@
 """Closed-form thermodynamic-limit observables and the critical-scaling probe.
 
-The large-N solution maps each subsystem onto a harmonic oscillator at an
-effective temperature.  With mu = 1 in the normal phase and (lambda_cr /
-lambda)^2 above it, the two polariton energies are
+At large N the ground state is Gaussian in the two normal modes of Emary
+and Brandes (PRE 67, 066203 (2003)), and each QFI is set by the reduced
+variances.  With mu = 1 in the normal phase and (lambda_cr / lambda)^2
+above it, the normal-mode energies are
 
     eps_k^2 = [omega^2 + (omega0/mu)^2] / 2
               + (-1)^k/2 * sqrt{ [omega^2 - (omega0/mu)^2]^2
-                                 + 16 lambda^2 omega omega0 mu },
+                                 + 16 lambda^2 omega omega0 mu }.
 
-and the mixing angle obeys tan(2*gamma) = 4 lambda sqrt(omega0 omega mu)
-/ [(omega0/mu)^2 - omega^2].  eps1^2 is evaluated through the exact
-difference-of-squares rearrangement, which stays fully accurate arbitrarily
-close to the critical coupling; that is what makes the scaling probe's
-power-law fits clean.
+eps1^2 is evaluated through the exact difference-of-squares
+rearrangement, which stays fully accurate arbitrarily close to the
+critical coupling; that is what makes the scaling probe's power-law fits
+clean.
 
-Primary observables use the intermediate-free closed forms, which are
-regular at lambda_cr.  xi2 and the quadrature variance are written as sums
-of positive terms through eps1^2 + eps2^2 = omega^2 + (omega0/mu)^2, so no
-digit cancels however far omega and omega0 lie apart.  The effective
-frequencies Omega and the thermal factor e^{beta*Omega} are
-singular/indeterminate exactly at the critical point; they are kept for the
-field QFI, the boson number, and identity checks, and a guard band around
-lambda_cr switches the scaled field QFI to its finite limit
-1 / [4 (dX_{pi/2})^2].  The field QFI and the boson number take
-eps_k - omega, omega^2 - Omega_field^2 and the mixing weights c^2, s^2 from
-closed forms with no cancelling difference, so they keep every digit as
-lambda -> 0, where each of those vanishes.  ``ThermoPoint.c`` and ``s`` are
-the square roots of those weights, so Omega and e^{beta*Omega} keep them
-too.
+The atoms give F_A = N mu^2 / xi2.  The field's quadrature variances
+s1 = 4 (dX_0)^2 and s2 = 4 (dX_{pi/2})^2 (vacuum 1) and its macroscopic
+displacement beta_s^2 give the phase QFI of the Gaussian field state,
+
+    F_B = (s1 - s2)^2 / (1 + s1 s2) + 4 N beta_s^2 / s2,
+
+with s1 - s2 = q / (omega eps1 eps2 (eps1 + eps2)) and
+q = 4 lambda^2 omega omega0 mu, because
+omega^2 (omega0/mu)^2 - eps1^2 eps2^2 = q exactly; so the difference
+cancels no digit.  xi2 and s2 are sums of positive terms through
+eps1^2 + eps2^2 = omega^2 + (omega0/mu)^2, and so is the boson number, so
+no digit cancels however far omega and omega0 lie apart.  lambda^2 is kept
+apart from the rest of q: the normal-phase F_B / (4 nbar) is lambda^2
+times a finite ratio, which neither underflows before its value does nor
+divides by zero at weak coupling.  At lambda_cr eps1 = 0, s1 and nbar
+diverge, and a guard band around lambda_cr switches the scaled field QFI
+to its finite limit 1/s2.
 """
 
 from __future__ import annotations
@@ -55,28 +58,21 @@ RESIDUAL_THRESHOLD = 0.1
 
 @dataclass(frozen=True)
 class ThermoPoint:
-    """All intermediate quantities of the large-N solution at one coupling."""
+    """The large-N solution at one coupling: order parameters and normal-mode energies."""
 
     omega: float
     omega0: float
     lam: float
     lambda_cr: float
     mu: float
-    alpha_s2_per_n: float
     beta_s2_per_n: float
     eps1: float
     eps2: float
-    c: float
-    s: float
-    omega_atoms: float
-    omega_field: float
-    exp_b_omega_atoms: float
-    exp_b_omega_field: float
     critical: bool
 
 
 def thermo_point(omega: float, omega0: float, lam: float) -> ThermoPoint:
-    """Evaluate order parameters, polariton energies, and thermal factors at one lambda."""
+    """Evaluate the order parameters and normal-mode energies at one lambda."""
     if not all(math.isfinite(v) for v in (omega, omega0, lam)):
         raise ValueError("omega, omega0 and lam must be finite")
     if omega <= 0 or omega0 <= 0:
@@ -96,60 +92,17 @@ def thermo_point(omega: float, omega0: float, lam: float) -> ThermoPoint:
         num = 4 * omega * omega0 * (lam**2 + lcr**2) * (lam - lcr) * (lam + lcr) / lcr**2
     eps1 = math.sqrt(num / (half_sum + half_gap))
     eps2 = math.sqrt(half_sum + half_gap)
-    critical = eps1 == 0.0
-
-    # c from c^2: cos(gamma) of the angle near pi/2 errs by about 1e-16 / lam
-    c2, s2, *_ = _mixing(omega, omega0, lam, mu)
-    c, s = math.sqrt(c2), math.sqrt(s2)
-
-    cs2 = c2 * s2
-    diff2 = (eps1 - eps2) ** 2
-    if critical:
-        # Omega -> 0 and beta*Omega -> 0 at the critical point; the regular
-        # closed forms below never touch these limits
-        omega_atoms = omega_field = 0.0
-        exp_atoms = exp_field = 1.0
-    else:
-        root = math.sqrt(1.0 + diff2 * cs2 / (eps1 * eps2))
-        omega_atoms = eps1 * eps2 / (eps1 * c2 + eps2 * s2) * root
-        omega_field = eps1 * eps2 / (eps1 * s2 + eps2 * c2) * root
-        exp_atoms = exp_field = _exp_from_cosh_minus_one(
-            math.inf if diff2 * cs2 == 0.0 else 2 * eps1 * eps2 / (diff2 * cs2)
-        )
-
     return ThermoPoint(
         omega=omega,
         omega0=omega0,
         lam=lam,
         lambda_cr=lcr,
         mu=mu,
-        alpha_s2_per_n=(1.0 - mu) / 2.0,
         beta_s2_per_n=(lam / omega) ** 2 * (1.0 - mu**2),
         eps1=eps1,
         eps2=eps2,
-        c=c,
-        s=s,
-        omega_atoms=omega_atoms,
-        omega_field=omega_field,
-        exp_b_omega_atoms=exp_atoms,
-        exp_b_omega_field=exp_field,
-        critical=critical,
+        critical=eps1 == 0.0,
     )
-
-
-def _exp_from_cosh_minus_one(cm1: float) -> float:
-    """e^x from cosh(x) - 1 >= 0 without cancellation: 1 + cm1 + sqrt(cm1*(cm1+2))."""
-    if math.isinf(cm1):
-        return math.inf
-    return 1.0 + cm1 + math.sqrt(cm1 * (cm1 + 2.0))
-
-
-def _coth_half(pt: ThermoPoint) -> float:
-    """(e^{bO} + 1)/(e^{bO} - 1) in the exact eps/gamma form; diverges at lambda_cr."""
-    cs2 = (pt.c * pt.s) ** 2
-    if pt.eps1 == 0.0:
-        return math.inf
-    return math.sqrt(1.0 + (pt.eps1 - pt.eps2) ** 2 * cs2 / (pt.eps1 * pt.eps2))
 
 
 def xi2_thermo(pt: ThermoPoint) -> float:
@@ -180,47 +133,51 @@ def nbar_thermo(pt: ThermoPoint, n_atoms: float) -> float:
     """
     if pt.critical:
         return math.inf
-    c2, s2, shifted1, shifted2, _ = _field_shifts(pt)
-    fluct = (s2 * shifted2**2 / pt.eps2 + c2 * shifted1**2 / pt.eps1) / (4 * pt.omega)
-    return fluct + n_atoms * pt.beta_s2_per_n
+    return pt.lam**2 * _nbar_fluctuation_per_lam2(pt) + n_atoms * pt.beta_s2_per_n
 
 
-def _mixing(
-    omega: float, omega0: float, lam: float, mu: float
-) -> tuple[float, float, float, float, float]:
-    """(c^2, s^2, eps1^2 - omega^2, eps2^2 - omega^2, q), no digit cancelled.
+def _mixing(omega: float, omega0: float, lam: float, mu: float) -> tuple[float, float]:
+    """The mixing weights (c^2, s^2) = (cos^2 gamma, sin^2 gamma), no digit cancelled.
 
     With d = omega^2 - (omega0/mu)^2, q = 4 lam^2 omega omega0 mu and the
-    half gap h = sqrt(d^2/4 + q): eps1^2 - omega^2 = -d/2 - h,
-    eps2^2 - omega^2 = h - d/2, c^2 = (h - d/2) / (2h) and
+    half gap h = sqrt(d^2/4 + q): c^2 = (h - d/2) / (2h) and
     s^2 = (h + d/2) / (2h).  Where h and |d|/2 would cancel, h - |d|/2 is
-    written as q / (h + |d|/2).  Near lam = 0 the plain differences, and
-    cos(gamma) near pi/2, lose the digits of these O(lam) and O(lam^2)
-    quantities.
+    written as q / (h + |d|/2), with lam^2 kept apart from the rest of q so
+    the weight underflows no sooner than its value.  Near lam = 0 the plain
+    difference, and cos(gamma) near pi/2, lose the digits of this O(lam^2)
+    weight.
     """
     d = omega**2 - (omega0 / mu) ** 2
-    q = 4 * lam**2 * omega * omega0 * mu
     h = 0.5 * math.hypot(d, 4 * lam * math.sqrt(omega * omega0 * mu))
     if h == 0:  # lam = 0 at omega = omega0 / mu: gamma = 0
-        return 1.0, 0.0, 0.0, 0.0, 0.0
-    near = q / (h + abs(d) / 2) if q else 0.0  # h - |d|/2; 0 when q is, as then h = |d|/2
+        return 1.0, 0.0
     far = h + abs(d) / 2
+    near = lam * (4 * lam * omega * omega0 * mu / far)  # h - |d|/2
     if d >= 0:
-        return near / (2 * h), far / (2 * h), -far, near, q
-    return far / (2 * h), near / (2 * h), -near, far, q
+        return near / (2 * h), far / (2 * h)
+    return far / (2 * h), near / (2 * h)
 
 
-def _field_shifts(pt: ThermoPoint) -> tuple[float, float, float, float, float]:
-    """(c^2, s^2, eps1 - omega, eps2 - omega, omega^2 - Omega_field^2), no digit cancelled.
+def _nbar_fluctuation_per_lam2(pt: ThermoPoint) -> float:
+    """The fluctuation part of the boson number over lambda^2, a sum of positive terms.
 
-    eps - omega is (eps^2 - omega^2) / (eps + omega), from ``_mixing``.
-    Omega_field^2 = <p^2>/<x^2> of the field quadratures, and
-    omega^2 <x^2> - <p^2> reduces to q / (2 eps1 eps2 (eps1 + eps2)), so
-    omega^2 - Omega_field^2 = q / ((eps1 + eps2) (c^2 eps2 + s^2 eps1)).
+    Summed over the normal modes, weight times (eps - omega)^2 / (4 omega eps)
+    reduces through c^2 s^2 (2h)^2 = (eps2^2 - omega^2)(omega^2 - eps1^2) = q
+    to omega0 mu [c^2 / (eps2 (eps2 + omega)^2) + s^2 / (eps1 (eps1 + omega)^2)].
     """
-    c2, s2, square1, square2, q = _mixing(pt.omega, pt.omega0, pt.lam, pt.mu)
-    gap = q / ((pt.eps1 + pt.eps2) * (c2 * pt.eps2 + s2 * pt.eps1))
-    return c2, s2, square1 / (pt.eps1 + pt.omega), square2 / (pt.eps2 + pt.omega), gap
+    c2, s2 = _mixing(pt.omega, pt.omega0, pt.lam, pt.mu)
+    return pt.omega0 * pt.mu * (c2 / (pt.eps2 * (pt.eps2 + pt.omega) ** 2)
+                                + s2 / (pt.eps1 * (pt.eps1 + pt.omega) ** 2))
+
+
+def _field_variances(pt: ThermoPoint) -> tuple[float, float]:
+    """(s2, (s1 - s2) / lambda^2) of the field variances s1 = 4 (dX_0)^2, s2 = 4 (dX_{pi/2})^2.
+
+    s1 - s2 = q / (omega eps1 eps2 (eps1 + eps2)) = 4 lambda^2 omega0 mu /
+    (eps1 eps2 (eps1 + eps2)), which diverges at lambda_cr, where eps1 = 0.
+    """
+    return (4.0 * quad_variance_thermo(pt),
+            4.0 * pt.omega0 * pt.mu / (pt.eps1 * pt.eps2 * (pt.eps1 + pt.eps2)))
 
 
 def in_guard_band(pt: ThermoPoint) -> bool:
@@ -237,19 +194,8 @@ class ThermoFieldQfi:
     in_guard_band: bool
 
 
-def _field_qfi_terms(pt: ThermoPoint, beta_s2: float) -> tuple[float, float]:
-    """The two terms of the field QFI (fluctuation and displacement parts)."""
-    big_o = pt.omega_field
-    inv = 0.0 if math.isinf(pt.exp_b_omega_field) else 1.0 / pt.exp_b_omega_field
-    ratio2 = (1.0 + inv) ** 2 / (1.0 + inv * inv)  # (e+1)^2 / (e^2+1)
-    *_, omega2_gap = _field_shifts(pt)  # omega^2 - Omega^2
-    t1 = omega2_gap**2 / (2 * pt.omega**2 * big_o**2) * ratio2
-    t2 = 4 * pt.omega * beta_s2 / big_o / _coth_half(pt) if beta_s2 > 0 else 0.0
-    return t1, t2
-
-
 def qfi_field_thermo(pt: ThermoPoint, n_atoms: float) -> ThermoFieldQfi:
-    """Field QFI at finite N, scaled by 4*nbar.
+    """Field QFI (s1 - s2)^2 / (1 + s1 s2) + 4 N beta_s^2 / s2 at finite N, scaled by 4*nbar.
 
     Inside the guard band around lambda_cr, where F_B and nbar individually
     diverge, the scaled ratio is evaluated through its finite limit
@@ -261,8 +207,9 @@ def qfi_field_thermo(pt: ThermoPoint, n_atoms: float) -> ThermoFieldQfi:
             scaled=1.0 / (4.0 * quad_variance_thermo(pt)),
             in_guard_band=True,
         )
-    t1, t2 = _field_qfi_terms(pt, n_atoms * pt.beta_s2_per_n)
-    value = t1 + t2
+    s2, gap = _field_variances(pt)
+    diff = pt.lam**2 * gap  # s1 - s2
+    value = diff**2 / (1.0 + (s2 + diff) * s2) + 4.0 * n_atoms * pt.beta_s2_per_n / s2
     nbar = nbar_thermo(pt, n_atoms)
     scaled = value / (4.0 * nbar) if nbar > 0 else math.nan
     return ThermoFieldQfi(value=value, scaled=scaled, in_guard_band=False)
@@ -272,17 +219,15 @@ def qfi_field_scaled_limit(pt: ThermoPoint) -> float:
     """N -> infinity limit of F_B / (4*nbar).
 
     In the normal phase both numerator and denominator are pure fluctuation
-    quantities; in the superradiant phase the macroscopic beta_s^2 dominates
-    both and the ratio reduces to 1 / [4 (dX_{pi/2})^2].  At lambda = 0 the
-    limit is 0.
+    quantities, and the ratio is lambda^2 times a finite one; in the
+    superradiant phase the macroscopic beta_s^2 dominates both and the
+    ratio reduces to 1 / [4 (dX_{pi/2})^2].  At lambda = 0 the limit is 0.
     """
-    if pt.lam == 0.0:
-        return 0.0
     if in_guard_band(pt) or pt.lam > pt.lambda_cr:
         return 1.0 / (4.0 * quad_variance_thermo(pt))
-    t1, _ = _field_qfi_terms(pt, 0.0)
-    fluct = nbar_thermo(pt, 0.0)
-    return t1 / (4.0 * fluct)
+    s2, gap = _field_variances(pt)
+    s1 = s2 + pt.lam**2 * gap
+    return pt.lam**2 * (gap**2 / ((1.0 + s1 * s2) * 4.0 * _nbar_fluctuation_per_lam2(pt)))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from qfi_reference import (
     sld_qfi_oracle,
     spectral_decompose,
 )
+from thermal_oscillator import thermal_oscillator
 
 from dicke_qfi.cli import SweepConfig, main, run_sweep
 from dicke_qfi.metrology import (
@@ -108,29 +109,43 @@ def test_criterion_02_squeezing_identity_grid():
 
 
 def test_criterion_03_thermal_oscillator_identity_suite():
+    # the identities hold among the thermal-oscillator oracle's own quantities,
+    # and the closed forms agree with that oracle
     start = time.perf_counter()
-    worst = 0.0
+    worst = worst_rel = 0.0
+    n_atoms = 20
     normal = (0.05, 0.15, 0.25, 0.35, 0.45)
     superradiant = (0.55, 0.7, 0.9, 1.5, 2.5)
     for lam in normal + superradiant:
-        pt = thermo_point(1.0, 1.0, lam)
-        e = pt.exp_b_omega_atoms
+        osc = thermal_oscillator(1.0, 1.0, lam)
+        e = osc.exp_b_omega
         ratio = (e + 1.0) / (e - 1.0)
-        cs2 = (pt.c * pt.s) ** 2
-        esum = pt.eps1 + pt.eps2
-        detune = pt.omega0**2 / pt.mu**2 - pt.omega**2
+        cs2 = (osc.c * osc.s) ** 2
+        esum = osc.eps1 + osc.eps2
+        detune = osc.omega0**2 / osc.mu**2 - osc.omega**2
         checks = (
-            ratio**2 - (1 + (pt.eps1 - pt.eps2) ** 2 * cs2 / (pt.eps1 * pt.eps2)),
-            pt.omega_atoms * ratio - (pt.eps1 * pt.s**2 + pt.eps2 * pt.c**2),
-            pt.omega_atoms * ratio - (esum / 2 + detune / (2 * esum)),
-            pt.omega_field * ratio - (pt.eps1 * pt.c**2 + pt.eps2 * pt.s**2),
-            pt.omega_field * ratio - (esum / 2 - detune / (2 * esum)),
+            ratio**2 - (1 + (osc.eps1 - osc.eps2) ** 2 * cs2 / (osc.eps1 * osc.eps2)),
+            osc.omega_atoms * ratio - (osc.eps1 * osc.s**2 + osc.eps2 * osc.c**2),
+            osc.omega_atoms * ratio - (esum / 2 + detune / (2 * esum)),
+            osc.omega_field * ratio - (osc.eps1 * osc.c**2 + osc.eps2 * osc.s**2),
+            osc.omega_field * ratio - (esum / 2 - detune / (2 * esum)),
         )
         worst = max(worst, max(abs(c) for c in checks))
+        pt = thermo_point(1.0, 1.0, lam)
+        pairs = (
+            (xi2_thermo(pt), osc.xi2),
+            (quad_variance_thermo(pt), osc.quad_variance),
+            (nbar_thermo(pt, n_atoms), osc.nbar(n_atoms)),
+            (qfi_atoms_thermo(pt, n_atoms), osc.qfi_atoms(n_atoms)),
+            (qfi_field_thermo(pt, n_atoms).value, osc.qfi_field(n_atoms)),
+        )
+        worst_rel = max(worst_rel, max(abs(ours / theirs - 1.0) for ours, theirs in pairs))
     elapsed = time.perf_counter() - start
     assert worst < 1e-10
+    assert worst_rel < 1e-10
     assert elapsed < 1.0
-    _report(3, f"identity residuals <= {worst:.2e} at five couplings per phase")
+    _report(3, f"identity residuals <= {worst:.2e} at five couplings per phase; "
+               f"closed forms within {worst_rel:.2e} of the thermal-oscillator form")
 
 
 def test_criterion_04_critical_exponents():

@@ -368,7 +368,9 @@ def test_start_vector_matches_full_grid_oracle(n_atoms, ratio, omega, cutoffs):
     previous = ground_state(params, small)
     for start in (None, previous):
         expected = full_grid_start_vector(params, indexer, start)
-        assert np.array_equal(dicke_qfi.solver._start_vector(params, indexer, start), expected)
+        [head] = dicke_qfi.solver._starts([params], [large], [start])
+        assert np.array_equal(head, expected[:head.size])
+        assert not np.any(expected[head.size:])
 
 
 @pytest.mark.parametrize("omega,omega0,n_atoms", [
@@ -382,7 +384,8 @@ def test_mean_field_start_overlaps_ground_state(omega, omega0, n_atoms, ratio):
     params = ModelParams(omega, omega0, ratio * math.sqrt(omega * omega0) / 2, n_atoms)
     indexer = BasisIndexer(initial_cutoff(params), n_atoms)
     even = even_indices(indexer)
-    start = dicke_qfi.solver._start_vector(params, indexer, None)
+    [start] = dicke_qfi.solver._starts([params], [indexer.n_cutoff], [None])
+    start = np.concatenate((start, np.zeros(even.size - start.size)))
     signs = np.where((even // indexer.spin_dim) % 2 == 0, 1.0, -1.0)
     assert np.all(signs * start >= 0.0)
     assert 0.0 < np.max(np.abs(start)) <= 1.0

@@ -6,8 +6,8 @@ from numpy.testing import assert_allclose
 
 from dicke_qfi.model import ModelParams
 from dicke_qfi.thermo import (
-    _coth_half,
     _loglog_slope,
+    _mixing,
     critical_scaling_probe,
     nbar_thermo,
     qfi_atoms_thermo,
@@ -18,20 +18,27 @@ from dicke_qfi.thermo import (
     ultrastrong_reference,
     xi2_thermo,
 )
+from thermal_oscillator import thermal_oscillator
 
 SQRT2 = math.sqrt(2.0)
 
 
-def _coth_ratio(pt):
-    """(e^{bO}+1)/(e^{bO}-1) from the stored thermal factor."""
-    e = pt.exp_b_omega_atoms
+def _coth_ratio(osc):
+    """(e^{bO}+1)/(e^{bO}-1) from the oracle's thermal factor."""
+    e = osc.exp_b_omega
     return 1.0 if math.isinf(e) else (e + 1.0) / (e - 1.0)
+
+
+def _oracle_mp(omega, omega0, lam):
+    """The thermal-oscillator oracle at 50 digits."""
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(50):
+        return thermal_oscillator(omega, omega0, lam, mp)
 
 
 def test_decoupled_point_resonance():
     pt = thermo_point(1.0, 1.0, 0.0)
     assert pt.mu == 1.0
-    assert pt.alpha_s2_per_n == 0.0
     assert pt.beta_s2_per_n == 0.0
     assert abs(pt.eps1 + pt.eps2 - 2.0) < 1e-14
 
@@ -48,12 +55,19 @@ def test_mu_superradiant_value():
 
 
 def test_decoupled_frequencies_reduce_to_bare():
+    # the oracle's oscillators are the bare ones at zero temperature, and the
+    # closed forms give their vacuum: xi2 = 4 (dX_{pi/2})^2 = 1, no bosons
     for omega, omega0 in ((1.0, 1.0), (1.0, 2.0), (2.0, 1.0)):
+        osc = thermal_oscillator(omega, omega0, 0.0)
+        assert abs(osc.omega_atoms - omega0) < 1e-12
+        assert abs(osc.omega_field - omega) < 1e-12
+        # zero-temperature limit (inf when cos(gamma) rounds to exactly zero)
+        assert osc.exp_b_omega > 1e12
         pt = thermo_point(omega, omega0, 0.0)
-        assert abs(pt.omega_atoms - omega0) < 1e-12
-        assert abs(pt.omega_field - omega) < 1e-12
-        # zero-temperature limit (inf when cos(gamma) is exactly zero)
-        assert pt.exp_b_omega_atoms > 1e12
+        assert abs(xi2_thermo(pt) - osc.xi2) < 1e-12
+        assert abs(quad_variance_thermo(pt) - osc.quad_variance) < 1e-12
+        assert nbar_thermo(pt, 10) == 0.0
+        assert qfi_field_thermo(pt, 10).value == 0.0
 
 
 def test_rejects_bad_arguments():
@@ -76,17 +90,17 @@ def test_xi2_endpoints():
 
 @pytest.mark.parametrize("lam", [0.3, 0.8])
 def test_xi2_consistent_with_thermal_form(lam):
-    pt = thermo_point(1.0, 1.0, lam)
-    thermal = pt.mu * pt.omega_atoms / pt.omega0 * _coth_ratio(pt)
-    assert abs(xi2_thermo(pt) - thermal) < 1e-12
+    osc = thermal_oscillator(1.0, 1.0, lam)
+    thermal = osc.mu * osc.omega_atoms / osc.omega0 * _coth_ratio(osc)
+    assert abs(xi2_thermo(thermo_point(1.0, 1.0, lam)) - thermal) < 1e-12
 
 
 @pytest.mark.parametrize("lam", [0.3, 0.8])
 def test_fa_consistent_with_thermal_form(lam):
-    pt = thermo_point(1.0, 1.0, lam)
+    osc = thermal_oscillator(1.0, 1.0, lam)
     n = 17
-    thermal = n * pt.mu * pt.omega0 / pt.omega_atoms / _coth_ratio(pt)
-    assert abs(qfi_atoms_thermo(pt, n) - thermal) < 1e-10 * n
+    thermal = n * osc.mu * osc.omega0 / osc.omega_atoms / _coth_ratio(osc)
+    assert abs(qfi_atoms_thermo(thermo_point(1.0, 1.0, lam), n) - thermal) < 1e-10 * n
 
 
 def test_fa_endpoints():
@@ -107,10 +121,10 @@ def test_quad_variance_endpoints():
 
 
 def test_quad_variance_consistent_with_thermal_form():
-    pt = thermo_point(1.0, 1.0, 0.3)
-    e = pt.exp_b_omega_field
-    thermal = pt.omega_field / (4 * pt.omega) * (e + 1.0) / (e - 1.0)
-    assert abs(quad_variance_thermo(pt) - thermal) < 1e-12
+    osc = thermal_oscillator(1.0, 1.0, 0.3)
+    e = osc.exp_b_omega
+    thermal = osc.omega_field / (4 * osc.omega) * (e + 1.0) / (e - 1.0)
+    assert abs(quad_variance_thermo(thermo_point(1.0, 1.0, 0.3)) - thermal) < 1e-12
 
 
 def test_nbar_decoupled_and_superradiant():
@@ -124,12 +138,11 @@ def test_nbar_decoupled_and_superradiant():
 def test_nbar_matches_thermal_occupation_form():
     # fluctuation part equals Delta_+ * coth(bO/2) - 1/2 with Delta_+ built from Omega
     n = 13
-    pt = thermo_point(1.0, 1.0, 0.7)
-    e = pt.exp_b_omega_field
-    ratio = (e + 1.0) / (e - 1.0)
-    delta_plus = (pt.omega**2 + pt.omega_field**2) / (4 * pt.omega * pt.omega_field)
-    expected = delta_plus * ratio - 0.5 + n * pt.beta_s2_per_n
-    assert abs(nbar_thermo(pt, n) - expected) < 1e-10
+    osc = thermal_oscillator(1.0, 1.0, 0.7)
+    ratio = _coth_ratio(osc)
+    delta_plus = (osc.omega**2 + osc.omega_field**2) / (4 * osc.omega * osc.omega_field)
+    expected = delta_plus * ratio - 0.5 + n * osc.beta_s2_per_n
+    assert abs(nbar_thermo(thermo_point(1.0, 1.0, 0.7), n) - expected) < 1e-10
 
 
 def test_field_qfi_endpoints():
@@ -169,57 +182,50 @@ def test_field_scaled_limit_weak_coupling_resonance(lam):
     assert_allclose(value, 2 * lam**2, rtol=max(1e-13, lam**2))
 
 
-def _field_scaled_limit_mp(omega, omega0, lam):
-    """F_B / (4 nbar) in the normal phase at 50 digits, from the plain formulas."""
-    mp = pytest.importorskip("mpmath").mp
-    mp.dps = 50
-    w, w0, lam = mp.mpf(omega), mp.mpf(omega0), mp.mpf(lam)
-    half_gap = mp.sqrt((w**2 - w0**2) ** 2 + 16 * lam**2 * w * w0) / 2
-    eps1 = mp.sqrt((w**2 + w0**2) / 2 - half_gap)
-    eps2 = mp.sqrt((w**2 + w0**2) / 2 + half_gap)
-    gamma = mp.atan2(4 * lam * mp.sqrt(w * w0), w0**2 - w**2) / 2
-    c, s = mp.cos(gamma), mp.sin(gamma)
-    coth = mp.sqrt(1 + (eps1 - eps2) ** 2 * (c * s) ** 2 / (eps1 * eps2))
-    big_o = eps1 * eps2 / (eps1 * s**2 + eps2 * c**2) * coth
-    e = (coth + 1) / (coth - 1)  # e^{beta Omega}, from coth(beta Omega / 2)
-    f_b = (w**2 - big_o**2) ** 2 / (2 * w**2 * big_o**2) * (e + 1) ** 2 / (e**2 + 1)
-    nbar = (s**2 * (eps2 - w) ** 2 / eps2 + c**2 * (eps1 - w) ** 2 / eps1) / (4 * w)
-    return float(f_b / (4 * nbar))
+@pytest.mark.parametrize("lam", [1e-20, 1e-100, 1e-150, 1e-200, 5e-324])
+@pytest.mark.parametrize("omega,limit", [(1.0, 2.0), (2.0, 0.5)])
+def test_field_scaled_limit_keeps_lambda_squared(omega, limit, lam):
+    # F_B / (4 nbar) -> 2 lam^2 at resonance and lam^2 / 2 at omega = 2, omega0 = 1,
+    # and 0.0 once lam^2 underflows; with lam^2 inside q, q^2 underflowed
+    # (1.99998e-160 at 1e-80, 0.0 at 1e-100) and below about 1e-162 the
+    # ratio divided by zero
+    value = qfi_field_scaled_limit(thermo_point(omega, 1.0, lam))
+    assert_allclose(value, limit * lam**2, rtol=1e-13, atol=0.0)
 
 
-@pytest.mark.parametrize("omega,omega0", [(2.0, 1.0), (1.0, 2.0), (0.3, 3.0), (1e3, 1e-3)])
-@pytest.mark.parametrize("fraction", [1e-12, 1e-8, 1e-4, 0.1, 0.5, 0.9, 0.999])
+PAIRS = [(2.0, 1.0), (1.0, 2.0), (0.3, 3.0), (1e3, 1e-3), (1e-3, 1.0), (1.0, 1.0), (1e3, 1.0)]
+FRACTIONS = [1e-12, 1e-8, 1e-4, 0.1, 0.5, 0.9, 0.999, 1.001, 1.5, 2.0, 10.0]
+
+
+@pytest.mark.parametrize("omega,omega0", PAIRS)
+@pytest.mark.parametrize("fraction", FRACTIONS)
 def test_field_scaled_limit_against_mpmath(omega, omega0, fraction):
+    # both phases against the thermal-oscillator form at 50 digits: the
+    # fluctuation ratio in the normal phase, the displacement term above it;
+    # F_B and nbar keep 1e-12 this far from lambda_cr (7.5e-14 at 0.999 and
+    # 1.001; at 1 -+ 1e-6 the rounding of lambda_cr alone gives 6.6e-11)
     lam = fraction * math.sqrt(omega * omega0) / 2
-    expected = _field_scaled_limit_mp(omega, omega0, lam)
-    assert_allclose(qfi_field_scaled_limit(thermo_point(omega, omega0, lam)), expected, rtol=1e-11)
+    osc = _oracle_mp(omega, omega0, lam)
+    pt = thermo_point(omega, omega0, lam)
+    assert_allclose(qfi_field_scaled_limit(pt), osc.qfi_field_scaled_limit, rtol=1e-11)
+    for n in (1, 1e4):
+        assert_allclose(qfi_field_thermo(pt, n).value, osc.qfi_field(n), rtol=1e-12)
+        assert_allclose(nbar_thermo(pt, n), osc.nbar(n), rtol=1e-12)
 
 
 @pytest.mark.parametrize("lam", [1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-3])
 def test_mixing_and_thermal_factors_against_mpmath(lam):
     # omega > omega0 puts gamma near pi/2 at weak coupling, where cos(gamma)
-    # of the angle kept only about 1e-16 / lam of its digits (5.7e-5 at 1e-12)
-    mp = pytest.importorskip("mpmath").mp
-    mp.dps = 50
+    # of the angle keeps only about 1e-16 / lam of its digits (5.7e-5 at 1e-12);
+    # the mixing weights and what is built on them keep every digit
     pt = thermo_point(2.0, 1.0, lam)
-    w, w0, lam_mp = mp.mpf(2), mp.mpf(1), mp.mpf(lam)
-    half_gap = mp.sqrt((w**2 - w0**2) ** 2 + 16 * lam_mp**2 * w * w0) / 2
-    eps1 = mp.sqrt((w**2 + w0**2) / 2 - half_gap)
-    eps2 = mp.sqrt((w**2 + w0**2) / 2 + half_gap)
-    gamma = mp.atan2(4 * lam_mp * mp.sqrt(w * w0), w0**2 - w**2) / 2
-    c, s = mp.cos(gamma), mp.sin(gamma)
-    coth = mp.sqrt(1 + (eps1 - eps2) ** 2 * (c * s) ** 2 / (eps1 * eps2))
-    expected = {
-        "c": c,
-        "s": s,
-        "omega_atoms": eps1 * eps2 / (eps1 * c**2 + eps2 * s**2) * coth,
-        "omega_field": eps1 * eps2 / (eps1 * s**2 + eps2 * c**2) * coth,
-        "exp_b_omega_atoms": (coth + 1) / (coth - 1),
-        "exp_b_omega_field": (coth + 1) / (coth - 1),
-    }
-    for name, value in expected.items():
-        assert_allclose(getattr(pt, name), float(value), rtol=2e-15, err_msg=name)
-    assert_allclose(_coth_half(pt), float(coth), rtol=2e-15)
+    osc = _oracle_mp(2.0, 1.0, lam)
+    c2, s2 = _mixing(pt.omega, pt.omega0, pt.lam, pt.mu)
+    assert_allclose(c2, osc.c**2, rtol=4e-15)
+    assert_allclose(s2, osc.s**2, rtol=4e-15)
+    for n in (0, 1e4):
+        assert_allclose(nbar_thermo(pt, n), osc.nbar(n), rtol=4e-15)
+    assert_allclose(qfi_field_thermo(pt, 1).value, osc.qfi_field(1), rtol=1e-14)
     if lam == 1e-12:  # F_B / (4 nbar) -> lam^2 / 2 at omega = 2, omega0 = 1
         assert_allclose(qfi_field_scaled_limit(pt), 5.0e-25, rtol=1e-14)
 
@@ -232,24 +238,25 @@ def test_field_scaled_limit_endpoints():
 
 @pytest.mark.parametrize("lam", [0.1, 0.3, 0.45, 0.6, 0.9])
 def test_appendix_identity_suite(lam):
-    pt = thermo_point(1.0, 1.0, lam)
-    ratio = _coth_ratio(pt)
-    cs2 = (pt.c * pt.s) ** 2
-    esum = pt.eps1 + pt.eps2
-    detune = pt.omega0**2 / pt.mu**2 - pt.omega**2
+    # identities among the oracle's own thermal-oscillator quantities
+    osc = thermal_oscillator(1.0, 1.0, lam)
+    ratio = _coth_ratio(osc)
+    cs2 = (osc.c * osc.s) ** 2
+    esum = osc.eps1 + osc.eps2
+    detune = osc.omega0**2 / osc.mu**2 - osc.omega**2
     # squared thermal ratio against the polariton expression
-    assert abs(ratio**2 - (1 + (pt.eps1 - pt.eps2) ** 2 * cs2 / (pt.eps1 * pt.eps2))) < 1e-10
+    assert abs(ratio**2 - (1 + (osc.eps1 - osc.eps2) ** 2 * cs2 / (osc.eps1 * osc.eps2))) < 1e-10
     # atomic-branch identity, both printed forms
-    lhs_atoms = pt.omega_atoms * ratio
-    assert abs(lhs_atoms - (pt.eps1 * pt.s**2 + pt.eps2 * pt.c**2)) < 1e-10
+    lhs_atoms = osc.omega_atoms * ratio
+    assert abs(lhs_atoms - (osc.eps1 * osc.s**2 + osc.eps2 * osc.c**2)) < 1e-10
     assert abs(lhs_atoms - (esum / 2 + detune / (2 * esum))) < 1e-10
     # field-branch identity (c and s interchanged)
-    lhs_field = pt.omega_field * ratio
-    assert abs(lhs_field - (pt.eps1 * pt.c**2 + pt.eps2 * pt.s**2)) < 1e-10
+    lhs_field = osc.omega_field * ratio
+    assert abs(lhs_field - (osc.eps1 * osc.c**2 + osc.eps2 * osc.s**2)) < 1e-10
     assert abs(lhs_field - (esum / 2 - detune / (2 * esum))) < 1e-10
     # occupation form used by the boson number
-    assert abs(ratio / pt.omega_field
-               - (pt.eps1 * pt.s**2 + pt.eps2 * pt.c**2) / (pt.eps1 * pt.eps2)) < 1e-10
+    assert abs(ratio / osc.omega_field
+               - (osc.eps1 * osc.s**2 + osc.eps2 * osc.c**2) / (osc.eps1 * osc.eps2)) < 1e-10
 
 
 def test_continuity_across_critical_point():
