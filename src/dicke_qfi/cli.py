@@ -7,12 +7,16 @@ produce byte-identical files.  Exit codes: 0 success, 2 invalid argument,
 3 I/O error, 4 a failed (N, lambda) point or a low-confidence fit.
 ``map_points`` solves the points of ``sweep``, ``husimi`` and ``convergence``
 in stacks, runs of consecutive points of one N that the solver solves
-together, and yields each point's result in output order; ``husimi``
-writes each point's grids as they come, so a run holds one point's grids
-at a time.  The JSON writers give the bytes of json.dump(indent=2,
-sort_keys=True) without building the document: table rows are formatted
-from repr, one write per row, and ``meta`` is written after the Husimi
-grids, once the failed points are known.
+together, hands each stack's solved states to the mode's point function,
+and yields each point's result in output order.  A sweep forms its rows with
+one batched Schmidt SVD and one batched observable pass for each run of a
+stack's points whose amplitude grids pad to one shape; ``husimi`` and
+``convergence`` form one result at a time, and ``husimi`` writes each
+point's grids as they come, so a run holds one point's grids at a time.
+The JSON writers give the bytes of json.dump(indent=2, sort_keys=True)
+without building the document: table rows are formatted from repr, one
+write per row, and ``meta`` is written after the Husimi grids, once the
+failed points are known.
 
 ``SweepConfig`` is the single declaration of the settings: each of its
 fields gives a setting's name, default, text parser and help, and the flags,
@@ -28,7 +32,8 @@ import sys
 from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
-from itertools import chain, repeat
+from functools import partial
+from itertools import chain, groupby, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -47,7 +52,7 @@ from .metrology import (
 )
 from .model import ModelParams
 from .solver import DEFAULT_TOL, GroundState, converge_stack, solve_stack
-from .states import schmidt_decompose
+from .states import padded_shape, schmidt_decompose, schmidt_stack
 from .thermo import (
     critical_scaling_probe,
     in_guard_band,
@@ -213,21 +218,22 @@ class SweepRecord(NamedTuple):
 
 
 def map_points(config: SweepConfig, solve, point, failure, failed: list) -> Iterator:
-    """Yield ``point(gs, config)`` for the ground state of every (N, lambda) point, in output order.
+    """Yield the result of every (N, lambda) point's ground state, in output order.
 
     The points are cut into stacks by ``solver.stacks``, and ``solve(stack,
-    config)`` gives each point of a stack its GroundState or SolverError.  A
-    point whose solve failed, or whose ``point`` raises SolverError or
-    MemoryError, yields ``failure(params, exc)`` instead, and [lambda, N] is
-    appended to ``failed`` before it is yielded.  Serially each stack is
-    solved when its first result is asked for, and each of its points'
-    results is formed when it is asked for and not held while the next one
-    is formed, so a consumer that writes and drops each result holds one
-    point's at a time.  A pool takes all stacks at once, each at most
-    ceil(points / workers) points, so that every process gets work, and
-    yields the results in order; results that finish before they are asked
-    for wait in this process.  A result depends on its point alone, so not
-    on the stacks or the worker count.
+    config)`` gives each point of a stack its GroundState or SolverError.
+    ``point(states, config)`` yields one result for each of a stack's solved
+    states, in order.  A point whose solve failed, or whose result raised
+    SolverError or MemoryError, yields ``failure(params, exc)`` instead, and
+    [lambda, N] is appended to ``failed`` before it is yielded.  Serially
+    each stack is solved when its first result is asked for, and a result
+    is not held once the next one is asked for, so a ``point`` that forms
+    its results one at a time and a consumer that writes and drops each
+    one hold one point's at a time.  A pool takes all stacks at once, each
+    at most ceil(points / workers) points, so that every process gets work,
+    and yields the results in order; results that finish before they are
+    asked for wait in this process.  A result depends on its point alone,
+    so not on the stacks or the worker count.
     """
     points = config.points()
     workers = min(config.workers, len(points))
@@ -258,23 +264,54 @@ def _attempt(solve, point, failure, stack: list[ModelParams], config: SweepConfi
         states = solve(stack, config)
     except MemoryError as exc:  # the solver maps its own; this covers the stack's bookkeeping
         states = [SolverError(f"out of memory: {exc}")] * len(stack)
+    results = _results(point, [gs for gs in states if not isinstance(gs, SolverError)], config)
     for params, gs in zip(stack, states):
-        if isinstance(gs, SolverError):
-            yield failure(params, gs), False
-            continue
+        result = gs if isinstance(gs, SolverError) else next(results)
+        solved = not isinstance(result, SolverError)
+        yield (result if solved else failure(params, result)), solved
+        del result  # not held while the next point's result is formed
+
+
+def _results(point, states: list[GroundState], config: SweepConfig) -> Iterator:
+    """``point``'s result for each of ``states``, in order, or the SolverError that failed it.
+
+    When ``point(states, config)`` raises SolverError or MemoryError, the
+    states it has not yet given a result for are taken again one at a
+    time, so only a point that fails alone gets an error, which carries
+    its state's cutoff and steps; the others get the bits they would have
+    had.
+    """
+    done = 0
+    try:
+        for result in point(states, config):
+            yield result
+            del result  # not held while the next result is formed
+            done += 1
+        return
+    except (SolverError, MemoryError):  # the solver maps its own; this covers the results
+        pass
+    for gs in states[done:]:
         try:
-            outcome = point(gs, config), True
-        except SolverError as exc:  # ConvergenceError included
-            outcome = failure(params, exc), False
-        except MemoryError as exc:  # the solver maps its own; this covers the observables
-            outcome = failure(params, SolverError(f"out of memory: {exc}")), False
-        yield outcome
-        del outcome  # not held while the next point's result is formed
+            (result,) = point([gs], config)
+        except (SolverError, MemoryError) as exc:
+            result = SolverError(f"{type(exc).__name__}: {exc}", gs.n_cutoff,
+                                 gs.convergence.steps)
+        yield result
+        del result
 
 
 def _attempt_all(solve, point, failure, stack: list[ModelParams], config: SweepConfig) -> list:
     """``_attempt`` of a stack in a worker, every outcome formed, to be sent back."""
     return list(_attempt(solve, point, failure, stack, config))
+
+
+def _each(compute: Callable, states: list[GroundState], config: SweepConfig) -> Iterator:
+    """``compute(gs, config)`` of each state, formed one at a time as it is taken.
+
+    Bound to ``compute`` by ``partial``, it is the point function of a mode
+    whose results are formed one by one, and a pool can send it.
+    """
+    return (compute(gs, config) for gs in states)
 
 
 def _solve(stack: list[ModelParams], config: SweepConfig) -> list:
@@ -287,28 +324,31 @@ def _converge(stack: list[ModelParams], config: SweepConfig) -> list:
     return converge_stack(stack, config.tol, n_start=config.fock_cutoff)
 
 
+def compute_sweep_records(states: list[GroundState], config: SweepConfig) -> Iterator[SweepRecord]:
+    """The sweep row of each solved (N, lambda) point, in order.
+
+    Each run of consecutive states whose amplitude grids pad to one shape
+    is decomposed by one batched SVD, and its observables are formed in one
+    batched pass; a run's rows are formed when its first row is asked for.
+    """
+    for _, run in groupby(states, key=padded_shape):
+        run = list(run)
+        field, atoms = schmidt_stack(run)
+        obs = sweep_observables(field, atoms)
+        observed = zip(*(column.tolist() for column in (
+            obs.nbar, obs.f_b.value, obs.f_b.scaled, obs.f_a.value, obs.f_a.scaled, obs.xi2,
+            4.0 * obs.quad_var)))
+        masses = zip(atoms.discarded_mass.tolist(), field.discarded_mass.tolist())
+        for gs, values, (mass_a, mass_b) in zip(run, observed, masses):
+            # parity_expect is <P>: the state lives in the even sector, so P acts on it as 1
+            yield SweepRecord(gs.params.lam, gs.params.n_atoms, gs.n_cutoff, gs.energy, *values,
+                              float(gs.vector @ gs.vector), mass_a, mass_b)
+
+
 def compute_sweep_record(gs: GroundState, config: SweepConfig) -> SweepRecord:
-    """Every sweep observable of one solved (N, lambda) point."""
-    params = gs.params
-    field, atoms = schmidt_decompose(gs)
-    obs = sweep_observables(field, atoms)
-    return SweepRecord(
-        lam=params.lam,
-        n_atoms=params.n_atoms,
-        n_cutoff=gs.n_cutoff,
-        ground_energy=gs.energy,
-        nbar=obs.nbar,
-        f_b=obs.f_b.value,
-        f_b_scaled=obs.f_b.scaled,
-        f_a=obs.f_a.value,
-        f_a_scaled=obs.f_a.scaled,
-        xi2=obs.xi2,
-        quad_var_scaled=4.0 * obs.quad_var,
-        # <P>: the state lives in the even sector, so P acts on it as 1
-        parity_expect=float(gs.vector @ gs.vector),
-        discarded_mass_a=atoms.discarded_mass,
-        discarded_mass_b=field.discarded_mass,
-    )
+    """Every sweep observable of one solved (N, lambda) point: its stack of one's row."""
+    (record,) = compute_sweep_records([gs], config)
+    return record
 
 
 def _failed_sweep_record(params: ModelParams, exc: SolverError) -> SweepRecord:
@@ -319,7 +359,7 @@ def _failed_sweep_record(params: ModelParams, exc: SolverError) -> SweepRecord:
 def run_sweep(config: SweepConfig) -> tuple[list[SweepRecord], list[list]]:
     """Every (N, lambda) record in output order, NaN where a point failed, and the failed points."""
     failed: list[list] = []
-    records = map_points(config, _solve, compute_sweep_record, _failed_sweep_record, failed)
+    records = map_points(config, _solve, compute_sweep_records, _failed_sweep_record, failed)
     return list(records), failed
 
 
@@ -367,7 +407,8 @@ def run_husimi(config: SweepConfig) -> tuple[Iterator[dict], list[list]]:
     """
     failed: list[list] = []
     # filter, unlike a generator expression, keeps no reference to the last grid
-    return filter(None, map_points(config, _solve, compute_husimi_grid, _skipped, failed)), failed
+    grids = map_points(config, _solve, partial(_each, compute_husimi_grid), _skipped, failed)
+    return filter(None, grids), failed
 
 
 def compute_trajectory(gs: GroundState, config: SweepConfig) -> list[tuple]:
@@ -386,7 +427,8 @@ def _trajectory_rows(params: ModelParams, solved) -> list[tuple]:
 def run_convergence(config: SweepConfig) -> tuple[list[tuple], list[list]]:
     """Every point's cutoff-doubling rows in output order, and the failed points."""
     failed: list[list] = []
-    trajectories = map_points(config, _converge, compute_trajectory, _trajectory_rows, failed)
+    trajectories = map_points(config, _converge, partial(_each, compute_trajectory), _trajectory_rows,
+                              failed)
     return [row for rows in trajectories for row in rows], failed
 
 

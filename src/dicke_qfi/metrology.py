@@ -25,9 +25,14 @@ angle is cos X + sin Y, and the products X v and -i Y v both come from the
 two shifted products L v and L'v, so Jx and Jy (X_0 and X_{pi/2}) share
 them.  The arithmetic follows the dtype of the eigenvectors: the real
 Schmidt vectors of a ground state take real arithmetic, and a hand-built
-complex state complex, in the same code.  ``sweep_observables`` gives every
-sweep column in one pass over each reduced state, through the kernels the
-public functions use, so with the same bits.
+complex state complex, in the same code.
+
+The kernels take a stack of states, a leading axis on every array, through
+``matmul`` and ``vecdot``; a weight set to 0 below the Schmidt floor, and a
+zero padding row, change no value.  ``sweep_observables`` gives every sweep
+column of a stack in one pass, as arrays, and the public one-state
+functions run the same kernels on a stack of one, so a state's bits do not
+depend on the stack it is evaluated in.
 
 The Husimi kernels expand coherent states in log space, with the factorials
 from ``model.log_factorials``, the table the solver's start vector uses, so
@@ -60,12 +65,15 @@ HUSIMI_CHUNK_ELEMENTS = 2**18
 
 @dataclass(frozen=True)
 class QfiResult:
-    """QFI value, its classical-limit ratio, and the two terms of its sum."""
+    """QFI value, its classical-limit ratio, and the two terms of its sum.
 
-    value: float
-    scaled: float
-    pair_term: float  # pairs of retained eigenvectors
-    complement_term: float  # each retained one with the complement of their span
+    Floats for one state; arrays, one entry a state, for a stack.
+    """
+
+    value: float | np.ndarray
+    scaled: float | np.ndarray
+    pair_term: float | np.ndarray  # pairs of retained eigenvectors
+    complement_term: float | np.ndarray  # each retained one with the complement of their span
 
 
 def _check_space(state: SpectralDecomposition, space: str, caller: str) -> None:
@@ -73,9 +81,27 @@ def _check_space(state: SpectralDecomposition, space: str, caller: str) -> None:
         raise ValueError(f"{caller} expects a {space}-space state")
 
 
+def _one_state(state: SpectralDecomposition, space: str, caller: str) -> SpectralDecomposition:
+    """A state of ``space`` as the stack of one that the kernels take."""
+    _check_space(state, space, caller)
+    if state.weights.ndim != 1:
+        raise ValueError(f"{caller} takes one state, not a stack")
+    return state.as_stack()
+
+
+def _vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum conj(a) b over the last two axes, one value per state: a ``vdot`` for each."""
+    return np.vecdot(a.reshape(*a.shape[:-2], -1), b.reshape(*b.shape[:-2], -1))
+
+
+def _mean_number(field: SpectralDecomposition) -> np.ndarray:
+    """<b'b> = sum_k p_k sum_n n |v_k(n)|^2 of each state, from the diagonal of b'b."""
+    return np.vecdot(field.weights, np.arange(field.dim) @ np.abs(field.vectors) ** 2)
+
+
 def mean_number(field: SpectralDecomposition) -> float:
-    """<b'b> = sum_k p_k sum_n n |v_k(n)|^2, from the diagonal of b'b."""
-    return float(field.weights @ (np.arange(field.dim) @ np.abs(field.vectors) ** 2))
+    """<b'b> of a field state."""
+    return float(_mean_number(_one_state(field, "boson", "mean_number"))[0])
 
 
 def _ladder(vectors: np.ndarray, raising: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -83,23 +109,33 @@ def _ladder(vectors: np.ndarray, raising: np.ndarray) -> tuple[np.ndarray, np.nd
 
     L lowers by one level and L' raises; X and Y are Hermitian.  Both
     products come from the two shifted ones, L v / 2 and L'v / 2, in the
-    dtype of v, so a real state keeps real arithmetic.  ``raising[n]``,
+    dtype of v, so a real state keeps real arithmetic.  ``raising[..., n]``,
     n = 0..dim, is the factor of L' from level n-1 to n:
     (L'v)[n] = raising[n] v[n-1] and (L v)[n] = raising[n+1] v[n+1].  Both
     are taken on v padded with a zero level at each end, so the bottom of
-    L'v and the top of L v are zero.
+    L'v and the top of L v are zero.  A leading axis of ``raising`` runs
+    over the states of a stack.
     """
-    half = raising[:, None] / 2
-    padded = np.zeros((vectors.shape[0] + 2, vectors.shape[1]), vectors.dtype)
-    padded[1:-1] = vectors
-    lowered = half[1:] * padded[2:]
-    raised = half[:-1] * padded[:-2]
+    half = raising[..., :, None] / 2
+    padded = np.zeros((*vectors.shape[:-2], vectors.shape[-2] + 2, vectors.shape[-1]),
+                      vectors.dtype)
+    padded[..., 1:-1, :] = vectors
+    lowered = half[..., 1:, :] * padded[..., 2:, :]
+    raised = half[..., :-1, :] * padded[..., :-2, :]
     return lowered + raised, raised - lowered
 
 
 def _field_ladder(field: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
-    """The quadratures X = X_0 and Y = X_{pi/2}: L = b, L' = b', (b'v)[n] = sqrt(n) v[n-1]."""
-    return _ladder(field.vectors, np.sqrt(np.arange(field.dim + 1.0)))
+    """The quadratures X = X_0 and Y = X_{pi/2}: L = b, L' = b', (b'v)[n] = sqrt(n) v[n-1].
+
+    Each state's b' stops at the top of its truncated space: the factors
+    into its padding rows are 0.
+    """
+    level = np.arange(field.dim + 1)
+    raising = np.sqrt(level + 0.0)
+    if field.levels is not None:
+        raising = raising * (level < np.reshape(field.levels, (-1, 1)))
+    return _ladder(field.vectors, raising)
 
 
 def _spin_ladder(atoms: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
@@ -114,51 +150,62 @@ def _spin_ladder(atoms: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
 
 def _variance(
     state: SpectralDecomposition, ladder: tuple[np.ndarray, np.ndarray], angle: float
-) -> float:
+) -> np.ndarray:
     """Variance of G = cos(angle) X + sin(angle) Y, as <G^2> - <G>^2 on the truncated space.
 
     ``ladder`` is (x, y) = (X v, -i Y v) for each eigenvector v.  With
     c = cos(angle), s = sin(angle) and G v = c x + i s y, each
     eigenvector has <v|G|v> = c Re(v^H x) - s Im(v^H y) and
     ||G v||^2 = c^2 ||x||^2 + s^2 ||y||^2 - 2 c s Im(x^H y).  Each weighted
-    sum sum_k p_k a_k^H b_k is one ``vdot`` of a and b p.  The imaginary
-    parts are zero for a real state.
+    sum sum_k p_k a_k^H b_k is one ``vdot`` of a and b p per state.  The
+    imaginary parts are zero for a real state.
     """
     c, s = math.cos(angle), math.sin(angle)
-    p, v, (x, y) = state.weights, state.vectors, ladder
+    p, v, (x, y) = state.weights[..., None, :], state.vectors, ladder
     xp, yp = x * p, y * p
-    mean = c * np.vdot(v, xp).real - s * np.vdot(v, yp).imag
-    square = ((c * c) * np.vdot(x, xp).real + (s * s) * np.vdot(y, yp).real
-              - (2 * c * s) * np.vdot(x, yp).imag)
-    return float(square - mean**2)
+    mean = c * _vdot(v, xp).real - s * _vdot(v, yp).imag
+    square = ((c * c) * _vdot(x, xp).real + (s * s) * _vdot(y, yp).real
+              - (2 * c * s) * _vdot(x, yp).imag)
+    return square - mean**2
 
 
-def _qfi(decomp: SpectralDecomposition, gv: np.ndarray, norm: float = math.nan) -> QfiResult:
-    """SLD-form QFI from the products G v_k, column k of ``gv``, and its value / ``norm``.
+def _qfi(
+    decomp: SpectralDecomposition, gv: np.ndarray, norm: float | np.ndarray = math.nan
+) -> QfiResult:
+    """SLD-form QFI of each state from the products G v_k, column k of ``gv``, and its
+    value / ``norm``.
 
     The pair term runs over the retained weights; the complement term takes
     the part of each G v_k outside their span, through the full
-    truncated-space G.  A pair of zero weights, which only a hand-built
-    state holds, has no SLD term and adds 0.  The arithmetic has the dtype
-    of the vectors and ``gv``.
+    truncated-space G.  A pair of zero weights has no SLD term and adds 0,
+    and a vector kept at weight 0 is exact: its pair terms with each p_n,
+    2 p_n |G_mn|^2 for each ordering, are what the complement term of v_n
+    would hold of it.  The arithmetic has the dtype of the vectors and
+    ``gv``, and every array may carry a leading stack axis.
     """
     p, v = decomp.weights, decomp.vectors
-    overlap = v.conj().T @ gv  # overlap[m, n] = <psi_m|G|psi_n>
-    diff = p[:, None] - p
-    total = p[:, None] + p
+    overlap = v.conj().swapaxes(-1, -2) @ gv  # overlap[..., m, n] = <psi_m|G|psi_n>
+    diff = p[..., :, None] - p[..., None, :]
+    total = p[..., :, None] + p[..., None, :]
     pair = np.divide(diff * diff, total, out=np.zeros_like(total), where=total > 0)
-    pair_term = float(2.0 * (pair * (overlap.conj() * overlap).real).sum())
+    pair_term = 2.0 * (pair * (overlap.conj() * overlap).real).sum(axis=(-2, -1))
     # G v_k less its projection on the retained vectors; vecdot conjugates its first argument
     outside = gv - v @ overlap
-    complement_term = float(4.0 * (p @ np.vecdot(outside, outside, axis=0).real))
+    complement_term = 4.0 * np.vecdot(p, np.vecdot(outside, outside, axis=-2).real)
     value = pair_term + complement_term
     return QfiResult(value, value / norm, pair_term, complement_term)
 
 
-def _field_qfi(field: SpectralDecomposition, nbar: float) -> QfiResult:
-    """QFI for b'b, scaled by 4 nbar; b'b is diagonal, (b'b v)[n] = n v[n]."""
+def _first(result: QfiResult) -> QfiResult:
+    """The QFI of the one state of a stack of one, as floats."""
+    return QfiResult(*(float(x[0]) for x in
+                       (result.value, result.scaled, result.pair_term, result.complement_term)))
+
+
+def _field_qfi(field: SpectralDecomposition, nbar: np.ndarray) -> QfiResult:
+    """QFI for b'b, scaled by 4 nbar, NaN where nbar = 0; b'b is diagonal, (b'b v)[n] = n v[n]."""
     return _qfi(field, np.arange(field.dim)[:, None] * field.vectors,
-                4.0 * nbar if nbar > 0 else math.nan)
+                np.where(nbar > 0, 4.0 * nbar, math.nan))
 
 
 def qfi_field(field: SpectralDecomposition) -> QfiResult:
@@ -167,15 +214,15 @@ def qfi_field(field: SpectralDecomposition) -> QfiResult:
     With nbar = 0 (decoupled vacuum) the scaled ratio is undefined and
     reported as NaN.
     """
-    _check_space(field, "boson", "qfi_field")
-    return _field_qfi(field, mean_number(field))
+    field = _one_state(field, "boson", "qfi_field")
+    return _first(_field_qfi(field, _mean_number(field)))
 
 
 def qfi_atoms(atoms: SpectralDecomposition) -> QfiResult:
     """QFI of the atomic state for the Ramsey generator Jx, scaled by N."""
-    _check_space(atoms, "spin", "qfi_atoms")
+    atoms = _one_state(atoms, "spin", "qfi_atoms")
     jx_v, _ = _spin_ladder(atoms)
-    return _qfi(atoms, jx_v, atoms.dim - 1)
+    return _first(_qfi(atoms, jx_v, atoms.dim - 1))
 
 
 def quadrature_variance(field: SpectralDecomposition, sigma: float) -> float:
@@ -183,14 +230,14 @@ def quadrature_variance(field: SpectralDecomposition, sigma: float) -> float:
 
     X_sigma = cos(sigma) X_0 + sin(sigma) X_{pi/2}, from the field ladder.
     """
-    _check_space(field, "boson", "quadrature_variance")
-    return _variance(field, _field_ladder(field), sigma)
+    field = _one_state(field, "boson", "quadrature_variance")
+    return float(_variance(field, _field_ladder(field), sigma)[0])
 
 
 def spin_variance(atoms: SpectralDecomposition, phi: float) -> float:
     """Variance of J_phi = Jx cos(phi) + Jy sin(phi)."""
-    _check_space(atoms, "spin", "spin_variance")
-    return _variance(atoms, _spin_ladder(atoms), -phi)
+    atoms = _one_state(atoms, "spin", "spin_variance")
+    return float(_variance(atoms, _spin_ladder(atoms), -phi)[0])
 
 
 def spin_squeezing_xi2(atoms: SpectralDecomposition) -> float:
@@ -199,27 +246,30 @@ def spin_squeezing_xi2(atoms: SpectralDecomposition) -> float:
 
 
 class SweepObservables(NamedTuple):
-    """The observables of one sweep row, as the public functions give them."""
+    """The observables of a stack's sweep rows, one array entry a state."""
 
-    nbar: float
+    nbar: np.ndarray
     f_b: QfiResult
     f_a: QfiResult
-    xi2: float
-    quad_var: float  # variance of X_{pi/2}
+    xi2: np.ndarray
+    quad_var: np.ndarray  # variance of X_{pi/2}
 
 
 def sweep_observables(
     field: SpectralDecomposition, atoms: SpectralDecomposition
 ) -> SweepObservables:
-    """Every sweep observable in one pass over each reduced state.
+    """Every sweep observable of a stack of states in one pass, as arrays over the stack.
 
-    The same kernels as ``mean_number``, ``qfi_field``, ``qfi_atoms``,
-    ``spin_squeezing_xi2`` and ``quadrature_variance(field, pi/2)``, so the
-    same bits; nbar is formed once and Jx and Jy share one spin ladder.
+    The stack is (field, atoms) from ``states.schmidt_stack``, or one state,
+    taken as a stack of one.  The kernels are those of ``mean_number``,
+    ``qfi_field``, ``qfi_atoms``, ``spin_squeezing_xi2`` and
+    ``quadrature_variance(field, pi/2)``, which run them on a stack of one;
+    nbar is formed once and Jx and Jy share one spin ladder.
     """
     _check_space(field, "boson", "sweep_observables")
     _check_space(atoms, "spin", "sweep_observables")
-    nbar = mean_number(field)
+    field, atoms = field.as_stack(), atoms.as_stack()
+    nbar = _mean_number(field)
     spin = _spin_ladder(atoms)  # (Jx v, -i Y v): Jx for F_A, Y = -Jy for xi2
     n_atoms = atoms.dim - 1
     return SweepObservables(
@@ -259,27 +309,37 @@ def husimi_field(field: SpectralDecomposition, alpha: np.ndarray) -> np.ndarray:
     """Q_B(alpha) = <alpha|rho_B|alpha> evaluated on a grid of amplitudes.
 
     The grid should satisfy |alpha|^2 << n_cutoff for the truncated coherent
-    states to be faithful.  Grid points are taken in chunks of at most
+    states to be faithful.  The coherent states span the state's truncated
+    space, its ``levels``: the padding rows below it hold only vectors at
+    weight 0.  Grid points are taken in chunks of at most
     HUSIMI_CHUNK_ELEMENTS // (n_cutoff+1), so memory does not grow with the
     cutoff.
     """
     _check_space(field, "boson", "husimi_field")
+    levels = field.dim if field.levels is None else int(field.levels)
+    vectors, weights = _weighted(field, levels)
     flat = np.asarray(alpha, dtype=complex).ravel()
     out = np.empty(flat.size)
-    chunk = max(1, HUSIMI_CHUNK_ELEMENTS // field.dim)
+    chunk = max(1, HUSIMI_CHUNK_ELEMENTS // levels)
     for start in range(0, flat.size, chunk):
-        block = coherent_amplitudes(flat[start : start + chunk], field.dim)
-        out[start : start + chunk] = _husimi(block, field)
+        block = coherent_amplitudes(flat[start : start + chunk], levels)
+        out[start : start + chunk] = _husimi(block, vectors, weights)
     return out.reshape(np.shape(alpha))
 
 
 def default_field_grid(
     nbar: float, points: int = FIELD_GRID_POINTS
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Square alpha-grid of half-width 1.5*(sqrt(nbar) + 2) centered on the origin."""
+    """Square alpha-grid of half-width 1.5*(sqrt(nbar) + 2) centered on the origin.
+
+    The half-width is rounded to 32 significant bits, a move of at most
+    2^-32 of it, so the axes do not follow the last bits of nbar, which
+    move with the rounding of the state.
+    """
     if points < 2:
         raise ValueError("grid needs at least 2 points per axis")
-    half = 1.5 * (math.sqrt(max(nbar, 0.0)) + 2.0)
+    mantissa, exponent = math.frexp(1.5 * (math.sqrt(max(nbar, 0.0)) + 2.0))
+    half = math.ldexp(round(mantissa * 2**32), exponent - 32)
     axis = np.linspace(-half, half, points)
     re, im = np.meshgrid(axis, axis, indexing="ij")
     return axis, axis, re + 1j * im
@@ -325,16 +385,24 @@ def husimi_atoms(atoms: SpectralDecomposition, theta: np.ndarray, phi: np.ndarra
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     out = np.empty((theta.size, phi.size))
+    vectors, weights = _weighted(atoms, atoms.dim)
     chunk = max(1, HUSIMI_CHUNK_ELEMENTS // max(1, phi.size * atoms.dim))
     for start in range(0, theta.size, chunk):
         block = spin_coherent_amplitudes(theta[start : start + chunk], phi, atoms.dim - 1)
-        out[start : start + chunk] = _husimi(block, atoms)
+        out[start : start + chunk] = _husimi(block, vectors, weights)
     return out
 
 
-def _husimi(amps: np.ndarray, state: SpectralDecomposition) -> np.ndarray:
+def _weighted(state: SpectralDecomposition, levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``levels`` rows of the vectors at positive weight, and those weights:
+    all of a state that a Husimi sum reads."""
+    positive = state.weights > 0
+    return state.vectors[:levels, positive], state.weights[positive]
+
+
+def _husimi(amps: np.ndarray, vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sum_k p_k |<c|v_k>|^2 for coherent-state amplitudes <n|c> along the last axis."""
-    return np.abs(amps.conj() @ state.vectors) ** 2 @ state.weights
+    return np.abs(amps.conj() @ vectors) ** 2 @ weights
 
 
 def default_atom_grid(points: int = ATOM_GRID_POINTS) -> tuple[np.ndarray, np.ndarray]:

@@ -148,15 +148,20 @@ def _skeleton(n_atoms: int, capacity: int) -> tuple[EvenSector, tuple]:
     return sector, units
 
 
-def _cached(indexer: BasisIndexer) -> tuple[EvenSector, tuple, int]:
-    """The skeleton that serves ``indexer``, and the number of its basis' even positions.
+def capacity(n_cutoff: int) -> int:
+    """The power of two at or above ``n_cutoff``: the cutoff that serves it.
 
-    It is built at the power of two at or above the cutoff: the basis at c
-    is the first (c+1)(N+1) indices of any larger one, and a doubling pair
-    (c, 2c) reads the two cached entries.
+    The basis at c is the first (c+1)(N+1) indices of any larger one, so a
+    skeleton, or a zero-padded amplitude grid, built at this capacity holds
+    the cutoff's, and a doubling pair (c, 2c) reads two capacities.
     """
-    capacity = 1 << (indexer.n_cutoff - 1).bit_length()
-    sector, units = _skeleton(indexer.n_atoms, capacity)
+    return 1 << (n_cutoff - 1).bit_length()
+
+
+def _cached(indexer: BasisIndexer) -> tuple[EvenSector, tuple, int]:
+    """The skeleton that serves ``indexer``, built at its cutoff's capacity, and the
+    number of its basis' even positions."""
+    sector, units = _skeleton(indexer.n_atoms, capacity(indexer.n_cutoff))
     return sector, units, (indexer.dimension + 1) // 2
 
 

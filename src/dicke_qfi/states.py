@@ -1,77 +1,135 @@
-"""Reduced states of the ground state in spectral form.
+"""Reduced states of the ground state in spectral form, for one state or a stack.
 
 In the boson-major basis the ground state is a real (n_cutoff+1) x (N+1)
 grid psi, and one thin SVD psi = U S V^T (its Schmidt decomposition) gives
 both reduced states with the shared weights S^2, so no density matrix is
-formed; this is the one place that lays a GroundState's even-sector
-amplitudes on that grid.  A hand-built state enters as a
-SpectralDecomposition of its weights and eigenvectors.  Decompositions
-drop weights at or below DEFAULT_WEIGHT_FLOOR and report the discarded
-mass so downstream QFI errors can be bounded.
+formed.  ``schmidt_stack`` decomposes many ground states of one N at once:
+it lays each one's even-sector amplitudes, the one place that does, into
+the first rows of a zero-padded (capacity+1) x (N+1) slab, capacity the
+power of two at or above its cutoff (``model.capacity``), and runs one
+batched SVD over the slabs.  The padding depends on the point alone, so a
+point's bits do not depend on the stack it is decomposed in;
+``schmidt_decompose`` is the same SVD on a stack of one.
+
+A SpectralDecomposition holds one state, or a stack of states along a
+leading axis.  Weights at or below DEFAULT_WEIGHT_FLOOR are set to 0 with
+their eigenvectors kept, so every state of a stack has one rank, and each
+reports its own discarded mass so downstream QFI errors can be bounded.  A
+hand-built state enters as a SpectralDecomposition of its weights and
+eigenvectors.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import SolverError
+from .model import capacity
 from .solver import GroundState
 
 #: the subsystem a reduced state lives on: the field mode or the collective spin
 Space = Literal["boson", "spin"]
 
-#: weights at or below this floor are dropped from spectral decompositions
+#: weights at or below this floor are set to 0 in Schmidt decompositions
 DEFAULT_WEIGHT_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """A state on one subsystem: weights above the floor, descending, with eigenvectors."""
+    """States on one subsystem: weights, descending, with eigenvectors.
+
+    For one state ``weights`` has shape (rank,), ``vectors`` (rows, rank)
+    and ``discarded_mass`` and ``levels`` are numbers; a stack adds a
+    leading axis to each.  ``levels`` is the dimension of each state's
+    truncated space: its vectors' rows from there on are zero padding, and
+    no operator acts across them.  None means every row.
+    """
 
     weights: np.ndarray
-    vectors: np.ndarray  # column k is the eigenvector of weights[k]
+    vectors: np.ndarray  # column k is the eigenvector of weights[..., k]
     space: Space
-    discarded_mass: float
+    discarded_mass: float | np.ndarray
+    levels: int | np.ndarray | None = None
 
     @property
     def dim(self) -> int:
-        return self.vectors.shape[0]
+        """Rows of each eigenvector, the padding included."""
+        return self.vectors.shape[-2]
+
+    def as_stack(self) -> SpectralDecomposition:
+        """This decomposition as a stack: itself if it is one, else a stack of one state."""
+        if self.weights.ndim > 1:
+            return self
+        return SpectralDecomposition(
+            self.weights[None], self.vectors[None], self.space,
+            np.reshape(self.discarded_mass, 1),
+            None if self.levels is None else np.reshape(self.levels, 1))
+
+    def __getitem__(self, i: int) -> SpectralDecomposition:
+        """State ``i`` of a stack, as a decomposition of one state."""
+        return SpectralDecomposition(
+            self.weights[i], self.vectors[i], self.space, float(self.discarded_mass[i]),
+            None if self.levels is None else int(self.levels[i]))
 
 
-def _amplitude_grid(gs: GroundState) -> np.ndarray:
-    """psi[n, k] by strided assignment: for even N the even sector is every second
-    full index, for odd N the even k of even rows and the odd k of odd rows."""
-    n_atoms = gs.params.n_atoms
-    grid = np.zeros((gs.n_cutoff + 1, n_atoms + 1))
-    if n_atoms % 2 == 0:
-        grid.ravel()[::2] = gs.vector
-    else:
-        rows = gs.vector.reshape(gs.n_cutoff + 1, (n_atoms + 1) // 2)
-        grid[0::2, 0::2] = rows[0::2]
-        grid[1::2, 1::2] = rows[1::2]
-    return grid
+def padded_shape(gs: GroundState) -> tuple[int, int]:
+    """Rows and columns of a ground state's zero-padded amplitude grid: capacity+1 by N+1.
+
+    States of one padded shape are decomposed by one batched SVD.
+    """
+    return capacity(gs.n_cutoff) + 1, gs.params.n_atoms + 1
+
+
+def _amplitude_grids(states: Sequence[GroundState]) -> np.ndarray:
+    """psi[n, k] of each state in the first n_cutoff+1 rows of its zero slab, by strided
+    assignment: for even N the even sector is every second full index, for odd N the
+    even k of even rows and the odd k of odd rows."""
+    rows, columns = padded_shape(states[0])
+    slabs = np.zeros((len(states), rows, columns))
+    for slab, flat, gs in zip(slabs, slabs.reshape(len(states), -1), states):
+        if columns % 2:  # even N
+            flat[: gs.vector.size * 2 : 2] = gs.vector
+        else:
+            half = gs.vector.reshape(gs.n_cutoff + 1, columns // 2)
+            slab[0 : gs.n_cutoff + 1 : 2, 0::2] = half[0::2]
+            slab[1 : gs.n_cutoff + 1 : 2, 1::2] = half[1::2]
+    return slabs
+
+
+def schmidt_stack(
+    states: Sequence[GroundState],
+) -> tuple[SpectralDecomposition, SpectralDecomposition]:
+    """Stacked (field, atoms) reduced states of ground states of one padded shape, from one SVD.
+
+    The grids are real, so the SVD runs in real arithmetic: each slab is
+    U S V^T by ``np.linalg.svd``, which decomposes the slabs one by one, so a
+    state's bits do not depend on the others.  The field eigenvectors are
+    the columns of U, the atomic ones those of V, and both carry the
+    weights S^2, with those at or below DEFAULT_WEIGHT_FLOOR set to 0 and
+    summed into the state's discarded mass.  A failed SVD raises SolverError.
+    """
+    shapes = {padded_shape(gs) for gs in states}
+    if len(shapes) != 1:
+        raise ValueError(f"schmidt_stack takes states of one padded shape, not {sorted(shapes)}")
+    try:
+        u, s, vt = np.linalg.svd(_amplitude_grids(states), full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"Schmidt decomposition failed: {exc}") from None
+    weights = s**2
+    kept = weights > DEFAULT_WEIGHT_FLOOR
+    discarded = np.where(kept, 0.0, weights).sum(axis=-1)
+    weights = np.where(kept, weights, 0.0)
+    levels = np.array([gs.n_cutoff + 1 for gs in states])
+    return (SpectralDecomposition(weights, u, "boson", discarded, levels),
+            SpectralDecomposition(weights, np.ascontiguousarray(vt.swapaxes(-1, -2)), "spin",
+                                  discarded))
 
 
 def schmidt_decompose(gs: GroundState) -> tuple[SpectralDecomposition, SpectralDecomposition]:
-    """(field, atoms) reduced states of a ground state from one thin SVD.
-
-    The grid is real, so the SVD runs in real arithmetic: psi = U S V^T, by
-    LAPACK ``dgesdd`` at the workspace size it asks for (a smaller one
-    changes the bits from about 40 atoms up).  The field eigenvectors are
-    the columns of U, the atomic ones those of V = vt.T, and both carry the
-    weights S^2 above DEFAULT_WEIGHT_FLOOR, chosen by one mask.
-    """
-    grid = _amplitude_grid(gs)
-    lwork, _ = lapack.dgesdd_lwork(*grid.shape, compute_uv=1, full_matrices=0)
-    u, s, vt, info = lapack.dgesdd(grid, full_matrices=0, lwork=int(lwork))
-    if info != 0:
-        raise SolverError(f"Schmidt decomposition failed: dgesdd info={info}")
-    weights = s**2
-    keep = weights > DEFAULT_WEIGHT_FLOOR
-    kept, discarded = weights[keep], float(np.sum(weights[~keep]))
-    return (SpectralDecomposition(kept, u[:, keep], "boson", discarded),
-            SpectralDecomposition(kept, vt.T[:, keep], "spin", discarded))
+    """(field, atoms) reduced states of one ground state: ``schmidt_stack`` on a stack of one."""
+    field, atoms = schmidt_stack([gs])
+    return field[0], atoms[0]

@@ -199,7 +199,11 @@ def qfi_field_thermo(pt: ThermoPoint, n_atoms: float) -> ThermoFieldQfi:
 
     Inside the guard band around lambda_cr, where F_B and nbar individually
     diverge, the scaled ratio is evaluated through its finite limit
-    1 / [4 (dX_{pi/2})^2] and the flag is set.
+    1 / [4 (dX_{pi/2})^2] and the flag is set.  In the normal phase
+    beta_s = 0, so the ratio does not depend on N and is
+    ``qfi_field_scaled_limit``, lambda^2 times a finite ratio, which
+    underflows no sooner than its value; at lambda = 0, where nbar = 0, it
+    is undefined and reported as NaN.
     """
     if in_guard_band(pt):
         return ThermoFieldQfi(
@@ -210,8 +214,10 @@ def qfi_field_thermo(pt: ThermoPoint, n_atoms: float) -> ThermoFieldQfi:
     s2, gap = _field_variances(pt)
     diff = pt.lam**2 * gap  # s1 - s2
     value = diff**2 / (1.0 + (s2 + diff) * s2) + 4.0 * n_atoms * pt.beta_s2_per_n / s2
-    nbar = nbar_thermo(pt, n_atoms)
-    scaled = value / (4.0 * nbar) if nbar > 0 else math.nan
+    if pt.lam <= pt.lambda_cr:
+        scaled = qfi_field_scaled_limit(pt) if pt.lam > 0 else math.nan
+    else:
+        scaled = value / (4.0 * nbar_thermo(pt, n_atoms))
     return ThermoFieldQfi(value=value, scaled=scaled, in_guard_band=False)
 
 

@@ -17,6 +17,7 @@ from qfi_reference import build_spin_ops, even_indices, parity_signs_from_scratc
 import dicke_qfi.cli
 import dicke_qfi.model
 import dicke_qfi.solver
+import dicke_qfi.states
 from dicke_qfi.cli import (
     HUSIMI_COLUMNS,
     MAX_ATOMS,
@@ -665,6 +666,38 @@ def test_allocation_failure_is_a_failed_point(tmp_path, monkeypatch):
     assert rows[0][:3] == ["0.1", "3", "20"]
     assert all(math.isnan(float(v)) for v in rows[0][3:])
     assert "failed_points=[[0.1, 3]]" in footer[0]
+
+
+def test_failed_schmidt_step_fails_its_point_alone(tmp_path, monkeypatch):
+    # the SVD fails on any batch that holds one marked grid: that run's points
+    # are decomposed again one at a time, the marked one alone gets a NaN row
+    # (with the cutoff it was solved at), and every other row keeps its bytes
+    argv = ["sweep", "--n-atoms", "2", "--lambda-min", "0", "--lambda-max", "0.6",
+            "--lambda-steps", "7", "--tol", "1e-10"]
+    assert main([*argv, "--out", str(tmp_path / "plain.csv")]) == 0
+    marked_state = solve(ModelParams(1.0, 1.0, 0.3, 2), 1e-10)
+    (marked,) = dicke_qfi.states._amplitude_grids([marked_state])
+    real = np.linalg.svd
+    batches = []
+
+    def fail_on_marked(a, *args, **kwargs):
+        batches.append(len(a))
+        if any(np.array_equal(grid, marked) for grid in a):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", fail_on_marked)
+    assert main([*argv, "--out", str(tmp_path / "failed.csv")]) == 4
+    assert max(batches) > 1 and batches.count(1) >= 2
+    header, plain, _ = read_csv_rows(tmp_path / "plain.csv")
+    _, failed, footer = read_csv_rows(tmp_path / "failed.csv")
+    lams = [row[0] for row in plain]
+    assert [row[0] for row in failed] == lams
+    i = lams.index("0.3")
+    assert failed[i][:3] == ["0.3", "2", str(marked_state.n_cutoff)]
+    assert all(math.isnan(float(v)) for v in failed[i][3:])
+    assert failed[:i] + failed[i + 1:] == plain[:i] + plain[i + 1:]
+    assert "failed_points=[[0.3, 2]]" in footer[0]
 
 
 def test_husimi_kernel_allocation_failure_skips_point(tmp_path, monkeypatch):

@@ -260,14 +260,29 @@ def test_husimi_field_bounds_and_normalization(ultrastrong_n6):
     assert abs(q.sum() * cell / math.pi - 1.0) < 1e-3
 
 
+@pytest.mark.parametrize("nbar", [0.0, 1e-9, 0.3, 0.58, 2.5, 17.0, 1234.5])
+def test_field_grid_ignores_the_last_bits_of_nbar(nbar):
+    # the half-width is rounded to 32 significant bits, so an nbar one ulp
+    # away gives the same axes, which move by at most 2^-32 of the half-width
+    axes = default_field_grid(nbar, 21)
+    nudged = default_field_grid(math.nextafter(nbar, math.inf), 21)
+    for axis, other in zip(axes, nudged):
+        assert axis.tobytes() == other.tobytes()
+    half = 1.5 * (math.sqrt(nbar) + 2.0)
+    assert abs(axes[0][-1] - half) <= 2.0**-32 * half
+    assert axes[0][0] == -axes[0][-1]
+
+
 def test_husimi_field_chunks_bounded_at_large_cutoff(monkeypatch):
     # at cutoff 2000 a chunk is 131 grid points, so the 41 x 41 grid takes 13 chunks;
-    # Q must equal the single-chunk evaluation bit for bit
+    # Q must equal the single-chunk evaluation over the 2001 levels of the
+    # truncated space, below which the Schmidt vectors are padded, bit for bit
     field, _ = schmidt_decompose(ground_state(ModelParams(1.0, 1.0, 0.5, 2), 2000))
+    assert field.levels == 2001 and field.dim == 2049
     axis = np.linspace(-3.0, 3.0, 41)
     alpha = axis[:, None] + 1j * axis[None, :]
-    amps = coherent_amplitudes(alpha.ravel(), field.dim)
-    single = np.abs(amps.conj() @ field.vectors) ** 2 @ field.weights
+    amps = coherent_amplitudes(alpha.ravel(), field.levels)
+    single = np.abs(amps.conj() @ field.vectors[: field.levels]) ** 2 @ field.weights
 
     rows = []
     real = dicke_qfi.metrology.coherent_amplitudes
@@ -279,7 +294,7 @@ def test_husimi_field_chunks_bounded_at_large_cutoff(monkeypatch):
     monkeypatch.setattr(dicke_qfi.metrology, "coherent_amplitudes", record_rows)
     q = husimi_field(field, alpha)
     assert len(rows) > 1 and sum(rows) == alpha.size
-    assert max(rows) * field.dim <= HUSIMI_CHUNK_ELEMENTS
+    assert max(rows) * field.levels <= HUSIMI_CHUNK_ELEMENTS
     assert np.array_equal(q.ravel(), single)
 
 

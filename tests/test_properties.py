@@ -42,6 +42,7 @@ from scipy.linalg import lapack
 import dicke_qfi.solver
 
 from dicke_qfi.metrology import (
+    QfiResult,
     mean_number,
     qfi_atoms,
     qfi_field,
@@ -50,8 +51,15 @@ from dicke_qfi.metrology import (
     spin_variance,
     sweep_observables,
 )
+from dicke_qfi.cli import SweepConfig, compute_sweep_record, compute_sweep_records
 from dicke_qfi.model import BasisIndexer, ModelParams
-from dicke_qfi.solver import BRACKET_RTOL, converge_cutoff, ground_state, initial_cutoff
+from dicke_qfi.solver import (
+    BRACKET_RTOL,
+    converge_cutoff,
+    ground_state,
+    initial_cutoff,
+    solve_stack,
+)
 from dicke_qfi.states import SpectralDecomposition, schmidt_decompose
 
 N_CUTOFF = 16
@@ -226,11 +234,18 @@ def check_kernels(field, atoms, sigma, phi):
 
 
 def check_sweep_columns(field, atoms):
-    """The sweep's one-pass columns are the public functions' values, bit for bit."""
+    """The sweep's one-pass columns of a stack of one are the public functions' values, bit
+    for bit."""
+    def first(column):
+        if isinstance(column, QfiResult):
+            return QfiResult(*map(first, dataclasses.astuple(column)))
+        (value,) = column.tolist()
+        return value
+
     expected = (mean_number(field), qfi_field(field), qfi_atoms(atoms),
                 spin_squeezing_xi2(atoms), quadrature_variance(field, math.pi / 2))
     # repr tells every float apart by its bits, and shows each NaN as nan
-    assert repr(tuple(sweep_observables(field, atoms))) == repr(expected)
+    assert repr(tuple(map(first, sweep_observables(field, atoms)))) == repr(expected)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -308,3 +323,74 @@ def test_qfi_is_stable_under_rounding_of_the_state(n_atoms, lam):
         signs = rng.choice([-1.0, 1.0], gs.vector.size)
         moved = qfis(gs.vector * (1.0 + 1e-15 * signs))
         assert np.all(np.abs(moved - exact) <= 1e-13 * exact)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    n_atoms=st.sampled_from((1, 2, 3, 7, 20, 29, 40)),
+    lams=st.lists(st.floats(0.0, 2.0), min_size=2, max_size=8),
+    fock_cutoff=st.sampled_from((None, None, 4, 13, 16, 33)),
+    seed=st.integers(0, 2**16),
+)
+def test_stacked_sweep_row_matches_point_alone(n_atoms, lams, fock_cutoff, seed):
+    # every sweep column of a point alone, in its stack and in a shuffled stack,
+    # bit for bit: each grid is padded to its own capacity and the batched SVD
+    # and observable kernels treat each state of a stack alone.  The fixed
+    # cutoffs below N give grids wider than tall, whose SVDs hold more states
+    # than the cutoff's, all at weight 0
+    config = SweepConfig(mode="sweep", tol=1e-10, fock_cutoff=fock_cutoff)
+    points = [ModelParams(1.0, 1.0, lam, n_atoms) for lam in lams]
+    states = solve_stack(points, config.tol, fock_cutoff)
+    alone = [repr(compute_sweep_record(gs, config)) for gs in states]
+    assert [repr(row) for row in compute_sweep_records(states, config)] == alone
+    order = np.random.default_rng(seed).permutation(len(points))
+    shuffled = compute_sweep_records([states[i] for i in order], config)
+    assert [repr(row) for row in shuffled] == [alone[i] for i in order]
+
+
+def padded_decomposition(state, extra, zero_rows):
+    """``state`` with ``extra`` orthonormal vectors of its complement at weight 0, and
+    ``zero_rows`` zero rows below its truncated space."""
+    rank, dim = state.weights.size, state.dim
+    complete, _ = np.linalg.qr(state.vectors, mode="complete")
+    vectors = np.concatenate((state.vectors, complete[:, rank : rank + extra]), axis=1)
+    vectors = np.concatenate((vectors, np.zeros((zero_rows, vectors.shape[1]))), axis=0)
+    weights = np.concatenate((state.weights, np.zeros(vectors.shape[1] - rank)))
+    return SpectralDecomposition(weights, vectors, state.space, state.discarded_mass, dim)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n_atoms=st.integers(1, 12),
+    n_fock=st.integers(2, 24),
+    rank=st.integers(1, 4),
+    extra=st.integers(0, 6),
+    zero_rows=st.integers(0, 9),
+    angle=st.floats(0.0, 2 * math.pi),
+    seed=st.integers(0, 2**32 - 1),
+    real=st.booleans(),
+)
+def test_weight_zero_vectors_and_zero_rows_change_nothing(n_atoms, n_fock, rank, extra,
+                                                          zero_rows, angle, seed, real):
+    # a Schmidt decomposition keeps the vectors of the weights it sets to 0 and
+    # pads each field grid with zero rows; neither moves F, nbar or a variance
+    rng = np.random.default_rng(seed)
+    density = random_real_density if real else random_density
+    atoms = spectral_decompose(density(rng, n_atoms + 1, min(rank, n_atoms + 1)), "spin")
+    field = spectral_decompose(density(rng, n_fock, min(rank, n_fock)), "boson")
+    padded_atoms = padded_decomposition(atoms, min(extra, n_atoms + 1 - atoms.weights.size), 0)
+    padded_field = padded_decomposition(field, min(extra, n_fock - field.weights.size),
+                                        zero_rows)
+
+    def close(value, expected, rtol=1e-13):
+        assert abs(value - expected) <= rtol * abs(expected)
+
+    for state, padded, qfi, generator in (
+            (atoms, padded_atoms, qfi_atoms, jx_operator(n_atoms)),
+            (field, padded_field, qfi_field, number_operator(n_fock))):
+        value = qfi(padded).value
+        close(value, qfi(state).value)
+        close(value, sld_qfi_oracle(state, generator), 1e-12)
+    close(mean_number(padded_field), mean_number(field))
+    close(quadrature_variance(padded_field, angle), quadrature_variance(field, angle))
+    close(spin_variance(padded_atoms, angle), spin_variance(atoms, angle))

@@ -16,9 +16,9 @@ from qfi_reference import (
 
 import dicke_qfi.solver
 import dicke_qfi.states
-from dicke_qfi.model import ModelParams
+from dicke_qfi.model import ModelParams, capacity
 from dicke_qfi.solver import converge_cutoff, ground_state, tail_population
-from dicke_qfi.states import SpectralDecomposition, schmidt_decompose
+from dicke_qfi.states import SpectralDecomposition, padded_shape, schmidt_decompose
 
 
 @pytest.fixture(scope="module")
@@ -127,17 +127,26 @@ def test_schmidt_matches_partial_trace_spectra(n_atoms, n_cutoff, lanczos, lam, 
     gs = ground_state(ModelParams(1.0, 1.0, lam, n_atoms), n_cutoff)
     assert (gs.convergence.lower_bound is None) == (lanczos and lam > 0)
     # the strided layout of the even amplitudes is the embedding through the
-    # parity signs, bit for bit, and the tail is that grid's top 10% of rows
+    # parity signs, bit for bit, in the first rows of a slab of zeros padded to
+    # the power of two at or above the cutoff; the tail is the grid's top 10% of rows
     grid = product_vector(gs).reshape(n_cutoff + 1, n_atoms + 1)
-    assert np.array_equal(dicke_qfi.states._amplitude_grid(gs), grid)
+    (slab,) = dicke_qfi.states._amplitude_grids([gs])
+    assert slab.shape == padded_shape(gs) == (capacity(n_cutoff) + 1, n_atoms + 1)
+    assert np.array_equal(slab[: n_cutoff + 1], grid) and not slab[n_cutoff + 1:].any()
     tail = np.sum(grid[math.ceil(0.9 * (n_cutoff + 1)):] ** 2)
     assert abs(tail_population(gs.vector, gs.indexer) - tail) <= 1e-15 * tail
     field, atoms = schmidt_decompose(gs)
+    assert field.levels == n_cutoff + 1 and atoms.levels is None
     for schmidt, rho, space in ((field, partial_trace_atoms(gs), "boson"),
                                 (atoms, partial_trace_field(gs), "spin")):
         oracle = spectral_decompose(rho, space)
         assert schmidt.space == oracle.space
-        assert schmidt.weights.size == oracle.weights.size
-        assert np.max(np.abs(schmidt.weights - oracle.weights)) < 1e-12
-        assert np.max(np.abs(_rebuild(schmidt) - _rebuild(oracle))) < 1e-12
+        # the weights at or below the floor are set to 0, their vectors kept
+        rank = oracle.weights.size
+        assert np.count_nonzero(schmidt.weights) == rank and not schmidt.weights[rank:].any()
+        assert np.max(np.abs(schmidt.weights[:rank] - oracle.weights)) < 1e-12
+        rebuilt = _rebuild(schmidt)
+        size = rho.shape[0]
+        assert np.max(np.abs(rebuilt[:size, :size] - _rebuild(oracle))) < 1e-12
+        assert not rebuilt[size:].any() and not rebuilt[:, size:].any()
         assert abs(schmidt.discarded_mass - oracle.discarded_mass) < 1e-12

@@ -153,6 +153,20 @@ def test_field_qfi_endpoints():
     assert math.isinf(crit.value)
 
 
+def test_field_qfi_scaled_at_weak_coupling():
+    # in the normal phase the ratio is lambda^2 times a finite one, so it
+    # underflows no sooner than its value: value / (4 nbar) gave 0.0 at
+    # lambda = 1e-100 and 0/0 = NaN at 1e-200, where the true 2e-400 rounds to 0
+    weak = qfi_field_thermo(thermo_point(1.0, 1.0, 1e-100), 10).scaled
+    assert abs(weak - 2e-200) <= 1e-14 * 2e-200
+    assert qfi_field_thermo(thermo_point(1.0, 1.0, 1e-200), 10).scaled == 0.0
+    for lam in (0.1, 0.3, 0.45):
+        pt = thermo_point(1.0, 1.0, lam)
+        result = qfi_field_thermo(pt, 10)
+        direct = result.value / (4.0 * nbar_thermo(pt, 10))
+        assert abs(result.scaled - direct) <= 1e-14 * direct
+
+
 def test_field_qfi_guard_band_flag():
     lcr = 0.5
     inside = qfi_field_thermo(thermo_point(1.0, 1.0, lcr * (1 + 1e-9)), 10)
