@@ -30,7 +30,6 @@ import json
 import math
 import sys
 from collections.abc import Callable, Iterable, Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import chain, groupby, repeat
@@ -243,6 +242,10 @@ def map_points(config: SweepConfig, solve, point, failure, failed: list) -> Iter
     if workers == 1:
         yield from _in_order(chain.from_iterable(map(_attempt, *tasks)), points, failed)
     else:
+        # imported here: a one-process run never starts a pool, and the
+        # import costs every process 16-25 ms
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = chain.from_iterable(pool.map(_attempt_all, *tasks))
             yield from _in_order(outcomes, points, failed)

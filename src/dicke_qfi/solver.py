@@ -8,13 +8,16 @@ kd = (N+1)//2 + 1 (kd = 1 at N = 1) whatever the cutoff.  Blocks with
 N <= BANDED_MAX_ATOMS are solved by shifted inverse iteration on the band:
 LAPACK ``dpbtrf`` factors H - sigma I, which succeeds exactly when sigma
 lies below the lowest eigenvalue, and ``dpbtrs`` applies the inverse, in
-O(dim kd^2) time and O(dim kd) memory.  Each successful factorization proves
-sigma < E0, and a solve returns only after one has succeeded within
-2 r + BRACKET_RTOL max(1, |E|) of the returned Rayleigh quotient E, where
-r = ||H psi - E psi||; so E0 is bracketed, E - delta < E0 <= E.  Its time
-is set by the number of factorizations: about three for a cold solve and
-one for a doubled one.  Blocks of larger N are solved by implicitly
-restarted Lanczos (ARPACK ``eigsh``) in O(dim) memory, one at a time.
+O(dim kd^2) time and O(dim kd) memory.  Both routines come from scipy's
+compiled LAPACK extension, ``scipy.linalg._flapack``, which ``_load_flapack``
+loads from its file without running ``scipy.linalg``'s package init.  Each
+successful factorization proves sigma < E0, and a solve returns only after
+one has succeeded within 2 r + BRACKET_RTOL max(1, |E|) of the returned
+Rayleigh quotient E, where r = ||H psi - E psi||; so E0 is bracketed,
+E - delta < E0 <= E.  Its time is set by the number of factorizations:
+about three for a cold solve and one for a doubled one.  Blocks of larger N
+are solved by implicitly restarted Lanczos (ARPACK ``eigsh``) in O(dim)
+memory, one at a time.
 
 Points are solved in stacks: consecutive points of one N, as ``stacks``
 groups them.  The banded blocks of a stack are laid end to end as one
@@ -44,12 +47,15 @@ banded one its certified lower bound on the energy.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+import scipy
 
 from .errors import ConvergenceError, SolverError
 from .model import (
@@ -60,6 +66,34 @@ from .model import (
     even_sector,
     log_factorials,
 )
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK wrapper, ``scipy.linalg._flapack``, loaded from its file.
+
+    ``scipy.linalg.lapack`` would run ``scipy.linalg``'s package init, whose
+    array-API shim imports numpy.f2py, numpy.testing and numpy.ma: about
+    0.25 s and 20 MiB in every process, for the two routines the solver
+    calls.  Finding the package's directory imports only ``scipy``.  The
+    module is not left in ``sys.modules``, so a later ``import scipy.linalg``
+    loads its own copy.
+    """
+    linalg = importlib.util.find_spec("scipy.linalg")
+    spec = linalg and importlib.machinery.PathFinder.find_spec(
+        "_flapack", linalg.submodule_search_locations)
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__} has no compiled LAPACK extension "
+                          "scipy.linalg._flapack")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # CPython files a single-phase extension module under its bare name
+    if sys.modules.get(spec.name) is module:
+        del sys.modules[spec.name]
+    return module
+
+
+#: the solver's LAPACK routines, ``dpbtrf`` and ``dpbtrs``
+lapack = _load_flapack()
 
 #: largest Fock cutoff the solver attempts, its starting one included
 HARD_CAP = 2**14

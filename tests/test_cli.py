@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import json
 import math
@@ -10,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg.lapack
 import scipy.sparse.linalg
 from qfi_reference import build_spin_ops, even_indices, parity_signs_from_scratch, product_vector
 
@@ -161,7 +161,7 @@ def test_pool_has_at_most_one_process_per_point(tmp_path, monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(dicke_qfi.cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     for mode in ("sweep", "husimi", "convergence"):
         for steps in ("1", "3"):
             assert main([mode, "--n-atoms", "2", "--lambda-steps", steps, "--grid-points", "11",
@@ -413,15 +413,21 @@ def test_write_table_json_values_match_json_dump(rows):
     assert written.getvalue() == reference.getvalue()
 
 
-def test_import_loads_neither_scipy_special_nor_sparse():
-    # every process, each --workers child included, pays for what the CLI imports
+def test_banded_sweep_loads_no_scipy_linalg_special_sparse_or_pool(tmp_path):
+    # every process, each --workers child included, pays for what the CLI imports;
+    # the solver loads scipy's LAPACK extension without scipy.linalg's package
+    # init, and a one-process run starts no pool
+    out = tmp_path / "sweep.csv"
     code = ("import sys, dicke_qfi.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
-            "(['scipy', 'special'], ['scipy', 'sparse'])))")
+            f"code = dicke_qfi.cli.main(['sweep', '--n-atoms', '2', '--n-atoms', '20', "
+            f"'--lambda-steps', '3', '--out', {str(out)!r}]); "
+            "print(code, sorted(m for m in sys.modules if m == '_flapack' or m.startswith(("
+            "'scipy.special', 'scipy.sparse', 'scipy.linalg', 'concurrent.futures.process'))))")
     src = str(Path(dicke_qfi.cli.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.strip() == "0 []"
+    assert len(read_csv_rows(out)[1]) == 6
 
 
 def test_scaling_report(tmp_path):
@@ -541,7 +547,7 @@ def test_invalid_grid_exit_code():
 def test_invalid_argument_keeps_output_file(mode, flag, value, tmp_path, capsys, monkeypatch):
     # rejected while the configuration is resolved, before FILE is opened or
     # any process is started
-    monkeypatch.setattr(dicke_qfi.cli, "ProcessPoolExecutor", None)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
     out = tmp_path / "out.txt"
     out.write_bytes(b"earlier output\n")
     assert main([mode, "--n-atoms", "2", "--lambda-steps", "1", flag, value,
@@ -561,7 +567,7 @@ def test_invalid_argument_keeps_output_file(mode, flag, value, tmp_path, capsys,
 ], ids=["sweep-empty-n-atoms", "convergence-empty-n-atoms", "sweep-lambda", "husimi-lambda",
         "thermo-omega-lambda"])
 def test_out_of_range_run_keeps_output_file(argv, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(dicke_qfi.cli, "ProcessPoolExecutor", None)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
     empty = tmp_path / "empty.cfg"
     empty.write_text("n-atoms =\n")
     out = tmp_path / "out.txt"
@@ -593,8 +599,8 @@ def test_lanczos_failure_exit_code(error, tmp_path, monkeypatch):
 
 
 def test_banded_failure_exit_code(tmp_path, monkeypatch):
-    dpbtrf = scipy.linalg.lapack.dpbtrf
-    monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf",
+    dpbtrf = dicke_qfi.solver.lapack.dpbtrf
+    monkeypatch.setattr(dicke_qfi.solver.lapack, "dpbtrf",
                         lambda ab, **kwargs: (dpbtrf(ab, **kwargs)[0], 1))
     check_failed_sweep(tmp_path, "1", "600")
 

@@ -1,4 +1,6 @@
+import importlib.machinery
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +21,6 @@ from qfi_reference import (
     partial_trace_atoms,
     product_vector,
 )
-from scipy.linalg import lapack
 
 import dicke_qfi.model
 import dicke_qfi.solver
@@ -34,6 +35,7 @@ from dicke_qfi.solver import (
     ground_state,
     ground_states,
     initial_cutoff,
+    lapack,
     solve,
     stacks,
 )
@@ -515,6 +517,38 @@ def test_residual_measures_returned_vector(module, name, n_atoms, n_cutoff, monk
         force_lanczos(monkeypatch, n_atoms)
     gs = ground_state(ModelParams(1.0, 1.0, 0.5, n_atoms), n_cutoff)
     assert gs.convergence.residual > 1e-8
+
+
+def test_bound_lapack_matches_scipy_linalg_lapack():
+    # the solver loads scipy's LAPACK extension from its file; its factor and
+    # solve, called as the solver calls them, carry the public module's bits
+    rng = np.random.default_rng(23)
+    kd, dim = 7, 300
+    band = rng.uniform(-1.0, 1.0, (kd + 1, dim))
+    band[kd] = 2 * kd + 1 + rng.random(dim)  # diagonally dominant: positive definite
+    for d in range(1, kd + 1):
+        band[kd - d, :d] = 0.0  # outside the matrix in upper band storage
+    rhs = rng.standard_normal(dim)
+    results = []
+    for module in (lapack, scipy.linalg.lapack):
+        factor = np.asfortranarray(band)
+        _, info = module.dpbtrf(factor, overwrite_ab=1)
+        assert info == 0
+        x, info = module.dpbtrs(factor, rhs.copy(), overwrite_b=1)
+        assert info == 0
+        results.append((factor, x))
+    (factor, x), (factor_ref, x_ref) = results
+    assert np.array_equal(factor, factor_ref) and np.array_equal(x, x_ref)
+    assert not np.array_equal(factor, band)  # factored in place, as the solver reads it
+
+
+def test_missing_lapack_extension_names_scipy_version(monkeypatch):
+    find_spec = importlib.machinery.PathFinder.find_spec
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                        lambda name, path=None, target=None:
+                        None if name == "_flapack" else find_spec(name, path, target))
+    with pytest.raises(ImportError, match=f"scipy {re.escape(scipy.__version__)} "):
+        dicke_qfi.solver._load_flapack()
 
 
 def test_banded_factorization_failure_raises(monkeypatch):
