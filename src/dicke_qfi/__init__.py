@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .errors import ConvergenceError, SolverError
 from .model import BasisIndexer, ModelParams, even_sector
-from .solver import GroundState, converge_cutoff, ground_state, solve
+from .solver import GroundState, solve
 from .states import SpectralDecomposition, schmidt_decompose
 from .metrology import (
     QfiResult,
@@ -45,10 +45,8 @@ __all__ = [
     "SolverError",
     "SpectralDecomposition",
     "ThermoPoint",
-    "converge_cutoff",
     "critical_scaling_probe",
     "even_sector",
-    "ground_state",
     "husimi_atoms",
     "husimi_field",
     "nbar_thermo",

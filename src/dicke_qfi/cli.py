@@ -348,12 +348,6 @@ def compute_sweep_records(states: list[GroundState], config: SweepConfig) -> Ite
                               float(gs.vector @ gs.vector), mass_a, mass_b)
 
 
-def compute_sweep_record(gs: GroundState, config: SweepConfig) -> SweepRecord:
-    """Every sweep observable of one solved (N, lambda) point: its stack of one's row."""
-    (record,) = compute_sweep_records([gs], config)
-    return record
-
-
 def _failed_sweep_record(params: ModelParams, exc: SolverError) -> SweepRecord:
     """A failed point's NaN row; its n_cutoff is the last cutoff tried."""
     return SweepRecord(params.lam, params.n_atoms, exc.n_cutoff, *[math.nan] * 11)

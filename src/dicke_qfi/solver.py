@@ -26,8 +26,8 @@ product per iteration serve every point.  Each block keeps its own shift,
 factored by its own ``dpbtrf`` into its columns of the shared factor, its
 own stop and re-shift decisions, and its own failure.  The zero rows give
 every block the same neighbourhood in any stack, so a point's results do
-not depend on the stack it was solved in; ``ground_state``,
-``converge_cutoff`` and ``solve`` are the stacked code on a stack of one.
+not depend on the stack it was solved in; ``solve`` is the stacked code on
+a stack of one.
 
 A ground state holds only its even-sector amplitudes, in ascending full
 index; ``states.schmidt_decompose`` alone lays them on the product grid.
@@ -180,8 +180,6 @@ def stacks(
     A stack is a run of consecutive points of one N, at most ``max_points``
     of them, whose bands at the first cutoff (``n_start``, or each point's
     ``initial_cutoff``) fit STACK_ELEMENTS with each point's fixed charge.
-    A point of more than BANDED_MAX_ATOMS atoms, solved by Lanczos, is a
-    stack of its own.
     """
     cut: list[list[ModelParams]] = []
     used = 0
@@ -191,7 +189,7 @@ def stacks(
         n_cutoff = initial_cutoff(params) if n_start is None else n_start
         cost = (kd + 1) * (((n_cutoff + 1) * (n_atoms + 1) + 1) // 2 + kd) + STACK_ELEMENTS // 32
         last = cut[-1] if cut else None
-        if (last is not None and last[0].n_atoms == n_atoms <= BANDED_MAX_ATOMS
+        if (last is not None and last[0].n_atoms == n_atoms
                 and used + cost <= STACK_ELEMENTS
                 and (max_points is None or len(last) < max_points)):
             last.append(params)
@@ -202,42 +200,19 @@ def stacks(
     return cut
 
 
-def _settled(outcome):
-    """A stacked function's outcome for one point, raised if it is its SolverError."""
-    if isinstance(outcome, SolverError):
-        raise outcome
-    return outcome
-
-
-def ground_state(
-    params: ModelParams, n_cutoff: int, previous: GroundState | None = None
-) -> GroundState:
-    """Lowest eigenpair of H restricted to the even-parity block.
-
-    Up to BANDED_MAX_ATOMS atoms the block is solved by certified shifted
-    inverse iteration on the band, above it by sparse Lanczos.
-    ``previous``, a ground state of the same model at a lower cutoff, is the
-    start vector and its energy an upper bound; without it the start is the
-    mean-field state.  At lam = 0 the block is diagonal and the exact unit
-    vector |0>|j,-j> is returned.  The block eigenvector is kept as the
-    eigensolver returns it, unit-norm, only sign-fixed so the
-    largest-magnitude amplitude is positive.  A MemoryError while the cutoff
-    is built or solved is raised as SolverError with this cutoff.  This is
-    ``ground_states`` on a stack of one.
-    """
-    return _settled(ground_states([params], [n_cutoff], [previous])[0])
-
-
 def ground_states(
     points: Sequence[ModelParams],
     cutoffs: Sequence[int],
     previous: Sequence[GroundState | None] | None = None,
 ) -> list[GroundState | SolverError]:
-    """``ground_state`` of each point of a stack of one N at its cutoff, solved together.
+    """Lowest eigenpair of each point's even-parity block, a stack of one N, each at its cutoff.
 
     ``previous``, when given, holds each point's ground state at a lower
-    cutoff or None.  Each point gets its GroundState or the SolverError it
-    failed with; a failure leaves the other points' results as they are.
+    cutoff or None: its start and upper bound; without one the start is the
+    mean-field state, and at lam = 0 the exact |0>|j,-j>.  Each point gets
+    its GroundState, sign-fixed so its largest amplitude is positive, or the
+    SolverError it failed with, a MemoryError included; a failure leaves
+    the other points' results as they are.
     """
     if previous is None:
         previous = [None] * len(points)
@@ -629,34 +604,22 @@ def initial_cutoff(params: ModelParams) -> int:
     return max(20, math.ceil(nb + 8 * math.sqrt(nb)) + 10)
 
 
-def converge_cutoff(
-    params: ModelParams,
-    tol: float = DEFAULT_TOL,
-    *,
-    n_start: int | None = None,
-) -> tuple[int, GroundState]:
-    """Double the Fock cutoff until the ground state is converged.
-
-    Convergence requires tail_population < tol and an energy shift below
-    tol * max(1, |E|) across the last doubling.  At lam = 0 the state is
-    exact and is accepted at the starting cutoff; at any lam > 0 a tail that
-    underflows to zero is no proof, so at least one doubling is solved.
-    Raises ConvergenceError if the cutoff would exceed HARD_CAP, the
-    starting one included: a start above the cap fails with no steps and
-    allocates nothing.  A SolverError from any step carries the steps
-    completed before it.  This is ``converge_stack`` on a stack of one.
-    """
-    gs = _settled(converge_stack([params], tol, n_start=n_start)[0])
-    return gs.n_cutoff, gs
-
-
 def converge_stack(
     points: Sequence[ModelParams],
     tol: float = DEFAULT_TOL,
     *,
     n_start: int | None = None,
 ) -> list[GroundState | SolverError]:
-    """``converge_cutoff`` for each point of a stack of one N: its GroundState or its SolverError.
+    """Each point's ground state, its Fock cutoff doubled until converged, or its SolverError.
+
+    Convergence requires tail_population < tol and an energy shift below
+    tol * max(1, |E|) across the last doubling.  At lam = 0 the exact state
+    is accepted at the first cutoff; at any lam > 0 a tail that underflows
+    to zero is no proof, so at least one doubling is solved.  A point whose
+    cutoff would exceed HARD_CAP, its first included, fails with
+    ConvergenceError: a first cutoff above the cap with no steps and no
+    allocation.  A SolverError from any step carries the steps completed
+    before it.
 
     The stack doubles in rounds.  The first round solves every point cold
     at its first cutoff, ``n_start`` or its ``initial_cutoff``; each later
@@ -664,7 +627,7 @@ def converge_stack(
     from their last state.  A point leaves the stack when it converges or
     fails, with its own cutoff and steps.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     converged: list = [None] * len(points)
     # per open point: its index, cutoff, completed steps and last ground state
@@ -715,8 +678,11 @@ def converge_stack(
 def solve(
     params: ModelParams, tol: float = DEFAULT_TOL, fock_cutoff: int | None = None
 ) -> GroundState:
-    """Ground state at a fixed Fock cutoff, or by converge_cutoff when none is given."""
-    return _settled(solve_stack([params], tol, fock_cutoff)[0])
+    """``solve_stack`` of one point: its ground state at ``fock_cutoff``, or converged when None."""
+    [outcome] = solve_stack([params], tol, fock_cutoff)
+    if isinstance(outcome, SolverError):
+        raise outcome
+    return outcome
 
 
 def solve_stack(

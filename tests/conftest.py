@@ -2,7 +2,7 @@ import pytest
 from qfi_reference import partial_trace_atoms, partial_trace_field
 
 import dicke_qfi.solver
-from dicke_qfi import ModelParams, SolverError, converge_cutoff, schmidt_decompose
+from dicke_qfi import ModelParams, SolverError, schmidt_decompose, solve
 
 
 @pytest.fixture(scope="session")
@@ -13,7 +13,8 @@ def ultrastrong_n6():
     Schmidt decomposition.
     """
     params = ModelParams(1.0, 1.0, 2.0, 6)
-    n_cutoff, gs = converge_cutoff(params, 1e-10)
+    gs = solve(params, 1e-10)
+    n_cutoff = gs.n_cutoff
     field, atoms = schmidt_decompose(gs)
     return {
         "params": params,

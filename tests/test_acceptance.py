@@ -32,7 +32,7 @@ from dicke_qfi.metrology import (
     spin_variance,
 )
 from dicke_qfi.model import ModelParams
-from dicke_qfi.solver import converge_cutoff, ground_state
+from dicke_qfi.solver import solve
 from dicke_qfi.states import schmidt_decompose
 from dicke_qfi.thermo import (
     critical_scaling_probe,
@@ -197,7 +197,7 @@ def test_criterion_06_husimi_maximum_regression():
     maxima = {}
     for lam in (0.0, 0.54, 1.0):
         params = ModelParams(1.0, 1.0, lam, 20)
-        _, gs = converge_cutoff(params, 1e-10)
+        gs = solve(params, 1e-10)
         q = husimi_atoms(schmidt_decompose(gs)[1], theta, phi)
         maxima[lam] = float(q.max())
     elapsed = time.perf_counter() - start

@@ -28,7 +28,7 @@ from dicke_qfi.cli import (
     SWEEP_COLUMNS,
     SweepConfig,
     compute_husimi_grid,
-    compute_sweep_record,
+    compute_sweep_records,
     format_value,
     main,
     run_thermo,
@@ -44,13 +44,14 @@ SMALL_SWEEP = [
 
 
 def sweep_config(**settings):
-    """A sweep configuration at tol 1e-10, as compute_sweep_record takes it."""
+    """A sweep configuration at tol 1e-10, as compute_sweep_records takes it."""
     return SweepConfig(mode="sweep", tol=1e-10, **settings)
 
 
 def sweep_record(params, config):
     """One point's sweep row, solved alone as the configuration asks."""
-    return compute_sweep_record(solve(params, config.tol, config.fock_cutoff), config)
+    [record] = compute_sweep_records([solve(params, config.tol, config.fock_cutoff)], config)
+    return record
 
 
 def read_csv_rows(path):

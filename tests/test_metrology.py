@@ -30,7 +30,7 @@ from dicke_qfi.metrology import (
     spin_variance,
 )
 from dicke_qfi.model import ModelParams
-from dicke_qfi.solver import ground_state
+from dicke_qfi.solver import solve
 from dicke_qfi.states import SpectralDecomposition, schmidt_decompose
 
 
@@ -48,13 +48,13 @@ def vacuum_state(dim: int) -> SpectralDecomposition:
 
 
 def atoms_of(params: ModelParams, n_cutoff: int) -> SpectralDecomposition:
-    return schmidt_decompose(ground_state(params, n_cutoff))[1]
+    return schmidt_decompose(solve(params, fock_cutoff=n_cutoff))[1]
 
 
 @pytest.fixture(scope="module")
 def squeezed_n20():
     # N=20 slightly above threshold; cutoff checked converged in the solver tests
-    field, atoms = schmidt_decompose(ground_state(ModelParams(1.0, 1.0, 0.54, 20), 114))
+    field, atoms = schmidt_decompose(solve(ModelParams(1.0, 1.0, 0.54, 20), fock_cutoff=114))
     return atoms, field
 
 
@@ -277,7 +277,7 @@ def test_husimi_field_chunks_bounded_at_large_cutoff(monkeypatch):
     # at cutoff 2000 a chunk is 131 grid points, so the 41 x 41 grid takes 13 chunks;
     # Q must equal the single-chunk evaluation over the 2001 levels of the
     # truncated space, below which the Schmidt vectors are padded, bit for bit
-    field, _ = schmidt_decompose(ground_state(ModelParams(1.0, 1.0, 0.5, 2), 2000))
+    field, _ = schmidt_decompose(solve(ModelParams(1.0, 1.0, 0.5, 2), fock_cutoff=2000))
     assert field.levels == 2001 and field.dim == 2049
     axis = np.linspace(-3.0, 3.0, 41)
     alpha = axis[:, None] + 1j * axis[None, :]
@@ -318,7 +318,8 @@ def test_husimi_field_ultrastrong_lobes(ultrastrong_n6):
 def test_husimi_field_two_lobes_n20():
     # above threshold the field splits into two displaced lobes at +-alpha0
     params = ModelParams(1.0, 1.0, 1.0, 20)
-    field, _ = schmidt_decompose(ground_state(params, 340))  # converged cutoff per the solver tests
+    # converged cutoff per the solver tests
+    field, _ = schmidt_decompose(solve(params, fock_cutoff=340))
     alpha0 = params.lam * math.sqrt(params.n_atoms) / params.omega
     axis = np.linspace(-1.5 * alpha0, 1.5 * alpha0, 81)
     re, im = np.meshgrid(axis, axis, indexing="ij")

@@ -4,7 +4,7 @@ The banded solver's energy, vector, residual and energy bracket are checked
 against dense ``eigh`` of the same even block.  The observable invariants
 below hold for any pure state of the truncated model, converged or not.
 They are checked at a small fixed Fock cutoff, at the cutoff
-``converge_cutoff`` picks, and at converged points whose even block is
+``solve`` converges to, and at converged points whose even block is
 solved by Lanczos.  The banded field kernels behind ``qfi_field`` and
 ``quadrature_variance``, and the spin ladder kernels behind ``qfi_atoms``
 and ``spin_variance``, are checked against the dense operators on complex
@@ -51,13 +51,13 @@ from dicke_qfi.metrology import (
     spin_variance,
     sweep_observables,
 )
-from dicke_qfi.cli import SweepConfig, compute_sweep_record, compute_sweep_records
+from dicke_qfi.cli import SweepConfig, compute_sweep_records
 from dicke_qfi.model import BasisIndexer, ModelParams
 from dicke_qfi.solver import (
     BRACKET_RTOL,
-    converge_cutoff,
-    ground_state,
+    ground_states,
     initial_cutoff,
+    solve,
     solve_stack,
 )
 from dicke_qfi.states import SpectralDecomposition, schmidt_decompose
@@ -127,7 +127,7 @@ def test_spin_kernels_random_states(n_atoms, rank, phi, seed):
     n_atoms=st.integers(1, 6),
 )
 def test_reduced_state_invariants(omega, omega0, lam, n_atoms):
-    check_invariants(ground_state(ModelParams(omega, omega0, lam, n_atoms), N_CUTOFF))
+    check_invariants(solve(ModelParams(omega, omega0, lam, n_atoms), fock_cutoff=N_CUTOFF))
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -138,14 +138,14 @@ def test_reduced_state_invariants(omega, omega0, lam, n_atoms):
     n_atoms=st.integers(1, 6),
 )
 def test_reduced_state_invariants_converged(omega, omega0, lam, n_atoms):
-    check_invariants(converge_cutoff(ModelParams(omega, omega0, lam, n_atoms), 1e-10)[1])
+    check_invariants(solve(ModelParams(omega, omega0, lam, n_atoms), 1e-10))
 
 
 @pytest.mark.parametrize("omega,omega0,lam,n_atoms", [(1.0, 1.0, 1.0, 20), (0.3, 3.0, 1.0, 6)])
 def test_reduced_state_invariants_lanczos(omega, omega0, lam, n_atoms, monkeypatch):
     # both points are banded by default; with the threshold at 0 Lanczos solves them
     monkeypatch.setattr(dicke_qfi.solver, "BANDED_MAX_ATOMS", 0)
-    _, gs = converge_cutoff(ModelParams(omega, omega0, lam, n_atoms), 1e-10)
+    gs = solve(ModelParams(omega, omega0, lam, n_atoms), 1e-10)
     assert gs.convergence.lower_bound is None
     check_invariants(gs)
 
@@ -162,8 +162,8 @@ def test_reduced_state_invariants_lanczos(omega, omega0, lam, n_atoms, monkeypat
 def test_banded_solver_matches_dense_eigh(omega, omega0, lam, n_atoms, n_cutoff, warm):
     # the cold start and first shift depend on omega and omega0 through the mean field
     params = ModelParams(omega, omega0, lam, n_atoms)
-    previous = ground_state(params, max(1, n_cutoff // 2)) if warm else None
-    gs = ground_state(params, n_cutoff, previous)
+    previous = solve(params, fock_cutoff=max(1, n_cutoff // 2)) if warm else None
+    [gs] = ground_states([params], [n_cutoff], [previous])
     indexer = BasisIndexer(n_cutoff, n_atoms)
     block = dense_hamiltonian_block(params, indexer)
     energies, vecs = scipy.linalg.eigh(block)
@@ -196,9 +196,9 @@ def test_banded_solver_matches_dense_eigh(omega, omega0, lam, n_atoms, n_cutoff,
     warm=st.booleans(),
 )
 def test_banded_certificate_against_dense_block(lam, n_atoms, warm):
-    # the cold solve at the starting cutoff, or the warm one converge_cutoff returns
+    # the cold solve at the starting cutoff, or the warm one a converged solve returns
     params = ModelParams(1.0, 1.0, lam, n_atoms)
-    gs = converge_cutoff(params, 1e-10)[1] if warm else ground_state(params, initial_cutoff(params))
+    gs = solve(params, 1e-10) if warm else solve(params, fock_cutoff=initial_cutoff(params))
     psi = gs.vector
     block = dense_hamiltonian_block(params, gs.indexer)
     e_dense = scipy.linalg.eigvalsh(block, subset_by_index=[0, 0])[0]
@@ -277,7 +277,7 @@ def test_kernels_random_mixed_states(n_atoms, n_fock, rank, sigma, phi, seed, re
     phi=st.floats(0.0, 2 * math.pi),
 )
 def test_kernels_real_ground_states(n_atoms, lam, sigma, phi):
-    field, atoms = schmidt_decompose(converge_cutoff(ModelParams(1.0, 1.0, lam, n_atoms), 1e-10)[1])
+    field, atoms = schmidt_decompose(solve(ModelParams(1.0, 1.0, lam, n_atoms), 1e-10))
     assert field.vectors.dtype == atoms.vectors.dtype == np.float64
     check_kernels(field, atoms, sigma, phi)
     check_sweep_columns(field, atoms)
@@ -300,7 +300,7 @@ def test_qfi_matches_sld_oracle_to_rounding(n_atoms, lam):
     # oracle's digits where a variance less a correction would cancel; the
     # oracle keeps the given weights, so weak coupling, where F_B rests on
     # weights near the floor, is covered too
-    field, atoms = schmidt_decompose(converge_cutoff(ModelParams(1.0, 1.0, lam, n_atoms), 1e-10)[1])
+    field, atoms = schmidt_decompose(solve(ModelParams(1.0, 1.0, lam, n_atoms), 1e-10))
     for value, state, generator in ((qfi_atoms(atoms).value, atoms, jx_operator(n_atoms)),
                                     (qfi_field(field).value, field, number_operator(field.dim))):
         oracle = sld_qfi_oracle(state, generator)
@@ -311,7 +311,7 @@ def test_qfi_matches_sld_oracle_to_rounding(n_atoms, lam):
 def test_qfi_is_stable_under_rounding_of_the_state(n_atoms, lam):
     # F_B at weak coupling and F_A deep in the superradiant phase, where a
     # nearly pure reduced state made the pair-sum form lose digits
-    gs = converge_cutoff(ModelParams(1.0, 1.0, lam, n_atoms), 1e-10)[1]
+    gs = solve(ModelParams(1.0, 1.0, lam, n_atoms), 1e-10)
 
     def qfis(vector):
         field, atoms = schmidt_decompose(dataclasses.replace(gs, vector=vector))
@@ -341,7 +341,7 @@ def test_stacked_sweep_row_matches_point_alone(n_atoms, lams, fock_cutoff, seed)
     config = SweepConfig(mode="sweep", tol=1e-10, fock_cutoff=fock_cutoff)
     points = [ModelParams(1.0, 1.0, lam, n_atoms) for lam in lams]
     states = solve_stack(points, config.tol, fock_cutoff)
-    alone = [repr(compute_sweep_record(gs, config)) for gs in states]
+    alone = [repr(row) for gs in states for row in compute_sweep_records([gs], config)]
     assert [repr(row) for row in compute_sweep_records(states, config)] == alone
     order = np.random.default_rng(seed).permutation(len(points))
     shuffled = compute_sweep_records([states[i] for i in order], config)

@@ -24,19 +24,18 @@ from qfi_reference import (
 
 import dicke_qfi.model
 import dicke_qfi.solver
-from dicke_qfi.cli import SweepConfig, compute_sweep_record
+from dicke_qfi.cli import SweepConfig, compute_sweep_records
 from dicke_qfi.errors import ConvergenceError, SolverError
 from dicke_qfi.model import BasisIndexer, ModelParams
 from dicke_qfi.solver import (
     BANDED_MAX_ATOMS,
     BRACKET_RTOL,
-    converge_cutoff,
     converge_stack,
-    ground_state,
     ground_states,
     initial_cutoff,
     lapack,
     solve,
+    solve_stack,
     stacks,
 )
 
@@ -52,7 +51,7 @@ def _product_op(boson_op, spin_op, indexer):
 
 def test_decoupled_ground_state():
     params = ModelParams(1.0, 1.0, 0.0, 4)
-    gs = ground_state(params, 10)
+    gs = solve(params, fock_cutoff=10)
     assert_allclose(gs.energy, -params.omega0 * params.n_atoms / 2, atol=1e-14)
     expected = np.zeros(gs.indexer.dimension)
     expected[0] = 1.0  # |n=0>|j,-j>
@@ -69,7 +68,7 @@ def test_ground_state_norm_and_phase(lam, lanczos, monkeypatch):
     # on the even sector alone: a product-size reshape of it fails
     if lanczos:
         force_lanczos(monkeypatch, 3)
-    gs = ground_state(ModelParams(1.0, 1.0, lam, 3), 24)
+    gs = solve(ModelParams(1.0, 1.0, lam, 3), fock_cutoff=24)
     assert (gs.convergence.lower_bound is None) == lanczos
     assert gs.vector.size == (gs.indexer.dimension + 1) // 2
     with pytest.raises(ValueError):
@@ -81,7 +80,7 @@ def test_ground_state_norm_and_phase(lam, lanczos, monkeypatch):
 
 def test_vanishing_coherence_from_parity():
     params = ModelParams(1.0, 1.0, 0.3, 2)
-    gs = ground_state(params, 30)
+    gs = solve(params, fock_cutoff=30)
     indexer = gs.indexer
     b, _ = build_boson_ops(indexer.n_cutoff)
     spin = build_spin_ops(params.n_atoms)
@@ -94,21 +93,21 @@ def test_vanishing_coherence_from_parity():
 def test_energy_against_full_space_oracle():
     # dense eigensolve at doubled cutoff without any parity reduction
     params = ModelParams(1.0, 1.0, 0.54, 6)
-    gs = ground_state(params, 40)
+    gs = solve(params, fock_cutoff=40)
     oracle = np.linalg.eigvalsh(build_hamiltonian(params, BasisIndexer(80, 6)))[0]
     assert abs(gs.energy - oracle) < 1e-9
 
 
 def test_variational_monotonicity():
     params = ModelParams(1.0, 1.0, 0.8, 3)
-    energies = [ground_state(params, n).energy for n in (10, 20, 40, 80)]
+    energies = [solve(params, fock_cutoff=n).energy for n in (10, 20, 40, 80)]
     assert all(e2 <= e1 + 1e-12 for e1, e2 in zip(energies, energies[1:]))
 
 
 @pytest.mark.parametrize("lam,n_atoms", [(0.2, 2), (0.54, 6), (0.9, 4)])
 def test_parity_purity(lam, n_atoms):
     params = ModelParams(1.0, 1.0, lam, n_atoms)
-    _, gs = converge_cutoff(params, 1e-10)
+    gs = solve(params, 1e-10)
     parity = np.diag(parity_signs_from_scratch(gs.indexer))
     assert abs(expectation(gs, parity).real - 1.0) < 1e-8
 
@@ -132,7 +131,8 @@ def test_initial_cutoff_converges_in_one_doubling(omega, omega0, lam, n_atoms):
     # the earlier start, ceil(8 nb) + 10, solved spaces 3-5x larger.  At tiny lam the
     # top Fock levels underflow to a zero tail, which must not end the doubling early
     params = ModelParams(omega, omega0, lam, n_atoms)
-    n_cutoff, gs = converge_cutoff(params, 1e-10)
+    gs = solve(params, 1e-10)
+    n_cutoff = gs.n_cutoff
     assert len(gs.convergence.steps) == 2
     assert n_cutoff == 2 * initial_cutoff(params)
     former_start = max(20, math.ceil(8 * lam**2 * n_atoms / omega**2) + 10)
@@ -141,15 +141,31 @@ def test_initial_cutoff_converges_in_one_doubling(omega, omega0, lam, n_atoms):
 
 def test_converge_decoupled_returns_at_start():
     params = ModelParams(1.0, 1.0, 0.0, 3)
-    n_cutoff, gs = converge_cutoff(params, 1e-10)
+    gs = solve(params, 1e-10)
+    n_cutoff = gs.n_cutoff
     assert n_cutoff == 20
     assert gs.convergence.tail_population == 0.0
     assert len(gs.convergence.steps) == 1
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+def test_nonpositive_tol_rejected_before_solving(tol, monkeypatch):
+    # NaN fails every comparison, so only "not tol > 0" rejects it
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a tol that is not positive must not be solved")
+
+    monkeypatch.setattr(dicke_qfi.solver, "ground_states", no_solve)
+    params = ModelParams(1.0, 1.0, 0.5, 2)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        solve(params, tol)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        converge_stack([params], tol)
+
+
 def test_converge_records_doubling_trajectory():
     params = ModelParams(1.0, 1.0, 0.5, 4)
-    n_cutoff, gs = converge_cutoff(params, 1e-10)
+    gs = solve(params, 1e-10)
+    n_cutoff = gs.n_cutoff
     steps = gs.convergence.steps
     assert steps[-1].n_cutoff == n_cutoff
     assert len(steps) >= 2
@@ -161,10 +177,10 @@ def test_converge_records_doubling_trajectory():
 def test_converge_hard_cap_raises_with_steps(monkeypatch):
     monkeypatch.setattr(dicke_qfi.solver, "HARD_CAP", 40)
     params = ModelParams(1.0, 1.0, 2.0, 6)  # needs n_cutoff ~ 200
-    with pytest.raises(ConvergenceError) as excinfo:
-        converge_cutoff(params, 1e-10, n_start=20)
-    assert len(excinfo.value.steps) >= 1
-    assert excinfo.value.n_cutoff == excinfo.value.steps[-1].n_cutoff == 40
+    [error] = converge_stack([params], 1e-10, n_start=20)
+    assert isinstance(error, ConvergenceError)
+    assert len(error.steps) >= 1
+    assert error.n_cutoff == error.steps[-1].n_cutoff == 40
 
 
 def test_converge_start_above_hard_cap_fails_before_solving(monkeypatch):
@@ -178,31 +194,32 @@ def test_converge_start_above_hard_cap_fails_before_solving(monkeypatch):
 
     monkeypatch.setattr(dicke_qfi.solver, "ground_states", no_solve)
     with pytest.raises(ConvergenceError) as excinfo:
-        converge_cutoff(params, 1e-10)
+        solve(params, 1e-10)
     assert excinfo.value.n_cutoff == start
     assert excinfo.value.steps == ()
     monkeypatch.setattr(dicke_qfi.solver, "HARD_CAP", 40)
-    with pytest.raises(ConvergenceError) as excinfo:
-        converge_cutoff(ModelParams(1.0, 1.0, 0.5, 2), 1e-10, n_start=41)
-    assert excinfo.value.n_cutoff == 41
-    assert excinfo.value.steps == ()
+    [error] = converge_stack([ModelParams(1.0, 1.0, 0.5, 2)], 1e-10, n_start=41)
+    assert isinstance(error, ConvergenceError)
+    assert error.n_cutoff == 41
+    assert error.steps == ()
 
 
 def test_solver_error_keeps_completed_steps(fail_solves_above):
     fail_solves_above(20)
-    with pytest.raises(SolverError) as excinfo:
-        converge_cutoff(ModelParams(1.0, 1.0, 1.0, 2), 1e-10, n_start=20)
-    assert not isinstance(excinfo.value, ConvergenceError)
-    assert excinfo.value.n_cutoff == 40
-    assert [step.n_cutoff for step in excinfo.value.steps] == [20]
+    [error] = converge_stack([ModelParams(1.0, 1.0, 1.0, 2)], 1e-10, n_start=20)
+    assert isinstance(error, SolverError)
+    assert not isinstance(error, ConvergenceError)
+    assert error.n_cutoff == 40
+    assert [step.n_cutoff for step in error.steps] == [20]
 
 
 def test_converged_nbar_stable_under_further_doubling():
     # self-consistency oracle: one more doubling moves nbar by < 1e-8
     params = ModelParams(1.0, 1.0, 1.0, 20)
-    n_cutoff, gs = converge_cutoff(params, 1e-10)
+    gs = solve(params, 1e-10)
+    n_cutoff = gs.n_cutoff
     nbar = expectation(partial_trace_atoms(gs), np.diag(np.arange(n_cutoff + 1.0))).real
-    gs2 = ground_state(params, 2 * n_cutoff)
+    gs2 = solve(params, fock_cutoff=2 * n_cutoff)
     nbar2 = expectation(
         partial_trace_atoms(gs2), np.diag(np.arange(2 * n_cutoff + 1.0))
     ).real
@@ -212,7 +229,7 @@ def test_converged_nbar_stable_under_further_doubling():
 def test_nbar_scaling_across_phases():
     # below threshold nbar stays O(1); above it grows roughly with N
     def nbar(n_atoms, lam, n_cutoff):
-        gs = ground_state(ModelParams(1.0, 1.0, lam, n_atoms), n_cutoff)
+        gs = solve(ModelParams(1.0, 1.0, lam, n_atoms), fock_cutoff=n_cutoff)
         rho = partial_trace_atoms(gs)
         return expectation(rho, np.diag(np.arange(n_cutoff + 1.0))).real
 
@@ -224,7 +241,7 @@ def test_nbar_scaling_across_phases():
 
 def test_expectation_forms_and_validation():
     params = ModelParams(1.0, 1.0, 0.0, 4)
-    gs = ground_state(params, 8)
+    gs = solve(params, fock_cutoff=8)
     spin = build_spin_ops(params.n_atoms)
     jz_full = np.kron(np.eye(gs.indexer.boson_dim), spin.jz)
     assert_allclose(expectation(gs, jz_full).real, -params.n_atoms / 2, atol=1e-13)
@@ -239,10 +256,11 @@ def test_expectation_forms_and_validation():
 
 def test_expectation_nbar_against_doubled_cutoff():
     params = ModelParams(1.0, 1.0, 0.54, 20)
-    n_cutoff, gs = converge_cutoff(params, 1e-10)
+    gs = solve(params, 1e-10)
+    n_cutoff = gs.n_cutoff
     number = np.diag(np.arange(n_cutoff + 1.0))
     nbar = expectation(partial_trace_atoms(gs), number).real
-    gs2 = ground_state(params, 2 * n_cutoff)
+    gs2 = solve(params, fock_cutoff=2 * n_cutoff)
     nbar2 = expectation(
         partial_trace_atoms(gs2), np.diag(np.arange(2 * n_cutoff + 1.0))
     ).real
@@ -256,9 +274,9 @@ def test_lanczos_matches_dense_above_threshold(n_atoms, lam, n_cutoff, monkeypat
     indexer = BasisIndexer(n_cutoff, n_atoms)
     energies, vecs = scipy.linalg.eigh(dense_hamiltonian_block(params, indexer),
                                        subset_by_index=[0, 0])
-    banded = ground_state(params, n_cutoff)
+    banded = solve(params, fock_cutoff=n_cutoff)
     force_lanczos(monkeypatch, n_atoms)
-    gs = ground_state(params, n_cutoff)
+    gs = solve(params, fock_cutoff=n_cutoff)
     assert gs.convergence.lower_bound is None
     for state in (gs, banded):
         assert abs(state.energy - energies[0]) < 1e-12
@@ -266,7 +284,7 @@ def test_lanczos_matches_dense_above_threshold(n_atoms, lam, n_cutoff, monkeypat
     pivot = np.argmax(np.abs(gs.vector))
     assert gs.vector[pivot].real > 0
     assert gs.vector[pivot].imag == 0.0
-    again = ground_state(params, n_cutoff)
+    again = solve(params, fock_cutoff=n_cutoff)
     assert again.energy == gs.energy
     assert np.array_equal(again.vector, gs.vector)
 
@@ -276,9 +294,9 @@ def test_banded_matches_lanczos_above_threshold(n_atoms, monkeypatch):
     # the same block by Lanczos and, with the threshold moved up to N, by the
     # banded solver, at an odd N (three coupling offsets) and an even N (two)
     params = ModelParams(1.0, 1.0, 0.8, n_atoms)
-    lanczos = ground_state(params, 40)
+    lanczos = solve(params, fock_cutoff=40)
     monkeypatch.setattr(dicke_qfi.solver, "BANDED_MAX_ATOMS", n_atoms)
-    banded = ground_state(params, 40)
+    banded = solve(params, fock_cutoff=40)
     assert lanczos.convergence.lower_bound is None
     assert banded.convergence.lower_bound is not None
     assert abs(banded.energy - lanczos.energy) <= 1e-12 * abs(lanczos.energy)
@@ -290,9 +308,9 @@ def test_observables_agree_across_solver_threshold(n_cutoff, monkeypatch):
     # solver and by Lanczos, moving the threshold to switch between them
     params = ModelParams(1.0, 1.0, 0.8, 1)
     config = SweepConfig(mode="sweep", tol=1e-10, fock_cutoff=n_cutoff)
-    banded = compute_sweep_record(solve(params, fock_cutoff=n_cutoff), config)
+    [banded] = compute_sweep_records([solve(params, fock_cutoff=n_cutoff)], config)
     force_lanczos(monkeypatch, 1)
-    lanczos = compute_sweep_record(solve(params, fock_cutoff=n_cutoff), config)
+    [lanczos] = compute_sweep_records([solve(params, fock_cutoff=n_cutoff)], config)
     assert_allclose(lanczos, banded, rtol=1e-12, atol=1e-14)
 
 
@@ -320,7 +338,8 @@ def test_warm_start_matches_cold_dense_solve(n_atoms, lam, monkeypatch):
     monkeypatch.setattr(lapack, "dpbtrs", record_rhs)
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", record_start)
     params = ModelParams(1.0, 1.0, lam, n_atoms)
-    n_cutoff, gs = converge_cutoff(params, 1e-10)
+    gs = solve(params, 1e-10)
+    n_cutoff = gs.n_cutoff
     assert [step.n_cutoff for step in gs.convergence.steps] == [n_cutoff // 2, n_cutoff]
     lanczos = n_atoms > BANDED_MAX_ATOMS
     assert (gs.convergence.lower_bound is None) == lanczos
@@ -332,7 +351,7 @@ def test_warm_start_matches_cold_dense_solve(n_atoms, lam, monkeypatch):
     warm_start = warm_start[kd:warm_start.size - kd]
 
     # the first state zero-padded on the full grid, read off at the even indices
-    first = ground_state(params, n_cutoff // 2)
+    first = solve(params, fock_cutoff=n_cutoff // 2)
     padded = np.zeros((n_cutoff + 1, n_atoms + 1))
     padded[: n_cutoff // 2 + 1] = product_vector(first).reshape(n_cutoff // 2 + 1, n_atoms + 1)
     padded = padded.ravel()[even_indices(gs.indexer)]
@@ -349,7 +368,7 @@ def test_warm_start_matches_cold_dense_solve(n_atoms, lam, monkeypatch):
     assert abs(np.vdot(vecs[:, 0], gs.vector)) >= 1.0 - 1e-12
     if not lanczos:
         assert gs.convergence.lower_bound <= energies[0]
-    again = converge_cutoff(params, 1e-10)[1]
+    again = solve(params, 1e-10)
     assert again.energy == gs.energy
     assert np.array_equal(again.vector, gs.vector)
 
@@ -367,7 +386,7 @@ def test_start_vector_matches_full_grid_oracle(n_atoms, ratio, omega, cutoffs):
     params = ModelParams(omega, 1.0, ratio * math.sqrt(omega) / 2, n_atoms)
     small, large = cutoffs
     indexer = BasisIndexer(large, n_atoms)
-    previous = ground_state(params, small)
+    previous = solve(params, fock_cutoff=small)
     for start in (None, previous):
         expected = full_grid_start_vector(params, indexer, start)
         [head] = dicke_qfi.solver._starts([params], [large], [start])
@@ -457,7 +476,7 @@ def test_solver_path_follows_atom_count(n_atoms, lam, monkeypatch):
     eigsh = scipy.sparse.linalg.eigsh
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
                         lambda *args, **kwargs: calls.append(1) or eigsh(*args, **kwargs))
-    _, gs = converge_cutoff(ModelParams(1.0, 1.0, lam, n_atoms), 1e-10)
+    gs = solve(ModelParams(1.0, 1.0, lam, n_atoms), 1e-10)
     assert len(gs.convergence.steps) == 2
     lanczos = n_atoms > BANDED_MAX_ATOMS
     assert len(calls) == (2 if lanczos else 0)
@@ -478,11 +497,13 @@ def test_residual_certificate(n_atoms, lam, n_cutoff, lanczos, monkeypatch):
         force_lanczos(monkeypatch, n_atoms)
     params = ModelParams(1.0, 1.0, lam, n_atoms)
     if n_cutoff is None:
-        n_cutoff, gs = converge_cutoff(params, 1e-10)
-        first = ground_state(params, gs.convergence.steps[0].n_cutoff)
-        assert gs.convergence.residual == ground_state(params, n_cutoff, first).convergence.residual
+        gs = solve(params, 1e-10)
+        n_cutoff = gs.n_cutoff
+        first = solve(params, fock_cutoff=gs.convergence.steps[0].n_cutoff)
+        [warm] = ground_states([params], [n_cutoff], [first])
+        assert gs.convergence.residual == warm.convergence.residual
     else:
-        gs = ground_state(params, n_cutoff)
+        gs = solve(params, fock_cutoff=n_cutoff)
     psi = gs.vector
     block = dense_hamiltonian_block(params, gs.indexer)
     recomputed = np.linalg.norm(block @ psi - gs.energy * psi)
@@ -502,20 +523,20 @@ def test_residual_certificate(n_atoms, lam, n_cutoff, lanczos, monkeypatch):
 ])
 def test_residual_measures_returned_vector(module, name, n_atoms, n_cutoff, monkeypatch):
     # a solver returning slightly wrong vectors must show in the certificate
-    solve = getattr(module, name)
+    real = getattr(module, name)
 
     def perturbed(*args, **kwargs):
         if name == "dpbtrs":  # the solution x of (H - sigma) x = psi, and LAPACK's info
-            x, info = solve(*args, **kwargs)
+            x, info = real(*args, **kwargs)
             return x + 1e-6 * np.linalg.norm(x) * np.cos(np.arange(x.size)), info
-        energies, vecs = solve(*args, **kwargs)
+        energies, vecs = real(*args, **kwargs)
         vecs[:, 0] += 1e-6 * np.cos(np.arange(vecs.shape[0]))
         return energies, vecs / np.linalg.norm(vecs[:, 0])
 
     monkeypatch.setattr(module, name, perturbed)
     if name == "eigsh":
         force_lanczos(monkeypatch, n_atoms)
-    gs = ground_state(ModelParams(1.0, 1.0, 0.5, n_atoms), n_cutoff)
+    gs = solve(ModelParams(1.0, 1.0, 0.5, n_atoms), fock_cutoff=n_cutoff)
     assert gs.convergence.residual > 1e-8
 
 
@@ -557,7 +578,7 @@ def test_banded_factorization_failure_raises(monkeypatch):
     dpbtrf = lapack.dpbtrf
     monkeypatch.setattr(lapack, "dpbtrf", lambda ab, **kwargs: (dpbtrf(ab, **kwargs)[0], 1))
     with pytest.raises(SolverError) as excinfo:
-        ground_state(ModelParams(1.0, 1.0, 0.5, 3), 20)
+        solve(ModelParams(1.0, 1.0, 0.5, 3), fock_cutoff=20)
     assert excinfo.value.n_cutoff == 20
     assert "Cholesky" in str(excinfo.value)
 
@@ -570,26 +591,26 @@ def test_out_of_memory_is_a_solver_error_at_its_cutoff(monkeypatch):
     dicke_qfi.model._skeleton.cache_clear()
     monkeypatch.setattr(dicke_qfi.model, "_skeleton", out_of_memory)
     with pytest.raises(SolverError) as excinfo:
-        ground_state(ModelParams(1.0, 1.0, 0.5, 3), 7)
+        solve(ModelParams(1.0, 1.0, 0.5, 3), fock_cutoff=7)
     assert excinfo.value.n_cutoff == 7
     monkeypatch.undo()
     # while the doubled cutoff's block is built, keeping the step before it
     build = dicke_qfi.solver.build_even_block
     monkeypatch.setattr(dicke_qfi.solver, "build_even_block", lambda params, indexer: (
         out_of_memory() if indexer.n_cutoff > 20 else build(params, indexer)))
-    with pytest.raises(SolverError) as excinfo:
-        converge_cutoff(ModelParams(1.0, 1.0, 1.0, 2), 1e-10, n_start=20)
-    assert excinfo.value.n_cutoff == 40
-    assert [step.n_cutoff for step in excinfo.value.steps] == [20]
+    [error] = converge_stack([ModelParams(1.0, 1.0, 1.0, 2)], 1e-10, n_start=20)
+    assert isinstance(error, SolverError)
+    assert error.n_cutoff == 40
+    assert [step.n_cutoff for step in error.steps] == [20]
 
 
 def test_ground_state_rejects_foreign_previous():
     params = ModelParams(1.0, 1.0, 0.5, 3)
-    previous = ground_state(params, 20)
+    previous = solve(params, fock_cutoff=20)
     with pytest.raises(ValueError):
-        ground_state(params, 10, previous)
+        ground_states([params], [10], [previous])
     with pytest.raises(ValueError):
-        ground_state(ModelParams(1.0, 1.0, 0.6, 3), 40, previous)
+        ground_states([ModelParams(1.0, 1.0, 0.6, 3)], [40], [previous])
 
 
 def assert_same_bits(gs, other):
@@ -611,7 +632,7 @@ def test_stacked_point_matches_point_alone(n_atoms, lams, seed):
     # on its neighbours (from N = 29, kd >= 16, BLAS dot kernels would otherwise
     # group a block's first columns by their place in the band)
     points = [ModelParams(1.0, 1.0, lam, n_atoms) for lam in lams]
-    alone = [converge_cutoff(params, 1e-10)[1] for params in points]
+    alone = [solve(params, 1e-10) for params in points]
     for gs, other in zip(alone, converge_stack(points, 1e-10)):
         assert_same_bits(gs, other)
     order = np.random.default_rng(seed).permutation(len(points))
@@ -624,7 +645,7 @@ def middle_failure(monkeypatch, failure):
     the outcomes of the stack, and the neighbours solved alone."""
     points = [ModelParams(1.0, 1.0, lam, 3) for lam in (0.4, 0.9, 1.3)]
     cutoffs = [20, 37, 24]
-    alone = [ground_state(params, n_cutoff) for params, n_cutoff in zip(points, cutoffs)]
+    alone = [solve(params, fock_cutoff=n_cutoff) for params, n_cutoff in zip(points, cutoffs)]
     failure(monkeypatch, points[1], cutoffs[1])
     return ground_states(points, cutoffs), alone
 
@@ -663,7 +684,7 @@ def test_hard_cap_start_fails_alone(monkeypatch):
     monkeypatch.setattr(dicke_qfi.solver, "HARD_CAP", 40)
     points = [ModelParams(1.0, 1.0, lam, 2) for lam in (0.3, 3.0, 0.5)]
     assert [initial_cutoff(params) for params in points] == [20, 62, 20]
-    alone = [converge_cutoff(points[0], 1e-10)[1], None, converge_cutoff(points[2], 1e-10)[1]]
+    alone = [solve(points[0], 1e-10), None, solve(points[2], 1e-10)]
     outcomes = converge_stack(points, 1e-10)
     assert isinstance(outcomes[1], ConvergenceError)
     assert outcomes[1].n_cutoff == 62 and outcomes[1].steps == ()
@@ -676,8 +697,13 @@ def test_stacks_follow_atom_number_budget_and_cap():
     cut = stacks(points)
     assert [p for stack in cut for p in stack] == points
     assert all(len({p.n_atoms for p in stack}) == 1 for stack in cut)
-    # Lanczos points are stacks of their own
+    # at its default cutoff an N = 101 point's band fills more than half the budget
     assert [len(stack) for stack in cut if stack[0].n_atoms == 101] == [1] * 6
+    # at cutoff 2 two share a stack; Lanczos solves each alone, so each keeps its bits
+    pair = [ModelParams(1.0, 1.0, lam, 101) for lam in (0.5, 1.0)]
+    assert stacks(pair, n_start=2) == [pair]
+    for params, gs in zip(pair, solve_stack(pair, fock_cutoff=2)):
+        assert_same_bits(solve(params, fock_cutoff=2), gs)
     assert max(len(stack) for stack in stacks(points, max_points=2)) == 2
     # the fixed charge per point caps a stack at 32 points
     many = [ModelParams(1.0, 1.0, 0.0, 1)] * 200

@@ -17,19 +17,19 @@ from qfi_reference import (
 import dicke_qfi.solver
 import dicke_qfi.states
 from dicke_qfi.model import ModelParams, capacity
-from dicke_qfi.solver import converge_cutoff, ground_state, tail_population
+from dicke_qfi.solver import solve, tail_population
 from dicke_qfi.states import SpectralDecomposition, padded_shape, schmidt_decompose
 
 
 @pytest.fixture(scope="module")
 def dicke_n6():
     params = ModelParams(1.0, 1.0, 0.54, 6)
-    _, gs = converge_cutoff(params, 1e-10)
+    gs = solve(params, 1e-10)
     return gs
 
 
 def test_decoupled_reductions_are_pure():
-    gs = ground_state(ModelParams(1.0, 1.0, 0.0, 4), 8)
+    gs = solve(ModelParams(1.0, 1.0, 0.0, 4), fock_cutoff=8)
     rho_b = partial_trace_atoms(gs)
     rho_a = partial_trace_field(gs)
     vacuum = np.zeros((gs.indexer.boson_dim,) * 2)
@@ -42,7 +42,7 @@ def test_decoupled_reductions_are_pure():
 
 
 def test_unit_trace_at_strong_coupling():
-    gs = ground_state(ModelParams(1.0, 1.0, 1.0, 20), 240)
+    gs = solve(ModelParams(1.0, 1.0, 1.0, 20), fock_cutoff=240)
     assert abs(np.trace(partial_trace_field(gs)).real - 1.0) < 1e-12
     assert abs(np.trace(partial_trace_atoms(gs)).real - 1.0) < 1e-12
 
@@ -124,7 +124,7 @@ def test_schmidt_matches_partial_trace_spectra(n_atoms, n_cutoff, lanczos, lam, 
     # Even cutoffs at even N leave the last Fock row without an odd partner
     if lanczos:
         monkeypatch.setattr(dicke_qfi.solver, "BANDED_MAX_ATOMS", n_atoms - 1)
-    gs = ground_state(ModelParams(1.0, 1.0, lam, n_atoms), n_cutoff)
+    gs = solve(ModelParams(1.0, 1.0, lam, n_atoms), fock_cutoff=n_cutoff)
     assert (gs.convergence.lower_bound is None) == (lanczos and lam > 0)
     # the strided layout of the even amplitudes is the embedding through the
     # parity signs, bit for bit, in the first rows of a slab of zeros padded to
