@@ -10,7 +10,7 @@ their critical scaling at the superradiant transition.
 __version__ = "0.1.0"
 
 from .errors import ConvergenceError, SolverError
-from .model import BasisIndexer, ModelParams, even_sector
+from .model import ModelParams, even_sector
 from .solver import GroundState, solve
 from .states import SpectralDecomposition, schmidt_decompose
 from .metrology import (
@@ -32,12 +32,10 @@ from .thermo import (
     qfi_field_thermo,
     quad_variance_thermo,
     thermo_point,
-    ultrastrong_reference,
     xi2_thermo,
 )
 
 __all__ = [
-    "BasisIndexer",
     "ConvergenceError",
     "GroundState",
     "ModelParams",
@@ -62,6 +60,5 @@ __all__ = [
     "spin_squeezing_xi2",
     "spin_variance",
     "thermo_point",
-    "ultrastrong_reference",
     "xi2_thermo",
 ]

@@ -3,7 +3,8 @@ curves, critical-scaling probe, and cutoff-convergence reports.
 
 Output is deterministic: floats are serialized in shortest round-trip
 decimal form, columns and row order are fixed, and identical configs
-produce byte-identical files.  Exit codes: 0 success, 2 invalid argument,
+produce byte-identical files at a fixed BLAS thread count (threaded BLAS
+may move a last digit).  Exit codes: 0 success, 2 invalid argument,
 3 I/O error, 4 a failed (N, lambda) point or a low-confidence fit.
 ``map_points`` solves the points of ``sweep``, ``husimi`` and ``convergence``
 in stacks, runs of consecutive points of one N that the solver solves

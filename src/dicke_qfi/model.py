@@ -10,7 +10,11 @@ ground state lies in the even sector, so its <P> is its squared norm.
 ``build_even_block`` gives that block as its main diagonal and at most
 three nonzero upper diagonals, never as a dense array.  The basis is
 boson-major, idx(n, m) = n*(N+1) + (m+j); even-sector position p holds
-full index 2p or 2p + 1, so no index array is stored.
+full index 2p or 2p + 1, so no index array is stored.  A basis is named by
+its two ints, N and n_cutoff, and this module alone knows its even-sector
+layout: its size (``even_size``), (n, m+j) at each position
+(``even_sector``) and where each amplitude lies on the (n_cutoff+1) x (N+1)
+grid (``place_on_grid``).
 
 The part that does not depend on omega, omega0 or lam, n and m+j at each
 even position and the couplings at g = 1, has a closed form.  The basis at
@@ -64,40 +68,6 @@ class ModelParams:
         return math.sqrt(self.omega * self.omega0) / 2
 
 
-@dataclass(frozen=True)
-class BasisIndexer:
-    """Boson-major indexing of the truncated product basis {|n>|j,m>}.
-
-    idx(n, m) = n*(N+1) + (m+j) with n in [0, n_cutoff] and m+j in [0, N];
-    half-integer m for odd N is handled through the integer offset m+j.
-    """
-
-    n_cutoff: int
-    n_atoms: int
-
-    def __post_init__(self) -> None:
-        if self.n_cutoff < 1:
-            raise ValueError("n_cutoff must be >= 1")
-        if self.n_atoms < 1:
-            raise ValueError("n_atoms must be >= 1")
-
-    @property
-    def j(self) -> float:
-        return self.n_atoms / 2
-
-    @property
-    def spin_dim(self) -> int:
-        return self.n_atoms + 1
-
-    @property
-    def boson_dim(self) -> int:
-        return self.n_cutoff + 1
-
-    @property
-    def dimension(self) -> int:
-        return self.boson_dim * self.spin_dim
-
-
 class EvenSector(NamedTuple):
     """The even n+m+j sector of a basis, position by position, as read-only views.
 
@@ -122,7 +92,7 @@ def _skeleton(n_atoms: int, capacity: int) -> tuple[EvenSector, tuple]:
     first rows, so in every prefix a larger capacity serves.
     """
     spin_dim = n_atoms + 1
-    size = ((capacity + 1) * spin_dim + 1) // 2
+    size = even_size(n_atoms, capacity)
     half = spin_dim // 2
     if n_atoms % 2 == 0:
         n, k = np.divmod(2 * np.arange(size), spin_dim)
@@ -158,15 +128,28 @@ def capacity(n_cutoff: int) -> int:
     return 1 << (n_cutoff - 1).bit_length()
 
 
-def _cached(indexer: BasisIndexer) -> tuple[EvenSector, tuple, int]:
-    """The skeleton that serves ``indexer``, built at its cutoff's capacity, and the
-    number of its basis' even positions."""
-    sector, units = _skeleton(indexer.n_atoms, capacity(indexer.n_cutoff))
-    return sector, units, (indexer.dimension + 1) // 2
+def even_size(n_atoms: int, n_cutoff: int) -> int:
+    """The number of even positions of N atoms times Fock levels 0 .. n_cutoff.
+
+    Of the (n_cutoff+1)(N+1) full indices the even sector holds every
+    second one from index 0, so half of them rounded up.
+    """
+    return ((n_cutoff + 1) * (n_atoms + 1) + 1) // 2
 
 
-def build_even_block(params: ModelParams, indexer: BasisIndexer) -> EvenBlock:
-    """The even-parity block P H P: its main diagonal and its nonzero upper diagonals.
+def _cached(n_atoms: int, n_cutoff: int) -> tuple[EvenSector, tuple, int]:
+    """The skeleton that serves the basis, built at its cutoff's capacity, and the
+    number of the basis' even positions."""
+    if n_cutoff < 1:
+        raise ValueError("n_cutoff must be >= 1")
+    if n_atoms < 1:
+        raise ValueError("n_atoms must be >= 1")
+    sector, units = _skeleton(n_atoms, capacity(n_cutoff))
+    return sector, units, even_size(n_atoms, n_cutoff)
+
+
+def build_even_block(params: ModelParams, n_cutoff: int) -> EvenBlock:
+    """The even-parity block P H P at ``n_cutoff``: its main and nonzero upper diagonals.
 
     All matrix elements of H are real in this basis.  ``upper[d][p]`` is
     the element at (p, p + d) of the block in ascending index order; the
@@ -182,19 +165,33 @@ def build_even_block(params: ModelParams, indexer: BasisIndexer) -> EvenBlock:
     omega n + omega0 m and the couplings g * unit, g = lam / sqrt(N), are
     fresh arrays, the same floating-point operations as a build from scratch.
     """
-    if indexer.n_atoms != params.n_atoms:
-        raise ValueError("indexer and params disagree on n_atoms")
-    (n, k), units, size = _cached(indexer)
+    (n, k), units, size = _cached(params.n_atoms, n_cutoff)
     # float(): an integer omega times the small unsigned n would wrap around
-    diagonal = float(params.omega) * n[:size] + params.omega0 * (k[:size] - indexer.j)
+    diagonal = float(params.omega) * n[:size] + params.omega0 * (k[:size] - params.j)
     g = params.lam / math.sqrt(params.n_atoms)
     return diagonal, {d: g * unit[: size - d] for d, unit in units}
 
 
-def even_sector(indexer: BasisIndexer) -> EvenSector:
-    """The even n+m+j sector of ``indexer``'s basis: (n, k), read-only views."""
-    (n, k), _, size = _cached(indexer)
+def even_sector(n_atoms: int, n_cutoff: int) -> EvenSector:
+    """The even n+m+j sector of N atoms at ``n_cutoff``: (n, k), read-only views."""
+    (n, k), _, size = _cached(n_atoms, n_cutoff)
     return EvenSector(n[:size], k[:size])
+
+
+def place_on_grid(grid: np.ndarray, vector: np.ndarray, n_atoms: int, n_cutoff: int) -> None:
+    """Write the even-sector amplitudes ``vector`` into ``grid`` as psi[n, k], k = m + j.
+
+    ``grid`` is a C-contiguous array of N+1 columns and more than n_cutoff
+    rows; its odd-sector entries are not written.  Strided copies: for even
+    N the even sector is every second full index, for odd N the even k of
+    even rows and the odd k of odd rows.
+    """
+    if n_atoms % 2 == 0:
+        grid.reshape(-1)[: vector.size * 2 : 2] = vector
+    else:
+        half = vector.reshape(n_cutoff + 1, (n_atoms + 1) // 2)
+        grid[0 : n_cutoff + 1 : 2, 0::2] = half[0::2]
+        grid[1 : n_cutoff + 1 : 2, 1::2] = half[1::2]
 
 
 def log_factorials(m: int) -> np.ndarray:

@@ -30,7 +30,7 @@ not depend on the stack it was solved in; ``solve`` is the stacked code on
 a stack of one.
 
 A ground state holds only its even-sector amplitudes, in ascending full
-index; ``states.schmidt_decompose`` alone lays them on the product grid.
+index; ``model.place_on_grid`` alone lays them on the product grid.
 Cutoff convergence doubles n_cutoff until the Fock tail population and the
 energy shift across one doubling both drop below tolerance; a stack doubles
 in rounds, each round solving the points still open.  The first solve of a
@@ -59,11 +59,11 @@ import scipy
 
 from .errors import ConvergenceError, SolverError
 from .model import (
-    BasisIndexer,
     EvenBlock,
     ModelParams,
     build_even_block,
     even_sector,
+    even_size,
     log_factorials,
 )
 
@@ -153,7 +153,7 @@ class ConvergenceInfo:
 
 @dataclass(frozen=True)
 class GroundState:
-    """Ground energy and real unit-norm state, its (dim + 1) // 2 even-sector amplitudes."""
+    """Ground energy and real unit-norm state, its ``model.even_size`` even-sector amplitudes."""
 
     energy: float
     vector: np.ndarray
@@ -161,14 +161,10 @@ class GroundState:
     n_cutoff: int
     convergence: ConvergenceInfo
 
-    @property
-    def indexer(self) -> BasisIndexer:
-        return BasisIndexer(self.n_cutoff, self.params.n_atoms)
 
-
-def tail_population(vector: np.ndarray, indexer: BasisIndexer) -> float:
-    """Total probability in the top 10% of Fock levels, from full index i at position (i+1)//2."""
-    tail = vector[(math.ceil(0.9 * indexer.boson_dim) * indexer.spin_dim + 1) // 2:]
+def tail_population(vector: np.ndarray, n_atoms: int, n_cutoff: int) -> float:
+    """Total probability in the top 10% of Fock levels, those from ceil(0.9 (n_cutoff+1)) on."""
+    tail = vector[even_size(n_atoms, math.ceil(0.9 * (n_cutoff + 1)) - 1):]
     return float(tail @ tail)
 
 
@@ -187,7 +183,7 @@ def stacks(
         n_atoms = params.n_atoms
         kd = (n_atoms + 1) // 2 + 1
         n_cutoff = initial_cutoff(params) if n_start is None else n_start
-        cost = (kd + 1) * (((n_cutoff + 1) * (n_atoms + 1) + 1) // 2 + kd) + STACK_ELEMENTS // 32
+        cost = (kd + 1) * (even_size(n_atoms, n_cutoff) + kd) + STACK_ELEMENTS // 32
         last = cut[-1] if cut else None
         if (last is not None and last[0].n_atoms == n_atoms
                 and used + cost <= STACK_ELEMENTS
@@ -225,29 +221,28 @@ def ground_states(
             raise ValueError("n_cutoff must be >= 1")
         if prev is not None and (prev.params != params or prev.n_cutoff > n_cutoff):
             raise ValueError("previous must be a ground state of the same model at a lower cutoff")
-    # per point: its indexer, and (energy, amplitudes, residual, lower bound) or its SolverError
-    indexers = [BasisIndexer(n_cutoff, params.n_atoms) for params, n_cutoff in zip(points, cutoffs)]
+    # per point: (energy, amplitudes, residual, lower bound) or its SolverError
     solved: list = [None] * len(points)
     index, blocks = [], []
-    for i, (params, indexer, prev) in enumerate(zip(points, indexers, previous)):
+    for i, (params, n_cutoff, prev) in enumerate(zip(points, cutoffs, previous)):
         try:
             if params.lam > 0 and params.n_atoms <= BANDED_MAX_ATOMS:
-                blocks.append(build_even_block(params, indexer))
+                blocks.append(build_even_block(params, n_cutoff))
                 index.append(i)
                 continue
             # the lambda = 0 and Lanczos points take their start zero-padded to the block
-            [head] = _starts([params], [indexer.n_cutoff], [prev])
-            start = np.concatenate((head, np.zeros((indexer.dimension + 1) // 2 - head.size)))
+            [head] = _starts([params], [n_cutoff], [prev])
+            padding = np.zeros(even_size(params.n_atoms, n_cutoff) - head.size)
+            start = np.concatenate((head, padding))
             if params.lam == 0:
                 # the diagonal is lowest at |0>|j,-j>, even index 0, which the start is
                 energy = -params.omega0 * params.j
                 solved[i] = (energy, start, 0.0, energy)
             else:
-                lanczos = _lanczos_lowest(build_even_block(params, indexer), start,
-                                          indexer.n_cutoff)
+                lanczos = _lanczos_lowest(build_even_block(params, n_cutoff), start, n_cutoff)
                 solved[i] = (*lanczos, None)
         except MemoryError as exc:
-            solved[i] = _out_of_memory(exc, indexer.n_cutoff)
+            solved[i] = _out_of_memory(exc, n_cutoff)
         except SolverError as exc:
             solved[i] = exc
     if blocks:
@@ -256,8 +251,8 @@ def ground_states(
         for i, outcome in zip(index, outcomes):
             solved[i] = outcome
     return [outcome if isinstance(outcome, SolverError)
-            else _ground_state(params, indexer, *outcome)
-            for params, indexer, outcome in zip(points, indexers, solved)]
+            else _ground_state(params, n_cutoff, *outcome)
+            for params, n_cutoff, outcome in zip(points, cutoffs, solved)]
 
 
 def _out_of_memory(exc: MemoryError, n_cutoff: int) -> SolverError:
@@ -267,14 +262,13 @@ def _out_of_memory(exc: MemoryError, n_cutoff: int) -> SolverError:
 
 
 def _ground_state(
-    params: ModelParams, indexer: BasisIndexer, energy, amplitudes: np.ndarray, residual,
-    lower_bound
+    params: ModelParams, n_cutoff: int, energy, amplitudes: np.ndarray, residual, lower_bound
 ) -> GroundState:
     """A solved point as a GroundState: the sign fixed, its tail measured."""
     vector = -amplitudes if amplitudes[np.abs(amplitudes).argmax()] < 0 else amplitudes
-    info = ConvergenceInfo(tail_population(vector, indexer), None, residual,
+    info = ConvergenceInfo(tail_population(vector, params.n_atoms, n_cutoff), None, residual,
                            lower_bound=lower_bound)
-    return GroundState(float(energy), vector, params, indexer.n_cutoff, info)
+    return GroundState(float(energy), vector, params, n_cutoff, info)
 
 
 def _starts(
@@ -339,10 +333,10 @@ def _mean_field_starts(points: Sequence[ModelParams], cutoffs: Sequence[int]) ->
                        - log_factorial[n_atoms::-1])
                 + (n_atoms - k) * log_cos + k * log_sin)
     spin = np.exp(log_spin - np.maximum.reduce(log_spin, axis=1, keepdims=True))
-    sector = even_sector(BasisIndexer(largest, n_atoms))
+    sector = even_sector(n_atoms, largest)
     starts = []
     for row, n_cutoff in enumerate(cutoffs):
-        size = ((n_cutoff + 1) * (n_atoms + 1) + 1) // 2
+        size = even_size(n_atoms, n_cutoff)
         starts.append(field[row][sector.n[:size]] * spin[row][sector.k[:size]])
     return starts
 
@@ -599,8 +593,21 @@ def initial_cutoff(params: ModelParams) -> int:
     twice this cutoff) the converged one, so each point solves a space sized
     to the Fock range it occupies.  A start that is too low costs one more
     doubling, never a wrong answer.
+
+    Where lam^2 or omega^2 leaves the float range, nb is formed from the
+    ratio lam/omega instead; where nb itself does, the start is HARD_CAP + 1,
+    past every cutoff the solver attempts.
     """
-    nb = params.lam**2 * params.n_atoms / params.omega**2
+    try:
+        nb = params.lam**2 * params.n_atoms / params.omega**2
+    except (OverflowError, ZeroDivisionError):
+        nb = math.inf
+    if not math.isfinite(nb):
+        # a product or quotient of floats overflows to inf and underflows to 0, never raises
+        ratio = params.lam / params.omega
+        nb = ratio * ratio * params.n_atoms
+        if not math.isfinite(nb):
+            return HARD_CAP + 1
     return max(20, math.ceil(nb + 8 * math.sqrt(nb)) + 10)
 
 

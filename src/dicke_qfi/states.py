@@ -4,8 +4,8 @@ In the boson-major basis the ground state is a real (n_cutoff+1) x (N+1)
 grid psi, and one thin SVD psi = U S V^T (its Schmidt decomposition) gives
 both reduced states with the shared weights S^2, so no density matrix is
 formed.  ``schmidt_stack`` decomposes many ground states of one N at once:
-it lays each one's even-sector amplitudes, the one place that does, into
-the first rows of a zero-padded (capacity+1) x (N+1) slab, capacity the
+``model.place_on_grid`` lays each one's even-sector amplitudes into the
+first rows of a zero-padded (capacity+1) x (N+1) slab, capacity the
 power of two at or above its cutoff (``model.capacity``), and runs one
 batched SVD over the slabs.  The padding depends on the point alone, so a
 point's bits do not depend on the stack it is decomposed in;
@@ -28,7 +28,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import SolverError
-from .model import capacity
+from .model import capacity, place_on_grid
 from .solver import GroundState
 
 #: the subsystem a reduced state lives on: the field mode or the collective spin
@@ -85,18 +85,10 @@ def padded_shape(gs: GroundState) -> tuple[int, int]:
 
 
 def _amplitude_grids(states: Sequence[GroundState]) -> np.ndarray:
-    """psi[n, k] of each state in the first n_cutoff+1 rows of its zero slab, by strided
-    assignment: for even N the even sector is every second full index, for odd N the
-    even k of even rows and the odd k of odd rows."""
-    rows, columns = padded_shape(states[0])
-    slabs = np.zeros((len(states), rows, columns))
-    for slab, flat, gs in zip(slabs, slabs.reshape(len(states), -1), states):
-        if columns % 2:  # even N
-            flat[: gs.vector.size * 2 : 2] = gs.vector
-        else:
-            half = gs.vector.reshape(gs.n_cutoff + 1, columns // 2)
-            slab[0 : gs.n_cutoff + 1 : 2, 0::2] = half[0::2]
-            slab[1 : gs.n_cutoff + 1 : 2, 1::2] = half[1::2]
+    """psi[n, k] of each state in the first n_cutoff+1 rows of its zero slab."""
+    slabs = np.zeros((len(states), *padded_shape(states[0])))
+    for slab, gs in zip(slabs, states):
+        place_on_grid(slab, gs.vector, gs.params.n_atoms, gs.n_cutoff)
     return slabs
 
 

@@ -40,8 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams
-
 #: relative half-width of the guard band around lambda_cr for the scaled field QFI
 GUARD_BAND_REL = 1e-8
 
@@ -234,39 +232,6 @@ def qfi_field_scaled_limit(pt: ThermoPoint) -> float:
     s2, gap = _field_variances(pt)
     s1 = s2 + pt.lam**2 * gap
     return pt.lam**2 * (gap**2 / ((1.0 + s1 * s2) * 4.0 * _nbar_fluctuation_per_lam2(pt)))
-
-
-@dataclass(frozen=True)
-class UltrastrongReference:
-    """Mean-field limits of the deep-coupling regime for finite-N comparison."""
-
-    alpha0: float
-    qfi_atoms_scaled: float
-    qfi_field_scaled: float
-    var_jy: float
-    var_x90: float
-    var_x0: float
-    var_jx: float
-
-
-def ultrastrong_reference(params: ModelParams) -> UltrastrongReference:
-    """Deep-coupling asymptotics: each subsystem is a 50:50 mixture of two branches.
-
-    The field settles into coherent states |+-alpha0| with alpha0 =
-    lam*sqrt(N)/omega and the atoms into the two extremal Jx eigenstates;
-    the branch variances give F_A -> 0 and F_B -> 4*nbar.
-    """
-    alpha0 = params.lam * math.sqrt(params.n_atoms) / params.omega
-    n = params.n_atoms
-    return UltrastrongReference(
-        alpha0=alpha0,
-        qfi_atoms_scaled=0.0,
-        qfi_field_scaled=1.0,
-        var_jy=n / 4.0,
-        var_x90=0.25,
-        var_x0=alpha0**2 + 0.25,
-        var_jx=n**2 / 4.0,
-    )
 
 
 @dataclass(frozen=True)

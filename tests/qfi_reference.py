@@ -2,17 +2,56 @@
 
 The library computes every observable from a Schmidt decomposition and
 ladder rules; the dense forms here are what those are checked against.
+The library names a basis by (N, n_cutoff) alone; the boson-major
+``BasisIndexer``, its flat index and the parity signs read off it serve
+only these dense forms.  ``ultrastrong_reference`` gives the deep-coupling
+limits the finite-N results approach.
 """
 
 import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
 from dicke_qfi.metrology import QfiResult, _qfi
-from dicke_qfi.model import BasisIndexer, EvenBlock, ModelParams, build_even_block
+from dicke_qfi.model import EvenBlock, ModelParams, build_even_block
 from dicke_qfi.states import DEFAULT_WEIGHT_FLOOR, SpectralDecomposition, Space
+
+
+@dataclass(frozen=True)
+class BasisIndexer:
+    """Boson-major indexing of the truncated product basis {|n>|j,m>}.
+
+    idx(n, m) = n*(N+1) + (m+j) with n in [0, n_cutoff] and m+j in [0, N];
+    half-integer m for odd N is handled through the integer offset m+j.
+    """
+
+    n_cutoff: int
+    n_atoms: int
+
+    def __post_init__(self) -> None:
+        if self.n_cutoff < 1:
+            raise ValueError("n_cutoff must be >= 1")
+        if self.n_atoms < 1:
+            raise ValueError("n_atoms must be >= 1")
+
+    @property
+    def j(self) -> float:
+        return self.n_atoms / 2
+
+    @property
+    def spin_dim(self) -> int:
+        return self.n_atoms + 1
+
+    @property
+    def boson_dim(self) -> int:
+        return self.n_cutoff + 1
+
+    @property
+    def dimension(self) -> int:
+        return self.boson_dim * self.spin_dim
 
 
 class SpinOperators(NamedTuple):
@@ -131,8 +170,9 @@ def even_indices(indexer: BasisIndexer) -> np.ndarray:
 
 def product_vector(gs) -> np.ndarray:
     """A ground state's even-sector amplitudes embedded in the full product basis."""
-    vector = np.zeros(gs.indexer.dimension)
-    vector[even_indices(gs.indexer)] = gs.vector
+    indexer = BasisIndexer(gs.n_cutoff, gs.params.n_atoms)
+    vector = np.zeros(indexer.dimension)
+    vector[even_indices(indexer)] = gs.vector
     return vector
 
 
@@ -147,7 +187,7 @@ def full_grid_start_vector(params: ModelParams, indexer: BasisIndexer, previous=
     even = even_indices(indexer)
     if previous is not None:
         grid = np.zeros((indexer.boson_dim, indexer.spin_dim))
-        old = previous.indexer
+        old = BasisIndexer(previous.n_cutoff, previous.params.n_atoms)
         grid[: old.boson_dim] = product_vector(previous).reshape(old.boson_dim, old.spin_dim)
         return grid.ravel()[even]
     if params.lam <= params.lambda_cr:
@@ -175,7 +215,7 @@ def full_grid_start_vector(params: ModelParams, indexer: BasisIndexer, previous=
 
 def dense_hamiltonian_block(params: ModelParams, indexer: BasisIndexer) -> np.ndarray:
     """The even-parity block P H P as a dense float64 array, for ``scipy.linalg.eigh`` oracles."""
-    diagonal, upper = build_even_block(params, indexer)
+    diagonal, upper = build_even_block(params, indexer.n_cutoff)
     block = np.diag(diagonal)
     rows = np.arange(diagonal.size)
     for d, coupling in upper.items():
@@ -185,7 +225,8 @@ def dense_hamiltonian_block(params: ModelParams, indexer: BasisIndexer) -> np.nd
 
 
 def _grid(gs) -> np.ndarray:
-    return product_vector(gs).reshape(gs.indexer.boson_dim, gs.indexer.spin_dim)
+    indexer = BasisIndexer(gs.n_cutoff, gs.params.n_atoms)
+    return product_vector(gs).reshape(indexer.boson_dim, indexer.spin_dim)
 
 
 def partial_trace_atoms(gs) -> np.ndarray:
@@ -326,3 +367,36 @@ def pure_state_qfi(vector: np.ndarray, generator: np.ndarray) -> float:
     mean = np.vdot(vector, generator @ vector).real
     mean_sq = np.vdot(generator @ vector, generator @ vector).real
     return 4.0 * (mean_sq - mean**2)
+
+
+@dataclass(frozen=True)
+class UltrastrongReference:
+    """Mean-field limits of the deep-coupling regime for finite-N comparison."""
+
+    alpha0: float
+    qfi_atoms_scaled: float
+    qfi_field_scaled: float
+    var_jy: float
+    var_x90: float
+    var_x0: float
+    var_jx: float
+
+
+def ultrastrong_reference(params: ModelParams) -> UltrastrongReference:
+    """Deep-coupling asymptotics: each subsystem is a 50:50 mixture of two branches.
+
+    The field settles into coherent states |+-alpha0| with alpha0 =
+    lam*sqrt(N)/omega and the atoms into the two extremal Jx eigenstates;
+    the branch variances give F_A -> 0 and F_B -> 4*nbar.
+    """
+    alpha0 = params.lam * math.sqrt(params.n_atoms) / params.omega
+    n = params.n_atoms
+    return UltrastrongReference(
+        alpha0=alpha0,
+        qfi_atoms_scaled=0.0,
+        qfi_field_scaled=1.0,
+        var_jy=n / 4.0,
+        var_x90=0.25,
+        var_x0=alpha0**2 + 0.25,
+        var_jx=n**2 / 4.0,
+    )

@@ -19,6 +19,7 @@ from qfi_reference import (
     random_hermitian,
     sld_qfi_oracle,
     spectral_decompose,
+    ultrastrong_reference,
 )
 from thermal_oscillator import thermal_oscillator
 
@@ -42,7 +43,6 @@ from dicke_qfi.thermo import (
     qfi_field_thermo,
     quad_variance_thermo,
     thermo_point,
-    ultrastrong_reference,
     xi2_thermo,
 )
 

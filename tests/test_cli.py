@@ -12,7 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse.linalg
-from qfi_reference import build_spin_ops, even_indices, parity_signs_from_scratch, product_vector
+from qfi_reference import (
+    BasisIndexer,
+    build_spin_ops,
+    even_indices,
+    parity_signs_from_scratch,
+    product_vector,
+)
 
 import dicke_qfi.cli
 import dicke_qfi.model
@@ -34,7 +40,7 @@ from dicke_qfi.cli import (
     run_thermo,
     write_table,
 )
-from dicke_qfi.model import BasisIndexer, ModelParams
+from dicke_qfi.model import ModelParams
 from dicke_qfi.solver import BANDED_MAX_ATOMS, initial_cutoff, solve
 
 SMALL_SWEEP = [
@@ -864,7 +870,8 @@ def test_parity_expect_is_the_signed_sum(n_atoms, lam):
     params = ModelParams(1.0, 1.0, lam, n_atoms)
     record = sweep_record(params, sweep_config())
     gs = dicke_qfi.solver.solve(params, 1e-10)
-    signed = float(np.sum(parity_signs_from_scratch(gs.indexer) * product_vector(gs) ** 2))
+    signs = parity_signs_from_scratch(BasisIndexer(gs.n_cutoff, gs.params.n_atoms))
+    signed = float(np.sum(signs * product_vector(gs) ** 2))
     assert abs(record.parity_expect - signed) <= 1e-15
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from qfi_reference import (
+    BasisIndexer,
     build_boson_ops,
     build_hamiltonian,
     build_spin_ops,
@@ -19,7 +20,6 @@ from qfi_reference import (
 import dicke_qfi.solver
 from dicke_qfi import cli, model
 from dicke_qfi.model import (
-    BasisIndexer,
     ModelParams,
     build_even_block,
     even_sector,
@@ -205,17 +205,47 @@ def test_parity_conjugation_flips_b_and_jx():
 
 def test_parity_blocks_minimal_case():
     # full indices 0 and 3, |0>|j,-j> and |1>|j,+j>; the sector stores no index
-    sector = even_sector(BasisIndexer(1, 1))
+    sector = even_sector(1, 1)
     assert sector._fields == ("n", "k")
     assert sector.n.tolist() == [0, 1]
     assert sector.k.tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("n_atoms", range(1, 10))
+def test_even_layout_matches_parity_signs(n_atoms):
+    # cutoffs 1 to 17 take in the powers of two to 16 and their neighbours, so
+    # most bases are read from a skeleton built at a larger capacity
+    for n_cutoff in range(1, 18):
+        indexer = BasisIndexer(n_cutoff, n_atoms)
+        even = even_indices(indexer)
+        assert model.even_size(n_atoms, n_cutoff) == even.size
+        sector = even_sector(n_atoms, n_cutoff)
+        n, k = np.divmod(even, indexer.spin_dim)
+        assert np.array_equal(sector.n, n) and np.array_equal(sector.k, k)
+        # each amplitude lands at its full index of a padded grid, and nothing else is written
+        vector = np.arange(1.0, even.size + 1)
+        grid = np.zeros((model.capacity(n_cutoff) + 1, n_atoms + 1))
+        model.place_on_grid(grid, vector, n_atoms, n_cutoff)
+        expected = np.zeros(grid.size)
+        expected[even] = vector
+        assert np.array_equal(grid.ravel(), expected)
+
+
+@pytest.mark.parametrize("n_cutoff", [0, -1])
+def test_basis_without_a_level_or_an_atom_rejected(n_cutoff):
+    with pytest.raises(ValueError, match="n_cutoff"):
+        build_even_block(ModelParams(1.0, 1.0, 0.5, 3), n_cutoff)
+    with pytest.raises(ValueError, match="n_cutoff"):
+        even_sector(3, n_cutoff)
+    with pytest.raises(ValueError, match="n_atoms"):
+        even_sector(n_cutoff, 4)
 
 
 @pytest.mark.parametrize("n_atoms,n_cutoff", [(1, 6), (3, 9), (4, 10)])
 def test_parity_block_sizes(n_atoms, n_cutoff):
     # the even sector and the odd one of the parity signs partition the basis
     indexer = BasisIndexer(n_cutoff, n_atoms)
-    even = even_sector(indexer).n
+    even = even_sector(n_atoms, n_cutoff).n
     odd = np.flatnonzero(parity_signs_from_scratch(indexer) < 0)
     assert even.size + odd.size == indexer.dimension
     assert even.size > 0
@@ -231,7 +261,7 @@ def test_block_restriction_reproduces_action():
         even = even_indices(indexer)
         h = build_hamiltonian(params, indexer)
         oracle = h[np.ix_(even, even)].real
-        diagonal, upper = build_even_block(params, indexer)
+        diagonal, upper = build_even_block(params, n_cutoff)
         assert diagonal.size == even.size
         assert list(upper) == offsets
         assert np.max(np.abs(diagonal - np.diagonal(oracle))) < 1e-14
@@ -263,7 +293,7 @@ BLOCK_PARAMS = ((1.0, 1.0, 0.0), (1.0, 1.0, 0.5), (0.7, 1.3, 2.5), (1.9, 0.4, 0.
 
 def assert_matches_scratch(params, indexer):
     """The cached block and even sector equal a build from scratch, bit for bit."""
-    diagonal, upper = build_even_block(params, indexer)
+    diagonal, upper = build_even_block(params, indexer.n_cutoff)
     expected_diagonal, expected_upper = even_block_from_scratch(params, indexer)
     assert np.array_equal(diagonal, expected_diagonal)
     assert diagonal.dtype == np.float64
@@ -271,7 +301,7 @@ def assert_matches_scratch(params, indexer):
     for d, coupling in upper.items():
         assert np.array_equal(coupling, expected_upper[d])
     # (n, k) fixes the full index n (N+1) + k, so this is the +1 parity set, in order
-    sector = even_sector(indexer)
+    sector = even_sector(indexer.n_atoms, indexer.n_cutoff)
     n, k = np.divmod(even_indices(indexer), indexer.spin_dim)
     assert np.array_equal(sector.n, n)
     assert np.array_equal(sector.k, k)
@@ -291,13 +321,12 @@ def test_cached_block_matches_closed_form_bitwise(n_atoms):
 
 
 def test_cached_parity_arrays_are_read_only():
-    indexer = BasisIndexer(9, 3)
-    sector = even_sector(indexer)
+    sector = even_sector(3, 9)
     before = [array.copy() for array in sector]
     for array in sector:
         with pytest.raises(ValueError):
             array[0] = 7
-    again = even_sector(indexer)
+    again = even_sector(3, 9)
     for old, new in zip(before, again):
         assert np.array_equal(old, new)
 
@@ -305,13 +334,13 @@ def test_cached_parity_arrays_are_read_only():
 def test_even_block_arrays_are_fresh_and_writable():
     params = ModelParams(1.0, 1.0, 0.8, 3)
     indexer = BasisIndexer(9, 3)
-    diagonal, upper = build_even_block(params, indexer)
+    diagonal, upper = build_even_block(params, indexer.n_cutoff)
     expected_diagonal, expected_upper = even_block_from_scratch(params, indexer)
     diagonal[:] = -1.0
     for coupling in upper.values():
         coupling[:] = -1.0
     upper.clear()
-    diagonal, upper = build_even_block(params, indexer)
+    diagonal, upper = build_even_block(params, indexer.n_cutoff)
     assert np.array_equal(diagonal, expected_diagonal)
     assert list(upper) == list(expected_upper)
     for d, coupling in upper.items():
@@ -354,7 +383,7 @@ def test_doubling_pairs_read_two_cached_skeletons(skeleton_cache):
     # above them; walking c upwards builds each power of two once
     for n_cutoff in range(1, 65):
         for cutoff in (n_cutoff, 2 * n_cutoff):
-            even_sector(BasisIndexer(cutoff, 3))
+            even_sector(3, cutoff)
             assert skeleton_cache.cache_info().currsize <= 2
     assert skeleton_cache.cache_info().misses == 8  # 1, 2, 4, ..., 128
 
@@ -362,8 +391,8 @@ def test_doubling_pairs_read_two_cached_skeletons(skeleton_cache):
 def test_views_handed_out_survive_eviction(skeleton_cache):
     params = ModelParams(0.7, 1.3, 2.5, 5)
     small = BasisIndexer(9, 5)
-    diagonal, upper = build_even_block(params, small)
-    handed_out = [*even_sector(small), diagonal, *upper.values()]
+    diagonal, upper = build_even_block(params, small.n_cutoff)
+    handed_out = [*even_sector(small.n_atoms, small.n_cutoff), diagonal, *upper.values()]
     copies = [array.copy() for array in handed_out]
     # two larger capacities, 64 and 128, evict the skeleton of the first views
     assert_matches_scratch(params, BasisIndexer(50, 5))

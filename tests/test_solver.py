@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from qfi_reference import (
+    BasisIndexer,
     build_boson_ops,
     build_hamiltonian,
     build_spin_ops,
@@ -26,10 +27,11 @@ import dicke_qfi.model
 import dicke_qfi.solver
 from dicke_qfi.cli import SweepConfig, compute_sweep_records
 from dicke_qfi.errors import ConvergenceError, SolverError
-from dicke_qfi.model import BasisIndexer, ModelParams
+from dicke_qfi.model import ModelParams
 from dicke_qfi.solver import (
     BANDED_MAX_ATOMS,
     BRACKET_RTOL,
+    GroundState,
     converge_stack,
     ground_states,
     initial_cutoff,
@@ -37,6 +39,7 @@ from dicke_qfi.solver import (
     solve,
     solve_stack,
     stacks,
+    tail_population,
 )
 
 
@@ -53,10 +56,11 @@ def test_decoupled_ground_state():
     params = ModelParams(1.0, 1.0, 0.0, 4)
     gs = solve(params, fock_cutoff=10)
     assert_allclose(gs.energy, -params.omega0 * params.n_atoms / 2, atol=1e-14)
-    expected = np.zeros(gs.indexer.dimension)
+    indexer = BasisIndexer(gs.n_cutoff, gs.params.n_atoms)
+    expected = np.zeros(indexer.dimension)
     expected[0] = 1.0  # |n=0>|j,-j>
     assert_allclose(product_vector(gs), expected, atol=1e-14)
-    parity = np.diag(parity_signs_from_scratch(gs.indexer))
+    parity = np.diag(parity_signs_from_scratch(indexer))
     assert abs(expectation(gs, parity).real - 1.0) < 1e-12
     assert gs.convergence.tail_population == 0.0
 
@@ -70,9 +74,10 @@ def test_ground_state_norm_and_phase(lam, lanczos, monkeypatch):
         force_lanczos(monkeypatch, 3)
     gs = solve(ModelParams(1.0, 1.0, lam, 3), fock_cutoff=24)
     assert (gs.convergence.lower_bound is None) == lanczos
-    assert gs.vector.size == (gs.indexer.dimension + 1) // 2
+    indexer = BasisIndexer(gs.n_cutoff, gs.params.n_atoms)
+    assert gs.vector.size == (indexer.dimension + 1) // 2
     with pytest.raises(ValueError):
-        gs.vector.reshape(gs.indexer.boson_dim, gs.indexer.spin_dim)
+        gs.vector.reshape(indexer.boson_dim, indexer.spin_dim)
     assert gs.vector.dtype == np.float64
     assert abs(np.linalg.norm(gs.vector) - 1.0) < 1e-12
     assert gs.vector[np.argmax(np.abs(gs.vector))] > 0
@@ -81,7 +86,7 @@ def test_ground_state_norm_and_phase(lam, lanczos, monkeypatch):
 def test_vanishing_coherence_from_parity():
     params = ModelParams(1.0, 1.0, 0.3, 2)
     gs = solve(params, fock_cutoff=30)
-    indexer = gs.indexer
+    indexer = BasisIndexer(gs.n_cutoff, gs.params.n_atoms)
     b, _ = build_boson_ops(indexer.n_cutoff)
     spin = build_spin_ops(params.n_atoms)
     b_full = _product_op(b, np.eye(indexer.spin_dim), indexer)
@@ -108,7 +113,7 @@ def test_variational_monotonicity():
 def test_parity_purity(lam, n_atoms):
     params = ModelParams(1.0, 1.0, lam, n_atoms)
     gs = solve(params, 1e-10)
-    parity = np.diag(parity_signs_from_scratch(gs.indexer))
+    parity = np.diag(parity_signs_from_scratch(BasisIndexer(gs.n_cutoff, gs.params.n_atoms)))
     assert abs(expectation(gs, parity).real - 1.0) < 1e-8
 
 
@@ -118,6 +123,42 @@ def test_initial_cutoff_heuristic():
     # nb = lam^2 N / omega^2 = 20: ceil(20 + 8 sqrt(20)) + 10
     assert initial_cutoff(ModelParams(1.0, 1.0, 1.0, 20)) == 66
     assert initial_cutoff(ModelParams(1.0, 1.0, 3.0, 2)) == 62
+
+
+@pytest.mark.parametrize("omega,lam", [(1e-200, 0.5), (1.0, 1e155), (1e-200, 0.0),
+                                       (1e-200, 1e-300)])
+def test_first_cutoff_past_the_float_range(omega, lam):
+    # omega^2 underflows or lam^2 overflows, where the first cutoff once raised
+    # ZeroDivisionError or OverflowError out of solve, converge_stack and stacks
+    params = ModelParams(omega, 1.0, lam, 1)
+    assert stacks([params]) == [[params]]
+    [outcome] = converge_stack([params])
+    try:
+        alone = solve(params)
+    except SolverError as exc:
+        alone = exc
+    assert type(alone) is type(outcome)
+    if lam >= 0.5:  # nb = lam^2 N / omega^2 is past any float, so past the cap
+        assert isinstance(outcome, ConvergenceError)
+        assert outcome.steps == () and outcome.n_cutoff > dicke_qfi.solver.HARD_CAP
+    elif lam == 0:  # the exact state at the first cutoff
+        assert outcome.n_cutoff == 20 and [s.n_cutoff for s in outcome.convergence.steps] == [20]
+        assert outcome.energy == -0.5 and outcome.vector[0] == 1.0
+    else:
+        assert isinstance(outcome, (GroundState, SolverError))
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 5, 6])
+def test_tail_population_sums_the_top_levels_of_the_grid(n_atoms):
+    rng = np.random.default_rng(n_atoms)
+    for n_cutoff in range(1, 18):
+        indexer = BasisIndexer(n_cutoff, n_atoms)
+        vector = rng.standard_normal(dicke_qfi.model.even_size(n_atoms, n_cutoff))
+        grid = np.zeros(indexer.dimension)
+        grid[even_indices(indexer)] = vector
+        grid = grid.reshape(indexer.boson_dim, indexer.spin_dim)
+        expected = np.sum(grid[math.ceil(0.9 * (n_cutoff + 1)):] ** 2)
+        assert tail_population(vector, n_atoms, n_cutoff) == pytest.approx(expected, rel=1e-14)
 
 
 @pytest.mark.parametrize("omega,omega0,lam,n_atoms", [
@@ -243,10 +284,11 @@ def test_expectation_forms_and_validation():
     params = ModelParams(1.0, 1.0, 0.0, 4)
     gs = solve(params, fock_cutoff=8)
     spin = build_spin_ops(params.n_atoms)
-    jz_full = np.kron(np.eye(gs.indexer.boson_dim), spin.jz)
+    indexer = BasisIndexer(gs.n_cutoff, gs.params.n_atoms)
+    jz_full = np.kron(np.eye(indexer.boson_dim), spin.jz)
     assert_allclose(expectation(gs, jz_full).real, -params.n_atoms / 2, atol=1e-13)
     rho = partial_trace_atoms(gs)
-    number = np.diag(np.arange(gs.indexer.boson_dim, dtype=float))
+    number = np.diag(np.arange(indexer.boson_dim, dtype=float))
     assert abs(expectation(rho, number)) < 1e-14
     with pytest.raises(ValueError):
         expectation(gs, np.eye(3))
@@ -345,7 +387,7 @@ def test_warm_start_matches_cold_dense_solve(n_atoms, lam, monkeypatch):
     assert (gs.convergence.lower_bound is None) == lanczos
     # eigsh takes the block alone; inverse iteration solves the stack's band,
     # where a stack of one holds the block between kd zero rows on each side
-    kd = 0 if lanczos else max(dicke_qfi.model.build_even_block(params, gs.indexer)[1])
+    kd = 0 if lanczos else max(dicke_qfi.model.build_even_block(params, gs.n_cutoff)[1])
     warm_start = next(v for v in starts if v.size == gs.vector.size + 2 * kd)
     assert not warm_start[:kd].any() and not warm_start[warm_start.size - kd:].any()
     warm_start = warm_start[kd:warm_start.size - kd]
@@ -354,14 +396,14 @@ def test_warm_start_matches_cold_dense_solve(n_atoms, lam, monkeypatch):
     first = solve(params, fock_cutoff=n_cutoff // 2)
     padded = np.zeros((n_cutoff + 1, n_atoms + 1))
     padded[: n_cutoff // 2 + 1] = product_vector(first).reshape(n_cutoff // 2 + 1, n_atoms + 1)
-    padded = padded.ravel()[even_indices(gs.indexer)]
+    padded = padded.ravel()[even_indices(BasisIndexer(gs.n_cutoff, gs.params.n_atoms))]
     # eigsh takes the start as given; inverse iteration normalizes it first, by
     # the sum over the block and the kd zero rows after it
     if not lanczos:
         padded /= math.sqrt(np.add.reduceat(np.concatenate((padded, np.zeros(kd))) ** 2, [0])[0])
     assert np.array_equal(warm_start, padded)
 
-    block = dense_hamiltonian_block(params, gs.indexer)
+    block = dense_hamiltonian_block(params, BasisIndexer(gs.n_cutoff, gs.params.n_atoms))
     energies, vecs = scipy.linalg.eigh(block, subset_by_index=[0, 0], overwrite_a=True)
     del block
     assert abs(gs.energy - energies[0]) <= 1e-12 * max(1.0, abs(energies[0]))
@@ -440,9 +482,9 @@ def test_banded_factorization_counts(n_atoms, lam_max, steps, max_dpbtrf, parent
     blocks = {}
     build, factor = dicke_qfi.solver.build_even_block, dicke_qfi.solver._shifted_cholesky
 
-    def build_recorded(params, indexer):
-        block = build(params, indexer)
-        blocks[id(block[0])] = [block, indexer.n_cutoff == initial_cutoff(params), 0]
+    def build_recorded(params, n_cutoff):
+        block = build(params, n_cutoff)
+        blocks[id(block[0])] = [block, n_cutoff == initial_cutoff(params), 0]
         return block
 
     def factor_counted(block, *args):
@@ -505,7 +547,7 @@ def test_residual_certificate(n_atoms, lam, n_cutoff, lanczos, monkeypatch):
     else:
         gs = solve(params, fock_cutoff=n_cutoff)
     psi = gs.vector
-    block = dense_hamiltonian_block(params, gs.indexer)
+    block = dense_hamiltonian_block(params, BasisIndexer(gs.n_cutoff, gs.params.n_atoms))
     recomputed = np.linalg.norm(block @ psi - gs.energy * psi)
     bound = 1e-12 * max(1.0, abs(gs.energy))
     assert 0.0 <= gs.convergence.residual <= bound
@@ -596,8 +638,8 @@ def test_out_of_memory_is_a_solver_error_at_its_cutoff(monkeypatch):
     monkeypatch.undo()
     # while the doubled cutoff's block is built, keeping the step before it
     build = dicke_qfi.solver.build_even_block
-    monkeypatch.setattr(dicke_qfi.solver, "build_even_block", lambda params, indexer: (
-        out_of_memory() if indexer.n_cutoff > 20 else build(params, indexer)))
+    monkeypatch.setattr(dicke_qfi.solver, "build_even_block", lambda params, n_cutoff: (
+        out_of_memory() if n_cutoff > 20 else build(params, n_cutoff)))
     [error] = converge_stack([ModelParams(1.0, 1.0, 1.0, 2)], 1e-10, n_start=20)
     assert isinstance(error, SolverError)
     assert error.n_cutoff == 40
@@ -661,10 +703,10 @@ def fail_cholesky(monkeypatch, params, n_cutoff):
 def fail_build(monkeypatch, params, n_cutoff):
     build = dicke_qfi.solver.build_even_block
 
-    def out_of_memory(point, indexer):
+    def out_of_memory(point, n_cutoff):
         if point == params:
             raise MemoryError("no room for the middle block")
-        return build(point, indexer)
+        return build(point, n_cutoff)
 
     monkeypatch.setattr(dicke_qfi.solver, "build_even_block", out_of_memory)
 

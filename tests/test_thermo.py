@@ -15,9 +15,9 @@ from dicke_qfi.thermo import (
     qfi_field_thermo,
     quad_variance_thermo,
     thermo_point,
-    ultrastrong_reference,
     xi2_thermo,
 )
+from qfi_reference import ultrastrong_reference
 from thermal_oscillator import thermal_oscillator
 
 SQRT2 = math.sqrt(2.0)
