@@ -9,11 +9,12 @@ may move a last digit).  Exit codes: 0 success, 2 invalid argument,
 ``map_points`` solves the points of ``sweep``, ``husimi`` and ``convergence``
 in stacks, runs of consecutive points of one N that the solver solves
 together, hands each stack's solved states to the mode's point function,
-and yields each point's result in output order.  A sweep forms its rows with
-one batched Schmidt SVD and one batched observable pass for each run of a
-stack's points whose amplitude grids pad to one shape; ``husimi`` and
-``convergence`` form one result at a time, and ``husimi`` writes each
-point's grids as they come, so a run holds one point's grids at a time.
+and yields each point's result in output order.  ``sweep`` and ``husimi``
+decompose each run of a stack's points whose amplitude grids pad to one
+shape with one batched Schmidt SVD; a sweep forms the run's rows in one
+batched observable pass, and ``husimi`` forms and writes one point's grids
+at a time, so it holds one point's grids and the Schmidt decompositions of
+one run.
 The JSON writers give the bytes of json.dump(indent=2, sort_keys=True)
 without building the document: table rows are formatted from repr, one
 write per row, and ``meta`` is written after the Husimi grids, once the
@@ -32,7 +33,6 @@ import math
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, fields
-from functools import partial
 from itertools import chain, groupby, repeat
 from typing import NamedTuple
 
@@ -43,16 +43,16 @@ from .errors import SolverError
 from .metrology import (
     ATOM_GRID_POINTS,
     FIELD_GRID_POINTS,
+    _mean_number,
     default_atom_grid,
     default_field_grid,
     husimi_atoms,
     husimi_field,
-    mean_number,
     sweep_observables,
 )
 from .model import ModelParams
 from .solver import DEFAULT_TOL, GroundState, converge_stack, solve_stack
-from .states import padded_shape, schmidt_decompose, schmidt_stack
+from .states import SpectralDecomposition, padded_shape, schmidt_stack
 from .thermo import (
     critical_scaling_probe,
     in_guard_band,
@@ -228,12 +228,13 @@ def map_points(config: SweepConfig, solve, point, failure, failed: list) -> Iter
     [lambda, N] is appended to ``failed`` before it is yielded.  Serially
     each stack is solved when its first result is asked for, and a result
     is not held once the next one is asked for, so a ``point`` that forms
-    its results one at a time and a consumer that writes and drops each
-    one hold one point's at a time.  A pool takes all stacks at once, each
-    at most ceil(points / workers) points, so that every process gets work,
-    and yields the results in order; results that finish before they are
-    asked for wait in this process.  A result depends on its point alone,
-    so not on the stacks or the worker count.
+    its results one at a time, as ``compute_husimi_grids`` does, and a
+    consumer that writes and drops each one hold one point's at a time.  A
+    pool takes all stacks at once, each at most ceil(points / workers)
+    points, so that every process gets work, and yields the results in
+    order; results that finish before they are asked for wait in this
+    process.  A result depends on its point alone, so not on the stacks or
+    the worker count.
     """
     points = config.points()
     workers = min(config.workers, len(points))
@@ -309,15 +310,6 @@ def _attempt_all(solve, point, failure, stack: list[ModelParams], config: SweepC
     return list(_attempt(solve, point, failure, stack, config))
 
 
-def _each(compute: Callable, states: list[GroundState], config: SweepConfig) -> Iterator:
-    """``compute(gs, config)`` of each state, formed one at a time as it is taken.
-
-    Bound to ``compute`` by ``partial``, it is the point function of a mode
-    whose results are formed one by one, and a pool can send it.
-    """
-    return (compute(gs, config) for gs in states)
-
-
 def _solve(stack: list[ModelParams], config: SweepConfig) -> list:
     """The stack's ground states, converged per point or at the fixed cutoff."""
     return solve_stack(stack, config.tol, config.fock_cutoff)
@@ -328,16 +320,21 @@ def _converge(stack: list[ModelParams], config: SweepConfig) -> list:
     return converge_stack(stack, config.tol, n_start=config.fock_cutoff)
 
 
+def _schmidt_runs(states: list[GroundState]) -> Iterator[tuple]:
+    """Each run of consecutive states whose amplitude grids pad to one shape, with its
+    stacked (field, atoms) reduced states from one batched SVD, formed as it is taken."""
+    for _, run in groupby(states, key=padded_shape):
+        run = list(run)
+        yield run, *schmidt_stack(run)
+
+
 def compute_sweep_records(states: list[GroundState], config: SweepConfig) -> Iterator[SweepRecord]:
     """The sweep row of each solved (N, lambda) point, in order.
 
-    Each run of consecutive states whose amplitude grids pad to one shape
-    is decomposed by one batched SVD, and its observables are formed in one
-    batched pass; a run's rows are formed when its first row is asked for.
+    Each ``_schmidt_runs`` run's observables are formed in one batched pass,
+    when its first row is asked for.
     """
-    for _, run in groupby(states, key=padded_shape):
-        run = list(run)
-        field, atoms = schmidt_stack(run)
+    for run, field, atoms in _schmidt_runs(states):
         obs = sweep_observables(field, atoms)
         observed = zip(*(column.tolist() for column in (
             obs.nbar, obs.f_b.value, obs.f_b.scaled, obs.f_a.value, obs.f_a.scaled, obs.xi2,
@@ -361,36 +358,39 @@ def run_sweep(config: SweepConfig) -> tuple[list[SweepRecord], list[list]]:
     return list(records), failed
 
 
-def compute_husimi_grid(gs: GroundState, config: SweepConfig) -> dict:
-    """Husimi grids of both subsystems at one solved point, as float64 arrays.
+def compute_husimi_grids(states: list[GroundState], config: SweepConfig) -> Iterator[dict]:
+    """Husimi grids of both subsystems at each solved point, in order, as float64 arrays.
+
+    Each ``_schmidt_runs`` run gives its field grids' mean numbers in one
+    batched pass; each point's grids are formed when they are asked for, so
+    one point's grids are held at a time.
+    """
+    points = config.grid_points
+    atom_axes = default_atom_grid(ATOM_GRID_POINTS if points is None else points)
+    field_points = FIELD_GRID_POINTS if points is None else points
+    for run, field, atoms in _schmidt_runs(states):
+        for i, (gs, nbar) in enumerate(zip(run, _mean_number(field).tolist())):
+            field_axes = default_field_grid(nbar, field_points)
+            yield _husimi_grid(gs.params, field[i], atoms[i], atom_axes, field_axes)
+
+
+def _husimi_grid(params: ModelParams, field: SpectralDecomposition, atoms: SpectralDecomposition,
+                 atom_axes: tuple, field_axes: tuple) -> dict:
+    """Husimi grids of one point's reduced states on the given (theta, phi) and
+    (re_alpha, im_alpha, alpha) axes.
 
     Arrays take a quarter of the memory of lists.  The atoms'
     ``q_normalized`` is not stored: ``write_husimi`` forms q / q_max as it
     writes.
     """
-    params, points = gs.params, config.grid_points
-    field, atoms = schmidt_decompose(gs)
-    theta, phi = default_atom_grid(ATOM_GRID_POINTS if points is None else points)
+    theta, phi = atom_axes
+    re_axis, im_axis, alpha = field_axes
     q_a = husimi_atoms(atoms, theta, phi)
-    re_axis, im_axis, alpha = default_field_grid(
-        mean_number(field), FIELD_GRID_POINTS if points is None else points)
     q_b = husimi_field(field, alpha)
-    return {
-        "lambda": params.lam,
-        "n_atoms": params.n_atoms,
-        "atoms": {
-            "theta": theta,
-            "phi": phi,
-            "q": q_a,
-            "q_max": float(q_a.max()),
-        },
-        "field": {
-            "re_alpha": re_axis,
-            "im_alpha": im_axis,
-            "q": q_b,
-            "q_max": float(q_b.max()),
-        },
-    }
+    return {"lambda": params.lam, "n_atoms": params.n_atoms,
+            "atoms": {"theta": theta, "phi": phi, "q": q_a, "q_max": float(q_a.max())},
+            "field": {"re_alpha": re_axis, "im_alpha": im_axis, "q": q_b,
+                      "q_max": float(q_b.max())}}
 
 
 def _skipped(params: ModelParams, exc: SolverError) -> None:
@@ -405,13 +405,13 @@ def run_husimi(config: SweepConfig) -> tuple[Iterator[dict], list[list]]:
     """
     failed: list[list] = []
     # filter, unlike a generator expression, keeps no reference to the last grid
-    grids = map_points(config, _solve, partial(_each, compute_husimi_grid), _skipped, failed)
+    grids = map_points(config, _solve, compute_husimi_grids, _skipped, failed)
     return filter(None, grids), failed
 
 
-def compute_trajectory(gs: GroundState, config: SweepConfig) -> list[tuple]:
-    """The cutoff-doubling rows of one converged point."""
-    return _trajectory_rows(gs.params, gs.convergence)
+def compute_trajectories(states: list[GroundState], config: SweepConfig) -> Iterator[list[tuple]]:
+    """The cutoff-doubling rows of each converged point, in order."""
+    return (_trajectory_rows(gs.params, gs.convergence) for gs in states)
 
 
 def _trajectory_rows(params: ModelParams, solved) -> list[tuple]:
@@ -425,8 +425,7 @@ def _trajectory_rows(params: ModelParams, solved) -> list[tuple]:
 def run_convergence(config: SweepConfig) -> tuple[list[tuple], list[list]]:
     """Every point's cutoff-doubling rows in output order, and the failed points."""
     failed: list[list] = []
-    trajectories = map_points(config, _converge, partial(_each, compute_trajectory), _trajectory_rows,
-                              failed)
+    trajectories = map_points(config, _converge, compute_trajectories, _trajectory_rows, failed)
     return [row for rows in trajectories for row in rows], failed
 
 

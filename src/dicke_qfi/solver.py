@@ -50,6 +50,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import math
+import operator
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -168,6 +169,15 @@ def tail_population(vector: np.ndarray, n_atoms: int, n_cutoff: int) -> float:
     return float(tail @ tail)
 
 
+def _as_cutoff(value: int, name: str) -> int:
+    """A cutoff as a Python int, from any integer, numpy's included; a float, whole or
+    not, is a ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {value!r}") from None
+
+
 def stacks(
     points: Sequence[ModelParams], n_start: int | None = None, max_points: int | None = None
 ) -> list[list[ModelParams]]:
@@ -177,6 +187,7 @@ def stacks(
     of them, whose bands at the first cutoff (``n_start``, or each point's
     ``initial_cutoff``) fit STACK_ELEMENTS with each point's fixed charge.
     """
+    n_start = None if n_start is None else _as_cutoff(n_start, "n_start")
     cut: list[list[ModelParams]] = []
     used = 0
     for params in points:
@@ -210,6 +221,7 @@ def ground_states(
     SolverError it failed with, a MemoryError included; a failure leaves
     the other points' results as they are.
     """
+    cutoffs = [_as_cutoff(n_cutoff, "n_cutoff") for n_cutoff in cutoffs]
     if previous is None:
         previous = [None] * len(points)
     if not len(points) == len(cutoffs) == len(previous):
@@ -636,11 +648,12 @@ def converge_stack(
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
+    n_start = None if n_start is None else _as_cutoff(n_start, "n_start")
     converged: list = [None] * len(points)
     # per open point: its index, cutoff, completed steps and last ground state
     open_points = []
     for i, params in enumerate(points):
-        n_cutoff = initial_cutoff(params) if n_start is None else int(n_start)
+        n_cutoff = initial_cutoff(params) if n_start is None else n_start
         if n_cutoff < 1:
             raise ValueError("starting cutoff must be >= 1")
         if n_cutoff > HARD_CAP:
@@ -697,5 +710,5 @@ def solve_stack(
 ) -> list[GroundState | SolverError]:
     """``solve`` for each point of a stack of one N: its GroundState or its SolverError."""
     if fock_cutoff is not None:
-        return ground_states(points, [fock_cutoff] * len(points))
+        return ground_states(points, [_as_cutoff(fock_cutoff, "fock_cutoff")] * len(points))
     return converge_stack(points, tol)

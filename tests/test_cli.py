@@ -33,7 +33,7 @@ from dicke_qfi.cli import (
     PARAMETER_MIN,
     SWEEP_COLUMNS,
     SweepConfig,
-    compute_husimi_grid,
+    compute_husimi_grids,
     compute_sweep_records,
     format_value,
     main,
@@ -321,10 +321,12 @@ def _write_husimi_lists(stream, grids, meta, fmt):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_husimi_array_grids_write_list_bytes(fmt, tmp_path):
-    # the streamed grids, written as they are solved, against one list of all of them
+    # the streamed grids, written as they are solved, against one list of all of
+    # them, each formed from its point alone
     config = SweepConfig(mode="husimi", n_atoms=(1, 2), lambda_min=0.0, lambda_max=1.0,
                          lambda_steps=3, grid_points=11)
-    grids = [compute_husimi_grid(solve(params, config.tol), config) for params in config.points()]
+    grids = [grid for params in config.points()
+             for grid in compute_husimi_grids([solve(params, config.tol)], config)]
     assert all(isinstance(g["atoms"]["q"], np.ndarray) for g in grids)
     reference = io.StringIO()
     _write_husimi_lists(reference, _as_lists(grids), config.meta(), fmt)
@@ -337,21 +339,22 @@ def test_husimi_array_grids_write_list_bytes(fmt, tmp_path):
 
 
 def test_husimi_memory_does_not_hold_lists(tmp_path, monkeypatch):
-    # repeated points at one coupling: each grid is written and dropped before
-    # the next point's grid is formed, so as each later grid starts the traced
-    # memory lies less than half of one point's float64 grids (8 bytes a
-    # cell) above where it lay as the first one started; a grid held while
-    # the next is formed adds all of them.  Global peaks moved by 100 KB from
+    # repeated points at one coupling, one stack whose Schmidt decompositions
+    # are all formed before the first grid starts: each grid is written and
+    # dropped before the next point's grid is formed, so as each later grid
+    # starts the traced memory lies less than half of one point's float64
+    # grids (8 bytes a cell) above where it lay as the first one started; a
+    # grid held while the next is formed adds all of them.  Global peaks moved by 100 KB from
     # run to run, with the cached skeleton built in the measured run or not.
     points = 81
     array_bytes = 8 * 2 * points**2  # q of the atoms and q of the field
-    real = dicke_qfi.cli.compute_husimi_grid
+    real = dicke_qfi.cli._husimi_grid
 
-    def traced(gs, config):
+    def traced(*args):
         starts.append(tracemalloc.get_traced_memory()[0])
-        return real(gs, config)
+        return real(*args)
 
-    monkeypatch.setattr(dicke_qfi.cli, "compute_husimi_grid", traced)
+    monkeypatch.setattr(dicke_qfi.cli, "_husimi_grid", traced)
     for fmt in ("csv", "json"):
         starts = []
         tracemalloc.start()

@@ -19,7 +19,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from qfi_reference import (
     BasisIndexer,
@@ -52,7 +52,12 @@ from dicke_qfi.metrology import (
     spin_variance,
     sweep_observables,
 )
-from dicke_qfi.cli import SweepConfig, compute_sweep_records
+from dicke_qfi.cli import (
+    SweepConfig,
+    compute_husimi_grids,
+    compute_sweep_records,
+    compute_trajectories,
+)
 from dicke_qfi.model import ModelParams
 from dicke_qfi.solver import (
     BRACKET_RTOL,
@@ -326,27 +331,45 @@ def test_qfi_is_stable_under_rounding_of_the_state(n_atoms, lam):
         assert np.all(np.abs(moved - exact) <= 1e-13 * exact)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+def sweep_rows(states, config):
+    return [repr(row) for row in compute_sweep_records(states, config)]
+
+
+def husimi_grids(states, config):
+    """Each point's Husimi grids, every array as its bytes."""
+    return [[(grid["lambda"], grid["n_atoms"])] + [
+        (subsystem, key, value.tobytes() if isinstance(value, np.ndarray) else value)
+        for subsystem in ("atoms", "field") for key, value in grid[subsystem].items()]
+        for grid in compute_husimi_grids(states, config)]
+
+
+def trajectory_rows(states, config):
+    return [repr(rows) for rows in compute_trajectories(states, config)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(
+    point=st.sampled_from((sweep_rows, husimi_grids, trajectory_rows)),
     n_atoms=st.sampled_from((1, 2, 3, 7, 20, 29, 40)),
     lams=st.lists(st.floats(0.0, 2.0), min_size=2, max_size=8),
     fock_cutoff=st.sampled_from((None, None, 4, 13, 16, 33)),
     seed=st.integers(0, 2**16),
 )
-def test_stacked_sweep_row_matches_point_alone(n_atoms, lams, fock_cutoff, seed):
-    # every sweep column of a point alone, in its stack and in a shuffled stack,
-    # bit for bit: each grid is padded to its own capacity and the batched SVD
-    # and observable kernels treat each state of a stack alone.  The fixed
-    # cutoffs below N give grids wider than tall, whose SVDs hold more states
-    # than the cutoff's, all at weight 0
-    config = SweepConfig(mode="sweep", tol=1e-10, fock_cutoff=fock_cutoff)
+def test_stacked_sweep_row_matches_point_alone(point, n_atoms, lams, fock_cutoff, seed):
+    # every sweep column, every Husimi grid and every doubling trajectory of a
+    # point alone, in its stack and in a shuffled stack, bit for bit: each grid
+    # is padded to its own capacity and the batched SVD and observable kernels
+    # treat each state of a stack alone.  The fixed cutoffs below N give grids
+    # wider than tall, whose SVDs hold more states than the cutoff's, all at
+    # weight 0.  A trajectory is a converged point's, so only without a cutoff
+    assume(point is not trajectory_rows or fock_cutoff is None)
+    config = SweepConfig(mode="sweep", tol=1e-10, fock_cutoff=fock_cutoff, grid_points=11)
     points = [ModelParams(1.0, 1.0, lam, n_atoms) for lam in lams]
     states = solve_stack(points, config.tol, fock_cutoff)
-    alone = [repr(row) for gs in states for row in compute_sweep_records([gs], config)]
-    assert [repr(row) for row in compute_sweep_records(states, config)] == alone
+    alone = [result for gs in states for result in point([gs], config)]
+    assert point(states, config) == alone
     order = np.random.default_rng(seed).permutation(len(points))
-    shuffled = compute_sweep_records([states[i] for i in order], config)
-    assert [repr(row) for row in shuffled] == [alone[i] for i in order]
+    assert point([states[i] for i in order], config) == [alone[i] for i in order]
 
 
 def padded_decomposition(state, extra, zero_rows):

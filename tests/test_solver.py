@@ -754,3 +754,38 @@ def test_stacks_follow_atom_number_budget_and_cap():
     assert [len(stack) for stack in stacks(points[3:6], n_start=400)] == [1, 1, 1]
     with pytest.raises(ValueError):
         ground_states(points[2:4], [20, 20])
+
+
+#: every entry point that takes a cutoff, called on one point
+CUTOFF_ENTRY_POINTS = {
+    "solve": lambda params, n: [solve(params, 1e-10, fock_cutoff=n)],
+    "solve_stack": lambda params, n: solve_stack([params], 1e-10, fock_cutoff=n),
+    "ground_states": lambda params, n: ground_states([params], [n]),
+    "converge_stack": lambda params, n: converge_stack([params], 1e-10, n_start=n),
+    "stacks": lambda params, n: stacks([params], n_start=n),
+}
+
+
+@pytest.mark.parametrize("value", [np.int64(20), 10.0, 20.7], ids=["int64", "10.0", "20.7"])
+@pytest.mark.parametrize("entry", list(CUTOFF_ENTRY_POINTS))
+def test_cutoff_takes_any_integer_and_no_float(entry, value, monkeypatch):
+    # a numpy integer is the cutoff it holds, and gives a Python-int n_cutoff; a
+    # float, whole or not, is rejected before anything is solved, where it once
+    # failed in model.capacity or was cut from 20.7 to 20
+    call = CUTOFF_ENTRY_POINTS[entry]
+    params = ModelParams(1.0, 1.0, 0.5, 2)
+    if isinstance(value, float):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a cutoff that is not an integer must not be solved")
+
+        monkeypatch.setattr(dicke_qfi.solver, "build_even_block", no_solve)
+        with pytest.raises(ValueError, match="must be an integer"):
+            call(params, value)
+        return
+    expected, outcome = call(params, 20), call(params, value)
+    if entry == "stacks":
+        assert outcome == expected
+        return
+    [gs], [reference] = outcome, expected
+    assert_same_bits(reference, gs)
+    assert type(gs.n_cutoff) is int
