@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -54,7 +55,12 @@ class ModelParams:
             raise ValueError("omega and omega0 must be positive")
         if self.lam < 0:
             raise ValueError("coupling lam must be non-negative")
-        if int(self.n_atoms) != self.n_atoms or self.n_atoms < 1:
+        try:
+            # any integer, numpy's included, is stored as a Python int; a float is no atom number
+            object.__setattr__(self, "n_atoms", operator.index(self.n_atoms))
+        except TypeError:
+            raise ValueError(f"n_atoms must be an integer, not {self.n_atoms!r}") from None
+        if self.n_atoms < 1:
             raise ValueError("n_atoms must be a positive integer")
 
     @property

@@ -16,8 +16,8 @@ one has succeeded within 2 r + BRACKET_RTOL max(1, |E|) of the returned
 Rayleigh quotient E, where r = ||H psi - E psi||; so E0 is bracketed,
 E - delta < E0 <= E.  Its time is set by the number of factorizations:
 about three for a cold solve and one for a doubled one.  Blocks of larger N
-are solved by implicitly restarted Lanczos (ARPACK ``eigsh``) in O(dim)
-memory, one at a time.
+are solved by implicitly restarted Lanczos (ARPACK ``eigsh``) on the block
+as a scipy.sparse DIA array, in O(dim) memory, one at a time.
 
 Points are solved in stacks: consecutive points of one N, as ``stacks``
 groups them.  The banded blocks of a stack are laid end to end as one
@@ -558,9 +558,11 @@ def _lanczos_lowest(
 ) -> tuple[float, np.ndarray, float]:
     """Lowest eigenpair of the block by ARPACK and its residual, deterministic for fixed input.
 
-    A fixed seed covers the random restarts ARPACK draws after a Lanczos
-    breakdown.  Each row of H x is summed from left to right: lower
-    couplings, diagonal, upper couplings.  Another order changes the
+    ARPACK and the residual apply the block as a scipy.sparse DIA array.  A
+    fixed seed covers the random restarts ARPACK draws after a Lanczos
+    breakdown.  DIA sums each row of H x over its diagonals in the order of
+    their offsets, which ascend here: the lower couplings from the farthest,
+    the diagonal, then the upper couplings.  Another order changes the
     rounding, and through ARPACK the output bits.
     """
     # imported here: scipy.sparse.linalg adds import time and memory to every
@@ -568,30 +570,18 @@ def _lanczos_lowest(
     import scipy.sparse.linalg
 
     diagonal, upper = block
-    # every call writes the same two buffers, and ARPACK copies each product
-    # into its workspace: a fresh dim-sized array per call page-faults anew
-    # whenever the allocator has handed the last one back to the system
-    y = np.empty_like(diagonal)
-    term = np.empty_like(diagonal)
-
-    def matvec(x: np.ndarray) -> np.ndarray:
-        x = x.ravel()
-        y.fill(0.0)
-        for d, coupling in reversed(upper.items()):
-            y[d:] += np.multiply(coupling, x[:-d], out=term[d:])
-        y[:] += np.multiply(diagonal, x, out=term)
-        for d, coupling in upper.items():
-            y[:-d] += np.multiply(coupling, x[d:], out=term[:-d])
-        return y
-
-    operator = scipy.sparse.linalg.LinearOperator((diagonal.size,) * 2, matvec=matvec, dtype=float)
+    offsets = [-d for d in reversed(upper)] + [0, *upper]
+    diagonals = [*reversed(upper.values()), diagonal, *upper.values()]
+    matrix = scipy.sparse.diags_array(diagonals, offsets=offsets, format="dia")
+    # the array holds its own copy of the diagonals: the block is not kept beside it
+    del block, diagonal, upper, diagonals
     try:
-        energies, vecs = scipy.sparse.linalg.eigsh(operator, k=1, which="SA", v0=start, rng=0)
+        energies, vecs = scipy.sparse.linalg.eigsh(matrix, k=1, which="SA", v0=start, rng=0)
     except scipy.sparse.linalg.ArpackError as exc:  # ArpackNoConvergence included
         msg = f"Lanczos eigensolver failed at n_cutoff={n_cutoff}: {exc}"
         raise SolverError(msg, n_cutoff) from exc
     vector = vecs[:, 0]
-    return energies[0], vector, float(np.linalg.norm(matvec(vector) - energies[0] * vector))
+    return energies[0], vector, float(np.linalg.norm(matrix @ vector - energies[0] * vector))
 
 
 def initial_cutoff(params: ModelParams) -> int:

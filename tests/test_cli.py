@@ -650,6 +650,30 @@ def test_solver_failure_mid_doubling(tmp_path, fail_solves_above):
     assert "failed_points=[[1.0, 2]]" in footer[0]
 
 
+def test_out_of_memory_around_the_solver_fails_its_stack(tmp_path, monkeypatch):
+    # a MemoryError that the solver does not map, raised for N = 3's stack, fails
+    # that stack's points alone; N = 2's rows keep the bytes of an unpatched run
+    args = ["sweep", "--n-atoms", "2", "--n-atoms", "3", "--lambda-min", "0.4",
+            "--lambda-max", "0.5", "--lambda-steps", "2"]
+    expected, out = tmp_path / "expected.csv", tmp_path / "out.csv"
+    assert main([*args, "--out", str(expected)]) == 0
+    solve_stack = dicke_qfi.cli._solve
+
+    def out_of_memory(stack, config):
+        if stack[0].n_atoms == 3:
+            raise MemoryError("no room for the stack")
+        return solve_stack(stack, config)
+
+    monkeypatch.setattr(dicke_qfi.cli, "_solve", out_of_memory)
+    assert main([*args, "--out", str(out)]) == 4
+    _, rows, footer = read_csv_rows(out)
+    _, expected_rows, _ = read_csv_rows(expected)
+    assert rows[:2] == expected_rows[:2]
+    assert [row[:2] for row in rows[2:]] == [["0.4", "3"], ["0.5", "3"]]
+    assert all(math.isnan(float(v)) for row in rows[2:] for v in row[3:])
+    assert "failed_points=[[0.4, 3], [0.5, 3]]" in footer[0]
+
+
 def test_husimi_skips_failed_point(tmp_path, fail_solves_above):
     # lambda = 0 is accepted at cutoff 20; lambda = 1 (N = 2) fails at its first doubling
     fail_solves_above(initial_cutoff(ModelParams(1.0, 1.0, 1.0, 2)))

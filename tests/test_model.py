@@ -36,6 +36,16 @@ def test_params_validation():
         ModelParams(1.0, 1.0, -0.1, 2)
     with pytest.raises(ValueError):
         ModelParams(1.0, 1.0, 0.0, 0)
+    # a float atom number, whole or not, is rejected, where 2.0 once passed and
+    # failed in the solver; a numpy integer is stored as the Python int it holds
+    for bad in (2.0, 2.5, None):
+        with pytest.raises(ValueError, match="n_atoms must be an integer"):
+            ModelParams(1.0, 1.0, 0.5, bad)
+    numpy_int = ModelParams(1.0, 1.0, 0.5, np.int64(2))
+    assert type(numpy_int.n_atoms) is int
+    gs, reference = (dicke_qfi.solver.solve(p) for p in (numpy_int, ModelParams(1.0, 1.0, 0.5, 2)))
+    assert (gs.n_cutoff, gs.energy) == (reference.n_cutoff, reference.energy)
+    assert gs.vector.tobytes() == reference.vector.tobytes()
     for bad in (math.nan, math.inf, -math.inf):
         for args in ((bad, 1.0, 0.1), (1.0, bad, 0.1), (1.0, 1.0, bad)):
             with pytest.raises(ValueError, match="finite"):

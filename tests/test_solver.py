@@ -21,6 +21,7 @@ from qfi_reference import (
     parity_signs_from_scratch,
     partial_trace_atoms,
     product_vector,
+    row_ordered_product,
 )
 
 import dicke_qfi.model
@@ -525,6 +526,35 @@ def test_solver_path_follows_atom_count(n_atoms, lam, monkeypatch):
     assert (gs.convergence.lower_bound is None) == lanczos
 
 
+@pytest.mark.parametrize("n_cutoff", [7, 40])
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 101, 150])
+def test_lanczos_operator_sums_rows_in_order(n_atoms, n_cutoff, monkeypatch):
+    # eigsh gets the block as a DIA array with ascending offsets, whose product
+    # sums each row from left to right, as the row-ordered oracle does: a
+    # change of scipy's DIA kernel that moves a bit would move the output
+    operators = []
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def captured(matrix, *args, **kwargs):
+        operators.append(matrix)
+        return eigsh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", captured)
+    if n_atoms <= BANDED_MAX_ATOMS:
+        force_lanczos(monkeypatch, n_atoms)
+    params = ModelParams(1.0, 1.0, 0.9, n_atoms)
+    solve(params, fock_cutoff=n_cutoff)
+    [matrix] = operators
+    block = dicke_qfi.model.build_even_block(params, n_cutoff)
+    offsets = sorted(block[1])
+    assert matrix.format == "dia"
+    assert matrix.offsets.tolist() == [-d for d in reversed(offsets)] + [0, *offsets]
+    rng = np.random.default_rng(n_atoms * n_cutoff)
+    for _ in range(3):
+        x = rng.standard_normal(block[0].size)
+        assert (matrix @ x).tobytes() == row_ordered_product(block, x).tobytes()
+
+
 @pytest.mark.parametrize("n_atoms,lam,n_cutoff,lanczos", [
     pytest.param(3, 0.5, 20, False, id="3-0.5-20"),
     pytest.param(20, 1.0, 170, False, id="20-1.0-170"),
@@ -711,14 +741,80 @@ def fail_build(monkeypatch, params, n_cutoff):
     monkeypatch.setattr(dicke_qfi.solver, "build_even_block", out_of_memory)
 
 
+def fail_reshift(monkeypatch, params, n_cutoff):
+    # the middle block's first factorization succeeds and its first re-shift fails
+    factor_below = dicke_qfi.solver._factor_below
+    calls = []
+
+    def second_fails(block, factor, shift, step, block_cutoff):
+        if block_cutoff == n_cutoff:
+            calls.append(shift)
+            if len(calls) == 2:
+                raise SolverError(f"re-shift failed at n_cutoff={block_cutoff}", block_cutoff)
+        return factor_below(block, factor, shift, step, block_cutoff)
+
+    monkeypatch.setattr(dicke_qfi.solver, "_factor_below", second_fails)
+
+
 @pytest.mark.parametrize("failure,message", [(fail_cholesky, "Cholesky"),
-                                             (fail_build, "out of memory")])
+                                             (fail_build, "out of memory"),
+                                             (fail_reshift, "re-shift failed")])
 def test_failed_block_fails_alone(failure, message, monkeypatch):
     outcomes, alone = middle_failure(monkeypatch, failure)
     assert isinstance(outcomes[1], SolverError) and message in str(outcomes[1])
     assert outcomes[1].n_cutoff == 37
     assert_same_bits(alone[0], outcomes[0])
     assert_same_bits(alone[2], outcomes[2])
+
+
+def test_unconverged_blocks_fail_alone(monkeypatch):
+    # with 8 inverse-iteration steps the strongest couplings settle and the
+    # others run out of steps; the settled ones keep the bits of a full run
+    points = [ModelParams(1.0, 1.0, lam, 2) for lam in (0.2, 0.6, 1.0, 2.0, 3.0)]
+    full = ground_states(points, [40] * len(points))
+    monkeypatch.setattr(dicke_qfi.solver, "MAX_INVERSE_ITERATIONS", 8)
+    outcomes = ground_states(points, [40] * len(points))
+    assert [isinstance(outcome, SolverError) for outcome in outcomes] == [True] * 3 + [False] * 2
+    for outcome in outcomes[:3]:
+        assert "did not converge in 8 steps" in str(outcome) and outcome.n_cutoff == 40
+    for gs, outcome in zip(full[3:], outcomes[3:]):
+        assert_same_bits(gs, outcome)
+
+
+@pytest.mark.parametrize("failing_call", ["first", "last"])
+def test_out_of_memory_in_the_stacked_loop(failing_call, monkeypatch):
+    # a MemoryError in the stack's product fails every block still iterating;
+    # blocks settled before it keep their bits, and so does lambda = 0, which
+    # is exact and never iterated
+    points = [ModelParams(1.0, 1.0, lam, 2) for lam in (0.0, 0.2, 1.0, 3.0)]
+    block_matvec = dicke_qfi.solver._block_matvec
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return block_matvec(*args)
+
+    monkeypatch.setattr(dicke_qfi.solver, "_block_matvec", counted)
+    full = ground_states(points, [40] * len(points))
+    failing = 1 if failing_call == "first" else len(calls)
+    calls.clear()
+
+    def out_of_memory(*args):
+        calls.append(1)
+        if len(calls) == failing:
+            raise MemoryError("no room for the product")
+        return block_matvec(*args)
+
+    monkeypatch.setattr(dicke_qfi.solver, "_block_matvec", out_of_memory)
+    outcomes = ground_states(points, [40] * len(points))
+    assert_same_bits(full[0], outcomes[0])
+    failed = [isinstance(outcome, SolverError) for outcome in outcomes[1:]]
+    assert all(failed) if failing_call == "first" else any(failed) and not all(failed)
+    for gs, outcome in zip(full[1:], outcomes[1:]):
+        if isinstance(outcome, SolverError):
+            assert "out of memory at n_cutoff=40" in str(outcome) and outcome.n_cutoff == 40
+        else:
+            assert_same_bits(gs, outcome)
 
 
 def test_hard_cap_start_fails_alone(monkeypatch):
