@@ -55,7 +55,6 @@ from .solver import DEFAULT_TOL, GroundState, converge_stack, solve_stack
 from .states import SpectralDecomposition, padded_shape, schmidt_stack
 from .thermo import (
     critical_scaling_probe,
-    in_guard_band,
     qfi_atoms_thermo,
     qfi_field_scaled_limit,
     quad_variance_thermo,
@@ -265,11 +264,9 @@ def _in_order(outcomes, points: list[ModelParams], failed: list) -> Iterator:
 
 def _attempt(solve, point, failure, stack: list[ModelParams], config: SweepConfig) -> Iterator:
     """Each point's result, or its failure's, and whether it was solved, formed as it is taken."""
-    try:
-        states = solve(stack, config)
-    except MemoryError as exc:  # the solver maps its own; this covers the stack's bookkeeping
-        states = [SolverError(f"out of memory: {exc}")] * len(stack)
-    results = _results(point, [gs for gs in states if not isinstance(gs, SolverError)], config)
+    states = list(_one_at_a_time(solve, stack, config, _unsolved))
+    results = _one_at_a_time(point, [gs for gs in states if not isinstance(gs, SolverError)],
+                             config, _unobserved)
     for params, gs in zip(stack, states):
         result = gs if isinstance(gs, SolverError) else next(results)
         solved = not isinstance(result, SolverError)
@@ -277,32 +274,43 @@ def _attempt(solve, point, failure, stack: list[ModelParams], config: SweepConfi
         del result  # not held while the next point's result is formed
 
 
-def _results(point, states: list[GroundState], config: SweepConfig) -> Iterator:
-    """``point``'s result for each of ``states``, in order, or the SolverError that failed it.
+def _one_at_a_time(stage, items: list, config: SweepConfig, error) -> Iterator:
+    """``stage(items, config)``'s result for each of ``items``, in order, or the SolverError
+    that failed it.
 
-    When ``point(states, config)`` raises SolverError or MemoryError, the
-    states it has not yet given a result for are taken again one at a
-    time, so only a point that fails alone gets an error, which carries
-    its state's cutoff and steps; the others get the bits they would have
-    had.
+    When the stage raises SolverError or MemoryError, the items it has not
+    yet given a result for are taken again one at a time, so only an item
+    that fails alone gets an error, ``error(item, config, exc)``; the others
+    get the bits they would have had.  The solver maps its own errors; this
+    covers the bookkeeping around it and the results formed after it.
     """
     done = 0
     try:
-        for result in point(states, config):
+        for result in stage(items, config):
             yield result
             del result  # not held while the next result is formed
             done += 1
         return
-    except (SolverError, MemoryError):  # the solver maps its own; this covers the results
+    except (SolverError, MemoryError):
         pass
-    for gs in states[done:]:
+    for item in items[done:]:
         try:
-            (result,) = point([gs], config)
+            (result,) = stage([item], config)
         except (SolverError, MemoryError) as exc:
-            result = SolverError(f"{type(exc).__name__}: {exc}", gs.n_cutoff,
-                                 gs.convergence.steps)
+            result = error(item, config, exc)
         yield result
         del result
+
+
+def _unsolved(params: ModelParams, config: SweepConfig, exc: Exception) -> SolverError:
+    """A point whose solve failed alone: it failed at its first cutoff, with no steps done."""
+    first = solver.initial_cutoff(params) if config.fock_cutoff is None else config.fock_cutoff
+    return SolverError(f"{type(exc).__name__}: {exc}", first)
+
+
+def _unobserved(gs: GroundState, config: SweepConfig, exc: Exception) -> SolverError:
+    """A solved point whose result failed alone: its state's cutoff and steps."""
+    return SolverError(f"{type(exc).__name__}: {exc}", gs.n_cutoff, gs.convergence.steps)
 
 
 def _attempt_all(solve, point, failure, stack: list[ModelParams], config: SweepConfig) -> list:
@@ -437,7 +445,7 @@ def run_thermo(config: SweepConfig) -> list[tuple]:
         rows.append((
             float(lam), pt.mu, pt.eps1, pt.eps2, xi2_thermo(pt),
             qfi_atoms_thermo(pt, 1.0), 4.0 * quad_variance_thermo(pt),
-            qfi_field_scaled_limit(pt), pt.beta_s2_per_n, int(in_guard_band(pt)),
+            qfi_field_scaled_limit(pt), pt.beta_s2_per_n, int(pt.critical),
         ))
     return rows
 

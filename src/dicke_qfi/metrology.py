@@ -65,15 +65,13 @@ HUSIMI_CHUNK_ELEMENTS = 2**18
 
 @dataclass(frozen=True)
 class QfiResult:
-    """QFI value, its classical-limit ratio, and the two terms of its sum.
+    """QFI value and its classical-limit ratio.
 
     Floats for one state; arrays, one entry a state, for a stack.
     """
 
     value: float | np.ndarray
     scaled: float | np.ndarray
-    pair_term: float | np.ndarray  # pairs of retained eigenvectors
-    complement_term: float | np.ndarray  # each retained one with the complement of their span
 
 
 def _check_space(state: SpectralDecomposition, space: str, caller: str) -> None:
@@ -188,18 +186,17 @@ def _qfi(
     diff = p[..., :, None] - p[..., None, :]
     total = p[..., :, None] + p[..., None, :]
     pair = np.divide(diff * diff, total, out=np.zeros_like(total), where=total > 0)
-    pair_term = 2.0 * (pair * (overlap.conj() * overlap).real).sum(axis=(-2, -1))
+    pair_sum = 2.0 * (pair * (overlap.conj() * overlap).real).sum(axis=(-2, -1))
     # G v_k less its projection on the retained vectors; vecdot conjugates its first argument
     outside = gv - v @ overlap
-    complement_term = 4.0 * np.vecdot(p, np.vecdot(outside, outside, axis=-2).real)
-    value = pair_term + complement_term
-    return QfiResult(value, value / norm, pair_term, complement_term)
+    complement_sum = 4.0 * np.vecdot(p, np.vecdot(outside, outside, axis=-2).real)
+    value = pair_sum + complement_sum
+    return QfiResult(value, value / norm)
 
 
 def _first(result: QfiResult) -> QfiResult:
     """The QFI of the one state of a stack of one, as floats."""
-    return QfiResult(*(float(x[0]) for x in
-                       (result.value, result.scaled, result.pair_term, result.complement_term)))
+    return QfiResult(float(result.value[0]), float(result.scaled[0]))
 
 
 def _field_qfi(field: SpectralDecomposition, nbar: np.ndarray) -> QfiResult:

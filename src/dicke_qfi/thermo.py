@@ -28,9 +28,9 @@ eps1^2 + eps2^2 = omega^2 + (omega0/mu)^2, and so is the boson number, so
 no digit cancels however far omega and omega0 lie apart.  lambda^2 is kept
 apart from the rest of q: the normal-phase F_B / (4 nbar) is lambda^2
 times a finite ratio, which neither underflows before its value does nor
-divides by zero at weak coupling.  At lambda_cr eps1 = 0, s1 and nbar
-diverge, and a guard band around lambda_cr switches the scaled field QFI
-to its finite limit 1/s2.
+divides by zero at weak coupling.  These forms serve every lambda but
+lambda_cr itself, where eps1 = 0, s1 and nbar diverge and the scaled field
+QFI is its finite limit 1/s2.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: relative half-width of the guard band around lambda_cr for the scaled field QFI
-GUARD_BAND_REL = 1e-8
+from .metrology import QfiResult
 
 #: central-difference step for the scaling probe, relative to lambda_cr
 PROBE_STEP_REL = 1e-9
@@ -178,37 +177,18 @@ def _field_variances(pt: ThermoPoint) -> tuple[float, float]:
             4.0 * pt.omega0 * pt.mu / (pt.eps1 * pt.eps2 * (pt.eps1 + pt.eps2)))
 
 
-def in_guard_band(pt: ThermoPoint) -> bool:
-    """Whether lam is within GUARD_BAND_REL * lambda_cr of lambda_cr."""
-    return abs(pt.lam - pt.lambda_cr) < GUARD_BAND_REL * pt.lambda_cr
-
-
-@dataclass(frozen=True)
-class ThermoFieldQfi:
-    """Field QFI with its classical-limit ratio and the guard-band flag."""
-
-    value: float
-    scaled: float
-    in_guard_band: bool
-
-
-def qfi_field_thermo(pt: ThermoPoint, n_atoms: float) -> ThermoFieldQfi:
+def qfi_field_thermo(pt: ThermoPoint, n_atoms: float) -> QfiResult:
     """Field QFI (s1 - s2)^2 / (1 + s1 s2) + 4 N beta_s^2 / s2 at finite N, scaled by 4*nbar.
 
-    Inside the guard band around lambda_cr, where F_B and nbar individually
-    diverge, the scaled ratio is evaluated through its finite limit
-    1 / [4 (dX_{pi/2})^2] and the flag is set.  In the normal phase
-    beta_s = 0, so the ratio does not depend on N and is
+    At lambda_cr, where F_B and nbar individually diverge, the value is
+    +inf and the scaled ratio its finite limit 1 / [4 (dX_{pi/2})^2].  In
+    the normal phase beta_s = 0, so the ratio does not depend on N and is
     ``qfi_field_scaled_limit``, lambda^2 times a finite ratio, which
     underflows no sooner than its value; at lambda = 0, where nbar = 0, it
     is undefined and reported as NaN.
     """
-    if in_guard_band(pt):
-        return ThermoFieldQfi(
-            value=math.inf,
-            scaled=1.0 / (4.0 * quad_variance_thermo(pt)),
-            in_guard_band=True,
-        )
+    if pt.critical:
+        return QfiResult(math.inf, qfi_field_scaled_limit(pt))
     s2, gap = _field_variances(pt)
     diff = pt.lam**2 * gap  # s1 - s2
     value = diff**2 / (1.0 + (s2 + diff) * s2) + 4.0 * n_atoms * pt.beta_s2_per_n / s2
@@ -216,7 +196,7 @@ def qfi_field_thermo(pt: ThermoPoint, n_atoms: float) -> ThermoFieldQfi:
         scaled = qfi_field_scaled_limit(pt) if pt.lam > 0 else math.nan
     else:
         scaled = value / (4.0 * nbar_thermo(pt, n_atoms))
-    return ThermoFieldQfi(value=value, scaled=scaled, in_guard_band=False)
+    return QfiResult(value, scaled)
 
 
 def qfi_field_scaled_limit(pt: ThermoPoint) -> float:
@@ -224,10 +204,11 @@ def qfi_field_scaled_limit(pt: ThermoPoint) -> float:
 
     In the normal phase both numerator and denominator are pure fluctuation
     quantities, and the ratio is lambda^2 times a finite one; in the
-    superradiant phase the macroscopic beta_s^2 dominates both and the
-    ratio reduces to 1 / [4 (dX_{pi/2})^2].  At lambda = 0 the limit is 0.
+    superradiant phase, and at lambda_cr, the macroscopic beta_s^2
+    dominates both and the ratio reduces to 1 / [4 (dX_{pi/2})^2].  At
+    lambda = 0 the limit is 0.
     """
-    if in_guard_band(pt) or pt.lam > pt.lambda_cr:
+    if pt.critical or pt.lam > pt.lambda_cr:
         return 1.0 / (4.0 * quad_variance_thermo(pt))
     s2, gap = _field_variances(pt)
     s1 = s2 + pt.lam**2 * gap

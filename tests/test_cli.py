@@ -650,9 +650,10 @@ def test_solver_failure_mid_doubling(tmp_path, fail_solves_above):
     assert "failed_points=[[1.0, 2]]" in footer[0]
 
 
-def test_out_of_memory_around_the_solver_fails_its_stack(tmp_path, monkeypatch):
-    # a MemoryError that the solver does not map, raised for N = 3's stack, fails
-    # that stack's points alone; N = 2's rows keep the bytes of an unpatched run
+def _out_of_memory_for_n3(tmp_path, monkeypatch, stacks_only: bool):
+    """Run a sweep of N = 2 and 3 with a MemoryError raised around the solver for
+    N = 3's stack, or only for its stacks of more than one point, and return the
+    argv, the path of the unpatched run's output and the path of the patched one."""
     args = ["sweep", "--n-atoms", "2", "--n-atoms", "3", "--lambda-min", "0.4",
             "--lambda-max", "0.5", "--lambda-steps", "2"]
     expected, out = tmp_path / "expected.csv", tmp_path / "out.csv"
@@ -660,18 +661,34 @@ def test_out_of_memory_around_the_solver_fails_its_stack(tmp_path, monkeypatch):
     solve_stack = dicke_qfi.cli._solve
 
     def out_of_memory(stack, config):
-        if stack[0].n_atoms == 3:
+        if stack[0].n_atoms == 3 and (len(stack) > 1 or not stacks_only):
             raise MemoryError("no room for the stack")
         return solve_stack(stack, config)
 
     monkeypatch.setattr(dicke_qfi.cli, "_solve", out_of_memory)
+    return args, expected, out
+
+
+def test_out_of_memory_around_the_solver_fails_its_stack(tmp_path, monkeypatch):
+    # a MemoryError that the solver does not map, raised for N = 3's stack and for
+    # each of its points alone, fails those points at their first cutoff, 20 here;
+    # N = 2's rows keep the bytes of an unpatched run
+    args, expected, out = _out_of_memory_for_n3(tmp_path, monkeypatch, stacks_only=False)
     assert main([*args, "--out", str(out)]) == 4
     _, rows, footer = read_csv_rows(out)
     _, expected_rows, _ = read_csv_rows(expected)
     assert rows[:2] == expected_rows[:2]
-    assert [row[:2] for row in rows[2:]] == [["0.4", "3"], ["0.5", "3"]]
+    assert [row[:3] for row in rows[2:]] == [["0.4", "3", "20"], ["0.5", "3", "20"]]
     assert all(math.isnan(float(v)) for row in rows[2:] for v in row[3:])
     assert "failed_points=[[0.4, 3], [0.5, 3]]" in footer[0]
+
+
+def test_out_of_memory_around_a_stack_solves_its_points_alone(tmp_path, monkeypatch):
+    # raised only for a stack of more than one point, it sends N = 3's points to be
+    # solved one at a time, each to the bits it has in the stack
+    args, expected, out = _out_of_memory_for_n3(tmp_path, monkeypatch, stacks_only=True)
+    assert main([*args, "--out", str(out)]) == 0
+    assert out.read_bytes() == expected.read_bytes()
 
 
 def test_husimi_skips_failed_point(tmp_path, fail_solves_above):

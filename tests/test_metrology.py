@@ -126,16 +126,15 @@ def test_zero_weight_pairs_add_nothing():
         with_zero = qfi_atoms(SpectralDecomposition(np.array([1.0, 0.0]), np.eye(2), "spin", 0.0))
         pure = qfi_atoms(SpectralDecomposition(np.ones(1), np.eye(2)[:, :1], "spin", 0.0))
     assert with_zero.value == pure.value == 1.0  # 4 Var(Jx) of |j, -j> at N = 1
-    assert with_zero.pair_term == 1.0 and with_zero.complement_term == 0.0
 
 
 def test_pure_collapse_is_exact():
     rng = np.random.default_rng(9)
     rho = random_density(rng, 6, 1)
     g = random_hermitian(rng, 6)
-    result = qfi_mixed(spectral_decompose(rho, "boson"), g)
-    assert result.pair_term == 0.0
-    assert result.value == result.complement_term
+    decomp = spectral_decompose(rho, "boson")
+    expected = pure_state_qfi(decomp.vectors[:, 0], g)
+    assert abs(qfi_mixed(decomp, g).value - expected) <= 1e-12 * max(1.0, expected)
 
 
 def test_qfi_quadratic_in_generator_scale():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from dicke_qfi.metrology import QfiResult
 from dicke_qfi.model import ModelParams
 from dicke_qfi.thermo import (
     _loglog_slope,
@@ -147,8 +148,9 @@ def test_nbar_matches_thermal_occupation_form():
 
 def test_field_qfi_endpoints():
     assert qfi_field_thermo(thermo_point(1.0, 1.0, 0.0), 10).value == 0.0
-    crit = qfi_field_thermo(thermo_point(1.0, 1.0, 0.5), 10)
-    assert crit.in_guard_band
+    pt = thermo_point(1.0, 1.0, 0.5)
+    crit = qfi_field_thermo(pt, 10)
+    assert pt.critical and isinstance(crit, QfiResult)
     assert abs(crit.scaled - SQRT2) < 1e-12
     assert math.isinf(crit.value)
 
@@ -167,12 +169,19 @@ def test_field_qfi_scaled_at_weak_coupling():
         assert abs(result.scaled - direct) <= 1e-14 * direct
 
 
-def test_field_qfi_guard_band_flag():
-    lcr = 0.5
-    inside = qfi_field_thermo(thermo_point(1.0, 1.0, lcr * (1 + 1e-9)), 10)
-    outside = qfi_field_thermo(thermo_point(1.0, 1.0, lcr * (1 + 1e-7)), 10)
-    assert inside.in_guard_band and not outside.in_guard_band
-    assert math.isfinite(outside.scaled)
+@pytest.mark.parametrize("omega,omega0", [(1.0, 1.0), (2.0, 0.5), (1.0, 2.0)])
+def test_scaled_field_qfi_meets_its_critical_value(omega, omega0):
+    # the normal-phase form serves every lambda below lambda_cr: its sqrt(delta)
+    # extrapolation from 1e-8 lambda_cr below meets the value at lambda_cr, which
+    # the superradiant 1/s2 in its place misses by 3.1e-4, 1.1e-3 and 2.5e-4
+    lcr = math.sqrt(omega * omega0) / 2
+    delta = 1e-8 * lcr
+    at_critical = qfi_field_scaled_limit(thermo_point(omega, omega0, lcr))
+    for sign in (-1.0, 1.0):
+        far = qfi_field_scaled_limit(thermo_point(omega, omega0, lcr + sign * delta))
+        near = qfi_field_scaled_limit(thermo_point(omega, omega0, lcr + sign * delta / 4))
+        assert abs(2 * near - far - at_critical) <= 1e-5 * at_critical
+    assert math.isfinite(qfi_field_thermo(thermo_point(omega, omega0, lcr - delta), 10).value)
 
 
 def test_field_qfi_classical_limit_at_strong_coupling():
@@ -288,6 +297,7 @@ def test_continuity_across_critical_point():
         xi2_thermo,
         lambda pt: 4 * quad_variance_thermo(pt),
         lambda pt: qfi_atoms_thermo(pt, 1.0),
+        qfi_field_scaled_limit,
     ):
         at_critical = fn(thermo_point(1.0, 1.0, lcr))
         below = one_sided_limit(fn, -1.0)
