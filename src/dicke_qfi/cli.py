@@ -11,10 +11,10 @@ in stacks, runs of consecutive points of one N that the solver solves
 together, hands each stack's solved states to the mode's point function,
 and yields each point's result in output order.  ``sweep`` and ``husimi``
 decompose each run of a stack's points whose amplitude grids pad to one
-shape with one batched Schmidt SVD; a sweep forms the run's rows in one
-batched observable pass, and ``husimi`` forms and writes one point's grids
-at a time, so it holds one point's grids and the Schmidt decompositions of
-one run.
+shape, and whose bytes fit the solver's budget together, with one batched
+Schmidt SVD; a sweep forms the run's rows in one batched observable pass,
+and ``husimi`` forms and writes one point's grids at a time, so it holds
+one point's grids and the Schmidt decompositions of one run.
 The JSON writers give the bytes of json.dump(indent=2, sort_keys=True)
 without building the document: table rows are formatted from repr, one
 write per row, and ``meta`` is written after the Husimi grids, once the
@@ -52,7 +52,7 @@ from .metrology import (
 )
 from .model import ModelParams
 from .solver import DEFAULT_TOL, GroundState, converge_stack, solve_stack
-from .states import SpectralDecomposition, padded_shape, schmidt_stack
+from .states import SpectralDecomposition, padded_shape, schmidt_bytes, schmidt_stack
 from .thermo import (
     critical_scaling_probe,
     qfi_atoms_thermo,
@@ -167,9 +167,18 @@ class SweepConfig:
             raise ValueError(f"every n-atoms value must be between 1 and {MAX_ATOMS}")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        # read through the module, so that a patched solver.HARD_CAP governs it too
-        if self.fock_cutoff is not None and not 1 <= self.fock_cutoff <= solver.HARD_CAP:
-            raise ValueError(f"fock-cutoff must be between 1 and {solver.HARD_CAP}")
+        if self.fock_cutoff is not None:
+            if self.fock_cutoff < 1:
+                raise ValueError("fock-cutoff must be at least 1")
+            # a solve's bytes grow with N, and a point at lambda > 0 holds more than
+            # one at lambda = 0, so the largest N at the largest coupling stands
+            # for every point
+            lam = self.lambda_max if self.lambda_steps > 1 else self.lambda_min
+            largest = ModelParams(self.omega, self.omega0, lam, max(self.n_atoms))
+            try:
+                solver.solver_path(largest, self.fock_cutoff)
+            except SolverError as exc:
+                raise ValueError(f"fock-cutoff {self.fock_cutoff}: {exc}") from None
         if self.grid_points is not None and not 11 <= self.grid_points <= MAX_GRID_POINTS:
             raise ValueError(f"husimi grids need 11 to {MAX_GRID_POINTS} points per axis")
         if self.format not in FORMATS:
@@ -329,11 +338,12 @@ def _converge(stack: list[ModelParams], config: SweepConfig) -> list:
 
 
 def _schmidt_runs(states: list[GroundState]) -> Iterator[tuple]:
-    """Each run of consecutive states whose amplitude grids pad to one shape, with its
+    """Each run of consecutive states whose amplitude grids pad to one shape and whose
+    ``schmidt_bytes`` fit the solver's budget together (``solver.fitting_runs``), with its
     stacked (field, atoms) reduced states from one batched SVD, formed as it is taken."""
     for _, run in groupby(states, key=padded_shape):
-        run = list(run)
-        yield run, *schmidt_stack(run)
+        for part in solver.fitting_runs(list(run), schmidt_bytes):
+            yield part, *schmidt_stack(part)
 
 
 def compute_sweep_records(states: list[GroundState], config: SweepConfig) -> Iterator[SweepRecord]:

@@ -7,9 +7,12 @@ separately (the CLI maps them to distinct exit codes).
 
 
 class SolverError(RuntimeError):
-    """An eigensolver failed: banded inverse iteration or sparse ARPACK.
+    """A solve failed or was refused: banded inverse iteration, sparse ARPACK or the budget.
 
-    The banded solver raises it when a Cholesky factorization of H - sigma I
+    A point whose solve would hold more bytes than the solver's memory
+    budget by either path is refused with this class, naming its bytes and
+    the budget, before anything is allocated for it.  The banded solver
+    raises it when a Cholesky factorization of H - sigma I
     fails even for a shift below the Gershgorin bound of H, where one must
     exist, or when inverse iteration does not settle within its step limit;
     an energy bracket it cannot certify is never returned.  ARPACK errors,
@@ -25,4 +28,8 @@ class SolverError(RuntimeError):
 
 
 class ConvergenceError(SolverError):
-    """Fock-cutoff doubling hit the hard cap before reaching tolerance."""
+    """Fock-cutoff doubling reached a cutoff past the memory budget before reaching tolerance.
+
+    When the first cutoff is past the budget, ``steps`` is empty and
+    ``n_cutoff`` is that cutoff; otherwise ``n_cutoff`` is the last cutoff solved.
+    """

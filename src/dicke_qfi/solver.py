@@ -4,8 +4,12 @@ The finite-N ground state lives in the even n+m+j sector, so only that
 block is diagonalized; this halves the matrix and avoids the near-degenerate
 even/odd mixing a full-space eigensolver produces deep in the superradiant
 regime.  In ascending index order the block is banded, with half-bandwidth
-kd = (N+1)//2 + 1 (kd = 1 at N = 1) whatever the cutoff.  Blocks with
-N <= BANDED_MAX_ATOMS are solved by shifted inverse iteration on the band:
+kd = (N+1)//2 + 1 (kd = 1 at N = 1) whatever the cutoff.  One byte budget,
+MEMORY_BUDGET, picks the eigensolver of each point and bounds every solve:
+``solver_path`` gives a point at a cutoff the banded path when the banded
+solve's bytes by ``solve_bytes`` fit it, Lanczos when only Lanczos' bytes do,
+and past both a SolverError before anything of its round is allocated.  The
+banded path is shifted inverse iteration on the band:
 LAPACK ``dpbtrf`` factors H - sigma I, which succeeds exactly when sigma
 lies below the lowest eigenvalue, and ``dpbtrs`` applies the inverse, in
 O(dim kd^2) time and O(dim kd) memory.  Both routines come from scipy's
@@ -15,9 +19,10 @@ successful factorization proves sigma < E0, and a solve returns only after
 one has succeeded within 2 r + BRACKET_RTOL max(1, |E|) of the returned
 Rayleigh quotient E, where r = ||H psi - E psi||; so E0 is bracketed,
 E - delta < E0 <= E.  Its time is set by the number of factorizations:
-about three for a cold solve and one for a doubled one.  Blocks of larger N
-are solved by implicitly restarted Lanczos (ARPACK ``eigsh``) on the block
-as a scipy.sparse DIA array, in O(dim) memory, one at a time.
+about three for a cold solve and one for a doubled one.  The Lanczos path,
+for blocks whose band would not fit, is implicitly restarted Lanczos (ARPACK
+``eigsh``) on the block as a scipy.sparse DIA array, in O(dim) memory, one
+at a time.
 
 Points are solved in stacks: consecutive points of one N, as ``stacks``
 groups them.  The banded blocks of a stack are laid end to end as one
@@ -27,12 +32,14 @@ factored by its own ``dpbtrf`` into its columns of the shared factor, its
 own stop and re-shift decisions, and its own failure.  The zero rows give
 every block the same neighbourhood in any stack, so a point's results do
 not depend on the stack it was solved in; ``solve`` is the stacked code on
-a stack of one.
+a stack of one.  A round whose banded blocks would not fit the budget
+together is solved in runs that do (``fitting_runs``), one band per run.
 
 A ground state holds only its even-sector amplitudes, in ascending full
 index; ``model.place_on_grid`` alone lays them on the product grid.
 Cutoff convergence doubles n_cutoff until the Fock tail population and the
-energy shift across one doubling both drop below tolerance; a stack doubles
+energy shift across one doubling both drop below tolerance, or until the
+next cutoff would not fit the budget; a stack doubles
 in rounds, each round solving the points still open.  The first solve of a
 point starts from the even-parity part of the mean-field state, a coherent
 field times a spin coherent state, which depends on the point alone.  Each
@@ -52,8 +59,9 @@ import importlib.util
 import math
 import operator
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 import scipy
@@ -63,6 +71,7 @@ from .model import (
     EvenBlock,
     ModelParams,
     build_even_block,
+    capacity,
     even_sector,
     even_size,
     log_factorials,
@@ -96,18 +105,16 @@ def _load_flapack():
 #: the solver's LAPACK routines, ``dpbtrf`` and ``dpbtrs``
 lapack = _load_flapack()
 
-#: largest Fock cutoff the solver attempts, its starting one included
-HARD_CAP = 2**14
+#: bytes that one point's solve may hold, and that a round's run of banded
+#: blocks, or a run of batched Schmidt steps, may hold together, by
+#: ``solve_bytes``.  Fixed rather than read from the host: the path a point
+#: takes moves its last bits, so a budget taken from the host would make the
+#: output depend on the host.  2 GiB keeps every point up to N = 400,
+#: lambda = 2 on the banded path (1.3 GiB there) and fits a CI runner
+MEMORY_BUDGET = 2**31
 
 #: default tolerance for both the tail-population and energy-shift tests
 DEFAULT_TOL = 1e-10
-
-#: even blocks of up to this many atoms (kd <= 51) take the banded solver,
-#: larger N Lanczos.  The banded path is the faster one at every N timed,
-#: but its band holds dim * kd floats against Lanczos' O(dim), so past this N
-#: it costs up to 4.5x the memory; README's table gives both paths' time and
-#: peak memory at N = 200 and 400
-BANDED_MAX_ATOMS = 100
 
 #: relative slack of the energy bracket: a banded solve returns once a
 #: factorization has succeeded within 2 r + BRACKET_RTOL * max(1, |E|) of E
@@ -178,6 +185,67 @@ def _as_cutoff(value: int, name: str) -> int:
         raise ValueError(f"{name} must be an integer, not {value!r}") from None
 
 
+def _band_width(n_atoms: int) -> int:
+    """kd, the half-bandwidth of N atoms' even block, as a stack's band charges it."""
+    return (n_atoms + 1) // 2 + 1
+
+
+def solve_bytes(params: ModelParams, n_cutoff: int) -> tuple[int, int]:
+    """Estimated bytes of the point's solve at ``n_cutoff`` with its sweep row: (banded, Lanczos).
+
+    With dim = ``even_size(N, n_cutoff)``, the banded solve holds about
+    dim (kd + 22) floats: its block, the band and its factor, and the
+    vectors of the iteration and the Schmidt step.  Lanczos holds about
+    40 vectors of dim floats, and 28 MiB for importing scipy.sparse.linalg.
+    Both were within 3% of the peak RSS, less the interpreter's 34 MiB, of
+    single converged points from N = 101 to 400 at lambda = 1 and 2.  A
+    lam = 0 point holds no block: either path charges it its start vector
+    and its zero-padded Schmidt grid.
+    """
+    n_atoms = params.n_atoms
+    dim = even_size(n_atoms, n_cutoff)
+    if params.lam == 0:
+        held = 8 * (dim + (capacity(n_cutoff) + 1) * (n_atoms + 1))
+        return held, held
+    return 8 * dim * (_band_width(n_atoms) + 22), 8 * dim * 40 + 28 * 2**20
+
+
+def solver_path(params: ModelParams, n_cutoff: int) -> tuple[Literal["banded", "lanczos"], int]:
+    """The eigensolver of the point at ``n_cutoff``, and the bytes it holds by ``solve_bytes``.
+
+    Banded when its banded bytes fit MEMORY_BUDGET, else Lanczos when its
+    Lanczos bytes do; past both, SolverError names the bytes and the budget.
+    """
+    banded, lanczos = solve_bytes(params, n_cutoff)
+    if banded <= MEMORY_BUDGET:
+        return "banded", banded
+    if lanczos <= MEMORY_BUDGET:
+        return "lanczos", lanczos
+    need = f"{banded} bytes" + ("" if banded == lanczos else f" banded and {lanczos} by Lanczos")
+    msg = (f"n_cutoff={n_cutoff} at N={params.n_atoms} needs {need}, "
+           f"past the memory budget of {MEMORY_BUDGET} bytes")
+    raise SolverError(msg, n_cutoff)
+
+
+def fitting_runs(items: Sequence, held: Callable[..., int]) -> Iterator[list]:
+    """``items`` in order, cut into runs whose ``held`` bytes sum to at most MEMORY_BUDGET.
+
+    A run ends before the item that would take it past the budget, so an
+    item past the budget alone is a run of its own.
+    """
+    run: list = []
+    used = 0
+    for item in items:
+        cost = held(item)
+        if run and used + cost > MEMORY_BUDGET:
+            yield run
+            run, used = [], 0
+        run.append(item)
+        used += cost
+    if run:
+        yield run
+
+
 def stacks(
     points: Sequence[ModelParams], n_start: int | None = None, max_points: int | None = None
 ) -> list[list[ModelParams]]:
@@ -192,7 +260,7 @@ def stacks(
     used = 0
     for params in points:
         n_atoms = params.n_atoms
-        kd = (n_atoms + 1) // 2 + 1
+        kd = _band_width(n_atoms)
         n_cutoff = initial_cutoff(params) if n_start is None else n_start
         cost = (kd + 1) * (even_size(n_atoms, n_cutoff) + kd) + STACK_ELEMENTS // 32
         last = cut[-1] if cut else None
@@ -219,7 +287,10 @@ def ground_states(
     mean-field state, and at lam = 0 the exact |0>|j,-j>.  Each point gets
     its GroundState, sign-fixed so its largest amplitude is positive, or the
     SolverError it failed with, a MemoryError included; a failure leaves
-    the other points' results as they are.
+    the other points' results as they are.  ``solver_path`` sends each point
+    to its eigensolver, or fails it before anything of the round is
+    allocated; the banded blocks are built and solved in ``fitting_runs``,
+    one band per run, and the others one at a time.
     """
     cutoffs = [_as_cutoff(n_cutoff, "n_cutoff") for n_cutoff in cutoffs]
     if previous is None:
@@ -233,15 +304,23 @@ def ground_states(
             raise ValueError("n_cutoff must be >= 1")
         if prev is not None and (prev.params != params or prev.n_cutoff > n_cutoff):
             raise ValueError("previous must be a ground state of the same model at a lower cutoff")
-    # per point: (energy, amplitudes, residual, lower bound) or its SolverError
+    # per point: (energy, amplitudes, residual, lower bound) or its SolverError;
+    # every point's path is settled before anything of the round is allocated
     solved: list = [None] * len(points)
-    index, blocks = [], []
-    for i, (params, n_cutoff, prev) in enumerate(zip(points, cutoffs, previous)):
+    paths: list = [None] * len(points)
+    for i, (params, n_cutoff) in enumerate(zip(points, cutoffs)):
         try:
-            if params.lam > 0 and params.n_atoms <= BANDED_MAX_ATOMS:
-                blocks.append(build_even_block(params, n_cutoff))
-                index.append(i)
-                continue
+            paths[i] = solver_path(params, n_cutoff)
+        except SolverError as exc:
+            solved[i] = exc
+    banded = []
+    for i, (params, n_cutoff, prev) in enumerate(zip(points, cutoffs, previous)):
+        if paths[i] is None:
+            continue
+        if params.lam > 0 and paths[i][0] == "banded":
+            banded.append(i)
+            continue
+        try:
             # the lambda = 0 and Lanczos points take their start zero-padded to the block
             [head] = _starts([params], [n_cutoff], [prev])
             padding = np.zeros(even_size(params.n_atoms, n_cutoff) - head.size)
@@ -257,11 +336,19 @@ def ground_states(
             solved[i] = _out_of_memory(exc, n_cutoff)
         except SolverError as exc:
             solved[i] = exc
-    if blocks:
-        outcomes = _banded_lowest(blocks, [points[i] for i in index],
-                                  [previous[i] for i in index], [cutoffs[i] for i in index])
-        for i, outcome in zip(index, outcomes):
-            solved[i] = outcome
+    for run in fitting_runs(banded, lambda i: paths[i][1]):
+        index, blocks = [], []
+        for i in run:
+            try:
+                blocks.append(build_even_block(points[i], cutoffs[i]))
+                index.append(i)
+            except MemoryError as exc:
+                solved[i] = _out_of_memory(exc, cutoffs[i])
+        if blocks:
+            outcomes = _banded_lowest(blocks, [points[i] for i in index],
+                                      [previous[i] for i in index], [cutoffs[i] for i in index])
+            for i, outcome in zip(index, outcomes):
+                solved[i] = outcome
     return [outcome if isinstance(outcome, SolverError)
             else _ground_state(params, n_cutoff, *outcome)
             for params, n_cutoff, outcome in zip(points, cutoffs, solved)]
@@ -597,8 +684,9 @@ def initial_cutoff(params: ModelParams) -> int:
     doubling, never a wrong answer.
 
     Where lam^2 or omega^2 leaves the float range, nb is formed from the
-    ratio lam/omega instead; where nb itself does, the start is HARD_CAP + 1,
-    past every cutoff the solver attempts.
+    ratio lam/omega instead; where nb itself does, the start is
+    MEMORY_BUDGET // 8, past the budget at every N: its block has more than
+    that many positions, each a float.
     """
     try:
         nb = params.lam**2 * params.n_atoms / params.omega**2
@@ -609,7 +697,7 @@ def initial_cutoff(params: ModelParams) -> int:
         ratio = params.lam / params.omega
         nb = ratio * ratio * params.n_atoms
         if not math.isfinite(nb):
-            return HARD_CAP + 1
+            return MEMORY_BUDGET // 8
     return max(20, math.ceil(nb + 8 * math.sqrt(nb)) + 10)
 
 
@@ -625,8 +713,9 @@ def converge_stack(
     tol * max(1, |E|) across the last doubling.  At lam = 0 the exact state
     is accepted at the first cutoff; at any lam > 0 a tail that underflows
     to zero is no proof, so at least one doubling is solved.  A point whose
-    cutoff would exceed HARD_CAP, its first included, fails with
-    ConvergenceError: a first cutoff above the cap with no steps and no
+    next cutoff, its first included, is past MEMORY_BUDGET by
+    ``solver_path`` fails with ConvergenceError and the steps completed
+    before it: a first cutoff past the budget with no steps and no
     allocation.  A SolverError from any step carries the steps completed
     before it.
 
@@ -646,10 +735,11 @@ def converge_stack(
         n_cutoff = initial_cutoff(params) if n_start is None else n_start
         if n_cutoff < 1:
             raise ValueError("starting cutoff must be >= 1")
-        if n_cutoff > HARD_CAP:
-            msg = (f"starting Fock cutoff {n_cutoff} exceeds the hard cap {HARD_CAP} "
-                   f"(lam={params.lam}, N={params.n_atoms})")
-            converged[i] = ConvergenceError(msg, n_cutoff)
+        try:
+            solver_path(params, n_cutoff)
+        except SolverError as exc:
+            converged[i] = ConvergenceError(f"starting Fock cutoff: {exc} (lam={params.lam})",
+                                            n_cutoff)
         else:
             open_points.append((i, n_cutoff, [], None))
     while open_points:
@@ -675,9 +765,11 @@ def converge_stack(
                 info = ConvergenceInfo(tail, shift, gs.convergence.residual, tuple(steps),
                                        gs.convergence.lower_bound)
                 converged[i] = GroundState(gs.energy, gs.vector, params, n_cutoff, info)
-            elif 2 * n_cutoff > HARD_CAP:
-                msg = (f"Fock cutoff would exceed the hard cap {HARD_CAP} "
-                       f"(lam={params.lam}, N={params.n_atoms}, tol={tol})")
+                continue
+            try:
+                solver_path(params, 2 * n_cutoff)
+            except SolverError as exc:
+                msg = f"doubled Fock cutoff: {exc} (lam={params.lam}, tol={tol})"
                 converged[i] = ConvergenceError(msg, n_cutoff, steps)
             else:
                 still_open.append((i, 2 * n_cutoff, steps, gs))

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from qfi_reference import partial_trace_atoms, partial_trace_field
 
@@ -46,5 +48,26 @@ def fail_solves_above(monkeypatch):
                     for n_cutoff in cutoffs]
 
         monkeypatch.setattr(dicke_qfi.solver, "ground_states", solve_or_fail)
+
+    return install
+
+
+@pytest.fixture
+def force_lanczos(monkeypatch):
+    """Call to charge every banded solve past the memory budget, so that each point at
+    lam > 0 takes Lanczos; the call returns the list of cutoffs ``_lanczos_lowest`` solves at.
+    """
+    def install():
+        estimate, lanczos = dicke_qfi.solver.solve_bytes, dicke_qfi.solver._lanczos_lowest
+        calls = []
+
+        def spied(block, start, n_cutoff):
+            calls.append(n_cutoff)
+            return lanczos(block, start, n_cutoff)
+
+        monkeypatch.setattr(dicke_qfi.solver, "solve_bytes", lambda params, n_cutoff: (
+            math.inf, estimate(params, n_cutoff)[1]))
+        monkeypatch.setattr(dicke_qfi.solver, "_lanczos_lowest", spied)
+        return calls
 
     return install

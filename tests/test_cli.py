@@ -41,7 +41,7 @@ from dicke_qfi.cli import (
     write_table,
 )
 from dicke_qfi.model import ModelParams
-from dicke_qfi.solver import BANDED_MAX_ATOMS, initial_cutoff, solve
+from dicke_qfi.solver import initial_cutoff, solve, solve_bytes
 
 SMALL_SWEEP = [
     "--n-atoms", "2", "--lambda-min", "0", "--lambda-max", "0.4",
@@ -126,14 +126,16 @@ def test_sweep_workers_match_serial_revisited_cutoffs(tmp_path):
     assert len(set(cutoffs)) < len(cutoffs)
 
 
-def test_sweep_workers_match_serial_warm_lanczos(tmp_path):
-    # N = 101 is more than the banded solver takes, so every point's doubled
-    # solve is warm-started Lanczos (even block dim 2091 to 7803)
-    assert 101 > BANDED_MAX_ATOMS
+def test_sweep_workers_match_serial_warm_lanczos(tmp_path, force_lanczos):
+    # with the banded bytes charged past the budget, every point's doubled solve
+    # is warm-started Lanczos (even block dim 2091 to 7803); the pool's processes
+    # are forked, so they inherit the charge
+    calls = force_lanczos()
     serial, parallel = tmp_path / "serial.csv", tmp_path / "par.csv"
     args = ["sweep", "--n-atoms", "101", "--lambda-min", "0.1", "--lambda-max", "0.5",
             "--lambda-steps", "3"]
     assert main([*args, "--out", str(serial)]) == 0
+    assert len(calls) == 6
     assert main([*args, "--workers", "2", "--out", str(parallel)]) == 0
     assert serial.read_bytes() == parallel.read_bytes()
 
@@ -177,7 +179,9 @@ def test_pool_has_at_most_one_process_per_point(tmp_path, monkeypatch):
 
 
 def test_sweep_flags_unconverged_point(tmp_path, monkeypatch):
-    monkeypatch.setattr(dicke_qfi.solver, "HARD_CAP", 32)
+    # the first cutoff, 74, is past a budget that holds cutoff 32
+    budget = solve_bytes(ModelParams(1.0, 1.0, 2.0, 6), 32)[0]
+    monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", budget)
     out = tmp_path / "f.csv"
     code = main(["sweep", "--n-atoms", "6", "--lambda-min", "2.0", "--lambda-max",
                  "2.0", "--lambda-steps", "1", "--out", str(out)])
@@ -505,8 +509,10 @@ def test_convergence_fock_cutoff_starts_trajectory(tmp_path):
 
 
 def test_convergence_hard_cap_partial_output(tmp_path, monkeypatch):
-    # the trajectory starts at 74, under the cap, and its doubling to 148 trips it
-    monkeypatch.setattr(dicke_qfi.solver, "HARD_CAP", 100)
+    # the trajectory starts at 74, within a budget that holds cutoff 100, and its
+    # doubling to 148 is past it
+    budget = solve_bytes(ModelParams(1.0, 1.0, 2.0, 6), 100)[0]
+    monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", budget)
     out = tmp_path / "cap.csv"
     code = main(["convergence", "--n-atoms", "6", "--lambda-min", "2.0",
                  "--lambda-max", "2.0", "--lambda-steps", "1", "--out", str(out)])
@@ -514,6 +520,53 @@ def test_convergence_hard_cap_partial_output(tmp_path, monkeypatch):
     _, rows, footer = read_csv_rows(out)
     assert rows  # partial trajectory still written
     assert "failed_points=[[2.0, 6]]" in footer[0]
+
+
+@pytest.mark.parametrize("mode", ["sweep", "husimi", "convergence"])
+def test_fock_cutoff_past_budget_for_the_largest_n(mode, tmp_path, capsys, monkeypatch):
+    # cutoff 40000 fits N = 2 but not N = 400 at lambda > 0, by either path, so the
+    # run is an invalid argument before FILE is opened; at lambda = 0 alone it fits
+    args = ["--lambda-max", "1", "--lambda-steps", "2", "--fock-cutoff", "40000"]
+    for n_atoms, fits in ((2, True), (400, False)):
+        params = ModelParams(1.0, 1.0, 1.0, n_atoms)
+        assert (min(solve_bytes(params, 40000)) <= dicke_qfi.solver.MEMORY_BUDGET) == fits
+    SweepConfig(mode=mode, n_atoms=(2,), lambda_max=1.0, lambda_steps=2, fock_cutoff=40000)
+    SweepConfig(mode=mode, n_atoms=(2, 400), lambda_steps=1, fock_cutoff=40000)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
+    out = tmp_path / "out.txt"
+    out.write_bytes(b"earlier output\n")
+    assert main([mode, "--n-atoms", "2", "--n-atoms", "400", *args, "--out", str(out)]) == 2
+    assert out.read_bytes() == b"earlier output\n"
+    err = capsys.readouterr().err
+    assert "invalid argument: fock-cutoff 40000: n_cutoff=40000 at N=400 needs" in err
+    assert "past the memory budget" in err
+
+
+def test_schmidt_runs_fit_the_budget(monkeypatch):
+    # eight states of one padded shape, whose Schmidt steps together hold 8/3 of
+    # the budget, are decomposed in runs of 3, 3 and 2, each row with the bits it
+    # has alone; tracemalloc's peak of the sweep rows stays within the budget
+    # (0.8 to 0.9 of it measured), where one run of all eight peaked at 2.2
+    config = sweep_config(fock_cutoff=3000)
+    states = dicke_qfi.solver.solve_stack(
+        [ModelParams(1.0, 1.0, float(lam), 2) for lam in np.linspace(0.3, 2.5, 8)],
+        fock_cutoff=3000)
+    alone = [row for gs in states for row in compute_sweep_records([gs], config)]
+    budget = 3 * dicke_qfi.states.schmidt_bytes(states[0])
+    monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", budget)
+    runs = []
+    schmidt_stack = dicke_qfi.cli.schmidt_stack
+    monkeypatch.setattr(dicke_qfi.cli, "schmidt_stack",
+                        lambda run: runs.append(len(run)) or schmidt_stack(run))
+    tracemalloc.start()
+    try:
+        rows = list(compute_sweep_records(states, config))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert runs == [3, 3, 2]
+    assert peak <= budget
+    assert rows == alone
 
 
 def test_invalid_grid_exit_code():
@@ -525,9 +578,10 @@ def test_invalid_grid_exit_code():
 @pytest.mark.parametrize("mode,flag,value", [
     ("sweep", "--fock-cutoff", "0"),
     ("convergence", "--fock-cutoff", "0"),
-    ("sweep", "--fock-cutoff", str(dicke_qfi.solver.HARD_CAP + 1)),
-    ("husimi", "--fock-cutoff", str(dicke_qfi.solver.HARD_CAP + 1)),
-    ("convergence", "--fock-cutoff", str(dicke_qfi.solver.HARD_CAP + 1)),
+    # past the memory budget at every N: the block has more positions than
+    # the budget has floats
+    *((mode, "--fock-cutoff", str(dicke_qfi.solver.MEMORY_BUDGET // 8))
+      for mode in ("sweep", "husimi", "convergence")),
     ("husimi", "--grid-points", "5"),
     # a grid this fine would not fit in memory
     ("husimi", "--grid-points", "1000000000000"),
@@ -598,14 +652,15 @@ def test_non_finite_argument_exit_code(flag, value, capsys):
     scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0))),
     scipy.sparse.linalg.ArpackError(-9999),
 ])
-def test_lanczos_failure_exit_code(error, tmp_path, monkeypatch):
+def test_lanczos_failure_exit_code(error, tmp_path, monkeypatch, force_lanczos):
     def fail(*args, **kwargs):
         raise error
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
-    # N = 101 is more than the banded solver takes, so its blocks go to Lanczos
-    assert 101 > BANDED_MAX_ATOMS
+    # with the banded bytes charged past the budget, the blocks go to Lanczos
+    calls = force_lanczos()
     check_failed_sweep(tmp_path, "101", "10")
+    assert calls == [10, 10]
 
 
 def test_banded_failure_exit_code(tmp_path, monkeypatch):
@@ -934,7 +989,7 @@ def test_sweep_config_validation():
 def test_parameter_box_corners_run_in_every_mode(mode, omega, omega0, tmp_path):
     # lambda at 0, exactly at lambda_cr and at the top of the box: a point may
     # fail (exit 4), but no corner raises or is rejected.  N = MAX_ATOMS at the
-    # top coupling starts above the hard cap, so it fails before it allocates
+    # top coupling starts past the memory budget, so it fails before it allocates
     lcr = math.sqrt(omega * omega0) / 2
     out = tmp_path / "out.txt"
     for lambda_min, lambda_max, steps, n_atoms in ((0.0, PARAMETER_MAX, 2, 1), (lcr, lcr, 1, 1),

@@ -22,6 +22,12 @@ from dicke_qfi.metrology import qfi_atoms, qfi_field, spin_variance
 from dicke_qfi.model import ModelParams
 from dicke_qfi.solver import solve
 from dicke_qfi.states import schmidt_decompose
+from dicke_qfi.thermo import (
+    nbar_thermo,
+    qfi_field_scaled_limit,
+    quad_variance_thermo,
+    thermo_point,
+)
 
 MARGIN = 1e-9
 
@@ -85,3 +91,30 @@ def test_qfi_is_bounded_by_four_variances(n_atoms, lam):
     var_number = occupation @ n**2 - (occupation @ n) ** 2
     assert 0.0 <= f_a <= 4.0 * spin_variance(atoms, 0.0) * (1 + 1e-12) + 1e-12
     assert 0.0 <= f_b <= 4.0 * var_number * (1 + 1e-12) + 1e-12
+
+
+def test_rabi_limit_approaches_the_thermodynamic_field():
+    # N = 1 has the superradiant transition too, at the same lambda_cr, as
+    # eta = omega0 / omega -> infinity (Hwang, Puebla & Plenio, PRL 115, 180404
+    # (2015)): the sweep's field columns approach thermo's at N = 1, and each
+    # decade of eta divides every gap by about 10 (9.7 to 11.0 measured from
+    # eta = 1e3 on).  eta = 1e5 needs cutoffs up to 116316 (1.5 lambda_cr), blocks
+    # of under 1 MiB that a cutoff count of 2^14 once refused
+    etas, ratios = (1e2, 1e3, 1e4, 1e5), (0.5, 0.9, 1.1, 1.5)
+    gaps = {}
+    for eta in etas:
+        for ratio in ratios:
+            lam = ratio * math.sqrt(eta) / 2
+            config = SweepConfig(mode="sweep", omega0=eta, lambda_min=lam, lambda_max=lam,
+                                 lambda_steps=1, n_atoms=(1,))
+            [record], failed = run_sweep(config)
+            assert failed == []
+            pt = thermo_point(1.0, eta, lam)
+            limits = (qfi_field_scaled_limit(pt), 4 * quad_variance_thermo(pt), nbar_thermo(pt, 1))
+            values = (record.f_b_scaled, record.quad_var_scaled, record.nbar)
+            gaps[eta, ratio] = [abs(value - limit) / limit for value, limit in zip(values, limits)]
+    for ratio in ratios:
+        assert max(gaps[1e5, ratio]) < 2e-4  # at most 1.5e-4 measured
+        for eta in (1e3, 1e4):
+            for wide, narrow in zip(gaps[eta, ratio], gaps[10 * eta, ratio]):
+                assert 8 < wide / narrow < 12

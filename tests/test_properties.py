@@ -40,8 +40,6 @@ from qfi_reference import (
 )
 from scipy.linalg import lapack
 
-import dicke_qfi.solver
-
 from dicke_qfi.metrology import (
     QfiResult,
     mean_number,
@@ -148,10 +146,12 @@ def test_reduced_state_invariants_converged(omega, omega0, lam, n_atoms):
 
 
 @pytest.mark.parametrize("omega,omega0,lam,n_atoms", [(1.0, 1.0, 1.0, 20), (0.3, 3.0, 1.0, 6)])
-def test_reduced_state_invariants_lanczos(omega, omega0, lam, n_atoms, monkeypatch):
-    # both points are banded by default; with the threshold at 0 Lanczos solves them
-    monkeypatch.setattr(dicke_qfi.solver, "BANDED_MAX_ATOMS", 0)
+def test_reduced_state_invariants_lanczos(omega, omega0, lam, n_atoms, force_lanczos):
+    # both points are banded by default; with their banded bytes charged past the
+    # budget Lanczos solves them
+    calls = force_lanczos()
     gs = solve(ModelParams(omega, omega0, lam, n_atoms), 1e-10)
+    assert calls == [step.n_cutoff for step in gs.convergence.steps]
     assert gs.convergence.lower_bound is None
     check_invariants(gs)
 

@@ -1,6 +1,7 @@
 import importlib.machinery
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,6 @@ from dicke_qfi.cli import SweepConfig, compute_sweep_records
 from dicke_qfi.errors import ConvergenceError, SolverError
 from dicke_qfi.model import ModelParams
 from dicke_qfi.solver import (
-    BANDED_MAX_ATOMS,
     BRACKET_RTOL,
     GroundState,
     converge_stack,
@@ -38,15 +38,12 @@ from dicke_qfi.solver import (
     initial_cutoff,
     lapack,
     solve,
+    solve_bytes,
     solve_stack,
+    solver_path,
     stacks,
     tail_population,
 )
-
-
-def force_lanczos(monkeypatch, n_atoms):
-    """Move the banded-path threshold just below N."""
-    monkeypatch.setattr(dicke_qfi.solver, "BANDED_MAX_ATOMS", n_atoms - 1)
 
 
 def _product_op(boson_op, spin_op, indexer):
@@ -68,13 +65,13 @@ def test_decoupled_ground_state():
 
 @pytest.mark.parametrize("lam,lanczos", [(0.6, False), (0.6, True), (0.0, False)],
                          ids=["banded", "lanczos", "decoupled"])
-def test_ground_state_norm_and_phase(lam, lanczos, monkeypatch):
+def test_ground_state_norm_and_phase(lam, lanczos, force_lanczos):
     # H and its even block are real, so the state is stored real and sign-fixed,
     # on the even sector alone: a product-size reshape of it fails
-    if lanczos:
-        force_lanczos(monkeypatch, 3)
+    calls = force_lanczos() if lanczos else []
     gs = solve(ModelParams(1.0, 1.0, lam, 3), fock_cutoff=24)
     assert (gs.convergence.lower_bound is None) == lanczos
+    assert calls == ([24] if lanczos else [])
     indexer = BasisIndexer(gs.n_cutoff, gs.params.n_atoms)
     assert gs.vector.size == (indexer.dimension + 1) // 2
     with pytest.raises(ValueError):
@@ -139,9 +136,10 @@ def test_first_cutoff_past_the_float_range(omega, lam):
     except SolverError as exc:
         alone = exc
     assert type(alone) is type(outcome)
-    if lam >= 0.5:  # nb = lam^2 N / omega^2 is past any float, so past the cap
+    if lam >= 0.5:  # nb = lam^2 N / omega^2 is past any float, so past the budget
         assert isinstance(outcome, ConvergenceError)
-        assert outcome.steps == () and outcome.n_cutoff > dicke_qfi.solver.HARD_CAP
+        assert outcome.steps == () and outcome.n_cutoff == dicke_qfi.solver.MEMORY_BUDGET // 8
+        assert "past the memory budget" in str(outcome)
     elif lam == 0:  # the exact state at the first cutoff
         assert outcome.n_cutoff == 20 and [s.n_cutoff for s in outcome.convergence.steps] == [20]
         assert outcome.energy == -0.5 and outcome.vector[0] == 1.0
@@ -217,30 +215,35 @@ def test_converge_records_doubling_trajectory():
 
 
 def test_converge_hard_cap_raises_with_steps(monkeypatch):
-    monkeypatch.setattr(dicke_qfi.solver, "HARD_CAP", 40)
-    params = ModelParams(1.0, 1.0, 2.0, 6)  # needs n_cutoff ~ 200
+    # the memory budget bounds the doubling: with room for cutoff 40 and not 80,
+    # a point that needs n_cutoff ~ 200 stops at 40 with its steps
+    params = ModelParams(1.0, 1.0, 2.0, 6)
+    monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", solve_bytes(params, 40)[0])
     [error] = converge_stack([params], 1e-10, n_start=20)
     assert isinstance(error, ConvergenceError)
     assert len(error.steps) >= 1
     assert error.n_cutoff == error.steps[-1].n_cutoff == 40
+    assert f"n_cutoff=80 at N=6 needs {solve_bytes(params, 80)[0]} bytes banded" in str(error)
 
 
 def test_converge_start_above_hard_cap_fails_before_solving(monkeypatch):
     # lam = 1e5 at N = 1000 starts the doubling at about 1e13 Fock levels
     params = ModelParams(1.0, 1.0, 1e5, 1000)
     start = initial_cutoff(params)
-    assert start > dicke_qfi.solver.HARD_CAP
+    with pytest.raises(SolverError, match="past the memory budget"):
+        solver_path(params, start)
 
     def no_solve(*args, **kwargs):
-        raise AssertionError("a start above the hard cap must not be solved")
+        raise AssertionError("a start past the memory budget must not be solved")
 
     monkeypatch.setattr(dicke_qfi.solver, "ground_states", no_solve)
     with pytest.raises(ConvergenceError) as excinfo:
         solve(params, 1e-10)
     assert excinfo.value.n_cutoff == start
     assert excinfo.value.steps == ()
-    monkeypatch.setattr(dicke_qfi.solver, "HARD_CAP", 40)
-    [error] = converge_stack([ModelParams(1.0, 1.0, 0.5, 2)], 1e-10, n_start=41)
+    small = ModelParams(1.0, 1.0, 0.5, 2)
+    monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", solve_bytes(small, 40)[0])
+    [error] = converge_stack([small], 1e-10, n_start=41)
     assert isinstance(error, ConvergenceError)
     assert error.n_cutoff == 41
     assert error.steps == ()
@@ -311,15 +314,16 @@ def test_expectation_nbar_against_doubled_cutoff():
 
 
 @pytest.mark.parametrize("n_atoms,lam,n_cutoff", [(20, 1.0, 170), (5, 0.8, 199)])
-def test_lanczos_matches_dense_above_threshold(n_atoms, lam, n_cutoff, monkeypatch):
-    # both blocks are banded by default; the threshold is moved below their N
+def test_lanczos_matches_dense_above_threshold(n_atoms, lam, n_cutoff, force_lanczos):
+    # both blocks are banded by default; their banded bytes are charged past the budget
     params = ModelParams(1.0, 1.0, lam, n_atoms)
     indexer = BasisIndexer(n_cutoff, n_atoms)
     energies, vecs = scipy.linalg.eigh(dense_hamiltonian_block(params, indexer),
                                        subset_by_index=[0, 0])
     banded = solve(params, fock_cutoff=n_cutoff)
-    force_lanczos(monkeypatch, n_atoms)
+    calls = force_lanczos()
     gs = solve(params, fock_cutoff=n_cutoff)
+    assert calls == [n_cutoff]
     assert gs.convergence.lower_bound is None
     for state in (gs, banded):
         assert abs(state.energy - energies[0]) < 1e-12
@@ -333,27 +337,30 @@ def test_lanczos_matches_dense_above_threshold(n_atoms, lam, n_cutoff, monkeypat
 
 
 @pytest.mark.parametrize("n_atoms", [101, 102])
-def test_banded_matches_lanczos_above_threshold(n_atoms, monkeypatch):
-    # the same block by Lanczos and, with the threshold moved up to N, by the
-    # banded solver, at an odd N (three coupling offsets) and an even N (two)
+def test_banded_matches_lanczos_above_threshold(n_atoms, force_lanczos):
+    # the same block by the banded solver, which the budget gives it, and by
+    # Lanczos, with the banded bytes charged past the budget, at an odd N
+    # (three coupling offsets) and an even N (two)
     params = ModelParams(1.0, 1.0, 0.8, n_atoms)
-    lanczos = solve(params, fock_cutoff=40)
-    monkeypatch.setattr(dicke_qfi.solver, "BANDED_MAX_ATOMS", n_atoms)
     banded = solve(params, fock_cutoff=40)
+    calls = force_lanczos()
+    lanczos = solve(params, fock_cutoff=40)
+    assert calls == [40]
     assert lanczos.convergence.lower_bound is None
     assert banded.convergence.lower_bound is not None
     assert abs(banded.energy - lanczos.energy) <= 1e-12 * abs(lanczos.energy)
 
 
 @pytest.mark.parametrize("n_cutoff", [511, 512])
-def test_observables_agree_across_solver_threshold(n_cutoff, monkeypatch):
+def test_observables_agree_across_solver_threshold(n_cutoff, force_lanczos):
     # the same N = 1 points (even block dimension n_cutoff + 1) by the banded
-    # solver and by Lanczos, moving the threshold to switch between them
+    # solver and by Lanczos, charging the banded bytes past the budget to switch
     params = ModelParams(1.0, 1.0, 0.8, 1)
     config = SweepConfig(mode="sweep", tol=1e-10, fock_cutoff=n_cutoff)
     [banded] = compute_sweep_records([solve(params, fock_cutoff=n_cutoff)], config)
-    force_lanczos(monkeypatch, 1)
+    calls = force_lanczos()
     [lanczos] = compute_sweep_records([solve(params, fock_cutoff=n_cutoff)], config)
+    assert calls == [n_cutoff]
     assert_allclose(lanczos, banded, rtol=1e-12, atol=1e-14)
 
 
@@ -361,10 +368,11 @@ def test_observables_agree_across_solver_threshold(n_cutoff, monkeypatch):
     (20, 1e-9), (20, 1e-5), (20, 0.5), (20, 1.0), (20, 2.0), (6, 1.5), (101, 0.1),
     (1, 1.0), (1, 3.0), (2, 1.0), (2, 2.0), (3, 1.2), (3, 2.0), (6, 1.0),
 ])
-def test_warm_start_matches_cold_dense_solve(n_atoms, lam, monkeypatch):
+def test_warm_start_matches_cold_dense_solve(n_atoms, lam, monkeypatch, force_lanczos):
     # the doubled solve starts from the first solve's state, zero-padded, on the
-    # banded path (N <= 100) or the Lanczos path (N = 101, at a cutoff small enough
-    # for the dense oracle); it must find the state a dense solve finds, every time.
+    # banded path or the Lanczos path (N = 101, its banded bytes charged past the
+    # budget, at a cutoff small enough for the dense oracle); it must find the
+    # state a dense solve finds, every time.
     # The first cutoffs are even at (1, 1.0), (2, 1.0), (3, 2.0) and (6, 1.0), odd
     # at (1, 3.0), (2, 2.0), (3, 1.2) and (6, 1.5)
     starts = []
@@ -380,11 +388,13 @@ def test_warm_start_matches_cold_dense_solve(n_atoms, lam, monkeypatch):
 
     monkeypatch.setattr(lapack, "dpbtrs", record_rhs)
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", record_start)
+    lanczos = n_atoms == 101
+    calls = force_lanczos() if lanczos else []
     params = ModelParams(1.0, 1.0, lam, n_atoms)
     gs = solve(params, 1e-10)
     n_cutoff = gs.n_cutoff
     assert [step.n_cutoff for step in gs.convergence.steps] == [n_cutoff // 2, n_cutoff]
-    lanczos = n_atoms > BANDED_MAX_ATOMS
+    assert calls == ([n_cutoff // 2, n_cutoff] if lanczos else [])
     assert (gs.convergence.lower_bound is None) == lanczos
     # eigsh takes the block alone; inverse iteration solves the stack's band,
     # where a stack of one holds the block between kd zero rows on each side
@@ -512,23 +522,23 @@ def test_banded_factorization_counts(n_atoms, lam_max, steps, max_dpbtrf, parent
 
 
 @pytest.mark.parametrize("n_atoms,lam", [(1, 8.0), (2, 4.0), (3, 2.5), (100, 0.5), (101, 0.5)])
-def test_solver_path_follows_atom_count(n_atoms, lam, monkeypatch):
-    # N <= BANDED_MAX_ATOMS is banded and certified, cold and warm; larger N
-    # go to Lanczos, cold and warm; the block dimension plays no part
-    calls = []
-    eigsh = scipy.sparse.linalg.eigsh
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
-                        lambda *args, **kwargs: calls.append(1) or eigsh(*args, **kwargs))
-    gs = solve(ModelParams(1.0, 1.0, lam, n_atoms), 1e-10)
-    assert len(gs.convergence.steps) == 2
-    lanczos = n_atoms > BANDED_MAX_ATOMS
-    assert len(calls) == (2 if lanczos else 0)
-    assert (gs.convergence.lower_bound is None) == lanczos
+def test_solver_path_follows_atom_count(n_atoms, lam, force_lanczos):
+    # the atom number picks the path only through the bytes of the band: at the
+    # budget every point here, N = 101 included, is banded and certified, cold and
+    # warm; with its banded bytes past the budget it takes Lanczos, cold and warm
+    params = ModelParams(1.0, 1.0, lam, n_atoms)
+    banded = solve(params, 1e-10)
+    assert len(banded.convergence.steps) == 2
+    assert banded.convergence.lower_bound is not None
+    calls = force_lanczos()
+    gs = solve(params, 1e-10)
+    assert calls == [step.n_cutoff for step in gs.convergence.steps]
+    assert len(calls) == 2 and gs.convergence.lower_bound is None
 
 
 @pytest.mark.parametrize("n_cutoff", [7, 40])
 @pytest.mark.parametrize("n_atoms", [1, 2, 3, 101, 150])
-def test_lanczos_operator_sums_rows_in_order(n_atoms, n_cutoff, monkeypatch):
+def test_lanczos_operator_sums_rows_in_order(n_atoms, n_cutoff, monkeypatch, force_lanczos):
     # eigsh gets the block as a DIA array with ascending offsets, whose product
     # sums each row from left to right, as the row-ordered oracle does: a
     # change of scipy's DIA kernel that moves a bit would move the output
@@ -540,10 +550,10 @@ def test_lanczos_operator_sums_rows_in_order(n_atoms, n_cutoff, monkeypatch):
         return eigsh(matrix, *args, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", captured)
-    if n_atoms <= BANDED_MAX_ATOMS:
-        force_lanczos(monkeypatch, n_atoms)
+    calls = force_lanczos()
     params = ModelParams(1.0, 1.0, 0.9, n_atoms)
     solve(params, fock_cutoff=n_cutoff)
+    assert calls == [n_cutoff]
     [matrix] = operators
     block = dicke_qfi.model.build_even_block(params, n_cutoff)
     offsets = sorted(block[1])
@@ -562,11 +572,10 @@ def test_lanczos_operator_sums_rows_in_order(n_atoms, n_cutoff, monkeypatch):
     pytest.param(20, 1.0, 170, True, id="lanczos-20-1.0-170"),
     pytest.param(20, 1.0, None, True, id="lanczos-20-1.0-None"),
 ])
-def test_residual_certificate(n_atoms, lam, n_cutoff, lanczos, monkeypatch):
+def test_residual_certificate(n_atoms, lam, n_cutoff, lanczos, force_lanczos):
     # cold solves and the warm-started one of cutoff doubling, on the banded
-    # path and, with the threshold moved below N = 20, on the Lanczos path
-    if lanczos:
-        force_lanczos(monkeypatch, n_atoms)
+    # path and, with the banded bytes charged past the budget, on the Lanczos path
+    calls = force_lanczos() if lanczos else []
     params = ModelParams(1.0, 1.0, lam, n_atoms)
     if n_cutoff is None:
         gs = solve(params, 1e-10)
@@ -576,6 +585,7 @@ def test_residual_certificate(n_atoms, lam, n_cutoff, lanczos, monkeypatch):
         assert gs.convergence.residual == warm.convergence.residual
     else:
         gs = solve(params, fock_cutoff=n_cutoff)
+    assert bool(calls) == lanczos
     psi = gs.vector
     block = dense_hamiltonian_block(params, BasisIndexer(gs.n_cutoff, gs.params.n_atoms))
     recomputed = np.linalg.norm(block @ psi - gs.energy * psi)
@@ -593,7 +603,8 @@ def test_residual_certificate(n_atoms, lam, n_cutoff, lanczos, monkeypatch):
 @pytest.mark.parametrize("module,name,n_atoms,n_cutoff", [
     (lapack, "dpbtrs", 3, 20), (scipy.sparse.linalg, "eigsh", 20, 170),
 ])
-def test_residual_measures_returned_vector(module, name, n_atoms, n_cutoff, monkeypatch):
+def test_residual_measures_returned_vector(module, name, n_atoms, n_cutoff, monkeypatch,
+                                           force_lanczos):
     # a solver returning slightly wrong vectors must show in the certificate
     real = getattr(module, name)
 
@@ -606,9 +617,9 @@ def test_residual_measures_returned_vector(module, name, n_atoms, n_cutoff, monk
         return energies, vecs / np.linalg.norm(vecs[:, 0])
 
     monkeypatch.setattr(module, name, perturbed)
-    if name == "eigsh":
-        force_lanczos(monkeypatch, n_atoms)
+    calls = force_lanczos() if name == "eigsh" else []
     gs = solve(ModelParams(1.0, 1.0, 0.5, n_atoms), fock_cutoff=n_cutoff)
+    assert calls == ([n_cutoff] if name == "eigsh" else [])
     assert gs.convergence.residual > 1e-8
 
 
@@ -818,14 +829,17 @@ def test_out_of_memory_in_the_stacked_loop(failing_call, monkeypatch):
 
 
 def test_hard_cap_start_fails_alone(monkeypatch):
-    # the middle point starts above the cap, its neighbours converge at it
-    monkeypatch.setattr(dicke_qfi.solver, "HARD_CAP", 40)
+    # the middle point starts past the memory budget, its neighbours converge at
+    # the last cutoff that fits, each in a run of its own
     points = [ModelParams(1.0, 1.0, lam, 2) for lam in (0.3, 3.0, 0.5)]
     assert [initial_cutoff(params) for params in points] == [20, 62, 20]
     alone = [solve(points[0], 1e-10), None, solve(points[2], 1e-10)]
+    assert [gs.n_cutoff for gs in alone[::2]] == [40, 40]
+    monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", solve_bytes(points[0], 40)[0])
     outcomes = converge_stack(points, 1e-10)
     assert isinstance(outcomes[1], ConvergenceError)
     assert outcomes[1].n_cutoff == 62 and outcomes[1].steps == ()
+    assert f"n_cutoff=62 at N=2 needs {solve_bytes(points[1], 62)[0]} bytes" in str(outcomes[1])
     assert_same_bits(alone[0], outcomes[0])
     assert_same_bits(alone[2], outcomes[2])
 
@@ -837,7 +851,7 @@ def test_stacks_follow_atom_number_budget_and_cap():
     assert all(len({p.n_atoms for p in stack}) == 1 for stack in cut)
     # at its default cutoff an N = 101 point's band fills more than half the budget
     assert [len(stack) for stack in cut if stack[0].n_atoms == 101] == [1] * 6
-    # at cutoff 2 two share a stack; Lanczos solves each alone, so each keeps its bits
+    # at cutoff 2 two share a stack and a band, and each keeps the bits it has alone
     pair = [ModelParams(1.0, 1.0, lam, 101) for lam in (0.5, 1.0)]
     assert stacks(pair, n_start=2) == [pair]
     for params, gs in zip(pair, solve_stack(pair, fock_cutoff=2)):
@@ -885,3 +899,156 @@ def test_cutoff_takes_any_integer_and_no_float(entry, value, monkeypatch):
     [gs], [reference] = outcome, expected
     assert_same_bits(reference, gs)
     assert type(gs.n_cutoff) is int
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+@pytest.mark.parametrize("entry", ["solve", "solve_stack", "ground_states"])
+def test_fixed_cutoff_past_budget_fails_before_allocating(entry, lam, monkeypatch):
+    # a fixed cutoff once bypassed the cutoff limit, its block and skeleton built
+    # before anything could fail; now a cutoff past the budget fails first, with
+    # its bytes and the budget, and the cutoff below it still solves
+    params = ModelParams(1.0, 1.0, lam, 2)
+
+    def outcome(n_cutoff):
+        try:
+            [result] = CUTOFF_ENTRY_POINTS[entry](params, n_cutoff)
+        except SolverError as exc:
+            return exc
+        return result
+
+    budget = solve_bytes(params, 40)[0]
+    monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", budget)
+    assert outcome(40).n_cutoff == 40
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("a cutoff past the memory budget must not be allocated")
+
+    for module, name in ((dicke_qfi.model, "build_even_block"), (dicke_qfi.model, "_skeleton"),
+                         (dicke_qfi.solver, "build_even_block"), (dicke_qfi.solver, "_starts")):
+        monkeypatch.setattr(module, name, no_allocation)
+    error = outcome(41)
+    assert type(error) is SolverError and error.n_cutoff == 41 and error.steps == ()
+    banded, lanczos = solve_bytes(params, 41)
+    need = f"{banded} bytes" if lam == 0 else f"{banded} bytes banded and {lanczos} by Lanczos"
+    assert str(error) == (f"n_cutoff=41 at N=2 needs {need}, "
+                          f"past the memory budget of {budget} bytes")
+    # the default budget: a block of more positions than the budget has floats
+    monkeypatch.undo()
+    for module, name in ((dicke_qfi.solver, "build_even_block"), (dicke_qfi.solver, "_starts")):
+        monkeypatch.setattr(module, name, no_allocation)
+    huge = dicke_qfi.solver.MEMORY_BUDGET // 8
+    assert isinstance(outcome(huge), SolverError) and outcome(huge).n_cutoff == huge
+
+
+def test_budget_between_the_estimates_picks_the_path(monkeypatch):
+    # at cutoff 300 the band of N = 250 holds more than its Lanczos solve, and the
+    # band of N = 150 less: a budget at N = 250's Lanczos bytes sends N = 150 to
+    # the band and N = 250 to Lanczos, and a budget at N = 250's band both to the band
+    points = {n: ModelParams(1.0, 1.0, 1.0, n) for n in (150, 250)}
+    (banded_150, _), (banded_250, lanczos_250) = (solve_bytes(points[n], 300) for n in points)
+    assert banded_150 < lanczos_250 < banded_250
+    calls = []
+    lanczos = dicke_qfi.solver._lanczos_lowest
+    monkeypatch.setattr(dicke_qfi.solver, "_lanczos_lowest",
+                        lambda block, start, n_cutoff: calls.append(n_cutoff)
+                        or lanczos(block, start, n_cutoff))
+    monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", banded_250)
+    banded = {n: solve(params, fock_cutoff=300) for n, params in points.items()}
+    assert calls == [] and all(gs.convergence.lower_bound is not None for gs in banded.values())
+    monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", lanczos_250)
+    assert_same_bits(banded[150], solve(points[150], fock_cutoff=300))
+    assert calls == []
+    gs = solve(points[250], fock_cutoff=300)
+    assert calls == [300] and gs.convergence.lower_bound is None
+    assert abs(gs.energy - banded[250].energy) <= 1e-12 * abs(banded[250].energy)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n_atoms=st.integers(1, 34), n_cutoff=st.integers(1, 10**7),
+       budget=st.integers(1, 2**40), lam=st.sampled_from((0.0, 0.5, 3.0)))
+def test_small_n_is_banded_or_refused(n_atoms, n_cutoff, budget, lam):
+    # up to N = 34, kd + 22 <= 40: the band never holds more than Lanczos, so no
+    # budget sends a point to Lanczos; it is banded or refused
+    params = ModelParams(1.0, 1.0, lam, n_atoms)
+    banded, lanczos = solve_bytes(params, n_cutoff)
+    assert banded <= lanczos
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", budget)
+        try:
+            path, held = solver_path(params, n_cutoff)
+        except SolverError:
+            assert banded > budget
+        else:
+            assert (path, held) == ("banded", banded) and banded <= budget
+
+
+def test_small_n_past_budget_never_takes_lanczos(monkeypatch):
+    # N = 10 one byte short of its band is refused, not sent to Lanczos
+    params = ModelParams(1.0, 1.0, 0.8, 10)
+    lanczos = dicke_qfi.solver._lanczos_lowest
+    calls = []
+    monkeypatch.setattr(dicke_qfi.solver, "_lanczos_lowest",
+                        lambda *args: calls.append(args[2]) or lanczos(*args))
+    monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", solve_bytes(params, 60)[0] - 1)
+    with pytest.raises(SolverError, match="past the memory budget"):
+        solve(params, fock_cutoff=60)
+    assert solve(params, fock_cutoff=59).convergence.lower_bound is not None
+    assert calls == []
+
+
+def test_point_past_budget_fails_before_its_round(monkeypatch):
+    # the middle point's cutoff is past the budget: it fails with its bytes before
+    # any block of the round is built, and its neighbours keep their bits
+    points = [ModelParams(1.0, 1.0, lam, 3) for lam in (0.4, 0.9, 1.3)]
+    cutoffs = [20, 41, 24]
+    alone = [solve(params, fock_cutoff=n_cutoff) for params, n_cutoff in zip(points, cutoffs)]
+    monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", solve_bytes(points[1], 40)[0])
+    built = []
+    build = dicke_qfi.solver.build_even_block
+    monkeypatch.setattr(dicke_qfi.solver, "build_even_block",
+                        lambda params, n_cutoff: built.append(n_cutoff) or build(params, n_cutoff))
+    outcomes = ground_states(points, cutoffs)
+    assert isinstance(outcomes[1], SolverError) and outcomes[1].n_cutoff == 41
+    assert "past the memory budget" in str(outcomes[1])
+    assert built == [20, 24]
+    assert_same_bits(alone[0], outcomes[0])
+    assert_same_bits(alone[2], outcomes[2])
+    # converge_stack names the reason too, with no steps
+    [error] = converge_stack(points[1:2], 1e-10, n_start=41)
+    assert isinstance(error, ConvergenceError) and error.steps == () and error.n_cutoff == 41
+    assert "past the memory budget" in str(error)
+
+
+@pytest.mark.parametrize("n_atoms,n_cutoff", [(1, 6000), (2, 3000), (20, 400)])
+def test_round_past_budget_is_solved_in_runs(n_atoms, n_cutoff, monkeypatch):
+    # eight points whose bands together hold 8/3 of the budget are solved in runs
+    # of 3, 3 and 2 blocks, each point with the bits it has alone; tracemalloc's
+    # peak, the solved states included, stays within the budget (0.5 to 0.7 of it
+    # measured), where one band of all eight peaked at 1.2 to 1.9 budgets
+    points = [ModelParams(1.0, 1.0, float(lam), n_atoms) for lam in np.linspace(0.3, 2.5, 8)]
+    alone = [solve(params, fock_cutoff=n_cutoff) for params in points]
+    budget = 3 * solve_bytes(points[0], n_cutoff)[0]
+    monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", budget)
+    runs = []
+    banded_lowest = dicke_qfi.solver._banded_lowest
+    monkeypatch.setattr(dicke_qfi.solver, "_banded_lowest",
+                        lambda blocks, *args: runs.append(len(blocks))
+                        or banded_lowest(blocks, *args))
+    tracemalloc.start()
+    try:
+        outcomes = solve_stack(points, fock_cutoff=n_cutoff)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert runs == [3, 3, 2]
+    assert peak <= budget
+    for gs, outcome in zip(alone, outcomes):
+        assert_same_bits(gs, outcome)
+
+
+def test_fitting_runs_keep_order_and_fit_the_budget(monkeypatch):
+    monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", 10)
+    sizes = [4, 5, 2, 11, 3, 3, 3, 1, 10]
+    runs = list(dicke_qfi.solver.fitting_runs(sizes, int))
+    assert runs == [[4, 5], [2], [11], [3, 3, 3, 1], [10]]
+    assert list(dicke_qfi.solver.fitting_runs([], int)) == []

@@ -15,7 +15,6 @@ from qfi_reference import (
     spectral_decompose,
 )
 
-import dicke_qfi.solver
 import dicke_qfi.states
 from dicke_qfi.model import ModelParams, capacity
 from dicke_qfi.solver import solve, tail_population
@@ -121,13 +120,13 @@ def _rebuild(decomp: SpectralDecomposition) -> np.ndarray:
     (1, 31, False), (2, 20, False), (2, 21, False), (3, 16, False), (3, 17, False),
     (6, 41, False),
 ])
-def test_schmidt_matches_partial_trace_spectra(n_atoms, n_cutoff, lanczos, lam, monkeypatch):
-    # N = 20 is banded by default; the lanczos cases move the threshold below it.
-    # Even cutoffs at even N leave the last Fock row without an odd partner
-    if lanczos:
-        monkeypatch.setattr(dicke_qfi.solver, "BANDED_MAX_ATOMS", n_atoms - 1)
+def test_schmidt_matches_partial_trace_spectra(n_atoms, n_cutoff, lanczos, lam, force_lanczos):
+    # N = 20 is banded by default; the lanczos cases charge its banded bytes past
+    # the budget.  Even cutoffs at even N leave the last Fock row without an odd partner
+    calls = force_lanczos() if lanczos else []
     gs = solve(ModelParams(1.0, 1.0, lam, n_atoms), fock_cutoff=n_cutoff)
     assert (gs.convergence.lower_bound is None) == (lanczos and lam > 0)
+    assert calls == ([n_cutoff] if lanczos and lam > 0 else [])
     # the strided layout of the even amplitudes is the embedding through the
     # parity signs, bit for bit, in the first rows of a slab of zeros padded to
     # the power of two at or above the cutoff; the tail is the grid's top 10% of rows
