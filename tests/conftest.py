@@ -53,21 +53,28 @@ def fail_solves_above(monkeypatch):
 
 
 @pytest.fixture
-def force_lanczos(monkeypatch):
+def lanczos_calls(monkeypatch):
+    """The cutoffs that ``solver._lanczos_lowest`` solves at, in order."""
+    calls = []
+    lanczos = dicke_qfi.solver._lanczos_lowest
+
+    def spied(block, start, n_cutoff):
+        calls.append(n_cutoff)
+        return lanczos(block, start, n_cutoff)
+
+    monkeypatch.setattr(dicke_qfi.solver, "_lanczos_lowest", spied)
+    return calls
+
+
+@pytest.fixture
+def force_lanczos(monkeypatch, lanczos_calls):
     """Call to charge every banded solve past the memory budget, so that each point at
-    lam > 0 takes Lanczos; the call returns the list of cutoffs ``_lanczos_lowest`` solves at.
+    lam > 0 takes Lanczos; the call returns ``lanczos_calls``.
     """
     def install():
-        estimate, lanczos = dicke_qfi.solver.solve_bytes, dicke_qfi.solver._lanczos_lowest
-        calls = []
-
-        def spied(block, start, n_cutoff):
-            calls.append(n_cutoff)
-            return lanczos(block, start, n_cutoff)
-
+        estimate = dicke_qfi.solver.solve_bytes
         monkeypatch.setattr(dicke_qfi.solver, "solve_bytes", lambda params, n_cutoff: (
             math.inf, estimate(params, n_cutoff)[1]))
-        monkeypatch.setattr(dicke_qfi.solver, "_lanczos_lowest", spied)
-        return calls
+        return lanczos_calls
 
     return install

@@ -940,26 +940,22 @@ def test_fixed_cutoff_past_budget_fails_before_allocating(entry, lam, monkeypatc
     assert isinstance(outcome(huge), SolverError) and outcome(huge).n_cutoff == huge
 
 
-def test_budget_between_the_estimates_picks_the_path(monkeypatch):
+def test_budget_between_the_estimates_picks_the_path(monkeypatch, lanczos_calls):
     # at cutoff 300 the band of N = 250 holds more than its Lanczos solve, and the
     # band of N = 150 less: a budget at N = 250's Lanczos bytes sends N = 150 to
     # the band and N = 250 to Lanczos, and a budget at N = 250's band both to the band
     points = {n: ModelParams(1.0, 1.0, 1.0, n) for n in (150, 250)}
     (banded_150, _), (banded_250, lanczos_250) = (solve_bytes(points[n], 300) for n in points)
     assert banded_150 < lanczos_250 < banded_250
-    calls = []
-    lanczos = dicke_qfi.solver._lanczos_lowest
-    monkeypatch.setattr(dicke_qfi.solver, "_lanczos_lowest",
-                        lambda block, start, n_cutoff: calls.append(n_cutoff)
-                        or lanczos(block, start, n_cutoff))
     monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", banded_250)
     banded = {n: solve(params, fock_cutoff=300) for n, params in points.items()}
-    assert calls == [] and all(gs.convergence.lower_bound is not None for gs in banded.values())
+    assert lanczos_calls == []
+    assert all(gs.convergence.lower_bound is not None for gs in banded.values())
     monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", lanczos_250)
     assert_same_bits(banded[150], solve(points[150], fock_cutoff=300))
-    assert calls == []
+    assert lanczos_calls == []
     gs = solve(points[250], fock_cutoff=300)
-    assert calls == [300] and gs.convergence.lower_bound is None
+    assert lanczos_calls == [300] and gs.convergence.lower_bound is None
     assert abs(gs.energy - banded[250].energy) <= 1e-12 * abs(banded[250].energy)
 
 
@@ -982,18 +978,14 @@ def test_small_n_is_banded_or_refused(n_atoms, n_cutoff, budget, lam):
             assert (path, held) == ("banded", banded) and banded <= budget
 
 
-def test_small_n_past_budget_never_takes_lanczos(monkeypatch):
+def test_small_n_past_budget_never_takes_lanczos(monkeypatch, lanczos_calls):
     # N = 10 one byte short of its band is refused, not sent to Lanczos
     params = ModelParams(1.0, 1.0, 0.8, 10)
-    lanczos = dicke_qfi.solver._lanczos_lowest
-    calls = []
-    monkeypatch.setattr(dicke_qfi.solver, "_lanczos_lowest",
-                        lambda *args: calls.append(args[2]) or lanczos(*args))
     monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", solve_bytes(params, 60)[0] - 1)
     with pytest.raises(SolverError, match="past the memory budget"):
         solve(params, fock_cutoff=60)
     assert solve(params, fock_cutoff=59).convergence.lower_bound is not None
-    assert calls == []
+    assert lanczos_calls == []
 
 
 def test_point_past_budget_fails_before_its_round(monkeypatch):
