@@ -5,7 +5,8 @@ Output is deterministic: floats are serialized in shortest round-trip
 decimal form, columns and row order are fixed, and identical configs
 produce byte-identical files at a fixed BLAS thread count (threaded BLAS
 may move a last digit).  Exit codes: 0 success, 2 invalid argument,
-3 I/O error, 4 a failed (N, lambda) point or a low-confidence fit.
+3 I/O error, 4 a failed (N, lambda) point, each named on stderr with its
+reason, or a low-confidence fit.
 ``map_points`` solves the points of ``sweep``, ``husimi`` and ``convergence``
 in stacks, runs of consecutive points of one N that the solver solves
 together, hands each stack's solved states to the mode's point function,
@@ -176,7 +177,7 @@ class SweepConfig:
             lam = self.lambda_max if self.lambda_steps > 1 else self.lambda_min
             largest = ModelParams(self.omega, self.omega0, lam, max(self.n_atoms))
             try:
-                solver.solver_path(largest, self.fock_cutoff)
+                solver.checked_bytes(largest, self.fock_cutoff)
             except SolverError as exc:
                 raise ValueError(f"fock-cutoff {self.fock_cutoff}: {exc}") from None
         if self.grid_points is not None and not 11 <= self.grid_points <= MAX_GRID_POINTS:
@@ -232,8 +233,9 @@ def map_points(config: SweepConfig, solve, point, failure, failed: list) -> Iter
     config)`` gives each point of a stack its GroundState or SolverError.
     ``point(states, config)`` yields one result for each of a stack's solved
     states, in order.  A point whose solve failed, or whose result raised
-    SolverError or MemoryError, yields ``failure(params, exc)`` instead, and
-    [lambda, N] is appended to ``failed`` before it is yielded.  Serially
+    SolverError or MemoryError, yields ``failure(params, exc)`` instead:
+    before it is yielded, [lambda, N] is appended to ``failed`` and one line
+    naming the point and the error's message is printed to stderr.  Serially
     each stack is solved when its first result is asked for, and a result
     is not held once the next one is asked for, so a ``point`` that forms
     its results one at a time, as ``compute_husimi_grids`` does, and a
@@ -264,22 +266,27 @@ def map_points(config: SweepConfig, solve, point, failure, failed: list) -> Iter
 def _in_order(outcomes, points: list[ModelParams], failed: list) -> Iterator:
     """The results of ``_attempt`` outcomes, one per point, noting the failed points."""
     for params in points:
-        result, solved = next(outcomes)
-        if not solved:
+        result, error = next(outcomes)
+        if error is not None:
             failed.append([params.lam, params.n_atoms])
+            print(f"dicke-qfi: lambda={params.lam} N={params.n_atoms} failed: {error}",
+                  file=sys.stderr)
         yield result
         del result  # not held while the next point is solved
 
 
 def _attempt(solve, point, failure, stack: list[ModelParams], config: SweepConfig) -> Iterator:
-    """Each point's result, or its failure's, and whether it was solved, formed as it is taken."""
+    """Each point's result, or its failure's with the error's message (None when it was
+    solved), formed as it is taken."""
     states = list(_one_at_a_time(solve, stack, config, _unsolved))
     results = _one_at_a_time(point, [gs for gs in states if not isinstance(gs, SolverError)],
                              config, _unobserved)
     for params, gs in zip(stack, states):
         result = gs if isinstance(gs, SolverError) else next(results)
-        solved = not isinstance(result, SolverError)
-        yield (result if solved else failure(params, result)), solved
+        if isinstance(result, SolverError):
+            yield failure(params, result), str(result)
+        else:
+            yield result, None
         del result  # not held while the next point's result is formed
 
 

@@ -7,16 +7,16 @@ separately (the CLI maps them to distinct exit codes).
 
 
 class SolverError(RuntimeError):
-    """A solve failed or was refused: banded inverse iteration, sparse ARPACK or the budget.
+    """A solve failed or was refused: banded inverse iteration or the memory budget.
 
     A point whose solve would hold more bytes than the solver's memory
-    budget by either path is refused with this class, naming its bytes and
-    the budget, before anything is allocated for it.  The banded solver
+    budget is refused with this class, naming its bytes and the budget,
+    before anything is allocated for it.  The banded solver
     raises it when a Cholesky factorization of H - sigma I
     fails even for a shift below the Gershgorin bound of H, where one must
     exist, or when inverse iteration does not settle within its step limit;
-    an energy bracket it cannot certify is never returned.  ARPACK errors,
-    non-convergence and running out of memory are re-raised as this class.
+    an energy bracket it cannot certify is never returned.  Running out of
+    memory is re-raised as this class.
     ``n_cutoff`` is the Fock cutoff of the failing solve (0 when there is
     none) and ``steps`` the cutoff-doubling steps completed before it.
     """

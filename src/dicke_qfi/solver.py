@@ -4,12 +4,11 @@ The finite-N ground state lives in the even n+m+j sector, so only that
 block is diagonalized; this halves the matrix and avoids the near-degenerate
 even/odd mixing a full-space eigensolver produces deep in the superradiant
 regime.  In ascending index order the block is banded, with half-bandwidth
-kd = (N+1)//2 + 1 (kd = 1 at N = 1) whatever the cutoff.  One byte budget,
-MEMORY_BUDGET, picks the eigensolver of each point and bounds every solve:
-``solver_path`` gives a point at a cutoff the banded path when the banded
-solve's bytes by ``solve_bytes`` fit it, Lanczos when only Lanczos' bytes do,
-and past both a SolverError before anything of its round is allocated.  The
-banded path is shifted inverse iteration on the band:
+kd = (N+1)//2 + 1 (kd = 1 at N = 1) whatever the cutoff.  Every lam > 0
+point is solved by shifted inverse iteration on the band, or refused: one
+byte budget, MEMORY_BUDGET, bounds every solve, and ``checked_bytes``
+gives a point's bytes at a cutoff by ``solve_bytes``, or past the budget a
+SolverError before anything of its round is allocated.
 LAPACK ``dpbtrf`` factors H - sigma I, which succeeds exactly when sigma
 lies below the lowest eigenvalue, and ``dpbtrs`` applies the inverse, in
 O(dim kd^2) time and O(dim kd) memory.  Both routines come from scipy's
@@ -19,10 +18,8 @@ successful factorization proves sigma < E0, and a solve returns only after
 one has succeeded within 2 r + BRACKET_RTOL max(1, |E|) of the returned
 Rayleigh quotient E, where r = ||H psi - E psi||; so E0 is bracketed,
 E - delta < E0 <= E.  Its time is set by the number of factorizations:
-about three for a cold solve and one for a doubled one.  The Lanczos path,
-for blocks whose band would not fit, is implicitly restarted Lanczos (ARPACK
-``eigsh``) on the block as a scipy.sparse DIA array, in O(dim) memory, one
-at a time.
+about three for a cold solve and one for a doubled one, and at most
+MAX_INVERSE_ITERATIONS steps.
 
 Points are solved in stacks: consecutive points of one N, as ``stacks``
 groups them.  The banded blocks of a stack are laid end to end as one
@@ -44,12 +41,12 @@ in rounds, each round solving the points still open.  The first solve of a
 point starts from the even-parity part of the mean-field state, a coherent
 field times a spin coherent state, which depends on the point alone.  Each
 solve after the first starts from the previous cutoff's ground state
-zero-padded, a prefix copy, whose energy bounds the new one from above; a
-banded one also takes the previous lower bound as its shift.  The warm
+zero-padded, a prefix copy, whose energy bounds the new one from above,
+and takes the previous lower bound as its shift.  The warm
 start stays inside one (N, lambda) point, so results do not depend on the
 order, the stack or the process in which points are solved.  Every ground
-state carries its residual ||H psi - E psi|| on the even block, and a
-banded one its certified lower bound on the energy.
+state carries its residual ||H psi - E psi|| on the even block and its
+certified lower bound on the energy.
 """
 
 from __future__ import annotations
@@ -61,8 +58,6 @@ import operator
 import sys
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import Literal
-
 import numpy as np
 import scipy
 
@@ -107,10 +102,10 @@ lapack = _load_flapack()
 
 #: bytes that one point's solve may hold, and that a round's run of banded
 #: blocks, or a run of batched Schmidt steps, may hold together, by
-#: ``solve_bytes``.  Fixed rather than read from the host: the path a point
-#: takes moves its last bits, so a budget taken from the host would make the
-#: output depend on the host.  2 GiB keeps every point up to N = 400,
-#: lambda = 2 on the banded path (1.3 GiB there) and fits a CI runner
+#: ``solve_bytes``.  Fixed rather than read from the host, so that which
+#: points are refused does not depend on the host.  2 GiB solves every
+#: converged point up to N = 400, lambda = 2 (1.3 GiB there) and fits a CI
+#: runner
 MEMORY_BUDGET = 2**31
 
 #: default tolerance for both the tail-population and energy-shift tests
@@ -148,15 +143,14 @@ class ConvergenceInfo:
 
     ``residual`` is ||H psi - E psi|| of the unit-norm state on the even block.
     ``lower_bound`` is a shift sigma at which H - sigma I had a Cholesky
-    factor, so sigma < E0 <= energy; at lam = 0 it is the exact energy, and
-    it is None for a Lanczos solve.
+    factor, so sigma < E0 <= energy; at lam = 0 it is the exact energy.
     """
 
     tail_population: float
     energy_shift: float | None
     residual: float
+    lower_bound: float
     steps: tuple[CutoffStep, ...] = ()
-    lower_bound: float | None = None
 
 
 @dataclass(frozen=True)
@@ -190,41 +184,32 @@ def _band_width(n_atoms: int) -> int:
     return (n_atoms + 1) // 2 + 1
 
 
-def solve_bytes(params: ModelParams, n_cutoff: int) -> tuple[int, int]:
-    """Estimated bytes of the point's solve at ``n_cutoff`` with its sweep row: (banded, Lanczos).
+def solve_bytes(params: ModelParams, n_cutoff: int) -> int:
+    """Estimated bytes of the point's solve at ``n_cutoff`` with its sweep row.
 
-    With dim = ``even_size(N, n_cutoff)``, the banded solve holds about
+    With dim = ``even_size(N, n_cutoff)``, the solve holds about
     dim (kd + 22) floats: its block, the band and its factor, and the
-    vectors of the iteration and the Schmidt step.  Lanczos holds about
-    40 vectors of dim floats, and 28 MiB for importing scipy.sparse.linalg.
-    Both were within 3% of the peak RSS, less the interpreter's 34 MiB, of
-    single converged points from N = 101 to 400 at lambda = 1 and 2.  A
-    lam = 0 point holds no block: either path charges it its start vector
-    and its zero-padded Schmidt grid.
+    vectors of the iteration and the Schmidt step.  That was within 3% of
+    the peak RSS, less the interpreter's 34 MiB, of single converged points
+    from N = 101 to 400 at lambda = 1 and 2.  A lam = 0 point holds no
+    block: it is charged its start vector and its zero-padded Schmidt grid.
     """
     n_atoms = params.n_atoms
     dim = even_size(n_atoms, n_cutoff)
     if params.lam == 0:
-        held = 8 * (dim + (capacity(n_cutoff) + 1) * (n_atoms + 1))
-        return held, held
-    return 8 * dim * (_band_width(n_atoms) + 22), 8 * dim * 40 + 28 * 2**20
+        return 8 * (dim + (capacity(n_cutoff) + 1) * (n_atoms + 1))
+    return 8 * dim * (_band_width(n_atoms) + 22)
 
 
-def solver_path(params: ModelParams, n_cutoff: int) -> tuple[Literal["banded", "lanczos"], int]:
-    """The eigensolver of the point at ``n_cutoff``, and the bytes it holds by ``solve_bytes``.
-
-    Banded when its banded bytes fit MEMORY_BUDGET, else Lanczos when its
-    Lanczos bytes do; past both, SolverError names the bytes and the budget.
-    """
-    banded, lanczos = solve_bytes(params, n_cutoff)
-    if banded <= MEMORY_BUDGET:
-        return "banded", banded
-    if lanczos <= MEMORY_BUDGET:
-        return "lanczos", lanczos
-    need = f"{banded} bytes" + ("" if banded == lanczos else f" banded and {lanczos} by Lanczos")
-    msg = (f"n_cutoff={n_cutoff} at N={params.n_atoms} needs {need}, "
-           f"past the memory budget of {MEMORY_BUDGET} bytes")
-    raise SolverError(msg, n_cutoff)
+def checked_bytes(params: ModelParams, n_cutoff: int) -> int:
+    """The bytes of the point's solve at ``n_cutoff`` by ``solve_bytes``, within MEMORY_BUDGET;
+    past it, SolverError names N, the cutoff, the bytes and the budget."""
+    held = solve_bytes(params, n_cutoff)
+    if held > MEMORY_BUDGET:
+        msg = (f"n_cutoff={n_cutoff} at N={params.n_atoms} needs {held} bytes, "
+               f"past the memory budget of {MEMORY_BUDGET} bytes")
+        raise SolverError(msg, n_cutoff)
+    return held
 
 
 def fitting_runs(items: Sequence, held: Callable[..., int]) -> Iterator[list]:
@@ -287,10 +272,10 @@ def ground_states(
     mean-field state, and at lam = 0 the exact |0>|j,-j>.  Each point gets
     its GroundState, sign-fixed so its largest amplitude is positive, or the
     SolverError it failed with, a MemoryError included; a failure leaves
-    the other points' results as they are.  ``solver_path`` sends each point
-    to its eigensolver, or fails it before anything of the round is
-    allocated; the banded blocks are built and solved in ``fitting_runs``,
-    one band per run, and the others one at a time.
+    the other points' results as they are.  ``checked_bytes`` fails each
+    point past the budget before anything of the round is allocated; the
+    lam > 0 blocks are built and solved in ``fitting_runs``, one band per
+    run.
     """
     cutoffs = [_as_cutoff(n_cutoff, "n_cutoff") for n_cutoff in cutoffs]
     if previous is None:
@@ -305,38 +290,31 @@ def ground_states(
         if prev is not None and (prev.params != params or prev.n_cutoff > n_cutoff):
             raise ValueError("previous must be a ground state of the same model at a lower cutoff")
     # per point: (energy, amplitudes, residual, lower bound) or its SolverError;
-    # every point's path is settled before anything of the round is allocated
+    # every point's bytes are checked before anything of the round is allocated
     solved: list = [None] * len(points)
-    paths: list = [None] * len(points)
+    held: list = [0] * len(points)
     for i, (params, n_cutoff) in enumerate(zip(points, cutoffs)):
         try:
-            paths[i] = solver_path(params, n_cutoff)
+            held[i] = checked_bytes(params, n_cutoff)
         except SolverError as exc:
             solved[i] = exc
     banded = []
     for i, (params, n_cutoff, prev) in enumerate(zip(points, cutoffs, previous)):
-        if paths[i] is None:
+        if solved[i] is not None:
             continue
-        if params.lam > 0 and paths[i][0] == "banded":
+        if params.lam > 0:
             banded.append(i)
             continue
         try:
-            # the lambda = 0 and Lanczos points take their start zero-padded to the block
+            # the diagonal is lowest at |0>|j,-j>, even index 0: the start,
+            # zero-padded to the block
             [head] = _starts([params], [n_cutoff], [prev])
             padding = np.zeros(even_size(params.n_atoms, n_cutoff) - head.size)
-            start = np.concatenate((head, padding))
-            if params.lam == 0:
-                # the diagonal is lowest at |0>|j,-j>, even index 0, which the start is
-                energy = -params.omega0 * params.j
-                solved[i] = (energy, start, 0.0, energy)
-            else:
-                lanczos = _lanczos_lowest(build_even_block(params, n_cutoff), start, n_cutoff)
-                solved[i] = (*lanczos, None)
+            energy = -params.omega0 * params.j
+            solved[i] = (energy, np.concatenate((head, padding)), 0.0, energy)
         except MemoryError as exc:
             solved[i] = _out_of_memory(exc, n_cutoff)
-        except SolverError as exc:
-            solved[i] = exc
-    for run in fitting_runs(banded, lambda i: paths[i][1]):
+    for run in fitting_runs(banded, held.__getitem__):
         index, blocks = [], []
         for i in run:
             try:
@@ -366,7 +344,7 @@ def _ground_state(
     """A solved point as a GroundState: the sign fixed, its tail measured."""
     vector = -amplitudes if amplitudes[np.abs(amplitudes).argmax()] < 0 else amplitudes
     info = ConvergenceInfo(tail_population(vector, params.n_atoms, n_cutoff), None, residual,
-                           lower_bound=lower_bound)
+                           lower_bound)
     return GroundState(float(energy), vector, params, n_cutoff, info)
 
 
@@ -640,37 +618,6 @@ def _block_matvec(block: EvenBlock, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _lanczos_lowest(
-    block: EvenBlock, start: np.ndarray, n_cutoff: int
-) -> tuple[float, np.ndarray, float]:
-    """Lowest eigenpair of the block by ARPACK and its residual, deterministic for fixed input.
-
-    ARPACK and the residual apply the block as a scipy.sparse DIA array.  A
-    fixed seed covers the random restarts ARPACK draws after a Lanczos
-    breakdown.  DIA sums each row of H x over its diagonals in the order of
-    their offsets, which ascend here: the lower couplings from the farthest,
-    the diagonal, then the upper couplings.  Another order changes the
-    rounding, and through ARPACK the output bits.
-    """
-    # imported here: scipy.sparse.linalg adds import time and memory to every
-    # run of the CLI, and only large blocks need it
-    import scipy.sparse.linalg
-
-    diagonal, upper = block
-    offsets = [-d for d in reversed(upper)] + [0, *upper]
-    diagonals = [*reversed(upper.values()), diagonal, *upper.values()]
-    matrix = scipy.sparse.diags_array(diagonals, offsets=offsets, format="dia")
-    # the array holds its own copy of the diagonals: the block is not kept beside it
-    del block, diagonal, upper, diagonals
-    try:
-        energies, vecs = scipy.sparse.linalg.eigsh(matrix, k=1, which="SA", v0=start, rng=0)
-    except scipy.sparse.linalg.ArpackError as exc:  # ArpackNoConvergence included
-        msg = f"Lanczos eigensolver failed at n_cutoff={n_cutoff}: {exc}"
-        raise SolverError(msg, n_cutoff) from exc
-    vector = vecs[:, 0]
-    return energies[0], vector, float(np.linalg.norm(matrix @ vector - energies[0] * vector))
-
-
 def initial_cutoff(params: ModelParams) -> int:
     """Doubling start point: max(20, ceil(nb + 8*sqrt(nb)) + 10), nb = lam^2*N/omega^2.
 
@@ -714,7 +661,7 @@ def converge_stack(
     is accepted at the first cutoff; at any lam > 0 a tail that underflows
     to zero is no proof, so at least one doubling is solved.  A point whose
     next cutoff, its first included, is past MEMORY_BUDGET by
-    ``solver_path`` fails with ConvergenceError and the steps completed
+    ``checked_bytes`` fails with ConvergenceError and the steps completed
     before it: a first cutoff past the budget with no steps and no
     allocation.  A SolverError from any step carries the steps completed
     before it.
@@ -736,7 +683,7 @@ def converge_stack(
         if n_cutoff < 1:
             raise ValueError("starting cutoff must be >= 1")
         try:
-            solver_path(params, n_cutoff)
+            checked_bytes(params, n_cutoff)
         except SolverError as exc:
             converged[i] = ConvergenceError(f"starting Fock cutoff: {exc} (lam={params.lam})",
                                             n_cutoff)
@@ -762,12 +709,12 @@ def converge_stack(
                 shift, done = None, params.lam == 0
             steps.append(CutoffStep(n_cutoff, gs.energy, tail))
             if done:
-                info = ConvergenceInfo(tail, shift, gs.convergence.residual, tuple(steps),
-                                       gs.convergence.lower_bound)
+                info = ConvergenceInfo(tail, shift, gs.convergence.residual,
+                                       gs.convergence.lower_bound, tuple(steps))
                 converged[i] = GroundState(gs.energy, gs.vector, params, n_cutoff, info)
                 continue
             try:
-                solver_path(params, 2 * n_cutoff)
+                checked_bytes(params, 2 * n_cutoff)
             except SolverError as exc:
                 msg = f"doubled Fock cutoff: {exc} (lam={params.lam}, tol={tol})"
                 converged[i] = ConvergenceError(msg, n_cutoff, steps)

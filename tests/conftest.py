@@ -1,5 +1,3 @@
-import math
-
 import pytest
 from qfi_reference import partial_trace_atoms, partial_trace_field
 
@@ -48,33 +46,5 @@ def fail_solves_above(monkeypatch):
                     for n_cutoff in cutoffs]
 
         monkeypatch.setattr(dicke_qfi.solver, "ground_states", solve_or_fail)
-
-    return install
-
-
-@pytest.fixture
-def lanczos_calls(monkeypatch):
-    """The cutoffs that ``solver._lanczos_lowest`` solves at, in order."""
-    calls = []
-    lanczos = dicke_qfi.solver._lanczos_lowest
-
-    def spied(block, start, n_cutoff):
-        calls.append(n_cutoff)
-        return lanczos(block, start, n_cutoff)
-
-    monkeypatch.setattr(dicke_qfi.solver, "_lanczos_lowest", spied)
-    return calls
-
-
-@pytest.fixture
-def force_lanczos(monkeypatch, lanczos_calls):
-    """Call to charge every banded solve past the memory budget, so that each point at
-    lam > 0 takes Lanczos; the call returns ``lanczos_calls``.
-    """
-    def install():
-        estimate = dicke_qfi.solver.solve_bytes
-        monkeypatch.setattr(dicke_qfi.solver, "solve_bytes", lambda params, n_cutoff: (
-            math.inf, estimate(params, n_cutoff)[1]))
-        return lanczos_calls
 
     return install

@@ -224,22 +224,6 @@ def dense_hamiltonian_block(params: ModelParams, indexer: BasisIndexer) -> np.nd
     return block
 
 
-def row_ordered_product(block: EvenBlock, x: np.ndarray) -> np.ndarray:
-    """H x, each row summed from left to right: the lower couplings from the
-    farthest, the diagonal, then the upper couplings out to the farthest.
-
-    The Lanczos solver's product must carry these bits, rounding included.
-    """
-    diagonal, upper = block
-    y = np.zeros_like(diagonal)
-    for d, coupling in reversed(upper.items()):
-        y[d:] += coupling * x[:-d]
-    y += diagonal * x
-    for d, coupling in upper.items():
-        y[:-d] += coupling * x[d:]
-    return y
-
-
 def _grid(gs) -> np.ndarray:
     indexer = BasisIndexer(gs.n_cutoff, gs.params.n_atoms)
     return product_vector(gs).reshape(indexer.boson_dim, indexer.spin_dim)

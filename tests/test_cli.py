@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 from qfi_reference import (
     BasisIndexer,
     build_spin_ops,
@@ -126,20 +125,6 @@ def test_sweep_workers_match_serial_revisited_cutoffs(tmp_path):
     assert len(set(cutoffs)) < len(cutoffs)
 
 
-def test_sweep_workers_match_serial_warm_lanczos(tmp_path, force_lanczos):
-    # with the banded bytes charged past the budget, every point's doubled solve
-    # is warm-started Lanczos (even block dim 2091 to 7803); the pool's processes
-    # are forked, so they inherit the charge
-    calls = force_lanczos()
-    serial, parallel = tmp_path / "serial.csv", tmp_path / "par.csv"
-    args = ["sweep", "--n-atoms", "101", "--lambda-min", "0.1", "--lambda-max", "0.5",
-            "--lambda-steps", "3"]
-    assert main([*args, "--out", str(serial)]) == 0
-    assert len(calls) == 6
-    assert main([*args, "--workers", "2", "--out", str(parallel)]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
-
-
 @pytest.mark.parametrize("mode,fmt", [("husimi", "csv"), ("husimi", "json"),
                                       ("convergence", "csv")])
 def test_point_modes_workers_match_serial(mode, fmt, tmp_path):
@@ -180,7 +165,7 @@ def test_pool_has_at_most_one_process_per_point(tmp_path, monkeypatch):
 
 def test_sweep_flags_unconverged_point(tmp_path, monkeypatch):
     # the first cutoff, 74, is past a budget that holds cutoff 32
-    budget = solve_bytes(ModelParams(1.0, 1.0, 2.0, 6), 32)[0]
+    budget = solve_bytes(ModelParams(1.0, 1.0, 2.0, 6), 32)
     monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", budget)
     out = tmp_path / "f.csv"
     code = main(["sweep", "--n-atoms", "6", "--lambda-min", "2.0", "--lambda-max",
@@ -427,21 +412,46 @@ def test_write_table_json_values_match_json_dump(rows):
     assert written.getvalue() == reference.getvalue()
 
 
+def fresh_runs(*argvs: list[str]) -> tuple[list[int], list[str]]:
+    """``main`` on each argv in turn in one fresh interpreter: the exit codes, and the
+    modules it loaded that no run needs: scipy's linalg package or extension, its sparse
+    and special subpackages, and the process pool."""
+    code = ("import json, sys, dicke_qfi.cli; "
+            f"codes = [dicke_qfi.cli.main(argv) for argv in {list(argvs)!r}]; "
+            "print(json.dumps([codes, sorted(m for m in sys.modules if m == '_flapack' or "
+            "m.startswith(('scipy.special', 'scipy.sparse', 'scipy.linalg', "
+            "'concurrent.futures.process')))]))")
+    src = str(Path(dicke_qfi.cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    return tuple(json.loads(done.stdout))
+
+
 def test_banded_sweep_loads_no_scipy_linalg_special_sparse_or_pool(tmp_path):
     # every process, each --workers child included, pays for what the CLI imports;
     # the solver loads scipy's LAPACK extension without scipy.linalg's package
     # init, and a one-process run starts no pool
     out = tmp_path / "sweep.csv"
-    code = ("import sys, dicke_qfi.cli; "
-            f"code = dicke_qfi.cli.main(['sweep', '--n-atoms', '2', '--n-atoms', '20', "
-            f"'--lambda-steps', '3', '--out', {str(out)!r}]); "
-            "print(code, sorted(m for m in sys.modules if m == '_flapack' or m.startswith(("
-            "'scipy.special', 'scipy.sparse', 'scipy.linalg', 'concurrent.futures.process'))))")
-    src = str(Path(dicke_qfi.cli.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
-    assert done.stdout.strip() == "0 []"
+    argv = ["sweep", "--n-atoms", "2", "--n-atoms", "20", "--lambda-steps", "3", "--out", str(out)]
+    assert fresh_runs(argv) == ([0], [])
     assert len(read_csv_rows(out)[1]) == 6
+
+
+def test_refused_point_loads_no_scipy_linalg_special_sparse_or_pool(tmp_path):
+    # N = 150 at lambda = 0.5 and 1 is banded; N = 1000 at lambda = 2 is refused at
+    # its first cutoff, 4516, whose band would hold 4.4 memory budgets, before
+    # anything is allocated for it, and imports nothing either
+    banded, refused = tmp_path / "banded.csv", tmp_path / "refused.csv"
+    assert fresh_runs(
+        ["sweep", "--n-atoms", "150", "--lambda-min", "0.5", "--lambda-max", "1",
+         "--lambda-steps", "2", "--out", str(banded)],
+        ["sweep", "--n-atoms", "1000", "--lambda-min", "2", "--lambda-max", "2",
+         "--lambda-steps", "1", "--out", str(refused)]) == ([0, 4], [])
+    _, rows, _ = read_csv_rows(banded)
+    assert len(rows) == 2 and all(math.isfinite(float(v)) for row in rows for v in row)
+    _, [row], footer = read_csv_rows(refused)
+    assert row[:3] == ["2.0", "1000", "4516"] and all(math.isnan(float(v)) for v in row[3:])
+    assert "failed_points=[[2.0, 1000]]" in footer[0]
 
 
 def test_scaling_report(tmp_path):
@@ -511,7 +521,7 @@ def test_convergence_fock_cutoff_starts_trajectory(tmp_path):
 def test_convergence_hard_cap_partial_output(tmp_path, monkeypatch):
     # the trajectory starts at 74, within a budget that holds cutoff 100, and its
     # doubling to 148 is past it
-    budget = solve_bytes(ModelParams(1.0, 1.0, 2.0, 6), 100)[0]
+    budget = solve_bytes(ModelParams(1.0, 1.0, 2.0, 6), 100)
     monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", budget)
     out = tmp_path / "cap.csv"
     code = main(["convergence", "--n-atoms", "6", "--lambda-min", "2.0",
@@ -524,12 +534,12 @@ def test_convergence_hard_cap_partial_output(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("mode", ["sweep", "husimi", "convergence"])
 def test_fock_cutoff_past_budget_for_the_largest_n(mode, tmp_path, capsys, monkeypatch):
-    # cutoff 40000 fits N = 2 but not N = 400 at lambda > 0, by either path, so the
+    # cutoff 40000 fits N = 2 but not N = 400 at lambda > 0, so the
     # run is an invalid argument before FILE is opened; at lambda = 0 alone it fits
     args = ["--lambda-max", "1", "--lambda-steps", "2", "--fock-cutoff", "40000"]
     for n_atoms, fits in ((2, True), (400, False)):
         params = ModelParams(1.0, 1.0, 1.0, n_atoms)
-        assert (min(solve_bytes(params, 40000)) <= dicke_qfi.solver.MEMORY_BUDGET) == fits
+        assert (solve_bytes(params, 40000) <= dicke_qfi.solver.MEMORY_BUDGET) == fits
     SweepConfig(mode=mode, n_atoms=(2,), lambda_max=1.0, lambda_steps=2, fock_cutoff=40000)
     SweepConfig(mode=mode, n_atoms=(2, 400), lambda_steps=1, fock_cutoff=40000)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
@@ -648,21 +658,6 @@ def test_non_finite_argument_exit_code(flag, value, capsys):
     assert f"{flag[2:]} must be finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("error", [
-    scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0))),
-    scipy.sparse.linalg.ArpackError(-9999),
-])
-def test_lanczos_failure_exit_code(error, tmp_path, monkeypatch, force_lanczos):
-    def fail(*args, **kwargs):
-        raise error
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
-    # with the banded bytes charged past the budget, the blocks go to Lanczos
-    calls = force_lanczos()
-    check_failed_sweep(tmp_path, "101", "10")
-    assert calls == [10, 10]
-
-
 def test_banded_failure_exit_code(tmp_path, monkeypatch):
     dpbtrf = dicke_qfi.solver.lapack.dpbtrf
     monkeypatch.setattr(dicke_qfi.solver.lapack, "dpbtrf",
@@ -670,19 +665,36 @@ def test_banded_failure_exit_code(tmp_path, monkeypatch):
     check_failed_sweep(tmp_path, "1", "600")
 
 
-def check_failed_sweep(tmp_path, n_atoms, fock_cutoff):
+def check_failed_sweep(tmp_path, n_atoms, n_cutoff, fixed=True):
+    """Sweep N = ``n_atoms`` at lambda = 0.4 and 0.5, at the fixed cutoff ``n_cutoff``
+    or converged, and check that both points failed at ``n_cutoff``."""
     out = tmp_path / "x.csv"
+    fock_cutoff = ["--fock-cutoff", n_cutoff] if fixed else []
     code = main(["sweep", "--n-atoms", n_atoms, "--lambda-min", "0.4", "--lambda-max", "0.5",
-                 "--lambda-steps", "2", "--fock-cutoff", fock_cutoff, "--out", str(out)])
+                 "--lambda-steps", "2", *fock_cutoff, "--out", str(out)])
     assert code == 4
     # each failed point is a NaN row, and the sweep still writes every row and the footer
     header, rows, footer = read_csv_rows(out)
     assert tuple(header) == SWEEP_COLUMNS
-    assert [row[:3] for row in rows] == [["0.4", n_atoms, fock_cutoff],
-                                         ["0.5", n_atoms, fock_cutoff]]
+    assert [row[:3] for row in rows] == [["0.4", n_atoms, n_cutoff],
+                                         ["0.5", n_atoms, n_cutoff]]
     assert all(math.isnan(float(v)) for row in rows for v in row[3:])
     assert len(footer) == 1
     assert f"failed_points=[[0.4, {n_atoms}], [0.5, {n_atoms}]]" in footer[0]
+
+
+def test_failed_point_is_named_on_stderr(tmp_path, capsys, monkeypatch):
+    # both points start at cutoff 20, whose solve is one byte past the budget:
+    # each is refused, and stderr says which point failed and why
+    params = ModelParams(1.0, 1.0, 0.5, 2)
+    first = initial_cutoff(params)
+    held = solve_bytes(params, first)
+    monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", held - 1)
+    check_failed_sweep(tmp_path, "2", str(first), fixed=False)
+    assert capsys.readouterr().err.splitlines() == [
+        f"dicke-qfi: lambda={lam} N=2 failed: starting Fock cutoff: n_cutoff={first} at N=2 "
+        f"needs {held} bytes, past the memory budget of {held - 1} bytes (lam={lam})"
+        for lam in (0.4, 0.5)]
 
 
 def test_solver_failure_mid_doubling(tmp_path, fail_solves_above):

@@ -6,7 +6,6 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -22,17 +21,16 @@ from qfi_reference import (
     parity_signs_from_scratch,
     partial_trace_atoms,
     product_vector,
-    row_ordered_product,
 )
 
 import dicke_qfi.model
 import dicke_qfi.solver
-from dicke_qfi.cli import SweepConfig, compute_sweep_records
 from dicke_qfi.errors import ConvergenceError, SolverError
 from dicke_qfi.model import ModelParams
 from dicke_qfi.solver import (
     BRACKET_RTOL,
     GroundState,
+    checked_bytes,
     converge_stack,
     ground_states,
     initial_cutoff,
@@ -40,7 +38,6 @@ from dicke_qfi.solver import (
     solve,
     solve_bytes,
     solve_stack,
-    solver_path,
     stacks,
     tail_population,
 )
@@ -63,15 +60,12 @@ def test_decoupled_ground_state():
     assert gs.convergence.tail_population == 0.0
 
 
-@pytest.mark.parametrize("lam,lanczos", [(0.6, False), (0.6, True), (0.0, False)],
-                         ids=["banded", "lanczos", "decoupled"])
-def test_ground_state_norm_and_phase(lam, lanczos, force_lanczos):
+@pytest.mark.parametrize("lam", [0.6, 0.0], ids=["banded", "decoupled"])
+def test_ground_state_norm_and_phase(lam):
     # H and its even block are real, so the state is stored real and sign-fixed,
     # on the even sector alone: a product-size reshape of it fails
-    calls = force_lanczos() if lanczos else []
     gs = solve(ModelParams(1.0, 1.0, lam, 3), fock_cutoff=24)
-    assert (gs.convergence.lower_bound is None) == lanczos
-    assert calls == ([24] if lanczos else [])
+    assert gs.convergence.lower_bound <= gs.energy
     indexer = BasisIndexer(gs.n_cutoff, gs.params.n_atoms)
     assert gs.vector.size == (indexer.dimension + 1) // 2
     with pytest.raises(ValueError):
@@ -165,6 +159,8 @@ def test_tail_population_sums_the_top_levels_of_the_grid(n_atoms):
     (1.0, 1.0, 1.0, 20), (1.0, 1.0, 3.0, 2), (1.0, 1.0, 0.5, 20),
     (0.3, 3.0, 0.5, 10), (0.3, 3.0, 1.0, 10), (3.0, 0.2, 1.0, 6), (3.0, 0.2, 2.0, 6),
     (1.0, 1.0, 1.0, 50), (1.0, 1.0, 1.0, 100),
+    (1.0, 1.0, 8.0, 1), (1.0, 1.0, 4.0, 2), (1.0, 1.0, 2.5, 3), (1.0, 1.0, 0.5, 100),
+    (1.0, 1.0, 0.5, 101),
 ])
 def test_initial_cutoff_converges_in_one_doubling(omega, omega0, lam, n_atoms):
     # the start covers the occupied Fock range, so the second solve is the converged one;
@@ -218,12 +214,12 @@ def test_converge_hard_cap_raises_with_steps(monkeypatch):
     # the memory budget bounds the doubling: with room for cutoff 40 and not 80,
     # a point that needs n_cutoff ~ 200 stops at 40 with its steps
     params = ModelParams(1.0, 1.0, 2.0, 6)
-    monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", solve_bytes(params, 40)[0])
+    monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", solve_bytes(params, 40))
     [error] = converge_stack([params], 1e-10, n_start=20)
     assert isinstance(error, ConvergenceError)
     assert len(error.steps) >= 1
     assert error.n_cutoff == error.steps[-1].n_cutoff == 40
-    assert f"n_cutoff=80 at N=6 needs {solve_bytes(params, 80)[0]} bytes banded" in str(error)
+    assert f"n_cutoff=80 at N=6 needs {solve_bytes(params, 80)} bytes," in str(error)
 
 
 def test_converge_start_above_hard_cap_fails_before_solving(monkeypatch):
@@ -231,7 +227,7 @@ def test_converge_start_above_hard_cap_fails_before_solving(monkeypatch):
     params = ModelParams(1.0, 1.0, 1e5, 1000)
     start = initial_cutoff(params)
     with pytest.raises(SolverError, match="past the memory budget"):
-        solver_path(params, start)
+        checked_bytes(params, start)
 
     def no_solve(*args, **kwargs):
         raise AssertionError("a start past the memory budget must not be solved")
@@ -242,7 +238,7 @@ def test_converge_start_above_hard_cap_fails_before_solving(monkeypatch):
     assert excinfo.value.n_cutoff == start
     assert excinfo.value.steps == ()
     small = ModelParams(1.0, 1.0, 0.5, 2)
-    monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", solve_bytes(small, 40)[0])
+    monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", solve_bytes(small, 40))
     [error] = converge_stack([small], 1e-10, n_start=41)
     assert isinstance(error, ConvergenceError)
     assert error.n_cutoff == 41
@@ -313,92 +309,49 @@ def test_expectation_nbar_against_doubled_cutoff():
     assert abs(nbar - nbar2) < 1e-8
 
 
-@pytest.mark.parametrize("n_atoms,lam,n_cutoff", [(20, 1.0, 170), (5, 0.8, 199)])
-def test_lanczos_matches_dense_above_threshold(n_atoms, lam, n_cutoff, force_lanczos):
-    # both blocks are banded by default; their banded bytes are charged past the budget
+@pytest.mark.parametrize("n_atoms,lam,n_cutoff", [
+    (20, 1.0, 170), (5, 0.8, 199), (101, 0.8, 40), (102, 0.8, 40),
+])
+def test_banded_matches_dense_above_threshold(n_atoms, lam, n_cutoff):
+    # N = 101 and 102 lie above N = 100: an odd N (three coupling offsets) and an even N (two)
     params = ModelParams(1.0, 1.0, lam, n_atoms)
     indexer = BasisIndexer(n_cutoff, n_atoms)
     energies, vecs = scipy.linalg.eigh(dense_hamiltonian_block(params, indexer),
                                        subset_by_index=[0, 0])
-    banded = solve(params, fock_cutoff=n_cutoff)
-    calls = force_lanczos()
     gs = solve(params, fock_cutoff=n_cutoff)
-    assert calls == [n_cutoff]
-    assert gs.convergence.lower_bound is None
-    for state in (gs, banded):
-        assert abs(state.energy - energies[0]) < 1e-12
-        assert abs(abs(np.vdot(vecs[:, 0], state.vector)) - 1.0) < 1e-12
-    pivot = np.argmax(np.abs(gs.vector))
-    assert gs.vector[pivot].real > 0
-    assert gs.vector[pivot].imag == 0.0
+    assert abs(gs.energy - energies[0]) < 1e-12
+    assert abs(abs(np.vdot(vecs[:, 0], gs.vector)) - 1.0) < 1e-12
+    assert gs.convergence.lower_bound <= energies[0]
     again = solve(params, fock_cutoff=n_cutoff)
     assert again.energy == gs.energy
     assert np.array_equal(again.vector, gs.vector)
-
-
-@pytest.mark.parametrize("n_atoms", [101, 102])
-def test_banded_matches_lanczos_above_threshold(n_atoms, force_lanczos):
-    # the same block by the banded solver, which the budget gives it, and by
-    # Lanczos, with the banded bytes charged past the budget, at an odd N
-    # (three coupling offsets) and an even N (two)
-    params = ModelParams(1.0, 1.0, 0.8, n_atoms)
-    banded = solve(params, fock_cutoff=40)
-    calls = force_lanczos()
-    lanczos = solve(params, fock_cutoff=40)
-    assert calls == [40]
-    assert lanczos.convergence.lower_bound is None
-    assert banded.convergence.lower_bound is not None
-    assert abs(banded.energy - lanczos.energy) <= 1e-12 * abs(lanczos.energy)
-
-
-@pytest.mark.parametrize("n_cutoff", [511, 512])
-def test_observables_agree_across_solver_threshold(n_cutoff, force_lanczos):
-    # the same N = 1 points (even block dimension n_cutoff + 1) by the banded
-    # solver and by Lanczos, charging the banded bytes past the budget to switch
-    params = ModelParams(1.0, 1.0, 0.8, 1)
-    config = SweepConfig(mode="sweep", tol=1e-10, fock_cutoff=n_cutoff)
-    [banded] = compute_sweep_records([solve(params, fock_cutoff=n_cutoff)], config)
-    calls = force_lanczos()
-    [lanczos] = compute_sweep_records([solve(params, fock_cutoff=n_cutoff)], config)
-    assert calls == [n_cutoff]
-    assert_allclose(lanczos, banded, rtol=1e-12, atol=1e-14)
 
 
 @pytest.mark.parametrize("n_atoms,lam", [
     (20, 1e-9), (20, 1e-5), (20, 0.5), (20, 1.0), (20, 2.0), (6, 1.5), (101, 0.1),
     (1, 1.0), (1, 3.0), (2, 1.0), (2, 2.0), (3, 1.2), (3, 2.0), (6, 1.0),
 ])
-def test_warm_start_matches_cold_dense_solve(n_atoms, lam, monkeypatch, force_lanczos):
-    # the doubled solve starts from the first solve's state, zero-padded, on the
-    # banded path or the Lanczos path (N = 101, its banded bytes charged past the
-    # budget, at a cutoff small enough for the dense oracle); it must find the
-    # state a dense solve finds, every time.
+def test_warm_start_matches_cold_dense_solve(n_atoms, lam, monkeypatch):
+    # the doubled solve starts from the first solve's state, zero-padded (N = 101
+    # at a cutoff small enough for the dense oracle); it must find the state a
+    # dense solve finds, every time.
     # The first cutoffs are even at (1, 1.0), (2, 1.0), (3, 2.0) and (6, 1.0), odd
     # at (1, 3.0), (2, 2.0), (3, 1.2) and (6, 1.5)
     starts = []
-    dpbtrs, eigsh = lapack.dpbtrs, scipy.sparse.linalg.eigsh
+    dpbtrs = lapack.dpbtrs
 
     def record_rhs(factor, rhs, **kwargs):
         starts.append(rhs.copy())  # the solve may overwrite it
         return dpbtrs(factor, rhs, **kwargs)
 
-    def record_start(*args, v0=None, **kwargs):
-        starts.append(v0)
-        return eigsh(*args, v0=v0, **kwargs)
-
     monkeypatch.setattr(lapack, "dpbtrs", record_rhs)
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", record_start)
-    lanczos = n_atoms == 101
-    calls = force_lanczos() if lanczos else []
     params = ModelParams(1.0, 1.0, lam, n_atoms)
     gs = solve(params, 1e-10)
     n_cutoff = gs.n_cutoff
     assert [step.n_cutoff for step in gs.convergence.steps] == [n_cutoff // 2, n_cutoff]
-    assert calls == ([n_cutoff // 2, n_cutoff] if lanczos else [])
-    assert (gs.convergence.lower_bound is None) == lanczos
-    # eigsh takes the block alone; inverse iteration solves the stack's band,
-    # where a stack of one holds the block between kd zero rows on each side
-    kd = 0 if lanczos else max(dicke_qfi.model.build_even_block(params, gs.n_cutoff)[1])
+    # inverse iteration solves the stack's band, where a stack of one holds the
+    # block between kd zero rows on each side
+    kd = max(dicke_qfi.model.build_even_block(params, gs.n_cutoff)[1])
     warm_start = next(v for v in starts if v.size == gs.vector.size + 2 * kd)
     assert not warm_start[:kd].any() and not warm_start[warm_start.size - kd:].any()
     warm_start = warm_start[kd:warm_start.size - kd]
@@ -408,10 +361,9 @@ def test_warm_start_matches_cold_dense_solve(n_atoms, lam, monkeypatch, force_la
     padded = np.zeros((n_cutoff + 1, n_atoms + 1))
     padded[: n_cutoff // 2 + 1] = product_vector(first).reshape(n_cutoff // 2 + 1, n_atoms + 1)
     padded = padded.ravel()[even_indices(BasisIndexer(gs.n_cutoff, gs.params.n_atoms))]
-    # eigsh takes the start as given; inverse iteration normalizes it first, by
-    # the sum over the block and the kd zero rows after it
-    if not lanczos:
-        padded /= math.sqrt(np.add.reduceat(np.concatenate((padded, np.zeros(kd))) ** 2, [0])[0])
+    # inverse iteration normalizes the start first, by the sum over the block and
+    # the kd zero rows after it
+    padded /= math.sqrt(np.add.reduceat(np.concatenate((padded, np.zeros(kd))) ** 2, [0])[0])
     assert np.array_equal(warm_start, padded)
 
     block = dense_hamiltonian_block(params, BasisIndexer(gs.n_cutoff, gs.params.n_atoms))
@@ -419,8 +371,7 @@ def test_warm_start_matches_cold_dense_solve(n_atoms, lam, monkeypatch, force_la
     del block
     assert abs(gs.energy - energies[0]) <= 1e-12 * max(1.0, abs(energies[0]))
     assert abs(np.vdot(vecs[:, 0], gs.vector)) >= 1.0 - 1e-12
-    if not lanczos:
-        assert gs.convergence.lower_bound <= energies[0]
+    assert gs.convergence.lower_bound <= energies[0]
     again = solve(params, 1e-10)
     assert again.energy == gs.energy
     assert np.array_equal(again.vector, gs.vector)
@@ -521,61 +472,9 @@ def test_banded_factorization_counts(n_atoms, lam_max, steps, max_dpbtrf, parent
     assert counts["dpbtrs"] <= 1.1 * parent_dpbtrs * len(stacks(points)) / len(points)
 
 
-@pytest.mark.parametrize("n_atoms,lam", [(1, 8.0), (2, 4.0), (3, 2.5), (100, 0.5), (101, 0.5)])
-def test_solver_path_follows_atom_count(n_atoms, lam, force_lanczos):
-    # the atom number picks the path only through the bytes of the band: at the
-    # budget every point here, N = 101 included, is banded and certified, cold and
-    # warm; with its banded bytes past the budget it takes Lanczos, cold and warm
-    params = ModelParams(1.0, 1.0, lam, n_atoms)
-    banded = solve(params, 1e-10)
-    assert len(banded.convergence.steps) == 2
-    assert banded.convergence.lower_bound is not None
-    calls = force_lanczos()
-    gs = solve(params, 1e-10)
-    assert calls == [step.n_cutoff for step in gs.convergence.steps]
-    assert len(calls) == 2 and gs.convergence.lower_bound is None
-
-
-@pytest.mark.parametrize("n_cutoff", [7, 40])
-@pytest.mark.parametrize("n_atoms", [1, 2, 3, 101, 150])
-def test_lanczos_operator_sums_rows_in_order(n_atoms, n_cutoff, monkeypatch, force_lanczos):
-    # eigsh gets the block as a DIA array with ascending offsets, whose product
-    # sums each row from left to right, as the row-ordered oracle does: a
-    # change of scipy's DIA kernel that moves a bit would move the output
-    operators = []
-    eigsh = scipy.sparse.linalg.eigsh
-
-    def captured(matrix, *args, **kwargs):
-        operators.append(matrix)
-        return eigsh(matrix, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", captured)
-    calls = force_lanczos()
-    params = ModelParams(1.0, 1.0, 0.9, n_atoms)
-    solve(params, fock_cutoff=n_cutoff)
-    assert calls == [n_cutoff]
-    [matrix] = operators
-    block = dicke_qfi.model.build_even_block(params, n_cutoff)
-    offsets = sorted(block[1])
-    assert matrix.format == "dia"
-    assert matrix.offsets.tolist() == [-d for d in reversed(offsets)] + [0, *offsets]
-    rng = np.random.default_rng(n_atoms * n_cutoff)
-    for _ in range(3):
-        x = rng.standard_normal(block[0].size)
-        assert (matrix @ x).tobytes() == row_ordered_product(block, x).tobytes()
-
-
-@pytest.mark.parametrize("n_atoms,lam,n_cutoff,lanczos", [
-    pytest.param(3, 0.5, 20, False, id="3-0.5-20"),
-    pytest.param(20, 1.0, 170, False, id="20-1.0-170"),
-    pytest.param(20, 1.0, None, False, id="20-1.0-None"),
-    pytest.param(20, 1.0, 170, True, id="lanczos-20-1.0-170"),
-    pytest.param(20, 1.0, None, True, id="lanczos-20-1.0-None"),
-])
-def test_residual_certificate(n_atoms, lam, n_cutoff, lanczos, force_lanczos):
-    # cold solves and the warm-started one of cutoff doubling, on the banded
-    # path and, with the banded bytes charged past the budget, on the Lanczos path
-    calls = force_lanczos() if lanczos else []
+@pytest.mark.parametrize("n_atoms,lam,n_cutoff", [(3, 0.5, 20), (20, 1.0, 170), (20, 1.0, None)])
+def test_residual_certificate(n_atoms, lam, n_cutoff):
+    # cold solves and the warm-started one of cutoff doubling
     params = ModelParams(1.0, 1.0, lam, n_atoms)
     if n_cutoff is None:
         gs = solve(params, 1e-10)
@@ -585,41 +484,28 @@ def test_residual_certificate(n_atoms, lam, n_cutoff, lanczos, force_lanczos):
         assert gs.convergence.residual == warm.convergence.residual
     else:
         gs = solve(params, fock_cutoff=n_cutoff)
-    assert bool(calls) == lanczos
     psi = gs.vector
     block = dense_hamiltonian_block(params, BasisIndexer(gs.n_cutoff, gs.params.n_atoms))
     recomputed = np.linalg.norm(block @ psi - gs.energy * psi)
     bound = 1e-12 * max(1.0, abs(gs.energy))
     assert 0.0 <= gs.convergence.residual <= bound
     assert recomputed <= bound
-    if lanczos:
-        assert gs.convergence.lower_bound is None
-    else:
-        # the energy bracket: a proven lower bound within 2 r + slack of E
-        width = gs.energy - gs.convergence.lower_bound
-        assert 0.0 < width <= 2 * gs.convergence.residual + BRACKET_RTOL * max(1.0, abs(gs.energy))
+    # the energy bracket: a proven lower bound within 2 r + slack of E
+    width = gs.energy - gs.convergence.lower_bound
+    assert 0.0 < width <= 2 * gs.convergence.residual + BRACKET_RTOL * max(1.0, abs(gs.energy))
 
 
-@pytest.mark.parametrize("module,name,n_atoms,n_cutoff", [
-    (lapack, "dpbtrs", 3, 20), (scipy.sparse.linalg, "eigsh", 20, 170),
-])
-def test_residual_measures_returned_vector(module, name, n_atoms, n_cutoff, monkeypatch,
-                                           force_lanczos):
+def test_residual_measures_returned_vector(monkeypatch):
     # a solver returning slightly wrong vectors must show in the certificate
-    real = getattr(module, name)
+    dpbtrs = lapack.dpbtrs
 
     def perturbed(*args, **kwargs):
-        if name == "dpbtrs":  # the solution x of (H - sigma) x = psi, and LAPACK's info
-            x, info = real(*args, **kwargs)
-            return x + 1e-6 * np.linalg.norm(x) * np.cos(np.arange(x.size)), info
-        energies, vecs = real(*args, **kwargs)
-        vecs[:, 0] += 1e-6 * np.cos(np.arange(vecs.shape[0]))
-        return energies, vecs / np.linalg.norm(vecs[:, 0])
+        # the solution x of (H - sigma) x = psi, and LAPACK's info
+        x, info = dpbtrs(*args, **kwargs)
+        return x + 1e-6 * np.linalg.norm(x) * np.cos(np.arange(x.size)), info
 
-    monkeypatch.setattr(module, name, perturbed)
-    calls = force_lanczos() if name == "eigsh" else []
-    gs = solve(ModelParams(1.0, 1.0, 0.5, n_atoms), fock_cutoff=n_cutoff)
-    assert calls == ([n_cutoff] if name == "eigsh" else [])
+    monkeypatch.setattr(lapack, "dpbtrs", perturbed)
+    gs = solve(ModelParams(1.0, 1.0, 0.5, 3), fock_cutoff=20)
     assert gs.convergence.residual > 1e-8
 
 
@@ -835,11 +721,11 @@ def test_hard_cap_start_fails_alone(monkeypatch):
     assert [initial_cutoff(params) for params in points] == [20, 62, 20]
     alone = [solve(points[0], 1e-10), None, solve(points[2], 1e-10)]
     assert [gs.n_cutoff for gs in alone[::2]] == [40, 40]
-    monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", solve_bytes(points[0], 40)[0])
+    monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", solve_bytes(points[0], 40))
     outcomes = converge_stack(points, 1e-10)
     assert isinstance(outcomes[1], ConvergenceError)
     assert outcomes[1].n_cutoff == 62 and outcomes[1].steps == ()
-    assert f"n_cutoff=62 at N=2 needs {solve_bytes(points[1], 62)[0]} bytes" in str(outcomes[1])
+    assert f"n_cutoff=62 at N=2 needs {solve_bytes(points[1], 62)} bytes" in str(outcomes[1])
     assert_same_bits(alone[0], outcomes[0])
     assert_same_bits(alone[2], outcomes[2])
 
@@ -916,7 +802,7 @@ def test_fixed_cutoff_past_budget_fails_before_allocating(entry, lam, monkeypatc
             return exc
         return result
 
-    budget = solve_bytes(params, 40)[0]
+    budget = solve_bytes(params, 40)
     monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", budget)
     assert outcome(40).n_cutoff == 40
 
@@ -928,9 +814,7 @@ def test_fixed_cutoff_past_budget_fails_before_allocating(entry, lam, monkeypatc
         monkeypatch.setattr(module, name, no_allocation)
     error = outcome(41)
     assert type(error) is SolverError and error.n_cutoff == 41 and error.steps == ()
-    banded, lanczos = solve_bytes(params, 41)
-    need = f"{banded} bytes" if lam == 0 else f"{banded} bytes banded and {lanczos} by Lanczos"
-    assert str(error) == (f"n_cutoff=41 at N=2 needs {need}, "
+    assert str(error) == (f"n_cutoff=41 at N=2 needs {solve_bytes(params, 41)} bytes, "
                           f"past the memory budget of {budget} bytes")
     # the default budget: a block of more positions than the budget has floats
     monkeypatch.undo()
@@ -940,52 +824,23 @@ def test_fixed_cutoff_past_budget_fails_before_allocating(entry, lam, monkeypatc
     assert isinstance(outcome(huge), SolverError) and outcome(huge).n_cutoff == huge
 
 
-def test_budget_between_the_estimates_picks_the_path(monkeypatch, lanczos_calls):
-    # at cutoff 300 the band of N = 250 holds more than its Lanczos solve, and the
-    # band of N = 150 less: a budget at N = 250's Lanczos bytes sends N = 150 to
-    # the band and N = 250 to Lanczos, and a budget at N = 250's band both to the band
-    points = {n: ModelParams(1.0, 1.0, 1.0, n) for n in (150, 250)}
-    (banded_150, _), (banded_250, lanczos_250) = (solve_bytes(points[n], 300) for n in points)
-    assert banded_150 < lanczos_250 < banded_250
-    monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", banded_250)
-    banded = {n: solve(params, fock_cutoff=300) for n, params in points.items()}
-    assert lanczos_calls == []
-    assert all(gs.convergence.lower_bound is not None for gs in banded.values())
-    monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", lanczos_250)
-    assert_same_bits(banded[150], solve(points[150], fock_cutoff=300))
-    assert lanczos_calls == []
-    gs = solve(points[250], fock_cutoff=300)
-    assert lanczos_calls == [300] and gs.convergence.lower_bound is None
-    assert abs(gs.energy - banded[250].energy) <= 1e-12 * abs(banded[250].energy)
-
-
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(n_atoms=st.integers(1, 34), n_cutoff=st.integers(1, 10**7),
-       budget=st.integers(1, 2**40), lam=st.sampled_from((0.0, 0.5, 3.0)))
-def test_small_n_is_banded_or_refused(n_atoms, n_cutoff, budget, lam):
-    # up to N = 34, kd + 22 <= 40: the band never holds more than Lanczos, so no
-    # budget sends a point to Lanczos; it is banded or refused
+@given(n_atoms=st.integers(1, 10**6), n_cutoff=st.integers(1, 10**7),
+       lam=st.sampled_from((0.0, 0.5, 3.0)))
+def test_one_byte_short_of_the_band_is_refused(n_atoms, n_cutoff, lam):
+    # any point is admitted at a budget of its bytes and, one byte short of them,
+    # refused by the solver with the budget's message before anything is built
     params = ModelParams(1.0, 1.0, lam, n_atoms)
-    banded, lanczos = solve_bytes(params, n_cutoff)
-    assert banded <= lanczos
+    held = solve_bytes(params, n_cutoff)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", budget)
-        try:
-            path, held = solver_path(params, n_cutoff)
-        except SolverError:
-            assert banded > budget
-        else:
-            assert (path, held) == ("banded", banded) and banded <= budget
-
-
-def test_small_n_past_budget_never_takes_lanczos(monkeypatch, lanczos_calls):
-    # N = 10 one byte short of its band is refused, not sent to Lanczos
-    params = ModelParams(1.0, 1.0, 0.8, 10)
-    monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", solve_bytes(params, 60)[0] - 1)
-    with pytest.raises(SolverError, match="past the memory budget"):
-        solve(params, fock_cutoff=60)
-    assert solve(params, fock_cutoff=59).convergence.lower_bound is not None
-    assert lanczos_calls == []
+        patch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", held)
+        assert checked_bytes(params, n_cutoff) == held
+        patch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", held - 1)
+        [refused] = ground_states([params], [n_cutoff])
+    assert type(refused) is SolverError
+    assert str(refused) == (f"n_cutoff={n_cutoff} at N={n_atoms} needs {held} bytes, "
+                            f"past the memory budget of {held - 1} bytes")
+    assert refused.n_cutoff == n_cutoff and refused.steps == ()
 
 
 def test_point_past_budget_fails_before_its_round(monkeypatch):
@@ -994,7 +849,7 @@ def test_point_past_budget_fails_before_its_round(monkeypatch):
     points = [ModelParams(1.0, 1.0, lam, 3) for lam in (0.4, 0.9, 1.3)]
     cutoffs = [20, 41, 24]
     alone = [solve(params, fock_cutoff=n_cutoff) for params, n_cutoff in zip(points, cutoffs)]
-    monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", solve_bytes(points[1], 40)[0])
+    monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", solve_bytes(points[1], 40))
     built = []
     build = dicke_qfi.solver.build_even_block
     monkeypatch.setattr(dicke_qfi.solver, "build_even_block",
@@ -1019,7 +874,7 @@ def test_round_past_budget_is_solved_in_runs(n_atoms, n_cutoff, monkeypatch):
     # measured), where one band of all eight peaked at 1.2 to 1.9 budgets
     points = [ModelParams(1.0, 1.0, float(lam), n_atoms) for lam in np.linspace(0.3, 2.5, 8)]
     alone = [solve(params, fock_cutoff=n_cutoff) for params in points]
-    budget = 3 * solve_bytes(points[0], n_cutoff)[0]
+    budget = 3 * solve_bytes(points[0], n_cutoff)
     monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", budget)
     runs = []
     banded_lowest = dicke_qfi.solver._banded_lowest

@@ -17,7 +17,7 @@ from qfi_reference import (
 
 import dicke_qfi.states
 from dicke_qfi.model import ModelParams, capacity
-from dicke_qfi.solver import solve, tail_population
+from dicke_qfi.solver import ground_states, solve, tail_population
 from dicke_qfi.states import SpectralDecomposition, padded_shape, schmidt_decompose
 
 
@@ -115,18 +115,17 @@ def _rebuild(decomp: SpectralDecomposition) -> np.ndarray:
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.3, 0.54, 1.0])
-@pytest.mark.parametrize("n_atoms, n_cutoff, lanczos", [
+@pytest.mark.parametrize("n_atoms, n_cutoff, warm", [
     (1, 30, False), (6, 40, False), (20, 80, True),
     (1, 31, False), (2, 20, False), (2, 21, False), (3, 16, False), (3, 17, False),
     (6, 41, False),
 ])
-def test_schmidt_matches_partial_trace_spectra(n_atoms, n_cutoff, lanczos, lam, force_lanczos):
-    # N = 20 is banded by default; the lanczos cases charge its banded bytes past
-    # the budget.  Even cutoffs at even N leave the last Fock row without an odd partner
-    calls = force_lanczos() if lanczos else []
-    gs = solve(ModelParams(1.0, 1.0, lam, n_atoms), fock_cutoff=n_cutoff)
-    assert (gs.convergence.lower_bound is None) == (lanczos and lam > 0)
-    assert calls == ([n_cutoff] if lanczos and lam > 0 else [])
+def test_schmidt_matches_partial_trace_spectra(n_atoms, n_cutoff, warm, lam):
+    # a cold solve at the cutoff, or a warm one from half of it, as a doubling
+    # solves it.  Even cutoffs at even N leave the last Fock row without an odd partner
+    params = ModelParams(1.0, 1.0, lam, n_atoms)
+    previous = solve(params, fock_cutoff=n_cutoff // 2) if warm else None
+    [gs] = ground_states([params], [n_cutoff], [previous])
     # the strided layout of the even amplitudes is the embedding through the
     # parity signs, bit for bit, in the first rows of a slab of zeros padded to
     # the power of two at or above the cutoff; the tail is the grid's top 10% of rows
