@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -841,6 +842,37 @@ def test_one_byte_short_of_the_band_is_refused(n_atoms, n_cutoff, lam):
     assert str(refused) == (f"n_cutoff={n_cutoff} at N={n_atoms} needs {held} bytes, "
                             f"past the memory budget of {held - 1} bytes")
     assert refused.n_cutoff == n_cutoff and refused.steps == ()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n_atoms=st.integers(1, 34), n_cutoff=st.integers(1, 10**7),
+       budget=st.integers(1, 2**40), lam=st.sampled_from((0.0, 0.5, 3.0)))
+def test_small_n_is_banded_or_refused(n_atoms, n_cutoff, budget, lam):
+    # under any budget a point is admitted with its band's bytes or refused
+    params = ModelParams(1.0, 1.0, lam, n_atoms)
+    banded = solve_bytes(params, n_cutoff)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", budget)
+        try:
+            held = checked_bytes(params, n_cutoff)
+        except SolverError:
+            assert banded > budget
+        else:
+            assert held == banded and banded <= budget
+
+
+def test_small_n_past_budget_never_takes_lanczos(monkeypatch):
+    # N = 10 one byte short of its band is refused; one cutoff lower it is banded
+    # and certified, and ARPACK is never reached
+    def no_lanczos(*args, **kwargs):
+        raise AssertionError("the solver must not fall back to Lanczos")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_lanczos)
+    params = ModelParams(1.0, 1.0, 0.8, 10)
+    monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", solve_bytes(params, 60) - 1)
+    with pytest.raises(SolverError, match="past the memory budget"):
+        solve(params, fock_cutoff=60)
+    assert solve(params, fock_cutoff=59).convergence.lower_bound is not None
 
 
 def test_point_past_budget_fails_before_its_round(monkeypatch):
