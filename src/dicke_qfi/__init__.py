@@ -4,7 +4,7 @@ Exact diagonalization of N two-level atoms collectively coupled to one
 bosonic mode in a truncated Fock space, reduced-state quantum Fisher
 information and squeezing for both subsystems, Husimi quasi-probability
 distributions, and the closed-form thermodynamic-limit observables with
-their critical scaling at the superradiant transition.
+the amplitudes of their critical power laws at the superradiant transition.
 """
 
 __version__ = "0.1.0"
@@ -24,8 +24,9 @@ from .metrology import (
     spin_variance,
 )
 from .thermo import (
+    CriticalAmplitudes,
     ThermoPoint,
-    critical_scaling_probe,
+    critical_amplitudes,
     nbar_thermo,
     qfi_atoms_thermo,
     qfi_field_scaled_limit,
@@ -37,13 +38,14 @@ from .thermo import (
 
 __all__ = [
     "ConvergenceError",
+    "CriticalAmplitudes",
     "GroundState",
     "ModelParams",
     "QfiResult",
     "SolverError",
     "SpectralDecomposition",
     "ThermoPoint",
-    "critical_scaling_probe",
+    "critical_amplitudes",
     "even_sector",
     "husimi_atoms",
     "husimi_field",

@@ -1,12 +1,12 @@
 """Command-line driver: coupling sweeps, Husimi grids, thermodynamic-limit
-curves, critical-scaling probe, and cutoff-convergence reports.
+curves, their critical amplitudes, and cutoff-convergence reports.
 
 Output is deterministic: floats are serialized in shortest round-trip
 decimal form, columns and row order are fixed, and identical configs
 produce byte-identical files at a fixed BLAS thread count (threaded BLAS
 may move a last digit).  Exit codes: 0 success, 2 invalid argument,
 3 I/O error, 4 a failed (N, lambda) point, each named on stderr with its
-reason, or a low-confidence fit.
+reason.
 ``map_points`` solves the points of ``sweep``, ``husimi`` and ``convergence``
 in stacks, runs of consecutive points of one N that the solver solves
 together, hands each stack's solved states to the mode's point function,
@@ -33,7 +33,7 @@ import json
 import math
 import sys
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from itertools import chain, groupby, repeat
 from typing import NamedTuple
 
@@ -55,7 +55,7 @@ from .model import ModelParams
 from .solver import DEFAULT_TOL, GroundState, converge_stack, solve_stack
 from .states import SpectralDecomposition, padded_shape, schmidt_bytes, schmidt_stack
 from .thermo import (
-    critical_scaling_probe,
+    critical_amplitudes,
     qfi_atoms_thermo,
     qfi_field_scaled_limit,
     quad_variance_thermo,
@@ -71,8 +71,10 @@ SWEEP_COLUMNS = (
 
 THERMO_COLUMNS = (
     "lambda", "mu", "eps1", "eps2", "xi2", "F_A_per_N",
-    "quad_var_scaled", "F_B_scaled", "nbar_per_N", "guard_band",
+    "quad_var_scaled", "F_B_scaled", "nbar_per_N", "critical",
 )
+
+SCALING_COLUMNS = ("side", "eps1_amplitude", "dfa_amplitude", "dfb_amplitude")
 
 HUSIMI_COLUMNS = ("lambda", "n_atoms", "subsystem", "x", "y", "q", "q_norm")
 
@@ -467,14 +469,10 @@ def run_thermo(config: SweepConfig) -> list[tuple]:
     return rows
 
 
-def run_scaling(config: SweepConfig) -> tuple[list, int]:
-    """Fit critical exponents on both sides of lambda_cr."""
-    probes = [
-        critical_scaling_probe(config.omega, config.omega0, side)
-        for side in ("below", "above")
-    ]
-    code = 4 if any(p.low_confidence for p in probes) else 0
-    return probes, code
+def run_scaling(config: SweepConfig) -> list[tuple]:
+    """The critical amplitudes below and above lambda_cr, one row per side."""
+    return [astuple(critical_amplitudes(config.omega, config.omega0, side))
+            for side in ("below", "above")]
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +599,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("sweep", "finite-N observables over a coupling grid"),
         ("husimi", "quasi-probability grids for both subsystems"),
         ("thermo", "thermodynamic-limit curves over a coupling grid"),
-        ("scaling", "critical-exponent probe on both sides of lambda_cr"),
+        ("scaling", "critical amplitudes on both sides of lambda_cr"),
         ("convergence", "Fock-cutoff doubling trajectories"),
     ):
         # a flag that is not given stays out of the namespace, so the file or
@@ -660,16 +658,8 @@ def _dispatch(config: SweepConfig) -> int:
             write_table(stream, THERMO_COLUMNS, run_thermo(config), meta, fmt)
             return 0
         if config.mode == "scaling":
-            probes, code = run_scaling(config)
-            columns = ("side", "eps1_exponent", "dfa_exponent", "dfb_exponent",
-                       "eps1_residual", "dfa_residual", "dfb_residual", "low_confidence")
-            rows = [
-                (p.side, p.eps1_exponent, p.dfa_exponent, p.dfb_exponent,
-                 p.eps1_residual, p.dfa_residual, p.dfb_residual, int(p.low_confidence))
-                for p in probes
-            ]
-            write_table(stream, columns, rows, meta, fmt)
-            return code
+            write_table(stream, SCALING_COLUMNS, run_scaling(config), meta, fmt)
+            return 0
         run = {"sweep": run_sweep, "husimi": run_husimi, "convergence": run_convergence}
         if config.mode not in run:
             raise ValueError(f"unknown mode {config.mode}")

@@ -30,6 +30,8 @@ class SolverError(RuntimeError):
 class ConvergenceError(SolverError):
     """Fock-cutoff doubling reached a cutoff past the memory budget before reaching tolerance.
 
-    When the first cutoff is past the budget, ``steps`` is empty and
-    ``n_cutoff`` is that cutoff; otherwise ``n_cutoff`` is the last cutoff solved.
+    A point refused before its first solve, because its first cutoff or,
+    at lambda > 0, the doubling that must follow it is past the budget,
+    has empty ``steps`` and its first cutoff as ``n_cutoff``; otherwise
+    ``n_cutoff`` is the last cutoff solved.
     """

@@ -660,11 +660,12 @@ def converge_stack(
     tol * max(1, |E|) across the last doubling.  At lam = 0 the exact state
     is accepted at the first cutoff; at any lam > 0 a tail that underflows
     to zero is no proof, so at least one doubling is solved.  A point whose
-    next cutoff, its first included, is past MEMORY_BUDGET by
-    ``checked_bytes`` fails with ConvergenceError and the steps completed
-    before it: a first cutoff past the budget with no steps and no
-    allocation.  A SolverError from any step carries the steps completed
-    before it.
+    next cutoff is past MEMORY_BUDGET by ``checked_bytes`` fails with
+    ConvergenceError and the steps completed before it.  A point that
+    cannot reach its first doubling, its first cutoff or at lam > 0 twice
+    that past the budget, fails so before its first solve, with no steps,
+    its first cutoff and no allocation.  A SolverError from any step
+    carries the steps completed before it.
 
     The stack doubles in rounds.  The first round solves every point cold
     at its first cutoff, ``n_start`` or its ``initial_cutoff``; each later
@@ -682,11 +683,19 @@ def converge_stack(
         n_cutoff = initial_cutoff(params) if n_start is None else n_start
         if n_cutoff < 1:
             raise ValueError("starting cutoff must be >= 1")
+        # at lam > 0 the doubled cutoff is always solved, and bytes grow with
+        # the cutoff, so its check covers the first solve too; the first cutoff
+        # is checked only to name the refusal
         try:
-            checked_bytes(params, n_cutoff)
-        except SolverError as exc:
-            converged[i] = ConvergenceError(f"starting Fock cutoff: {exc} (lam={params.lam})",
-                                            n_cutoff)
+            checked_bytes(params, 2 * n_cutoff if params.lam > 0 else n_cutoff)
+        except SolverError as doubled:
+            try:
+                checked_bytes(params, n_cutoff)
+            except SolverError as exc:
+                msg = f"starting Fock cutoff: {exc} (lam={params.lam})"
+            else:
+                msg = f"doubled Fock cutoff: {doubled} (lam={params.lam}, tol={tol})"
+            converged[i] = ConvergenceError(msg, n_cutoff)
         else:
             open_points.append((i, n_cutoff, [], None))
     while open_points:

@@ -1,4 +1,4 @@
-"""Closed-form thermodynamic-limit observables and the critical-scaling probe.
+"""Closed-form thermodynamic-limit observables and their critical amplitudes.
 
 At large N the ground state is Gaussian in the two normal modes of Emary
 and Brandes (PRE 67, 066203 (2003)), and each QFI is set by the reduced
@@ -11,8 +11,10 @@ above it, the normal-mode energies are
 
 eps1^2 is evaluated through the exact difference-of-squares
 rearrangement, which stays fully accurate arbitrarily close to the
-critical coupling; that is what makes the scaling probe's power-law fits
-clean.
+critical coupling.  Near lambda_cr, eps1 ~ delta^(1/2) with
+delta = |lambda - lambda_cr|, and each scaled QFI is a smooth function of
+eps1 there, so its derivative diverges as delta^(-1/2) with an amplitude
+in closed form (``critical_amplitudes``).
 
 The atoms give F_A = N mu^2 / xi2.  The field's quadrature variances
 s1 = 4 (dX_0)^2 and s2 = 4 (dX_{pi/2})^2 (vacuum 1) and its macroscopic
@@ -38,19 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .metrology import QfiResult
-
-#: central-difference step for the scaling probe, relative to lambda_cr
-PROBE_STEP_REL = 1e-9
-
-#: log-spaced window of |lambda - lambda_cr| / lambda_cr scanned by the scaling probe
-PROBE_WINDOW = (1e-6, 1e-3)
-PROBE_POINTS = 25
-
-#: fit-residual threshold above which a probe result is flagged low-confidence
-RESIDUAL_THRESHOLD = 0.1
 
 
 @dataclass(frozen=True)
@@ -216,81 +206,46 @@ def qfi_field_scaled_limit(pt: ThermoPoint) -> float:
 
 
 @dataclass(frozen=True)
-class ScalingProbe:
-    """Fitted power-law exponents on one side of the critical coupling."""
+class CriticalAmplitudes:
+    """Leading amplitudes of the critical power laws on one side of lambda_cr.
+
+    With delta = |lambda - lambda_cr|: eps1 ~ ``eps1`` delta^(1/2),
+    d(F_A/N)/dlambda ~ ``dfa`` delta^(-1/2) and
+    d(F_B/(4 nbar))/dlambda ~ ``dfb`` delta^(-1/2), for F_A/N as
+    ``qfi_atoms_thermo(pt, 1)`` and F_B/(4 nbar) as ``qfi_field_scaled_limit``.
+    """
 
     side: str
-    eps1_exponent: float
-    dfa_exponent: float
-    dfb_exponent: float
-    eps1_residual: float
-    dfa_residual: float
-    dfb_residual: float
-    low_confidence: bool
+    eps1: float
+    dfa: float
+    dfb: float
 
 
-def _loglog_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Least-squares slope of log|y| against log x, and the rms residual of the fit.
+def critical_amplitudes(omega: float, omega0: float, side: str) -> CriticalAmplitudes:
+    """The closed-form leading amplitudes of eps1 and of both scaled-QFI derivatives.
 
-    Both are NaN when some |y| is 0 or not finite: its logarithm has no
-    finite value, and the fit none either.
-    """
-    abs_y = np.abs(y)
-    if not np.all(np.isfinite(abs_y) & (abs_y > 0)):
-        return math.nan, math.nan
-    lx, ly = np.log(x), np.log(abs_y)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    rms = float(np.sqrt(np.mean((ly - (slope * lx + intercept)) ** 2)))
-    return float(slope), rms
-
-
-def critical_scaling_probe(
-    omega: float, omega0: float, side: str = "above"
-) -> ScalingProbe:
-    """Fit the near-critical power laws of eps1 and the scaled-QFI derivatives.
-
-    The scaled atomic and field QFIs are differentiated by central differences
-    with step 1e-9*lambda_cr on a log-spaced grid of distances from lambda_cr,
-    then the slopes of log|d/d lambda| against log|lambda - lambda_cr| are
-    fitted by least squares; the exponent of eps1 itself is fitted the same
-    way.  Residuals above the threshold, or an exponent or residual that is
-    not finite, set the low-confidence flag.
+    Each scaled QFI is a smooth function of eps1 at lambda_cr, and
+    eps1 ~ a delta^(1/2), so its derivative diverges as dF/deps1 times
+    a / (2 delta^(1/2)).  With r = omega/omega0 and R = sqrt(1 + r^2),
+    a = sqrt(8 lambda_cr r / (1 + r^2)) below lambda_cr and sqrt(2) times
+    that above it; dF_A/deps1 is r^2/omega0 below and -r^2/omega0 above;
+    dF_B/deps1 is -1/(r^3 omega0) above and, below,
+    P(r) / (omega0 r^3 (R + r)^2) with
+    P(r) = 4r^6 + 4r^5 R + 6r^4 + 4r^3 R + 5r^2 + 2rR + 2, the normal-phase
+    form's derivative once lambda^2 = (omega^2 omega0^2 - eps1^2 eps2^2) /
+    (4 omega omega0) and eps2^2 = omega^2 + omega0^2 - eps1^2 write it in
+    eps1.  No term overflows for omega and omega0 in [1e-6, 1e6].
     """
     if side not in ("above", "below"):
         raise ValueError("side must be 'above' or 'below'")
+    r = omega / omega0
     lcr = math.sqrt(omega * omega0) / 2
-    sign = 1.0 if side == "above" else -1.0
-    deltas = lcr * np.logspace(
-        math.log10(PROBE_WINDOW[0]), math.log10(PROBE_WINDOW[1]), PROBE_POINTS
-    )
-    step = PROBE_STEP_REL * lcr
-
-    def fa(lam: float) -> float:
-        pt = thermo_point(omega, omega0, lam)
-        return pt.mu**2 / xi2_thermo(pt)
-
-    def fb(lam: float) -> float:
-        return qfi_field_scaled_limit(thermo_point(omega, omega0, lam))
-
-    lams = [lcr + sign * d for d in deltas]
-    eps1_vals = np.array([thermo_point(omega, omega0, lam).eps1 for lam in lams])
-    dfa = np.array([(fa(lam + step) - fa(lam - step)) / (2 * step) for lam in lams])
-    dfb = np.array([(fb(lam + step) - fb(lam - step)) / (2 * step) for lam in lams])
-
-    eps1_exp, eps1_res = _loglog_slope(deltas, eps1_vals)
-    dfa_exp, dfa_res = _loglog_slope(deltas, dfa)
-    dfb_exp, dfb_res = _loglog_slope(deltas, dfb)
-    fit = (eps1_exp, dfa_exp, dfb_exp, eps1_res, dfa_res, dfb_res)
-    # max() skips a NaN, so a fit that is not finite is checked on its own
-    low = (not all(map(math.isfinite, fit))
-           or max(eps1_res, dfa_res, dfb_res) > RESIDUAL_THRESHOLD)
-    return ScalingProbe(
-        side=side,
-        eps1_exponent=eps1_exp,
-        dfa_exponent=dfa_exp,
-        dfb_exponent=dfb_exp,
-        eps1_residual=eps1_res,
-        dfa_residual=dfa_res,
-        dfb_residual=dfb_res,
-        low_confidence=low,
-    )
+    eps1 = math.sqrt((16 if side == "above" else 8) * lcr * r / (1 + r * r))
+    if side == "above":
+        return CriticalAmplitudes(side, eps1, -r * r / omega0 * eps1 / 2,
+                                  -eps1 / (2 * r**3 * omega0))
+    big_r = math.hypot(1.0, r)
+    poly = (4 * r**6 + 4 * r**5 * big_r + 6 * r**4 + 4 * r**3 * big_r
+            + 5 * r**2 + 2 * r * big_r + 2)
+    return CriticalAmplitudes(side, eps1, r * r / omega0 * eps1 / 2,
+                              eps1 / 2 * poly / (omega0 * r**3 * (big_r + r) ** 2))

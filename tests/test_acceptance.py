@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 from qfi_reference import (
     pure_state_qfi,
     qfi_mixed,
@@ -36,7 +37,7 @@ from dicke_qfi.model import ModelParams
 from dicke_qfi.solver import solve
 from dicke_qfi.states import schmidt_decompose
 from dicke_qfi.thermo import (
-    critical_scaling_probe,
+    critical_amplitudes,
     nbar_thermo,
     qfi_atoms_thermo,
     qfi_field_scaled_limit,
@@ -149,22 +150,43 @@ def test_criterion_03_thermal_oscillator_identity_suite():
 
 
 def test_criterion_04_critical_exponents():
+    # at resonance: the local exponents of eps1 and of both scaled-QFI
+    # derivatives, from mp.diff of the direct forms at 60 digits between
+    # delta = 1e-14 and 1e-16 lambda_cr, and the closed-form amplitudes
+    # that `scaling` reports as the limits of delta^(-+1/2) times each
+    mp = pytest.importorskip("mpmath").mp
+    from thermo_reference import thermo_reference
+
     start = time.perf_counter()
+    depths = (1e-14, 1e-16)
     results = {}
-    for side in ("below", "above"):
-        probe = critical_scaling_probe(1.0, 1.0, side)
-        assert abs(probe.eps1_exponent - 0.5) < 0.02
-        assert abs(probe.dfa_exponent + 0.5) < 0.03
-        assert abs(probe.dfb_exponent + 0.5) < 0.03
-        assert not probe.low_confidence
-        results[side] = probe
+    for side, sign in (("below", -1), ("above", 1)):
+        amplitudes = critical_amplitudes(1.0, 1.0, side)
+        with mp.workdps(60):
+            values = []
+            for depth in depths:
+                delta = depth * mp.mpf(RESONANT_LCR)
+                lam = RESONANT_LCR + sign * delta
+                values.append((
+                    thermo_reference(1.0, 1.0, lam).eps1,
+                    mp.diff(lambda x: thermo_reference(1.0, 1.0, x).qfi_atoms_per_n, lam),
+                    mp.diff(lambda x: thermo_reference(1.0, 1.0, x).qfi_field_scaled, lam),
+                ))
+            exponents = [float(mp.log(abs(near / far)) / mp.log(depths[1] / depths[0]))
+                         for far, near in zip(*values)]
+            scale = mp.sqrt(depths[1] * RESONANT_LCR)
+            leading = [float(values[1][0] / scale), float(values[1][1] * scale),
+                       float(values[1][2] * scale)]
+        assert_allclose(exponents, [0.5, -0.5, -0.5], atol=1e-6)
+        assert_allclose(leading, [amplitudes.eps1, amplitudes.dfa, amplitudes.dfb], rtol=1e-6)
+        results[side] = exponents
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     _report(4, "gap exponent {:.3f}/{:.3f}, dF_A {:.3f}/{:.3f}, dF_B {:.3f}/{:.3f} "
                "(below/above)".format(
-                   results["below"].eps1_exponent, results["above"].eps1_exponent,
-                   results["below"].dfa_exponent, results["above"].dfa_exponent,
-                   results["below"].dfb_exponent, results["above"].dfb_exponent))
+                   results["below"][0], results["above"][0],
+                   results["below"][1], results["above"][1],
+                   results["below"][2], results["above"][2]))
 
 
 def test_criterion_05_finite_n_qfi_enhancement(finite_sweep):

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 from qfi_reference import (
     BasisIndexer,
     build_spin_ops,
@@ -36,6 +37,7 @@ from dicke_qfi.cli import (
     compute_sweep_records,
     format_value,
     main,
+    run_scaling,
     run_thermo,
     write_table,
 )
@@ -209,7 +211,7 @@ def test_thermo_rows(tmp_path):
     assert float(at[0.0]["F_B_scaled"]) == 0.0
     assert abs(float(at[0.5]["F_A_per_N"]) - math.sqrt(2)) < 1e-9
     assert abs(float(at[0.5]["F_B_scaled"]) - math.sqrt(2)) < 1e-9
-    assert at[0.5]["guard_band"] == "1"
+    assert at[0.5]["critical"] == "1"
     assert float(at[1.0]["mu"]) == 0.25
 
 
@@ -375,8 +377,7 @@ def _write_table_json_dump(stream, columns, rows, meta):
     ["convergence", "--n-atoms", "2", "--n-atoms", "6", "--lambda-steps", "4"],
     ["thermo", "--lambda-max", "2", "--lambda-steps", "9"],
     ["scaling"],
-    ["scaling", "--omega", "1000"],  # a NaN fit, written as null
-], ids=["sweep", "convergence", "thermo", "scaling", "scaling-nan"])
+], ids=["sweep", "convergence", "thermo", "scaling"])
 def test_write_table_json_matches_json_dump(args, tmp_path, monkeypatch):
     calls = []
     real = dicke_qfi.cli.write_table
@@ -458,31 +459,12 @@ def test_scaling_report(tmp_path):
     out = tmp_path / "sc.csv"
     assert main(["scaling", "--out", str(out)]) == 0
     header, rows, _ = read_csv_rows(out)
+    assert header == ["side", "eps1_amplitude", "dfa_amplitude", "dfb_amplitude"]
     assert [r[0] for r in rows] == ["below", "above"]
-    for row in rows:
-        record = dict(zip(header, row))
-        assert abs(float(record["eps1_exponent"]) - 0.5) < 0.02
-        assert abs(float(record["dfa_exponent"]) + 0.5) < 0.03
-        assert record["low_confidence"] == "0"
-
-
-def test_scaling_non_finite_fit_exit_code(tmp_path):
-    out = tmp_path / "sc_nan.csv"
-    assert main(["scaling", "--omega", "1000", "--out", str(out)]) == 4
-    header, rows, _ = read_csv_rows(out)
-    above = dict(zip(header, rows[1]))
-    assert above["dfb_exponent"] == "nan"
-    assert above["low_confidence"] == "1"
-
-
-def test_scaling_low_confidence_exit_code(tmp_path, monkeypatch):
-    import dicke_qfi.thermo
-
-    monkeypatch.setattr(dicke_qfi.thermo, "RESIDUAL_THRESHOLD", 1e-9)
-    out = tmp_path / "sc_low.csv"
-    assert main(["scaling", "--out", str(out)]) == 4
-    header, rows, _ = read_csv_rows(out)
-    assert all(dict(zip(header, r))["low_confidence"] == "1" for r in rows)
+    below, above = ([float(v) for v in row[1:]] for row in rows)
+    sqrt2 = math.sqrt(2)
+    assert_allclose(below, [sqrt2, 1 / sqrt2, (11 - 4 * sqrt2) / sqrt2], rtol=1e-14)
+    assert_allclose(above, [2.0, -1.0, -1.0], rtol=1e-14)
 
 
 def test_convergence_decoupled_single_row(tmp_path):
@@ -519,16 +501,18 @@ def test_convergence_fock_cutoff_starts_trajectory(tmp_path):
 
 
 def test_convergence_hard_cap_partial_output(tmp_path, monkeypatch):
-    # the trajectory starts at 74, within a budget that holds cutoff 100, and its
-    # doubling to 148 is past it
+    # lambda = 2 would start at 74, within a budget that holds cutoff 100, but its
+    # doubling to 148 is past it: it is refused before its first solve and writes
+    # no row, while lambda = 0 keeps its one (a trajectory kept up to a failing
+    # solve is test_solver_failure_mid_doubling's)
     budget = solve_bytes(ModelParams(1.0, 1.0, 2.0, 6), 100)
     monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", budget)
     out = tmp_path / "cap.csv"
-    code = main(["convergence", "--n-atoms", "6", "--lambda-min", "2.0",
-                 "--lambda-max", "2.0", "--lambda-steps", "1", "--out", str(out)])
+    code = main(["convergence", "--n-atoms", "6", "--lambda-min", "0.0",
+                 "--lambda-max", "2.0", "--lambda-steps", "2", "--out", str(out)])
     assert code == 4
     _, rows, footer = read_csv_rows(out)
-    assert rows  # partial trajectory still written
+    assert [row[:4] for row in rows] == [["0.0", "6", "0", "20"]]
     assert "failed_points=[[2.0, 6]]" in footer[0]
 
 
@@ -1010,10 +994,14 @@ def test_parameter_box_corners_run_in_every_mode(mode, omega, omega0, tmp_path):
                 "--lambda-min", repr(lambda_min), "--lambda-max", repr(lambda_max),
                 "--lambda-steps", str(steps), "--n-atoms", str(n_atoms), "--grid-points", "11",
                 "--out", str(out)]
-        assert main(argv) in ((0,) if mode == "thermo" else (0, 4))
+        assert main(argv) in ((0,) if mode in ("thermo", "scaling") else (0, 4))
     if mode == "thermo":
         for lam in (0.0, lcr, PARAMETER_MAX):
             config = SweepConfig(mode="thermo", omega=omega, omega0=omega0, lambda_min=lam,
                                  lambda_max=lam, lambda_steps=1)
             assert all(math.isfinite(v) for v in run_thermo(config)[0])
             assert initial_cutoff(ModelParams(omega, omega0, lam, MAX_ATOMS)) >= 20
+    if mode == "scaling":
+        config = SweepConfig(mode="scaling", omega=omega, omega0=omega0)
+        for _, *amplitudes in run_scaling(config):
+            assert all(math.isfinite(v) and v != 0 for v in amplitudes)

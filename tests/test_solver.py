@@ -246,6 +246,27 @@ def test_converge_start_above_hard_cap_fails_before_solving(monkeypatch):
     assert error.steps == ()
 
 
+def test_point_that_cannot_double_fails_before_its_first_solve(monkeypatch):
+    # at the real budget N = 500, lambda = 2 starts at cutoff 2368 (0.60 budgets)
+    # and must double to 4736 (1.21 budgets): it is refused before any solve,
+    # with the doubling's message and its first cutoff, where the first cutoff
+    # was once solved (about 14 s and 1250 MiB) and then thrown away
+    params = ModelParams(1.0, 1.0, 2.0, 500)
+    assert initial_cutoff(params) == 2368
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a point that cannot double must not be solved")
+
+    monkeypatch.setattr(dicke_qfi.solver, "ground_states", no_solve)
+    [error] = converge_stack([params])
+    assert isinstance(error, ConvergenceError)
+    assert error.n_cutoff == 2368 and error.steps == ()
+    assert str(error) == (
+        f"doubled Fock cutoff: n_cutoff=4736 at N=500 needs {solve_bytes(params, 4736)} "
+        f"bytes, past the memory budget of {dicke_qfi.solver.MEMORY_BUDGET} bytes "
+        f"(lam=2.0, tol=1e-10)")
+
+
 def test_solver_error_keeps_completed_steps(fail_solves_above):
     fail_solves_above(20)
     [error] = converge_stack([ModelParams(1.0, 1.0, 1.0, 2)], 1e-10, n_start=20)

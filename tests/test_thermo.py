@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dicke_qfi.metrology import QfiResult
 from dicke_qfi.model import ModelParams
 from dicke_qfi.thermo import (
-    _loglog_slope,
     _mixing,
-    critical_scaling_probe,
+    critical_amplitudes,
     nbar_thermo,
     qfi_atoms_thermo,
     qfi_field_scaled_limit,
@@ -80,8 +81,8 @@ def test_rejects_bad_arguments():
         for args in ((bad, 1.0, 0.5), (1.0, bad, 0.5), (1.0, 1.0, bad)):
             with pytest.raises(ValueError, match="finite"):
                 thermo_point(*args)
-    with pytest.raises(ValueError):
-        critical_scaling_probe(1.0, 1.0, side="sideways")
+    with pytest.raises(ValueError, match="side"):
+        critical_amplitudes(1.0, 1.0, side="sideways")
 
 
 def test_xi2_endpoints():
@@ -324,13 +325,30 @@ def test_fb_quadvar_nbar_ratio_approaches_one():
     assert gaps[2] < 1e-3
 
 
-def test_scaling_probe_resonance():
-    for side in ("below", "above"):
-        probe = critical_scaling_probe(1.0, 1.0, side)
-        assert abs(probe.eps1_exponent - 0.5) < 0.02
-        assert abs(probe.dfa_exponent + 0.5) < 0.03
-        assert abs(probe.dfb_exponent + 0.5) < 0.05
-        assert not probe.low_confidence
+def test_critical_amplitudes_at_resonance():
+    # eps1 ~ a delta^(1/2) with a = sqrt(2) below and 2 above; d(F_A/N)/dlambda
+    # ~ (1/sqrt(2), -1) delta^(-1/2), d(F_B/(4 nbar))/dlambda ~ ((11 - 4 sqrt(2))/sqrt(2), -1)
+    below = critical_amplitudes(1.0, 1.0, "below")
+    above = critical_amplitudes(1.0, 1.0, "above")
+    assert_allclose([below.eps1, below.dfa, below.dfb],
+                    [SQRT2, 1 / SQRT2, (11 - 4 * SQRT2) / SQRT2], rtol=1e-14)
+    assert_allclose([above.eps1, above.dfa, above.dfb], [2.0, -1.0, -1.0], rtol=1e-14)
+    assert (below.side, above.side) == ("below", "above")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(log_omega=st.floats(-6, 6), log_omega0=st.floats(-6, 6))
+def test_critical_amplitudes_across_lambda_cr(log_omega, log_omega0):
+    # above lambda_cr mu falls, and eps1 opens sqrt(2) times as fast: the gap
+    # amplitude and the atomic slope amplitude grow by sqrt(2), the slope's sign
+    # flips, and every amplitude in the parameter box is finite and nonzero
+    omega, omega0 = 10.0**log_omega, 10.0**log_omega0
+    below = critical_amplitudes(omega, omega0, "below")
+    above = critical_amplitudes(omega, omega0, "above")
+    assert_allclose(above.eps1 / below.eps1, SQRT2, rtol=1e-15)
+    assert_allclose(above.dfa / below.dfa, -SQRT2, rtol=1e-15)
+    for value in (below.eps1, below.dfa, below.dfb, above.eps1, -above.dfa, -above.dfb):
+        assert 0 < value < math.inf
 
 
 @pytest.mark.parametrize("omega,omega0", [(1e-6, 1e6), (1e6, 1e-6), (0.01, 100.0)])
@@ -343,37 +361,6 @@ def test_dispersive_critical_point_keeps_every_digit(omega, omega0):
     assert_allclose(xi2_thermo(pt), omega0 / pt.eps2, rtol=1e-12)
     assert math.isfinite(qfi_field_scaled_limit(pt))
     assert math.isfinite(qfi_atoms_thermo(pt, 1.0))
-
-
-def test_scaling_probe_non_finite_fit_is_low_confidence():
-    # at omega = 1000 the above-side field-QFI fit is NaN, which max() skipped
-    probe = critical_scaling_probe(1000.0, 1.0, "above")
-    assert not math.isfinite(probe.dfb_exponent)
-    assert probe.low_confidence
-
-
-def test_loglog_slope_without_a_finite_logarithm_is_nan():
-    # a zero or non-finite |y| has no finite logarithm: the fit is NaN, and no
-    # RuntimeWarning is raised (the suite turns one into an error)
-    x = np.array([1.0, 2.0, 4.0])
-    for bad in (0.0, math.nan, math.inf):
-        slope, rms = _loglog_slope(x, np.array([1.0, bad, 3.0]))
-        assert math.isnan(slope) and math.isnan(rms)
-    slope, rms = _loglog_slope(x, -(x**1.5))
-    assert abs(slope - 1.5) < 1e-12 and rms < 1e-12
-
-
-def test_scaling_probe_off_resonance():
-    # the gap exponent is universal; at omega0 = 2 the above-side derivative
-    # fits carry visible subleading contamination inside the fixed window, so
-    # only divergence (negative slope) is asserted there
-    for side in ("below", "above"):
-        probe = critical_scaling_probe(1.0, 2.0, side)
-        assert abs(probe.eps1_exponent - 0.5) < 0.02
-        assert probe.dfa_exponent < -0.25
-        assert abs(probe.dfb_exponent + 0.5) < 0.06
-    below = critical_scaling_probe(1.0, 2.0, "below")
-    assert abs(below.dfa_exponent + 0.5) < 0.03
 
 
 def test_ultrastrong_reference_values():
