@@ -51,9 +51,9 @@ from .metrology import (
     husimi_field,
     sweep_observables,
 )
-from .model import ModelParams
+from .model import ModelParams, padded_shape
 from .solver import DEFAULT_TOL, GroundState, converge_stack, solve_stack
-from .states import SpectralDecomposition, padded_shape, schmidt_bytes, schmidt_stack
+from .states import SpectralDecomposition, schmidt_bytes, schmidt_stack
 from .thermo import (
     critical_amplitudes,
     qfi_atoms_thermo,
@@ -122,7 +122,7 @@ def _setting(default, parse, help: str, **flag):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Resolved run configuration shared by all subcommands.
+    """Resolved run configuration shared by all modes.
 
     Every field but ``mode`` is a setting, named as its config-file key and
     as its flag (``lambda_min`` is ``--lambda-min``).
@@ -350,7 +350,7 @@ def _schmidt_runs(states: list[GroundState]) -> Iterator[tuple]:
     """Each run of consecutive states whose amplitude grids pad to one shape and whose
     ``schmidt_bytes`` fit the solver's budget together (``solver.fitting_runs``), with its
     stacked (field, atoms) reduced states from one batched SVD, formed as it is taken."""
-    for _, run in groupby(states, key=padded_shape):
+    for _, run in groupby(states, key=lambda gs: padded_shape(gs.params.n_atoms, gs.n_cutoff)):
         for part in solver.fitting_runs(list(run), schmidt_bytes):
             yield part, *schmidt_stack(part)
 
@@ -589,25 +589,25 @@ def _open_output(path: str):
 # argument handling
 
 def _build_parser() -> argparse.ArgumentParser:
+    modes = {
+        "sweep": "finite-N observables over a coupling grid",
+        "husimi": "quasi-probability grids for both subsystems",
+        "thermo": "thermodynamic-limit curves over a coupling grid",
+        "scaling": "critical amplitudes on both sides of lambda_cr",
+        "convergence": "Fock-cutoff doubling trajectories",
+    }
+    # a flag not given stays out of the namespace, so the file or the default applies
     parser = argparse.ArgumentParser(
         prog="dicke-qfi",
         description="Ground-state QFI, squeezing, and Husimi diagnostics of the Dicke model.",
+        argument_default=argparse.SUPPRESS,
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="mode", required=True)
-    for mode, blurb in (
-        ("sweep", "finite-N observables over a coupling grid"),
-        ("husimi", "quasi-probability grids for both subsystems"),
-        ("thermo", "thermodynamic-limit curves over a coupling grid"),
-        ("scaling", "critical amplitudes on both sides of lambda_cr"),
-        ("convergence", "Fock-cutoff doubling trajectories"),
-    ):
-        # a flag that is not given stays out of the namespace, so the file or
-        # the default applies
-        p = sub.add_parser(mode, help=blurb, argument_default=argparse.SUPPRESS)
-        p.add_argument("--config", help="key = value file; explicit flags override it")
-        for name, setting in _SETTINGS.items():
-            p.add_argument("--" + name.replace("_", "-"), **setting.metadata["flag"])
+    parser.add_argument("mode", choices=modes,
+                        help="; ".join(f"{mode}: {blurb}" for mode, blurb in modes.items()))
+    parser.add_argument("--config", help="key = value file; explicit flags override it")
+    for name, setting in _SETTINGS.items():
+        parser.add_argument("--" + name.replace("_", "-"), **setting.metadata["flag"])
     return parser
 
 

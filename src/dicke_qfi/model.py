@@ -13,8 +13,9 @@ boson-major, idx(n, m) = n*(N+1) + (m+j); even-sector position p holds
 full index 2p or 2p + 1, so no index array is stored.  A basis is named by
 its two ints, N and n_cutoff, and this module alone knows its even-sector
 layout: its size (``even_size``), (n, m+j) at each position
-(``even_sector``) and where each amplitude lies on the (n_cutoff+1) x (N+1)
-grid (``place_on_grid``).
+(``even_sector``), the band width (``band_width``), the Fock tail
+(``tail_population``), every solve's start (``start_vectors``) and the
+zero-padded grids of the Schmidt step (``padded_shape``, ``amplitude_grids``).
 
 The part that does not depend on omega, omega0 or lam, n and m+j at each
 even position and the couplings at g = 1, has a closed form.  The basis at
@@ -30,6 +31,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -95,7 +97,8 @@ def _skeleton(n_atoms: int, capacity: int) -> tuple[EvenSector, tuple]:
     Even N place them at offsets N/2 + 1 and N/2, odd N by row parity.  An
     offset without a coupling is left out: at N = 1 offsets 0 and 2, for
     odd N at capacity 1 offset (N+3)/2.  Every other offset has one in the
-    first rows, so in every prefix a larger capacity serves.
+    first rows, so in every prefix a larger capacity serves, and the largest
+    is ``band_width``.
     """
     spin_dim = n_atoms + 1
     size = even_size(n_atoms, capacity)
@@ -143,6 +146,12 @@ def even_size(n_atoms: int, n_cutoff: int) -> int:
     return ((n_cutoff + 1) * (n_atoms + 1) + 1) // 2
 
 
+def band_width(n_atoms: int) -> int:
+    """kd, the largest offset of N atoms' even block past cutoff 1: (N+1)//2 + 1, that of
+    ``_skeleton``'s b'J+ coupling, which is zero at N = 1, whose couplings have offset 1."""
+    return (n_atoms + 1) // 2 + 1 if n_atoms > 1 else 1
+
+
 def _cached(n_atoms: int, n_cutoff: int) -> tuple[EvenSector, tuple, int]:
     """The skeleton that serves the basis, built at its cutoff's capacity, and the
     number of the basis' even positions."""
@@ -184,27 +193,112 @@ def even_sector(n_atoms: int, n_cutoff: int) -> EvenSector:
     return EvenSector(n[:size], k[:size])
 
 
-def place_on_grid(grid: np.ndarray, vector: np.ndarray, n_atoms: int, n_cutoff: int) -> None:
-    """Write the even-sector amplitudes ``vector`` into ``grid`` as psi[n, k], k = m + j.
+def tail_population(vector: np.ndarray, n_atoms: int, n_cutoff: int) -> float:
+    """Total probability in the top 10% of Fock levels, those from ceil(0.9 (n_cutoff+1)) on."""
+    tail = vector[even_size(n_atoms, math.ceil(0.9 * (n_cutoff + 1)) - 1):]
+    return float(tail @ tail)
 
-    ``grid`` is a C-contiguous array of N+1 columns and more than n_cutoff
-    rows; its odd-sector entries are not written.  Strided copies: for even
-    N the even sector is every second full index, for odd N the even k of
-    even rows and the odd k of odd rows.
+
+def start_vectors(
+    points: Sequence[ModelParams], cutoffs: Sequence[int], previous: Sequence[np.ndarray | None]
+) -> list[np.ndarray]:
+    """Each point's start on its even block, without the trailing zeros that fill it.
+
+    The points are of one N.  The previous cutoff's even positions are the
+    first of this one's, at the same full indices, so a ``previous`` ground
+    state's amplitudes are its start, zero-padded.  Without one the start
+    is |0>|j,-j>, even index 0, at or below lambda_cr, and above it the
+    point's ``_mean_field_starts`` row.
     """
-    if n_atoms % 2 == 0:
-        grid.reshape(-1)[: vector.size * 2 : 2] = vector
-    else:
-        half = vector.reshape(n_cutoff + 1, (n_atoms + 1) // 2)
-        grid[0 : n_cutoff + 1 : 2, 0::2] = half[0::2]
-        grid[1 : n_cutoff + 1 : 2, 1::2] = half[1::2]
+    unit = np.ones(1)  # read, never written, like each previous vector
+    starts = [unit if prev is None else prev for prev in previous]
+    cold = [i for i, (params, prev) in enumerate(zip(points, previous))
+            if prev is None and params.lam > params.lambda_cr]
+    if cold:
+        rows = _mean_field_starts([points[i] for i in cold], [cutoffs[i] for i in cold])
+        for i, row in zip(cold, rows):
+            starts[i] = row
+    return starts
+
+
+def _mean_field_starts(points: Sequence[ModelParams], cutoffs: Sequence[int]) -> list[np.ndarray]:
+    """The mean-field start of each point of one N above lambda_cr, on its even block.
+
+    The even-parity restriction of the mean-field product state: a coherent
+    field of amplitude alpha = -lam sqrt(N) sin(theta)/omega times a spin
+    coherent state with cos(theta) = lambda_cr^2/lam^2, formed only at the
+    even positions.  Each factor is built in log space and scaled to a
+    largest amplitude of 1 over the point's own levels, so no factorial
+    overflows, the product peaks near 1, and a point's start does not
+    depend on the others.  Conjugating H by D = diag((-1)^n) makes every
+    off-diagonal element non-positive, so the ground state is D times a
+    positive vector.  The start is D times a non-negative, nonzero vector
+    (alpha < 0, and the spin amplitudes cos(theta/2)^(N-k) sin(theta/2)^k are
+    non-negative), so it overlaps the ground state strictly.  The points'
+    factors are formed as the rows of one array each.
+    """
+    n_atoms = points[0].n_atoms
+    largest = max(cutoffs)
+    log_factorial = log_factorials(max(largest, n_atoms))
+    scalars = []
+    for params in points:
+        # lam > lambda_cr makes cos(theta) < 1, so every logarithm is finite
+        cos_theta = (params.lambda_cr / params.lam) ** 2
+        sin_theta = math.sqrt(1.0 - cos_theta**2)
+        scalars.append((math.log(params.lam * math.sqrt(n_atoms) * sin_theta / params.omega),
+                        0.5 * math.log((1.0 + cos_theta) / 2),
+                        0.5 * math.log((1.0 - cos_theta) / 2)))
+    scalars = np.array(scalars)
+    log_alpha, log_cos, log_sin = scalars[:, 0:1], scalars[:, 1:2], scalars[:, 2:3]
+    # |alpha|^n / sqrt(n!) on each row's own levels n <= cutoff, scaled by their maximum
+    n = np.arange(largest + 1)
+    log_field = np.where(n <= np.array(cutoffs)[:, None],
+                         n * log_alpha - 0.5 * log_factorial[: largest + 1], -math.inf)
+    field = np.exp(log_field - np.maximum.reduce(log_field, axis=1, keepdims=True))
+    field[:, 1::2] *= -1.0
+    # sqrt(C(N, k)) cos(theta/2)^(N-k) sin(theta/2)^k
+    k = np.arange(n_atoms + 1)
+    log_spin = (0.5 * (log_factorial[n_atoms] - log_factorial[: n_atoms + 1]
+                       - log_factorial[n_atoms::-1])
+                + (n_atoms - k) * log_cos + k * log_sin)
+    spin = np.exp(log_spin - np.maximum.reduce(log_spin, axis=1, keepdims=True))
+    sector = even_sector(n_atoms, largest)
+    starts = []
+    for row, n_cutoff in enumerate(cutoffs):
+        size = even_size(n_atoms, n_cutoff)
+        starts.append(field[row][sector.n[:size]] * spin[row][sector.k[:size]])
+    return starts
+
+
+def padded_shape(n_atoms: int, n_cutoff: int) -> tuple[int, int]:
+    """Rows and columns of a state's zero-padded amplitude grid, capacity+1 by N+1; the
+    states of one padded shape are decomposed by one batched SVD."""
+    return capacity(n_cutoff) + 1, n_atoms + 1
+
+
+def amplitude_grids(n_atoms: int, vectors: list[np.ndarray], cutoffs: list[int]) -> np.ndarray:
+    """psi[n, k], k = m + j, of each even-sector vector in the first n_cutoff+1 rows of its
+    zero slab, the first cutoff's ``padded_shape``; odd-sector entries stay zero.
+
+    Strided copies: for even N the even sector is every second full index,
+    for odd N the even k of even rows and the odd k of odd rows.
+    """
+    slabs = np.zeros((len(vectors), *padded_shape(n_atoms, cutoffs[0])))
+    for slab, vector, n_cutoff in zip(slabs, vectors, cutoffs):
+        if n_atoms % 2 == 0:
+            slab.reshape(-1)[: vector.size * 2 : 2] = vector
+        else:
+            half = vector.reshape(n_cutoff + 1, (n_atoms + 1) // 2)
+            slab[0 : n_cutoff + 1 : 2, 0::2] = half[0::2]
+            slab[1 : n_cutoff + 1 : 2, 1::2] = half[1::2]
+    return slabs
 
 
 def log_factorials(m: int) -> np.ndarray:
     """log(n!) for n = 0..m, as running sums of log(n).
 
-    Every coherent-state expansion (the solver's mean-field start, the
-    Husimi kernels) takes its factorials from this one table, so none
+    Every coherent-state expansion (the mean-field start, the Husimi
+    kernels) takes its factorials from this one table, so none
     overflows and all of them round alike.
     """
     return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, m + 1)))))

@@ -4,10 +4,10 @@ The finite-N ground state lives in the even n+m+j sector, so only that
 block is diagonalized; this halves the matrix and avoids the near-degenerate
 even/odd mixing a full-space eigensolver produces deep in the superradiant
 regime.  In ascending index order the block is banded, with half-bandwidth
-kd = (N+1)//2 + 1 (kd = 1 at N = 1) whatever the cutoff.  Every lam > 0
-point is solved by shifted inverse iteration on the band, or refused: one
-byte budget, MEMORY_BUDGET, bounds every solve, and ``checked_bytes``
-gives a point's bytes at a cutoff by ``solve_bytes``, or past the budget a
+kd = ``model.band_width`` whatever the cutoff.  Every lam > 0 point is
+solved by shifted inverse iteration on the band, or refused: one byte
+budget, MEMORY_BUDGET, bounds every solve, and ``checked_bytes`` gives a
+point's bytes at a cutoff by ``solve_bytes``, or past the budget a
 SolverError before anything of its round is allocated.
 LAPACK ``dpbtrf`` factors H - sigma I, which succeeds exactly when sigma
 lies below the lowest eigenvalue, and ``dpbtrs`` applies the inverse, in
@@ -33,11 +33,12 @@ a stack of one.  A round whose banded blocks would not fit the budget
 together is solved in runs that do (``fitting_runs``), one band per run.
 
 A ground state holds only its even-sector amplitudes, in ascending full
-index; ``model.place_on_grid`` alone lays them on the product grid.
+index; ``model`` alone knows their layout, and gives the solver each
+block's size and band width, each start vector and each tail population.
 Cutoff convergence doubles n_cutoff until the Fock tail population and the
 energy shift across one doubling both drop below tolerance, or until the
-next cutoff would not fit the budget; a stack doubles
-in rounds, each round solving the points still open.  The first solve of a
+next cutoff would not fit the budget; a stack doubles in rounds, each
+round solving the points still open.  The first solve of a
 point starts from the even-parity part of the mean-field state, a coherent
 field times a spin coherent state, which depends on the point alone.  Each
 solve after the first starts from the previous cutoff's ground state
@@ -65,11 +66,12 @@ from .errors import ConvergenceError, SolverError
 from .model import (
     EvenBlock,
     ModelParams,
+    band_width,
     build_even_block,
-    capacity,
-    even_sector,
     even_size,
-    log_factorials,
+    padded_shape,
+    start_vectors,
+    tail_population,
 )
 
 
@@ -164,12 +166,6 @@ class GroundState:
     convergence: ConvergenceInfo
 
 
-def tail_population(vector: np.ndarray, n_atoms: int, n_cutoff: int) -> float:
-    """Total probability in the top 10% of Fock levels, those from ceil(0.9 (n_cutoff+1)) on."""
-    tail = vector[even_size(n_atoms, math.ceil(0.9 * (n_cutoff + 1)) - 1):]
-    return float(tail @ tail)
-
-
 def _as_cutoff(value: int, name: str) -> int:
     """A cutoff as a Python int, from any integer, numpy's included; a float, whole or
     not, is a ValueError."""
@@ -177,11 +173,6 @@ def _as_cutoff(value: int, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, not {value!r}") from None
-
-
-def _band_width(n_atoms: int) -> int:
-    """kd, the half-bandwidth of N atoms' even block, as a stack's band charges it."""
-    return (n_atoms + 1) // 2 + 1
 
 
 def solve_bytes(params: ModelParams, n_cutoff: int) -> int:
@@ -197,8 +188,8 @@ def solve_bytes(params: ModelParams, n_cutoff: int) -> int:
     n_atoms = params.n_atoms
     dim = even_size(n_atoms, n_cutoff)
     if params.lam == 0:
-        return 8 * (dim + (capacity(n_cutoff) + 1) * (n_atoms + 1))
-    return 8 * dim * (_band_width(n_atoms) + 22)
+        return 8 * (dim + math.prod(padded_shape(n_atoms, n_cutoff)))
+    return 8 * dim * (band_width(n_atoms) + 22)
 
 
 def checked_bytes(params: ModelParams, n_cutoff: int) -> int:
@@ -245,7 +236,7 @@ def stacks(
     used = 0
     for params in points:
         n_atoms = params.n_atoms
-        kd = _band_width(n_atoms)
+        kd = band_width(n_atoms)
         n_cutoff = initial_cutoff(params) if n_start is None else n_start
         cost = (kd + 1) * (even_size(n_atoms, n_cutoff) + kd) + STACK_ELEMENTS // 32
         last = cut[-1] if cut else None
@@ -308,7 +299,7 @@ def ground_states(
         try:
             # the diagonal is lowest at |0>|j,-j>, even index 0: the start,
             # zero-padded to the block
-            [head] = _starts([params], [n_cutoff], [prev])
+            [head] = start_vectors([params], [n_cutoff], [prev and prev.vector])
             padding = np.zeros(even_size(params.n_atoms, n_cutoff) - head.size)
             energy = -params.omega0 * params.j
             solved[i] = (energy, np.concatenate((head, padding)), 0.0, energy)
@@ -348,76 +339,6 @@ def _ground_state(
     return GroundState(float(energy), vector, params, n_cutoff, info)
 
 
-def _starts(
-    points: Sequence[ModelParams], cutoffs: Sequence[int], previous: Sequence[GroundState | None]
-) -> list[np.ndarray]:
-    """Each point's start on its even block, without the trailing zeros that fill it.
-
-    The previous cutoff's even positions are the first of this one's, at the
-    same full indices, so a ``previous`` ground state's amplitudes are its
-    start.  Without one the start is |0>|j,-j>, even index 0, at or below
-    lambda_cr, and above it the point's ``_mean_field_starts`` row.
-    """
-    unit = np.ones(1)  # read, never written, like each previous vector
-    starts = [unit if prev is None else prev.vector for prev in previous]
-    cold = [i for i, (params, prev) in enumerate(zip(points, previous))
-            if prev is None and params.lam > params.lambda_cr]
-    if cold:
-        rows = _mean_field_starts([points[i] for i in cold], [cutoffs[i] for i in cold])
-        for i, row in zip(cold, rows):
-            starts[i] = row
-    return starts
-
-
-def _mean_field_starts(points: Sequence[ModelParams], cutoffs: Sequence[int]) -> list[np.ndarray]:
-    """The mean-field start of each point of one N above lambda_cr, on its even block.
-
-    The even-parity restriction of the mean-field product state: a coherent
-    field of amplitude alpha = -lam sqrt(N) sin(theta)/omega times a spin
-    coherent state with cos(theta) = lambda_cr^2/lam^2, formed only at the
-    even positions.  Each factor is built in log space and scaled to a
-    largest amplitude of 1 over the point's own levels, so no factorial
-    overflows, the product peaks near 1, and a point's start does not
-    depend on the others.  Conjugating H by D = diag((-1)^n) makes every
-    off-diagonal element non-positive, so the ground state is D times a
-    positive vector.  The start is D times a non-negative, nonzero vector
-    (alpha < 0, and the spin amplitudes cos(theta/2)^(N-k) sin(theta/2)^k are
-    non-negative), so it overlaps the ground state strictly.  The points'
-    factors are formed as the rows of one array each.
-    """
-    n_atoms = points[0].n_atoms
-    largest = max(cutoffs)
-    log_factorial = log_factorials(max(largest, n_atoms))
-    scalars = []
-    for params in points:
-        # lam > lambda_cr makes cos(theta) < 1, so every logarithm is finite
-        cos_theta = (params.lambda_cr / params.lam) ** 2
-        sin_theta = math.sqrt(1.0 - cos_theta**2)
-        scalars.append((math.log(params.lam * math.sqrt(n_atoms) * sin_theta / params.omega),
-                        0.5 * math.log((1.0 + cos_theta) / 2),
-                        0.5 * math.log((1.0 - cos_theta) / 2)))
-    scalars = np.array(scalars)
-    log_alpha, log_cos, log_sin = scalars[:, 0:1], scalars[:, 1:2], scalars[:, 2:3]
-    # |alpha|^n / sqrt(n!) on each row's own levels n <= cutoff, scaled by their maximum
-    n = np.arange(largest + 1)
-    log_field = np.where(n <= np.array(cutoffs)[:, None],
-                         n * log_alpha - 0.5 * log_factorial[: largest + 1], -math.inf)
-    field = np.exp(log_field - np.maximum.reduce(log_field, axis=1, keepdims=True))
-    field[:, 1::2] *= -1.0
-    # sqrt(C(N, k)) cos(theta/2)^(N-k) sin(theta/2)^k
-    k = np.arange(n_atoms + 1)
-    log_spin = (0.5 * (log_factorial[n_atoms] - log_factorial[: n_atoms + 1]
-                       - log_factorial[n_atoms::-1])
-                + (n_atoms - k) * log_cos + k * log_sin)
-    spin = np.exp(log_spin - np.maximum.reduce(log_spin, axis=1, keepdims=True))
-    sector = even_sector(n_atoms, largest)
-    starts = []
-    for row, n_cutoff in enumerate(cutoffs):
-        size = even_size(n_atoms, n_cutoff)
-        starts.append(field[row][sector.n[:size]] * spin[row][sector.k[:size]])
-    return starts
-
-
 def _banded_lowest(
     blocks: Sequence[EvenBlock],
     points: Sequence[ModelParams],
@@ -428,10 +349,10 @@ def _banded_lowest(
     residual, lower bound), or the SolverError it failed with.
 
     Shifted inverse iteration x = (H - sigma I)^-1 psi from each start, the
-    previous state zero-padded or the mean-field state, as ``_starts``
-    gives it.  Its cost is the number of Cholesky factorizations, each worth
-    about five solves at these bandwidths.  A doubled solve factors first at the lower
-    bound of its ``previous``.  That bound lay below E0 at the smaller
+    previous state zero-padded or the mean-field state, as
+    ``model.start_vectors`` gives it.  Its cost is the number of Cholesky
+    factorizations, each worth about five solves at these bandwidths.  A
+    doubled solve factors first at the lower bound of its ``previous``.  That bound lay below E0 at the smaller
     cutoff; the new E0 is lower still by the truncation error, so the
     factorization normally succeeds, and since the new E is at most the
     previous energy it normally certifies at once.  Only if it fails does
@@ -472,8 +393,8 @@ def _banded_lowest(
         diagonal = np.zeros(total)
         upper = {d: np.zeros(total - d) for d in offsets}
         vector = np.zeros(total)
-        for b, ((block_diagonal, block_upper), start) in enumerate(
-                zip(blocks, _starts(points, cutoffs, previous))):
+        starts = start_vectors(points, cutoffs, [prev and prev.vector for prev in previous])
+        for b, ((block_diagonal, block_upper), start) in enumerate(zip(blocks, starts)):
             row = first[b]
             diagonal[row:ends[b]] = block_diagonal
             for d, coupling in block_upper.items():

@@ -4,12 +4,11 @@ In the boson-major basis the ground state is a real (n_cutoff+1) x (N+1)
 grid psi, and one thin SVD psi = U S V^T (its Schmidt decomposition) gives
 both reduced states with the shared weights S^2, so no density matrix is
 formed.  ``schmidt_stack`` decomposes many ground states of one N at once:
-``model.place_on_grid`` lays each one's even-sector amplitudes into the
-first rows of a zero-padded (capacity+1) x (N+1) slab, capacity the
-power of two at or above its cutoff (``model.capacity``), and runs one
-batched SVD over the slabs.  The padding depends on the point alone, so a
-point's bits do not depend on the stack it is decomposed in;
-``schmidt_decompose`` is the same SVD on a stack of one.
+it runs one batched SVD over their zero-padded amplitude grids, which
+``model`` alone lays out (``model.amplitude_grids``), each in the first
+rows of a slab of its ``model.padded_shape``.  The padding depends on the
+point alone, so a point's bits do not depend on the stack it is decomposed
+in; ``schmidt_decompose`` is the same SVD on a stack of one.
 
 A SpectralDecomposition holds one state, or a stack of states along a
 leading axis.  Weights at or below DEFAULT_WEIGHT_FLOOR are set to 0 with
@@ -28,7 +27,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import SolverError
-from .model import capacity, place_on_grid
+from .model import amplitude_grids, padded_shape
 from .solver import GroundState
 
 #: the subsystem a reduced state lives on: the field mode or the collective spin
@@ -76,14 +75,6 @@ class SpectralDecomposition:
             None if self.levels is None else int(self.levels[i]))
 
 
-def padded_shape(gs: GroundState) -> tuple[int, int]:
-    """Rows and columns of a ground state's zero-padded amplitude grid: capacity+1 by N+1.
-
-    States of one padded shape are decomposed by one batched SVD.
-    """
-    return capacity(gs.n_cutoff) + 1, gs.params.n_atoms + 1
-
-
 def schmidt_bytes(gs: GroundState) -> int:
     """Bytes a state holds in a batched Schmidt step and the sweep observables formed from it.
 
@@ -91,16 +82,8 @@ def schmidt_bytes(gs: GroundState) -> int:
     ``schmidt_stack`` and ``metrology.sweep_observables`` together were 6.2 to
     7.4 times its grids, from N = 1 to 300.
     """
-    rows, columns = padded_shape(gs)
+    rows, columns = padded_shape(gs.params.n_atoms, gs.n_cutoff)
     return 64 * rows * columns
-
-
-def _amplitude_grids(states: Sequence[GroundState]) -> np.ndarray:
-    """psi[n, k] of each state in the first n_cutoff+1 rows of its zero slab."""
-    slabs = np.zeros((len(states), *padded_shape(states[0])))
-    for slab, gs in zip(slabs, states):
-        place_on_grid(slab, gs.vector, gs.params.n_atoms, gs.n_cutoff)
-    return slabs
 
 
 def schmidt_stack(
@@ -115,11 +98,13 @@ def schmidt_stack(
     weights S^2, with those at or below DEFAULT_WEIGHT_FLOOR set to 0 and
     summed into the state's discarded mass.  A failed SVD raises SolverError.
     """
-    shapes = {padded_shape(gs) for gs in states}
+    shapes = {padded_shape(gs.params.n_atoms, gs.n_cutoff) for gs in states}
     if len(shapes) != 1:
         raise ValueError(f"schmidt_stack takes states of one padded shape, not {sorted(shapes)}")
     try:
-        u, s, vt = np.linalg.svd(_amplitude_grids(states), full_matrices=False)
+        grids = amplitude_grids(states[0].params.n_atoms, [gs.vector for gs in states],
+                                [gs.n_cutoff for gs in states])
+        u, s, vt = np.linalg.svd(grids, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"Schmidt decomposition failed: {exc}") from None
     weights = s**2

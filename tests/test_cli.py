@@ -784,7 +784,7 @@ def test_failed_schmidt_step_fails_its_point_alone(tmp_path, monkeypatch):
             "--lambda-steps", "7", "--tol", "1e-10"]
     assert main([*argv, "--out", str(tmp_path / "plain.csv")]) == 0
     marked_state = solve(ModelParams(1.0, 1.0, 0.3, 2), 1e-10)
-    (marked,) = dicke_qfi.states._amplitude_grids([marked_state])
+    (marked,) = dicke_qfi.model.amplitude_grids(2, [marked_state.vector], [marked_state.n_cutoff])
     real = np.linalg.svd
     batches = []
 

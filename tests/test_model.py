@@ -234,8 +234,8 @@ def test_even_layout_matches_parity_signs(n_atoms):
         assert np.array_equal(sector.n, n) and np.array_equal(sector.k, k)
         # each amplitude lands at its full index of a padded grid, and nothing else is written
         vector = np.arange(1.0, even.size + 1)
-        grid = np.zeros((model.capacity(n_cutoff) + 1, n_atoms + 1))
-        model.place_on_grid(grid, vector, n_atoms, n_cutoff)
+        (grid,) = model.amplitude_grids(n_atoms, [vector], [n_cutoff])
+        assert grid.shape == (model.capacity(n_cutoff) + 1, n_atoms + 1)
         expected = np.zeros(grid.size)
         expected[even] = vector
         assert np.array_equal(grid.ravel(), expected)

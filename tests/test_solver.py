@@ -27,9 +27,10 @@ from qfi_reference import (
 import dicke_qfi.model
 import dicke_qfi.solver
 from dicke_qfi.errors import ConvergenceError, SolverError
-from dicke_qfi.model import ModelParams
+from dicke_qfi.model import ModelParams, build_even_block, tail_population
 from dicke_qfi.solver import (
     BRACKET_RTOL,
+    STACK_ELEMENTS,
     GroundState,
     checked_bytes,
     converge_stack,
@@ -40,7 +41,6 @@ from dicke_qfi.solver import (
     solve_bytes,
     solve_stack,
     stacks,
-    tail_population,
 )
 
 
@@ -415,7 +415,7 @@ def test_start_vector_matches_full_grid_oracle(n_atoms, ratio, omega, cutoffs):
     previous = solve(params, fock_cutoff=small)
     for start in (None, previous):
         expected = full_grid_start_vector(params, indexer, start)
-        [head] = dicke_qfi.solver._starts([params], [large], [start])
+        [head] = dicke_qfi.model.start_vectors([params], [large], [start and start.vector])
         assert np.array_equal(head, expected[:head.size])
         assert not np.any(expected[head.size:])
 
@@ -431,7 +431,7 @@ def test_mean_field_start_overlaps_ground_state(omega, omega0, n_atoms, ratio):
     params = ModelParams(omega, omega0, ratio * math.sqrt(omega * omega0) / 2, n_atoms)
     indexer = BasisIndexer(initial_cutoff(params), n_atoms)
     even = even_indices(indexer)
-    [start] = dicke_qfi.solver._starts([params], [indexer.n_cutoff], [None])
+    [start] = dicke_qfi.model.start_vectors([params], [indexer.n_cutoff], [None])
     start = np.concatenate((start, np.zeros(even.size - start.size)))
     signs = np.where((even // indexer.spin_dim) % 2 == 0, 1.0, -1.0)
     assert np.all(signs * start >= 0.0)
@@ -774,6 +774,20 @@ def test_stacks_follow_atom_number_budget_and_cap():
         ground_states(points[2:4], [20, 20])
 
 
+@pytest.mark.parametrize("n_atoms", range(1, 41))
+def test_band_charge_is_the_blocks_largest_offset(n_atoms):
+    # a stack and the byte budget charge a point the half-bandwidth of the block
+    # it solves; N = 1, whose couplings all have offset 1, was charged kd = 2
+    params = ModelParams(1.0, 1.0, 0.5, n_atoms)
+    for n_cutoff in (2, 20):
+        kd = max(build_even_block(params, n_cutoff)[1])
+        dim = dicke_qfi.model.even_size(n_atoms, n_cutoff)
+        assert solve_bytes(params, n_cutoff) == 8 * dim * (kd + 22)
+        cost = (kd + 1) * (dim + kd) + STACK_ELEMENTS // 32
+        [first, *_] = stacks([params] * 64, n_start=n_cutoff)
+        assert len(first) == max(1, STACK_ELEMENTS // cost)
+
+
 #: every entry point that takes a cutoff, called on one point
 CUTOFF_ENTRY_POINTS = {
     "solve": lambda params, n: [solve(params, 1e-10, fock_cutoff=n)],
@@ -832,7 +846,8 @@ def test_fixed_cutoff_past_budget_fails_before_allocating(entry, lam, monkeypatc
         raise AssertionError("a cutoff past the memory budget must not be allocated")
 
     for module, name in ((dicke_qfi.model, "build_even_block"), (dicke_qfi.model, "_skeleton"),
-                         (dicke_qfi.solver, "build_even_block"), (dicke_qfi.solver, "_starts")):
+                         (dicke_qfi.solver, "build_even_block"),
+                         (dicke_qfi.solver, "start_vectors")):
         monkeypatch.setattr(module, name, no_allocation)
     error = outcome(41)
     assert type(error) is SolverError and error.n_cutoff == 41 and error.steps == ()
@@ -840,7 +855,8 @@ def test_fixed_cutoff_past_budget_fails_before_allocating(entry, lam, monkeypatc
                           f"past the memory budget of {budget} bytes")
     # the default budget: a block of more positions than the budget has floats
     monkeypatch.undo()
-    for module, name in ((dicke_qfi.solver, "build_even_block"), (dicke_qfi.solver, "_starts")):
+    for module, name in ((dicke_qfi.solver, "build_even_block"),
+                         (dicke_qfi.solver, "start_vectors")):
         monkeypatch.setattr(module, name, no_allocation)
     huge = dicke_qfi.solver.MEMORY_BUDGET // 8
     assert isinstance(outcome(huge), SolverError) and outcome(huge).n_cutoff == huge

@@ -15,10 +15,15 @@ from qfi_reference import (
     spectral_decompose,
 )
 
-import dicke_qfi.states
-from dicke_qfi.model import ModelParams, capacity
-from dicke_qfi.solver import ground_states, solve, tail_population
-from dicke_qfi.states import SpectralDecomposition, padded_shape, schmidt_decompose
+from dicke_qfi.model import (
+    ModelParams,
+    amplitude_grids,
+    capacity,
+    padded_shape,
+    tail_population,
+)
+from dicke_qfi.solver import ground_states, solve
+from dicke_qfi.states import SpectralDecomposition, schmidt_decompose
 
 
 @pytest.fixture(scope="module")
@@ -130,8 +135,8 @@ def test_schmidt_matches_partial_trace_spectra(n_atoms, n_cutoff, warm, lam):
     # parity signs, bit for bit, in the first rows of a slab of zeros padded to
     # the power of two at or above the cutoff; the tail is the grid's top 10% of rows
     grid = product_vector(gs).reshape(n_cutoff + 1, n_atoms + 1)
-    (slab,) = dicke_qfi.states._amplitude_grids([gs])
-    assert slab.shape == padded_shape(gs) == (capacity(n_cutoff) + 1, n_atoms + 1)
+    (slab,) = amplitude_grids(n_atoms, [gs.vector], [n_cutoff])
+    assert slab.shape == padded_shape(n_atoms, n_cutoff) == (capacity(n_cutoff) + 1, n_atoms + 1)
     assert np.array_equal(slab[: n_cutoff + 1], grid) and not slab[n_cutoff + 1:].any()
     tail = np.sum(grid[math.ceil(0.9 * (n_cutoff + 1)):] ** 2)
     assert abs(tail_population(gs.vector, n_atoms, n_cutoff) - tail) <= 1e-15 * tail
