@@ -7,19 +7,19 @@ The Hamiltonian is
 acting on |n>|j,m> with Fock number n <= n_cutoff and collective spin
 j = N/2.  It commutes with the parity P = exp[i*pi*(b'b + Jz + j)], and the
 ground state lies in the even sector, so its <P> is its squared norm.
-``build_even_block`` gives that block as its main diagonal and at most
-three nonzero upper diagonals, never as a dense array.  The basis is
+``write_even_block`` writes that block into the solver's band, as its
+main diagonal and at most three upper diagonals, never densely.  The basis is
 boson-major, idx(n, m) = n*(N+1) + (m+j); even-sector position p holds
 full index 2p or 2p + 1, so no index array is stored.  A basis is named by
 its two ints, N and n_cutoff, and this module alone knows its even-sector
 layout: its size (``even_size``), (n, m+j) at each position
-(``even_sector``), the band width (``band_width``), the Fock tail
+(``even_sector``), the offsets (``coupling_offsets``, ``band_width``), the Fock tail
 (``tail_population``), every solve's start (``start_vectors``) and the
 zero-padded grids of the Schmidt step (``padded_shape``, ``amplitude_grids``).
 
 The part that does not depend on omega, omega0 or lam, n and m+j at each
 even position and the couplings at g = 1, has a closed form.  The basis at
-cutoff c is a prefix of any larger one, so ``build_even_block`` and
+cutoff c is a prefix of any larger one, so ``write_even_block`` and
 ``even_sector`` read views of one skeleton built at the power of two at or
 above c, under a ``functools.lru_cache`` that keeps the last two.  The odd
 sector is never built: the block does not couple it, and the ground state
@@ -36,10 +36,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-
-#: a real symmetric block: its main diagonal and its upper diagonals keyed by offset
-EvenBlock = tuple[np.ndarray, dict[int, np.ndarray]]
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -93,12 +89,8 @@ def _skeleton(n_atoms: int, capacity: int) -> tuple[EvenSector, tuple]:
 
     (n, k) at each even position, k = m + j, and per coupling offset d the
     units at g = 1 for positions 0 .. size - d - 1, zero where the ladder
-    ends: sqrt((n+1)(k+1)(N-k)) for b'J+ and sqrt((n+1) k (N+1-k)) for b'J-.
-    Even N place them at offsets N/2 + 1 and N/2, odd N by row parity.  An
-    offset without a coupling is left out: at N = 1 offsets 0 and 2, for
-    odd N at capacity 1 offset (N+3)/2.  Every other offset has one in the
-    first rows, so in every prefix a larger capacity serves, and the largest
-    is ``band_width``.
+    ends: sqrt((n+1)(k+1)(N-k)) for b'J+ and sqrt((n+1) k (N+1-k)) for b'J-,
+    at each of ``coupling_offsets``.
     """
     spin_dim = n_atoms + 1
     size = even_size(n_atoms, capacity)
@@ -120,8 +112,7 @@ def _skeleton(n_atoms: int, capacity: int) -> tuple[EvenSector, tuple]:
                      half + 1: np.where(even_row, 0.0, plus)}
     sector = EvenSector(n.astype(np.min_scalar_type(capacity)),
                         k.astype(np.min_scalar_type(n_atoms)))
-    prefixes = ((d, unit[: size - d]) for d, unit in by_offset.items())
-    units = tuple((d, unit) for d, unit in prefixes if unit.any())
+    units = tuple((d, by_offset[d][: size - d]) for d in coupling_offsets(n_atoms, capacity))
     for array in (*sector, *(unit for _, unit in units)):
         array.flags.writeable = False
     return sector, units
@@ -146,10 +137,24 @@ def even_size(n_atoms: int, n_cutoff: int) -> int:
     return ((n_cutoff + 1) * (n_atoms + 1) + 1) // 2
 
 
+def coupling_offsets(n_atoms: int, n_cutoff: int) -> tuple[int, ...]:
+    """The ascending offsets at which N atoms' even block at ``n_cutoff`` has couplings.
+
+    A coupling moves (n, m+j) to (n + 1, m+j +- 1), full index i to
+    i + N + 1 +- 1: offset N/2 or N/2 + 1 for even N, (N-1)/2 to (N+3)/2 by
+    the parity of i for odd N, but 1 alone at N = 1, and no (N+3)/2 at cutoff 1.
+    """
+    half = (n_atoms + 1) // 2
+    if n_atoms == 1:
+        return (1,)
+    if n_atoms % 2 == 0:
+        return half, half + 1
+    return (half - 1, half) if n_cutoff == 1 else (half - 1, half, half + 1)
+
+
 def band_width(n_atoms: int) -> int:
-    """kd, the largest offset of N atoms' even block past cutoff 1: (N+1)//2 + 1, that of
-    ``_skeleton``'s b'J+ coupling, which is zero at N = 1, whose couplings have offset 1."""
-    return (n_atoms + 1) // 2 + 1 if n_atoms > 1 else 1
+    """kd, the largest offset of N atoms' even block past cutoff 1: (N+1)//2 + 1, or 1 at N = 1."""
+    return coupling_offsets(n_atoms, 2)[-1]
 
 
 def _cached(n_atoms: int, n_cutoff: int) -> tuple[EvenSector, tuple, int]:
@@ -163,28 +168,29 @@ def _cached(n_atoms: int, n_cutoff: int) -> tuple[EvenSector, tuple, int]:
     return sector, units, even_size(n_atoms, n_cutoff)
 
 
-def build_even_block(params: ModelParams, n_cutoff: int) -> EvenBlock:
-    """The even-parity block P H P at ``n_cutoff``: its main and nonzero upper diagonals.
+def write_even_block(
+    params: ModelParams, n_cutoff: int, diagonal: np.ndarray, upper: dict, row: int
+) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """Write the even-parity block P H P at ``n_cutoff`` into a band from ``row`` on; its views.
 
-    All matrix elements of H are real in this basis.  ``upper[d][p]`` is
-    the element at (p, p + d) of the block in ascending index order; the
-    offsets are ascending, at most three of them.  The block never couples
-    the odd sector, so no element is lost by the restriction.
-
-    Full index i of the even sector sits at block position i // 2.  A
-    coupling moves (n, m+j) to (n + 1, m+j +- 1), i to i + N + 1 +- 1, so
-    its offset is N/2 or N/2 + 1 for even N and (N-1)/2 to (N+3)/2 for odd
-    N, set by the parity of i; at N = 1 every coupling has offset 1.  n,
-    m + j and the unit couplings are prefix views of the cached skeleton;
-    no coupling from level n_cutoff lands inside the block.  The diagonal
-    omega n + omega0 m and the couplings g * unit, g = lam / sqrt(N), are
-    fresh arrays, the same floating-point operations as a build from scratch.
+    ``diagonal`` and ``upper[d]`` are the band's main and upper diagonals,
+    for at least the block's ``coupling_offsets``.  Element (p, p + d) of
+    the block goes to row + p, and nothing else is written; the block is
+    returned as views of the band, its diagonal and its couplings by
+    ascending offset.  H is real in this basis and never couples the odd
+    sector.  The diagonal omega n + omega0 m and the couplings g * unit,
+    g = lam / sqrt(N), of the cached skeleton's prefix views are the same
+    floating-point operations as a build from scratch.
     """
     (n, k), units, size = _cached(params.n_atoms, n_cutoff)
+    end = row + size
     # float(): an integer omega times the small unsigned n would wrap around
-    diagonal = float(params.omega) * n[:size] + params.omega0 * (k[:size] - params.j)
+    diagonal[row:end] = float(params.omega) * n[:size] + params.omega0 * (k[:size] - params.j)
     g = params.lam / math.sqrt(params.n_atoms)
-    return diagonal, {d: g * unit[: size - d] for d, unit in units}
+    couplings = {d: upper[d][row:end - d] for d, _ in units}
+    for d, unit in units:
+        np.multiply(g, unit[: size - d], out=couplings[d])
+    return diagonal[row:end], couplings
 
 
 def even_sector(n_atoms: int, n_cutoff: int) -> EvenSector:

@@ -13,7 +13,7 @@ LAPACK ``dpbtrf`` factors H - sigma I, which succeeds exactly when sigma
 lies below the lowest eigenvalue, and ``dpbtrs`` applies the inverse, in
 O(dim kd^2) time and O(dim kd) memory.  Both routines come from scipy's
 compiled LAPACK extension, ``scipy.linalg._flapack``, which ``_load_flapack``
-loads from its file without running ``scipy.linalg``'s package init.  Each
+loads from its file without running ``scipy``'s package init.  Each
 successful factorization proves sigma < E0, and a solve returns only after
 one has succeeded within 2 r + BRACKET_RTOL max(1, |E|) of the returned
 Rayleigh quotient E, where r = ||H psi - E psi||; so E0 is bracketed,
@@ -22,8 +22,8 @@ about three for a cold solve and one for a doubled one, and at most
 MAX_INVERSE_ITERATIONS steps.
 
 Points are solved in stacks: consecutive points of one N, as ``stacks``
-groups them.  The banded blocks of a stack are laid end to end as one
-band, each after kd zero rows, so one ``dpbtrs`` and one matrix-vector
+groups them.  ``model`` writes the banded blocks of a stack end to end
+into one band, each after kd zero rows, so one ``dpbtrs`` and one matrix-vector
 product per iteration serve every point.  Each block keeps its own shift,
 factored by its own ``dpbtrf`` into its columns of the shared factor, its
 own stop and re-shift decisions, and its own failure.  The zero rows give
@@ -34,11 +34,12 @@ together is solved in runs that do (``fitting_runs``), one band per run.
 
 A ground state holds only its even-sector amplitudes, in ascending full
 index; ``model`` alone knows their layout, and gives the solver each
-block's size and band width, each start vector and each tail population.
+block, written into its band, each start vector and each tail population.
 Cutoff convergence doubles n_cutoff until the Fock tail population and the
 energy shift across one doubling both drop below tolerance, or until the
 next cutoff would not fit the budget; a stack doubles in rounds, each
-round solving the points still open.  The first solve of a
+round solving the points still open; a point's GroundState is built
+when it leaves the stack.  The first solve of a
 point starts from the even-parity part of the mean-field state, a coherent
 field times a spin coherent state, which depends on the point alone.  Each
 solve after the first starts from the previous cutoff's ground state
@@ -54,24 +55,25 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import itertools
 import math
 import operator
+import os
 import sys
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 import numpy as np
-import scipy
 
 from .errors import ConvergenceError, SolverError
 from .model import (
-    EvenBlock,
     ModelParams,
     band_width,
-    build_even_block,
+    coupling_offsets,
     even_size,
     padded_shape,
     start_vectors,
     tail_population,
+    write_even_block,
 )
 
 
@@ -81,17 +83,24 @@ def _load_flapack():
     ``scipy.linalg.lapack`` would run ``scipy.linalg``'s package init, whose
     array-API shim imports numpy.f2py, numpy.testing and numpy.ma: about
     0.25 s and 20 MiB in every process, for the two routines the solver
-    calls.  Finding the package's directory imports only ``scipy``.  The
+    calls.  ``scipy``'s own init, which imports ``tempfile`` and
+    ``subprocess``, runs only if the extension fails to load without it:
+    delvewheel-patched Windows wheels add their DLL directory there.  The
     module is not left in ``sys.modules``, so a later ``import scipy.linalg``
     loads its own copy.
     """
-    linalg = importlib.util.find_spec("scipy.linalg")
-    spec = linalg and importlib.machinery.PathFinder.find_spec(
-        "_flapack", linalg.submodule_search_locations)
+    package = importlib.util.find_spec("scipy")
+    spec = package and importlib.machinery.PathFinder.find_spec(
+        "_flapack", [os.path.join(path, "linalg") for path in package.submodule_search_locations])
     if spec is None:
+        import scipy
         raise ImportError(f"scipy {scipy.__version__} has no compiled LAPACK extension "
                           "scipy.linalg._flapack")
-    module = importlib.util.module_from_spec(spec)
+    try:
+        module = importlib.util.module_from_spec(spec)
+    except ImportError:
+        import scipy  # noqa: F401
+        module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     # CPython files a single-phase extension module under its bare name
     if sys.modules.get(spec.name) is module:
@@ -179,10 +188,10 @@ def solve_bytes(params: ModelParams, n_cutoff: int) -> int:
     """Estimated bytes of the point's solve at ``n_cutoff`` with its sweep row.
 
     With dim = ``even_size(N, n_cutoff)``, the solve holds about
-    dim (kd + 22) floats: its block, the band and its factor, and the
-    vectors of the iteration and the Schmidt step.  That was within 3% of
-    the peak RSS, less the interpreter's 34 MiB, of single converged points
-    from N = 101 to 400 at lambda = 1 and 2.  A lam = 0 point holds no
+    dim (kd + 22) floats: the band its block is written into, the band's
+    factor, and the vectors of the iteration and the Schmidt step.  That
+    was within 3% of the peak RSS, less the interpreter's 34 MiB, of single
+    converged points from N = 101 to 400 at lambda = 1 and 2.  A lam = 0 point holds no
     block: it is charged its start vector and its zero-padded Schmidt grid.
     """
     n_atoms = params.n_atoms
@@ -265,7 +274,7 @@ def ground_states(
     SolverError it failed with, a MemoryError included; a failure leaves
     the other points' results as they are.  ``checked_bytes`` fails each
     point past the budget before anything of the round is allocated; the
-    lam > 0 blocks are built and solved in ``fitting_runs``, one band per
+    lam > 0 blocks are written and solved in ``fitting_runs``, one band per
     run.
     """
     cutoffs = [_as_cutoff(n_cutoff, "n_cutoff") for n_cutoff in cutoffs]
@@ -273,14 +282,26 @@ def ground_states(
         previous = [None] * len(points)
     if not len(points) == len(cutoffs) == len(previous):
         raise ValueError("points, cutoffs and previous must have one entry per point")
-    if len({params.n_atoms for params in points}) > 1:
-        raise ValueError("a stack holds points of one atom number")
     for params, n_cutoff, prev in zip(points, cutoffs, previous):
         if n_cutoff < 1:
             raise ValueError("n_cutoff must be >= 1")
         if prev is not None and (prev.params != params or prev.n_cutoff > n_cutoff):
             raise ValueError("previous must be a ground state of the same model at a lower cutoff")
-    # per point: (energy, amplitudes, residual, lower bound) or its SolverError;
+    solved = _solve_round(points, cutoffs, [
+        prev and (prev.energy, prev.vector, prev.convergence.lower_bound) for prev in previous])
+    return [outcome if isinstance(outcome, SolverError) else GroundState(
+                outcome[0], outcome[1], params, n_cutoff, ConvergenceInfo(
+                    tail_population(outcome[1], params.n_atoms, n_cutoff), None, *outcome[2:]))
+            for params, n_cutoff, outcome in zip(points, cutoffs, solved)]
+
+
+def _solve_round(
+    points: Sequence[ModelParams], cutoffs: Sequence[int], previous: Sequence[tuple | None]
+) -> list:
+    """``ground_states`` with each previous state as None or (energy, amplitudes, lower bound),
+    and each result as (energy, amplitudes, residual, lower bound) or a SolverError."""
+    if len({params.n_atoms for params in points}) > 1:
+        raise ValueError("a stack holds points of one atom number")
     # every point's bytes are checked before anything of the round is allocated
     solved: list = [None] * len(points)
     held: list = [0] * len(points)
@@ -299,28 +320,18 @@ def ground_states(
         try:
             # the diagonal is lowest at |0>|j,-j>, even index 0: the start,
             # zero-padded to the block
-            [head] = start_vectors([params], [n_cutoff], [prev and prev.vector])
+            [head] = start_vectors([params], [n_cutoff], [prev and prev[1]])
             padding = np.zeros(even_size(params.n_atoms, n_cutoff) - head.size)
             energy = -params.omega0 * params.j
-            solved[i] = (energy, np.concatenate((head, padding)), 0.0, energy)
+            solved[i] = (float(energy), np.concatenate((head, padding)), 0.0, energy)
         except MemoryError as exc:
             solved[i] = _out_of_memory(exc, n_cutoff)
     for run in fitting_runs(banded, held.__getitem__):
-        index, blocks = [], []
-        for i in run:
-            try:
-                blocks.append(build_even_block(points[i], cutoffs[i]))
-                index.append(i)
-            except MemoryError as exc:
-                solved[i] = _out_of_memory(exc, cutoffs[i])
-        if blocks:
-            outcomes = _banded_lowest(blocks, [points[i] for i in index],
-                                      [previous[i] for i in index], [cutoffs[i] for i in index])
-            for i, outcome in zip(index, outcomes):
-                solved[i] = outcome
-    return [outcome if isinstance(outcome, SolverError)
-            else _ground_state(params, n_cutoff, *outcome)
-            for params, n_cutoff, outcome in zip(points, cutoffs, solved)]
+        outcomes = _banded_lowest([points[i] for i in run], [cutoffs[i] for i in run],
+                                  [previous[i] for i in run])
+        for i, outcome in zip(run, outcomes):
+            solved[i] = outcome
+    return solved
 
 
 def _out_of_memory(exc: MemoryError, n_cutoff: int) -> SolverError:
@@ -329,24 +340,11 @@ def _out_of_memory(exc: MemoryError, n_cutoff: int) -> SolverError:
     return error
 
 
-def _ground_state(
-    params: ModelParams, n_cutoff: int, energy, amplitudes: np.ndarray, residual, lower_bound
-) -> GroundState:
-    """A solved point as a GroundState: the sign fixed, its tail measured."""
-    vector = -amplitudes if amplitudes[np.abs(amplitudes).argmax()] < 0 else amplitudes
-    info = ConvergenceInfo(tail_population(vector, params.n_atoms, n_cutoff), None, residual,
-                           lower_bound)
-    return GroundState(float(energy), vector, params, n_cutoff, info)
-
-
 def _banded_lowest(
-    blocks: Sequence[EvenBlock],
-    points: Sequence[ModelParams],
-    previous: Sequence[GroundState | None],
-    cutoffs: Sequence[int],
+    points: Sequence[ModelParams], cutoffs: Sequence[int], previous: Sequence[tuple | None]
 ) -> list:
-    """Lowest eigenpairs of banded blocks of one N: per block (energy, unit vector,
-    residual, lower bound), or the SolverError it failed with.
+    """Lowest eigenpairs of the banded blocks of points of one N: per block (energy, unit
+    vector, its largest amplitude positive, residual, lower bound), or its SolverError.
 
     Shifted inverse iteration x = (H - sigma I)^-1 psi from each start, the
     previous state zero-padded or the mean-field state, as
@@ -370,45 +368,37 @@ def _banded_lowest(
     of E.  A residual that stops halving while E still moves is no floor:
     far from convergence the residual can grow for a step while E drops.
 
-    The blocks share one band, block b at rows first[b] .. first[b] + dim - 1
-    after kd zero rows, and kd zero rows end the band.  Every per-block sum
-    runs over a block and the kd zero rows after it, so it is the same sum
-    in any stack.  A settled block's result is kept and its rows go on
+    ``model.write_even_block`` writes block b into one band at rows
+    first[b] .. first[b] + dim - 1 after kd zero rows, and kd zero rows end
+    the band; it returns the block as views of the band.  Every per-block
+    sum runs over a block and the kd zero rows after it, so it is the same
+    sum in any stack.  A settled block's result is kept and its rows go on
     being solved, unread.  A failed block's factor becomes the identity and
     its rows a unit vector: every factor in the band stays valid and every
     iterate finite, so no 0 x inf reaches a neighbour through the zero rows.
     """
-    count = len(blocks)
+    count = len(points)
     outcomes: list = [None] * count
     try:
-        kd = max(max(upper) for _, upper in blocks)
-        offsets = sorted({d for _, upper in blocks for d in upper})
-        first, ends = [], []
-        total = kd
-        for block_diagonal, _ in blocks:
-            first.append(total)
-            total += block_diagonal.size
-            ends.append(total)
-            total += kd
+        n_atoms = points[0].n_atoms
+        offsets = sorted({d for n_cutoff in cutoffs for d in coupling_offsets(n_atoms, n_cutoff)})
+        kd = offsets[-1]
+        sizes = [even_size(n_atoms, n_cutoff) for n_cutoff in cutoffs]
+        *first, total = itertools.accumulate((size + kd for size in sizes), initial=kd)
+        ends = [row + size for row, size in zip(first, sizes)]
         diagonal = np.zeros(total)
         upper = {d: np.zeros(total - d) for d in offsets}
-        vector = np.zeros(total)
-        starts = start_vectors(points, cutoffs, [prev and prev.vector for prev in previous])
-        for b, ((block_diagonal, block_upper), start) in enumerate(zip(blocks, starts)):
-            row = first[b]
-            diagonal[row:ends[b]] = block_diagonal
-            for d, coupling in block_upper.items():
-                upper[d][row:row + coupling.size] = coupling
-            vector[row:row + start.size] = start
         stack = (diagonal, upper)
+        vector = np.zeros(total)
+        starts = start_vectors(points, cutoffs, [prev and prev[1] for prev in previous])
+        for row, start in zip(first, starts):
+            vector[row:row + start.size] = start
         factor = np.zeros((kd + 1, total), order="F")
         factor[kd] = 1.0
         bounds = np.array(first)
         # rows per block when a per-block value is spread over the band: its own
         # rows and the kd zero rows after them, the first block's leading ones too
-        spread = [end + kd - row for row, end in zip(first, ends)]
-        spread[0] += kd
-        spread = np.array(spread)
+        spread = np.diff([0, *first[1:], total])
         # the blocks still iterating, and per block its shift and last step's E and r
         iterating = list(range(count))
         shift = [0.0] * count
@@ -424,22 +414,27 @@ def _banded_lowest(
             vector[row:end] = 0.0
             vector[row] = 1.0
 
+        blocks: list = [None] * count
+        for b, (params, n_cutoff) in enumerate(zip(points, cutoffs)):
+            try:
+                blocks[b] = write_even_block(params, n_cutoff, diagonal, upper, first[b])
+            except MemoryError as exc:
+                isolate(b, _out_of_memory(exc, n_cutoff))
         vector /= np.sqrt(np.add.reduceat(vector * vector, bounds)).repeat(spread)
         if any(prev is None for prev in previous):
             rayleigh = np.add.reduceat(vector * _block_matvec(stack, vector), bounds).tolist()
-        for b, (params, prev, n_cutoff) in enumerate(zip(points, previous, cutoffs)):
+        for b in tuple(iterating):
             block, block_factor = blocks[b], factor[:, first[b]:ends[b]]
             try:
-                if prev is not None:
-                    shift[b] = prev.convergence.lower_bound
+                if previous[b] is not None:
+                    upper_bound, _, shift[b] = previous[b]
                     if _shifted_cholesky(block, block_factor, shift[b]) == 0:
                         continue
-                    upper_bound = prev.energy
                     step = 1e-3 * abs(upper_bound)
                 else:
                     upper_bound = rayleigh[b]
-                    step = (params.omega + params.omega0) / 8
-                shift[b] = _factor_below(block, block_factor, upper_bound - step, step, n_cutoff)
+                    step = (points[b].omega + points[b].omega0) / 8
+                shift[b] = _factor_below(block, block_factor, upper_bound - step, step, cutoffs[b])
             except SolverError as exc:
                 isolate(b, exc)
         for _ in range(MAX_INVERSE_ITERATIONS):
@@ -460,7 +455,9 @@ def _banded_lowest(
                 bracketed = energy - shift[b] <= 2 * residual + slack
                 stalled = 2 * residual >= last_residual[b]
                 if bracketed and stalled and abs(energy - last_energy[b]) <= slack:
-                    outcomes[b] = (energy, vector[first[b]:ends[b]].copy(), residual, shift[b])
+                    psi = vector[first[b]:ends[b]]
+                    psi = -psi if psi[np.abs(psi).argmax()] < 0 else psi.copy()
+                    outcomes[b] = (energy, psi, residual, shift[b])
                     iterating.remove(b)
                     continue
                 if not bracketed and 20 * residual >= last_residual[b]:
@@ -485,7 +482,7 @@ def _banded_lowest(
 
 
 def _factor_below(
-    block: EvenBlock, factor: np.ndarray, shift: float, step: float, n_cutoff: int
+    block: tuple, factor: np.ndarray, shift: float, step: float, n_cutoff: int
 ) -> float:
     """Factor H - shift I into ``factor``, stepping the shift down until a factor exists; the shift.
 
@@ -512,7 +509,7 @@ def _factor_below(
         step *= 2
 
 
-def _shifted_cholesky(block: EvenBlock, factor: np.ndarray, shift: float) -> int:
+def _shifted_cholesky(block: tuple, factor: np.ndarray, shift: float) -> int:
     """LAPACK ``dpbtrf`` of H - shift I in place in ``factor``; its info, 0 exactly on success.
 
     ``factor`` is a Fortran-ordered (kd + 1, dim) array, H's columns of the
@@ -529,7 +526,7 @@ def _shifted_cholesky(block: EvenBlock, factor: np.ndarray, shift: float) -> int
     return info
 
 
-def _block_matvec(block: EvenBlock, x: np.ndarray) -> np.ndarray:
+def _block_matvec(block: tuple, x: np.ndarray) -> np.ndarray:
     """H x: each row adds its diagonal term, then for each offset upward both couplings."""
     diagonal, upper = block
     y = diagonal * x
@@ -598,7 +595,7 @@ def converge_stack(
         raise ValueError("tol must be positive")
     n_start = None if n_start is None else _as_cutoff(n_start, "n_start")
     converged: list = [None] * len(points)
-    # per open point: its index, cutoff, completed steps and last ground state
+    # per open point: its index, cutoff, completed steps and last state
     open_points = []
     for i, params in enumerate(points):
         n_cutoff = initial_cutoff(params) if n_start is None else n_start
@@ -620,28 +617,28 @@ def converge_stack(
         else:
             open_points.append((i, n_cutoff, [], None))
     while open_points:
-        solved = ground_states([points[i] for i, *_ in open_points],
-                               [n_cutoff for _, n_cutoff, *_ in open_points],
-                               [gs for *_, gs in open_points])
+        solved = _solve_round([points[i] for i, *_ in open_points],
+                              [n_cutoff for _, n_cutoff, *_ in open_points],
+                              [last for *_, last in open_points])
         still_open = []
-        for (i, n_cutoff, steps, _), gs in zip(open_points, solved):
+        for (i, n_cutoff, steps, _), outcome in zip(open_points, solved):
             params = points[i]
-            if isinstance(gs, SolverError):
-                error = SolverError(str(gs), n_cutoff, steps)
-                error.__cause__ = gs
+            if isinstance(outcome, SolverError):
+                error = SolverError(str(outcome), n_cutoff, steps)
+                error.__cause__ = outcome
                 converged[i] = error
                 continue
-            tail = gs.convergence.tail_population
+            energy, vector, residual, lower_bound = outcome
+            tail = tail_population(vector, params.n_atoms, n_cutoff)
             if steps:
-                shift = abs(gs.energy - steps[-1].energy)
-                done = tail < tol and shift < tol * max(1.0, abs(gs.energy))
+                shift = abs(energy - steps[-1].energy)
+                done = tail < tol and shift < tol * max(1.0, abs(energy))
             else:  # decoupled limit: the exact state is accepted at the starting cutoff
                 shift, done = None, params.lam == 0
-            steps.append(CutoffStep(n_cutoff, gs.energy, tail))
+            steps.append(CutoffStep(n_cutoff, energy, tail))
             if done:
-                info = ConvergenceInfo(tail, shift, gs.convergence.residual,
-                                       gs.convergence.lower_bound, tuple(steps))
-                converged[i] = GroundState(gs.energy, gs.vector, params, n_cutoff, info)
+                info = ConvergenceInfo(tail, shift, residual, lower_bound, tuple(steps))
+                converged[i] = GroundState(energy, vector, params, n_cutoff, info)
                 continue
             try:
                 checked_bytes(params, 2 * n_cutoff)
@@ -649,7 +646,7 @@ def converge_stack(
                 msg = f"doubled Fock cutoff: {exc} (lam={params.lam}, tol={tol})"
                 converged[i] = ConvergenceError(msg, n_cutoff, steps)
             else:
-                still_open.append((i, 2 * n_cutoff, steps, gs))
+                still_open.append((i, 2 * n_cutoff, steps, (energy, vector, lower_bound)))
         open_points = still_open
     return converged
 

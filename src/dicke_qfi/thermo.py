@@ -10,8 +10,11 @@ above it, the normal-mode energies are
                                  + 16 lambda^2 omega omega0 mu }.
 
 eps1^2 is evaluated through the exact difference-of-squares
-rearrangement, which stays fully accurate arbitrarily close to the
-critical coupling.  Near lambda_cr, eps1 ~ delta^(1/2) with
+rearrangement, with lambda_cr^2 - lambda^2 formed as
+omega omega0 / 4 - lambda^2 from error-free products, so it stays fully
+accurate arbitrarily close to the critical coupling of the float inputs;
+the one float lambda_cr = sqrt(omega omega0)/2 stands for that coupling
+itself.  Near lambda_cr, eps1 ~ delta^(1/2) with
 delta = |lambda - lambda_cr|, and each scaled QFI is a smooth function of
 eps1 there, so its derivative diverges as delta^(-1/2) with an amplitude
 in closed form (``critical_amplitudes``).
@@ -67,16 +70,22 @@ def thermo_point(omega: float, omega0: float, lam: float) -> ThermoPoint:
     if lam < 0:
         raise ValueError("coupling lam must be non-negative")
     lcr = math.sqrt(omega * omega0) / 2
-    mu = 1.0 if lam <= lcr else (lcr / lam) ** 2
+    # lambda_cr^2 - lambda^2, exact before its last rounding; its sign is the phase
+    # and agrees with lam <= lcr at every float lam but lcr, which is the critical point
+    product, product_error = _two_product(omega, omega0)
+    square, square_error = _two_product(lam, lam)
+    excess = 0.0 if lam == lcr else (product / 4 - square) + (product_error / 4 - square_error)
+    mu = 1.0 if excess >= 0 else omega * omega0 / (4 * lam * lam)
 
     half_sum = (omega**2 + (omega0 / mu) ** 2) / 2
     half_gap = 0.5 * math.hypot(omega**2 - (omega0 / mu) ** 2, 4 * lam * math.sqrt(omega * omega0 * mu))
-    # eps1^2 = half_sum - half_gap via the difference of squares; the factored
-    # forms keep full relative precision arbitrarily close to lambda_cr
-    if lam <= lcr:
-        num = 4 * omega * omega0 * (lcr - lam) * (lcr + lam)
+    # eps1^2 = half_sum - half_gap via the difference of squares: 4 omega omega0
+    # (lambda_cr^2 - lambda^2) below lambda_cr, and above it
+    # 4 omega omega0 (lambda^2 + lambda_cr^2)(lambda^2 - lambda_cr^2) / lambda_cr^2
+    if excess >= 0:
+        num = 4 * omega * omega0 * excess
     else:
-        num = 4 * omega * omega0 * (lam**2 + lcr**2) * (lam - lcr) * (lam + lcr) / lcr**2
+        num = -16 * (lam * lam + omega * omega0 / 4) * excess
     eps1 = math.sqrt(num / (half_sum + half_gap))
     eps2 = math.sqrt(half_sum + half_gap)
     return ThermoPoint(
@@ -90,6 +99,23 @@ def thermo_point(omega: float, omega0: float, lam: float) -> ThermoPoint:
         eps2=eps2,
         critical=eps1 == 0.0,
     )
+
+
+def _two_product(a: float, b: float) -> tuple[float, float]:
+    """Dekker's TwoProduct: p = fl(a b) and its rounding error e, p + e = a b exactly.
+
+    Each factor is cut by Veltkamp's split into halves of at most 26 bits,
+    whose products are exact.  Where a split or p overflows, e is 0.
+    """
+    halves = []
+    for x in (a, b):
+        c = 134217729.0 * x  # 2^27 + 1
+        high = c - (c - x)
+        halves.append((high, x - high))
+    (a_high, a_low), (b_high, b_low) = halves
+    p = a * b
+    e = ((a_high * b_high - p) + a_high * b_low + a_low * b_high) + a_low * b_low
+    return p, e if math.isfinite(e) else 0.0
 
 
 def xi2_thermo(pt: ThermoPoint) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from dicke_qfi.metrology import QfiResult, _qfi
-from dicke_qfi.model import EvenBlock, ModelParams, build_even_block
+from dicke_qfi.model import ModelParams, coupling_offsets, even_size, write_even_block
 from dicke_qfi.states import DEFAULT_WEIGHT_FLOOR, SpectralDecomposition, Space
 
 
@@ -109,10 +109,13 @@ def build_hamiltonian(params: ModelParams, indexer: BasisIndexer) -> np.ndarray:
     )
 
 
-def even_block_from_scratch(params: ModelParams, indexer: BasisIndexer) -> EvenBlock:
-    """The even block in closed form, rebuilt on every call with no cache.
+def even_block_from_scratch(
+    params: ModelParams, indexer: BasisIndexer
+) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """The even block in closed form, rebuilt on every call with no cache: its main diagonal
+    and its nonzero upper diagonals by ascending offset.
 
-    The same arithmetic as ``model.build_even_block``, which must match it
+    The same arithmetic as ``model.write_even_block``, which must match it
     bit for bit; the couplings carry g = lam / sqrt(N) from the start.
     """
     spin_dim = indexer.spin_dim
@@ -213,9 +216,27 @@ def full_grid_start_vector(params: ModelParams, indexer: BasisIndexer, previous=
     return np.outer(field, spin).ravel()[even]
 
 
+def written_round(points: list[ModelParams], cutoffs: list[int]):
+    """Each point's block written by ``model.write_even_block`` into one zeroed band, laid
+    out as the solver lays out a round: after kd zero rows each, kd the largest offset,
+    and kd zero rows at the end.  The band as (diagonal, upper), the first rows, and the
+    blocks as the writer returns them."""
+    n_atoms = points[0].n_atoms
+    offsets = sorted({d for n_cutoff in cutoffs for d in coupling_offsets(n_atoms, n_cutoff)})
+    kd = offsets[-1]
+    rows, total = [], kd
+    for n_cutoff in cutoffs:
+        rows.append(total)
+        total += even_size(n_atoms, n_cutoff) + kd
+    diagonal, upper = np.zeros(total), {d: np.zeros(total - d) for d in offsets}
+    blocks = [write_even_block(params, n_cutoff, diagonal, upper, row)
+              for params, n_cutoff, row in zip(points, cutoffs, rows)]
+    return (diagonal, upper), rows, blocks
+
+
 def dense_hamiltonian_block(params: ModelParams, indexer: BasisIndexer) -> np.ndarray:
     """The even-parity block P H P as a dense float64 array, for ``scipy.linalg.eigh`` oracles."""
-    diagonal, upper = build_even_block(params, indexer.n_cutoff)
+    diagonal, upper = even_block_from_scratch(params, indexer)
     block = np.diag(diagonal)
     rows = np.arange(diagonal.size)
     for d, coupling in upper.items():

@@ -438,6 +438,18 @@ def test_banded_sweep_loads_no_scipy_linalg_special_sparse_or_pool(tmp_path):
     assert len(read_csv_rows(out)[1]) == 6
 
 
+def test_cli_import_runs_no_scipy_init():
+    # the solver finds scipy's LAPACK extension through the spec of the scipy
+    # package, which runs none of its code; scipy's init imports its test
+    # utilities, tempfile, subprocess and shutil, 10-23 ms of the CLI's import
+    code = ("import json, sys, dicke_qfi.cli; "
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    src = str(Path(dicke_qfi.cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    assert json.loads(done.stdout) == []
+
+
 def test_refused_point_loads_no_scipy_linalg_special_sparse_or_pool(tmp_path):
     # N = 150 at lambda = 0.5 and 1 is banded; N = 1000 at lambda = 2 is refused at
     # its first cutoff, 4516, whose band would hold 4.4 memory budgets, before

@@ -10,19 +10,21 @@ from qfi_reference import (
     build_boson_ops,
     build_hamiltonian,
     build_spin_ops,
+    dense_hamiltonian_block,
     even_block_from_scratch,
     even_indices,
     idx,
     nm,
     parity_signs_from_scratch,
+    written_round,
 )
 
 import dicke_qfi.solver
 from dicke_qfi import cli, model
 from dicke_qfi.model import (
     ModelParams,
-    build_even_block,
     even_sector,
+    write_even_block,
 )
 
 
@@ -244,7 +246,7 @@ def test_even_layout_matches_parity_signs(n_atoms):
 @pytest.mark.parametrize("n_cutoff", [0, -1])
 def test_basis_without_a_level_or_an_atom_rejected(n_cutoff):
     with pytest.raises(ValueError, match="n_cutoff"):
-        build_even_block(ModelParams(1.0, 1.0, 0.5, 3), n_cutoff)
+        write_even_block(ModelParams(1.0, 1.0, 0.5, 3), n_cutoff, np.zeros(8), {}, 0)
     with pytest.raises(ValueError, match="n_cutoff"):
         even_sector(3, n_cutoff)
     with pytest.raises(ValueError, match="n_atoms"):
@@ -263,7 +265,8 @@ def test_parity_block_sizes(n_atoms, n_cutoff):
 
 
 def test_block_restriction_reproduces_action():
-    # one, two and three coupling offsets; the Kronecker product is the oracle
+    # one, two and three coupling offsets, each block written into a band after
+    # a block of another coupling and cutoff; the Kronecker product is the oracle
     for n_atoms, n_cutoff, offsets in ((1, 6, [1]), (2, 5, [1, 2]), (3, 7, [1, 2, 3]),
                                        (4, 6, [2, 3])):
         params = ModelParams(1.0, 1.2, 0.6, n_atoms)
@@ -271,7 +274,8 @@ def test_block_restriction_reproduces_action():
         even = even_indices(indexer)
         h = build_hamiltonian(params, indexer)
         oracle = h[np.ix_(even, even)].real
-        diagonal, upper = build_even_block(params, n_cutoff)
+        before = ModelParams(1.0, 1.2, 1.1, n_atoms)
+        _, _, [_, (diagonal, upper)] = written_round([before, params], [n_cutoff + 3, n_cutoff])
         assert diagonal.size == even.size
         assert list(upper) == offsets
         assert np.max(np.abs(diagonal - np.diagonal(oracle))) < 1e-14
@@ -301,33 +305,49 @@ BLOCK_PARAMS = ((1.0, 1.0, 0.0), (1.0, 1.0, 0.5), (0.7, 1.3, 2.5), (1.9, 0.4, 0.
                 (300, 7, 2))
 
 
-def assert_matches_scratch(params, indexer):
-    """The cached block and even sector equal a build from scratch, bit for bit."""
-    diagonal, upper = build_even_block(params, indexer.n_cutoff)
-    expected_diagonal, expected_upper = even_block_from_scratch(params, indexer)
-    assert np.array_equal(diagonal, expected_diagonal)
-    assert diagonal.dtype == np.float64
-    assert list(upper) == list(expected_upper)
-    for d, coupling in upper.items():
-        assert np.array_equal(coupling, expected_upper[d])
-    # (n, k) fixes the full index n (N+1) + k, so this is the +1 parity set, in order
-    sector = even_sector(indexer.n_atoms, indexer.n_cutoff)
-    n, k = np.divmod(even_indices(indexer), indexer.spin_dim)
-    assert np.array_equal(sector.n, n)
-    assert np.array_equal(sector.k, k)
+def assert_matches_scratch(points, cutoffs):
+    """Each block of a round of points of one N, written into one band at its cutoff, and
+    its even sector equal a build from scratch, bit for bit, and nothing else of the band is
+    written; a block of at most 200 positions also equals ``dense_hamiltonian_block``."""
+    (band_diagonal, band_upper), rows, blocks = written_round(points, cutoffs)
+    expected_band = np.zeros(band_diagonal.size), {d: np.zeros(c.size) for d, c in band_upper.items()}
+    for params, n_cutoff, row, (diagonal, upper) in zip(points, cutoffs, rows, blocks):
+        indexer = BasisIndexer(n_cutoff, params.n_atoms)
+        expected_diagonal, expected_upper = even_block_from_scratch(params, indexer)
+        assert np.array_equal(diagonal, expected_diagonal)
+        assert diagonal.dtype == np.float64
+        assert list(upper) == list(expected_upper)
+        for d, coupling in upper.items():
+            assert np.array_equal(coupling, expected_upper[d])
+            expected_band[1][d][row:row + coupling.size] = coupling
+        expected_band[0][row:row + diagonal.size] = diagonal
+        if diagonal.size <= 200:
+            dense = np.diag(diagonal)
+            for d, coupling in upper.items():
+                dense += np.diag(coupling, d) + np.diag(coupling, -d)
+            assert np.array_equal(dense, dense_hamiltonian_block(params, indexer))
+        # (n, k) fixes the full index n (N+1) + k, so this is the +1 parity set, in order
+        sector = even_sector(indexer.n_atoms, indexer.n_cutoff)
+        n, k = np.divmod(even_indices(indexer), indexer.spin_dim)
+        assert np.array_equal(sector.n, n)
+        assert np.array_equal(sector.k, k)
+    assert np.array_equal(band_diagonal, expected_band[0])
+    assert all(np.array_equal(band_upper[d], expected_band[1][d]) for d in band_upper)
 
 
 @pytest.mark.parametrize("n_atoms", [*range(1, 8), 20, 21, 100, 101])
 def test_cached_block_matches_closed_form_bitwise(n_atoms):
-    # every cutoff is built under each parameter set in turn and its
-    # predecessor once more, so each cache hit follows a block of another
-    # lam or omega, or another cutoff; nothing of one build may leak into the next
+    # every cutoff is written under each parameter set in turn and its
+    # predecessor once more, all into one band per cutoff, so each cache hit
+    # and each block follows a block of another lam or omega, or another cutoff;
+    # nothing of one write may leak into the next
     for n_cutoff in range(1, 42):
+        points, cutoffs = [], []
         for omega, omega0, lam in BLOCK_PARAMS:
             params = ModelParams(omega, omega0, lam, n_atoms)
-            assert_matches_scratch(params, BasisIndexer(n_cutoff, n_atoms))
-            if n_cutoff > 1:
-                assert_matches_scratch(params, BasisIndexer(n_cutoff - 1, n_atoms))
+            points += [params] * min(n_cutoff, 2)
+            cutoffs += [n_cutoff, n_cutoff - 1][:min(n_cutoff, 2)]
+        assert_matches_scratch(points, cutoffs)
 
 
 def test_cached_parity_arrays_are_read_only():
@@ -342,19 +362,21 @@ def test_cached_parity_arrays_are_read_only():
 
 
 def test_even_block_arrays_are_fresh_and_writable():
+    # the writer returns views of the caller's band; overwriting them reaches
+    # nothing cached, so the next write is the block again
     params = ModelParams(1.0, 1.0, 0.8, 3)
     indexer = BasisIndexer(9, 3)
-    diagonal, upper = build_even_block(params, indexer.n_cutoff)
     expected_diagonal, expected_upper = even_block_from_scratch(params, indexer)
-    diagonal[:] = -1.0
-    for coupling in upper.values():
-        coupling[:] = -1.0
-    upper.clear()
-    diagonal, upper = build_even_block(params, indexer.n_cutoff)
-    assert np.array_equal(diagonal, expected_diagonal)
-    assert list(upper) == list(expected_upper)
-    for d, coupling in upper.items():
-        assert np.array_equal(coupling, expected_upper[d])
+    for _ in range(2):
+        (band_diagonal, _), _, [(diagonal, upper)] = written_round([params], [indexer.n_cutoff])
+        assert np.shares_memory(diagonal, band_diagonal)
+        assert np.array_equal(diagonal, expected_diagonal)
+        assert list(upper) == list(expected_upper)
+        for d, coupling in upper.items():
+            assert np.array_equal(coupling, expected_upper[d])
+        diagonal[:] = -1.0
+        for coupling in upper.values():
+            coupling[:] = -1.0
 
 
 @pytest.fixture
@@ -383,8 +405,7 @@ def test_prefix_views_match_scratch_in_any_request_order(requests, order, block_
     omega, omega0, lam = block_params
     model._skeleton.cache_clear()
     for n_atoms, n_cutoff in requests:
-        assert_matches_scratch(ModelParams(omega, omega0, lam, n_atoms),
-                               BasisIndexer(n_cutoff, n_atoms))
+        assert_matches_scratch([ModelParams(omega, omega0, lam, n_atoms)], [n_cutoff])
         assert model._skeleton.cache_info().currsize <= 2
 
 
@@ -401,16 +422,16 @@ def test_doubling_pairs_read_two_cached_skeletons(skeleton_cache):
 def test_views_handed_out_survive_eviction(skeleton_cache):
     params = ModelParams(0.7, 1.3, 2.5, 5)
     small = BasisIndexer(9, 5)
-    diagonal, upper = build_even_block(params, small.n_cutoff)
+    _, _, [(diagonal, upper)] = written_round([params], [small.n_cutoff])
     handed_out = [*even_sector(small.n_atoms, small.n_cutoff), diagonal, *upper.values()]
     copies = [array.copy() for array in handed_out]
     # two larger capacities, 64 and 128, evict the skeleton of the first views
-    assert_matches_scratch(params, BasisIndexer(50, 5))
-    assert_matches_scratch(params, BasisIndexer(100, 5))
+    assert_matches_scratch([params], [50])
+    assert_matches_scratch([params], [100])
     assert skeleton_cache.cache_info().misses == 3
     for array, copy in zip(handed_out, copies):
         assert np.array_equal(array, copy)
-    assert_matches_scratch(params, small)  # a view of its rebuilt skeleton
+    assert_matches_scratch([params], [small.n_cutoff])  # a view of its rebuilt skeleton
     assert skeleton_cache.cache_info().misses == 4
 
 

@@ -22,12 +22,13 @@ from qfi_reference import (
     parity_signs_from_scratch,
     partial_trace_atoms,
     product_vector,
+    written_round,
 )
 
 import dicke_qfi.model
 import dicke_qfi.solver
 from dicke_qfi.errors import ConvergenceError, SolverError
-from dicke_qfi.model import ModelParams, build_even_block, tail_population
+from dicke_qfi.model import ModelParams, tail_population
 from dicke_qfi.solver import (
     BRACKET_RTOL,
     STACK_ELEMENTS,
@@ -373,7 +374,7 @@ def test_warm_start_matches_cold_dense_solve(n_atoms, lam, monkeypatch):
     assert [step.n_cutoff for step in gs.convergence.steps] == [n_cutoff // 2, n_cutoff]
     # inverse iteration solves the stack's band, where a stack of one holds the
     # block between kd zero rows on each side
-    kd = max(dicke_qfi.model.build_even_block(params, gs.n_cutoff)[1])
+    kd = max(written_round([params], [gs.n_cutoff])[2][0][1])
     warm_start = next(v for v in starts if v.size == gs.vector.size + 2 * kd)
     assert not warm_start[:kd].any() and not warm_start[warm_start.size - kd:].any()
     warm_start = warm_start[kd:warm_start.size - kd]
@@ -464,10 +465,10 @@ def test_banded_factorization_counts(n_atoms, lam_max, steps, max_dpbtrf, parent
     # per block, keyed by its diagonal's id while the block is held: whether its
     # solve is cold, and its factorizations
     blocks = {}
-    build, factor = dicke_qfi.solver.build_even_block, dicke_qfi.solver._shifted_cholesky
+    write, factor = dicke_qfi.solver.write_even_block, dicke_qfi.solver._shifted_cholesky
 
-    def build_recorded(params, n_cutoff):
-        block = build(params, n_cutoff)
+    def write_recorded(params, n_cutoff, *band):
+        block = write(params, n_cutoff, *band)
         blocks[id(block[0])] = [block, n_cutoff == initial_cutoff(params), 0]
         return block
 
@@ -475,7 +476,7 @@ def test_banded_factorization_counts(n_atoms, lam_max, steps, max_dpbtrf, parent
         blocks[id(block[0])][2] += 1
         return factor(block, *args)
 
-    monkeypatch.setattr(dicke_qfi.solver, "build_even_block", build_recorded)
+    monkeypatch.setattr(dicke_qfi.solver, "write_even_block", write_recorded)
     monkeypatch.setattr(dicke_qfi.solver, "_shifted_cholesky", factor_counted)
     points = [ModelParams(1.0, 1.0, float(lam), n)
               for n in n_atoms for lam in np.linspace(0.0, lam_max, steps)]
@@ -585,10 +586,10 @@ def test_out_of_memory_is_a_solver_error_at_its_cutoff(monkeypatch):
         solve(ModelParams(1.0, 1.0, 0.5, 3), fock_cutoff=7)
     assert excinfo.value.n_cutoff == 7
     monkeypatch.undo()
-    # while the doubled cutoff's block is built, keeping the step before it
-    build = dicke_qfi.solver.build_even_block
-    monkeypatch.setattr(dicke_qfi.solver, "build_even_block", lambda params, n_cutoff: (
-        out_of_memory() if n_cutoff > 20 else build(params, n_cutoff)))
+    # while the doubled cutoff's block is written, keeping the step before it
+    write = dicke_qfi.solver.write_even_block
+    monkeypatch.setattr(dicke_qfi.solver, "write_even_block", lambda params, n_cutoff, *band: (
+        out_of_memory() if n_cutoff > 20 else write(params, n_cutoff, *band)))
     [error] = converge_stack([ModelParams(1.0, 1.0, 1.0, 2)], 1e-10, n_start=20)
     assert isinstance(error, SolverError)
     assert error.n_cutoff == 40
@@ -650,14 +651,14 @@ def fail_cholesky(monkeypatch, params, n_cutoff):
 
 
 def fail_build(monkeypatch, params, n_cutoff):
-    build = dicke_qfi.solver.build_even_block
+    write = dicke_qfi.solver.write_even_block
 
-    def out_of_memory(point, n_cutoff):
+    def out_of_memory(point, n_cutoff, *band):
         if point == params:
             raise MemoryError("no room for the middle block")
-        return build(point, n_cutoff)
+        return write(point, n_cutoff, *band)
 
-    monkeypatch.setattr(dicke_qfi.solver, "build_even_block", out_of_memory)
+    monkeypatch.setattr(dicke_qfi.solver, "write_even_block", out_of_memory)
 
 
 def fail_reshift(monkeypatch, params, n_cutoff):
@@ -780,7 +781,7 @@ def test_band_charge_is_the_blocks_largest_offset(n_atoms):
     # it solves; N = 1, whose couplings all have offset 1, was charged kd = 2
     params = ModelParams(1.0, 1.0, 0.5, n_atoms)
     for n_cutoff in (2, 20):
-        kd = max(build_even_block(params, n_cutoff)[1])
+        kd = max(written_round([params], [n_cutoff])[2][0][1])
         dim = dicke_qfi.model.even_size(n_atoms, n_cutoff)
         assert solve_bytes(params, n_cutoff) == 8 * dim * (kd + 22)
         cost = (kd + 1) * (dim + kd) + STACK_ELEMENTS // 32
@@ -810,7 +811,7 @@ def test_cutoff_takes_any_integer_and_no_float(entry, value, monkeypatch):
         def no_solve(*args, **kwargs):
             raise AssertionError("a cutoff that is not an integer must not be solved")
 
-        monkeypatch.setattr(dicke_qfi.solver, "build_even_block", no_solve)
+        monkeypatch.setattr(dicke_qfi.solver, "write_even_block", no_solve)
         with pytest.raises(ValueError, match="must be an integer"):
             call(params, value)
         return
@@ -845,8 +846,8 @@ def test_fixed_cutoff_past_budget_fails_before_allocating(entry, lam, monkeypatc
     def no_allocation(*args, **kwargs):
         raise AssertionError("a cutoff past the memory budget must not be allocated")
 
-    for module, name in ((dicke_qfi.model, "build_even_block"), (dicke_qfi.model, "_skeleton"),
-                         (dicke_qfi.solver, "build_even_block"),
+    for module, name in ((dicke_qfi.model, "write_even_block"), (dicke_qfi.model, "_skeleton"),
+                         (dicke_qfi.solver, "write_even_block"),
                          (dicke_qfi.solver, "start_vectors")):
         monkeypatch.setattr(module, name, no_allocation)
     error = outcome(41)
@@ -855,7 +856,7 @@ def test_fixed_cutoff_past_budget_fails_before_allocating(entry, lam, monkeypatc
                           f"past the memory budget of {budget} bytes")
     # the default budget: a block of more positions than the budget has floats
     monkeypatch.undo()
-    for module, name in ((dicke_qfi.solver, "build_even_block"),
+    for module, name in ((dicke_qfi.solver, "write_even_block"),
                          (dicke_qfi.solver, "start_vectors")):
         monkeypatch.setattr(module, name, no_allocation)
     huge = dicke_qfi.solver.MEMORY_BUDGET // 8
@@ -920,9 +921,9 @@ def test_point_past_budget_fails_before_its_round(monkeypatch):
     alone = [solve(params, fock_cutoff=n_cutoff) for params, n_cutoff in zip(points, cutoffs)]
     monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", solve_bytes(points[1], 40))
     built = []
-    build = dicke_qfi.solver.build_even_block
-    monkeypatch.setattr(dicke_qfi.solver, "build_even_block",
-                        lambda params, n_cutoff: built.append(n_cutoff) or build(params, n_cutoff))
+    write = dicke_qfi.solver.write_even_block
+    monkeypatch.setattr(dicke_qfi.solver, "write_even_block", lambda params, n_cutoff, *band:
+                        built.append(n_cutoff) or write(params, n_cutoff, *band))
     outcomes = ground_states(points, cutoffs)
     assert isinstance(outcomes[1], SolverError) and outcomes[1].n_cutoff == 41
     assert "past the memory budget" in str(outcomes[1])
@@ -948,8 +949,8 @@ def test_round_past_budget_is_solved_in_runs(n_atoms, n_cutoff, monkeypatch):
     runs = []
     banded_lowest = dicke_qfi.solver._banded_lowest
     monkeypatch.setattr(dicke_qfi.solver, "_banded_lowest",
-                        lambda blocks, *args: runs.append(len(blocks))
-                        or banded_lowest(blocks, *args))
+                        lambda points, *args: runs.append(len(points))
+                        or banded_lowest(points, *args))
     tracemalloc.start()
     try:
         outcomes = solve_stack(points, fock_cutoff=n_cutoff)

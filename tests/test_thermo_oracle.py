@@ -35,18 +35,6 @@ COLUMNS = {
     "qfi_field_scaled": qfi_field_scaled_limit,
 }
 
-#: the worst relative errors over the grid of the columns that miss 1e-12 at
-#: the exact float inputs.  ``thermo_point`` rounds lambda_cr = sqrt(omega omega0)/2,
-#: and that one ulp moves eps1^2 by lambda_cr / delta ulps: 3.6e-5 in eps1 at
-#: 1e-12 lambda_cr.  Against the omega whose exact lambda_cr is the rounded one,
-#: every column keeps 1e-12 (at most 7.1e-16).  At resonance lambda_cr = 1/2 is exact
-ROUNDED_CRITICAL_MISSES = {
-    (1e-3, "eps1"): 3.6e-5, (1e-3, "quad_variance"): 7.3e-8, (1e-3, "qfi_field_scaled"): 1.0e-7,
-    (1e3, "eps1"): 1.2e-5, (1e3, "xi2"): 2.4e-8, (1e3, "qfi_atoms_per_n"): 2.4e-8,
-    (1e3, "qfi_field_scaled"): 3.4e-8,
-}
-
-
 @pytest.mark.parametrize("side", ["below", "above"])
 @pytest.mark.parametrize("ratio", RATIOS)
 def test_amplitudes_are_the_limits_of_the_exact_derivatives(ratio, side):
@@ -76,27 +64,19 @@ def test_amplitudes_are_the_limits_of_the_exact_derivatives(ratio, side):
 
 @pytest.mark.parametrize("ratio", RATIOS)
 def test_float_closed_forms_match_the_oracle(ratio):
-    # at the exact float lambda on a log grid of 1e-12 to 1e-1 lambda_cr on both
-    # sides, at 50 digits; worst at the exact inputs 6.5e-16 and at resonance 5e-16
-    # (F_B / (4 nbar)), apart from ROUNDED_CRITICAL_MISSES
+    # at the exact float inputs on a log grid of 1e-12 to 1e-1 lambda_cr on both
+    # sides, at 50 digits: lambda_cr^2 - lambda^2 is formed from error-free
+    # products, so no rounding of lambda_cr is amplified lambda_cr / delta times
+    # near it; worst 7.0e-16 (F_B / (4 nbar) at omega = 1e-3)
     lcr = math.sqrt(ratio) / 2
     worst = dict.fromkeys(COLUMNS, 0.0)
-    worst_at_rounded = dict.fromkeys(COLUMNS, 0.0)
     with mp.workdps(50):
-        rounded_omega = 4 * mp.mpf(lcr) ** 2  # its exact lambda_cr is the float lcr
         for fraction in np.logspace(-12, -1, 12):
             for sign in (-1.0, 1.0):
                 lam = lcr * (1 + sign * fraction)
                 pt = thermo_point(ratio, 1.0, lam)
                 exact = thermo_reference(ratio, 1.0, lam)._asdict()
-                rounded = thermo_reference(rounded_omega, 1.0, lam)._asdict()
                 for name, column in COLUMNS.items():
-                    value = column(pt)
-                    worst[name] = max(worst[name], float(abs(value / exact[name] - 1)))
-                    worst_at_rounded[name] = max(worst_at_rounded[name],
-                                                 float(abs(value / rounded[name] - 1)))
+                    worst[name] = max(worst[name], float(abs(column(pt) / exact[name] - 1)))
     for name in COLUMNS:
-        assert worst_at_rounded[name] <= 1e-12, name
-        # a miss may reach twice what was seen, for another libm's sqrt and hypot
-        miss = ROUNDED_CRITICAL_MISSES.get((ratio, name))
-        assert worst[name] <= (1e-12 if miss is None else 2 * miss), name
+        assert worst[name] <= 1e-12, name
