@@ -139,8 +139,8 @@ class SweepConfig:
                                         type=int, action="append")
     tol: float = _setting(DEFAULT_TOL, float, "convergence tolerance")
     fock_cutoff: int | None = _setting(
-        None, int, "fixed Fock cutoff, converged per point if unset; in convergence, "
-                   "the first cutoff of the doubling")
+        None, int, "fixed Fock cutoff, certified per point if unset; in convergence, "
+                   "the first cutoff of each point's trajectory")
     grid_points: int | None = _setting(
         None, int, f"points per Husimi grid axis, 11 to {MAX_GRID_POINTS}, {ATOM_GRID_POINTS} "
                    f"(atoms) and {FIELD_GRID_POINTS} (field) if unset")
@@ -437,7 +437,7 @@ def run_husimi(config: SweepConfig) -> tuple[Iterator[dict], list[list]]:
 
 
 def compute_trajectories(states: list[GroundState], config: SweepConfig) -> Iterator[list[tuple]]:
-    """The cutoff-doubling rows of each converged point, in order."""
+    """The cutoff-trajectory rows of each converged point, in order: one per solve."""
     return (_trajectory_rows(gs.params, gs.convergence) for gs in states)
 
 
@@ -450,7 +450,7 @@ def _trajectory_rows(params: ModelParams, solved) -> list[tuple]:
 
 
 def run_convergence(config: SweepConfig) -> tuple[list[tuple], list[list]]:
-    """Every point's cutoff-doubling rows in output order, and the failed points."""
+    """Every point's cutoff-trajectory rows in output order, and the failed points."""
     failed: list[list] = []
     trajectories = map_points(config, _converge, compute_trajectories, _trajectory_rows, failed)
     return [row for rows in trajectories for row in rows], failed
@@ -594,7 +594,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "husimi": "quasi-probability grids for both subsystems",
         "thermo": "thermodynamic-limit curves over a coupling grid",
         "scaling": "critical amplitudes on both sides of lambda_cr",
-        "convergence": "Fock-cutoff doubling trajectories",
+        "convergence": "Fock-cutoff trajectories, one row per solve: a single row for a "
+                       "point whose tail and leakage pass --tol at its first cutoff",
     }
     # a flag not given stays out of the namespace, so the file or the default applies
     parser = argparse.ArgumentParser(

@@ -18,7 +18,7 @@ class SolverError(RuntimeError):
     an energy bracket it cannot certify is never returned.  Running out of
     memory is re-raised as this class.
     ``n_cutoff`` is the Fock cutoff of the failing solve (0 when there is
-    none) and ``steps`` the cutoff-doubling steps completed before it.
+    none) and ``steps`` the solves of cutoff convergence completed before it.
     """
 
     def __init__(self, message: str, n_cutoff: int = 0, steps=()):
@@ -28,10 +28,10 @@ class SolverError(RuntimeError):
 
 
 class ConvergenceError(SolverError):
-    """Fock-cutoff doubling reached a cutoff past the memory budget before reaching tolerance.
+    """Cutoff convergence needed a cutoff past the memory budget before reaching tolerance.
 
-    A point refused before its first solve, because its first cutoff or,
-    at lambda > 0, the doubling that must follow it is past the budget,
-    has empty ``steps`` and its first cutoff as ``n_cutoff``; otherwise
-    ``n_cutoff`` is the last cutoff solved.
+    A point refused before its first solve, because its first cutoff is
+    past the budget, has empty ``steps`` and its first cutoff as
+    ``n_cutoff``; a point whose next, doubled cutoff is past it has
+    ``n_cutoff`` the last cutoff solved.
     """

@@ -13,9 +13,10 @@ boson-major, idx(n, m) = n*(N+1) + (m+j); even-sector position p holds
 full index 2p or 2p + 1, so no index array is stored.  A basis is named by
 its two ints, N and n_cutoff, and this module alone knows its even-sector
 layout: its size (``even_size``), (n, m+j) at each position
-(``even_sector``), the offsets (``coupling_offsets``, ``band_width``), the Fock tail
-(``tail_population``), every solve's start (``start_vectors``) and the
-zero-padded grids of the Schmidt step (``padded_shape``, ``amplitude_grids``).
+(``even_sector``), the offsets (``coupling_offsets``, ``band_width``), the
+Fock tail and the coupling out of its top level (``tail_population``,
+``leakage``), every solve's start (``start_vectors``) and the zero-padded
+grids of the Schmidt step (``padded_shape``, ``amplitude_grids``).
 
 The part that does not depend on omega, omega0 or lam, n and m+j at each
 even position and the couplings at g = 1, has a closed form.  The basis at
@@ -205,24 +206,42 @@ def tail_population(vector: np.ndarray, n_atoms: int, n_cutoff: int) -> float:
     return float(tail @ tail)
 
 
-def start_vectors(
-    points: Sequence[ModelParams], cutoffs: Sequence[int], previous: Sequence[np.ndarray | None]
-) -> list[np.ndarray]:
+def leakage(vector: np.ndarray, params: ModelParams, n_cutoff: int) -> float:
+    """l = g sqrt(C+1) ||(J+ + J-) psi_C||, the coupling out of the top Fock level C = n_cutoff.
+
+    The untruncated H takes the state out of the cutoff space only through
+    b' acting on level C, whose row psi_C holds the amplitudes at n = C.
+    That part, sqrt(C+1) |C+1> times g (J+ + J-) psi_C, is orthogonal to the
+    truncated residual H psi - E psi, so the state's residual on the whole
+    Fock space is sqrt(r^2 + l^2).  (J+ + J-) moves k = m + j to k + 1 with
+    sqrt((k+1)(N-k)) and to k - 1 with sqrt(k(N+1-k)); every k of the row's
+    even positions has the parity of C, so each move writes distinct entries.
+    At g = 0, lam = 0, it is 0.
+    """
+    n_atoms = params.n_atoms
+    row = even_size(n_atoms, n_cutoff - 1)
+    k = even_sector(n_atoms, n_cutoff).k[row:].astype(np.intp)
+    top = vector[row:]
+    # entry i of the image is its component at k = i - 1, so that k = -1 and N + 1 fit
+    image = np.zeros(n_atoms + 3)
+    image[k + 2] = np.sqrt((k + 1.0) * (n_atoms - k)) * top
+    image[k] += np.sqrt(k * (n_atoms + 1.0 - k)) * top
+    g = params.lam / math.sqrt(n_atoms)
+    return float(g * math.sqrt(n_cutoff + 1) * np.linalg.norm(image))
+
+
+def start_vectors(points: Sequence[ModelParams], cutoffs: Sequence[int]) -> list[np.ndarray]:
     """Each point's start on its even block, without the trailing zeros that fill it.
 
-    The points are of one N.  The previous cutoff's even positions are the
-    first of this one's, at the same full indices, so a ``previous`` ground
-    state's amplitudes are its start, zero-padded.  Without one the start
-    is |0>|j,-j>, even index 0, at or below lambda_cr, and above it the
-    point's ``_mean_field_starts`` row.
+    The points are of one N.  The start is |0>|j,-j>, even index 0, at or
+    below lambda_cr, and above it the point's ``_mean_field_starts`` row.
     """
-    unit = np.ones(1)  # read, never written, like each previous vector
-    starts = [unit if prev is None else prev for prev in previous]
-    cold = [i for i, (params, prev) in enumerate(zip(points, previous))
-            if prev is None and params.lam > params.lambda_cr]
-    if cold:
-        rows = _mean_field_starts([points[i] for i in cold], [cutoffs[i] for i in cold])
-        for i, row in zip(cold, rows):
+    unit = np.ones(1)  # read, never written
+    starts = [unit] * len(points)
+    above = [i for i, params in enumerate(points) if params.lam > params.lambda_cr]
+    if above:
+        rows = _mean_field_starts([points[i] for i in above], [cutoffs[i] for i in above])
+        for i, row in zip(above, rows):
             starts[i] = row
     return starts
 

@@ -18,8 +18,7 @@ successful factorization proves sigma < E0, and a solve returns only after
 one has succeeded within 2 r + BRACKET_RTOL max(1, |E|) of the returned
 Rayleigh quotient E, where r = ||H psi - E psi||; so E0 is bracketed,
 E - delta < E0 <= E.  Its time is set by the number of factorizations:
-about three for a cold solve and one for a doubled one, and at most
-MAX_INVERSE_ITERATIONS steps.
+about three per solve, and at most MAX_INVERSE_ITERATIONS steps.
 
 Points are solved in stacks: consecutive points of one N, as ``stacks``
 groups them.  ``model`` writes the banded blocks of a stack end to end
@@ -34,21 +33,18 @@ together is solved in runs that do (``fitting_runs``), one band per run.
 
 A ground state holds only its even-sector amplitudes, in ascending full
 index; ``model`` alone knows their layout, and gives the solver each
-block, written into its band, each start vector and each tail population.
-Cutoff convergence doubles n_cutoff until the Fock tail population and the
-energy shift across one doubling both drop below tolerance, or until the
-next cutoff would not fit the budget; a stack doubles in rounds, each
-round solving the points still open; a point's GroundState is built
-when it leaves the stack.  The first solve of a
-point starts from the even-parity part of the mean-field state, a coherent
-field times a spin coherent state, which depends on the point alone.  Each
-solve after the first starts from the previous cutoff's ground state
-zero-padded, a prefix copy, whose energy bounds the new one from above,
-and takes the previous lower bound as its shift.  The warm
-start stays inside one (N, lambda) point, so results do not depend on the
-order, the stack or the process in which points are solved.  Every ground
-state carries its residual ||H psi - E psi|| on the even block and its
-certified lower bound on the energy.
+block, written into its band, each start vector, each tail population
+and each leakage, the coupling out of the top Fock level.  Every solve is
+cold: it starts from ``model.start_vectors``, which depend on the point
+alone, so results do not depend on the order, the stack or the process in
+which points are solved.  Cutoff convergence accepts a point at the first
+cutoff where its Fock tail population and its leakage both drop below
+tolerance, and otherwise solves it again at twice the cutoff, until the
+next cutoff would not fit the budget; a stack is solved in rounds, each
+round solving the points still open.  The first cutoff, ``initial_cutoff``,
+is chosen so that nearly every point is accepted in one solve.  Every
+ground state carries its residual ||H psi - E psi|| on the even block,
+its leakage and its certified lower bound on the energy.
 """
 
 from __future__ import annotations
@@ -61,7 +57,7 @@ import operator
 import os
 import sys
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError, SolverError
@@ -70,6 +66,7 @@ from .model import (
     band_width,
     coupling_offsets,
     even_size,
+    leakage,
     padded_shape,
     start_vectors,
     tail_population,
@@ -115,11 +112,11 @@ lapack = _load_flapack()
 #: blocks, or a run of batched Schmidt steps, may hold together, by
 #: ``solve_bytes``.  Fixed rather than read from the host, so that which
 #: points are refused does not depend on the host.  2 GiB solves every
-#: converged point up to N = 400, lambda = 2 (1.3 GiB there) and fits a CI
-#: runner
+#: point up to N = 550, lambda = 2, at its first cutoff (1.65 GiB there) and
+#: fits a CI runner
 MEMORY_BUDGET = 2**31
 
-#: default tolerance for both the tail-population and energy-shift tests
+#: default tolerance for both the tail-population and leakage tests
 DEFAULT_TOL = 1e-10
 
 #: relative slack of the energy bracket: a banded solve returns once a
@@ -133,15 +130,15 @@ MAX_INVERSE_ITERATIONS = 100
 #: band elements a stack may hold at its first cutoffs.  Each point is
 #: charged its band, (kd + 1)(dim + kd), and STACK_ELEMENTS // 32 besides, so
 #: a stack holds at most 32 points.  At 2^15 the band takes 0.25 MiB at the
-#: first cutoffs, twice that once they double.  On the gated sweeps 2^16 and
-#: 64 points were at most 4% faster but held about 0.5 MiB more at the peak;
+#: first cutoffs.  On the gated sweeps 2^16 and 64 points were at most 4%
+#: faster but held about 0.5 MiB more at the peak;
 #: 2^14 cut 21 couplings of N = 20 into stacks of 2 to 4, about 10% slower
 STACK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
 class CutoffStep:
-    """One solve of the cutoff-doubling trajectory."""
+    """One solve of a point's cutoff trajectory."""
 
     n_cutoff: int
     energy: float
@@ -150,15 +147,18 @@ class CutoffStep:
 
 @dataclass(frozen=True)
 class ConvergenceInfo:
-    """Tail population of the final state and energy shift over the last doubling.
+    """The certificate of a state at its cutoff.
 
+    ``tail_population`` is the weight of the top 10% of Fock levels and
+    ``leakage`` the coupling out of the top level, ``model.leakage``.
     ``residual`` is ||H psi - E psi|| of the unit-norm state on the even block.
     ``lower_bound`` is a shift sigma at which H - sigma I had a Cholesky
     factor, so sigma < E0 <= energy; at lam = 0 it is the exact energy.
+    ``steps`` are the solves of ``converge_stack``, none at a fixed cutoff.
     """
 
     tail_population: float
-    energy_shift: float | None
+    leakage: float
     residual: float
     lower_bound: float
     steps: tuple[CutoffStep, ...] = ()
@@ -192,7 +192,7 @@ def solve_bytes(params: ModelParams, n_cutoff: int) -> int:
     factor, and the vectors of the iteration and the Schmidt step.  That
     was within 3% of the peak RSS, less the interpreter's 34 MiB, of single
     converged points from N = 101 to 400 at lambda = 1 and 2.  A lam = 0 point holds no
-    block: it is charged its start vector and its zero-padded Schmidt grid.
+    block: it is charged its state vector and its zero-padded Schmidt grid.
     """
     n_atoms = params.n_atoms
     dim = even_size(n_atoms, n_cutoff)
@@ -261,45 +261,24 @@ def stacks(
 
 
 def ground_states(
-    points: Sequence[ModelParams],
-    cutoffs: Sequence[int],
-    previous: Sequence[GroundState | None] | None = None,
+    points: Sequence[ModelParams], cutoffs: Sequence[int]
 ) -> list[GroundState | SolverError]:
     """Lowest eigenpair of each point's even-parity block, a stack of one N, each at its cutoff.
 
-    ``previous``, when given, holds each point's ground state at a lower
-    cutoff or None: its start and upper bound; without one the start is the
-    mean-field state, and at lam = 0 the exact |0>|j,-j>.  Each point gets
-    its GroundState, sign-fixed so its largest amplitude is positive, or the
-    SolverError it failed with, a MemoryError included; a failure leaves
-    the other points' results as they are.  ``checked_bytes`` fails each
-    point past the budget before anything of the round is allocated; the
-    lam > 0 blocks are written and solved in ``fitting_runs``, one band per
-    run.
+    Each solve starts cold, from ``model.start_vectors``; at lam = 0 the
+    state is the exact |0>|j,-j>.  Each point gets its GroundState,
+    sign-fixed so its largest amplitude is positive, with its tail
+    population and ``leakage`` and no steps, or the SolverError it failed
+    with, a MemoryError included; a failure leaves the other points' results
+    as they are.  ``checked_bytes`` fails each point past the budget before
+    anything of the round is allocated; the lam > 0 blocks are written and
+    solved in ``fitting_runs``, one band per run.
     """
     cutoffs = [_as_cutoff(n_cutoff, "n_cutoff") for n_cutoff in cutoffs]
-    if previous is None:
-        previous = [None] * len(points)
-    if not len(points) == len(cutoffs) == len(previous):
-        raise ValueError("points, cutoffs and previous must have one entry per point")
-    for params, n_cutoff, prev in zip(points, cutoffs, previous):
-        if n_cutoff < 1:
-            raise ValueError("n_cutoff must be >= 1")
-        if prev is not None and (prev.params != params or prev.n_cutoff > n_cutoff):
-            raise ValueError("previous must be a ground state of the same model at a lower cutoff")
-    solved = _solve_round(points, cutoffs, [
-        prev and (prev.energy, prev.vector, prev.convergence.lower_bound) for prev in previous])
-    return [outcome if isinstance(outcome, SolverError) else GroundState(
-                outcome[0], outcome[1], params, n_cutoff, ConvergenceInfo(
-                    tail_population(outcome[1], params.n_atoms, n_cutoff), None, *outcome[2:]))
-            for params, n_cutoff, outcome in zip(points, cutoffs, solved)]
-
-
-def _solve_round(
-    points: Sequence[ModelParams], cutoffs: Sequence[int], previous: Sequence[tuple | None]
-) -> list:
-    """``ground_states`` with each previous state as None or (energy, amplitudes, lower bound),
-    and each result as (energy, amplitudes, residual, lower bound) or a SolverError."""
+    if len(points) != len(cutoffs):
+        raise ValueError("points and cutoffs must have one entry per point")
+    if any(n_cutoff < 1 for n_cutoff in cutoffs):
+        raise ValueError("n_cutoff must be >= 1")
     if len({params.n_atoms for params in points}) > 1:
         raise ValueError("a stack holds points of one atom number")
     # every point's bytes are checked before anything of the round is allocated
@@ -311,27 +290,29 @@ def _solve_round(
         except SolverError as exc:
             solved[i] = exc
     banded = []
-    for i, (params, n_cutoff, prev) in enumerate(zip(points, cutoffs, previous)):
+    for i, (params, n_cutoff) in enumerate(zip(points, cutoffs)):
         if solved[i] is not None:
             continue
         if params.lam > 0:
             banded.append(i)
             continue
         try:
-            # the diagonal is lowest at |0>|j,-j>, even index 0: the start,
-            # zero-padded to the block
-            [head] = start_vectors([params], [n_cutoff], [prev and prev[1]])
-            padding = np.zeros(even_size(params.n_atoms, n_cutoff) - head.size)
-            energy = -params.omega0 * params.j
-            solved[i] = (float(energy), np.concatenate((head, padding)), 0.0, energy)
+            # the diagonal is lowest at |0>|j,-j>, even index 0
+            vector = np.zeros(even_size(params.n_atoms, n_cutoff))
+            vector[0] = 1.0
+            energy = float(-params.omega0 * params.j)
+            solved[i] = (energy, vector, 0.0, energy)
         except MemoryError as exc:
             solved[i] = _out_of_memory(exc, n_cutoff)
     for run in fitting_runs(banded, held.__getitem__):
-        outcomes = _banded_lowest([points[i] for i in run], [cutoffs[i] for i in run],
-                                  [previous[i] for i in run])
+        outcomes = _banded_lowest([points[i] for i in run], [cutoffs[i] for i in run])
         for i, outcome in zip(run, outcomes):
             solved[i] = outcome
-    return solved
+    return [outcome if isinstance(outcome, SolverError) else GroundState(
+                outcome[0], outcome[1], params, n_cutoff, ConvergenceInfo(
+                    tail_population(outcome[1], params.n_atoms, n_cutoff),
+                    leakage(outcome[1], params, n_cutoff), *outcome[2:]))
+            for params, n_cutoff, outcome in zip(points, cutoffs, solved)]
 
 
 def _out_of_memory(exc: MemoryError, n_cutoff: int) -> SolverError:
@@ -340,23 +321,15 @@ def _out_of_memory(exc: MemoryError, n_cutoff: int) -> SolverError:
     return error
 
 
-def _banded_lowest(
-    points: Sequence[ModelParams], cutoffs: Sequence[int], previous: Sequence[tuple | None]
-) -> list:
+def _banded_lowest(points: Sequence[ModelParams], cutoffs: Sequence[int]) -> list:
     """Lowest eigenpairs of the banded blocks of points of one N: per block (energy, unit
     vector, its largest amplitude positive, residual, lower bound), or its SolverError.
 
-    Shifted inverse iteration x = (H - sigma I)^-1 psi from each start, the
-    previous state zero-padded or the mean-field state, as
+    Shifted inverse iteration x = (H - sigma I)^-1 psi from each start, as
     ``model.start_vectors`` gives it.  Its cost is the number of Cholesky
     factorizations, each worth about five solves at these bandwidths.  A
-    doubled solve factors first at the lower bound of its ``previous``.  That bound lay below E0 at the smaller
-    cutoff; the new E0 is lower still by the truncation error, so the
-    factorization normally succeeds, and since the new E is at most the
-    previous energy it normally certifies at once.  Only if it fails does
-    the shift step down from 1e-3 |U| below the previous energy U.  A cold
     solve starts (omega + omega0)/8, about the zero-point energy the mean
-    field misses, below the Rayleigh quotient U of the mean-field start, and
+    field misses, below the Rayleigh quotient U of the start, and
     steps down by that much, doubling, until a factorization exists.  Each
     step yields the Rayleigh quotient E and residual r of the iterate.  Some
     eigenvalue lies within r of E, so once the iterate is near the ground
@@ -390,7 +363,7 @@ def _banded_lowest(
         upper = {d: np.zeros(total - d) for d in offsets}
         stack = (diagonal, upper)
         vector = np.zeros(total)
-        starts = start_vectors(points, cutoffs, [prev and prev[1] for prev in previous])
+        starts = start_vectors(points, cutoffs)
         for row, start in zip(first, starts):
             vector[row:row + start.size] = start
         factor = np.zeros((kd + 1, total), order="F")
@@ -421,20 +394,12 @@ def _banded_lowest(
             except MemoryError as exc:
                 isolate(b, _out_of_memory(exc, n_cutoff))
         vector /= np.sqrt(np.add.reduceat(vector * vector, bounds)).repeat(spread)
-        if any(prev is None for prev in previous):
-            rayleigh = np.add.reduceat(vector * _block_matvec(stack, vector), bounds).tolist()
+        rayleigh = np.add.reduceat(vector * _block_matvec(stack, vector), bounds).tolist()
         for b in tuple(iterating):
-            block, block_factor = blocks[b], factor[:, first[b]:ends[b]]
+            step = (points[b].omega + points[b].omega0) / 8
             try:
-                if previous[b] is not None:
-                    upper_bound, _, shift[b] = previous[b]
-                    if _shifted_cholesky(block, block_factor, shift[b]) == 0:
-                        continue
-                    step = 1e-3 * abs(upper_bound)
-                else:
-                    upper_bound = rayleigh[b]
-                    step = (points[b].omega + points[b].omega0) / 8
-                shift[b] = _factor_below(block, block_factor, upper_bound - step, step, cutoffs[b])
+                shift[b] = _factor_below(blocks[b], factor[:, first[b]:ends[b]],
+                                         rayleigh[b] - step, step, cutoffs[b])
             except SolverError as exc:
                 isolate(b, exc)
         for _ in range(MAX_INVERSE_ITERATIONS):
@@ -537,16 +502,18 @@ def _block_matvec(block: tuple, x: np.ndarray) -> np.ndarray:
 
 
 def initial_cutoff(params: ModelParams) -> int:
-    """Doubling start point: max(20, ceil(nb + 8*sqrt(nb)) + 10), nb = lam^2*N/omega^2.
+    """The first cutoff: max(20, ceil(nb + 10*sqrt(nb)) + 20), nb = lam^2*N/omega^2.
 
     In mean field the field is a coherent state of amplitude
     lam*sqrt(N)*sin(theta)/omega, so nb bounds its boson number.  The Fock
-    occupation is a peak of width ~sqrt(nb) at or below nb, and 8 widths plus
-    10 levels reach past where it falls below 1e-14.  Starting there, and
-    not at a multiple of nb, makes the second solve of the doubling loop (at
-    twice this cutoff) the converged one, so each point solves a space sized
-    to the Fock range it occupies.  A start that is too low costs one more
-    doubling, never a wrong answer.
+    occupation is a peak of width ~sqrt(nb) at or below nb, and 10 widths
+    plus 20 levels reach past where the coupling out of the top level falls
+    below 1e-10, so ``converge_stack`` accepts every point of the benchmark
+    sweeps at this cutoff, in one solve sized to the Fock range it occupies.
+    From about nb = 1000 the top 10% of its levels, whose weight is the tail
+    population, begin only about 6 widths past the peak, and the point is
+    solved again at twice the cutoff.  A start that is too low costs one more
+    solve, never a wrong answer.
 
     Where lam^2 or omega^2 leaves the float range, nb is formed from the
     ratio lam/omega instead; where nb itself does, the start is
@@ -563,7 +530,7 @@ def initial_cutoff(params: ModelParams) -> int:
         nb = ratio * ratio * params.n_atoms
         if not math.isfinite(nb):
             return MEMORY_BUDGET // 8
-    return max(20, math.ceil(nb + 8 * math.sqrt(nb)) + 10)
+    return max(20, math.ceil(nb + 10 * math.sqrt(nb)) + 20)
 
 
 def converge_stack(
@@ -572,73 +539,60 @@ def converge_stack(
     *,
     n_start: int | None = None,
 ) -> list[GroundState | SolverError]:
-    """Each point's ground state, its Fock cutoff doubled until converged, or its SolverError.
+    """Each point's ground state at the first cutoff its own certificate accepts, or its
+    SolverError.
 
-    Convergence requires tail_population < tol and an energy shift below
-    tol * max(1, |E|) across the last doubling.  At lam = 0 the exact state
-    is accepted at the first cutoff; at any lam > 0 a tail that underflows
-    to zero is no proof, so at least one doubling is solved.  A point whose
-    next cutoff is past MEMORY_BUDGET by ``checked_bytes`` fails with
-    ConvergenceError and the steps completed before it.  A point that
-    cannot reach its first doubling, its first cutoff or at lam > 0 twice
-    that past the budget, fails so before its first solve, with no steps,
-    its first cutoff and no allocation.  A SolverError from any step
-    carries the steps completed before it.
+    A point solved at cutoff C is accepted once its tail_population < tol
+    and its ``leakage`` l < tol * max(1, |E|).  Then E0 <= E for the
+    untruncated H, and some exact eigenvalue lies within sqrt(r^2 + l^2) of
+    E, r its residual on the block; that it is E0, and the state's error,
+    need a bound on the gap above E0 as well (Kato-Temple).  At lam = 0, g = 0
+    makes l = 0, and the exact state is accepted at its first cutoff.
+    Otherwise the point is solved again, cold, at 2C.  A point whose first
+    cutoff is past MEMORY_BUDGET by ``checked_bytes`` fails before its first
+    solve with ConvergenceError, no steps, its first cutoff and no
+    allocation; a point whose next cutoff is past it fails so with the steps
+    completed.  A SolverError from any step carries the steps completed
+    before it.
 
-    The stack doubles in rounds.  The first round solves every point cold
-    at its first cutoff, ``n_start`` or its ``initial_cutoff``; each later
-    round solves the points still open at twice their last cutoff, warm
-    from their last state.  A point leaves the stack when it converges or
-    fails, with its own cutoff and steps.
+    The stack is solved in rounds.  The first round solves every point at
+    its first cutoff, ``n_start`` or its ``initial_cutoff``; each later
+    round solves the points still open at twice their last cutoff.  A point
+    leaves the stack when it is accepted or fails, with its own cutoff and
+    steps.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     n_start = None if n_start is None else _as_cutoff(n_start, "n_start")
     converged: list = [None] * len(points)
-    # per open point: its index, cutoff, completed steps and last state
+    # per open point: its index, cutoff and completed steps
     open_points = []
     for i, params in enumerate(points):
         n_cutoff = initial_cutoff(params) if n_start is None else n_start
         if n_cutoff < 1:
             raise ValueError("starting cutoff must be >= 1")
-        # at lam > 0 the doubled cutoff is always solved, and bytes grow with
-        # the cutoff, so its check covers the first solve too; the first cutoff
-        # is checked only to name the refusal
         try:
-            checked_bytes(params, 2 * n_cutoff if params.lam > 0 else n_cutoff)
-        except SolverError as doubled:
-            try:
-                checked_bytes(params, n_cutoff)
-            except SolverError as exc:
-                msg = f"starting Fock cutoff: {exc} (lam={params.lam})"
-            else:
-                msg = f"doubled Fock cutoff: {doubled} (lam={params.lam}, tol={tol})"
-            converged[i] = ConvergenceError(msg, n_cutoff)
+            checked_bytes(params, n_cutoff)
+        except SolverError as exc:
+            converged[i] = ConvergenceError(f"starting Fock cutoff: {exc} (lam={params.lam})",
+                                            n_cutoff)
         else:
-            open_points.append((i, n_cutoff, [], None))
+            open_points.append((i, n_cutoff, []))
     while open_points:
-        solved = _solve_round([points[i] for i, *_ in open_points],
-                              [n_cutoff for _, n_cutoff, *_ in open_points],
-                              [last for *_, last in open_points])
+        solved = ground_states([points[i] for i, _, _ in open_points],
+                               [n_cutoff for _, n_cutoff, _ in open_points])
         still_open = []
-        for (i, n_cutoff, steps, _), outcome in zip(open_points, solved):
+        for (i, n_cutoff, steps), gs in zip(open_points, solved):
             params = points[i]
-            if isinstance(outcome, SolverError):
-                error = SolverError(str(outcome), n_cutoff, steps)
-                error.__cause__ = outcome
+            if isinstance(gs, SolverError):
+                error = SolverError(str(gs), n_cutoff, steps)
+                error.__cause__ = gs
                 converged[i] = error
                 continue
-            energy, vector, residual, lower_bound = outcome
-            tail = tail_population(vector, params.n_atoms, n_cutoff)
-            if steps:
-                shift = abs(energy - steps[-1].energy)
-                done = tail < tol and shift < tol * max(1.0, abs(energy))
-            else:  # decoupled limit: the exact state is accepted at the starting cutoff
-                shift, done = None, params.lam == 0
-            steps.append(CutoffStep(n_cutoff, energy, tail))
-            if done:
-                info = ConvergenceInfo(tail, shift, residual, lower_bound, tuple(steps))
-                converged[i] = GroundState(energy, vector, params, n_cutoff, info)
+            info = gs.convergence
+            steps.append(CutoffStep(n_cutoff, gs.energy, info.tail_population))
+            if info.tail_population < tol and info.leakage < tol * max(1.0, abs(gs.energy)):
+                converged[i] = replace(gs, convergence=replace(info, steps=tuple(steps)))
                 continue
             try:
                 checked_bytes(params, 2 * n_cutoff)
@@ -646,7 +600,7 @@ def converge_stack(
                 msg = f"doubled Fock cutoff: {exc} (lam={params.lam}, tol={tol})"
                 converged[i] = ConvergenceError(msg, n_cutoff, steps)
             else:
-                still_open.append((i, 2 * n_cutoff, steps, (energy, vector, lower_bound)))
+                still_open.append((i, 2 * n_cutoff, steps))
         open_points = still_open
     return converged
 

@@ -94,7 +94,9 @@ def thermo_point(omega: float, omega0: float, lam: float) -> ThermoPoint:
         lam=lam,
         lambda_cr=lcr,
         mu=mu,
-        beta_s2_per_n=(lam / omega) ** 2 * (1.0 - mu**2),
+        # (lam/omega)^2 (1 - mu^2) = -excess (1 + mu) / omega^2 above lambda_cr, without
+        # the cancellation of 1 - mu^2 just above it
+        beta_s2_per_n=0.0 if excess >= 0 else -excess / omega * (1.0 + mu) / omega,
         eps1=eps1,
         eps2=eps2,
         critical=eps1 == 0.0,

@@ -33,17 +33,16 @@ def fail_solves_above(monkeypatch):
 
     The failing points of a stack get their SolverError; the others are solved.
     """
-    real = dicke_qfi.solver._solve_round
+    real = dicke_qfi.solver.ground_states
 
     def install(max_cutoff):
-        def solve_or_fail(points, cutoffs, previous):
+        def solve_or_fail(points, cutoffs):
             kept = [i for i, n_cutoff in enumerate(cutoffs) if n_cutoff <= max_cutoff]
-            solved = iter(real([points[i] for i in kept], [cutoffs[i] for i in kept],
-                               [previous[i] for i in kept]))
+            solved = iter(real([points[i] for i in kept], [cutoffs[i] for i in kept]))
             return [next(solved) if n_cutoff <= max_cutoff
                     else SolverError(f"forced failure at n_cutoff={n_cutoff}", n_cutoff)
                     for n_cutoff in cutoffs]
 
-        monkeypatch.setattr(dicke_qfi.solver, "_solve_round", solve_or_fail)
+        monkeypatch.setattr(dicke_qfi.solver, "ground_states", solve_or_fail)
 
     return install

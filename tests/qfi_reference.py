@@ -179,20 +179,29 @@ def product_vector(gs) -> np.ndarray:
     return vector
 
 
-def full_grid_start_vector(params: ModelParams, indexer: BasisIndexer, previous=None) -> np.ndarray:
+def leakage_from_scratch(params: ModelParams, vector: np.ndarray, n_cutoff: int) -> float:
+    """||Q H psi||, Q the projector on Fock level n_cutoff + 1, with the dense H one level up.
+
+    The even-sector ``vector`` at ``n_cutoff`` is embedded in the full grid
+    one Fock level larger, where H is built from its operators; the part of
+    H psi in the added level is the coupling out of the cutoff space.
+    """
+    indexer = BasisIndexer(n_cutoff, params.n_atoms)
+    grid = np.zeros((n_cutoff + 2, indexer.spin_dim))
+    grid.reshape(-1)[even_indices(indexer)] = vector
+    image = build_hamiltonian(params, BasisIndexer(n_cutoff + 1, params.n_atoms)) @ grid.ravel()
+    # hypot scales, so entries near the float minimum do not square to zero
+    return math.hypot(*np.abs(image.reshape(n_cutoff + 2, -1)[-1]).tolist())
+
+
+def full_grid_start_vector(params: ModelParams, indexer: BasisIndexer) -> np.ndarray:
     """The solver's start vector formed on the full (n_cutoff+1) x (N+1) grid, then restricted.
 
-    ``previous`` (a ground state at a lower cutoff) is zero-padded to the
-    larger grid; without it the mean-field product state is formed as the
-    outer product of its field and spin factors, each built in log space.
-    The even entries are then read off through the parity signs.
+    The mean-field product state is formed as the outer product of its
+    field and spin factors, each built in log space.  The even entries are
+    then read off through the parity signs.
     """
     even = even_indices(indexer)
-    if previous is not None:
-        grid = np.zeros((indexer.boson_dim, indexer.spin_dim))
-        old = BasisIndexer(previous.n_cutoff, previous.params.n_atoms)
-        grid[: old.boson_dim] = product_vector(previous).reshape(old.boson_dim, old.spin_dim)
-        return grid.ravel()[even]
     if params.lam <= params.lambda_cr:
         start = np.zeros(even.size)
         start[0] = 1.0

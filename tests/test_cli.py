@@ -452,7 +452,7 @@ def test_cli_import_runs_no_scipy_init():
 
 def test_refused_point_loads_no_scipy_linalg_special_sparse_or_pool(tmp_path):
     # N = 150 at lambda = 0.5 and 1 is banded; N = 1000 at lambda = 2 is refused at
-    # its first cutoff, 4516, whose band would hold 4.4 memory budgets, before
+    # its first cutoff, 4653, whose band would hold 4.5 memory budgets, before
     # anything is allocated for it, and imports nothing either
     banded, refused = tmp_path / "banded.csv", tmp_path / "refused.csv"
     assert fresh_runs(
@@ -463,7 +463,7 @@ def test_refused_point_loads_no_scipy_linalg_special_sparse_or_pool(tmp_path):
     _, rows, _ = read_csv_rows(banded)
     assert len(rows) == 2 and all(math.isfinite(float(v)) for row in rows for v in row)
     _, [row], footer = read_csv_rows(refused)
-    assert row[:3] == ["2.0", "1000", "4516"] and all(math.isnan(float(v)) for v in row[3:])
+    assert row[:3] == ["2.0", "1000", "4653"] and all(math.isnan(float(v)) for v in row[3:])
     assert "failed_points=[[2.0, 1000]]" in footer[0]
 
 
@@ -491,17 +491,39 @@ def test_convergence_decoupled_single_row(tmp_path):
 
 
 def test_convergence_trajectory_energies_monotone(tmp_path):
+    # from its first cutoff the point is accepted in one row; from cutoff 5 each
+    # doubling lowers the energy, the spaces being nested
     out = tmp_path / "c2.csv"
-    assert main(["convergence", "--n-atoms", "4", "--lambda-min", "1.0",
-                 "--lambda-steps", "1", "--tol", "1e-10", "--out", str(out)]) == 0
+    args = ["convergence", "--n-atoms", "4", "--lambda-min", "1.0", "--lambda-steps", "1",
+            "--tol", "1e-10", "--out", str(out)]
+    assert main(args) == 0
+    header, rows, _ = read_csv_rows(out)
+    assert [row[2:4] for row in rows] == [["0", str(initial_cutoff(ModelParams(1.0, 1.0, 1.0, 4)))]]
+    assert main([*args, "--fock-cutoff", "5"]) == 0
     header, rows, _ = read_csv_rows(out)
     energies = [float(dict(zip(header, r))["energy"]) for r in rows]
     assert len(energies) >= 2
     assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
 
 
+@pytest.mark.parametrize("n_atoms,lambda_max,steps", [((1, 2), 3.0, 801), ((20,), 1.0, 21),
+                                                   ((100,), 2.0, 21)])
+def test_convergence_one_row_per_point(n_atoms, lambda_max, steps, tmp_path):
+    # on the sweep grids every point is accepted at its first cutoff: one row each
+    out = tmp_path / "c.csv"
+    config = SweepConfig("convergence", lambda_max=lambda_max, lambda_steps=steps,
+                         n_atoms=n_atoms)
+    flags = [arg for n in n_atoms for arg in ("--n-atoms", str(n))]
+    assert main(["convergence", *flags, "--lambda-max", str(lambda_max),
+                 "--lambda-steps", str(steps), "--out", str(out)]) == 0
+    _, rows, _ = read_csv_rows(out)
+    assert [row[:4] for row in rows] == [
+        [repr(params.lam), str(params.n_atoms), "0", str(initial_cutoff(params))]
+        for params in config.points()]
+
+
 def test_convergence_fock_cutoff_starts_trajectory(tmp_path):
-    # --fock-cutoff C is the first cutoff of the doubling, not ignored
+    # --fock-cutoff C is the first cutoff of the trajectory, not ignored
     out = tmp_path / "c7.csv"
     assert main(["convergence", "--n-atoms", "2", "--lambda-min", "1", "--lambda-max", "1",
                  "--lambda-steps", "1", "--fock-cutoff", "7", "--out", str(out)]) == 0
@@ -513,18 +535,17 @@ def test_convergence_fock_cutoff_starts_trajectory(tmp_path):
 
 
 def test_convergence_hard_cap_partial_output(tmp_path, monkeypatch):
-    # lambda = 2 would start at 74, within a budget that holds cutoff 100, but its
-    # doubling to 148 is past it: it is refused before its first solve and writes
-    # no row, while lambda = 0 keeps its one (a trajectory kept up to a failing
-    # solve is test_solver_failure_mid_doubling's)
+    # under a budget that holds cutoff 100, lambda = 2 started at 60 is not accepted
+    # there (it starts at 93 by default) and its doubling to 120 is past the budget:
+    # it fails with the row of its one solve, while lambda = 0 is accepted at 60
     budget = solve_bytes(ModelParams(1.0, 1.0, 2.0, 6), 100)
     monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", budget)
     out = tmp_path / "cap.csv"
-    code = main(["convergence", "--n-atoms", "6", "--lambda-min", "0.0",
-                 "--lambda-max", "2.0", "--lambda-steps", "2", "--out", str(out)])
+    code = main(["convergence", "--n-atoms", "6", "--lambda-min", "0.0", "--lambda-max", "2.0",
+                 "--lambda-steps", "2", "--fock-cutoff", "60", "--out", str(out)])
     assert code == 4
     _, rows, footer = read_csv_rows(out)
-    assert [row[:4] for row in rows] == [["0.0", "6", "0", "20"]]
+    assert [row[:4] for row in rows] == [["0.0", "6", "0", "60"], ["2.0", "6", "0", "60"]]
     assert "failed_points=[[2.0, 6]]" in footer[0]
 
 
@@ -658,46 +679,50 @@ def test_banded_failure_exit_code(tmp_path, monkeypatch):
     dpbtrf = dicke_qfi.solver.lapack.dpbtrf
     monkeypatch.setattr(dicke_qfi.solver.lapack, "dpbtrf",
                         lambda ab, **kwargs: (dpbtrf(ab, **kwargs)[0], 1))
-    check_failed_sweep(tmp_path, "1", "600")
+    check_failed_sweep(tmp_path, "1", ["600", "600"])
 
 
-def check_failed_sweep(tmp_path, n_atoms, n_cutoff, fixed=True):
-    """Sweep N = ``n_atoms`` at lambda = 0.4 and 0.5, at the fixed cutoff ``n_cutoff``
-    or converged, and check that both points failed at ``n_cutoff``."""
+def check_failed_sweep(tmp_path, n_atoms, cutoffs, fixed=True):
+    """Sweep N = ``n_atoms`` at lambda = 0.4 and 0.5, at the fixed cutoff ``cutoffs[0]``
+    or converged, and check that the points failed at their ``cutoffs``."""
     out = tmp_path / "x.csv"
-    fock_cutoff = ["--fock-cutoff", n_cutoff] if fixed else []
+    fock_cutoff = ["--fock-cutoff", cutoffs[0]] if fixed else []
     code = main(["sweep", "--n-atoms", n_atoms, "--lambda-min", "0.4", "--lambda-max", "0.5",
                  "--lambda-steps", "2", *fock_cutoff, "--out", str(out)])
     assert code == 4
     # each failed point is a NaN row, and the sweep still writes every row and the footer
     header, rows, footer = read_csv_rows(out)
     assert tuple(header) == SWEEP_COLUMNS
-    assert [row[:3] for row in rows] == [["0.4", n_atoms, n_cutoff],
-                                         ["0.5", n_atoms, n_cutoff]]
+    assert [row[:3] for row in rows] == [["0.4", n_atoms, cutoffs[0]],
+                                         ["0.5", n_atoms, cutoffs[1]]]
     assert all(math.isnan(float(v)) for row in rows for v in row[3:])
     assert len(footer) == 1
     assert f"failed_points=[[0.4, {n_atoms}], [0.5, {n_atoms}]]" in footer[0]
 
 
 def test_failed_point_is_named_on_stderr(tmp_path, capsys, monkeypatch):
-    # both points start at cutoff 20, whose solve is one byte past the budget:
-    # each is refused, and stderr says which point failed and why
-    params = ModelParams(1.0, 1.0, 0.5, 2)
-    first = initial_cutoff(params)
-    held = solve_bytes(params, first)
-    monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", held - 1)
-    check_failed_sweep(tmp_path, "2", str(first), fixed=False)
+    # the points start at cutoffs 26 and 28, and the solve at 26 is one byte past
+    # the budget: each is refused, and stderr says which point failed and why
+    points = [ModelParams(1.0, 1.0, lam, 2) for lam in (0.4, 0.5)]
+    first = [initial_cutoff(params) for params in points]
+    held = [solve_bytes(params, n_cutoff) for params, n_cutoff in zip(points, first)]
+    budget = held[0] - 1
+    monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", budget)
+    check_failed_sweep(tmp_path, "2", [str(n_cutoff) for n_cutoff in first], fixed=False)
     assert capsys.readouterr().err.splitlines() == [
-        f"dicke-qfi: lambda={lam} N=2 failed: starting Fock cutoff: n_cutoff={first} at N=2 "
-        f"needs {held} bytes, past the memory budget of {held - 1} bytes (lam={lam})"
-        for lam in (0.4, 0.5)]
+        f"dicke-qfi: lambda={params.lam} N=2 failed: starting Fock cutoff: n_cutoff={n_cutoff} "
+        f"at N=2 needs {nbytes} bytes, past the memory budget of {budget} bytes "
+        f"(lam={params.lam})" for params, n_cutoff, nbytes in zip(points, first, held)]
 
 
 def test_solver_failure_mid_doubling(tmp_path, fail_solves_above):
-    # lambda = 0 is accepted at cutoff 20; lambda = 1 (N = 2) fails at its first doubling
+    # at tol 1e-30 lambda = 0 is still accepted at cutoff 20, being exact, while
+    # lambda = 1 (N = 2) is not accepted at its first cutoff, 37, and fails at its
+    # first doubling
     start = initial_cutoff(ModelParams(1.0, 1.0, 1.0, 2))
     fail_solves_above(start)
-    args = ["--n-atoms", "2", "--lambda-min", "0", "--lambda-max", "1", "--lambda-steps", "2"]
+    args = ["--n-atoms", "2", "--lambda-min", "0", "--lambda-max", "1", "--lambda-steps", "2",
+            "--tol", "1e-30"]
     out = tmp_path / "s.csv"
     assert main(["sweep", *args, "--out", str(out)]) == 4
     header, rows, footer = read_csv_rows(out)
@@ -734,14 +759,14 @@ def _out_of_memory_for_n3(tmp_path, monkeypatch, stacks_only: bool):
 
 def test_out_of_memory_around_the_solver_fails_its_stack(tmp_path, monkeypatch):
     # a MemoryError that the solver does not map, raised for N = 3's stack and for
-    # each of its points alone, fails those points at their first cutoff, 20 here;
+    # each of its points alone, fails those points at their first cutoffs, 28 and 30;
     # N = 2's rows keep the bytes of an unpatched run
     args, expected, out = _out_of_memory_for_n3(tmp_path, monkeypatch, stacks_only=False)
     assert main([*args, "--out", str(out)]) == 4
     _, rows, footer = read_csv_rows(out)
     _, expected_rows, _ = read_csv_rows(expected)
     assert rows[:2] == expected_rows[:2]
-    assert [row[:3] for row in rows[2:]] == [["0.4", "3", "20"], ["0.5", "3", "20"]]
+    assert [row[:3] for row in rows[2:]] == [["0.4", "3", "28"], ["0.5", "3", "30"]]
     assert all(math.isnan(float(v)) for row in rows[2:] for v in row[3:])
     assert "failed_points=[[0.4, 3], [0.5, 3]]" in footer[0]
 
@@ -755,8 +780,9 @@ def test_out_of_memory_around_a_stack_solves_its_points_alone(tmp_path, monkeypa
 
 
 def test_husimi_skips_failed_point(tmp_path, fail_solves_above):
-    # lambda = 0 is accepted at cutoff 20; lambda = 1 (N = 2) fails at its first doubling
-    fail_solves_above(initial_cutoff(ModelParams(1.0, 1.0, 1.0, 2)))
+    # lambda = 0 is accepted at cutoff 20; lambda = 1 (N = 2) fails at its first
+    # cutoff, 37
+    fail_solves_above(initial_cutoff(ModelParams(1.0, 1.0, 1.0, 2)) - 1)
     args = ["husimi", "--n-atoms", "2", "--lambda-min", "0", "--lambda-max", "1",
             "--lambda-steps", "2", "--grid-points", "11"]
     out = tmp_path / "h.json"
@@ -783,7 +809,7 @@ def test_allocation_failure_is_a_failed_point(tmp_path, monkeypatch):
     argv = ["sweep", "--n-atoms", "3", "--lambda-min", "0.1", "--lambda-steps", "1"]
     assert main([*argv, "--out", str(out)]) == 4
     header, rows, footer = read_csv_rows(out)
-    assert rows[0][:3] == ["0.1", "3", "20"]
+    assert rows[0][:3] == ["0.1", "3", "22"]
     assert all(math.isnan(float(v)) for v in rows[0][3:])
     assert "failed_points=[[0.1, 3]]" in footer[0]
 

@@ -14,6 +14,7 @@ from qfi_reference import (
     even_block_from_scratch,
     even_indices,
     idx,
+    leakage_from_scratch,
     nm,
     parity_signs_from_scratch,
     written_round,
@@ -24,6 +25,8 @@ from dicke_qfi import cli, model
 from dicke_qfi.model import (
     ModelParams,
     even_sector,
+    even_size,
+    leakage,
     write_even_block,
 )
 
@@ -178,6 +181,20 @@ def test_hamiltonian_selection_rules():
                 if 0 <= n2 <= indexer.n_cutoff and 0 <= k2 <= params.n_atoms:
                     allowed.add(idx(indexer, n2, k2 - indexer.j))
         assert set(np.flatnonzero(np.abs(column) > 0)) <= allowed
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(n_atoms=st.integers(1, 12), n_cutoff=st.integers(1, 30), lam=st.floats(0.0, 3.0),
+       seed=st.integers(0, 2**16))
+def test_leakage_matches_full_space_oracle(n_atoms, n_cutoff, lam, seed):
+    # any even-sector vector, not only a ground state: the part of H psi that the
+    # dense H one Fock level up puts in the added level.  At lam = 0 it is 0
+    params = ModelParams(0.7, 1.3, lam, n_atoms)
+    vector = np.random.default_rng(seed).standard_normal(even_size(n_atoms, n_cutoff))
+    expected = leakage_from_scratch(params, vector, n_cutoff)
+    assert leakage(vector, params, n_cutoff) == pytest.approx(expected, rel=1e-13, abs=1e-300)
+    if lam == 0:
+        assert leakage(vector, params, n_cutoff) == 0.0
 
 
 def test_ground_energy_doubled_cutoff_oracle():
@@ -437,7 +454,7 @@ def test_views_handed_out_survive_eviction(skeleton_cache):
 
 def test_superradiant_sweep_builds_few_skeletons(skeleton_cache, tmp_path):
     # initial_cutoff moves with lam^2 N, so nearly every point asks for a new
-    # cutoff pair; a skeleton per basis took 34 builds on this grid
+    # cutoff; a skeleton per basis took 34 builds on this grid
     argv = ["sweep", "--n-atoms", "20", "--lambda-steps", "21", "--out", str(tmp_path / "s.csv")]
     assert cli.main(argv) == 0
     assert skeleton_cache.cache_info().misses <= 4

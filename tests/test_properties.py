@@ -25,6 +25,7 @@ from qfi_reference import (
     dense_hamiltonian_block,
     haar_basis,
     jx_operator,
+    leakage_from_scratch,
     mean_and_variance,
     number_operator,
     parity_signs_from_scratch,
@@ -59,7 +60,6 @@ from dicke_qfi.model import ModelParams
 from dicke_qfi.solver import (
     BRACKET_RTOL,
     ground_states,
-    initial_cutoff,
     solve,
     solve_stack,
 )
@@ -151,13 +151,11 @@ def test_reduced_state_invariants_converged(omega, omega0, lam, n_atoms):
     lam=st.floats(0.0, 3.0),
     n_atoms=st.integers(1, 8),
     n_cutoff=st.integers(1, 60),
-    warm=st.booleans(),
 )
-def test_banded_solver_matches_dense_eigh(omega, omega0, lam, n_atoms, n_cutoff, warm):
-    # the cold start and first shift depend on omega and omega0 through the mean field
+def test_banded_solver_matches_dense_eigh(omega, omega0, lam, n_atoms, n_cutoff):
+    # the start and first shift depend on omega and omega0 through the mean field
     params = ModelParams(omega, omega0, lam, n_atoms)
-    previous = solve(params, fock_cutoff=max(1, n_cutoff // 2)) if warm else None
-    [gs] = ground_states([params], [n_cutoff], [previous])
+    [gs] = ground_states([params], [n_cutoff])
     indexer = BasisIndexer(n_cutoff, n_atoms)
     block = dense_hamiltonian_block(params, indexer)
     energies, vecs = scipy.linalg.eigh(block)
@@ -181,18 +179,20 @@ def test_banded_solver_matches_dense_eigh(omega, omega0, lam, n_atoms, n_cutoff,
             shifted[kd - d, d:] = np.diagonal(block, d)
         shifted[kd] -= lower
         assert lapack.dpbtrf(shifted)[1] == 0
+    # the coupling out of the top level, against H one Fock level up
+    oracle = leakage_from_scratch(params, psi, n_cutoff)
+    assert gs.convergence.leakage == pytest.approx(oracle, rel=1e-12, abs=1e-300)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     lam=st.floats(0.0, 3.0, exclude_min=True),
     n_atoms=st.integers(1, 6),
-    warm=st.booleans(),
 )
-def test_banded_certificate_against_dense_block(lam, n_atoms, warm):
-    # the cold solve at the starting cutoff, or the warm one a converged solve returns
+def test_banded_certificate_against_dense_block(lam, n_atoms):
+    # the solve a converged point returns, at its first cutoff
     params = ModelParams(1.0, 1.0, lam, n_atoms)
-    gs = solve(params, 1e-10) if warm else solve(params, fock_cutoff=initial_cutoff(params))
+    gs = solve(params, 1e-10)
     psi = gs.vector
     block = dense_hamiltonian_block(params, BasisIndexer(gs.n_cutoff, gs.params.n_atoms))
     e_dense = scipy.linalg.eigvalsh(block, subset_by_index=[0, 0])[0]
@@ -203,6 +203,27 @@ def test_banded_certificate_against_dense_block(lam, n_atoms, warm):
     # the bracket holds E0, up to rounding of the dense eigenvalue at the top
     assert lower < e_dense <= energy + 1e-13 * scale
     assert energy - lower <= 2 * residual + BRACKET_RTOL * scale
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(lam=st.floats(0.0, 3.0), ratio=st.sampled_from((0.5, 1.0, 2.0)))
+def test_converged_energy_matches_four_times_the_cutoff(lam, ratio):
+    # at N = 1 the accepted energy E_C against a fixed-cutoff solve at 4C.  Both are
+    # Rayleigh quotients of H on nested spaces, so E0 <= E_4C <= E_C but for
+    # rounding, BRACKET_RTOL * scale each.  On the untruncated space the state's
+    # residual is rho = sqrt(r^2 + l^2), r on the block and l its leakage, both
+    # below tol * scale once accepted; E0 is the eigenvalue within rho of E_C,
+    # as the even-sector gap at N = 1 is of order omega, so
+    # E_C - E_4C <= E_C - E0 <= rho <= sqrt(2) tol scale
+    tol = 1e-10
+    params = ModelParams(1.0, ratio, lam, 1)
+    gs = solve(params, tol)
+    larger = solve(params, fock_cutoff=4 * gs.n_cutoff)
+    scale = max(1.0, abs(gs.energy))
+    rho = math.hypot(gs.convergence.residual, gs.convergence.leakage)
+    assert gs.convergence.leakage < tol * scale and gs.convergence.residual < tol * scale
+    slack = 2 * BRACKET_RTOL * scale
+    assert -slack <= gs.energy - larger.energy <= rho + slack <= math.sqrt(2) * tol * scale + slack
 
 
 def random_real_density(rng, dim, rank):
@@ -344,7 +365,7 @@ def trajectory_rows(states, config):
     seed=st.integers(0, 2**16),
 )
 def test_stacked_sweep_row_matches_point_alone(point, n_atoms, lams, fock_cutoff, seed):
-    # every sweep column, every Husimi grid and every doubling trajectory of a
+    # every sweep column, every Husimi grid and every cutoff trajectory of a
     # point alone, in its stack and in a shuffled stack, bit for bit: each grid
     # is padded to its own capacity and the batched SVD and observable kernels
     # treat each state of a stack alone.  The fixed cutoffs below N give grids

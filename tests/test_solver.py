@@ -19,6 +19,7 @@ from qfi_reference import (
     even_indices,
     expectation,
     full_grid_start_vector,
+    leakage_from_scratch,
     parity_signs_from_scratch,
     partial_trace_atoms,
     product_vector,
@@ -113,10 +114,13 @@ def test_parity_purity(lam, n_atoms):
 
 def test_initial_cutoff_heuristic():
     assert initial_cutoff(ModelParams(1.0, 1.0, 0.0, 2)) == 20
-    assert initial_cutoff(ModelParams(1.0, 1.0, 0.1, 2)) == 20
-    # nb = lam^2 N / omega^2 = 20: ceil(20 + 8 sqrt(20)) + 10
-    assert initial_cutoff(ModelParams(1.0, 1.0, 1.0, 20)) == 66
-    assert initial_cutoff(ModelParams(1.0, 1.0, 3.0, 2)) == 62
+    # nb = 0.02: ceil(0.02 + 10 sqrt(0.02)) + 20
+    assert initial_cutoff(ModelParams(1.0, 1.0, 0.1, 2)) == 22
+    # nb = lam^2 N / omega^2 = 20: ceil(20 + 10 sqrt(20)) + 20
+    assert initial_cutoff(ModelParams(1.0, 1.0, 1.0, 20)) == 85
+    assert initial_cutoff(ModelParams(1.0, 1.0, 3.0, 2)) == 81
+    # the first cutoff past the budget at lambda = 2 is that of N = 600
+    assert initial_cutoff(ModelParams(1.0, 1.0, 2.0, 600)) == 2910
 
 
 @pytest.mark.parametrize("omega,lam", [(1e-200, 0.5), (1.0, 1e155), (1e-200, 0.0),
@@ -165,16 +169,50 @@ def test_tail_population_sums_the_top_levels_of_the_grid(n_atoms):
     (1.0, 1.0, 0.5, 101),
 ])
 def test_initial_cutoff_converges_in_one_doubling(omega, omega0, lam, n_atoms):
-    # the start covers the occupied Fock range, so the second solve is the converged one;
-    # the earlier start, ceil(8 nb) + 10, solved spaces 3-5x larger.  At tiny lam the
-    # top Fock levels underflow to a zero tail, which must not end the doubling early
+    # the first cutoff covers the occupied Fock range, so the first solve is accepted
+    # by its own certificate and no doubling follows.  At tiny lam the top Fock levels
+    # underflow to a zero tail and a zero leakage, which the solve at twice the cutoff
+    # confirms
     params = ModelParams(omega, omega0, lam, n_atoms)
     gs = solve(params, 1e-10)
     n_cutoff = gs.n_cutoff
-    assert len(gs.convergence.steps) == 2
-    assert n_cutoff == 2 * initial_cutoff(params)
-    former_start = max(20, math.ceil(8 * lam**2 * n_atoms / omega**2) + 10)
-    assert n_cutoff <= 2 * former_start
+    assert [step.n_cutoff for step in gs.convergence.steps] == [initial_cutoff(params)]
+    assert n_cutoff == initial_cutoff(params)
+    assert gs.convergence.leakage < 1e-10 * max(1.0, abs(gs.energy))
+    # E at the larger cutoff is lower, but for rounding, and by less than tol
+    scale = max(1.0, abs(gs.energy))
+    larger = solve(params, fock_cutoff=2 * n_cutoff)
+    assert -BRACKET_RTOL * scale <= gs.energy - larger.energy <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("n_atoms,lam_max,steps", [
+    ((1, 2), 3.0, 801), ((20,), 1.0, 21), ((100,), 2.0, 21),
+])
+def test_every_point_of_the_sweep_grids_converges_in_one_step(n_atoms, lam_max, steps):
+    # the premise of one cold solve per point: on the benchmark sweeps' grids and
+    # N = 100 up to lambda = 2, every point is accepted at its first cutoff
+    points = [ModelParams(1.0, 1.0, float(lam), n)
+              for n in n_atoms for lam in np.linspace(0.0, lam_max, steps)]
+    for stack in stacks(points):
+        for params, gs in zip(stack, converge_stack(stack, 1e-10)):
+            assert [step.n_cutoff for step in gs.convergence.steps] == [initial_cutoff(params)]
+            assert gs.convergence.leakage < 1e-10 * max(1.0, abs(gs.energy))
+
+
+def test_leakage_underflows_after_a_banded_solve(monkeypatch):
+    # at lambda = 1e-300 the point is banded, not exact: after a real dpbtrs the
+    # amplitudes of the top level, about g^C, and so its leakage, underflow to 0,
+    # which accepts the point at its first cutoff with E = -omega0 j
+    calls = []
+    dpbtrs = lapack.dpbtrs
+    monkeypatch.setattr(lapack, "dpbtrs", lambda *args, **kwargs: calls.append(1)
+                        or dpbtrs(*args, **kwargs))
+    params = ModelParams(1.0, 1.0, 1e-300, 2)
+    gs = solve(params, 1e-10)
+    assert calls
+    assert gs.convergence.leakage == 0.0
+    assert [step.n_cutoff for step in gs.convergence.steps] == [initial_cutoff(params)] == [20]
+    assert gs.energy == -params.omega0 * params.j
 
 
 def test_converge_decoupled_returns_at_start():
@@ -201,15 +239,22 @@ def test_nonpositive_tol_rejected_before_solving(tol, monkeypatch):
 
 
 def test_converge_records_doubling_trajectory():
+    # from a first cutoff too small to pass, each rejected solve is a step and the
+    # next one is a cold solve at twice the cutoff, until the certificate passes
     params = ModelParams(1.0, 1.0, 0.5, 4)
-    gs = solve(params, 1e-10)
-    n_cutoff = gs.n_cutoff
+    [gs] = converge_stack([params], 1e-10, n_start=5)
     steps = gs.convergence.steps
-    assert steps[-1].n_cutoff == n_cutoff
-    assert len(steps) >= 2
-    assert gs.convergence.energy_shift is not None
-    assert gs.convergence.energy_shift < 1e-10 * max(1.0, abs(gs.energy))
-    assert gs.convergence.tail_population < 1e-10
+    assert [step.n_cutoff for step in steps] == [5, 10, 20, 40][:len(steps)]
+    assert len(steps) >= 2 and steps[-1].n_cutoff == gs.n_cutoff
+    bound = 1e-10 * max(1.0, abs(gs.energy))
+    assert gs.convergence.tail_population < 1e-10 and gs.convergence.leakage < bound
+    for step in steps[:-1]:
+        [rejected] = ground_states([params], [step.n_cutoff])
+        assert (rejected.energy, rejected.convergence.tail_population) == (
+            step.energy, step.tail_population)
+        assert rejected.convergence.tail_population >= 1e-10 or rejected.convergence.leakage >= bound
+    [alone] = ground_states([params], [gs.n_cutoff])
+    assert_same_bits(alone, gs)
 
 
 def test_converge_hard_cap_raises_with_steps(monkeypatch):
@@ -225,7 +270,7 @@ def test_converge_hard_cap_raises_with_steps(monkeypatch):
 
 
 def test_converge_start_above_hard_cap_fails_before_solving(monkeypatch):
-    # lam = 1e5 at N = 1000 starts the doubling at about 1e13 Fock levels
+    # lam = 1e5 at N = 1000 starts at about 1e13 Fock levels
     params = ModelParams(1.0, 1.0, 1e5, 1000)
     start = initial_cutoff(params)
     with pytest.raises(SolverError, match="past the memory budget"):
@@ -248,24 +293,24 @@ def test_converge_start_above_hard_cap_fails_before_solving(monkeypatch):
 
 
 def test_point_that_cannot_double_fails_before_its_first_solve(monkeypatch):
-    # at the real budget N = 500, lambda = 2 starts at cutoff 2368 (0.60 budgets)
-    # and must double to 4736 (1.21 budgets): it is refused before any solve,
-    # with the doubling's message and its first cutoff, where the first cutoff
-    # was once solved (about 14 s and 1250 MiB) and then thrown away
-    params = ModelParams(1.0, 1.0, 2.0, 500)
-    assert initial_cutoff(params) == 2368
+    # the budget is checked at the first cutoff alone, which is the one solved:
+    # at lambda = 2, N = 550 starts at 2690 (0.82 budgets) and fits, and N = 600
+    # at 2910 (1.05 budgets) is refused before any solve, with its first cutoff
+    fits, past = ModelParams(1.0, 1.0, 2.0, 550), ModelParams(1.0, 1.0, 2.0, 600)
+    assert initial_cutoff(fits) == 2690
+    assert checked_bytes(fits, 2690) <= dicke_qfi.solver.MEMORY_BUDGET
 
     def no_solve(*args, **kwargs):
-        raise AssertionError("a point that cannot double must not be solved")
+        raise AssertionError("a point past the budget must not be solved")
 
     monkeypatch.setattr(dicke_qfi.solver, "ground_states", no_solve)
-    [error] = converge_stack([params])
+    [error] = converge_stack([past])
     assert isinstance(error, ConvergenceError)
-    assert error.n_cutoff == 2368 and error.steps == ()
+    assert error.n_cutoff == 2910 and error.steps == ()
     assert str(error) == (
-        f"doubled Fock cutoff: n_cutoff=4736 at N=500 needs {solve_bytes(params, 4736)} "
+        f"starting Fock cutoff: n_cutoff=2910 at N=600 needs {solve_bytes(past, 2910)} "
         f"bytes, past the memory budget of {dicke_qfi.solver.MEMORY_BUDGET} bytes "
-        f"(lam=2.0, tol=1e-10)")
+        f"(lam=2.0)")
 
 
 def test_solver_error_keeps_completed_steps(fail_solves_above):
@@ -355,10 +400,11 @@ def test_banded_matches_dense_above_threshold(n_atoms, lam, n_cutoff):
     (1, 1.0), (1, 3.0), (2, 1.0), (2, 2.0), (3, 1.2), (3, 2.0), (6, 1.0),
 ])
 def test_warm_start_matches_cold_dense_solve(n_atoms, lam, monkeypatch):
-    # the doubled solve starts from the first solve's state, zero-padded (N = 101
-    # at a cutoff small enough for the dense oracle); it must find the state a
-    # dense solve finds, every time.
-    # The first cutoffs are even at (1, 1.0), (2, 1.0), (3, 2.0) and (6, 1.0), odd
+    # every solve is cold, the converged one included: it starts from the
+    # mean-field state at its first cutoff, where the doubling once started from
+    # the smaller cutoff's state, and must find the state a dense solve finds,
+    # every time (N = 101 at a cutoff small enough for the dense oracle).
+    # The first cutoffs are odd at (1, 1.0), (2, 1.0), (3, 2.0) and (6, 1.0), even
     # at (1, 3.0), (2, 2.0), (3, 1.2) and (6, 1.5)
     starts = []
     dpbtrs = lapack.dpbtrs
@@ -371,25 +417,21 @@ def test_warm_start_matches_cold_dense_solve(n_atoms, lam, monkeypatch):
     params = ModelParams(1.0, 1.0, lam, n_atoms)
     gs = solve(params, 1e-10)
     n_cutoff = gs.n_cutoff
-    assert [step.n_cutoff for step in gs.convergence.steps] == [n_cutoff // 2, n_cutoff]
+    assert [step.n_cutoff for step in gs.convergence.steps] == [initial_cutoff(params)]
     # inverse iteration solves the stack's band, where a stack of one holds the
     # block between kd zero rows on each side
-    kd = max(written_round([params], [gs.n_cutoff])[2][0][1])
-    warm_start = next(v for v in starts if v.size == gs.vector.size + 2 * kd)
-    assert not warm_start[:kd].any() and not warm_start[warm_start.size - kd:].any()
-    warm_start = warm_start[kd:warm_start.size - kd]
+    kd = max(written_round([params], [n_cutoff])[2][0][1])
+    start = starts[0]
+    assert start.size == gs.vector.size + 2 * kd
+    assert not start[:kd].any() and not start[start.size - kd:].any()
+    # the mean-field state formed on the full grid, normalized by the sum over the
+    # block and the kd zero rows after it, as inverse iteration normalizes it
+    indexer = BasisIndexer(n_cutoff, n_atoms)
+    expected = full_grid_start_vector(params, indexer)
+    expected /= math.sqrt(np.add.reduceat(np.concatenate((expected, np.zeros(kd))) ** 2, [0])[0])
+    assert np.array_equal(start[kd:start.size - kd], expected)
 
-    # the first state zero-padded on the full grid, read off at the even indices
-    first = solve(params, fock_cutoff=n_cutoff // 2)
-    padded = np.zeros((n_cutoff + 1, n_atoms + 1))
-    padded[: n_cutoff // 2 + 1] = product_vector(first).reshape(n_cutoff // 2 + 1, n_atoms + 1)
-    padded = padded.ravel()[even_indices(BasisIndexer(gs.n_cutoff, gs.params.n_atoms))]
-    # inverse iteration normalizes the start first, by the sum over the block and
-    # the kd zero rows after it
-    padded /= math.sqrt(np.add.reduceat(np.concatenate((padded, np.zeros(kd))) ** 2, [0])[0])
-    assert np.array_equal(warm_start, padded)
-
-    block = dense_hamiltonian_block(params, BasisIndexer(gs.n_cutoff, gs.params.n_atoms))
+    block = dense_hamiltonian_block(params, indexer)
     energies, vecs = scipy.linalg.eigh(block, subset_by_index=[0, 0], overwrite_a=True)
     del block
     assert abs(gs.energy - energies[0]) <= 1e-12 * max(1.0, abs(energies[0]))
@@ -405,20 +447,15 @@ def test_warm_start_matches_cold_dense_solve(n_atoms, lam, monkeypatch):
     n_atoms=st.integers(1, 25),
     ratio=st.sampled_from((0.0, 0.5, 1.0, 1.01, 1.5, 3.0)),
     omega=st.sampled_from((1.0, 0.3, 3.0)),
-    cutoffs=st.lists(st.integers(1, 60), min_size=2, max_size=2, unique=True).map(sorted),
+    n_cutoff=st.integers(1, 60),
 )
-def test_start_vector_matches_full_grid_oracle(n_atoms, ratio, omega, cutoffs):
-    # the cold start formed at the even positions alone, and the warm start
-    # copied at the previous even indices, equal the full-grid forms bit for bit
+def test_start_vector_matches_full_grid_oracle(n_atoms, ratio, omega, n_cutoff):
+    # the start formed at the even positions alone equals the full-grid form bit for bit
     params = ModelParams(omega, 1.0, ratio * math.sqrt(omega) / 2, n_atoms)
-    small, large = cutoffs
-    indexer = BasisIndexer(large, n_atoms)
-    previous = solve(params, fock_cutoff=small)
-    for start in (None, previous):
-        expected = full_grid_start_vector(params, indexer, start)
-        [head] = dicke_qfi.model.start_vectors([params], [large], [start and start.vector])
-        assert np.array_equal(head, expected[:head.size])
-        assert not np.any(expected[head.size:])
+    expected = full_grid_start_vector(params, BasisIndexer(n_cutoff, n_atoms))
+    [head] = dicke_qfi.model.start_vectors([params], [n_cutoff])
+    assert np.array_equal(head, expected[:head.size])
+    assert not np.any(expected[head.size:])
 
 
 @pytest.mark.parametrize("omega,omega0,n_atoms", [
@@ -432,7 +469,7 @@ def test_mean_field_start_overlaps_ground_state(omega, omega0, n_atoms, ratio):
     params = ModelParams(omega, omega0, ratio * math.sqrt(omega * omega0) / 2, n_atoms)
     indexer = BasisIndexer(initial_cutoff(params), n_atoms)
     even = even_indices(indexer)
-    [start] = dicke_qfi.model.start_vectors([params], [indexer.n_cutoff], [None])
+    [start] = dicke_qfi.model.start_vectors([params], [indexer.n_cutoff])
     start = np.concatenate((start, np.zeros(even.size - start.size)))
     signs = np.where((even // indexer.spin_dim) % 2 == 0, 1.0, -1.0)
     assert np.all(signs * start >= 0.0)
@@ -448,13 +485,14 @@ def test_mean_field_start_overlaps_ground_state(omega, omega0, n_atoms, ratio):
 ])
 def test_banded_factorization_counts(n_atoms, lam_max, steps, max_dpbtrf, parent_dpbtrs,
                                      monkeypatch):
-    # the benchmark sweep grids at tol 1e-10, solved in the sweep's stacks: a
-    # doubled solve factors its block once, at the first solve's lower bound, and a
-    # cold one about three times (from 169 and 13908 factorizations with the (-1)^n
-    # start); one dpbtrs per iteration serves a stack, and a stack iterates about as
-    # long as one point did (58 and 657 calls over 5 and 58 stacks, against 232 and
-    # 18117 solves of 21 and 1602 points one by one); every solve keeps its
-    # certified bracket
+    # the benchmark sweep grids at tol 1e-10, solved in the sweep's stacks: each
+    # lam > 0 point is one cold solve at its first cutoff, which factors its block
+    # about three times (from 169 and 13908 factorizations with the (-1)^n start;
+    # 60 and 4800 measured); one dpbtrs per iteration serves a stack, and a stack
+    # iterates about as long as one point does (57 and 536 calls over 6 and 60
+    # stacks, against 189 and 13356 solves of 21 and 1602 points one by one; the
+    # bounds are from cold-and-doubled solves, 232 and 18117); every solve keeps
+    # its certified bracket
     counts = {"dpbtrf": 0, "dpbtrs": 0}
     for name in ("dpbtrf", "dpbtrs"):
         def counted(*args, _name=name, _real=getattr(lapack, name), **kwargs):
@@ -462,8 +500,8 @@ def test_banded_factorization_counts(n_atoms, lam_max, steps, max_dpbtrf, parent
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(lapack, name, counted)
-    # per block, keyed by its diagonal's id while the block is held: whether its
-    # solve is cold, and its factorizations
+    # per block, keyed by its diagonal's id while the block is held: its cutoff
+    # and its factorizations
     blocks = {}
     write, factor = dicke_qfi.solver.write_even_block, dicke_qfi.solver._shifted_cholesky
 
@@ -486,25 +524,27 @@ def test_banded_factorization_counts(n_atoms, lam_max, steps, max_dpbtrf, parent
                 width = gs.energy - gs.convergence.lower_bound
                 slack = BRACKET_RTOL * max(1.0, abs(gs.energy))
                 assert 0.0 <= width <= 2 * gs.convergence.residual + slack
-    cold = [n for _, is_cold, n in blocks.values() if is_cold]
-    warm = [n for _, is_cold, n in blocks.values() if not is_cold]
-    assert len(cold) == sum(p.lam > 0 for p in points)
-    assert warm == [1] * len(warm)
-    assert sum(cold) <= 3.5 * len(cold)
-    assert counts["dpbtrf"] == sum(n for *_, n in blocks.values()) <= max_dpbtrf
+    # every block is a point's first cutoff, written once
+    assert [at_first for _, at_first, _ in blocks.values()] == [True] * sum(
+        p.lam > 0 for p in points)
+    factored = [n for *_, n in blocks.values()]
+    assert sum(factored) <= 3.5 * len(factored)
+    assert counts["dpbtrf"] == sum(factored) <= max_dpbtrf
     assert counts["dpbtrs"] <= 1.1 * parent_dpbtrs * len(stacks(points)) / len(points)
 
 
 @pytest.mark.parametrize("n_atoms,lam,n_cutoff", [(3, 0.5, 20), (20, 1.0, 170), (20, 1.0, None)])
 def test_residual_certificate(n_atoms, lam, n_cutoff):
-    # cold solves and the warm-started one of cutoff doubling
+    # fixed-cutoff solves and a converged one, which is the fixed-cutoff solve at
+    # its cutoff, bit for bit, with its trajectory
     params = ModelParams(1.0, 1.0, lam, n_atoms)
     if n_cutoff is None:
         gs = solve(params, 1e-10)
         n_cutoff = gs.n_cutoff
-        first = solve(params, fock_cutoff=gs.convergence.steps[0].n_cutoff)
-        [warm] = ground_states([params], [n_cutoff], [first])
-        assert gs.convergence.residual == warm.convergence.residual
+        [fixed] = ground_states([params], [n_cutoff])
+        assert_same_bits(fixed, gs)
+        assert fixed.convergence.leakage == gs.convergence.leakage
+        assert fixed.convergence.steps == () and len(gs.convergence.steps) == 1
     else:
         gs = solve(params, fock_cutoff=n_cutoff)
     psi = gs.vector
@@ -516,6 +556,9 @@ def test_residual_certificate(n_atoms, lam, n_cutoff):
     # the energy bracket: a proven lower bound within 2 r + slack of E
     width = gs.energy - gs.convergence.lower_bound
     assert 0.0 < width <= 2 * gs.convergence.residual + BRACKET_RTOL * max(1.0, abs(gs.energy))
+    # the coupling out of the top level, against H one Fock level up
+    oracle = leakage_from_scratch(params, psi, n_cutoff)
+    assert gs.convergence.leakage == pytest.approx(oracle, rel=1e-12, abs=1e-300)
 
 
 def test_residual_measures_returned_vector(monkeypatch):
@@ -594,15 +637,6 @@ def test_out_of_memory_is_a_solver_error_at_its_cutoff(monkeypatch):
     assert isinstance(error, SolverError)
     assert error.n_cutoff == 40
     assert [step.n_cutoff for step in error.steps] == [20]
-
-
-def test_ground_state_rejects_foreign_previous():
-    params = ModelParams(1.0, 1.0, 0.5, 3)
-    previous = solve(params, fock_cutoff=20)
-    with pytest.raises(ValueError):
-        ground_states([params], [10], [previous])
-    with pytest.raises(ValueError):
-        ground_states([ModelParams(1.0, 1.0, 0.6, 3)], [40], [previous])
 
 
 def assert_same_bits(gs, other):
@@ -738,17 +772,17 @@ def test_out_of_memory_in_the_stacked_loop(failing_call, monkeypatch):
 
 
 def test_hard_cap_start_fails_alone(monkeypatch):
-    # the middle point starts past the memory budget, its neighbours converge at
-    # the last cutoff that fits, each in a run of its own
+    # the middle point starts past the memory budget, its neighbours are accepted
+    # at their first cutoffs, each in a run of its own
     points = [ModelParams(1.0, 1.0, lam, 2) for lam in (0.3, 3.0, 0.5)]
-    assert [initial_cutoff(params) for params in points] == [20, 62, 20]
+    assert [initial_cutoff(params) for params in points] == [25, 81, 28]
     alone = [solve(points[0], 1e-10), None, solve(points[2], 1e-10)]
-    assert [gs.n_cutoff for gs in alone[::2]] == [40, 40]
-    monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", solve_bytes(points[0], 40))
+    assert [gs.n_cutoff for gs in alone[::2]] == [25, 28]
+    monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", solve_bytes(points[0], 28))
     outcomes = converge_stack(points, 1e-10)
     assert isinstance(outcomes[1], ConvergenceError)
-    assert outcomes[1].n_cutoff == 62 and outcomes[1].steps == ()
-    assert f"n_cutoff=62 at N=2 needs {solve_bytes(points[1], 62)} bytes" in str(outcomes[1])
+    assert outcomes[1].n_cutoff == 81 and outcomes[1].steps == ()
+    assert f"n_cutoff=81 at N=2 needs {solve_bytes(points[1], 81)} bytes" in str(outcomes[1])
     assert_same_bits(alone[0], outcomes[0])
     assert_same_bits(alone[2], outcomes[2])
 

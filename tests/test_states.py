@@ -120,17 +120,21 @@ def _rebuild(decomp: SpectralDecomposition) -> np.ndarray:
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.3, 0.54, 1.0])
-@pytest.mark.parametrize("n_atoms, n_cutoff, warm", [
+@pytest.mark.parametrize("n_atoms, n_cutoff, stacked", [
     (1, 30, False), (6, 40, False), (20, 80, True),
     (1, 31, False), (2, 20, False), (2, 21, False), (3, 16, False), (3, 17, False),
     (6, 41, False),
 ])
-def test_schmidt_matches_partial_trace_spectra(n_atoms, n_cutoff, warm, lam):
-    # a cold solve at the cutoff, or a warm one from half of it, as a doubling
-    # solves it.  Even cutoffs at even N leave the last Fock row without an odd partner
+def test_schmidt_matches_partial_trace_spectra(n_atoms, n_cutoff, stacked, lam):
+    # a solve at the cutoff, alone or in a stack between two other couplings at other
+    # cutoffs.  Even cutoffs at even N leave the last Fock row without an odd partner
     params = ModelParams(1.0, 1.0, lam, n_atoms)
-    previous = solve(params, fock_cutoff=n_cutoff // 2) if warm else None
-    [gs] = ground_states([params], [n_cutoff], [previous])
+    if stacked:
+        neighbours = [ModelParams(1.0, 1.0, other, n_atoms) for other in (0.7, 1.4)]
+        [_, gs, _] = ground_states([neighbours[0], params, neighbours[1]],
+                                   [n_cutoff // 2, n_cutoff, n_cutoff + 3])
+    else:
+        [gs] = ground_states([params], [n_cutoff])
     # the strided layout of the even amplitudes is the embedding through the
     # parity signs, bit for bit, in the first rows of a slab of zeros padded to
     # the power of two at or above the cutoff; the tail is the grid's top 10% of rows

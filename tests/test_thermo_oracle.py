@@ -67,9 +67,11 @@ def test_float_closed_forms_match_the_oracle(ratio):
     # at the exact float inputs on a log grid of 1e-12 to 1e-1 lambda_cr on both
     # sides, at 50 digits: lambda_cr^2 - lambda^2 is formed from error-free
     # products, so no rounding of lambda_cr is amplified lambda_cr / delta times
-    # near it; worst 7.0e-16 (F_B / (4 nbar) at omega = 1e-3)
+    # near it; worst 7.0e-16 (F_B / (4 nbar) at omega = 1e-3).  nbar / N is 0
+    # below lambda_cr, and above it formed from that difference too: worst 2.4e-16,
+    # where (lambda / omega)^2 (1 - mu^2) cancelled to 1.3e-5 (omega = 1e-3)
     lcr = math.sqrt(ratio) / 2
-    worst = dict.fromkeys(COLUMNS, 0.0)
+    worst = dict.fromkeys([*COLUMNS, "nbar_per_n"], 0.0)
     with mp.workdps(50):
         for fraction in np.logspace(-12, -1, 12):
             for sign in (-1.0, 1.0):
@@ -78,5 +80,10 @@ def test_float_closed_forms_match_the_oracle(ratio):
                 exact = thermo_reference(ratio, 1.0, lam)._asdict()
                 for name, column in COLUMNS.items():
                     worst[name] = max(worst[name], float(abs(column(pt) / exact[name] - 1)))
-    for name in COLUMNS:
-        assert worst[name] <= 1e-12, name
+                if sign < 0:
+                    assert pt.beta_s2_per_n == 0.0
+                else:
+                    gap = float(abs(pt.beta_s2_per_n / exact["nbar_per_n"] - 1))
+                    worst["nbar_per_n"] = max(worst["nbar_per_n"], gap)
+    for name, gap in worst.items():
+        assert gap <= 1e-12, name

@@ -10,6 +10,7 @@ square root is (K + eps1 eps2) / (eps1 + eps2).  From them:
     s1 = 4 (dX_0)^2      = omega (wz^2 + eps1 eps2) / (eps1 eps2 (eps1 + eps2))
     s2 = 4 (dX_{pi/2})^2 = (omega^2 + eps1 eps2) / (omega (eps1 + eps2))
     xi2 = (wz^2 + eps1 eps2) / (wz (eps1 + eps2)),  F_A / N = mu^2 / xi2
+    nbar / N -> (lambda / omega)^2 (1 - mu^2), the coherent field's share
 
 and F_B / (4 nbar) is (s1 - s2)^2 / ((1 + s1 s2)(s1 + s2 - 2)) below
 lambda_cr, where nbar = (s1 + s2)/4 - 1/2, and its N -> infinity limit
@@ -32,6 +33,7 @@ class ThermoReference(NamedTuple):
     quad_variance: object  # (dX_{pi/2})^2
     qfi_atoms_per_n: object  # F_A / N
     qfi_field_scaled: object  # N -> infinity limit of F_B / (4 nbar)
+    nbar_per_n: object  # N -> infinity limit of nbar / N
 
 
 def thermo_reference(omega, omega0, lam) -> ThermoReference:
@@ -50,4 +52,5 @@ def thermo_reference(omega, omega0, lam) -> ThermoReference:
         scaled = (s1 - s2) ** 2 / ((1 + s1 * s2) * (s1 + s2 - 2))
     else:
         scaled = 1 / s2
-    return ThermoReference(mu, eps1, eps2, xi2, s2 / 4, mu**2 / xi2, scaled)
+    nbar_per_n = (lam / w) ** 2 * (1 - mu**2)
+    return ThermoReference(mu, eps1, eps2, xi2, s2 / 4, mu**2 / xi2, scaled, nbar_per_n)
