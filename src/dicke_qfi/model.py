@@ -214,13 +214,14 @@ def leakage(vector: np.ndarray, params: ModelParams, n_cutoff: int) -> float:
     That part, sqrt(C+1) |C+1> times g (J+ + J-) psi_C, is orthogonal to the
     truncated residual H psi - E psi, so the state's residual on the whole
     Fock space is sqrt(r^2 + l^2).  (J+ + J-) moves k = m + j to k + 1 with
-    sqrt((k+1)(N-k)) and to k - 1 with sqrt(k(N+1-k)); every k of the row's
-    even positions has the parity of C, so each move writes distinct entries.
-    At g = 0, lam = 0, it is 0.
+    sqrt((k+1)(N-k)) and to k - 1 with sqrt(k(N+1-k)).  The row's even
+    positions hold, in ascending order, every k of the parity of C, so each
+    move writes distinct entries, and no skeleton is read.  At g = 0,
+    lam = 0, it is 0.
     """
     n_atoms = params.n_atoms
     row = even_size(n_atoms, n_cutoff - 1)
-    k = even_sector(n_atoms, n_cutoff).k[row:].astype(np.intp)
+    k = np.arange(n_cutoff % 2, n_atoms + 1, 2)
     top = vector[row:]
     # entry i of the image is its component at k = i - 1, so that k = -1 and N + 1 fit
     image = np.zeros(n_atoms + 3)

@@ -111,8 +111,8 @@ lapack = _load_flapack()
 #: bytes that one point's solve may hold, and that a round's run of banded
 #: blocks, or a run of batched Schmidt steps, may hold together, by
 #: ``solve_bytes``.  Fixed rather than read from the host, so that which
-#: points are refused does not depend on the host.  2 GiB solves every
-#: point up to N = 550, lambda = 2, at its first cutoff (1.65 GiB there) and
+#: points are refused does not depend on the host.  2 GiB holds the first
+#: cutoff of every point up to N = 567 at lambda = 2 (2.0 GiB there) and
 #: fits a CI runner
 MEMORY_BUDGET = 2**31
 
@@ -502,21 +502,21 @@ def _block_matvec(block: tuple, x: np.ndarray) -> np.ndarray:
 
 
 def initial_cutoff(params: ModelParams) -> int:
-    """The first cutoff: max(20, ceil(nb + 10*sqrt(nb)) + 20), nb = lam^2*N/omega^2.
+    """The first cutoff: ceil((nb + 10*sqrt(nb))/0.9) + 20, nb = lam^2*N/omega^2.
 
     In mean field the field is a coherent state of amplitude
     lam*sqrt(N)*sin(theta)/omega, so nb bounds its boson number.  The Fock
-    occupation is a peak of width ~sqrt(nb) at or below nb, and 10 widths
-    plus 20 levels reach past where the coupling out of the top level falls
-    below 1e-10, so ``converge_stack`` accepts every point of the benchmark
-    sweeps at this cutoff, in one solve sized to the Fock range it occupies.
-    From about nb = 1000 the top 10% of its levels, whose weight is the tail
-    population, begin only about 6 widths past the peak, and the point is
-    solved again at twice the cutoff.  A start that is too low costs one more
-    solve, never a wrong answer.
+    occupation is a peak of width ~sqrt(nb) at or below nb.  The top 10% of
+    the levels, whose weight is the tail population, begin 10 widths past
+    nb and about 19 levels further, past where the tail and the coupling out
+    of the top level fall below 1e-10, so ``converge_stack`` accepts every
+    point of the benchmark sweeps, and N = 300 at lambda = 2 (nb = 1200),
+    at this cutoff, in one solve sized to the Fock range it occupies.  At
+    nb = 0 it is 20.  A start that is too low costs one more solve, never a
+    wrong answer.
 
     Where lam^2 or omega^2 leaves the float range, nb is formed from the
-    ratio lam/omega instead; where nb itself does, the start is
+    ratio lam/omega instead; where nb itself, or nb/0.9, does, the start is
     MEMORY_BUDGET // 8, past the budget at every N: its block has more than
     that many positions, each a float.
     """
@@ -528,9 +528,10 @@ def initial_cutoff(params: ModelParams) -> int:
         # a product or quotient of floats overflows to inf and underflows to 0, never raises
         ratio = params.lam / params.omega
         nb = ratio * ratio * params.n_atoms
-        if not math.isfinite(nb):
-            return MEMORY_BUDGET // 8
-    return max(20, math.ceil(nb + 10 * math.sqrt(nb)) + 20)
+    start = (nb + 10 * math.sqrt(nb)) / 0.9
+    if not math.isfinite(start):
+        return MEMORY_BUDGET // 8
+    return math.ceil(start) + 20
 
 
 def converge_stack(

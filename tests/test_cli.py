@@ -166,7 +166,7 @@ def test_pool_has_at_most_one_process_per_point(tmp_path, monkeypatch):
 
 
 def test_sweep_flags_unconverged_point(tmp_path, monkeypatch):
-    # the first cutoff, 74, is past a budget that holds cutoff 32
+    # the first cutoff, 102, is past a budget that holds cutoff 32
     budget = solve_bytes(ModelParams(1.0, 1.0, 2.0, 6), 32)
     monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", budget)
     out = tmp_path / "f.csv"
@@ -452,7 +452,7 @@ def test_cli_import_runs_no_scipy_init():
 
 def test_refused_point_loads_no_scipy_linalg_special_sparse_or_pool(tmp_path):
     # N = 150 at lambda = 0.5 and 1 is banded; N = 1000 at lambda = 2 is refused at
-    # its first cutoff, 4653, whose band would hold 4.5 memory budgets, before
+    # its first cutoff, 5168, whose band would hold 5.0 memory budgets, before
     # anything is allocated for it, and imports nothing either
     banded, refused = tmp_path / "banded.csv", tmp_path / "refused.csv"
     assert fresh_runs(
@@ -463,7 +463,7 @@ def test_refused_point_loads_no_scipy_linalg_special_sparse_or_pool(tmp_path):
     _, rows, _ = read_csv_rows(banded)
     assert len(rows) == 2 and all(math.isfinite(float(v)) for row in rows for v in row)
     _, [row], footer = read_csv_rows(refused)
-    assert row[:3] == ["2.0", "1000", "4653"] and all(math.isnan(float(v)) for v in row[3:])
+    assert row[:3] == ["2.0", "1000", "5168"] and all(math.isnan(float(v)) for v in row[3:])
     assert "failed_points=[[2.0, 1000]]" in footer[0]
 
 
@@ -759,14 +759,14 @@ def _out_of_memory_for_n3(tmp_path, monkeypatch, stacks_only: bool):
 
 def test_out_of_memory_around_the_solver_fails_its_stack(tmp_path, monkeypatch):
     # a MemoryError that the solver does not map, raised for N = 3's stack and for
-    # each of its points alone, fails those points at their first cutoffs, 28 and 30;
+    # each of its points alone, fails those points at their first cutoffs, 29 and 31;
     # N = 2's rows keep the bytes of an unpatched run
     args, expected, out = _out_of_memory_for_n3(tmp_path, monkeypatch, stacks_only=False)
     assert main([*args, "--out", str(out)]) == 4
     _, rows, footer = read_csv_rows(out)
     _, expected_rows, _ = read_csv_rows(expected)
     assert rows[:2] == expected_rows[:2]
-    assert [row[:3] for row in rows[2:]] == [["0.4", "3", "28"], ["0.5", "3", "30"]]
+    assert [row[:3] for row in rows[2:]] == [["0.4", "3", "29"], ["0.5", "3", "31"]]
     assert all(math.isnan(float(v)) for row in rows[2:] for v in row[3:])
     assert "failed_points=[[0.4, 3], [0.5, 3]]" in footer[0]
 

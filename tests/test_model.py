@@ -426,6 +426,18 @@ def test_prefix_views_match_scratch_in_any_request_order(requests, order, block_
         assert model._skeleton.cache_info().currsize <= 2
 
 
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 6])
+def test_leakage_builds_no_skeleton(skeleton_cache, n_atoms):
+    # the top row's k are every k of the cutoff's parity, in closed form, so a
+    # leakage, even at lam = 0 or at a cutoff no solve has built, builds nothing
+    for lam in (0.0, 0.8):
+        params = ModelParams(0.7, 1.3, lam, n_atoms)
+        for n_cutoff in (1, 2, 37, 10**6):
+            vector = np.ones(even_size(n_atoms, n_cutoff))
+            leakage(vector, params, n_cutoff)
+    assert skeleton_cache.cache_info().misses == 0
+
+
 def test_doubling_pairs_read_two_cached_skeletons(skeleton_cache):
     # a point solved at c and 2c reads the skeletons at the powers of two at or
     # above them; walking c upwards builds each power of two once

@@ -114,20 +114,37 @@ def test_parity_purity(lam, n_atoms):
 
 def test_initial_cutoff_heuristic():
     assert initial_cutoff(ModelParams(1.0, 1.0, 0.0, 2)) == 20
-    # nb = 0.02: ceil(0.02 + 10 sqrt(0.02)) + 20
+    # nb = 0.02: ceil((0.02 + 10 sqrt(0.02)) / 0.9) + 20
     assert initial_cutoff(ModelParams(1.0, 1.0, 0.1, 2)) == 22
-    # nb = lam^2 N / omega^2 = 20: ceil(20 + 10 sqrt(20)) + 20
-    assert initial_cutoff(ModelParams(1.0, 1.0, 1.0, 20)) == 85
-    assert initial_cutoff(ModelParams(1.0, 1.0, 3.0, 2)) == 81
-    # the first cutoff past the budget at lambda = 2 is that of N = 600
-    assert initial_cutoff(ModelParams(1.0, 1.0, 2.0, 600)) == 2910
+    # nb = lam^2 N / omega^2 = 20: ceil((20 + 10 sqrt(20)) / 0.9) + 20
+    assert initial_cutoff(ModelParams(1.0, 1.0, 1.0, 20)) == 92
+    assert initial_cutoff(ModelParams(1.0, 1.0, 3.0, 2)) == 88
+    # N = 600 at lambda = 2 is refused before its first solve
+    assert initial_cutoff(ModelParams(1.0, 1.0, 2.0, 600)) == 3231
 
 
-@pytest.mark.parametrize("omega,lam", [(1e-200, 0.5), (1.0, 1e155), (1e-200, 0.0),
-                                       (1e-200, 1e-300)])
+@pytest.mark.parametrize("n_atoms", [1, 2])
+def test_large_boson_number_converges_in_one_step(n_atoms):
+    # nb = lam^2 N / omega^2 = 1600 N.  The top 10% of the first cutoff's levels
+    # begin past 10 widths of the Fock peak, so the tail does not reject it, as it
+    # did the earlier first cutoff ceil(nb + 10 sqrt(nb)) + 20, whose window began
+    # about 5.5 widths past the peak at N = 1 and 1 width past it at N = 2
+    params = ModelParams(0.05, 1.0, 2.0, n_atoms)
+    nb = 1600 * n_atoms
+    [gs] = converge_stack([params], 1e-10)
+    assert [step.n_cutoff for step in gs.convergence.steps] == [initial_cutoff(params)]
+    assert gs.convergence.tail_population < 1e-10
+    assert gs.convergence.leakage < 1e-10 * max(1.0, abs(gs.energy))
+    [earlier] = ground_states([params], [math.ceil(nb + 10 * math.sqrt(nb)) + 20])
+    assert earlier.convergence.tail_population > 1e-10
+
+
+@pytest.mark.parametrize("omega,lam", [(1e-200, 0.5), (1.0, 1e155), (1.0, 1.3e154),
+                                       (1e-200, 0.0), (1e-200, 1e-300)])
 def test_first_cutoff_past_the_float_range(omega, lam):
-    # omega^2 underflows or lam^2 overflows, where the first cutoff once raised
-    # ZeroDivisionError or OverflowError out of solve, converge_stack and stacks
+    # omega^2 underflows, lam^2 overflows, or nb = lam^2 = 1.69e308 is finite and
+    # nb/0.9 is not, where the first cutoff once raised ZeroDivisionError or
+    # OverflowError out of solve, converge_stack and stacks
     params = ModelParams(omega, 1.0, lam, 1)
     assert stacks([params]) == [[params]]
     [outcome] = converge_stack([params])
@@ -294,11 +311,11 @@ def test_converge_start_above_hard_cap_fails_before_solving(monkeypatch):
 
 def test_point_that_cannot_double_fails_before_its_first_solve(monkeypatch):
     # the budget is checked at the first cutoff alone, which is the one solved:
-    # at lambda = 2, N = 550 starts at 2690 (0.82 budgets) and fits, and N = 600
-    # at 2910 (1.05 budgets) is refused before any solve, with its first cutoff
+    # at lambda = 2, N = 550 starts at 2986 (0.91 budgets) and fits, and N = 600
+    # at 3231 (1.17 budgets) is refused before any solve, with its first cutoff
     fits, past = ModelParams(1.0, 1.0, 2.0, 550), ModelParams(1.0, 1.0, 2.0, 600)
-    assert initial_cutoff(fits) == 2690
-    assert checked_bytes(fits, 2690) <= dicke_qfi.solver.MEMORY_BUDGET
+    assert initial_cutoff(fits) == 2986
+    assert checked_bytes(fits, 2986) <= dicke_qfi.solver.MEMORY_BUDGET
 
     def no_solve(*args, **kwargs):
         raise AssertionError("a point past the budget must not be solved")
@@ -306,9 +323,9 @@ def test_point_that_cannot_double_fails_before_its_first_solve(monkeypatch):
     monkeypatch.setattr(dicke_qfi.solver, "ground_states", no_solve)
     [error] = converge_stack([past])
     assert isinstance(error, ConvergenceError)
-    assert error.n_cutoff == 2910 and error.steps == ()
+    assert error.n_cutoff == 3231 and error.steps == ()
     assert str(error) == (
-        f"starting Fock cutoff: n_cutoff=2910 at N=600 needs {solve_bytes(past, 2910)} "
+        f"starting Fock cutoff: n_cutoff=3231 at N=600 needs {solve_bytes(past, 3231)} "
         f"bytes, past the memory budget of {dicke_qfi.solver.MEMORY_BUDGET} bytes "
         f"(lam=2.0)")
 
@@ -775,14 +792,14 @@ def test_hard_cap_start_fails_alone(monkeypatch):
     # the middle point starts past the memory budget, its neighbours are accepted
     # at their first cutoffs, each in a run of its own
     points = [ModelParams(1.0, 1.0, lam, 2) for lam in (0.3, 3.0, 0.5)]
-    assert [initial_cutoff(params) for params in points] == [25, 81, 28]
+    assert [initial_cutoff(params) for params in points] == [25, 88, 29]
     alone = [solve(points[0], 1e-10), None, solve(points[2], 1e-10)]
-    assert [gs.n_cutoff for gs in alone[::2]] == [25, 28]
-    monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", solve_bytes(points[0], 28))
+    assert [gs.n_cutoff for gs in alone[::2]] == [25, 29]
+    monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", solve_bytes(points[0], 29))
     outcomes = converge_stack(points, 1e-10)
     assert isinstance(outcomes[1], ConvergenceError)
-    assert outcomes[1].n_cutoff == 81 and outcomes[1].steps == ()
-    assert f"n_cutoff=81 at N=2 needs {solve_bytes(points[1], 81)} bytes" in str(outcomes[1])
+    assert outcomes[1].n_cutoff == 88 and outcomes[1].steps == ()
+    assert f"n_cutoff=88 at N=2 needs {solve_bytes(points[1], 88)} bytes" in str(outcomes[1])
     assert_same_bits(alone[0], outcomes[0])
     assert_same_bits(alone[2], outcomes[2])
 
