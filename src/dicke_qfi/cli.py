@@ -327,8 +327,9 @@ def _unsolved(params: ModelParams, config: SweepConfig, exc: Exception) -> Solve
 
 
 def _unobserved(gs: GroundState, config: SweepConfig, exc: Exception) -> SolverError:
-    """A solved point whose result failed alone: its state's cutoff and steps."""
-    return SolverError(f"{type(exc).__name__}: {exc}", gs.n_cutoff, gs.convergence.steps)
+    """A solved point whose result failed alone: its state's cutoff, and its steps with its
+    own solve last."""
+    return SolverError(f"{type(exc).__name__}: {exc}", gs.n_cutoff, (*gs.steps, gs.step))
 
 
 def _attempt_all(solve, point, failure, stack: list[ModelParams], config: SweepConfig) -> list:
@@ -374,7 +375,7 @@ def compute_sweep_records(states: list[GroundState], config: SweepConfig) -> Ite
 
 
 def _failed_sweep_record(params: ModelParams, exc: SolverError) -> SweepRecord:
-    """A failed point's NaN row; its n_cutoff is the last cutoff tried."""
+    """A failed point's NaN row; its n_cutoff is that of the solve that failed or was refused."""
     return SweepRecord(params.lam, params.n_atoms, exc.n_cutoff, *[math.nan] * 11)
 
 
@@ -438,15 +439,16 @@ def run_husimi(config: SweepConfig) -> tuple[Iterator[dict], list[list]]:
 
 def compute_trajectories(states: list[GroundState], config: SweepConfig) -> Iterator[list[tuple]]:
     """The cutoff-trajectory rows of each converged point, in order: one per solve."""
-    return (_trajectory_rows(gs.params, gs.convergence) for gs in states)
+    return (_trajectory_rows(gs.params, gs) for gs in states)
 
 
-def _trajectory_rows(params: ModelParams, solved) -> list[tuple]:
-    """Rows of ``solved.steps``: a converged point's ConvergenceInfo, or a failed
-    point's SolverError, whose steps end before the failing solve.
+def _trajectory_rows(params: ModelParams, solved: GroundState | SolverError) -> list[tuple]:
+    """Rows of a point's solves: a converged state's rejected ``steps`` and its own
+    ``step``, or a failed point's SolverError ``steps``, which end before the failing solve.
     """
+    steps = solved.steps if isinstance(solved, SolverError) else (*solved.steps, solved.step)
     return [(params.lam, params.n_atoms, i, step.n_cutoff, step.energy, step.tail_population)
-            for i, step in enumerate(solved.steps)]
+            for i, step in enumerate(steps)]
 
 
 def run_convergence(config: SweepConfig) -> tuple[list[tuple], list[list]]:

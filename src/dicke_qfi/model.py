@@ -22,9 +22,10 @@ The part that does not depend on omega, omega0 or lam, n and m+j at each
 even position and the couplings at g = 1, has a closed form.  The basis at
 cutoff c is a prefix of any larger one, so ``write_even_block`` and
 ``even_sector`` read views of one skeleton built at the power of two at or
-above c, under a ``functools.lru_cache`` that keeps the last two.  The odd
-sector is never built: the block does not couple it, and the ground state
-has no weight there.
+above c, under a ``functools.lru_cache`` that keeps the last two: a stack's
+start vectors read the skeleton at its largest cutoff, and its blocks read
+smaller ones.  The odd sector is never built: the block does not couple
+it, and the ground state has no weight there.
 """
 
 from __future__ import annotations
@@ -37,6 +38,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+#: the fraction of a cutoff's Fock levels 0 .. C below its tail: ``tail_population``
+#: sums the top 10%, from level ceil(TAIL_START (C + 1)) on, and at least level C
+TAIL_START = 0.9
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -124,7 +130,8 @@ def capacity(n_cutoff: int) -> int:
 
     The basis at c is the first (c+1)(N+1) indices of any larger one, so a
     skeleton, or a zero-padded amplitude grid, built at this capacity holds
-    the cutoff's, and a doubling pair (c, 2c) reads two capacities.
+    the cutoff's: a stack's start vectors read the skeleton at its largest
+    cutoff, and its blocks at their smaller ones, mostly the same capacity.
     """
     return 1 << (n_cutoff - 1).bit_length()
 
@@ -201,8 +208,10 @@ def even_sector(n_atoms: int, n_cutoff: int) -> EvenSector:
 
 
 def tail_population(vector: np.ndarray, n_atoms: int, n_cutoff: int) -> float:
-    """Total probability in the top 10% of Fock levels, those from ceil(0.9 (n_cutoff+1)) on."""
-    tail = vector[even_size(n_atoms, math.ceil(0.9 * (n_cutoff + 1)) - 1):]
+    """Total probability in the top 10% of Fock levels, those from ceil(TAIL_START (n_cutoff+1))
+    on, or in the top level alone below cutoff 9, where the top 10% hold no whole level."""
+    first = min(math.ceil(TAIL_START * (n_cutoff + 1)), n_cutoff)
+    tail = vector[even_size(n_atoms, first - 1):]
     return float(tail @ tail)
 
 

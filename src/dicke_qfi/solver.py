@@ -8,7 +8,7 @@ kd = ``model.band_width`` whatever the cutoff.  Every lam > 0 point is
 solved by shifted inverse iteration on the band, or refused: one byte
 budget, MEMORY_BUDGET, bounds every solve, and ``checked_bytes`` gives a
 point's bytes at a cutoff by ``solve_bytes``, or past the budget a
-SolverError before anything of its round is allocated.
+ConvergenceError before anything of its round is allocated.
 LAPACK ``dpbtrf`` factors H - sigma I, which succeeds exactly when sigma
 lies below the lowest eigenvalue, and ``dpbtrs`` applies the inverse, in
 O(dim kd^2) time and O(dim kd) memory.  Both routines come from scipy's
@@ -40,11 +40,11 @@ alone, so results do not depend on the order, the stack or the process in
 which points are solved.  Cutoff convergence accepts a point at the first
 cutoff where its Fock tail population and its leakage both drop below
 tolerance, and otherwise solves it again at twice the cutoff, until the
-next cutoff would not fit the budget; a stack is solved in rounds, each
-round solving the points still open.  The first cutoff, ``initial_cutoff``,
-is chosen so that nearly every point is accepted in one solve.  Every
-ground state carries its residual ||H psi - E psi|| on the even block,
-its leakage and its certified lower bound on the energy.
+budget refuses the cutoff; a stack is solved in rounds, each round solving
+the points still open.  The first cutoff, ``initial_cutoff``, is chosen so
+that nearly every point is accepted in one solve.  Every ground state
+carries its tail population, its leakage, its residual ||H psi - E psi||
+on the even block and its certified lower bound on the energy.
 """
 
 from __future__ import annotations
@@ -57,11 +57,12 @@ import operator
 import os
 import sys
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, SolverError
 from .model import (
+    TAIL_START,
     ModelParams,
     band_width,
     coupling_offsets,
@@ -146,33 +147,32 @@ class CutoffStep:
 
 
 @dataclass(frozen=True)
-class ConvergenceInfo:
-    """The certificate of a state at its cutoff.
+class GroundState:
+    """Ground energy and real unit-norm state, its ``model.even_size`` even-sector amplitudes,
+    and the certificate of its cutoff.
 
-    ``tail_population`` is the weight of the top 10% of Fock levels and
-    ``leakage`` the coupling out of the top level, ``model.leakage``.
-    ``residual`` is ||H psi - E psi|| of the unit-norm state on the even block.
-    ``lower_bound`` is a shift sigma at which H - sigma I had a Cholesky
-    factor, so sigma < E0 <= energy; at lam = 0 it is the exact energy.
-    ``steps`` are the solves of ``converge_stack``, none at a fixed cutoff.
+    ``tail_population`` and ``leakage`` are ``model``'s, the weight of the
+    top Fock levels and the coupling out of the top one.  ``residual`` is
+    ||H psi - E psi|| on the even block.  ``lower_bound`` is a shift sigma at
+    which H - sigma I had a Cholesky factor, so sigma < E0 <= energy; at
+    lam = 0 it is the exact energy.  ``steps`` are the point's earlier
+    solves, each rejected, as on a SolverError: none at its first cutoff.
     """
 
+    energy: float
+    vector: np.ndarray
+    params: ModelParams
+    n_cutoff: int
     tail_population: float
     leakage: float
     residual: float
     lower_bound: float
     steps: tuple[CutoffStep, ...] = ()
 
-
-@dataclass(frozen=True)
-class GroundState:
-    """Ground energy and real unit-norm state, its ``model.even_size`` even-sector amplitudes."""
-
-    energy: float
-    vector: np.ndarray
-    params: ModelParams
-    n_cutoff: int
-    convergence: ConvergenceInfo
+    @property
+    def step(self) -> CutoffStep:
+        """This solve as the step of the point's trajectory after ``steps``."""
+        return CutoffStep(self.n_cutoff, self.energy, self.tail_population)
 
 
 def _as_cutoff(value: int, name: str) -> int:
@@ -203,12 +203,13 @@ def solve_bytes(params: ModelParams, n_cutoff: int) -> int:
 
 def checked_bytes(params: ModelParams, n_cutoff: int) -> int:
     """The bytes of the point's solve at ``n_cutoff`` by ``solve_bytes``, within MEMORY_BUDGET;
-    past it, SolverError names N, the cutoff, the bytes and the budget."""
+    past it, the point is refused by the memory budget: ConvergenceError names N, the
+    cutoff, the bytes and the budget."""
     held = solve_bytes(params, n_cutoff)
     if held > MEMORY_BUDGET:
         msg = (f"n_cutoff={n_cutoff} at N={params.n_atoms} needs {held} bytes, "
                f"past the memory budget of {MEMORY_BUDGET} bytes")
-        raise SolverError(msg, n_cutoff)
+        raise ConvergenceError(msg, n_cutoff)
     return held
 
 
@@ -261,22 +262,27 @@ def stacks(
 
 
 def ground_states(
-    points: Sequence[ModelParams], cutoffs: Sequence[int]
+    points: Sequence[ModelParams],
+    cutoffs: Sequence[int],
+    steps: Sequence[tuple[CutoffStep, ...]] | None = None,
 ) -> list[GroundState | SolverError]:
     """Lowest eigenpair of each point's even-parity block, a stack of one N, each at its cutoff.
 
     Each solve starts cold, from ``model.start_vectors``; at lam = 0 the
     state is the exact |0>|j,-j>.  Each point gets its GroundState,
     sign-fixed so its largest amplitude is positive, with its tail
-    population and ``leakage`` and no steps, or the SolverError it failed
-    with, a MemoryError included; a failure leaves the other points' results
-    as they are.  ``checked_bytes`` fails each point past the budget before
+    population and ``leakage``, or the SolverError it failed with at its
+    cutoff, a MemoryError included, each with the point's earlier ``steps``,
+    none by default; a failure leaves the other points' results as they
+    are.  ``checked_bytes`` refuses each point past the budget before
     anything of the round is allocated; the lam > 0 blocks are written and
     solved in ``fitting_runs``, one band per run.
     """
     cutoffs = [_as_cutoff(n_cutoff, "n_cutoff") for n_cutoff in cutoffs]
-    if len(points) != len(cutoffs):
-        raise ValueError("points and cutoffs must have one entry per point")
+    if steps is None:
+        steps = [()] * len(points)
+    if not len(points) == len(cutoffs) == len(steps):
+        raise ValueError("points, cutoffs and steps must have one entry per point")
     if any(n_cutoff < 1 for n_cutoff in cutoffs):
         raise ValueError("n_cutoff must be >= 1")
     if len({params.n_atoms for params in points}) > 1:
@@ -308,11 +314,15 @@ def ground_states(
         outcomes = _banded_lowest([points[i] for i in run], [cutoffs[i] for i in run])
         for i, outcome in zip(run, outcomes):
             solved[i] = outcome
-    return [outcome if isinstance(outcome, SolverError) else GroundState(
-                outcome[0], outcome[1], params, n_cutoff, ConvergenceInfo(
-                    tail_population(outcome[1], params.n_atoms, n_cutoff),
-                    leakage(outcome[1], params, n_cutoff), *outcome[2:]))
-            for params, n_cutoff, outcome in zip(points, cutoffs, solved)]
+    for i, (params, n_cutoff, outcome) in enumerate(zip(points, cutoffs, solved)):
+        if isinstance(outcome, SolverError):
+            outcome.steps = steps[i]
+            continue
+        energy, vector, residual, lower_bound = outcome
+        solved[i] = GroundState(energy, vector, params, n_cutoff,
+                                tail_population(vector, params.n_atoms, n_cutoff),
+                                leakage(vector, params, n_cutoff), residual, lower_bound, steps[i])
+    return solved
 
 
 def _out_of_memory(exc: MemoryError, n_cutoff: int) -> SolverError:
@@ -502,7 +512,7 @@ def _block_matvec(block: tuple, x: np.ndarray) -> np.ndarray:
 
 
 def initial_cutoff(params: ModelParams) -> int:
-    """The first cutoff: ceil((nb + 10*sqrt(nb))/0.9) + 20, nb = lam^2*N/omega^2.
+    """The first cutoff: ceil((nb + 10*sqrt(nb))/TAIL_START) + 20, nb = lam^2*N/omega^2.
 
     In mean field the field is a coherent state of amplitude
     lam*sqrt(N)*sin(theta)/omega, so nb bounds its boson number.  The Fock
@@ -516,9 +526,9 @@ def initial_cutoff(params: ModelParams) -> int:
     wrong answer.
 
     Where lam^2 or omega^2 leaves the float range, nb is formed from the
-    ratio lam/omega instead; where nb itself, or nb/0.9, does, the start is
-    MEMORY_BUDGET // 8, past the budget at every N: its block has more than
-    that many positions, each a float.
+    ratio lam/omega instead; where nb itself, or nb/TAIL_START, does, the
+    start is MEMORY_BUDGET // 8, past the budget at every N: its block has
+    more than that many positions, each a float.
     """
     try:
         nb = params.lam**2 * params.n_atoms / params.omega**2
@@ -528,7 +538,7 @@ def initial_cutoff(params: ModelParams) -> int:
         # a product or quotient of floats overflows to inf and underflows to 0, never raises
         ratio = params.lam / params.omega
         nb = ratio * ratio * params.n_atoms
-    start = (nb + 10 * math.sqrt(nb)) / 0.9
+    start = (nb + 10 * math.sqrt(nb)) / TAIL_START
     if not math.isfinite(start):
         return MEMORY_BUDGET // 8
     return math.ceil(start) + 20
@@ -549,59 +559,31 @@ def converge_stack(
     E, r its residual on the block; that it is E0, and the state's error,
     need a bound on the gap above E0 as well (Kato-Temple).  At lam = 0, g = 0
     makes l = 0, and the exact state is accepted at its first cutoff.
-    Otherwise the point is solved again, cold, at 2C.  A point whose first
-    cutoff is past MEMORY_BUDGET by ``checked_bytes`` fails before its first
-    solve with ConvergenceError, no steps, its first cutoff and no
-    allocation; a point whose next cutoff is past it fails so with the steps
-    completed.  A SolverError from any step carries the steps completed
-    before it.
+    Otherwise the point is reopened, cold, at 2C.
 
-    The stack is solved in rounds.  The first round solves every point at
-    its first cutoff, ``n_start`` or its ``initial_cutoff``; each later
-    round solves the points still open at twice their last cutoff.  A point
-    leaves the stack when it is accepted or fails, with its own cutoff and
-    steps.
+    The stack is solved in rounds of ``ground_states``, the first at each
+    point's first cutoff, ``n_start`` or its ``initial_cutoff``, each later
+    one on the points still open.  A point leaves the stack when it is
+    accepted or fails, with its own cutoff and its rejected solves as its
+    steps; ``ground_states`` refuses any cutoff past MEMORY_BUDGET.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    n_start = None if n_start is None else _as_cutoff(n_start, "n_start")
     converged: list = [None] * len(points)
-    # per open point: its index, cutoff and completed steps
-    open_points = []
-    for i, params in enumerate(points):
-        n_cutoff = initial_cutoff(params) if n_start is None else n_start
-        if n_cutoff < 1:
-            raise ValueError("starting cutoff must be >= 1")
-        try:
-            checked_bytes(params, n_cutoff)
-        except SolverError as exc:
-            converged[i] = ConvergenceError(f"starting Fock cutoff: {exc} (lam={params.lam})",
-                                            n_cutoff)
-        else:
-            open_points.append((i, n_cutoff, []))
+    # per open point: its index, cutoff and rejected steps
+    open_points = [(i, initial_cutoff(params) if n_start is None else n_start, ())
+                   for i, params in enumerate(points)]
     while open_points:
         solved = ground_states([points[i] for i, _, _ in open_points],
-                               [n_cutoff for _, n_cutoff, _ in open_points])
+                               [n_cutoff for _, n_cutoff, _ in open_points],
+                               [steps for _, _, steps in open_points])
         still_open = []
-        for (i, n_cutoff, steps), gs in zip(open_points, solved):
-            params = points[i]
-            if isinstance(gs, SolverError):
-                error = SolverError(str(gs), n_cutoff, steps)
-                error.__cause__ = gs
-                converged[i] = error
-                continue
-            info = gs.convergence
-            steps.append(CutoffStep(n_cutoff, gs.energy, info.tail_population))
-            if info.tail_population < tol and info.leakage < tol * max(1.0, abs(gs.energy)):
-                converged[i] = replace(gs, convergence=replace(info, steps=tuple(steps)))
-                continue
-            try:
-                checked_bytes(params, 2 * n_cutoff)
-            except SolverError as exc:
-                msg = f"doubled Fock cutoff: {exc} (lam={params.lam}, tol={tol})"
-                converged[i] = ConvergenceError(msg, n_cutoff, steps)
+        for (i, _, _), gs in zip(open_points, solved):
+            if isinstance(gs, SolverError) or (
+                    gs.tail_population < tol and gs.leakage < tol * max(1.0, abs(gs.energy))):
+                converged[i] = gs
             else:
-                still_open.append((i, 2 * n_cutoff, steps))
+                still_open.append((i, 2 * gs.n_cutoff, (*gs.steps, gs.step)))
         open_points = still_open
     return converged
 

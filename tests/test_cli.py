@@ -710,9 +710,9 @@ def test_failed_point_is_named_on_stderr(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", budget)
     check_failed_sweep(tmp_path, "2", [str(n_cutoff) for n_cutoff in first], fixed=False)
     assert capsys.readouterr().err.splitlines() == [
-        f"dicke-qfi: lambda={params.lam} N=2 failed: starting Fock cutoff: n_cutoff={n_cutoff} "
-        f"at N=2 needs {nbytes} bytes, past the memory budget of {budget} bytes "
-        f"(lam={params.lam})" for params, n_cutoff, nbytes in zip(points, first, held)]
+        f"dicke-qfi: lambda={params.lam} N=2 failed: n_cutoff={n_cutoff} "
+        f"at N=2 needs {nbytes} bytes, past the memory budget of {budget} bytes"
+        for params, n_cutoff, nbytes in zip(points, first, held)]
 
 
 def test_solver_failure_mid_doubling(tmp_path, fail_solves_above):
@@ -930,6 +930,14 @@ def test_config_file_with_flag_override(tmp_path):
     assert payload["meta"]["lambda_steps"] == 2
     assert payload["meta"]["n_atoms"] == [1, 2]
     assert payload["meta"]["tol"] == 1e-8
+
+
+def test_config_file_line_without_separator(tmp_path, capsys):
+    cfg = tmp_path / "bare.cfg"
+    cfg.write_text("omega0 = 2.0\nn-atoms 50\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    assert f"{cfg}:2: expected 'key = value'" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_config_file_unknown_key(tmp_path, capsys):

@@ -31,7 +31,7 @@ from dicke_qfi.metrology import (
 )
 from dicke_qfi.model import ModelParams
 from dicke_qfi.solver import solve
-from dicke_qfi.states import SpectralDecomposition, schmidt_decompose
+from dicke_qfi.states import SpectralDecomposition, schmidt_decompose, schmidt_stack
 
 
 def pure_state(vec: np.ndarray, space: str) -> SpectralDecomposition:
@@ -392,3 +392,16 @@ def test_space_tags_enforced(squeezed_n20):
         husimi_field(atoms, np.zeros((2, 2), dtype=complex))
     with pytest.raises(ValueError):
         husimi_atoms(field, np.array([0.0]), np.array([0.0]))
+
+
+def test_one_state_functions_and_grids_reject_what_they_cannot_take():
+    # a stack handed to a one-state function, and a grid of one point per axis
+    points = [ModelParams(1.0, 1.0, lam, 2) for lam in (0.3, 0.6)]
+    field, atoms = schmidt_stack([solve(params, fock_cutoff=20) for params in points])
+    for call, state in ((qfi_field, field), (qfi_atoms, atoms), (spin_squeezing_xi2, atoms)):
+        with pytest.raises(ValueError, match="takes one state, not a stack"):
+            call(state)
+    for grid in (default_atom_grid, lambda size: default_field_grid(1.0, size)):
+        with pytest.raises(ValueError, match="at least 2 points per axis"):
+            grid(1)
+        assert all(axis.size == 2 for axis in grid(2)[:2])

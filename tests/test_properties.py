@@ -167,9 +167,9 @@ def test_banded_solver_matches_dense_eigh(omega, omega0, lam, n_atoms, n_cutoff)
     # the vector error is bounded by the residual over the gap to the next level
     assert np.linalg.norm(psi - dense) <= 1e-12 * max(1.0, scale / (energies[1] - e_dense))
     # the bracket: H - lower_bound I has a Cholesky factor, within 2 r + slack of E
-    lower = gs.convergence.lower_bound
+    lower = gs.lower_bound
     width = gs.energy - lower
-    assert 0.0 <= width <= 2 * gs.convergence.residual + BRACKET_RTOL * max(1.0, abs(gs.energy))
+    assert 0.0 <= width <= 2 * gs.residual + BRACKET_RTOL * max(1.0, abs(gs.energy))
     assert gs.energy <= e_dense + 1e-12 * abs(gs.energy)
     if lam > 0:
         # H - lower I in LAPACK upper band storage, kd = (N+1)//2 + 1 (a zero row at N = 1)
@@ -181,7 +181,7 @@ def test_banded_solver_matches_dense_eigh(omega, omega0, lam, n_atoms, n_cutoff)
         assert lapack.dpbtrf(shifted)[1] == 0
     # the coupling out of the top level, against H one Fock level up
     oracle = leakage_from_scratch(params, psi, n_cutoff)
-    assert gs.convergence.leakage == pytest.approx(oracle, rel=1e-12, abs=1e-300)
+    assert gs.leakage == pytest.approx(oracle, rel=1e-12, abs=1e-300)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -196,7 +196,7 @@ def test_banded_certificate_against_dense_block(lam, n_atoms):
     psi = gs.vector
     block = dense_hamiltonian_block(params, BasisIndexer(gs.n_cutoff, gs.params.n_atoms))
     e_dense = scipy.linalg.eigvalsh(block, subset_by_index=[0, 0])[0]
-    energy, lower, residual = gs.energy, gs.convergence.lower_bound, gs.convergence.residual
+    energy, lower, residual = gs.energy, gs.lower_bound, gs.residual
     scale = max(1.0, abs(energy))
     # the residual the solver returns is the one of the vector it returns
     assert abs(residual - np.linalg.norm(block @ psi - energy * psi)) <= 1e-13 * scale
@@ -220,8 +220,8 @@ def test_converged_energy_matches_four_times_the_cutoff(lam, ratio):
     gs = solve(params, tol)
     larger = solve(params, fock_cutoff=4 * gs.n_cutoff)
     scale = max(1.0, abs(gs.energy))
-    rho = math.hypot(gs.convergence.residual, gs.convergence.leakage)
-    assert gs.convergence.leakage < tol * scale and gs.convergence.residual < tol * scale
+    rho = math.hypot(gs.residual, gs.leakage)
+    assert gs.leakage < tol * scale and gs.residual < tol * scale
     slack = 2 * BRACKET_RTOL * scale
     assert -slack <= gs.energy - larger.energy <= rho + slack <= math.sqrt(2) * tol * scale + slack
 

@@ -60,7 +60,7 @@ def test_decoupled_ground_state():
     assert_allclose(product_vector(gs), expected, atol=1e-14)
     parity = np.diag(parity_signs_from_scratch(indexer))
     assert abs(expectation(gs, parity).real - 1.0) < 1e-12
-    assert gs.convergence.tail_population == 0.0
+    assert gs.tail_population == 0.0
 
 
 @pytest.mark.parametrize("lam", [0.6, 0.0], ids=["banded", "decoupled"])
@@ -68,7 +68,7 @@ def test_ground_state_norm_and_phase(lam):
     # H and its even block are real, so the state is stored real and sign-fixed,
     # on the even sector alone: a product-size reshape of it fails
     gs = solve(ModelParams(1.0, 1.0, lam, 3), fock_cutoff=24)
-    assert gs.convergence.lower_bound <= gs.energy
+    assert gs.lower_bound <= gs.energy
     indexer = BasisIndexer(gs.n_cutoff, gs.params.n_atoms)
     assert gs.vector.size == (indexer.dimension + 1) // 2
     with pytest.raises(ValueError):
@@ -132,11 +132,11 @@ def test_large_boson_number_converges_in_one_step(n_atoms):
     params = ModelParams(0.05, 1.0, 2.0, n_atoms)
     nb = 1600 * n_atoms
     [gs] = converge_stack([params], 1e-10)
-    assert [step.n_cutoff for step in gs.convergence.steps] == [initial_cutoff(params)]
-    assert gs.convergence.tail_population < 1e-10
-    assert gs.convergence.leakage < 1e-10 * max(1.0, abs(gs.energy))
+    assert gs.steps == () and gs.n_cutoff == initial_cutoff(params)
+    assert gs.tail_population < 1e-10
+    assert gs.leakage < 1e-10 * max(1.0, abs(gs.energy))
     [earlier] = ground_states([params], [math.ceil(nb + 10 * math.sqrt(nb)) + 20])
-    assert earlier.convergence.tail_population > 1e-10
+    assert earlier.tail_population > 1e-10
 
 
 @pytest.mark.parametrize("omega,lam", [(1e-200, 0.5), (1.0, 1e155), (1.0, 1.3e154),
@@ -158,7 +158,7 @@ def test_first_cutoff_past_the_float_range(omega, lam):
         assert outcome.steps == () and outcome.n_cutoff == dicke_qfi.solver.MEMORY_BUDGET // 8
         assert "past the memory budget" in str(outcome)
     elif lam == 0:  # the exact state at the first cutoff
-        assert outcome.n_cutoff == 20 and [s.n_cutoff for s in outcome.convergence.steps] == [20]
+        assert outcome.n_cutoff == 20 and outcome.steps == ()
         assert outcome.energy == -0.5 and outcome.vector[0] == 1.0
     else:
         assert isinstance(outcome, (GroundState, SolverError))
@@ -173,8 +173,26 @@ def test_tail_population_sums_the_top_levels_of_the_grid(n_atoms):
         grid = np.zeros(indexer.dimension)
         grid[even_indices(indexer)] = vector
         grid = grid.reshape(indexer.boson_dim, indexer.spin_dim)
-        expected = np.sum(grid[math.ceil(0.9 * (n_cutoff + 1)):] ** 2)
+        # the top 10% of the levels, and at least the top one
+        expected = np.sum(grid[min(math.ceil(0.9 * (n_cutoff + 1)), n_cutoff):] ** 2)
         assert tail_population(vector, n_atoms, n_cutoff) == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("n_cutoff", range(1, 9))
+def test_tail_population_below_cutoff_9_is_the_top_level(n_cutoff):
+    # below cutoff 9 the top 10% of the levels hold no whole level, and the tail
+    # once summed none, 0.0 whatever the state: at N = 2, lambda = 1, C = 5 the
+    # top level holds 1.03% of the weight
+    params = ModelParams(1.0, 1.0, 1.0, 2)
+    [gs] = ground_states([params], [n_cutoff])
+    indexer = BasisIndexer(n_cutoff, 2)
+    grid = np.zeros(indexer.dimension)
+    grid[even_indices(indexer)] = gs.vector
+    top = grid.reshape(indexer.boson_dim, indexer.spin_dim)[n_cutoff]
+    assert gs.tail_population == pytest.approx(top @ top, rel=1e-14)
+    assert gs.tail_population > 1e-4
+    if n_cutoff == 5:
+        assert 0.0102 < gs.tail_population < 0.0104
 
 
 @pytest.mark.parametrize("omega,omega0,lam,n_atoms", [
@@ -193,9 +211,8 @@ def test_initial_cutoff_converges_in_one_doubling(omega, omega0, lam, n_atoms):
     params = ModelParams(omega, omega0, lam, n_atoms)
     gs = solve(params, 1e-10)
     n_cutoff = gs.n_cutoff
-    assert [step.n_cutoff for step in gs.convergence.steps] == [initial_cutoff(params)]
-    assert n_cutoff == initial_cutoff(params)
-    assert gs.convergence.leakage < 1e-10 * max(1.0, abs(gs.energy))
+    assert gs.steps == () and n_cutoff == initial_cutoff(params)
+    assert gs.leakage < 1e-10 * max(1.0, abs(gs.energy))
     # E at the larger cutoff is lower, but for rounding, and by less than tol
     scale = max(1.0, abs(gs.energy))
     larger = solve(params, fock_cutoff=2 * n_cutoff)
@@ -212,8 +229,8 @@ def test_every_point_of_the_sweep_grids_converges_in_one_step(n_atoms, lam_max, 
               for n in n_atoms for lam in np.linspace(0.0, lam_max, steps)]
     for stack in stacks(points):
         for params, gs in zip(stack, converge_stack(stack, 1e-10)):
-            assert [step.n_cutoff for step in gs.convergence.steps] == [initial_cutoff(params)]
-            assert gs.convergence.leakage < 1e-10 * max(1.0, abs(gs.energy))
+            assert gs.steps == () and gs.n_cutoff == initial_cutoff(params)
+            assert gs.leakage < 1e-10 * max(1.0, abs(gs.energy))
 
 
 def test_leakage_underflows_after_a_banded_solve(monkeypatch):
@@ -227,8 +244,8 @@ def test_leakage_underflows_after_a_banded_solve(monkeypatch):
     params = ModelParams(1.0, 1.0, 1e-300, 2)
     gs = solve(params, 1e-10)
     assert calls
-    assert gs.convergence.leakage == 0.0
-    assert [step.n_cutoff for step in gs.convergence.steps] == [initial_cutoff(params)] == [20]
+    assert gs.leakage == 0.0
+    assert gs.steps == () and gs.n_cutoff == initial_cutoff(params) == 20
     assert gs.energy == -params.omega0 * params.j
 
 
@@ -237,8 +254,8 @@ def test_converge_decoupled_returns_at_start():
     gs = solve(params, 1e-10)
     n_cutoff = gs.n_cutoff
     assert n_cutoff == 20
-    assert gs.convergence.tail_population == 0.0
-    assert len(gs.convergence.steps) == 1
+    assert gs.tail_population == 0.0
+    assert gs.steps == ()
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
@@ -255,48 +272,81 @@ def test_nonpositive_tol_rejected_before_solving(tol, monkeypatch):
         converge_stack([params], tol)
 
 
+def test_point_accepted_at_its_first_cutoff_is_built_once(monkeypatch):
+    # a stack accepted at its first cutoffs: one GroundState and one budget check
+    # per point, both in ground_states, where converge_stack once checked each
+    # budget again and rebuilt each state to attach its steps
+    built, checked = [], []
+
+    class Counted(GroundState):
+        def __init__(self, *args, **kwargs):
+            built.append(args[2])
+            super().__init__(*args, **kwargs)
+
+    check = dicke_qfi.solver.checked_bytes
+    monkeypatch.setattr(dicke_qfi.solver, "GroundState", Counted)
+    monkeypatch.setattr(dicke_qfi.solver, "checked_bytes",
+                        lambda *args: checked.append(args) or check(*args))
+    points = [ModelParams(1.0, 1.0, lam, 3) for lam in (0.0, 0.3, 0.9, 1.5)]
+    outcomes = converge_stack(points, 1e-10)
+    assert [(gs.n_cutoff, gs.steps) for gs in outcomes] == [
+        (initial_cutoff(params), ()) for params in points]
+    assert built == points
+    assert checked == [(params, initial_cutoff(params)) for params in points]
+
+
 def test_converge_records_doubling_trajectory():
     # from a first cutoff too small to pass, each rejected solve is a step and the
-    # next one is a cold solve at twice the cutoff, until the certificate passes
+    # next one is a cold solve at twice the cutoff, until the certificate passes;
+    # the accepted solve is the state's own step, after its steps
     params = ModelParams(1.0, 1.0, 0.5, 4)
     [gs] = converge_stack([params], 1e-10, n_start=5)
-    steps = gs.convergence.steps
+    steps = (*gs.steps, gs.step)
     assert [step.n_cutoff for step in steps] == [5, 10, 20, 40][:len(steps)]
     assert len(steps) >= 2 and steps[-1].n_cutoff == gs.n_cutoff
     bound = 1e-10 * max(1.0, abs(gs.energy))
-    assert gs.convergence.tail_population < 1e-10 and gs.convergence.leakage < bound
+    assert gs.tail_population < 1e-10 and gs.leakage < bound
     for step in steps[:-1]:
         [rejected] = ground_states([params], [step.n_cutoff])
-        assert (rejected.energy, rejected.convergence.tail_population) == (
+        assert (rejected.energy, rejected.tail_population) == (
             step.energy, step.tail_population)
-        assert rejected.convergence.tail_population >= 1e-10 or rejected.convergence.leakage >= bound
+        assert rejected.tail_population >= 1e-10 or rejected.leakage >= bound
     [alone] = ground_states([params], [gs.n_cutoff])
     assert_same_bits(alone, gs)
 
 
 def test_converge_hard_cap_raises_with_steps(monkeypatch):
     # the memory budget bounds the doubling: with room for cutoff 40 and not 80,
-    # a point that needs n_cutoff ~ 200 stops at 40 with its steps
+    # a point that needs n_cutoff ~ 200 is refused at 80, the cutoff it was not
+    # solved at, with its rejected steps at 20 and 40
     params = ModelParams(1.0, 1.0, 2.0, 6)
     monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", solve_bytes(params, 40))
     [error] = converge_stack([params], 1e-10, n_start=20)
     assert isinstance(error, ConvergenceError)
-    assert len(error.steps) >= 1
-    assert error.n_cutoff == error.steps[-1].n_cutoff == 40
+    assert [step.n_cutoff for step in error.steps] == [20, 40]
+    assert error.n_cutoff == 80
     assert f"n_cutoff=80 at N=6 needs {solve_bytes(params, 80)} bytes," in str(error)
+
+
+def forbid_allocation(monkeypatch, message):
+    """Fail the test with ``message`` once anything of a round is allocated: a basis
+    skeleton, a block written into the band or the start vectors."""
+    def no_allocation(*args, **kwargs):
+        raise AssertionError(message)
+
+    for module, name in ((dicke_qfi.model, "write_even_block"), (dicke_qfi.model, "_skeleton"),
+                         (dicke_qfi.solver, "write_even_block"),
+                         (dicke_qfi.solver, "start_vectors")):
+        monkeypatch.setattr(module, name, no_allocation)
 
 
 def test_converge_start_above_hard_cap_fails_before_solving(monkeypatch):
     # lam = 1e5 at N = 1000 starts at about 1e13 Fock levels
     params = ModelParams(1.0, 1.0, 1e5, 1000)
     start = initial_cutoff(params)
-    with pytest.raises(SolverError, match="past the memory budget"):
+    with pytest.raises(ConvergenceError, match="past the memory budget"):
         checked_bytes(params, start)
-
-    def no_solve(*args, **kwargs):
-        raise AssertionError("a start past the memory budget must not be solved")
-
-    monkeypatch.setattr(dicke_qfi.solver, "ground_states", no_solve)
+    forbid_allocation(monkeypatch, "a start past the memory budget must not be allocated")
     with pytest.raises(ConvergenceError) as excinfo:
         solve(params, 1e-10)
     assert excinfo.value.n_cutoff == start
@@ -312,22 +362,18 @@ def test_converge_start_above_hard_cap_fails_before_solving(monkeypatch):
 def test_point_that_cannot_double_fails_before_its_first_solve(monkeypatch):
     # the budget is checked at the first cutoff alone, which is the one solved:
     # at lambda = 2, N = 550 starts at 2986 (0.91 budgets) and fits, and N = 600
-    # at 3231 (1.17 budgets) is refused before any solve, with its first cutoff
+    # at 3231 (1.17 budgets) is refused before anything is allocated, with its
+    # first cutoff
     fits, past = ModelParams(1.0, 1.0, 2.0, 550), ModelParams(1.0, 1.0, 2.0, 600)
     assert initial_cutoff(fits) == 2986
     assert checked_bytes(fits, 2986) <= dicke_qfi.solver.MEMORY_BUDGET
-
-    def no_solve(*args, **kwargs):
-        raise AssertionError("a point past the budget must not be solved")
-
-    monkeypatch.setattr(dicke_qfi.solver, "ground_states", no_solve)
+    forbid_allocation(monkeypatch, "a point past the budget must not be allocated")
     [error] = converge_stack([past])
     assert isinstance(error, ConvergenceError)
     assert error.n_cutoff == 3231 and error.steps == ()
     assert str(error) == (
-        f"starting Fock cutoff: n_cutoff=3231 at N=600 needs {solve_bytes(past, 3231)} "
-        f"bytes, past the memory budget of {dicke_qfi.solver.MEMORY_BUDGET} bytes "
-        f"(lam=2.0)")
+        f"n_cutoff=3231 at N=600 needs {solve_bytes(past, 3231)} bytes, "
+        f"past the memory budget of {dicke_qfi.solver.MEMORY_BUDGET} bytes")
 
 
 def test_solver_error_keeps_completed_steps(fail_solves_above):
@@ -406,7 +452,7 @@ def test_banded_matches_dense_above_threshold(n_atoms, lam, n_cutoff):
     gs = solve(params, fock_cutoff=n_cutoff)
     assert abs(gs.energy - energies[0]) < 1e-12
     assert abs(abs(np.vdot(vecs[:, 0], gs.vector)) - 1.0) < 1e-12
-    assert gs.convergence.lower_bound <= energies[0]
+    assert gs.lower_bound <= energies[0]
     again = solve(params, fock_cutoff=n_cutoff)
     assert again.energy == gs.energy
     assert np.array_equal(again.vector, gs.vector)
@@ -434,7 +480,7 @@ def test_warm_start_matches_cold_dense_solve(n_atoms, lam, monkeypatch):
     params = ModelParams(1.0, 1.0, lam, n_atoms)
     gs = solve(params, 1e-10)
     n_cutoff = gs.n_cutoff
-    assert [step.n_cutoff for step in gs.convergence.steps] == [initial_cutoff(params)]
+    assert gs.steps == () and n_cutoff == initial_cutoff(params)
     # inverse iteration solves the stack's band, where a stack of one holds the
     # block between kd zero rows on each side
     kd = max(written_round([params], [n_cutoff])[2][0][1])
@@ -453,7 +499,7 @@ def test_warm_start_matches_cold_dense_solve(n_atoms, lam, monkeypatch):
     del block
     assert abs(gs.energy - energies[0]) <= 1e-12 * max(1.0, abs(energies[0]))
     assert abs(np.vdot(vecs[:, 0], gs.vector)) >= 1.0 - 1e-12
-    assert gs.convergence.lower_bound <= energies[0]
+    assert gs.lower_bound <= energies[0]
     again = solve(params, 1e-10)
     assert again.energy == gs.energy
     assert np.array_equal(again.vector, gs.vector)
@@ -538,9 +584,9 @@ def test_banded_factorization_counts(n_atoms, lam_max, steps, max_dpbtrf, parent
     for stack in stacks(points):
         for gs in converge_stack(stack, 1e-10):
             if gs.params.lam > 0:  # lam = 0 is exact and factors nothing
-                width = gs.energy - gs.convergence.lower_bound
+                width = gs.energy - gs.lower_bound
                 slack = BRACKET_RTOL * max(1.0, abs(gs.energy))
-                assert 0.0 <= width <= 2 * gs.convergence.residual + slack
+                assert 0.0 <= width <= 2 * gs.residual + slack
     # every block is a point's first cutoff, written once
     assert [at_first for _, at_first, _ in blocks.values()] == [True] * sum(
         p.lam > 0 for p in points)
@@ -560,22 +606,22 @@ def test_residual_certificate(n_atoms, lam, n_cutoff):
         n_cutoff = gs.n_cutoff
         [fixed] = ground_states([params], [n_cutoff])
         assert_same_bits(fixed, gs)
-        assert fixed.convergence.leakage == gs.convergence.leakage
-        assert fixed.convergence.steps == () and len(gs.convergence.steps) == 1
+        assert fixed.leakage == gs.leakage
+        assert fixed.steps == () == gs.steps
     else:
         gs = solve(params, fock_cutoff=n_cutoff)
     psi = gs.vector
     block = dense_hamiltonian_block(params, BasisIndexer(gs.n_cutoff, gs.params.n_atoms))
     recomputed = np.linalg.norm(block @ psi - gs.energy * psi)
     bound = 1e-12 * max(1.0, abs(gs.energy))
-    assert 0.0 <= gs.convergence.residual <= bound
+    assert 0.0 <= gs.residual <= bound
     assert recomputed <= bound
     # the energy bracket: a proven lower bound within 2 r + slack of E
-    width = gs.energy - gs.convergence.lower_bound
-    assert 0.0 < width <= 2 * gs.convergence.residual + BRACKET_RTOL * max(1.0, abs(gs.energy))
+    width = gs.energy - gs.lower_bound
+    assert 0.0 < width <= 2 * gs.residual + BRACKET_RTOL * max(1.0, abs(gs.energy))
     # the coupling out of the top level, against H one Fock level up
     oracle = leakage_from_scratch(params, psi, n_cutoff)
-    assert gs.convergence.leakage == pytest.approx(oracle, rel=1e-12, abs=1e-300)
+    assert gs.leakage == pytest.approx(oracle, rel=1e-12, abs=1e-300)
 
 
 def test_residual_measures_returned_vector(monkeypatch):
@@ -589,7 +635,7 @@ def test_residual_measures_returned_vector(monkeypatch):
 
     monkeypatch.setattr(lapack, "dpbtrs", perturbed)
     gs = solve(ModelParams(1.0, 1.0, 0.5, 3), fock_cutoff=20)
-    assert gs.convergence.residual > 1e-8
+    assert gs.residual > 1e-8
 
 
 def test_bound_lapack_matches_scipy_linalg_lapack():
@@ -658,8 +704,8 @@ def test_out_of_memory_is_a_solver_error_at_its_cutoff(monkeypatch):
 
 def assert_same_bits(gs, other):
     """Two ground states of one point, equal bit for bit."""
-    assert (gs.n_cutoff, gs.energy, gs.convergence.residual, gs.convergence.lower_bound) == (
-        other.n_cutoff, other.energy, other.convergence.residual, other.convergence.lower_bound)
+    assert (gs.n_cutoff, gs.energy, gs.residual, gs.lower_bound) == (
+        other.n_cutoff, other.energy, other.residual, other.lower_bound)
     assert gs.vector.tobytes() == other.vector.tobytes()
 
 
@@ -824,6 +870,12 @@ def test_stacks_follow_atom_number_budget_and_cap():
     assert [len(stack) for stack in stacks(points[3:6], n_start=400)] == [1, 1, 1]
     with pytest.raises(ValueError):
         ground_states(points[2:4], [20, 20])
+    with pytest.raises(ValueError, match="one entry per point"):
+        ground_states(points[:2], [20])
+    with pytest.raises(ValueError, match="one entry per point"):
+        ground_states(points[:2], [20, 20], [()])
+    with pytest.raises(ValueError, match="n_cutoff must be >= 1"):
+        ground_states(points[:2], [20, 0])
 
 
 @pytest.mark.parametrize("n_atoms", range(1, 41))
@@ -893,23 +945,14 @@ def test_fixed_cutoff_past_budget_fails_before_allocating(entry, lam, monkeypatc
     budget = solve_bytes(params, 40)
     monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", budget)
     assert outcome(40).n_cutoff == 40
-
-    def no_allocation(*args, **kwargs):
-        raise AssertionError("a cutoff past the memory budget must not be allocated")
-
-    for module, name in ((dicke_qfi.model, "write_even_block"), (dicke_qfi.model, "_skeleton"),
-                         (dicke_qfi.solver, "write_even_block"),
-                         (dicke_qfi.solver, "start_vectors")):
-        monkeypatch.setattr(module, name, no_allocation)
+    forbid_allocation(monkeypatch, "a cutoff past the memory budget must not be allocated")
     error = outcome(41)
-    assert type(error) is SolverError and error.n_cutoff == 41 and error.steps == ()
+    assert type(error) is ConvergenceError and error.n_cutoff == 41 and error.steps == ()
     assert str(error) == (f"n_cutoff=41 at N=2 needs {solve_bytes(params, 41)} bytes, "
                           f"past the memory budget of {budget} bytes")
     # the default budget: a block of more positions than the budget has floats
     monkeypatch.undo()
-    for module, name in ((dicke_qfi.solver, "write_even_block"),
-                         (dicke_qfi.solver, "start_vectors")):
-        monkeypatch.setattr(module, name, no_allocation)
+    forbid_allocation(monkeypatch, "a cutoff past the memory budget must not be allocated")
     huge = dicke_qfi.solver.MEMORY_BUDGET // 8
     assert isinstance(outcome(huge), SolverError) and outcome(huge).n_cutoff == huge
 
@@ -927,7 +970,7 @@ def test_one_byte_short_of_the_band_is_refused(n_atoms, n_cutoff, lam):
         assert checked_bytes(params, n_cutoff) == held
         patch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", held - 1)
         [refused] = ground_states([params], [n_cutoff])
-    assert type(refused) is SolverError
+    assert type(refused) is ConvergenceError
     assert str(refused) == (f"n_cutoff={n_cutoff} at N={n_atoms} needs {held} bytes, "
                             f"past the memory budget of {held - 1} bytes")
     assert refused.n_cutoff == n_cutoff and refused.steps == ()
@@ -961,7 +1004,7 @@ def test_small_n_past_budget_never_takes_lanczos(monkeypatch):
     monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", solve_bytes(params, 60) - 1)
     with pytest.raises(SolverError, match="past the memory budget"):
         solve(params, fock_cutoff=60)
-    assert solve(params, fock_cutoff=59).convergence.lower_bound is not None
+    assert solve(params, fock_cutoff=59).lower_bound is not None
 
 
 def test_point_past_budget_fails_before_its_round(monkeypatch):

@@ -23,7 +23,7 @@ from dicke_qfi.model import (
     tail_population,
 )
 from dicke_qfi.solver import ground_states, solve
-from dicke_qfi.states import SpectralDecomposition, schmidt_decompose
+from dicke_qfi.states import SpectralDecomposition, schmidt_decompose, schmidt_stack
 
 
 @pytest.fixture(scope="module")
@@ -159,3 +159,13 @@ def test_schmidt_matches_partial_trace_spectra(n_atoms, n_cutoff, stacked, lam):
         assert np.max(np.abs(rebuilt[:size, :size] - _rebuild(oracle))) < 1e-12
         assert not rebuilt[size:].any() and not rebuilt[:, size:].any()
         assert abs(schmidt.discarded_mass - oracle.discarded_mass) < 1e-12
+
+
+def test_schmidt_stack_takes_one_padded_shape():
+    # cutoffs 20 and 40 pad to capacities 32 and 64: one batched SVD cannot take both
+    params = ModelParams(1.0, 1.0, 0.5, 2)
+    states = [solve(params, fock_cutoff=n_cutoff) for n_cutoff in (20, 40)]
+    with pytest.raises(ValueError, match="one padded shape"):
+        schmidt_stack(states)
+    field, atoms = schmidt_stack(states[:1])
+    assert field.weights.shape[0] == atoms.weights.shape[0] == 1
