@@ -11,8 +11,7 @@ reason.
 in stacks, runs of consecutive points of one N that the solver solves
 together, hands each stack's solved states to the mode's point function,
 and yields each point's result in output order.  ``sweep`` and ``husimi``
-decompose each run of a stack's points whose amplitude grids pad to one
-shape, and whose bytes fit the solver's budget together, with one batched
+decompose each of a stack's ``states.schmidt_runs`` with one batched
 Schmidt SVD; a sweep forms the run's rows in one batched observable pass,
 and ``husimi`` forms and writes one point's grids at a time, so it holds
 one point's grids and the Schmidt decompositions of one run.
@@ -34,7 +33,7 @@ import math
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import astuple, dataclass, field, fields
-from itertools import chain, groupby, repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -44,16 +43,16 @@ from .errors import SolverError
 from .metrology import (
     ATOM_GRID_POINTS,
     FIELD_GRID_POINTS,
-    _mean_number,
     default_atom_grid,
     default_field_grid,
     husimi_atoms,
     husimi_field,
+    mean_number,
     sweep_observables,
 )
-from .model import ModelParams, padded_shape
+from .model import ModelParams
 from .solver import DEFAULT_TOL, GroundState, converge_stack, solve_stack
-from .states import SpectralDecomposition, schmidt_bytes, schmidt_stack
+from .states import SpectralDecomposition, schmidt_runs
 from .thermo import (
     critical_amplitudes,
     qfi_atoms_thermo,
@@ -232,10 +231,12 @@ def map_points(config: SweepConfig, solve, point, failure, failed: list) -> Iter
     """Yield the result of every (N, lambda) point's ground state, in output order.
 
     The points are cut into stacks by ``solver.stacks``, and ``solve(stack,
-    config)`` gives each point of a stack its GroundState or SolverError.
+    config)`` gives each point of a stack its GroundState or the SolverError
+    it failed with: the solver returns every failure, a MemoryError included.
     ``point(states, config)`` yields one result for each of a stack's solved
     states, in order.  A point whose solve failed, or whose result raised
-    SolverError or MemoryError, yields ``failure(params, exc)`` instead:
+    SolverError or MemoryError alone (``_one_at_a_time``), yields
+    ``failure(params, exc)`` instead:
     before it is yielded, [lambda, N] is appended to ``failed`` and one line
     naming the point and the error's message is printed to stderr.  Serially
     each stack is solved when its first result is asked for, and a result
@@ -280,9 +281,9 @@ def _in_order(outcomes, points: list[ModelParams], failed: list) -> Iterator:
 def _attempt(solve, point, failure, stack: list[ModelParams], config: SweepConfig) -> Iterator:
     """Each point's result, or its failure's with the error's message (None when it was
     solved), formed as it is taken."""
-    states = list(_one_at_a_time(solve, stack, config, _unsolved))
+    states = solve(stack, config)
     results = _one_at_a_time(point, [gs for gs in states if not isinstance(gs, SolverError)],
-                             config, _unobserved)
+                             config)
     for params, gs in zip(stack, states):
         result = gs if isinstance(gs, SolverError) else next(results)
         if isinstance(result, SolverError):
@@ -292,44 +293,32 @@ def _attempt(solve, point, failure, stack: list[ModelParams], config: SweepConfi
         del result  # not held while the next point's result is formed
 
 
-def _one_at_a_time(stage, items: list, config: SweepConfig, error) -> Iterator:
-    """``stage(items, config)``'s result for each of ``items``, in order, or the SolverError
-    that failed it.
+def _one_at_a_time(point, states: list[GroundState], config: SweepConfig) -> Iterator:
+    """``point(states, config)``'s result for each of ``states``, in order, or the
+    SolverError that failed it.
 
-    When the stage raises SolverError or MemoryError, the items it has not
-    yet given a result for are taken again one at a time, so only an item
-    that fails alone gets an error, ``error(item, config, exc)``; the others
-    get the bits they would have had.  The solver maps its own errors; this
-    covers the bookkeeping around it and the results formed after it.
+    When ``point`` raises SolverError or MemoryError, the states it has not
+    yet given a result for are taken again one at a time, so only a state
+    whose result fails alone gets an error: at its cutoff, with its steps
+    and its own solve last.  The others get the bits they would have had.
     """
     done = 0
     try:
-        for result in stage(items, config):
+        for result in point(states, config):
             yield result
             del result  # not held while the next result is formed
             done += 1
         return
     except (SolverError, MemoryError):
         pass
-    for item in items[done:]:
+    for gs in states[done:]:
         try:
-            (result,) = stage([item], config)
+            (result,) = point([gs], config)
         except (SolverError, MemoryError) as exc:
-            result = error(item, config, exc)
+            result = SolverError(f"{type(exc).__name__}: {exc}", gs.n_cutoff,
+                                 (*gs.steps, gs.step))
         yield result
         del result
-
-
-def _unsolved(params: ModelParams, config: SweepConfig, exc: Exception) -> SolverError:
-    """A point whose solve failed alone: it failed at its first cutoff, with no steps done."""
-    first = solver.initial_cutoff(params) if config.fock_cutoff is None else config.fock_cutoff
-    return SolverError(f"{type(exc).__name__}: {exc}", first)
-
-
-def _unobserved(gs: GroundState, config: SweepConfig, exc: Exception) -> SolverError:
-    """A solved point whose result failed alone: its state's cutoff, and its steps with its
-    own solve last."""
-    return SolverError(f"{type(exc).__name__}: {exc}", gs.n_cutoff, (*gs.steps, gs.step))
 
 
 def _attempt_all(solve, point, failure, stack: list[ModelParams], config: SweepConfig) -> list:
@@ -347,22 +336,13 @@ def _converge(stack: list[ModelParams], config: SweepConfig) -> list:
     return converge_stack(stack, config.tol, n_start=config.fock_cutoff)
 
 
-def _schmidt_runs(states: list[GroundState]) -> Iterator[tuple]:
-    """Each run of consecutive states whose amplitude grids pad to one shape and whose
-    ``schmidt_bytes`` fit the solver's budget together (``solver.fitting_runs``), with its
-    stacked (field, atoms) reduced states from one batched SVD, formed as it is taken."""
-    for _, run in groupby(states, key=lambda gs: padded_shape(gs.params.n_atoms, gs.n_cutoff)):
-        for part in solver.fitting_runs(list(run), schmidt_bytes):
-            yield part, *schmidt_stack(part)
-
-
 def compute_sweep_records(states: list[GroundState], config: SweepConfig) -> Iterator[SweepRecord]:
     """The sweep row of each solved (N, lambda) point, in order.
 
-    Each ``_schmidt_runs`` run's observables are formed in one batched pass,
+    Each ``states.schmidt_runs`` run's observables are formed in one batched pass,
     when its first row is asked for.
     """
-    for run, field, atoms in _schmidt_runs(states):
+    for run, field, atoms in schmidt_runs(states):
         obs = sweep_observables(field, atoms)
         observed = zip(*(column.tolist() for column in (
             obs.nbar, obs.f_b.value, obs.f_b.scaled, obs.f_a.value, obs.f_a.scaled, obs.xi2,
@@ -376,7 +356,8 @@ def compute_sweep_records(states: list[GroundState], config: SweepConfig) -> Ite
 
 def _failed_sweep_record(params: ModelParams, exc: SolverError) -> SweepRecord:
     """A failed point's NaN row; its n_cutoff is that of the solve that failed or was refused."""
-    return SweepRecord(params.lam, params.n_atoms, exc.n_cutoff, *[math.nan] * 11)
+    return SweepRecord(params.lam, params.n_atoms, exc.n_cutoff,
+                       *[math.nan] * (len(SweepRecord._fields) - 3))
 
 
 def run_sweep(config: SweepConfig) -> tuple[list[SweepRecord], list[list]]:
@@ -389,17 +370,17 @@ def run_sweep(config: SweepConfig) -> tuple[list[SweepRecord], list[list]]:
 def compute_husimi_grids(states: list[GroundState], config: SweepConfig) -> Iterator[dict]:
     """Husimi grids of both subsystems at each solved point, in order, as float64 arrays.
 
-    Each ``_schmidt_runs`` run gives its field grids' mean numbers in one
-    batched pass; each point's grids are formed when they are asked for, so
-    one point's grids are held at a time.
+    Each point's grids are formed from its ``states.schmidt_runs`` run when
+    they are asked for, so one point's grids are held at a time.
     """
     points = config.grid_points
     atom_axes = default_atom_grid(ATOM_GRID_POINTS if points is None else points)
     field_points = FIELD_GRID_POINTS if points is None else points
-    for run, field, atoms in _schmidt_runs(states):
-        for i, (gs, nbar) in enumerate(zip(run, _mean_number(field).tolist())):
-            field_axes = default_field_grid(nbar, field_points)
-            yield _husimi_grid(gs.params, field[i], atoms[i], atom_axes, field_axes)
+    for run, field, atoms in schmidt_runs(states):
+        for i, gs in enumerate(run):
+            state = field[i]
+            field_axes = default_field_grid(mean_number(state), field_points)
+            yield _husimi_grid(gs.params, state, atoms[i], atom_axes, field_axes)
 
 
 def _husimi_grid(params: ModelParams, field: SpectralDecomposition, atoms: SpectralDecomposition,

@@ -110,11 +110,11 @@ def _load_flapack():
 lapack = _load_flapack()
 
 #: bytes that one point's solve may hold, and that a round's run of banded
-#: blocks, or a run of batched Schmidt steps, may hold together, by
-#: ``solve_bytes``.  Fixed rather than read from the host, so that which
-#: points are refused does not depend on the host.  2 GiB holds the first
-#: cutoff of every point up to N = 567 at lambda = 2 (2.0 GiB there) and
-#: fits a CI runner
+#: blocks, by ``solve_bytes``, or a run of batched Schmidt steps, by
+#: ``states.schmidt_bytes``, may hold together.  Fixed rather than read from
+#: the host, so that which points are refused does not depend on the host.
+#: 2 GiB holds the first cutoff of every point up to N = 567 at lambda = 2
+#: (2.0 GiB there) and fits a CI runner
 MEMORY_BUDGET = 2**31
 
 #: default tolerance for both the tail-population and leakage tests
@@ -213,17 +213,22 @@ def checked_bytes(params: ModelParams, n_cutoff: int) -> int:
     return held
 
 
-def fitting_runs(items: Sequence, held: Callable[..., int]) -> Iterator[list]:
-    """``items`` in order, cut into runs whose ``held`` bytes sum to at most MEMORY_BUDGET.
+def fitting_runs(
+    items: Sequence, held: Callable[..., int], budget: int | None = None,
+    max_items: int | None = None,
+) -> Iterator[list]:
+    """``items`` in order, cut into runs whose ``held`` sizes sum to at most ``budget``,
+    MEMORY_BUDGET when None, each of at most ``max_items`` items when that is given.
 
-    A run ends before the item that would take it past the budget, so an
-    item past the budget alone is a run of its own.
+    A run ends before the item that would take it past the budget or the
+    count, so an item past the budget alone is a run of its own.
     """
+    budget = MEMORY_BUDGET if budget is None else budget
     run: list = []
     used = 0
     for item in items:
         cost = held(item)
-        if run and used + cost > MEMORY_BUDGET:
+        if run and (used + cost > budget or (max_items is not None and len(run) >= max_items)):
             yield run
             run, used = [], 0
         run.append(item)
@@ -239,26 +244,18 @@ def stacks(
 
     A stack is a run of consecutive points of one N, at most ``max_points``
     of them, whose bands at the first cutoff (``n_start``, or each point's
-    ``initial_cutoff``) fit STACK_ELEMENTS with each point's fixed charge.
+    ``initial_cutoff``) fit STACK_ELEMENTS with each point's fixed charge,
+    cut by ``fitting_runs``.
     """
     n_start = None if n_start is None else _as_cutoff(n_start, "n_start")
-    cut: list[list[ModelParams]] = []
-    used = 0
-    for params in points:
-        n_atoms = params.n_atoms
-        kd = band_width(n_atoms)
+
+    def charge(params: ModelParams) -> int:
+        kd = band_width(params.n_atoms)
         n_cutoff = initial_cutoff(params) if n_start is None else n_start
-        cost = (kd + 1) * (even_size(n_atoms, n_cutoff) + kd) + STACK_ELEMENTS // 32
-        last = cut[-1] if cut else None
-        if (last is not None and last[0].n_atoms == n_atoms
-                and used + cost <= STACK_ELEMENTS
-                and (max_points is None or len(last) < max_points)):
-            last.append(params)
-            used += cost
-        else:
-            cut.append([params])
-            used = cost
-    return cut
+        return (kd + 1) * (even_size(params.n_atoms, n_cutoff) + kd) + STACK_ELEMENTS // 32
+
+    return [stack for _, run in itertools.groupby(points, key=operator.attrgetter("n_atoms"))
+            for stack in fitting_runs(list(run), charge, STACK_ELEMENTS, max_points)]
 
 
 def ground_states(
@@ -272,11 +269,13 @@ def ground_states(
     state is the exact |0>|j,-j>.  Each point gets its GroundState,
     sign-fixed so its largest amplitude is positive, with its tail
     population and ``leakage``, or the SolverError it failed with at its
-    cutoff, a MemoryError included, each with the point's earlier ``steps``,
-    none by default; a failure leaves the other points' results as they
-    are.  ``checked_bytes`` refuses each point past the budget before
-    anything of the round is allocated; the lam > 0 blocks are written and
-    solved in ``fitting_runs``, one band per run.
+    cutoff, each with the point's earlier ``steps``, none by default.  A
+    MemoryError in a point's solve, or while its record is formed, is that
+    point's SolverError, so no error of a point escapes; a failure leaves
+    the other points' results as they are.  ``checked_bytes`` refuses each
+    point past the budget before anything of the round is allocated; the
+    lam > 0 blocks are written and solved in ``fitting_runs``, one band per
+    run.
     """
     cutoffs = [_as_cutoff(n_cutoff, "n_cutoff") for n_cutoff in cutoffs]
     if steps is None:
@@ -315,13 +314,18 @@ def ground_states(
         for i, outcome in zip(run, outcomes):
             solved[i] = outcome
     for i, (params, n_cutoff, outcome) in enumerate(zip(points, cutoffs, solved)):
+        if not isinstance(outcome, SolverError):
+            energy, vector, residual, lower_bound = outcome
+            try:
+                outcome = GroundState(energy, vector, params, n_cutoff,
+                                      tail_population(vector, params.n_atoms, n_cutoff),
+                                      leakage(vector, params, n_cutoff), residual, lower_bound,
+                                      steps[i])
+            except MemoryError as exc:
+                outcome = _out_of_memory(exc, n_cutoff)
         if isinstance(outcome, SolverError):
             outcome.steps = steps[i]
-            continue
-        energy, vector, residual, lower_bound = outcome
-        solved[i] = GroundState(energy, vector, params, n_cutoff,
-                                tail_population(vector, params.n_atoms, n_cutoff),
-                                leakage(vector, params, n_cutoff), residual, lower_bound, steps[i])
+        solved[i] = outcome
     return solved
 
 

@@ -8,7 +8,8 @@ it runs one batched SVD over their zero-padded amplitude grids, which
 ``model`` alone lays out (``model.amplitude_grids``), each in the first
 rows of a slab of its ``model.padded_shape``.  The padding depends on the
 point alone, so a point's bits do not depend on the stack it is decomposed
-in; ``schmidt_decompose`` is the same SVD on a stack of one.
+in; ``schmidt_decompose`` is the same SVD on a stack of one, and
+``schmidt_runs`` cuts any list of states into the stacks it takes.
 
 A SpectralDecomposition holds one state, or a stack of states along a
 leading axis.  Weights at or below DEFAULT_WEIGHT_FLOOR are set to 0 with
@@ -20,15 +21,16 @@ eigenvectors.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Literal
 
 import numpy as np
 
 from .errors import SolverError
 from .model import amplitude_grids, padded_shape
-from .solver import GroundState
+from .solver import GroundState, fitting_runs
 
 #: the subsystem a reduced state lives on: the field mode or the collective spin
 Space = Literal["boson", "spin"]
@@ -115,6 +117,18 @@ def schmidt_stack(
     return (SpectralDecomposition(weights, u, "boson", discarded, levels),
             SpectralDecomposition(weights, np.ascontiguousarray(vt.swapaxes(-1, -2)), "spin",
                                   discarded))
+
+
+def schmidt_runs(
+    states: Sequence[GroundState],
+) -> Iterator[tuple[list[GroundState], SpectralDecomposition, SpectralDecomposition]]:
+    """Each run of consecutive ``states`` whose amplitude grids pad to one shape and whose
+    ``schmidt_bytes`` fit the solver's memory budget together (``solver.fitting_runs``),
+    with its stacked (field, atoms) reduced states from one ``schmidt_stack``, formed as
+    the run is taken."""
+    for _, run in groupby(states, key=lambda gs: padded_shape(gs.params.n_atoms, gs.n_cutoff)):
+        for part in fitting_runs(list(run), schmidt_bytes):
+            yield part, *schmidt_stack(part)
 
 
 def schmidt_decompose(gs: GroundState) -> tuple[SpectralDecomposition, SpectralDecomposition]:

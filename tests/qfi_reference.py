@@ -4,7 +4,8 @@ The library computes every observable from a Schmidt decomposition and
 ladder rules; the dense forms here are what those are checked against.
 The library names a basis by (N, n_cutoff) alone; the boson-major
 ``BasisIndexer``, its flat index and the parity signs read off it serve
-only these dense forms.  ``ultrastrong_reference`` gives the deep-coupling
+only these dense forms.  ``stacks_from_scratch`` is the solver's stack cut
+written as one loop.  ``ultrastrong_reference`` gives the deep-coupling
 limits the finite-N results approach.
 """
 
@@ -16,7 +17,14 @@ import numpy as np
 import scipy.linalg
 
 from dicke_qfi.metrology import QfiResult, _qfi
-from dicke_qfi.model import ModelParams, coupling_offsets, even_size, write_even_block
+from dicke_qfi.model import (
+    ModelParams,
+    band_width,
+    coupling_offsets,
+    even_size,
+    write_even_block,
+)
+from dicke_qfi.solver import STACK_ELEMENTS, initial_cutoff
 from dicke_qfi.states import DEFAULT_WEIGHT_FLOOR, SpectralDecomposition, Space
 
 
@@ -241,6 +249,31 @@ def written_round(points: list[ModelParams], cutoffs: list[int]):
     blocks = [write_even_block(params, n_cutoff, diagonal, upper, row)
               for params, n_cutoff, row in zip(points, cutoffs, rows)]
     return (diagonal, upper), rows, blocks
+
+
+def stacks_from_scratch(
+    points: list[ModelParams], n_start: int | None = None, max_points: int | None = None
+) -> list[list[ModelParams]]:
+    """``solver.stacks`` as one greedy loop: a point joins the last stack when that
+    stack is of its N, holds fewer than ``max_points`` points and has room for its
+    charge within STACK_ELEMENTS; otherwise it starts a stack of its own."""
+    cut: list[list[ModelParams]] = []
+    used = 0
+    for params in points:
+        n_atoms = params.n_atoms
+        kd = band_width(n_atoms)
+        n_cutoff = initial_cutoff(params) if n_start is None else n_start
+        cost = (kd + 1) * (even_size(n_atoms, n_cutoff) + kd) + STACK_ELEMENTS // 32
+        last = cut[-1] if cut else None
+        if (last is not None and last[0].n_atoms == n_atoms
+                and used + cost <= STACK_ELEMENTS
+                and (max_points is None or len(last) < max_points)):
+            last.append(params)
+            used += cost
+        else:
+            cut.append([params])
+            used = cost
+    return cut
 
 
 def dense_hamiltonian_block(params: ModelParams, indexer: BasisIndexer) -> np.ndarray:

@@ -25,6 +25,7 @@ import dicke_qfi.model
 import dicke_qfi.solver
 import dicke_qfi.states
 from dicke_qfi.cli import (
+    FORMATS,
     HUSIMI_COLUMNS,
     MAX_ATOMS,
     MAX_GRID_POINTS,
@@ -582,8 +583,8 @@ def test_schmidt_runs_fit_the_budget(monkeypatch):
     budget = 3 * dicke_qfi.states.schmidt_bytes(states[0])
     monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", budget)
     runs = []
-    schmidt_stack = dicke_qfi.cli.schmidt_stack
-    monkeypatch.setattr(dicke_qfi.cli, "schmidt_stack",
+    schmidt_stack = dicke_qfi.states.schmidt_stack
+    monkeypatch.setattr(dicke_qfi.states, "schmidt_stack",
                         lambda run: runs.append(len(run)) or schmidt_stack(run))
     tracemalloc.start()
     try:
@@ -738,30 +739,21 @@ def test_solver_failure_mid_doubling(tmp_path, fail_solves_above):
     assert "failed_points=[[1.0, 2]]" in footer[0]
 
 
-def _out_of_memory_for_n3(tmp_path, monkeypatch, stacks_only: bool):
-    """Run a sweep of N = 2 and 3 with a MemoryError raised around the solver for
-    N = 3's stack, or only for its stacks of more than one point, and return the
-    argv, the path of the unpatched run's output and the path of the patched one."""
+def test_out_of_memory_around_the_solver_fails_its_stack(tmp_path, monkeypatch):
+    # a MemoryError while the solver forms N = 3's records fails those points at
+    # their first cutoffs, 29 and 31; N = 2's rows keep the bytes of an unpatched run
     args = ["sweep", "--n-atoms", "2", "--n-atoms", "3", "--lambda-min", "0.4",
             "--lambda-max", "0.5", "--lambda-steps", "2"]
     expected, out = tmp_path / "expected.csv", tmp_path / "out.csv"
     assert main([*args, "--out", str(expected)]) == 0
-    solve_stack = dicke_qfi.cli._solve
+    tail = dicke_qfi.solver.tail_population
 
-    def out_of_memory(stack, config):
-        if stack[0].n_atoms == 3 and (len(stack) > 1 or not stacks_only):
-            raise MemoryError("no room for the stack")
-        return solve_stack(stack, config)
+    def out_of_memory(vector, n_atoms, n_cutoff):
+        if n_atoms == 3:
+            raise MemoryError("no room for the tail")
+        return tail(vector, n_atoms, n_cutoff)
 
-    monkeypatch.setattr(dicke_qfi.cli, "_solve", out_of_memory)
-    return args, expected, out
-
-
-def test_out_of_memory_around_the_solver_fails_its_stack(tmp_path, monkeypatch):
-    # a MemoryError that the solver does not map, raised for N = 3's stack and for
-    # each of its points alone, fails those points at their first cutoffs, 29 and 31;
-    # N = 2's rows keep the bytes of an unpatched run
-    args, expected, out = _out_of_memory_for_n3(tmp_path, monkeypatch, stacks_only=False)
+    monkeypatch.setattr(dicke_qfi.solver, "tail_population", out_of_memory)
     assert main([*args, "--out", str(out)]) == 4
     _, rows, footer = read_csv_rows(out)
     _, expected_rows, _ = read_csv_rows(expected)
@@ -771,12 +763,66 @@ def test_out_of_memory_around_the_solver_fails_its_stack(tmp_path, monkeypatch):
     assert "failed_points=[[0.4, 3], [0.5, 3]]" in footer[0]
 
 
-def test_out_of_memory_around_a_stack_solves_its_points_alone(tmp_path, monkeypatch):
-    # raised only for a stack of more than one point, it sends N = 3's points to be
-    # solved one at a time, each to the bits it has in the stack
-    args, expected, out = _out_of_memory_for_n3(tmp_path, monkeypatch, stacks_only=True)
-    assert main([*args, "--out", str(out)]) == 0
-    assert out.read_bytes() == expected.read_bytes()
+def test_out_of_memory_while_a_record_is_formed_fails_its_point_alone(
+        tmp_path, capsys, monkeypatch):
+    # from cutoff 5, lambda = 1 (N = 2) is solved at 5, 10, 20 and 40; a MemoryError
+    # while its record is formed at 20 fails it there, after the rows of 5 and 10,
+    # which a retry at its first cutoff once lost, and lambda = 0 keeps its bytes
+    args = ["--n-atoms", "2", "--lambda-min", "0", "--lambda-max", "1", "--lambda-steps", "2"]
+    converge = ["convergence", *args, "--fock-cutoff", "5"]
+    sweep = ["sweep", *args, "--fock-cutoff", "20"]
+    expected = {mode: tmp_path / f"expected-{mode}.csv" for mode in ("convergence", "sweep")}
+    assert main([*converge, "--out", str(expected["convergence"])]) == 0
+    assert main([*sweep, "--out", str(expected["sweep"])]) == 0
+    capsys.readouterr()
+    leakage = dicke_qfi.solver.leakage
+
+    def out_of_memory(vector, params, n_cutoff):
+        if params.lam == 1.0 and n_cutoff == 20:
+            raise MemoryError("no room for the leakage")
+        return leakage(vector, params, n_cutoff)
+
+    monkeypatch.setattr(dicke_qfi.solver, "leakage", out_of_memory)
+    out = tmp_path / "c.csv"
+    assert main([*converge, "--out", str(out)]) == 4
+    _, rows, footer = read_csv_rows(out)
+    _, expected_rows, _ = read_csv_rows(expected["convergence"])
+    assert [row[:4] for row in expected_rows] == [
+        ["0.0", "2", "0", "5"], *(["1.0", "2", str(i), str(5 << i)] for i in range(4))]
+    assert rows == expected_rows[:3]
+    assert "failed_points=[[1.0, 2]]" in footer[0]
+    # the sweep's NaN row names the cutoff whose record failed
+    out = tmp_path / "s.csv"
+    assert main([*sweep, "--out", str(out)]) == 4
+    _, rows, footer = read_csv_rows(out)
+    _, expected_rows, _ = read_csv_rows(expected["sweep"])
+    assert rows[0] == expected_rows[0]
+    assert rows[1][:3] == ["1.0", "2", "20"]
+    assert all(math.isnan(float(v)) for v in rows[1][3:])
+    assert "failed_points=[[1.0, 2]]" in footer[0]
+    assert capsys.readouterr().err.splitlines() == [
+        "dicke-qfi: lambda=1.0 N=2 failed: out of memory at n_cutoff=20: no room for the leakage"
+    ] * 2
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_failed_sweep_rows_have_the_header_width(fmt, tmp_path, fail_solves_above):
+    # lambda = 0 is accepted at cutoff 20 and the others fail at their first cutoffs
+    fail_solves_above(20)
+    out = tmp_path / f"s.{fmt}"
+    assert main(["sweep", "--n-atoms", "2", "--lambda-steps", "3", "--format", fmt,
+                 "--out", str(out)]) == 4
+    if fmt == "csv":
+        header, rows, _ = read_csv_rows(out)
+        assert tuple(header) == SWEEP_COLUMNS and len(rows) == 3
+        assert all(len(row) == len(header) for row in rows)
+        failed = [row for row in rows if math.isnan(float(row[3]))]
+    else:
+        rows = json.loads(out.read_text())["rows"]
+        assert len(rows) == 3
+        assert all(sorted(row) == sorted(SWEEP_COLUMNS) for row in rows)
+        failed = [row for row in rows if row["ground_energy"] is None]
+    assert len(failed) == 2
 
 
 def test_husimi_skips_failed_point(tmp_path, fail_solves_above):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from qfi_reference import (
@@ -23,6 +23,7 @@ from qfi_reference import (
     parity_signs_from_scratch,
     partial_trace_atoms,
     product_vector,
+    stacks_from_scratch,
     written_round,
 )
 
@@ -702,6 +703,33 @@ def test_out_of_memory_is_a_solver_error_at_its_cutoff(monkeypatch):
     assert [step.n_cutoff for step in error.steps] == [20]
 
 
+def test_out_of_memory_while_a_record_is_formed_fails_its_point_alone(monkeypatch):
+    # from cutoff 5, lambda = 1 (N = 2) is solved at 5, 10, 20 and 40; a MemoryError
+    # in its leakage at 20, after its band solve, is its SolverError at 20 with the
+    # steps of 5 and 10, and lambda = 0 keeps its bits
+    points = [ModelParams(1.0, 1.0, lam, 2) for lam in (0.0, 1.0)]
+    full = converge_stack(points, 1e-10, n_start=5)
+    assert [step.n_cutoff for step in full[1].steps] == [5, 10, 20]
+    at_20 = ground_states(points, [20, 20], [(), full[1].steps[:2]])
+    leakage = dicke_qfi.solver.leakage
+
+    def out_of_memory(vector, params, n_cutoff):
+        if params.lam == 1.0 and n_cutoff == 20:
+            raise MemoryError("no room for the leakage")
+        return leakage(vector, params, n_cutoff)
+
+    monkeypatch.setattr(dicke_qfi.solver, "leakage", out_of_memory)
+    for outcomes, reference in (
+            (ground_states(points, [20, 20], [(), full[1].steps[:2]]), at_20[0]),
+            (converge_stack(points, 1e-10, n_start=5), full[0])):
+        assert_same_bits(reference, outcomes[0])
+        error = outcomes[1]
+        assert isinstance(error, SolverError) and not isinstance(error, ConvergenceError)
+        assert str(error) == "out of memory at n_cutoff=20: no room for the leakage"
+        assert error.n_cutoff == 20
+        assert error.steps == full[1].steps[:2]
+
+
 def assert_same_bits(gs, other):
     """Two ground states of one point, equal bit for bit."""
     assert (gs.n_cutoff, gs.energy, gs.residual, gs.lower_bound) == (
@@ -876,6 +904,24 @@ def test_stacks_follow_atom_number_budget_and_cap():
         ground_states(points[:2], [20, 20], [()])
     with pytest.raises(ValueError, match="n_cutoff must be >= 1"):
         ground_states(points[:2], [20, 0])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    runs=st.lists(st.tuples(st.sampled_from((1, 2, 3, 20, 101)),
+                            st.lists(st.floats(0.0, 3.0), min_size=1, max_size=40)),
+                  max_size=5),
+    n_start=st.none() | st.integers(1, 400),
+    max_points=st.none() | st.integers(1, 40),
+)
+# at cutoff 510 an N = 1 point is charged 2^11 elements: 16 fill a stack exactly
+@example(runs=[(1, [0.5] * 20)], n_start=510, max_points=None)
+def test_stacks_cut_as_one_greedy_loop(runs, n_start, max_points):
+    # ``stacks`` cuts each run of one N with ``fitting_runs``; the partition is that
+    # of the one greedy loop it replaced
+    points = [ModelParams(1.0, 1.0, lam, n_atoms) for n_atoms, lams in runs for lam in lams]
+    assert stacks(points, n_start, max_points) == stacks_from_scratch(points, n_start,
+                                                                      max_points)
 
 
 @pytest.mark.parametrize("n_atoms", range(1, 41))
@@ -1063,3 +1109,8 @@ def test_fitting_runs_keep_order_and_fit_the_budget(monkeypatch):
     runs = list(dicke_qfi.solver.fitting_runs(sizes, int))
     assert runs == [[4, 5], [2], [11], [3, 3, 3, 1], [10]]
     assert list(dicke_qfi.solver.fitting_runs([], int)) == []
+    # a budget of its own, and a cap on the items of a run
+    runs = list(dicke_qfi.solver.fitting_runs(sizes, int, 6))
+    assert runs == [[4], [5], [2], [11], [3, 3], [3, 1], [10]]
+    runs = list(dicke_qfi.solver.fitting_runs(sizes, int, max_items=2))
+    assert runs == [[4, 5], [2], [11], [3, 3], [3, 1], [10]]
