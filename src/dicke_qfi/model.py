@@ -24,8 +24,11 @@ cutoff c is a prefix of any larger one, so ``write_even_block`` and
 ``even_sector`` read views of one skeleton built at the power of two at or
 above c, under a ``functools.lru_cache`` that keeps the last two: a stack's
 start vectors read the skeleton at its largest cutoff, and its blocks read
-smaller ones.  The odd sector is never built: the block does not couple
-it, and the ground state has no weight there.
+smaller ones.  The diagonal does not depend on lam either, so one is kept
+for each of the last two (N, capacity, omega, omega0), and the ladder
+coefficients of ``leakage`` for each of the last four (N, C mod 2).  The
+odd sector is never built: the block does not couple it, and the ground
+state has no weight there.
 """
 
 from __future__ import annotations
@@ -176,6 +179,18 @@ def _cached(n_atoms: int, n_cutoff: int) -> tuple[EvenSector, tuple, int]:
     return sector, units, even_size(n_atoms, n_cutoff)
 
 
+@functools.lru_cache(maxsize=2)
+def _diagonal(n_atoms: int, capacity: int, omega: float, omega0: float) -> np.ndarray:
+    """The read-only diagonal omega n + omega0 (k - j) of N atoms' even block at cutoff
+    ``capacity``: it does not depend on lam, so the points of a stack at one omega and
+    omega0 copy prefixes of one array."""
+    (n, k), _ = _skeleton(n_atoms, capacity)
+    # float(): an integer omega times the small unsigned n would wrap around
+    diagonal = float(omega) * n + omega0 * (k - n_atoms / 2)
+    diagonal.flags.writeable = False
+    return diagonal
+
+
 def write_even_block(
     params: ModelParams, n_cutoff: int, diagonal: np.ndarray, upper: dict, row: int
 ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
@@ -186,14 +201,15 @@ def write_even_block(
     the block goes to row + p, and nothing else is written; the block is
     returned as views of the band, its diagonal and its couplings by
     ascending offset.  H is real in this basis and never couples the odd
-    sector.  The diagonal omega n + omega0 m and the couplings g * unit,
-    g = lam / sqrt(N), of the cached skeleton's prefix views are the same
-    floating-point operations as a build from scratch.
+    sector.  The diagonal omega n + omega0 m is a prefix of ``_diagonal``'s,
+    kept for the last two (N, capacity, omega, omega0), and the couplings are
+    g * unit, g = lam / sqrt(N), of the cached skeleton's prefix views: the
+    same floating-point operations as a build from scratch.
     """
-    (n, k), units, size = _cached(params.n_atoms, n_cutoff)
+    _, units, size = _cached(params.n_atoms, n_cutoff)
     end = row + size
-    # float(): an integer omega times the small unsigned n would wrap around
-    diagonal[row:end] = float(params.omega) * n[:size] + params.omega0 * (k[:size] - params.j)
+    diagonal[row:end] = _diagonal(params.n_atoms, capacity(n_cutoff),
+                                  params.omega, params.omega0)[:size]
     g = params.lam / math.sqrt(params.n_atoms)
     couplings = {d: upper[d][row:end - d] for d, _ in units}
     for d, unit in units:
@@ -225,19 +241,32 @@ def leakage(vector: np.ndarray, params: ModelParams, n_cutoff: int) -> float:
     Fock space is sqrt(r^2 + l^2).  (J+ + J-) moves k = m + j to k + 1 with
     sqrt((k+1)(N-k)) and to k - 1 with sqrt(k(N+1-k)).  The row's even
     positions hold, in ascending order, every k of the parity of C, so each
-    move writes distinct entries, and no skeleton is read.  At g = 0,
-    lam = 0, it is 0.
+    move writes distinct entries, every second one, and no skeleton is read:
+    the coefficients come from ``_ladder_coefficients``, kept per (N, C mod 2).
+    At g = 0, lam = 0, it is 0.
     """
     n_atoms = params.n_atoms
-    row = even_size(n_atoms, n_cutoff - 1)
-    k = np.arange(n_cutoff % 2, n_atoms + 1, 2)
-    top = vector[row:]
+    parity = n_cutoff % 2
+    raising, lowering = _ladder_coefficients(n_atoms, parity)
+    top = vector[even_size(n_atoms, n_cutoff - 1):]
     # entry i of the image is its component at k = i - 1, so that k = -1 and N + 1 fit
     image = np.zeros(n_atoms + 3)
-    image[k + 2] = np.sqrt((k + 1.0) * (n_atoms - k)) * top
-    image[k] += np.sqrt(k * (n_atoms + 1.0 - k)) * top
+    np.multiply(raising, top, out=image[parity + 2::2])
+    image[parity:n_atoms + 1:2] += lowering * top
     g = params.lam / math.sqrt(n_atoms)
-    return float(g * math.sqrt(n_cutoff + 1) * np.linalg.norm(image))
+    # the dot product that np.linalg.norm takes, without its dispatch
+    return g * math.sqrt(n_cutoff + 1) * math.sqrt(image @ image)
+
+
+@functools.lru_cache(maxsize=4)
+def _ladder_coefficients(n_atoms: int, parity: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only coefficients of J+ and J- on the k = m + j of one parity, ascending:
+    sqrt((k+1)(N-k)) and sqrt(k(N+1-k))."""
+    k = np.arange(parity, n_atoms + 1, 2)
+    ladder = np.sqrt((k + 1.0) * (n_atoms - k)), np.sqrt(k * (n_atoms + 1.0 - k))
+    for coefficients in ladder:
+        coefficients.flags.writeable = False
+    return ladder
 
 
 def start_vectors(points: Sequence[ModelParams], cutoffs: Sequence[int]) -> list[np.ndarray]:
@@ -270,7 +299,8 @@ def _mean_field_starts(points: Sequence[ModelParams], cutoffs: Sequence[int]) ->
     positive vector.  The start is D times a non-negative, nonzero vector
     (alpha < 0, and the spin amplitudes cos(theta/2)^(N-k) sin(theta/2)^k are
     non-negative), so it overlaps the ground state strictly.  The points'
-    factors are formed as the rows of one array each.
+    factors are formed as the rows of one array each, and their products as
+    the rows of one grid at the largest cutoff: each start is its row's prefix.
     """
     n_atoms = points[0].n_atoms
     largest = max(cutoffs)
@@ -297,12 +327,10 @@ def _mean_field_starts(points: Sequence[ModelParams], cutoffs: Sequence[int]) ->
                        - log_factorial[n_atoms::-1])
                 + (n_atoms - k) * log_cos + k * log_sin)
     spin = np.exp(log_spin - np.maximum.reduce(log_spin, axis=1, keepdims=True))
+    # every point's product at the largest cutoff's positions; each start is its row's prefix
     sector = even_sector(n_atoms, largest)
-    starts = []
-    for row, n_cutoff in enumerate(cutoffs):
-        size = even_size(n_atoms, n_cutoff)
-        starts.append(field[row][sector.n[:size]] * spin[row][sector.k[:size]])
-    return starts
+    grid = field[:, sector.n] * spin[:, sector.k]
+    return [row[:even_size(n_atoms, n_cutoff)] for row, n_cutoff in zip(grid, cutoffs)]
 
 
 def padded_shape(n_atoms: int, n_cutoff: int) -> tuple[int, int]:

@@ -17,8 +17,11 @@ loads from its file without running ``scipy``'s package init.  Each
 successful factorization proves sigma < E0, and a solve returns only after
 one has succeeded within 2 r + BRACKET_RTOL max(1, |E|) of the returned
 Rayleigh quotient E, where r = ||H psi - E psi||; so E0 is bracketed,
-E - delta < E0 <= E.  Its time is set by the number of factorizations:
-about three per solve, and at most MAX_INVERSE_ITERATIONS steps.
+E - delta < E0 <= E.  A block settles at the factorization that certifies
+it: when a re-shift factors at its target, the iterate that asked for it is
+returned if it meets the stop rule, with no further solve.  Its time is set
+by the number of factorizations: about three per solve, and at most
+MAX_INVERSE_ITERATIONS steps.
 
 Points are solved in stacks: consecutive points of one N, as ``stacks``
 groups them.  ``model`` writes the banded blocks of a stack end to end
@@ -352,8 +355,12 @@ def _banded_lowest(points: Sequence[ModelParams], cutoffs: Sequence[int]) -> lis
     at its floor and the shift is still too far below E to certify.  A block
     settles once its residual has stopped halving, E has settled to within
     the slack, and its shift, a proven lower bound, lies within 2r + slack
-    of E.  A residual that stops halving while E still moves is no floor:
-    far from convergence the residual can grow for a step while E drops.
+    of E.  These three conditions are tested after any re-shift of the
+    step: a re-shift that factors at its target already brackets this E,
+    E - sigma = 2r + slack/2, so the block settles at the factorization that
+    certifies it, not one solve later.  A residual that stops halving while
+    E still moves is no floor: far from convergence the residual can grow
+    for a step while E drops.
 
     ``model.write_even_block`` writes block b into one band at rows
     first[b] .. first[b] + dim - 1 after kd zero rows, and kd zero rows end
@@ -377,11 +384,12 @@ def _banded_lowest(points: Sequence[ModelParams], cutoffs: Sequence[int]) -> lis
         upper = {d: np.zeros(total - d) for d in offsets}
         stack = (diagonal, upper)
         vector = np.zeros(total)
-        starts = start_vectors(points, cutoffs)
-        for row, start in zip(first, starts):
+        for row, start in zip(first, start_vectors(points, cutoffs)):
             vector[row:row + start.size] = start
         factor = np.zeros((kd + 1, total), order="F")
         factor[kd] = 1.0
+        # each block's columns of the factor
+        columns = [factor[:, row:end] for row, end in zip(first, ends)]
         bounds = np.array(first)
         # rows per block when a per-block value is spread over the band: its own
         # rows and the kd zero rows after them, the first block's leading ones too
@@ -395,11 +403,10 @@ def _banded_lowest(points: Sequence[ModelParams], cutoffs: Sequence[int]) -> lis
         def isolate(b: int, error: SolverError) -> None:
             outcomes[b] = error
             iterating.remove(b)
-            row, end = first[b], ends[b]
-            factor[:, row:end] = 0.0
-            factor[kd, row:end] = 1.0
-            vector[row:end] = 0.0
-            vector[row] = 1.0
+            columns[b][:] = 0.0
+            columns[b][kd] = 1.0
+            vector[first[b]:ends[b]] = 0.0
+            vector[first[b]] = 1.0
 
         blocks: list = [None] * count
         for b, (params, n_cutoff) in enumerate(zip(points, cutoffs)):
@@ -412,8 +419,8 @@ def _banded_lowest(points: Sequence[ModelParams], cutoffs: Sequence[int]) -> lis
         for b in tuple(iterating):
             step = (points[b].omega + points[b].omega0) / 8
             try:
-                shift[b] = _factor_below(blocks[b], factor[:, first[b]:ends[b]],
-                                         rayleigh[b] - step, step, cutoffs[b])
+                shift[b] = _factor_below(blocks[b], columns[b], rayleigh[b] - step, step,
+                                         cutoffs[b])
             except SolverError as exc:
                 isolate(b, exc)
         for _ in range(MAX_INVERSE_ITERATIONS):
@@ -431,24 +438,25 @@ def _banded_lowest(points: Sequence[ModelParams], cutoffs: Sequence[int]) -> lis
             for b in tuple(iterating):
                 energy, residual = energies[b], residuals[b]
                 slack = BRACKET_RTOL * max(1.0, abs(energy))
-                bracketed = energy - shift[b] <= 2 * residual + slack
-                stalled = 2 * residual >= last_residual[b]
-                if bracketed and stalled and abs(energy - last_energy[b]) <= slack:
+                bracket = 2 * residual + slack
+                if energy - shift[b] > bracket and 20 * residual >= last_residual[b]:
+                    # a failed factorization steps down by r + slack/4, which still
+                    # brackets E when r is at its floor, well below the slack
+                    target = energy - 2 * residual - slack / 2
+                    try:
+                        shift[b] = _factor_below(blocks[b], columns[b], target,
+                                                 residual + slack / 4, cutoffs[b])
+                    except SolverError as exc:
+                        isolate(b, exc)
+                        continue
+                # tested after any re-shift: one that factors at its target brackets this E
+                if (energy - shift[b] <= bracket and 2 * residual >= last_residual[b]
+                        and abs(energy - last_energy[b]) <= slack):
                     psi = vector[first[b]:ends[b]]
                     psi = -psi if psi[np.abs(psi).argmax()] < 0 else psi.copy()
                     outcomes[b] = (energy, psi, residual, shift[b])
                     iterating.remove(b)
                     continue
-                if not bracketed and 20 * residual >= last_residual[b]:
-                    # a failed factorization steps down by r + slack/4, which still
-                    # brackets E when r is at its floor, well below the slack
-                    target = energy - 2 * residual - slack / 2
-                    try:
-                        shift[b] = _factor_below(blocks[b], factor[:, first[b]:ends[b]], target,
-                                                 residual + slack / 4, cutoffs[b])
-                    except SolverError as exc:
-                        isolate(b, exc)
-                        continue
                 last_energy[b], last_residual[b] = energy, residual
         for b in iterating:
             msg = (f"banded inverse iteration did not converge in {MAX_INVERSE_ITERATIONS} "
@@ -494,10 +502,20 @@ def _shifted_cholesky(block: tuple, factor: np.ndarray, shift: float) -> int:
     ``factor`` is a Fortran-ordered (kd + 1, dim) array, H's columns of the
     stack's factor: it is filled with H - shift I in upper band storage,
     row kd - d holding offset d and the last row the diagonal, then factored.
+    The block's couplings rewrite the rows of its offsets, a run of
+    consecutive d, and only the other upper rows are zeroed: those of the
+    offsets past the block's largest, which a stack of larger blocks has,
+    and those below its smallest, which hold the last factorization's
+    fill-in.  At N = 1 and 2 there are none.
     """
     diagonal, upper = block
     kd = factor.shape[0] - 1
-    factor[:kd] = 0.0
+    # rows kd - max(upper) .. kd - min(upper) hold the couplings
+    past, fill = kd - max(upper), kd + 1 - min(upper)
+    if past:
+        factor[:past] = 0.0
+    if fill < kd:
+        factor[fill:kd] = 0.0
     np.subtract(diagonal, shift, out=factor[kd])
     for d, coupling in upper.items():
         factor[kd - d, d:] = coupling

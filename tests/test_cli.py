@@ -429,6 +429,20 @@ def fresh_runs(*argvs: list[str]) -> tuple[list[int], list[str]]:
     return tuple(json.loads(done.stdout))
 
 
+def test_sweeps_at_other_frequencies_in_one_process_write_fresh_bytes(tmp_path):
+    # the block diagonal is kept per (N, capacity, omega, omega0) across stacks
+    # and runs: sweeps of one N at two frequency pairs, run in turn in this
+    # process as the benchmark worker runs main, each write the bytes of a run
+    # in a fresh interpreter
+    for i, (omega, omega0) in enumerate([("1", "1"), ("0.5", "2"), ("1", "1"), ("2", "0.5")]):
+        argv = ["sweep", "--omega", omega, "--omega0", omega0, "--n-atoms", "2",
+                "--lambda-max", "2", "--lambda-steps", "9", "--format", "json"]
+        here, fresh = tmp_path / f"here{i}.json", tmp_path / f"fresh{i}.json"
+        assert main([*argv, "--out", str(here)]) == 0
+        assert fresh_runs([*argv, "--out", str(fresh)]) == ([0], [])
+        assert here.read_bytes() == fresh.read_bytes()
+
+
 def test_banded_sweep_loads_no_scipy_linalg_special_sparse_or_pool(tmp_path):
     # every process, each --workers child included, pays for what the CLI imports;
     # the solver loads scipy's LAPACK extension without scipy.linalg's package

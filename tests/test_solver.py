@@ -740,21 +740,37 @@ def assert_same_bits(gs, other):
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(
     n_atoms=st.sampled_from((1, 2, 3, 7, 20, 29, 40)),
-    lams=st.lists(st.floats(0.0, 2.0), min_size=2, max_size=6),
+    couplings=st.lists(st.tuples(st.floats(0.0, 2.0), st.sampled_from((0.5, 1.0, 2.0)),
+                                 st.sampled_from((0.5, 1.0, 2.0))), min_size=2, max_size=6),
     seed=st.integers(0, 2**16),
 )
-def test_stacked_point_matches_point_alone(n_atoms, lams, seed):
+def test_stacked_point_matches_point_alone(n_atoms, couplings, seed):
     # a point solved alone, in its stack, and in a shuffled stack: the stack's
     # band gives each block kd zero rows on both sides, so its bits do not depend
     # on its neighbours (from N = 29, kd >= 16, BLAS dot kernels would otherwise
-    # group a block's first columns by their place in the band)
-    points = [ModelParams(1.0, 1.0, lam, n_atoms) for lam in lams]
+    # group a block's first columns by their place in the band); each point has
+    # its own omega and omega0, so a diagonal or a start formed for another
+    # point's frequencies would show
+    points = [ModelParams(omega, omega0, lam, n_atoms) for lam, omega, omega0 in couplings]
     alone = [solve(params, 1e-10) for params in points]
     for gs, other in zip(alone, converge_stack(points, 1e-10)):
         assert_same_bits(gs, other)
     order = np.random.default_rng(seed).permutation(len(points))
     for i, other in zip(order, converge_stack([points[i] for i in order], 1e-10)):
         assert_same_bits(alone[i], other)
+
+
+@pytest.mark.parametrize("n_atoms", [3, 5])
+def test_odd_n_run_with_a_cutoff_1_block_matches_points_alone(n_atoms):
+    # at cutoff 1 an odd-N block has no offset kd, so in a run with larger cutoffs
+    # its couplings leave the factor's top row to the zeroing; each point keeps
+    # the bits it has alone
+    assert dicke_qfi.model.coupling_offsets(n_atoms, 1)[-1] < dicke_qfi.model.band_width(n_atoms)
+    points = [ModelParams(1.0, 1.0, lam, n_atoms) for lam in (0.4, 0.9, 1.3)]
+    cutoffs = [1, 20, 37]
+    alone = [ground_states([params], [n_cutoff])[0] for params, n_cutoff in zip(points, cutoffs)]
+    for gs, other in zip(alone, ground_states(points, cutoffs)):
+        assert_same_bits(gs, other)
 
 
 def middle_failure(monkeypatch, failure):
@@ -813,15 +829,16 @@ def test_failed_block_fails_alone(failure, message, monkeypatch):
 
 
 def test_unconverged_blocks_fail_alone(monkeypatch):
-    # with 8 inverse-iteration steps the strongest couplings settle and the
+    # with 7 inverse-iteration steps the strongest couplings settle and the
     # others run out of steps; the settled ones keep the bits of a full run
+    # (lambda = 0.6 settles in 8, at the factorization that certifies it)
     points = [ModelParams(1.0, 1.0, lam, 2) for lam in (0.2, 0.6, 1.0, 2.0, 3.0)]
     full = ground_states(points, [40] * len(points))
-    monkeypatch.setattr(dicke_qfi.solver, "MAX_INVERSE_ITERATIONS", 8)
+    monkeypatch.setattr(dicke_qfi.solver, "MAX_INVERSE_ITERATIONS", 7)
     outcomes = ground_states(points, [40] * len(points))
     assert [isinstance(outcome, SolverError) for outcome in outcomes] == [True] * 3 + [False] * 2
     for outcome in outcomes[:3]:
-        assert "did not converge in 8 steps" in str(outcome) and outcome.n_cutoff == 40
+        assert "did not converge in 7 steps" in str(outcome) and outcome.n_cutoff == 40
     for gs, outcome in zip(full[3:], outcomes[3:]):
         assert_same_bits(gs, outcome)
 
