@@ -22,9 +22,9 @@ The part that does not depend on omega, omega0 or lam, n and m+j at each
 even position and the couplings at g = 1, has a closed form.  The basis at
 cutoff c is a prefix of any larger one, so ``write_even_block`` and
 ``even_sector`` read views of one skeleton built at the power of two at or
-above c, under a ``functools.lru_cache`` that keeps the last two: a stack's
-start vectors read the skeleton at its largest cutoff, and its blocks read
-smaller ones.  The diagonal does not depend on lam either, so one is kept
+above c, under a ``functools.lru_cache`` that keeps the last two: the start
+vectors of a stack's points of one capacity read the skeleton at their
+largest cutoff, and their blocks read smaller ones.  The diagonal does not depend on lam either, so one is kept
 for each of the last two (N, capacity, omega, omega0), and the ladder
 coefficients of ``leakage`` for each of the last four (N, C mod 2).  The
 odd sector is never built: the block does not couple it, and the ground
@@ -298,13 +298,14 @@ def _mean_field_starts(points: Sequence[ModelParams], cutoffs: Sequence[int]) ->
     off-diagonal element non-positive, so the ground state is D times a
     positive vector.  The start is D times a non-negative, nonzero vector
     (alpha < 0, and the spin amplitudes cos(theta/2)^(N-k) sin(theta/2)^k are
-    non-negative), so it overlaps the ground state strictly.  The points'
-    factors are formed as the rows of one array each, and their products as
-    the rows of one grid at the largest cutoff: each start is its row's prefix.
+    non-negative), so it overlaps the ground state strictly.  The points of
+    one capacity are formed together: their factors as the rows of one array
+    each, and their products as the rows of one grid at the group's largest
+    cutoff, each start its row's prefix.  A row is thus at most about twice
+    its start, whatever cutoffs the run mixes.
     """
     n_atoms = points[0].n_atoms
-    largest = max(cutoffs)
-    log_factorial = log_factorials(max(largest, n_atoms))
+    log_factorial = log_factorials(max(max(cutoffs), n_atoms))
     scalars = []
     for params in points:
         # lam > lambda_cr makes cos(theta) < 1, so every logarithm is finite
@@ -315,22 +316,30 @@ def _mean_field_starts(points: Sequence[ModelParams], cutoffs: Sequence[int]) ->
                         0.5 * math.log((1.0 - cos_theta) / 2)))
     scalars = np.array(scalars)
     log_alpha, log_cos, log_sin = scalars[:, 0:1], scalars[:, 1:2], scalars[:, 2:3]
-    # |alpha|^n / sqrt(n!) on each row's own levels n <= cutoff, scaled by their maximum
-    n = np.arange(largest + 1)
-    log_field = np.where(n <= np.array(cutoffs)[:, None],
-                         n * log_alpha - 0.5 * log_factorial[: largest + 1], -math.inf)
-    field = np.exp(log_field - np.maximum.reduce(log_field, axis=1, keepdims=True))
-    field[:, 1::2] *= -1.0
     # sqrt(C(N, k)) cos(theta/2)^(N-k) sin(theta/2)^k
     k = np.arange(n_atoms + 1)
     log_spin = (0.5 * (log_factorial[n_atoms] - log_factorial[: n_atoms + 1]
                        - log_factorial[n_atoms::-1])
                 + (n_atoms - k) * log_cos + k * log_sin)
     spin = np.exp(log_spin - np.maximum.reduce(log_spin, axis=1, keepdims=True))
-    # every point's product at the largest cutoff's positions; each start is its row's prefix
-    sector = even_sector(n_atoms, largest)
-    grid = field[:, sector.n] * spin[:, sector.k]
-    return [row[:even_size(n_atoms, n_cutoff)] for row, n_cutoff in zip(grid, cutoffs)]
+    groups: dict[int, list[int]] = {}
+    for i, n_cutoff in enumerate(cutoffs):
+        groups.setdefault(capacity(n_cutoff), []).append(i)
+    starts: list = [None] * len(points)
+    for rows in groups.values():
+        own = np.array([cutoffs[i] for i in rows])
+        largest = int(own.max())
+        # |alpha|^n / sqrt(n!) on each row's own levels n <= cutoff, scaled by their maximum
+        n = np.arange(largest + 1)
+        log_field = np.where(n <= own[:, None],
+                             n * log_alpha[rows] - 0.5 * log_factorial[: largest + 1], -math.inf)
+        field = np.exp(log_field - np.maximum.reduce(log_field, axis=1, keepdims=True))
+        field[:, 1::2] *= -1.0
+        sector = even_sector(n_atoms, largest)
+        grid = field[:, sector.n] * spin[rows][:, sector.k]
+        for i, row, n_cutoff in zip(rows, grid, own.tolist()):
+            starts[i] = row[:even_size(n_atoms, n_cutoff)]
+    return starts
 
 
 def padded_shape(n_atoms: int, n_cutoff: int) -> tuple[int, int]:

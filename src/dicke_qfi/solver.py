@@ -17,11 +17,8 @@ loads from its file without running ``scipy``'s package init.  Each
 successful factorization proves sigma < E0, and a solve returns only after
 one has succeeded within 2 r + BRACKET_RTOL max(1, |E|) of the returned
 Rayleigh quotient E, where r = ||H psi - E psi||; so E0 is bracketed,
-E - delta < E0 <= E.  A block settles at the factorization that certifies
-it: when a re-shift factors at its target, the iterate that asked for it is
-returned if it meets the stop rule, with no further solve.  Its time is set
-by the number of factorizations: about three per solve, and at most
-MAX_INVERSE_ITERATIONS steps.
+E - delta < E0 <= E.  Its time is set by the number of factorizations:
+about three per solve, and at most MAX_INVERSE_ITERATIONS steps.
 
 Points are solved in stacks: consecutive points of one N, as ``stacks``
 groups them.  ``model`` writes the banded blocks of a stack end to end
@@ -355,12 +352,12 @@ def _banded_lowest(points: Sequence[ModelParams], cutoffs: Sequence[int]) -> lis
     at its floor and the shift is still too far below E to certify.  A block
     settles once its residual has stopped halving, E has settled to within
     the slack, and its shift, a proven lower bound, lies within 2r + slack
-    of E.  These three conditions are tested after any re-shift of the
-    step: a re-shift that factors at its target already brackets this E,
-    E - sigma = 2r + slack/2, so the block settles at the factorization that
-    certifies it, not one solve later.  A residual that stops halving while
-    E still moves is no floor: far from convergence the residual can grow
-    for a step while E drops.
+    of E.  A residual that stops halving while E still moves is no floor:
+    far from convergence the residual can grow for a step while E drops.
+    Nor does a re-shift settle the iterate that asked for it, though it
+    brackets that E: its residual was taken under the far shift, and the
+    one solve under the near one still shrinks the low-lying error that the
+    residual's floor hides.
 
     ``model.write_even_block`` writes block b into one band at rows
     first[b] .. first[b] + dim - 1 after kd zero rows, and kd zero rows end
@@ -438,8 +435,15 @@ def _banded_lowest(points: Sequence[ModelParams], cutoffs: Sequence[int]) -> lis
             for b in tuple(iterating):
                 energy, residual = energies[b], residuals[b]
                 slack = BRACKET_RTOL * max(1.0, abs(energy))
-                bracket = 2 * residual + slack
-                if energy - shift[b] > bracket and 20 * residual >= last_residual[b]:
+                bracketed = energy - shift[b] <= 2 * residual + slack
+                stalled = 2 * residual >= last_residual[b]
+                if bracketed and stalled and abs(energy - last_energy[b]) <= slack:
+                    psi = vector[first[b]:ends[b]]
+                    psi = -psi if psi[np.abs(psi).argmax()] < 0 else psi.copy()
+                    outcomes[b] = (energy, psi, residual, shift[b])
+                    iterating.remove(b)
+                    continue
+                if not bracketed and 20 * residual >= last_residual[b]:
                     # a failed factorization steps down by r + slack/4, which still
                     # brackets E when r is at its floor, well below the slack
                     target = energy - 2 * residual - slack / 2
@@ -449,14 +453,6 @@ def _banded_lowest(points: Sequence[ModelParams], cutoffs: Sequence[int]) -> lis
                     except SolverError as exc:
                         isolate(b, exc)
                         continue
-                # tested after any re-shift: one that factors at its target brackets this E
-                if (energy - shift[b] <= bracket and 2 * residual >= last_residual[b]
-                        and abs(energy - last_energy[b]) <= slack):
-                    psi = vector[first[b]:ends[b]]
-                    psi = -psi if psi[np.abs(psi).argmax()] < 0 else psi.copy()
-                    outcomes[b] = (energy, psi, residual, shift[b])
-                    iterating.remove(b)
-                    continue
                 last_energy[b], last_residual[b] = energy, residual
         for b in iterating:
             msg = (f"banded inverse iteration did not converge in {MAX_INVERSE_ITERATIONS} "
@@ -503,17 +499,14 @@ def _shifted_cholesky(block: tuple, factor: np.ndarray, shift: float) -> int:
     stack's factor: it is filled with H - shift I in upper band storage,
     row kd - d holding offset d and the last row the diagonal, then factored.
     The block's couplings rewrite the rows of its offsets, a run of
-    consecutive d, and only the other upper rows are zeroed: those of the
-    offsets past the block's largest, which a stack of larger blocks has,
-    and those below its smallest, which hold the last factorization's
-    fill-in.  At N = 1 and 2 there are none.
+    consecutive d, so only the rows below its smallest, which hold the last
+    factorization's fill-in, are zeroed: none at N = 1 and 2.
     """
     diagonal, upper = block
     kd = factor.shape[0] - 1
-    # rows kd - max(upper) .. kd - min(upper) hold the couplings
-    past, fill = kd - max(upper), kd + 1 - min(upper)
-    if past:
-        factor[:past] = 0.0
+    # the rows of offsets past the block's largest start at zero and stay so: the
+    # factor of a band matrix has its band, and dpbtrf only rescales their zeros
+    fill = kd + 1 - min(upper)
     if fill < kd:
         factor[fill:kd] = 0.0
     np.subtract(diagonal, shift, out=factor[kd])

@@ -544,6 +544,27 @@ def test_mean_field_start_overlaps_ground_state(omega, omega0, n_atoms, ratio):
     assert overlap > 0.8
 
 
+def test_starts_of_mixed_cutoffs_take_about_their_own_bytes():
+    # one point at a large cutoff among a hundred at a small one: the starts are
+    # formed per capacity, so tracemalloc's peak stays a few times the bytes of the
+    # starts themselves (3.2x measured), where grids of 101 rows at the largest
+    # cutoff peaked at 75x to 198x; each start keeps the bits it has alone
+    points = [ModelParams(1.0, 1.0, lam, 3) for lam in np.linspace(0.6, 2.0, 101)]
+    cutoffs = [2000] + [20] * 100
+    alone = [dicke_qfi.model.start_vectors([params], [n_cutoff])[0]
+             for params, n_cutoff in zip(points, cutoffs)]
+    tracemalloc.start()
+    try:
+        starts = dicke_qfi.model.start_vectors(points, cutoffs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    own = sum(start.nbytes for start in alone)
+    assert peak <= 6 * own
+    for start, expected in zip(starts, alone):
+        assert np.array_equal(start, expected)
+
+
 @pytest.mark.parametrize("n_atoms,lam_max,steps,max_dpbtrf,parent_dpbtrs", [
     ((20,), 1.0, 21, 90, 232), ((1, 2), 3.0, 801, 7000, 18117),
 ])
@@ -829,16 +850,15 @@ def test_failed_block_fails_alone(failure, message, monkeypatch):
 
 
 def test_unconverged_blocks_fail_alone(monkeypatch):
-    # with 7 inverse-iteration steps the strongest couplings settle and the
+    # with 8 inverse-iteration steps the strongest couplings settle and the
     # others run out of steps; the settled ones keep the bits of a full run
-    # (lambda = 0.6 settles in 8, at the factorization that certifies it)
     points = [ModelParams(1.0, 1.0, lam, 2) for lam in (0.2, 0.6, 1.0, 2.0, 3.0)]
     full = ground_states(points, [40] * len(points))
-    monkeypatch.setattr(dicke_qfi.solver, "MAX_INVERSE_ITERATIONS", 7)
+    monkeypatch.setattr(dicke_qfi.solver, "MAX_INVERSE_ITERATIONS", 8)
     outcomes = ground_states(points, [40] * len(points))
     assert [isinstance(outcome, SolverError) for outcome in outcomes] == [True] * 3 + [False] * 2
     for outcome in outcomes[:3]:
-        assert "did not converge in 7 steps" in str(outcome) and outcome.n_cutoff == 40
+        assert "did not converge in 8 steps" in str(outcome) and outcome.n_cutoff == 40
     for gs, outcome in zip(full[3:], outcomes[3:]):
         assert_same_bits(gs, outcome)
 
