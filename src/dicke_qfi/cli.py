@@ -34,7 +34,6 @@ import sys
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import astuple, dataclass, field, fields
 from itertools import chain, repeat
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +42,7 @@ from .errors import SolverError
 from .metrology import (
     ATOM_GRID_POINTS,
     FIELD_GRID_POINTS,
+    SWEEP_OBSERVABLES,
     default_atom_grid,
     default_field_grid,
     husimi_atoms,
@@ -63,9 +63,8 @@ from .thermo import (
 )
 
 SWEEP_COLUMNS = (
-    "lambda", "n_atoms", "n_cutoff", "ground_energy", "nbar",
-    "F_B", "F_B_scaled", "F_A", "F_A_scaled", "xi2",
-    "quad_var_scaled", "parity_expect", "discarded_mass_A", "discarded_mass_B",
+    "lambda", "n_atoms", "n_cutoff", "ground_energy", *SWEEP_OBSERVABLES,
+    "parity_expect", "discarded_mass_A", "discarded_mass_B",
 )
 
 THERMO_COLUMNS = (
@@ -208,25 +207,6 @@ class SweepConfig:
 _SETTINGS = {f.name: f for f in fields(SweepConfig) if f.name != "mode"}
 
 
-class SweepRecord(NamedTuple):
-    """One row of a finite-N sweep; field order matches SWEEP_COLUMNS."""
-
-    lam: float
-    n_atoms: int
-    n_cutoff: int
-    ground_energy: float
-    nbar: float
-    f_b: float
-    f_b_scaled: float
-    f_a: float
-    f_a_scaled: float
-    xi2: float
-    quad_var_scaled: float
-    parity_expect: float
-    discarded_mass_a: float
-    discarded_mass_b: float
-
-
 def map_points(config: SweepConfig, solve, point, failure, failed: list) -> Iterator:
     """Yield the result of every (N, lambda) point's ground state, in output order.
 
@@ -336,31 +316,28 @@ def _converge(stack: list[ModelParams], config: SweepConfig) -> list:
     return converge_stack(stack, config.tol, n_start=config.fock_cutoff)
 
 
-def compute_sweep_records(states: list[GroundState], config: SweepConfig) -> Iterator[SweepRecord]:
-    """The sweep row of each solved (N, lambda) point, in order.
+def compute_sweep_records(states: list[GroundState], config: SweepConfig) -> Iterator[tuple]:
+    """The sweep row of each solved (N, lambda) point, in order: its SWEEP_COLUMNS values.
 
     Each ``states.schmidt_runs`` run's observables are formed in one batched pass,
-    when its first row is asked for.
+    when its first row is asked for: ``sweep_observables`` gives one array per
+    ``metrology.SWEEP_OBSERVABLES`` name, in that order.
     """
     for run, field, atoms in schmidt_runs(states):
-        obs = sweep_observables(field, atoms)
-        observed = zip(*(column.tolist() for column in (
-            obs.nbar, obs.f_b.value, obs.f_b.scaled, obs.f_a.value, obs.f_a.scaled, obs.xi2,
-            4.0 * obs.quad_var)))
+        observed = zip(*(column.tolist() for column in sweep_observables(field, atoms)))
         masses = zip(atoms.discarded_mass.tolist(), field.discarded_mass.tolist())
         for gs, values, (mass_a, mass_b) in zip(run, observed, masses):
             # parity_expect is <P>: the state lives in the even sector, so P acts on it as 1
-            yield SweepRecord(gs.params.lam, gs.params.n_atoms, gs.n_cutoff, gs.energy, *values,
-                              float(gs.vector @ gs.vector), mass_a, mass_b)
+            yield (gs.params.lam, gs.params.n_atoms, gs.n_cutoff, gs.energy, *values,
+                   float(gs.vector @ gs.vector), mass_a, mass_b)
 
 
-def _failed_sweep_record(params: ModelParams, exc: SolverError) -> SweepRecord:
+def _failed_sweep_record(params: ModelParams, exc: SolverError) -> tuple:
     """A failed point's NaN row; its n_cutoff is that of the solve that failed or was refused."""
-    return SweepRecord(params.lam, params.n_atoms, exc.n_cutoff,
-                       *[math.nan] * (len(SweepRecord._fields) - 3))
+    return (params.lam, params.n_atoms, exc.n_cutoff, *[math.nan] * (len(SWEEP_COLUMNS) - 3))
 
 
-def run_sweep(config: SweepConfig) -> tuple[list[SweepRecord], list[list]]:
+def run_sweep(config: SweepConfig) -> tuple[list[tuple], list[list]]:
     """Every (N, lambda) record in output order, NaN where a point failed, and the failed points."""
     failed: list[list] = []
     records = map_points(config, _solve, compute_sweep_records, _failed_sweep_record, failed)

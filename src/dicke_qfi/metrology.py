@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -61,6 +60,9 @@ ATOM_GRID_POINTS = 181
 #: bytes at the peak of coherent_amplitudes, so a chunk stays near 20 MiB at
 #: any cutoff or atom number
 HUSIMI_CHUNK_ELEMENTS = 2**18
+
+#: the sweep columns that ``sweep_observables`` forms, in the order it returns them
+SWEEP_OBSERVABLES = ("nbar", "F_B", "F_B_scaled", "F_A", "F_A_scaled", "xi2", "quad_var_scaled")
 
 
 @dataclass(frozen=True)
@@ -242,20 +244,11 @@ def spin_squeezing_xi2(atoms: SpectralDecomposition) -> float:
     return 4.0 * spin_variance(atoms, math.pi / 2) / (atoms.dim - 1)
 
 
-class SweepObservables(NamedTuple):
-    """The observables of a stack's sweep rows, one array entry a state."""
-
-    nbar: np.ndarray
-    f_b: QfiResult
-    f_a: QfiResult
-    xi2: np.ndarray
-    quad_var: np.ndarray  # variance of X_{pi/2}
-
-
 def sweep_observables(
     field: SpectralDecomposition, atoms: SpectralDecomposition
-) -> SweepObservables:
-    """Every sweep observable of a stack of states in one pass, as arrays over the stack.
+) -> tuple[np.ndarray, ...]:
+    """Every sweep observable of a stack of states in one pass: one array over the stack
+    for each ``SWEEP_OBSERVABLES`` name, in that order.
 
     The stack is (field, atoms) from ``states.schmidt_stack``, or one state,
     taken as a stack of one.  The kernels are those of ``mean_number``,
@@ -269,13 +262,11 @@ def sweep_observables(
     nbar = _mean_number(field)
     spin = _spin_ladder(atoms)  # (Jx v, -i Y v): Jx for F_A, Y = -Jy for xi2
     n_atoms = atoms.dim - 1
-    return SweepObservables(
-        nbar=nbar,
-        f_b=_field_qfi(field, nbar),
-        f_a=_qfi(atoms, spin[0], n_atoms),
-        xi2=4.0 * _variance(atoms, spin, -math.pi / 2) / n_atoms,
-        quad_var=_variance(field, _field_ladder(field), math.pi / 2),
-    )
+    f_b = _field_qfi(field, nbar)
+    f_a = _qfi(atoms, spin[0], n_atoms)
+    xi2 = 4.0 * _variance(atoms, spin, -math.pi / 2) / n_atoms
+    quad_var = _variance(field, _field_ladder(field), math.pi / 2)  # variance of X_{pi/2}
+    return nbar, f_b.value, f_b.scaled, f_a.value, f_a.scaled, xi2, 4.0 * quad_var
 
 
 def coherent_amplitudes(alpha: np.ndarray, dim: int) -> np.ndarray:

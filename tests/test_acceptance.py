@@ -24,7 +24,7 @@ from qfi_reference import (
 )
 from thermal_oscillator import thermal_oscillator
 
-from dicke_qfi.cli import SweepConfig, main, run_sweep
+from dicke_qfi.cli import SWEEP_COLUMNS, SweepConfig, main, run_sweep
 from dicke_qfi.metrology import (
     default_atom_grid,
     husimi_atoms,
@@ -70,10 +70,11 @@ def finite_sweep():
     records, failed = run_sweep(config)
     elapsed = time.perf_counter() - start
     assert failed == []
+    rows = [dict(zip(SWEEP_COLUMNS, record)) for record in records]
     by_n = {
-        n: [r for r in records if r.n_atoms == n] for n in config.n_atoms
+        n: [r for r in rows if r["n_atoms"] == n] for n in config.n_atoms
     }
-    lams = np.array([r.lam for r in by_n[20]])
+    lams = np.array([r["lambda"] for r in by_n[20]])
     return {
         "lams": lams,
         "records": by_n,
@@ -193,8 +194,8 @@ def test_criterion_05_finite_n_qfi_enhancement(finite_sweep):
     assert finite_sweep["elapsed"] < 120.0
     lams = finite_sweep["lams"]
     n20 = finite_sweep["records"][20]
-    fa20 = np.array([r.f_a_scaled for r in n20])
-    fb20 = np.array([r.f_b_scaled for r in n20])
+    fa20 = np.array([r["F_A_scaled"] for r in n20])
+    fb20 = np.array([r["F_B_scaled"] for r in n20])
     assert fa20.max() > 1.0
     assert 0.45 <= lams[np.argmax(fa20)] <= 0.65
     fb_valid = np.where(np.isnan(fb20), -np.inf, fb20)
@@ -202,7 +203,7 @@ def test_criterion_05_finite_n_qfi_enhancement(finite_sweep):
     assert 0.45 <= lams[np.argmax(fb_valid)] <= 0.65
 
     n2 = finite_sweep["records"][2]
-    fa2 = np.array([r.f_a_scaled for r in n2])
+    fa2 = np.array([r["F_A_scaled"] for r in n2])
     # the decoupled point sits exactly at the classical limit; beyond it the
     # ratio drops strictly below 1 and keeps falling
     assert fa2[0] <= 1.0 + 1e-12
@@ -235,8 +236,8 @@ def test_criterion_07_squeezing_minima(finite_sweep):
     lams = finite_sweep["lams"]
     n20 = finite_sweep["records"][20]
     for label, curve in (
-        ("4(dX_pi/2)^2", np.array([r.quad_var_scaled for r in n20])),
-        ("xi2", np.array([r.xi2 for r in n20])),
+        ("4(dX_pi/2)^2", np.array([r["quad_var_scaled"] for r in n20])),
+        ("xi2", np.array([r["xi2"] for r in n20])),
     ):
         k = int(np.argmin(curve))
         assert 0.45 <= lams[k] <= 0.60, label
@@ -245,8 +246,8 @@ def test_criterion_07_squeezing_minima(finite_sweep):
         assert np.all(np.diff(curve[k:]) > -1e-9), label
         assert abs(curve[-1] - 1.0) < 0.05, label
         assert curve[-1] > curve[k], label
-    quad = np.array([r.quad_var_scaled for r in n20])
-    xi2 = np.array([r.xi2 for r in n20])
+    quad = np.array([r["quad_var_scaled"] for r in n20])
+    xi2 = np.array([r["xi2"] for r in n20])
     _report(7, f"minima 4(dX)^2 = {quad.min():.3f} at {lams[np.argmin(quad)]:.2f}, "
                f"xi2 = {xi2.min():.3f} at {lams[np.argmin(xi2)]:.2f}; both rise to ~1 at lambda = 1")
 
@@ -301,13 +302,13 @@ def test_criterion_10_finite_n_tracks_thermodynamic_limit(finite_sweep):
     window = (lams <= 0.4) | (lams >= 0.7)
     worst = {}
     for label, finite, limit in (
-        ("F_A/N", np.array([r.f_a_scaled for r in n20]),
+        ("F_A/N", np.array([r["F_A_scaled"] for r in n20]),
          np.array([qfi_atoms_thermo(thermo_point(1.0, 1.0, float(l)), 1.0) for l in lams])),
-        ("F_B/(4nbar)", np.array([r.f_b_scaled for r in n20]),
+        ("F_B/(4nbar)", np.array([r["F_B_scaled"] for r in n20]),
          np.array([qfi_field_scaled_limit(thermo_point(1.0, 1.0, float(l))) for l in lams])),
-        ("xi2", np.array([r.xi2 for r in n20]),
+        ("xi2", np.array([r["xi2"] for r in n20]),
          np.array([xi2_thermo(thermo_point(1.0, 1.0, float(l))) for l in lams])),
-        ("4(dX)^2", np.array([r.quad_var_scaled for r in n20]),
+        ("4(dX)^2", np.array([r["quad_var_scaled"] for r in n20]),
          np.array([4 * quad_variance_thermo(thermo_point(1.0, 1.0, float(l))) for l in lams])),
     ):
         gap = np.abs(finite - limit)[window]

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dicke_qfi.cli import SweepConfig, run_sweep
+from dicke_qfi.cli import SWEEP_COLUMNS, SweepConfig, run_sweep
 from dicke_qfi.metrology import qfi_atoms, qfi_field, spin_variance
 from dicke_qfi.model import ModelParams
 from dicke_qfi.solver import solve
@@ -34,12 +34,14 @@ MARGIN = 1e-9
 
 @functools.cache
 def _sweep(omega0: float, n_max: int, lambda_max: float, steps: int) -> dict:
-    """Each N = 1..n_max's sweep records over ``steps`` couplings in [0, lambda_max]."""
+    """Each N = 1..n_max's sweep records over ``steps`` couplings in [0, lambda_max], keyed
+    by column."""
     config = SweepConfig(mode="sweep", omega0=omega0, lambda_max=lambda_max,
                          lambda_steps=steps, n_atoms=tuple(range(1, n_max + 1)))
     records, failed = run_sweep(config)
     assert failed == []
-    return {n: [r for r in records if r.n_atoms == n] for n in config.n_atoms}
+    rows = [dict(zip(SWEEP_COLUMNS, record)) for record in records]
+    return {n: [r for r in rows if r["n_atoms"] == n] for n in config.n_atoms}
 
 
 def _threshold_sweep(omega0: float, n_max: int) -> dict:
@@ -52,28 +54,28 @@ def _threshold_sweep(omega0: float, n_max: int) -> dict:
 def test_atomic_qfi_passes_n_from_a_threshold_atom_number(omega0, threshold, peak, at):
     by_n = _threshold_sweep(omega0, threshold)
     for n, records in by_n.items():
-        fa = np.array([r.f_a_scaled for r in records])
+        fa = np.array([r["F_A_scaled"] for r in records])
         if n < threshold:
             assert fa.max() <= 1.0 + MARGIN, n
-    fa = np.array([r.f_a_scaled for r in by_n[threshold]])
+    fa = np.array([r["F_A_scaled"] for r in by_n[threshold]])
     assert fa.max() > 1.0 + MARGIN
     assert abs(fa.max() - peak) < 1e-4
-    assert abs(by_n[threshold][int(np.argmax(fa))].lam - at) < 1e-3
+    assert abs(by_n[threshold][int(np.argmax(fa))]["lambda"] - at) < 1e-3
 
 
 @pytest.mark.parametrize("n_atoms,xi2_min", [(2, 0.9269), (3, 0.8961)])
 def test_squeezing_without_a_qfi_gain(n_atoms, xi2_min):
     # xi2 < 1 while F_A <= N: F_A = N mu^2 / xi2 holds only as N grows
     records = _threshold_sweep(1.0, 4)[n_atoms]
-    assert abs(min(r.xi2 for r in records) - xi2_min) < 1e-4
-    assert max(r.f_a_scaled for r in records) <= 1.0 + MARGIN
+    assert abs(min(r["xi2"] for r in records) - xi2_min) < 1e-4
+    assert max(r["F_A_scaled"] for r in records) <= 1.0 + MARGIN
 
 
 @pytest.mark.parametrize("omega0,smallest", [(0.5, 1.0161), (1.0, 1.0943), (2.0, 1.2799)])
 def test_field_qfi_passes_its_classical_limit_at_every_n(omega0, smallest):
     # 151 couplings in [0, 3]: at omega0 = 0.5 the maxima for N = 1 and 2 lie at
     # lambda = 1.2 and 0.92, past 2 lambda_cr, so the grid reaches past it
-    maxima = [max(r.f_b_scaled for r in records[1:])  # NaN at lambda = 0, where nbar = 0
+    maxima = [max(r["F_B_scaled"] for r in records[1:])  # NaN at lambda = 0, where nbar = 0
               for records in _sweep(omega0, 8, 3.0, 151).values()]
     assert min(maxima) > 1.0
     assert abs(min(maxima) - smallest) < 1e-4
@@ -107,11 +109,12 @@ def test_rabi_limit_approaches_the_thermodynamic_field():
             lam = ratio * math.sqrt(eta) / 2
             config = SweepConfig(mode="sweep", omega0=eta, lambda_min=lam, lambda_max=lam,
                                  lambda_steps=1, n_atoms=(1,))
-            [record], failed = run_sweep(config)
+            [row], failed = run_sweep(config)
             assert failed == []
+            record = dict(zip(SWEEP_COLUMNS, row))
             pt = thermo_point(1.0, eta, lam)
             limits = (qfi_field_scaled_limit(pt), 4 * quad_variance_thermo(pt), nbar_thermo(pt, 1))
-            values = (record.f_b_scaled, record.quad_var_scaled, record.nbar)
+            values = (record["F_B_scaled"], record["quad_var_scaled"], record["nbar"])
             gaps[eta, ratio] = [abs(value - limit) / limit for value, limit in zip(values, limits)]
     for ratio in ratios:
         assert max(gaps[1e5, ratio]) < 2e-4  # at most 1.5e-4 measured

@@ -41,7 +41,6 @@ from qfi_reference import (
 from scipy.linalg import lapack
 
 from dicke_qfi.metrology import (
-    QfiResult,
     mean_number,
     qfi_atoms,
     qfi_field,
@@ -252,13 +251,12 @@ def check_sweep_columns(field, atoms):
     """The sweep's one-pass columns of a stack of one are the public functions' values, bit
     for bit."""
     def first(column):
-        if isinstance(column, QfiResult):
-            return QfiResult(*map(first, dataclasses.astuple(column)))
         (value,) = column.tolist()
         return value
 
-    expected = (mean_number(field), qfi_field(field), qfi_atoms(atoms),
-                spin_squeezing_xi2(atoms), quadrature_variance(field, math.pi / 2))
+    f_b, f_a = qfi_field(field), qfi_atoms(atoms)
+    expected = (mean_number(field), f_b.value, f_b.scaled, f_a.value, f_a.scaled,
+                spin_squeezing_xi2(atoms), 4 * quadrature_variance(field, math.pi / 2))
     # repr tells every float apart by its bits, and shows each NaN as nan
     assert repr(tuple(map(first, sweep_observables(field, atoms)))) == repr(expected)
 

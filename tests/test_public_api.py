@@ -4,6 +4,13 @@ import re
 from pathlib import Path
 
 import dicke_qfi
+from dicke_qfi.cli import (
+    CONVERGENCE_COLUMNS,
+    HUSIMI_COLUMNS,
+    SCALING_COLUMNS,
+    SWEEP_COLUMNS,
+    THERMO_COLUMNS,
+)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -19,3 +26,14 @@ def test_public_names_resolve_and_readme_library_example_runs():
     with contextlib.redirect_stdout(printed):
         exec(compile(example, str(README), "exec"), {})
     assert printed.getvalue().splitlines()[0].startswith("1.057")
+
+
+def test_readme_lists_each_table_s_columns_in_order():
+    # README's Output conventions restate every table's header; each list must
+    # match the CLI's declaration name for name
+    text = README.read_text()
+    listed = {mode: tuple(name.strip() for name in names.split(","))
+              for mode, names in re.findall(r"^- `(\w+)` (?:CSV )?columns: `([^`]*)`", text, re.M)}
+    assert listed == {"sweep": SWEEP_COLUMNS, "thermo": THERMO_COLUMNS,
+                      "scaling": SCALING_COLUMNS, "convergence": CONVERGENCE_COLUMNS,
+                      "husimi": HUSIMI_COLUMNS}
