@@ -33,6 +33,7 @@ import math
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import astuple, dataclass, field, fields
+from functools import partial
 from itertools import chain, repeat
 
 import numpy as np
@@ -210,9 +211,9 @@ _SETTINGS = {f.name: f for f in fields(SweepConfig) if f.name != "mode"}
 def map_points(config: SweepConfig, solve, point, failure, failed: list) -> Iterator:
     """Yield the result of every (N, lambda) point's ground state, in output order.
 
-    The points are cut into stacks by ``solver.stacks``, and ``solve(stack,
-    config)`` gives each point of a stack its GroundState or the SolverError
-    it failed with: the solver returns every failure, a MemoryError included.
+    The points are cut into stacks by ``solver.stacks``, and ``solve(stack)``
+    gives each point of a stack its GroundState or the SolverError it failed
+    with: the solver returns every failure, a MemoryError included.
     ``point(states, config)`` yields one result for each of a stack's solved
     states, in order.  A point whose solve failed, or whose result raised
     SolverError or MemoryError alone (``_one_at_a_time``), yields
@@ -225,17 +226,17 @@ def map_points(config: SweepConfig, solve, point, failure, failed: list) -> Iter
     consumer that writes and drops each one hold one point's at a time.  A
     pool takes all stacks at once, each at most ceil(points / workers)
     points, so that every process gets work, and yields the results in
-    order; results that finish before they are asked for wait in this
-    process.  A result depends on its point alone, so not on the stacks or
-    the worker count.
+    order, each failure sent back as its SolverError; results that finish
+    before they are asked for wait in this process.  A result depends on its
+    point alone, so not on the stacks or the worker count.
     """
     points = config.points()
     workers = min(config.workers, len(points))
     stacked = solver.stacks(points, config.fock_cutoff, -(-len(points) // workers))
     workers = min(workers, len(stacked))
-    tasks = (repeat(solve), repeat(point), repeat(failure), stacked, repeat(config))
+    tasks = (repeat(solve), repeat(point), stacked, repeat(config))
     if workers == 1:
-        yield from _in_order(chain.from_iterable(map(_attempt, *tasks)), points, failed)
+        yield from _in_order(chain.from_iterable(map(_attempt, *tasks)), points, failure, failed)
     else:
         # imported here: a one-process run never starts a pool, and the
         # import costs every process 16-25 ms
@@ -243,34 +244,30 @@ def map_points(config: SweepConfig, solve, point, failure, failed: list) -> Iter
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = chain.from_iterable(pool.map(_attempt_all, *tasks))
-            yield from _in_order(outcomes, points, failed)
+            yield from _in_order(outcomes, points, failure, failed)
 
 
-def _in_order(outcomes, points: list[ModelParams], failed: list) -> Iterator:
-    """The results of ``_attempt`` outcomes, one per point, noting the failed points."""
+def _in_order(outcomes, points: list[ModelParams], failure, failed: list) -> Iterator:
+    """The result of each point's ``_attempt`` outcome, in order, ``failure(params, exc)`` for
+    a SolverError once the point is noted in ``failed`` and named on stderr."""
     for params in points:
-        result, error = next(outcomes)
-        if error is not None:
+        result = next(outcomes)
+        if isinstance(result, SolverError):
             failed.append([params.lam, params.n_atoms])
-            print(f"dicke-qfi: lambda={params.lam} N={params.n_atoms} failed: {error}",
+            print(f"dicke-qfi: lambda={params.lam} N={params.n_atoms} failed: {result}",
                   file=sys.stderr)
+            result = failure(params, result)
         yield result
         del result  # not held while the next point is solved
 
 
-def _attempt(solve, point, failure, stack: list[ModelParams], config: SweepConfig) -> Iterator:
-    """Each point's result, or its failure's with the error's message (None when it was
-    solved), formed as it is taken."""
-    states = solve(stack, config)
+def _attempt(solve, point, stack: list[ModelParams], config: SweepConfig) -> Iterator:
+    """Each point's result, or the SolverError that failed it, formed as it is taken."""
+    states = solve(stack)
     results = _one_at_a_time(point, [gs for gs in states if not isinstance(gs, SolverError)],
                              config)
-    for params, gs in zip(stack, states):
-        result = gs if isinstance(gs, SolverError) else next(results)
-        if isinstance(result, SolverError):
-            yield failure(params, result), str(result)
-        else:
-            yield result, None
-        del result  # not held while the next point's result is formed
+    for gs in states:
+        yield gs if isinstance(gs, SolverError) else next(results)
 
 
 def _one_at_a_time(point, states: list[GroundState], config: SweepConfig) -> Iterator:
@@ -301,19 +298,9 @@ def _one_at_a_time(point, states: list[GroundState], config: SweepConfig) -> Ite
         del result
 
 
-def _attempt_all(solve, point, failure, stack: list[ModelParams], config: SweepConfig) -> list:
+def _attempt_all(solve, point, stack: list[ModelParams], config: SweepConfig) -> list:
     """``_attempt`` of a stack in a worker, every outcome formed, to be sent back."""
-    return list(_attempt(solve, point, failure, stack, config))
-
-
-def _solve(stack: list[ModelParams], config: SweepConfig) -> list:
-    """The stack's ground states, converged per point or at the fixed cutoff."""
-    return solve_stack(stack, config.tol, config.fock_cutoff)
-
-
-def _converge(stack: list[ModelParams], config: SweepConfig) -> list:
-    """The stack's converged ground states, ``fock_cutoff``, when given, their first cutoff."""
-    return converge_stack(stack, config.tol, n_start=config.fock_cutoff)
+    return list(_attempt(solve, point, stack, config))
 
 
 def compute_sweep_records(states: list[GroundState], config: SweepConfig) -> Iterator[tuple]:
@@ -340,7 +327,8 @@ def _failed_sweep_record(params: ModelParams, exc: SolverError) -> tuple:
 def run_sweep(config: SweepConfig) -> tuple[list[tuple], list[list]]:
     """Every (N, lambda) record in output order, NaN where a point failed, and the failed points."""
     failed: list[list] = []
-    records = map_points(config, _solve, compute_sweep_records, _failed_sweep_record, failed)
+    solve = partial(solve_stack, tol=config.tol, fock_cutoff=config.fock_cutoff)
+    records = map_points(config, solve, compute_sweep_records, _failed_sweep_record, failed)
     return list(records), failed
 
 
@@ -391,7 +379,8 @@ def run_husimi(config: SweepConfig) -> tuple[Iterator[dict], list[list]]:
     """
     failed: list[list] = []
     # filter, unlike a generator expression, keeps no reference to the last grid
-    grids = map_points(config, _solve, compute_husimi_grids, _skipped, failed)
+    solve = partial(solve_stack, tol=config.tol, fock_cutoff=config.fock_cutoff)
+    grids = map_points(config, solve, compute_husimi_grids, _skipped, failed)
     return filter(None, grids), failed
 
 
@@ -412,7 +401,9 @@ def _trajectory_rows(params: ModelParams, solved: GroundState | SolverError) -> 
 def run_convergence(config: SweepConfig) -> tuple[list[tuple], list[list]]:
     """Every point's cutoff-trajectory rows in output order, and the failed points."""
     failed: list[list] = []
-    trajectories = map_points(config, _converge, compute_trajectories, _trajectory_rows, failed)
+    # fock_cutoff, when given, is each point's first cutoff
+    solve = partial(converge_stack, tol=config.tol, n_start=config.fock_cutoff)
+    trajectories = map_points(config, solve, compute_trajectories, _trajectory_rows, failed)
     return [row for rows in trajectories for row in rows], failed
 
 

@@ -44,7 +44,10 @@ budget refuses the cutoff; a stack is solved in rounds, each round solving
 the points still open.  The first cutoff, ``initial_cutoff``, is chosen so
 that nearly every point is accepted in one solve.  Every ground state
 carries its tail population, its leakage, its residual ||H psi - E psi||
-on the even block and its certified lower bound on the energy.
+on the even block and its certified lower bound on the energy, all formed
+by ``_record``, the one place a point's GroundState is built;
+``converge_stack`` alone keeps a point's rejected solves, and attaches
+them as its ``steps`` when the point leaves the stack.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ import operator
 import os
 import sys
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError, SolverError
@@ -156,7 +159,8 @@ class GroundState:
     ||H psi - E psi|| on the even block.  ``lower_bound`` is a shift sigma at
     which H - sigma I had a Cholesky factor, so sigma < E0 <= energy; at
     lam = 0 it is the exact energy.  ``steps`` are the point's earlier
-    solves, each rejected, as on a SolverError: none at its first cutoff.
+    solves, each rejected, which ``converge_stack`` attaches, as to a
+    SolverError: none at its first cutoff or at a fixed one.
     """
 
     energy: float
@@ -177,11 +181,14 @@ class GroundState:
 
 def _as_cutoff(value: int, name: str) -> int:
     """A cutoff as a Python int, from any integer, numpy's included; a float, whole or
-    not, is a ValueError."""
+    not, or a cutoff below 1 is a ValueError."""
     try:
-        return operator.index(value)
+        cutoff = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, not {value!r}") from None
+    if cutoff < 1:
+        raise ValueError("n_cutoff must be >= 1")
+    return cutoff
 
 
 def solve_bytes(params: ModelParams, n_cutoff: int) -> int:
@@ -259,31 +266,24 @@ def stacks(
 
 
 def ground_states(
-    points: Sequence[ModelParams],
-    cutoffs: Sequence[int],
-    steps: Sequence[tuple[CutoffStep, ...]] | None = None,
+    points: Sequence[ModelParams], cutoffs: Sequence[int]
 ) -> list[GroundState | SolverError]:
     """Lowest eigenpair of each point's even-parity block, a stack of one N, each at its cutoff.
 
     Each solve starts cold, from ``model.start_vectors``; at lam = 0 the
-    state is the exact |0>|j,-j>.  Each point gets its GroundState,
-    sign-fixed so its largest amplitude is positive, with its tail
-    population and ``leakage``, or the SolverError it failed with at its
-    cutoff, each with the point's earlier ``steps``, none by default.  A
-    MemoryError in a point's solve, or while its record is formed, is that
-    point's SolverError, so no error of a point escapes; a failure leaves
-    the other points' results as they are.  ``checked_bytes`` refuses each
-    point past the budget before anything of the round is allocated; the
-    lam > 0 blocks are written and solved in ``fitting_runs``, one band per
-    run.
+    state is the exact |0>|j,-j>.  Each point gets its GroundState by
+    ``_record``, sign-fixed so its largest amplitude is positive, with its
+    tail population and ``leakage``, or the SolverError it failed with at
+    its cutoff, neither with steps.  A MemoryError in a point's solve, or
+    while its record is formed, is that point's SolverError, so no error of
+    a point escapes; a failure leaves the other points' results as they
+    are.  ``checked_bytes`` refuses each point past the budget before
+    anything of the round is allocated; the lam > 0 blocks are written and
+    solved in ``fitting_runs``, one band per run.
     """
     cutoffs = [_as_cutoff(n_cutoff, "n_cutoff") for n_cutoff in cutoffs]
-    if steps is None:
-        steps = [()] * len(points)
-    if not len(points) == len(cutoffs) == len(steps):
-        raise ValueError("points, cutoffs and steps must have one entry per point")
-    if any(n_cutoff < 1 for n_cutoff in cutoffs):
-        raise ValueError("n_cutoff must be >= 1")
+    if len(points) != len(cutoffs):
+        raise ValueError("points and cutoffs must have one entry per point")
     if len({params.n_atoms for params in points}) > 1:
         raise ValueError("a stack holds points of one atom number")
     # every point's bytes are checked before anything of the round is allocated
@@ -294,39 +294,32 @@ def ground_states(
             held[i] = checked_bytes(params, n_cutoff)
         except SolverError as exc:
             solved[i] = exc
-    banded = []
-    for i, (params, n_cutoff) in enumerate(zip(points, cutoffs)):
-        if solved[i] is not None:
-            continue
-        if params.lam > 0:
-            banded.append(i)
-            continue
-        try:
-            # the diagonal is lowest at |0>|j,-j>, even index 0
-            vector = np.zeros(even_size(params.n_atoms, n_cutoff))
-            vector[0] = 1.0
-            energy = float(-params.omega0 * params.j)
-            solved[i] = (energy, vector, 0.0, energy)
-        except MemoryError as exc:
-            solved[i] = _out_of_memory(exc, n_cutoff)
+    banded = [i for i, params in enumerate(points) if solved[i] is None and params.lam > 0]
     for run in fitting_runs(banded, held.__getitem__):
         outcomes = _banded_lowest([points[i] for i in run], [cutoffs[i] for i in run])
         for i, outcome in zip(run, outcomes):
             solved[i] = outcome
-    for i, (params, n_cutoff, outcome) in enumerate(zip(points, cutoffs, solved)):
-        if not isinstance(outcome, SolverError):
-            energy, vector, residual, lower_bound = outcome
-            try:
-                outcome = GroundState(energy, vector, params, n_cutoff,
-                                      tail_population(vector, params.n_atoms, n_cutoff),
-                                      leakage(vector, params, n_cutoff), residual, lower_bound,
-                                      steps[i])
-            except MemoryError as exc:
-                outcome = _out_of_memory(exc, n_cutoff)
-        if isinstance(outcome, SolverError):
-            outcome.steps = steps[i]
-        solved[i] = outcome
-    return solved
+    return [outcome if isinstance(outcome, SolverError) else _record(params, n_cutoff, outcome)
+            for params, n_cutoff, outcome in zip(points, cutoffs, solved)]
+
+
+def _record(params: ModelParams, n_cutoff: int, solved: tuple | None) -> GroundState | SolverError:
+    """The point's GroundState at ``n_cutoff``: the exact lam = 0 state when ``solved`` is None,
+    else a banded solve's (energy, vector, residual, lower bound); a MemoryError while it is
+    formed is the point's SolverError."""
+    try:
+        if solved is None:
+            # the diagonal is lowest at |0>|j,-j>, even index 0
+            vector = np.zeros(even_size(params.n_atoms, n_cutoff))
+            vector[0] = 1.0
+            energy = float(-params.omega0 * params.j)
+            solved = (energy, vector, 0.0, energy)
+        energy, vector, residual, lower_bound = solved
+        return GroundState(energy, vector, params, n_cutoff,
+                           tail_population(vector, params.n_atoms, n_cutoff),
+                           leakage(vector, params, n_cutoff), residual, lower_bound)
+    except MemoryError as exc:
+        return _out_of_memory(exc, n_cutoff)
 
 
 def _out_of_memory(exc: MemoryError, n_cutoff: int) -> SolverError:
@@ -590,15 +583,16 @@ def converge_stack(
                    for i, params in enumerate(points)]
     while open_points:
         solved = ground_states([points[i] for i, _, _ in open_points],
-                               [n_cutoff for _, n_cutoff, _ in open_points],
-                               [steps for _, _, steps in open_points])
+                               [n_cutoff for _, n_cutoff, _ in open_points])
         still_open = []
-        for (i, _, _), gs in zip(open_points, solved):
-            if isinstance(gs, SolverError) or (
-                    gs.tail_population < tol and gs.leakage < tol * max(1.0, abs(gs.energy))):
+        for (i, _, steps), gs in zip(open_points, solved):
+            if isinstance(gs, SolverError):
+                gs.steps = steps
                 converged[i] = gs
+            elif gs.tail_population < tol and gs.leakage < tol * max(1.0, abs(gs.energy)):
+                converged[i] = replace(gs, steps=steps) if steps else gs
             else:
-                still_open.append((i, 2 * gs.n_cutoff, (*gs.steps, gs.step)))
+                still_open.append((i, 2 * gs.n_cutoff, (*steps, gs.step)))
         open_points = still_open
     return converged
 

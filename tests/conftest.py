@@ -31,20 +31,17 @@ def ultrastrong_n6():
 def fail_solves_above(monkeypatch):
     """Call with a cutoff to make every ground-state solve above it fail with SolverError.
 
-    The failing points of a stack get their SolverError, with their steps; the others
-    are solved.
+    The failing points of a stack get their SolverError; the others are solved.
     """
     real = dicke_qfi.solver.ground_states
 
     def install(max_cutoff):
-        def solve_or_fail(points, cutoffs, steps=None):
-            steps = [()] * len(points) if steps is None else steps
+        def solve_or_fail(points, cutoffs):
             kept = [i for i, n_cutoff in enumerate(cutoffs) if n_cutoff <= max_cutoff]
-            solved = iter(real([points[i] for i in kept], [cutoffs[i] for i in kept],
-                               [steps[i] for i in kept]))
+            solved = iter(real([points[i] for i in kept], [cutoffs[i] for i in kept]))
             return [next(solved) if n_cutoff <= max_cutoff
-                    else SolverError(f"forced failure at n_cutoff={n_cutoff}", n_cutoff, earlier)
-                    for n_cutoff, earlier in zip(cutoffs, steps)]
+                    else SolverError(f"forced failure at n_cutoff={n_cutoff}", n_cutoff)
+                    for n_cutoff in cutoffs]
 
         monkeypatch.setattr(dicke_qfi.solver, "ground_states", solve_or_fail)
 

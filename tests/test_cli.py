@@ -1,7 +1,9 @@
 import concurrent.futures
+import functools
 import io
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -138,6 +140,44 @@ def test_point_modes_workers_match_serial(mode, fmt, tmp_path):
     assert main([*args, "--out", str(serial)]) == 0
     assert main([*args, "--workers", "2", "--out", str(parallel)]) == 0
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+@pytest.mark.parametrize("args,message", [
+    # N = 1000 at lambda = 2 is refused at its first cutoff, beside a solved N = 2
+    (["sweep", "--n-atoms", "2", "--n-atoms", "1000", "--lambda-min", "2", "--lambda-max", "2",
+      "--lambda-steps", "1", "--format", "json"],
+     "dicke-qfi: lambda=2.0 N=1000 failed: n_cutoff=5168 at N=1000 needs 10824363640 bytes, "
+     "past the memory budget of 2147483648 bytes"),
+    # from cutoff 5, lambda = 1 (N = 2) is solved at 5, 10 and 20 and refused at 40
+    (["convergence", "--n-atoms", "2", "--lambda-min", "0", "--lambda-max", "1",
+      "--lambda-steps", "2", "--fock-cutoff", "5", "--format", "json"],
+     "dicke-qfi: lambda=1.0 N=2 failed: n_cutoff=40 at N=2 needs {held} bytes, "
+     "past the memory budget of {budget} bytes"),
+], ids=["sweep-refused", "convergence-after-doublings"])
+def test_failed_point_crosses_the_pool(args, message, tmp_path, capsys, monkeypatch):
+    # a worker sends a failed point back as its SolverError, with its cutoff, steps and
+    # class, and this process writes its row and names it: bytes, stderr and exit
+    # code are those of one process
+    held = solve_bytes(ModelParams(1.0, 1.0, 1.0, 2), 40)
+    if args[0] == "convergence":
+        # forked workers inherit the patched budget
+        monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", held - 1)
+    budget = dicke_qfi.solver.MEMORY_BUDGET
+    pool = concurrent.futures.ProcessPoolExecutor
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
+        pool, mp_context=multiprocessing.get_context("fork")))
+    outputs, errors = [], []
+    for workers in ("1", "2"):
+        out = tmp_path / f"out{workers}.json"
+        assert main([*args, "--workers", workers, "--out", str(out)]) == 4
+        outputs.append(out.read_bytes())
+        errors.append(capsys.readouterr().err)
+    assert outputs[0] == outputs[1]
+    assert errors == [message.format(held=held, budget=budget) + "\n"] * 2
+    if args[0] == "convergence":
+        rows = json.loads(outputs[0])["rows"]
+        assert [(row["lambda"], row["n_cutoff"]) for row in rows] == [
+            (0.0, 5), (1.0, 5), (1.0, 10), (1.0, 20)]
 
 
 def test_pool_has_at_most_one_process_per_point(tmp_path, monkeypatch):

@@ -726,12 +726,13 @@ def test_out_of_memory_is_a_solver_error_at_its_cutoff(monkeypatch):
 
 def test_out_of_memory_while_a_record_is_formed_fails_its_point_alone(monkeypatch):
     # from cutoff 5, lambda = 1 (N = 2) is solved at 5, 10, 20 and 40; a MemoryError
-    # in its leakage at 20, after its band solve, is its SolverError at 20 with the
-    # steps of 5 and 10, and lambda = 0 keeps its bits
+    # in its leakage at 20, after its band solve, is its SolverError at 20, with no
+    # steps from ground_states and the steps of 5 and 10 from converge_stack, and
+    # lambda = 0 keeps its bits
     points = [ModelParams(1.0, 1.0, lam, 2) for lam in (0.0, 1.0)]
     full = converge_stack(points, 1e-10, n_start=5)
     assert [step.n_cutoff for step in full[1].steps] == [5, 10, 20]
-    at_20 = ground_states(points, [20, 20], [(), full[1].steps[:2]])
+    at_20 = ground_states(points, [20, 20])
     leakage = dicke_qfi.solver.leakage
 
     def out_of_memory(vector, params, n_cutoff):
@@ -740,15 +741,39 @@ def test_out_of_memory_while_a_record_is_formed_fails_its_point_alone(monkeypatc
         return leakage(vector, params, n_cutoff)
 
     monkeypatch.setattr(dicke_qfi.solver, "leakage", out_of_memory)
-    for outcomes, reference in (
-            (ground_states(points, [20, 20], [(), full[1].steps[:2]]), at_20[0]),
-            (converge_stack(points, 1e-10, n_start=5), full[0])):
+    for outcomes, reference, steps in (
+            (ground_states(points, [20, 20]), at_20[0], ()),
+            (converge_stack(points, 1e-10, n_start=5), full[0], full[1].steps[:2])):
         assert_same_bits(reference, outcomes[0])
         error = outcomes[1]
         assert isinstance(error, SolverError) and not isinstance(error, ConvergenceError)
         assert str(error) == "out of memory at n_cutoff=20: no room for the leakage"
         assert error.n_cutoff == 20
-        assert error.steps == full[1].steps[:2]
+        assert error.steps == steps
+
+
+def test_out_of_memory_while_a_lambda_0_record_is_formed_fails_its_point_alone(monkeypatch):
+    # the lambda = 0 point, the one at cutoff 7, runs out of memory while its exact
+    # state's record is formed: it is its SolverError at 7, and the banded points
+    # of its stack keep the bits they have alone
+    points = [ModelParams(1.0, 1.0, lam, 3) for lam in (0.5, 0.0, 1.0)]
+    cutoffs = [20, 7, 20]
+    alone = [ground_states([params], [n_cutoff])[0] for params, n_cutoff in zip(points, cutoffs)]
+    tail = dicke_qfi.solver.tail_population
+
+    def out_of_memory(vector, n_atoms, n_cutoff):
+        if n_cutoff == 7:
+            raise MemoryError("no room for the tail")
+        return tail(vector, n_atoms, n_cutoff)
+
+    monkeypatch.setattr(dicke_qfi.solver, "tail_population", out_of_memory)
+    outcomes = ground_states(points, cutoffs)
+    error = outcomes[1]
+    assert isinstance(error, SolverError) and not isinstance(error, ConvergenceError)
+    assert str(error) == "out of memory at n_cutoff=7: no room for the tail"
+    assert error.n_cutoff == 7 and error.steps == ()
+    for i in (0, 2):
+        assert_same_bits(alone[i], outcomes[i])
 
 
 def assert_same_bits(gs, other):
@@ -937,10 +962,11 @@ def test_stacks_follow_atom_number_budget_and_cap():
         ground_states(points[2:4], [20, 20])
     with pytest.raises(ValueError, match="one entry per point"):
         ground_states(points[:2], [20])
-    with pytest.raises(ValueError, match="one entry per point"):
-        ground_states(points[:2], [20, 20], [()])
-    with pytest.raises(ValueError, match="n_cutoff must be >= 1"):
-        ground_states(points[:2], [20, 0])
+    for n_cutoff in (0, -5):
+        with pytest.raises(ValueError, match="n_cutoff must be >= 1"):
+            ground_states(points[:2], [20, n_cutoff])
+        with pytest.raises(ValueError, match="n_cutoff must be >= 1"):
+            stacks(points, n_start=n_cutoff)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
