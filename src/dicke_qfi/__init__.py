@@ -10,7 +10,7 @@ the amplitudes of their critical power laws at the superradiant transition.
 __version__ = "0.1.0"
 
 from .errors import ConvergenceError, SolverError
-from .model import ModelParams, even_sector
+from .model import ModelParams
 from .solver import GroundState, solve
 from .states import SpectralDecomposition, schmidt_decompose
 from .metrology import (
@@ -46,7 +46,6 @@ __all__ = [
     "SpectralDecomposition",
     "ThermoPoint",
     "critical_amplitudes",
-    "even_sector",
     "husimi_atoms",
     "husimi_field",
     "nbar_thermo",

@@ -12,23 +12,23 @@ main diagonal and at most three upper diagonals, never densely.  The basis is
 boson-major, idx(n, m) = n*(N+1) + (m+j); even-sector position p holds
 full index 2p or 2p + 1, so no index array is stored.  A basis is named by
 its two ints, N and n_cutoff, and this module alone knows its even-sector
-layout: its size (``even_size``), (n, m+j) at each position
-(``even_sector``), the offsets (``coupling_offsets``, ``band_width``), the
-Fock tail and the coupling out of its top level (``tail_population``,
-``leakage``), every solve's start (``start_vectors``) and the zero-padded
-grids of the Schmidt step (``padded_shape``, ``amplitude_grids``).
+layout: its size (``even_size``), the offsets (``coupling_offsets``,
+``band_width``), the Fock tail and the coupling out of its top level
+(``tail_population``, ``leakage``), every solve's start (``start_vectors``)
+and the zero-padded grids of the Schmidt step (``padded_shape``,
+``amplitude_grids``).  One rule places the sector on the (n, m+j) grid:
+``amplitude_grids`` writes a vector there, and its inverse ``_even`` reads
+the even positions of any array formed on the grid.
 
-The part that does not depend on omega, omega0 or lam, n and m+j at each
-even position and the couplings at g = 1, has a closed form.  The basis at
-cutoff c is a prefix of any larger one, so ``write_even_block`` and
-``even_sector`` read views of one skeleton built at the power of two at or
-above c, under a ``functools.lru_cache`` that keeps the last two: the start
-vectors of a stack's points of one capacity read the skeleton at their
-largest cutoff, and their blocks read smaller ones.  The diagonal does not depend on lam either, so one is kept
-for each of the last two (N, capacity, omega, omega0), and the ladder
-coefficients of ``leakage`` for each of the last four (N, C mod 2).  The
-odd sector is never built: the block does not couple it, and the ground
-state has no weight there.
+The part that does not depend on omega, omega0 or lam, the couplings at
+g = 1, has a closed form.  The basis at cutoff c is a prefix of any larger
+one, so ``write_even_block`` reads views of one skeleton built at the power
+of two at or above c, under a ``functools.lru_cache`` that keeps the last
+two.  The diagonal does not depend on lam either, so one is kept for each
+of the last two (N, capacity, omega, omega0), and the ladder coefficients
+of ``leakage`` for each of the last four (N, C mod 2).  The odd sector is
+never built: the block does not couple it, and the ground state has no
+weight there.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -82,59 +81,64 @@ class ModelParams:
         return math.sqrt(self.omega * self.omega0) / 2
 
 
-class EvenSector(NamedTuple):
-    """The even n+m+j sector of a basis, position by position, as read-only views.
+def _even(n_atoms: int, grids: np.ndarray) -> np.ndarray:
+    """The even-sector entries of a (rows, N+1) grid of (n, k), k = m + j, or of a stack
+    of them, in ascending full index: the inverse of ``amplitude_grids``' write.
 
-    ``n`` and ``k`` hold the Fock number and m + j at each position, in
-    ascending full index, in the smallest unsigned type that holds them.
+    The sector is n + k even: for even N every second full index, a view;
+    for odd N the even k of even rows and the odd k of odd rows.
     """
-
-    n: np.ndarray
-    k: np.ndarray
+    *stack, rows, columns = grids.shape
+    if n_atoms % 2 == 0:
+        return grids.reshape(*stack, rows * columns)[..., ::2]
+    even = np.empty((*stack, rows, columns // 2))
+    even[..., 0::2, :] = grids[..., 0::2, 0::2]
+    even[..., 1::2, :] = grids[..., 1::2, 1::2]
+    return even.reshape(*stack, -1)
 
 
 @functools.lru_cache(maxsize=2)
-def _skeleton(n_atoms: int, capacity: int) -> tuple[EvenSector, tuple]:
+def _skeleton(n_atoms: int, capacity: int) -> tuple[tuple[int, np.ndarray], ...]:
     """The read-only skeleton of N atoms' even block at cutoff ``capacity``.
 
-    (n, k) at each even position, k = m + j, and per coupling offset d the
-    units at g = 1 for positions 0 .. size - d - 1, zero where the ladder
-    ends: sqrt((n+1)(k+1)(N-k)) for b'J+ and sqrt((n+1) k (N+1-k)) for b'J-,
-    at each of ``coupling_offsets``.
+    Per coupling offset d, the units at g = 1 for positions 0 .. size - d - 1,
+    zero where the ladder ends: sqrt((n+1)(k+1)(N-k)) for b'J+ and
+    sqrt((n+1) k (N+1-k)) for b'J-, k = m + j, formed on the (n, k) grid and
+    read off at the even positions.  For odd N the offset of a coupling
+    depends on the parity of its row n, so each offset reads its even rows
+    from one ladder and its odd rows from the other.
     """
-    spin_dim = n_atoms + 1
-    size = even_size(n_atoms, capacity)
-    half = spin_dim // 2
-    if n_atoms % 2 == 0:
-        n, k = np.divmod(2 * np.arange(size), spin_dim)
-    else:
-        n, k = np.divmod(np.arange(size), half)
-        k = 2 * k + n % 2
-    rung = n + 1.0
-    plus = np.sqrt(rung * ((k + 1) * (n_atoms - k)))
-    minus = np.sqrt(rung * (k * (spin_dim - k)))
+    rung = np.arange(1.0, capacity + 2)[:, None]
+    k = np.arange(n_atoms + 1)
+    ladders = []
+    for coefficient in ((k + 1) * (n_atoms - k), k * (n_atoms + 1 - k)):
+        grid = rung * coefficient
+        ladders.append(np.ascontiguousarray(_even(n_atoms, np.sqrt(grid, out=grid))))
+    plus, minus = ladders
+    half = (n_atoms + 1) // 2
     if n_atoms % 2 == 0:
         by_offset = {half: minus, half + 1: plus}
     else:
-        even_row = n % 2 == 0
-        by_offset = {half - 1: np.where(even_row, minus, 0.0),
-                     half: np.where(even_row, plus, minus),
-                     half + 1: np.where(even_row, 0.0, plus)}
-    sector = EvenSector(n.astype(np.min_scalar_type(capacity)),
-                        k.astype(np.min_scalar_type(n_atoms)))
+        plus_rows, minus_rows = (ladder.reshape(capacity + 1, half) for ladder in ladders)
+        middle = plus_rows.copy()
+        middle[1::2] = minus_rows[1::2]
+        minus_rows[1::2] = 0.0
+        plus_rows[0::2] = 0.0
+        by_offset = {half - 1: minus, half: middle.reshape(-1), half + 1: plus}
+    size = even_size(n_atoms, capacity)
     units = tuple((d, by_offset[d][: size - d]) for d in coupling_offsets(n_atoms, capacity))
-    for array in (*sector, *(unit for _, unit in units)):
-        array.flags.writeable = False
-    return sector, units
+    for _, unit in units:
+        unit.flags.writeable = False
+    return units
 
 
 def capacity(n_cutoff: int) -> int:
     """The power of two at or above ``n_cutoff``: the cutoff that serves it.
 
     The basis at c is the first (c+1)(N+1) indices of any larger one, so a
-    skeleton, or a zero-padded amplitude grid, built at this capacity holds
-    the cutoff's: a stack's start vectors read the skeleton at its largest
-    cutoff, and its blocks at their smaller ones, mostly the same capacity.
+    skeleton, a diagonal or a zero-padded amplitude grid built at this
+    capacity holds the cutoff's: a stack's blocks mostly read one skeleton,
+    and the mean-field starts of one capacity are formed as one grid.
     """
     return 1 << (n_cutoff - 1).bit_length()
 
@@ -168,25 +172,14 @@ def band_width(n_atoms: int) -> int:
     return coupling_offsets(n_atoms, 2)[-1]
 
 
-def _cached(n_atoms: int, n_cutoff: int) -> tuple[EvenSector, tuple, int]:
-    """The skeleton that serves the basis, built at its cutoff's capacity, and the
-    number of the basis' even positions."""
-    if n_cutoff < 1:
-        raise ValueError("n_cutoff must be >= 1")
-    if n_atoms < 1:
-        raise ValueError("n_atoms must be >= 1")
-    sector, units = _skeleton(n_atoms, capacity(n_cutoff))
-    return sector, units, even_size(n_atoms, n_cutoff)
-
-
 @functools.lru_cache(maxsize=2)
 def _diagonal(n_atoms: int, capacity: int, omega: float, omega0: float) -> np.ndarray:
     """The read-only diagonal omega n + omega0 (k - j) of N atoms' even block at cutoff
     ``capacity``: it does not depend on lam, so the points of a stack at one omega and
     omega0 copy prefixes of one array."""
-    (n, k), _ = _skeleton(n_atoms, capacity)
-    # float(): an integer omega times the small unsigned n would wrap around
-    diagonal = float(omega) * n + omega0 * (k - n_atoms / 2)
+    n, k = np.arange(capacity + 1.0)[:, None], np.arange(n_atoms + 1)
+    grid = omega * n + omega0 * (k - n_atoms / 2)
+    diagonal = np.ascontiguousarray(_even(n_atoms, grid))
     diagonal.flags.writeable = False
     return diagonal
 
@@ -206,7 +199,10 @@ def write_even_block(
     g * unit, g = lam / sqrt(N), of the cached skeleton's prefix views: the
     same floating-point operations as a build from scratch.
     """
-    _, units, size = _cached(params.n_atoms, n_cutoff)
+    if n_cutoff < 1:
+        raise ValueError("n_cutoff must be >= 1")
+    units = _skeleton(params.n_atoms, capacity(n_cutoff))
+    size = even_size(params.n_atoms, n_cutoff)
     end = row + size
     diagonal[row:end] = _diagonal(params.n_atoms, capacity(n_cutoff),
                                   params.omega, params.omega0)[:size]
@@ -215,12 +211,6 @@ def write_even_block(
     for d, unit in units:
         np.multiply(g, unit[: size - d], out=couplings[d])
     return diagonal[row:end], couplings
-
-
-def even_sector(n_atoms: int, n_cutoff: int) -> EvenSector:
-    """The even n+m+j sector of N atoms at ``n_cutoff``: (n, k), read-only views."""
-    (n, k), _, size = _cached(n_atoms, n_cutoff)
-    return EvenSector(n[:size], k[:size])
 
 
 def tail_population(vector: np.ndarray, n_atoms: int, n_cutoff: int) -> float:
@@ -335,8 +325,7 @@ def _mean_field_starts(points: Sequence[ModelParams], cutoffs: Sequence[int]) ->
                              n * log_alpha[rows] - 0.5 * log_factorial[: largest + 1], -math.inf)
         field = np.exp(log_field - np.maximum.reduce(log_field, axis=1, keepdims=True))
         field[:, 1::2] *= -1.0
-        sector = even_sector(n_atoms, largest)
-        grid = field[:, sector.n] * spin[rows][:, sector.k]
+        grid = _even(n_atoms, field[:, :, None] * spin[rows][:, None, :])
         for i, row, n_cutoff in zip(rows, grid, own.tolist()):
             starts[i] = row[:even_size(n_atoms, n_cutoff)]
     return starts

@@ -24,7 +24,6 @@ import dicke_qfi.solver
 from dicke_qfi import cli, model
 from dicke_qfi.model import (
     ModelParams,
-    even_sector,
     even_size,
     leakage,
     write_even_block,
@@ -234,10 +233,10 @@ def test_parity_conjugation_flips_b_and_jx():
 
 def test_parity_blocks_minimal_case():
     # full indices 0 and 3, |0>|j,-j> and |1>|j,+j>; the sector stores no index
-    sector = even_sector(1, 1)
-    assert sector._fields == ("n", "k")
-    assert sector.n.tolist() == [0, 1]
-    assert sector.k.tolist() == [0, 1]
+    assert even_indices(BasisIndexer(1, 1)).tolist() == [0, 3]
+    assert even_size(1, 1) == 2
+    (grid,) = model.amplitude_grids(1, [np.array([1.0, 2.0])], [1])
+    assert grid.tolist() == [[1.0, 0.0], [0.0, 2.0]]
 
 
 @pytest.mark.parametrize("n_atoms", range(1, 10))
@@ -248,9 +247,6 @@ def test_even_layout_matches_parity_signs(n_atoms):
         indexer = BasisIndexer(n_cutoff, n_atoms)
         even = even_indices(indexer)
         assert model.even_size(n_atoms, n_cutoff) == even.size
-        sector = even_sector(n_atoms, n_cutoff)
-        n, k = np.divmod(even, indexer.spin_dim)
-        assert np.array_equal(sector.n, n) and np.array_equal(sector.k, k)
         # each amplitude lands at its full index of a padded grid, and nothing else is written
         vector = np.arange(1.0, even.size + 1)
         (grid,) = model.amplitude_grids(n_atoms, [vector], [n_cutoff])
@@ -264,21 +260,23 @@ def test_even_layout_matches_parity_signs(n_atoms):
 def test_basis_without_a_level_or_an_atom_rejected(n_cutoff):
     with pytest.raises(ValueError, match="n_cutoff"):
         write_even_block(ModelParams(1.0, 1.0, 0.5, 3), n_cutoff, np.zeros(8), {}, 0)
-    with pytest.raises(ValueError, match="n_cutoff"):
-        even_sector(3, n_cutoff)
     with pytest.raises(ValueError, match="n_atoms"):
-        even_sector(n_cutoff, 4)
+        ModelParams(1.0, 1.0, 0.5, n_cutoff)
 
 
 @pytest.mark.parametrize("n_atoms,n_cutoff", [(1, 6), (3, 9), (4, 10)])
 def test_parity_block_sizes(n_atoms, n_cutoff):
     # the even sector and the odd one of the parity signs partition the basis
     indexer = BasisIndexer(n_cutoff, n_atoms)
-    even = even_sector(n_atoms, n_cutoff).n
+    size = even_size(n_atoms, n_cutoff)
     odd = np.flatnonzero(parity_signs_from_scratch(indexer) < 0)
-    assert even.size + odd.size == indexer.dimension
-    assert even.size > 0
-    assert abs(even.size - odd.size) <= n_atoms + 1
+    assert size == even_indices(indexer).size
+    assert size + odd.size == indexer.dimension
+    assert size > 0
+    assert abs(size - odd.size) <= n_atoms + 1
+    # a vector of ones fills exactly the even full indices of its grid
+    (grid,) = model.amplitude_grids(n_atoms, [np.ones(size)], [n_cutoff])
+    assert np.array_equal(np.flatnonzero(grid), even_indices(indexer))
 
 
 def test_block_restriction_reproduces_action():
@@ -317,15 +315,16 @@ def test_block_restriction_reproduces_action():
 
 
 # (omega, omega0, lam): lam = 0, the critical point, either side of it, and
-# integers, whose products with the cached unsigned Fock numbers must not wrap
+# integers, whose products with the Fock numbers must not wrap
 BLOCK_PARAMS = ((1.0, 1.0, 0.0), (1.0, 1.0, 0.5), (0.7, 1.3, 2.5), (1.9, 0.4, 0.1),
                 (300, 7, 2))
 
 
 def assert_matches_scratch(points, cutoffs):
-    """Each block of a round of points of one N, written into one band at its cutoff, and
-    its even sector equal a build from scratch, bit for bit, and nothing else of the band is
-    written; a block of at most 200 positions also equals ``dense_hamiltonian_block``."""
+    """Each block of a round of points of one N, written into one band at its cutoff,
+    equals a build from scratch, bit for bit, and nothing else of the band is written; its
+    vectors' grids hold the even sector; a block of at most 200 positions also equals
+    ``dense_hamiltonian_block``."""
     (band_diagonal, band_upper), rows, blocks = written_round(points, cutoffs)
     expected_band = np.zeros(band_diagonal.size), {d: np.zeros(c.size) for d, c in band_upper.items()}
     for params, n_cutoff, row, (diagonal, upper) in zip(points, cutoffs, rows, blocks):
@@ -343,11 +342,12 @@ def assert_matches_scratch(points, cutoffs):
             for d, coupling in upper.items():
                 dense += np.diag(coupling, d) + np.diag(coupling, -d)
             assert np.array_equal(dense, dense_hamiltonian_block(params, indexer))
-        # (n, k) fixes the full index n (N+1) + k, so this is the +1 parity set, in order
-        sector = even_sector(indexer.n_atoms, indexer.n_cutoff)
-        n, k = np.divmod(even_indices(indexer), indexer.spin_dim)
-        assert np.array_equal(sector.n, n)
-        assert np.array_equal(sector.k, k)
+        # position p of the block is the p-th index of the +1 parity set, in order
+        even = even_indices(indexer)
+        assert diagonal.size == even_size(params.n_atoms, n_cutoff) == even.size
+        (grid,) = model.amplitude_grids(params.n_atoms, [np.arange(1.0, even.size + 1)], [n_cutoff])
+        assert np.array_equal(grid.ravel()[even], np.arange(1.0, even.size + 1))
+        assert np.count_nonzero(grid) == even.size
     assert np.array_equal(band_diagonal, expected_band[0])
     assert all(np.array_equal(band_upper[d], expected_band[1][d]) for d in band_upper)
 
@@ -368,13 +368,21 @@ def test_cached_block_matches_closed_form_bitwise(n_atoms):
 
 
 def test_cached_parity_arrays_are_read_only():
-    sector = even_sector(3, 9)
-    before = [array.copy() for array in sector]
-    for array in sector:
+    # the cached units and diagonal that blocks copy refuse writes, and writing
+    # the blocks handed out, views of the band, leaves them as they were
+    params = ModelParams(1.0, 1.0, 0.8, 3)
+    cached = [model._diagonal(3, model.capacity(9), params.omega, params.omega0),
+              *(unit for _, unit in model._skeleton(3, model.capacity(9)))]
+    before = [array.copy() for array in cached]
+    for array in cached:
         with pytest.raises(ValueError):
             array[0] = 7
-    again = even_sector(3, 9)
-    for old, new in zip(before, again):
+    for _ in range(2):
+        _, _, [(diagonal, upper)] = written_round([params], [9])
+        diagonal[:] = -1.0
+        for coupling in upper.values():
+            coupling[:] = -1.0
+    for old, new in zip(before, cached):
         assert np.array_equal(old, new)
 
 
@@ -441,9 +449,10 @@ def test_leakage_builds_no_skeleton(skeleton_cache, n_atoms):
 def test_doubling_pairs_read_two_cached_skeletons(skeleton_cache):
     # a point solved at c and 2c reads the skeletons at the powers of two at or
     # above them; walking c upwards builds each power of two once
+    params = ModelParams(1.0, 1.0, 0.8, 3)
     for n_cutoff in range(1, 65):
         for cutoff in (n_cutoff, 2 * n_cutoff):
-            even_sector(3, cutoff)
+            written_round([params], [cutoff])
             assert skeleton_cache.cache_info().currsize <= 2
     assert skeleton_cache.cache_info().misses == 8  # 1, 2, 4, ..., 128
 
@@ -452,7 +461,8 @@ def test_views_handed_out_survive_eviction(skeleton_cache):
     params = ModelParams(0.7, 1.3, 2.5, 5)
     small = BasisIndexer(9, 5)
     _, _, [(diagonal, upper)] = written_round([params], [small.n_cutoff])
-    handed_out = [*even_sector(small.n_atoms, small.n_cutoff), diagonal, *upper.values()]
+    skeleton = model._skeleton(small.n_atoms, model.capacity(small.n_cutoff))
+    handed_out = [*(unit for _, unit in skeleton), diagonal, *upper.values()]
     copies = [array.copy() for array in handed_out]
     # two larger capacities, 64 and 128, evict the skeleton of the first views
     assert_matches_scratch([params], [50])

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
 
 import dicke_qfi
@@ -10,6 +11,7 @@ from dicke_qfi.cli import (
     SCALING_COLUMNS,
     SWEEP_COLUMNS,
     THERMO_COLUMNS,
+    main,
 )
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -26,6 +28,22 @@ def test_public_names_resolve_and_readme_library_example_runs():
     with contextlib.redirect_stdout(printed):
         exec(compile(example, str(README), "exec"), {})
     assert printed.getvalue().splitlines()[0].startswith("1.057")
+
+
+def test_readme_command_examples_run(tmp_path):
+    # README's Command line examples, each run as written but for its --out,
+    # which goes to a file of the same name under tmp_path
+    text = README.read_text()
+    block = re.search(r"```sh\n(.*?)```", text[text.index("\n## Command line\n"):], re.S)[1]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    assert {argv[0] for argv in commands} == {"dicke-qfi"}
+    assert {argv[1] for argv in commands} == {"sweep", "thermo", "husimi", "scaling",
+                                              "convergence"}
+    for _, *argv in commands:
+        out = argv.index("--out") + 1
+        argv[out] = str(tmp_path / argv[out])
+        assert main(argv) == 0, argv
+        assert Path(argv[out]).stat().st_size > 0
 
 
 def test_readme_lists_each_table_s_columns_in_order():
