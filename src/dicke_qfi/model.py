@@ -280,8 +280,8 @@ def _mean_field_starts(points: Sequence[ModelParams], cutoffs: Sequence[int]) ->
 
     The even-parity restriction of the mean-field product state: a coherent
     field of amplitude alpha = -lam sqrt(N) sin(theta)/omega times a spin
-    coherent state with cos(theta) = lambda_cr^2/lam^2, formed only at the
-    even positions.  Each factor is built in log space and scaled to a
+    coherent state with cos(theta) = lambda_cr^2/lam^2, formed on the (n, k)
+    grid and read off at the even positions.  Each factor is built in log space and scaled to a
     largest amplitude of 1 over the point's own levels, so no factorial
     overflows, the product peaks near 1, and a point's start does not
     depend on the others.  Conjugating H by D = diag((-1)^n) makes every
