@@ -81,6 +81,16 @@ CONVERGENCE_COLUMNS = ("lambda", "n_atoms", "step", "n_cutoff", "energy", "tail_
 
 FORMATS = ("csv", "json")
 
+#: the modes, each with its help line
+MODES = {
+    "sweep": "finite-N observables over a coupling grid",
+    "husimi": "quasi-probability grids for both subsystems",
+    "thermo": "thermodynamic-limit curves over a coupling grid",
+    "scaling": "critical amplitudes on both sides of lambda_cr",
+    "convergence": "Fock-cutoff trajectories, one row per solve: a single row for a "
+                   "point whose tail and leakage pass --tol at its first cutoff",
+}
+
 #: most couplings a grid may hold: at 10^6 the grid alone is 8 MB and a
 #: thermo run's rows some hundreds of MB, and no curve needs a finer one
 MAX_LAMBDA_STEPS = 10**6
@@ -149,6 +159,8 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_atoms", tuple(self.n_atoms))  # argparse appends to a list
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode}")
         for name in ("omega", "omega0", "lambda_min", "lambda_max", "tol"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name.replace('_', '-')} must be finite")
@@ -540,14 +552,6 @@ def _open_output(path: str):
 # argument handling
 
 def _build_parser() -> argparse.ArgumentParser:
-    modes = {
-        "sweep": "finite-N observables over a coupling grid",
-        "husimi": "quasi-probability grids for both subsystems",
-        "thermo": "thermodynamic-limit curves over a coupling grid",
-        "scaling": "critical amplitudes on both sides of lambda_cr",
-        "convergence": "Fock-cutoff trajectories, one row per solve: a single row for a "
-                       "point whose tail and leakage pass --tol at its first cutoff",
-    }
     # a flag not given stays out of the namespace, so the file or the default applies
     parser = argparse.ArgumentParser(
         prog="dicke-qfi",
@@ -555,8 +559,8 @@ def _build_parser() -> argparse.ArgumentParser:
         argument_default=argparse.SUPPRESS,
     )
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("mode", choices=modes,
-                        help="; ".join(f"{mode}: {blurb}" for mode, blurb in modes.items()))
+    parser.add_argument("mode", choices=MODES,
+                        help="; ".join(f"{mode}: {blurb}" for mode, blurb in MODES.items()))
     parser.add_argument("--config", help="key = value file; explicit flags override it")
     for name, setting in _SETTINGS.items():
         parser.add_argument("--" + name.replace("_", "-"), **setting.metadata["flag"])
@@ -613,8 +617,6 @@ def _dispatch(config: SweepConfig) -> int:
             write_table(stream, SCALING_COLUMNS, run_scaling(config), meta, fmt)
             return 0
         run = {"sweep": run_sweep, "husimi": run_husimi, "convergence": run_convergence}
-        if config.mode not in run:
-            raise ValueError(f"unknown mode {config.mode}")
         results, failed = run[config.mode](config)
 
         def final_meta() -> dict:

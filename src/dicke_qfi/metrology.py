@@ -81,11 +81,15 @@ def _check_space(state: SpectralDecomposition, space: str, caller: str) -> None:
         raise ValueError(f"{caller} expects a {space}-space state")
 
 
-def _one_state(state: SpectralDecomposition, space: str, caller: str) -> SpectralDecomposition:
-    """A state of ``space`` as the stack of one that the kernels take."""
+def _check_one(state: SpectralDecomposition, space: str, caller: str) -> None:
     _check_space(state, space, caller)
     if state.weights.ndim != 1:
         raise ValueError(f"{caller} takes one state, not a stack")
+
+
+def _one_state(state: SpectralDecomposition, space: str, caller: str) -> SpectralDecomposition:
+    """A state of ``space`` as the stack of one that the kernels take."""
+    _check_one(state, space, caller)
     return state.as_stack()
 
 
@@ -303,7 +307,7 @@ def husimi_field(field: SpectralDecomposition, alpha: np.ndarray) -> np.ndarray:
     HUSIMI_CHUNK_ELEMENTS // (n_cutoff+1), so memory does not grow with the
     cutoff.
     """
-    _check_space(field, "boson", "husimi_field")
+    _check_one(field, "boson", "husimi_field")
     levels = field.dim if field.levels is None else int(field.levels)
     vectors, weights = _weighted(field, levels)
     flat = np.asarray(alpha, dtype=complex).ravel()
@@ -369,7 +373,7 @@ def husimi_atoms(atoms: SpectralDecomposition, theta: np.ndarray, phi: np.ndarra
     whole (theta, phi, N+1) array would be 0.5 GB at N = 1000 on the
     default grid.
     """
-    _check_space(atoms, "spin", "husimi_atoms")
+    _check_one(atoms, "spin", "husimi_atoms")
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     out = np.empty((theta.size, phi.size))

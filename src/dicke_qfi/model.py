@@ -7,33 +7,34 @@ The Hamiltonian is
 acting on |n>|j,m> with Fock number n <= n_cutoff and collective spin
 j = N/2.  It commutes with the parity P = exp[i*pi*(b'b + Jz + j)], and the
 ground state lies in the even sector, so its <P> is its squared norm.
-``write_even_block`` writes that block into the solver's band, as its
-main diagonal and at most three upper diagonals, never densely.  The basis is
-boson-major, idx(n, m) = n*(N+1) + (m+j); even-sector position p holds
-full index 2p or 2p + 1, so no index array is stored.  A basis is named by
-its two ints, N and n_cutoff, and this module alone knows its even-sector
-layout: its size (``even_size``), the offsets (``coupling_offsets``,
-``band_width``), the Fock tail and the coupling out of its top level
-(``tail_population``, ``leakage``), every solve's start (``start_vectors``)
-and the zero-padded grids of the Schmidt step (``padded_shape``,
-``amplitude_grids``).  One rule places the sector on the (n, m+j) grid:
-``amplitude_grids`` writes a vector there, and its inverse ``_even`` reads
-the even positions of any array formed on the grid.
+The solver's band holds that block, its main diagonal and at most three
+upper diagonals, never densely.  The basis is boson-major,
+idx(n, m) = n*(N+1) + (m+j); even-sector position p holds full index 2p
+or 2p + 1, so no index array is stored.  A basis is named by its two ints,
+N and n_cutoff, and this module alone knows its even-sector layout: its
+size (``even_size``), the offsets (``coupling_offsets``, ``band_width``),
+the band of a round's blocks (``even_band``), the Fock tail and the
+coupling out of its top level (``tail_population``, ``leakage``), every
+solve's start (``start_vectors``) and the zero-padded grids of the
+Schmidt step (``padded_shape``, ``amplitude_grids``).  One rule places the
+sector on the (n, m+j) grid: ``amplitude_grids`` writes a vector there,
+and its inverse ``_even`` reads the even positions of any array formed on
+the grid.
 
 The part that does not depend on omega, omega0 or lam, the couplings at
 g = 1, has a closed form.  The basis at cutoff c is a prefix of any larger
-one, so ``write_even_block`` reads views of one skeleton built at the power
-of two at or above c, under a ``functools.lru_cache`` that keeps the last
-two.  The diagonal does not depend on lam either, so one is kept for each
-of the last two (N, capacity, omega, omega0), and the ladder coefficients
-of ``leakage`` for each of the last four (N, C mod 2).  The odd sector is
-never built: the block does not couple it, and the ground state has no
-weight there.
+one, so ``even_band`` forms these units, and the diagonal, which does not
+depend on lam either, once per round at its largest cutoff; each block
+copies prefixes of them.  No block is cached: only ``leakage`` keeps its
+ladder coefficients, for each of the last four (N, C mod 2).  The odd
+sector is never built: the block does not couple it, and the ground state
+has no weight there.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from collections.abc import Sequence
@@ -97,48 +98,44 @@ def _even(n_atoms: int, grids: np.ndarray) -> np.ndarray:
     return even.reshape(*stack, -1)
 
 
-@functools.lru_cache(maxsize=2)
-def _skeleton(n_atoms: int, capacity: int) -> tuple[tuple[int, np.ndarray], ...]:
-    """The read-only skeleton of N atoms' even block at cutoff ``capacity``.
+def _units(n_atoms: int, n_cutoff: int) -> dict[int, np.ndarray]:
+    """The couplings at g = 1 of N atoms' even block at ``n_cutoff``, by offset.
 
-    Per coupling offset d, the units at g = 1 for positions 0 .. size - d - 1,
-    zero where the ladder ends: sqrt((n+1)(k+1)(N-k)) for b'J+ and
+    Per coupling offset d, the units for positions 0 .. size - d - 1, zero
+    where the ladder ends: sqrt((n+1)(k+1)(N-k)) for b'J+ and
     sqrt((n+1) k (N+1-k)) for b'J-, k = m + j, formed on the (n, k) grid and
     read off at the even positions.  For odd N the offset of a coupling
     depends on the parity of its row n, so each offset reads its even rows
     from one ladder and its odd rows from the other.
     """
-    rung = np.arange(1.0, capacity + 2)[:, None]
+    rung = np.arange(1.0, n_cutoff + 2)[:, None]
     k = np.arange(n_atoms + 1)
     ladders = []
     for coefficient in ((k + 1) * (n_atoms - k), k * (n_atoms + 1 - k)):
         grid = rung * coefficient
-        ladders.append(np.ascontiguousarray(_even(n_atoms, np.sqrt(grid, out=grid))))
+        ladders.append(_even(n_atoms, np.sqrt(grid, out=grid)))
     plus, minus = ladders
     half = (n_atoms + 1) // 2
     if n_atoms % 2 == 0:
         by_offset = {half: minus, half + 1: plus}
     else:
-        plus_rows, minus_rows = (ladder.reshape(capacity + 1, half) for ladder in ladders)
+        plus_rows, minus_rows = (ladder.reshape(n_cutoff + 1, half) for ladder in ladders)
         middle = plus_rows.copy()
         middle[1::2] = minus_rows[1::2]
         minus_rows[1::2] = 0.0
         plus_rows[0::2] = 0.0
         by_offset = {half - 1: minus, half: middle.reshape(-1), half + 1: plus}
-    size = even_size(n_atoms, capacity)
-    units = tuple((d, by_offset[d][: size - d]) for d in coupling_offsets(n_atoms, capacity))
-    for _, unit in units:
-        unit.flags.writeable = False
-    return units
+    size = even_size(n_atoms, n_cutoff)
+    return {d: by_offset[d][: size - d] for d in coupling_offsets(n_atoms, n_cutoff)}
 
 
 def capacity(n_cutoff: int) -> int:
     """The power of two at or above ``n_cutoff``: the cutoff that serves it.
 
     The basis at c is the first (c+1)(N+1) indices of any larger one, so a
-    skeleton, a diagonal or a zero-padded amplitude grid built at this
-    capacity holds the cutoff's: a stack's blocks mostly read one skeleton,
-    and the mean-field starts of one capacity are formed as one grid.
+    zero-padded amplitude grid built at this capacity holds the cutoff's:
+    the states of one capacity share a padded shape, and the mean-field
+    starts of one capacity are formed as one grid.
     """
     return 1 << (n_cutoff - 1).bit_length()
 
@@ -172,45 +169,49 @@ def band_width(n_atoms: int) -> int:
     return coupling_offsets(n_atoms, 2)[-1]
 
 
-@functools.lru_cache(maxsize=2)
-def _diagonal(n_atoms: int, capacity: int, omega: float, omega0: float) -> np.ndarray:
-    """The read-only diagonal omega n + omega0 (k - j) of N atoms' even block at cutoff
-    ``capacity``: it does not depend on lam, so the points of a stack at one omega and
-    omega0 copy prefixes of one array."""
-    n, k = np.arange(capacity + 1.0)[:, None], np.arange(n_atoms + 1)
-    grid = omega * n + omega0 * (k - n_atoms / 2)
-    diagonal = np.ascontiguousarray(_even(n_atoms, grid))
-    diagonal.flags.writeable = False
-    return diagonal
+def _diagonal(n_atoms: int, n_cutoff: int, omega: float, omega0: float) -> np.ndarray:
+    """The diagonal omega n + omega0 (k - j) of N atoms' even block at ``n_cutoff``."""
+    n, k = np.arange(n_cutoff + 1.0)[:, None], np.arange(n_atoms + 1)
+    return _even(n_atoms, omega * n + omega0 * (k - n_atoms / 2))
 
 
-def write_even_block(
-    params: ModelParams, n_cutoff: int, diagonal: np.ndarray, upper: dict, row: int
-) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """Write the even-parity block P H P at ``n_cutoff`` into a band from ``row`` on; its views.
+def even_band(
+    points: Sequence[ModelParams], cutoffs: Sequence[int]
+) -> tuple[tuple[np.ndarray, dict[int, np.ndarray]], list[int], list[tuple]]:
+    """The even-parity blocks P H P of a round of points of one N, each at its cutoff, in
+    one band: the band as (diagonal, upper), each block's first row, and each block as
+    views of the band, its diagonal and its couplings by ascending offset.
 
-    ``diagonal`` and ``upper[d]`` are the band's main and upper diagonals,
-    for at least the block's ``coupling_offsets``.  Element (p, p + d) of
-    the block goes to row + p, and nothing else is written; the block is
-    returned as views of the band, its diagonal and its couplings by
-    ascending offset.  H is real in this basis and never couples the odd
-    sector.  The diagonal omega n + omega0 m is a prefix of ``_diagonal``'s,
-    kept for the last two (N, capacity, omega, omega0), and the couplings are
-    g * unit, g = lam / sqrt(N), of the cached skeleton's prefix views: the
-    same floating-point operations as a build from scratch.
+    The band holds every offset of the round, kd the largest; each block
+    follows kd zero rows, and kd zero rows end the band.  A block writes its
+    own ``coupling_offsets`` and nothing else: H is real in this basis and
+    never couples the odd sector.  The units and a diagonal per (omega,
+    omega0) are formed once, at the round's largest cutoff, and each block
+    copies their prefixes, its couplings times g = lam / sqrt(N): the same
+    floating-point operations as a build from scratch.
     """
-    if n_cutoff < 1:
+    if any(n_cutoff < 1 for n_cutoff in cutoffs):
         raise ValueError("n_cutoff must be >= 1")
-    units = _skeleton(params.n_atoms, capacity(n_cutoff))
-    size = even_size(params.n_atoms, n_cutoff)
-    end = row + size
-    diagonal[row:end] = _diagonal(params.n_atoms, capacity(n_cutoff),
-                                  params.omega, params.omega0)[:size]
-    g = params.lam / math.sqrt(params.n_atoms)
-    couplings = {d: upper[d][row:end - d] for d, _ in units}
-    for d, unit in units:
-        np.multiply(g, unit[: size - d], out=couplings[d])
-    return diagonal[row:end], couplings
+    n_atoms, largest = points[0].n_atoms, max(cutoffs)
+    offsets = sorted({d for n_cutoff in cutoffs for d in coupling_offsets(n_atoms, n_cutoff)})
+    kd = offsets[-1]
+    sizes = [even_size(n_atoms, n_cutoff) for n_cutoff in cutoffs]
+    *rows, total = itertools.accumulate((size + kd for size in sizes), initial=kd)
+    diagonal = np.zeros(total)
+    upper = {d: np.zeros(total - d) for d in offsets}
+    units = _units(n_atoms, largest)
+    diagonals = {key: _diagonal(n_atoms, largest, *key)
+                 for key in {(params.omega, params.omega0) for params in points}}
+    blocks = []
+    for params, n_cutoff, row, size in zip(points, cutoffs, rows, sizes):
+        end = row + size
+        diagonal[row:end] = diagonals[params.omega, params.omega0][:size]
+        g = params.lam / math.sqrt(n_atoms)
+        couplings = {d: upper[d][row:end - d] for d in coupling_offsets(n_atoms, n_cutoff)}
+        for d, coupling in couplings.items():
+            np.multiply(g, units[d][: size - d], out=coupling)
+        blocks.append((diagonal[row:end], couplings))
+    return (diagonal, upper), rows, blocks
 
 
 def tail_population(vector: np.ndarray, n_atoms: int, n_cutoff: int) -> float:
@@ -231,7 +232,7 @@ def leakage(vector: np.ndarray, params: ModelParams, n_cutoff: int) -> float:
     Fock space is sqrt(r^2 + l^2).  (J+ + J-) moves k = m + j to k + 1 with
     sqrt((k+1)(N-k)) and to k - 1 with sqrt(k(N+1-k)).  The row's even
     positions hold, in ascending order, every k of the parity of C, so each
-    move writes distinct entries, every second one, and no skeleton is read:
+    move writes distinct entries, every second one, and no block unit is read:
     the coefficients come from ``_ladder_coefficients``, kept per (N, C mod 2).
     At g = 0, lam = 0, it is 0.
     """

@@ -21,9 +21,9 @@ E - delta < E0 <= E.  Its time is set by the number of factorizations:
 about three per solve, and at most MAX_INVERSE_ITERATIONS steps.
 
 Points are solved in stacks: consecutive points of one N, as ``stacks``
-groups them.  ``model`` writes the banded blocks of a stack end to end
-into one band, each after kd zero rows, so one ``dpbtrs`` and one matrix-vector
-product per iteration serve every point.  Each block keeps its own shift,
+groups them.  ``model.even_band`` writes the banded blocks of a round end
+to end into one band, each after kd zero rows, so one ``dpbtrs`` and one
+matrix-vector product per iteration serve every point.  Each block keeps its own shift,
 factored by its own ``dpbtrf`` into its columns of the shared factor, its
 own stop and re-shift decisions, and its own failure.  The zero rows give
 every block the same neighbourhood in any stack, so a point's results do
@@ -33,8 +33,8 @@ together is solved in runs that do (``fitting_runs``), one band per run.
 
 A ground state holds only its even-sector amplitudes, in ascending full
 index; ``model`` alone knows their layout, and gives the solver each
-block, written into its band, each start vector, each tail population
-and each leakage, the coupling out of the top Fock level.  Every solve is
+round's band with its blocks written, each start vector, each tail
+population and each leakage, the coupling out of the top Fock level.  Every solve is
 cold: it starts from ``model.start_vectors``, which depend on the point
 alone, so results do not depend on the order, the stack or the process in
 which points are solved.  Cutoff convergence accepts a point at the first
@@ -68,13 +68,12 @@ from .model import (
     TAIL_START,
     ModelParams,
     band_width,
-    coupling_offsets,
+    even_band,
     even_size,
     leakage,
     padded_shape,
     start_vectors,
     tail_population,
-    write_even_block,
 )
 
 
@@ -352,27 +351,24 @@ def _banded_lowest(points: Sequence[ModelParams], cutoffs: Sequence[int]) -> lis
     one solve under the near one still shrinks the low-lying error that the
     residual's floor hides.
 
-    ``model.write_even_block`` writes block b into one band at rows
-    first[b] .. first[b] + dim - 1 after kd zero rows, and kd zero rows end
-    the band; it returns the block as views of the band.  Every per-block
-    sum runs over a block and the kd zero rows after it, so it is the same
-    sum in any stack.  A settled block's result is kept and its rows go on
-    being solved, unread.  A failed block's factor becomes the identity and
-    its rows a unit vector: every factor in the band stays valid and every
-    iterate finite, so no 0 x inf reaches a neighbour through the zero rows.
+    The band comes from one ``model.even_band`` call, which lays the round
+    out, each block after kd zero rows and kd zero rows at the end, writes
+    every block and returns them as views of the band.  A MemoryError there,
+    or anywhere in the round, is the SolverError of every point not yet
+    settled, at its cutoff.  Every per-block sum runs over a block and the
+    kd zero rows after it, so it is the same sum in any stack.  A settled
+    block's result is kept and its rows go on being solved, unread.  A
+    failed block's factor becomes the identity and its rows a unit vector:
+    every factor in the band stays valid and every iterate finite, so no
+    0 x inf reaches a neighbour through the zero rows.
     """
     count = len(points)
     outcomes: list = [None] * count
     try:
-        n_atoms = points[0].n_atoms
-        offsets = sorted({d for n_cutoff in cutoffs for d in coupling_offsets(n_atoms, n_cutoff)})
-        kd = offsets[-1]
-        sizes = [even_size(n_atoms, n_cutoff) for n_cutoff in cutoffs]
-        *first, total = itertools.accumulate((size + kd for size in sizes), initial=kd)
-        ends = [row + size for row, size in zip(first, sizes)]
-        diagonal = np.zeros(total)
-        upper = {d: np.zeros(total - d) for d in offsets}
-        stack = (diagonal, upper)
+        stack, first, blocks = even_band(points, cutoffs)
+        kd = max(stack[1])
+        total = stack[0].size
+        ends = [row + diagonal.size for row, (diagonal, _) in zip(first, blocks)]
         vector = np.zeros(total)
         for row, start in zip(first, start_vectors(points, cutoffs)):
             vector[row:row + start.size] = start
@@ -398,12 +394,6 @@ def _banded_lowest(points: Sequence[ModelParams], cutoffs: Sequence[int]) -> lis
             vector[first[b]:ends[b]] = 0.0
             vector[first[b]] = 1.0
 
-        blocks: list = [None] * count
-        for b, (params, n_cutoff) in enumerate(zip(points, cutoffs)):
-            try:
-                blocks[b] = write_even_block(params, n_cutoff, diagonal, upper, first[b])
-            except MemoryError as exc:
-                isolate(b, _out_of_memory(exc, n_cutoff))
         vector /= np.sqrt(np.add.reduceat(vector * vector, bounds)).repeat(spread)
         rayleigh = np.add.reduceat(vector * _block_matvec(stack, vector), bounds).tolist()
         for b in tuple(iterating):

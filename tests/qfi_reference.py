@@ -17,13 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from dicke_qfi.metrology import QfiResult, _qfi
-from dicke_qfi.model import (
-    ModelParams,
-    band_width,
-    coupling_offsets,
-    even_size,
-    write_even_block,
-)
+from dicke_qfi.model import ModelParams, band_width, even_size
 from dicke_qfi.solver import STACK_ELEMENTS, initial_cutoff
 from dicke_qfi.states import DEFAULT_WEIGHT_FLOOR, SpectralDecomposition, Space
 
@@ -123,7 +117,7 @@ def even_block_from_scratch(
     """The even block in closed form, rebuilt on every call with no cache: its main diagonal
     and its nonzero upper diagonals by ascending offset.
 
-    The same arithmetic as ``model.write_even_block``, which must match it
+    The same arithmetic as ``model.even_band``, which must match it
     bit for bit; the couplings carry g = lam / sqrt(N) from the start.
     """
     spin_dim = indexer.spin_dim
@@ -231,24 +225,6 @@ def full_grid_start_vector(params: ModelParams, indexer: BasisIndexer) -> np.nda
     field[1::2] *= -1.0
     spin = np.exp(log_spin - log_spin.max())
     return np.outer(field, spin).ravel()[even]
-
-
-def written_round(points: list[ModelParams], cutoffs: list[int]):
-    """Each point's block written by ``model.write_even_block`` into one zeroed band, laid
-    out as the solver lays out a round: after kd zero rows each, kd the largest offset,
-    and kd zero rows at the end.  The band as (diagonal, upper), the first rows, and the
-    blocks as the writer returns them."""
-    n_atoms = points[0].n_atoms
-    offsets = sorted({d for n_cutoff in cutoffs for d in coupling_offsets(n_atoms, n_cutoff)})
-    kd = offsets[-1]
-    rows, total = [], kd
-    for n_cutoff in cutoffs:
-        rows.append(total)
-        total += even_size(n_atoms, n_cutoff) + kd
-    diagonal, upper = np.zeros(total), {d: np.zeros(total - d) for d in offsets}
-    blocks = [write_even_block(params, n_cutoff, diagonal, upper, row)
-              for params, n_cutoff, row in zip(points, cutoffs, rows)]
-    return (diagonal, upper), rows, blocks
 
 
 def stacks_from_scratch(

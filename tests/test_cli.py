@@ -119,7 +119,7 @@ def test_sweep_workers_match_serial(tmp_path):
 
 def test_sweep_workers_match_serial_revisited_cutoffs(tmp_path):
     # 25 couplings share a few first cutoffs per N, and the pool hands points
-    # of both N to each process, whose own skeleton cache sees them out of order
+    # of both N to each process, which sees them out of order
     serial, parallel = tmp_path / "serial.json", tmp_path / "par.json"
     args = ["sweep", "--n-atoms", "1", "--n-atoms", "2", "--lambda-min", "0",
             "--lambda-max", "3", "--lambda-steps", "25", "--format", "json"]
@@ -377,7 +377,7 @@ def test_husimi_memory_does_not_hold_lists(tmp_path, monkeypatch):
     # starts the traced memory lies less than half of one point's float64
     # grids (8 bytes a cell) above where it lay as the first one started; a
     # grid held while the next is formed adds all of them.  Global peaks moved by 100 KB from
-    # run to run, with the cached skeleton built in the measured run or not.
+    # run to run, with a cached block skeleton built in the measured run or not.
     points = 81
     array_bytes = 8 * 2 * points**2  # q of the atoms and q of the field
     real = dicke_qfi.cli._husimi_grid
@@ -749,6 +749,16 @@ def test_out_of_range_run_keeps_output_file(argv, tmp_path, capsys, monkeypatch)
     assert "invalid argument" in capsys.readouterr().err
 
 
+def test_unknown_mode_is_refused_before_its_output_is_opened(tmp_path):
+    # main's parser refuses it first; a configuration built in code is refused
+    # as it is made, where the run once emptied FILE before naming the mode
+    out = tmp_path / "out.txt"
+    out.write_bytes(b"earlier output\n")
+    with pytest.raises(ValueError, match="unknown mode nosuch"):
+        SweepConfig(mode="nosuch", out=str(out))
+    assert out.read_bytes() == b"earlier output\n"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("flag", ["--omega", "--omega0", "--lambda-min", "--lambda-max", "--tol"])
 def test_non_finite_argument_exit_code(flag, value, capsys):
@@ -926,11 +936,10 @@ def test_husimi_skips_failed_point(tmp_path, fail_solves_above):
 def test_allocation_failure_is_a_failed_point(tmp_path, monkeypatch):
     # a basis too large for memory fails its point, as a solver failure does; the
     # point is coupled, as at lam = 0 the exact state is formed without the basis
-    def out_of_memory(n_atoms, capacity):
+    def out_of_memory(n_atoms, n_cutoff):
         raise MemoryError(f"no room for the basis of N = {n_atoms}")
 
-    dicke_qfi.model._skeleton.cache_clear()
-    monkeypatch.setattr(dicke_qfi.model, "_skeleton", out_of_memory)
+    monkeypatch.setattr(dicke_qfi.model, "_units", out_of_memory)
     out = tmp_path / "m.csv"
     argv = ["sweep", "--n-atoms", "3", "--lambda-min", "0.1", "--lambda-steps", "1"]
     assert main([*argv, "--out", str(out)]) == 4

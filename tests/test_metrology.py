@@ -398,7 +398,9 @@ def test_one_state_functions_and_grids_reject_what_they_cannot_take():
     # a stack handed to a one-state function, and a grid of one point per axis
     points = [ModelParams(1.0, 1.0, lam, 2) for lam in (0.3, 0.6)]
     field, atoms = schmidt_stack([solve(params, fock_cutoff=20) for params in points])
-    for call, state in ((qfi_field, field), (qfi_atoms, atoms), (spin_squeezing_xi2, atoms)):
+    for call, state in ((qfi_field, field), (qfi_atoms, atoms), (spin_squeezing_xi2, atoms),
+                        (lambda state: husimi_field(state, np.zeros((2, 2))), field),
+                        (lambda state: husimi_atoms(state, *default_atom_grid(11)), atoms)):
         with pytest.raises(ValueError, match="takes one state, not a stack"):
             call(state)
     for grid in (default_atom_grid, lambda size: default_field_grid(1.0, size)):

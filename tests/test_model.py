@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -17,17 +18,11 @@ from qfi_reference import (
     leakage_from_scratch,
     nm,
     parity_signs_from_scratch,
-    written_round,
 )
 
 import dicke_qfi.solver
 from dicke_qfi import cli, model
-from dicke_qfi.model import (
-    ModelParams,
-    even_size,
-    leakage,
-    write_even_block,
-)
+from dicke_qfi.model import ModelParams, even_band, even_size, leakage
 
 
 def test_params_validation():
@@ -242,7 +237,7 @@ def test_parity_blocks_minimal_case():
 @pytest.mark.parametrize("n_atoms", range(1, 10))
 def test_even_layout_matches_parity_signs(n_atoms):
     # cutoffs 1 to 17 take in the powers of two to 16 and their neighbours, so
-    # most bases are read from a skeleton built at a larger capacity
+    # most grids are padded to a larger capacity
     for n_cutoff in range(1, 18):
         indexer = BasisIndexer(n_cutoff, n_atoms)
         even = even_indices(indexer)
@@ -259,7 +254,7 @@ def test_even_layout_matches_parity_signs(n_atoms):
 @pytest.mark.parametrize("n_cutoff", [0, -1])
 def test_basis_without_a_level_or_an_atom_rejected(n_cutoff):
     with pytest.raises(ValueError, match="n_cutoff"):
-        write_even_block(ModelParams(1.0, 1.0, 0.5, 3), n_cutoff, np.zeros(8), {}, 0)
+        even_band([ModelParams(1.0, 1.0, 0.5, 3)], [n_cutoff])
     with pytest.raises(ValueError, match="n_atoms"):
         ModelParams(1.0, 1.0, 0.5, n_cutoff)
 
@@ -290,7 +285,7 @@ def test_block_restriction_reproduces_action():
         h = build_hamiltonian(params, indexer)
         oracle = h[np.ix_(even, even)].real
         before = ModelParams(1.0, 1.2, 1.1, n_atoms)
-        _, _, [_, (diagonal, upper)] = written_round([before, params], [n_cutoff + 3, n_cutoff])
+        _, _, [_, (diagonal, upper)] = even_band([before, params], [n_cutoff + 3, n_cutoff])
         assert diagonal.size == even.size
         assert list(upper) == offsets
         assert np.max(np.abs(diagonal - np.diagonal(oracle))) < 1e-14
@@ -324,8 +319,17 @@ def assert_matches_scratch(points, cutoffs):
     """Each block of a round of points of one N, written into one band at its cutoff,
     equals a build from scratch, bit for bit, and nothing else of the band is written; its
     vectors' grids hold the even sector; a block of at most 200 positions also equals
-    ``dense_hamiltonian_block``."""
-    (band_diagonal, band_upper), rows, blocks = written_round(points, cutoffs)
+    ``dense_hamiltonian_block``.  The band holds the offsets of every block, kd the
+    largest: each block starts kd rows after the one before it ends, the first after kd
+    zero rows, and kd zero rows end the band."""
+    (band_diagonal, band_upper), rows, blocks = even_band(points, cutoffs)
+    assert list(band_upper) == sorted({d for _, upper in blocks for d in upper})
+    kd = max(band_upper)
+    *expected_rows, end = itertools.accumulate(
+        (diagonal.size + kd for diagonal, _ in blocks), initial=kd)
+    assert rows == expected_rows
+    assert band_diagonal.size == end
+    assert all(coupling.size == end - d for d, coupling in band_upper.items())
     expected_band = np.zeros(band_diagonal.size), {d: np.zeros(c.size) for d, c in band_upper.items()}
     for params, n_cutoff, row, (diagonal, upper) in zip(points, cutoffs, rows, blocks):
         indexer = BasisIndexer(n_cutoff, params.n_atoms)
@@ -355,9 +359,9 @@ def assert_matches_scratch(points, cutoffs):
 @pytest.mark.parametrize("n_atoms", [*range(1, 8), 20, 21, 100, 101])
 def test_cached_block_matches_closed_form_bitwise(n_atoms):
     # every cutoff is written under each parameter set in turn and its
-    # predecessor once more, all into one band per cutoff, so each cache hit
-    # and each block follows a block of another lam or omega, or another cutoff;
-    # nothing of one write may leak into the next
+    # predecessor once more, all into one band per cutoff, so each block
+    # follows a block of another lam or omega, or another cutoff, and reads
+    # units formed at a larger cutoff; nothing of one write may leak into the next
     for n_cutoff in range(1, 42):
         points, cutoffs = [], []
         for omega, omega0, lam in BLOCK_PARAMS:
@@ -367,33 +371,14 @@ def test_cached_block_matches_closed_form_bitwise(n_atoms):
         assert_matches_scratch(points, cutoffs)
 
 
-def test_cached_parity_arrays_are_read_only():
-    # the cached units and diagonal that blocks copy refuse writes, and writing
-    # the blocks handed out, views of the band, leaves them as they were
-    params = ModelParams(1.0, 1.0, 0.8, 3)
-    cached = [model._diagonal(3, model.capacity(9), params.omega, params.omega0),
-              *(unit for _, unit in model._skeleton(3, model.capacity(9)))]
-    before = [array.copy() for array in cached]
-    for array in cached:
-        with pytest.raises(ValueError):
-            array[0] = 7
-    for _ in range(2):
-        _, _, [(diagonal, upper)] = written_round([params], [9])
-        diagonal[:] = -1.0
-        for coupling in upper.values():
-            coupling[:] = -1.0
-    for old, new in zip(before, cached):
-        assert np.array_equal(old, new)
-
-
 def test_even_block_arrays_are_fresh_and_writable():
-    # the writer returns views of the caller's band; overwriting them reaches
-    # nothing cached, so the next write is the block again
+    # the blocks are views of their round's band; overwriting them reaches
+    # nothing that the next round reads, so its block is the block again
     params = ModelParams(1.0, 1.0, 0.8, 3)
     indexer = BasisIndexer(9, 3)
     expected_diagonal, expected_upper = even_block_from_scratch(params, indexer)
     for _ in range(2):
-        (band_diagonal, _), _, [(diagonal, upper)] = written_round([params], [indexer.n_cutoff])
+        (band_diagonal, _), _, [(diagonal, upper)] = even_band([params], [indexer.n_cutoff])
         assert np.shares_memory(diagonal, band_diagonal)
         assert np.array_equal(diagonal, expected_diagonal)
         assert list(upper) == list(expected_upper)
@@ -404,81 +389,34 @@ def test_even_block_arrays_are_fresh_and_writable():
             coupling[:] = -1.0
 
 
-@pytest.fixture
-def skeleton_cache():
-    """The skeleton cache, emptied; its ``cache_info().misses`` counts the builds."""
-    model._skeleton.cache_clear()
-    return model._skeleton
-
-
-SKELETON_ATOMS = (*range(1, 9), 20, 21)
+BLOCK_ATOMS = (*range(1, 9), 20, 21)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
-    requests=st.lists(st.tuples(st.sampled_from(SKELETON_ATOMS), st.integers(1, 60)),
+    requests=st.lists(st.tuples(st.sampled_from(BLOCK_ATOMS), st.integers(1, 60)),
                       min_size=1, max_size=24),
     order=st.sampled_from(("ascending", "descending", "mixed")),
     block_params=st.sampled_from(BLOCK_PARAMS),
 )
 def test_prefix_views_match_scratch_in_any_request_order(requests, order, block_params):
-    # interleaved atom numbers and cutoffs; each answer is a view of whichever
-    # skeleton its (N, capacity) has cached at the time, or of a fresh one, and
-    # must equal a build from scratch all the same
+    # interleaved atom numbers and cutoffs, each block written in a round of its
+    # own; each must equal a build from scratch whatever was written before it
     if order != "mixed":
         requests.sort(key=lambda request: request[1], reverse=order == "descending")
     omega, omega0, lam = block_params
-    model._skeleton.cache_clear()
     for n_atoms, n_cutoff in requests:
         assert_matches_scratch([ModelParams(omega, omega0, lam, n_atoms)], [n_cutoff])
-        assert model._skeleton.cache_info().currsize <= 2
 
 
-@pytest.mark.parametrize("n_atoms", [1, 2, 3, 6])
-def test_leakage_builds_no_skeleton(skeleton_cache, n_atoms):
-    # the top row's k are every k of the cutoff's parity, in closed form, so a
-    # leakage, even at lam = 0 or at a cutoff no solve has built, builds nothing
-    for lam in (0.0, 0.8):
-        params = ModelParams(0.7, 1.3, lam, n_atoms)
-        for n_cutoff in (1, 2, 37, 10**6):
-            vector = np.ones(even_size(n_atoms, n_cutoff))
-            leakage(vector, params, n_cutoff)
-    assert skeleton_cache.cache_info().misses == 0
-
-
-def test_doubling_pairs_read_two_cached_skeletons(skeleton_cache):
-    # a point solved at c and 2c reads the skeletons at the powers of two at or
-    # above them; walking c upwards builds each power of two once
-    params = ModelParams(1.0, 1.0, 0.8, 3)
-    for n_cutoff in range(1, 65):
-        for cutoff in (n_cutoff, 2 * n_cutoff):
-            written_round([params], [cutoff])
-            assert skeleton_cache.cache_info().currsize <= 2
-    assert skeleton_cache.cache_info().misses == 8  # 1, 2, 4, ..., 128
-
-
-def test_views_handed_out_survive_eviction(skeleton_cache):
-    params = ModelParams(0.7, 1.3, 2.5, 5)
-    small = BasisIndexer(9, 5)
-    _, _, [(diagonal, upper)] = written_round([params], [small.n_cutoff])
-    skeleton = model._skeleton(small.n_atoms, model.capacity(small.n_cutoff))
-    handed_out = [*(unit for _, unit in skeleton), diagonal, *upper.values()]
-    copies = [array.copy() for array in handed_out]
-    # two larger capacities, 64 and 128, evict the skeleton of the first views
-    assert_matches_scratch([params], [50])
-    assert_matches_scratch([params], [100])
-    assert skeleton_cache.cache_info().misses == 3
-    for array, copy in zip(handed_out, copies):
-        assert np.array_equal(array, copy)
-    assert_matches_scratch([params], [small.n_cutoff])  # a view of its rebuilt skeleton
-    assert skeleton_cache.cache_info().misses == 4
-
-
-def test_superradiant_sweep_builds_few_skeletons(skeleton_cache, tmp_path):
+def test_superradiant_sweep_forms_units_once_per_round(tmp_path, monkeypatch):
     # initial_cutoff moves with lam^2 N, so nearly every point asks for a new
-    # cutoff; a skeleton per basis took 34 builds on this grid
+    # cutoff; the units are formed once per round, not per block: 7 rounds on
+    # this grid, where a build per basis took 34
+    units, calls = model._units, []
+    monkeypatch.setattr(model, "_units", lambda *args: calls.append(args) or units(*args))
     argv = ["sweep", "--n-atoms", "20", "--lambda-steps", "21", "--out", str(tmp_path / "s.csv")]
     assert cli.main(argv) == 0
-    assert skeleton_cache.cache_info().misses <= 4
+    assert len(calls) == 7
     assert cli.main(argv) == 0
-    assert skeleton_cache.cache_info().misses <= 8
+    assert len(calls) == 14

@@ -1,3 +1,4 @@
+import gc
 import importlib.machinery
 import math
 import re
@@ -24,13 +25,12 @@ from qfi_reference import (
     partial_trace_atoms,
     product_vector,
     stacks_from_scratch,
-    written_round,
 )
 
 import dicke_qfi.model
 import dicke_qfi.solver
 from dicke_qfi.errors import ConvergenceError, SolverError
-from dicke_qfi.model import ModelParams, tail_population
+from dicke_qfi.model import ModelParams, even_band, tail_population
 from dicke_qfi.solver import (
     BRACKET_RTOL,
     STACK_ELEMENTS,
@@ -330,13 +330,12 @@ def test_converge_hard_cap_raises_with_steps(monkeypatch):
 
 
 def forbid_allocation(monkeypatch, message):
-    """Fail the test with ``message`` once anything of a round is allocated: a basis
-    skeleton, a block written into the band or the start vectors."""
+    """Fail the test with ``message`` once anything of a round is allocated: a basis's
+    units, the round's band or the start vectors."""
     def no_allocation(*args, **kwargs):
         raise AssertionError(message)
 
-    for module, name in ((dicke_qfi.model, "write_even_block"), (dicke_qfi.model, "_skeleton"),
-                         (dicke_qfi.solver, "write_even_block"),
+    for module, name in ((dicke_qfi.model, "_units"), (dicke_qfi.solver, "even_band"),
                          (dicke_qfi.solver, "start_vectors")):
         monkeypatch.setattr(module, name, no_allocation)
 
@@ -484,7 +483,7 @@ def test_warm_start_matches_cold_dense_solve(n_atoms, lam, monkeypatch):
     assert gs.steps == () and n_cutoff == initial_cutoff(params)
     # inverse iteration solves the stack's band, where a stack of one holds the
     # block between kd zero rows on each side
-    kd = max(written_round([params], [n_cutoff])[2][0][1])
+    kd = max(even_band([params], [n_cutoff])[2][0][1])
     start = starts[0]
     assert start.size == gs.vector.size + 2 * kd
     assert not start[:kd].any() and not start[start.size - kd:].any()
@@ -544,6 +543,22 @@ def test_mean_field_start_overlaps_ground_state(omega, omega0, n_atoms, ratio):
     assert overlap > 0.8
 
 
+def test_nothing_of_a_round_is_held_after_it():
+    # the band, the units and the diagonal of a round go with it: after a solve
+    # of N = 100 at lambda = 2 nothing but its state is held, where a cache of
+    # units and diagonals once held 1.2 MiB
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        gs = solve(ModelParams(1.0, 1.0, 2.0, 100))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held - gs.vector.nbytes < 64 * 1024
+
+
 def test_starts_of_mixed_cutoffs_take_about_their_own_bytes():
     # one point at a large cutoff among a hundred at a small one: the starts are
     # formed per capacity, so tracemalloc's peak stays a few times the bytes of the
@@ -588,18 +603,19 @@ def test_banded_factorization_counts(n_atoms, lam_max, steps, max_dpbtrf, parent
     # per block, keyed by its diagonal's id while the block is held: its cutoff
     # and its factorizations
     blocks = {}
-    write, factor = dicke_qfi.solver.write_even_block, dicke_qfi.solver._shifted_cholesky
+    write, factor = dicke_qfi.solver.even_band, dicke_qfi.solver._shifted_cholesky
 
-    def write_recorded(params, n_cutoff, *band):
-        block = write(params, n_cutoff, *band)
-        blocks[id(block[0])] = [block, n_cutoff == initial_cutoff(params), 0]
-        return block
+    def write_recorded(points, cutoffs):
+        band, rows, written = write(points, cutoffs)
+        for params, n_cutoff, block in zip(points, cutoffs, written):
+            blocks[id(block[0])] = [block, n_cutoff == initial_cutoff(params), 0]
+        return band, rows, written
 
     def factor_counted(block, *args):
         blocks[id(block[0])][2] += 1
         return factor(block, *args)
 
-    monkeypatch.setattr(dicke_qfi.solver, "write_even_block", write_recorded)
+    monkeypatch.setattr(dicke_qfi.solver, "even_band", write_recorded)
     monkeypatch.setattr(dicke_qfi.solver, "_shifted_cholesky", factor_counted)
     points = [ModelParams(1.0, 1.0, float(lam), n)
               for n in n_atoms for lam in np.linspace(0.0, lam_max, steps)]
@@ -708,16 +724,15 @@ def test_out_of_memory_is_a_solver_error_at_its_cutoff(monkeypatch):
         raise MemoryError("no room")
 
     # while the basis is built
-    dicke_qfi.model._skeleton.cache_clear()
-    monkeypatch.setattr(dicke_qfi.model, "_skeleton", out_of_memory)
+    monkeypatch.setattr(dicke_qfi.model, "_units", out_of_memory)
     with pytest.raises(SolverError) as excinfo:
         solve(ModelParams(1.0, 1.0, 0.5, 3), fock_cutoff=7)
     assert excinfo.value.n_cutoff == 7
     monkeypatch.undo()
-    # while the doubled cutoff's block is written, keeping the step before it
-    write = dicke_qfi.solver.write_even_block
-    monkeypatch.setattr(dicke_qfi.solver, "write_even_block", lambda params, n_cutoff, *band: (
-        out_of_memory() if n_cutoff > 20 else write(params, n_cutoff, *band)))
+    # while the doubled cutoff's band is written, keeping the step before it
+    write = dicke_qfi.solver.even_band
+    monkeypatch.setattr(dicke_qfi.solver, "even_band", lambda points, cutoffs: (
+        out_of_memory() if max(cutoffs) > 20 else write(points, cutoffs)))
     [error] = converge_stack([ModelParams(1.0, 1.0, 1.0, 2)], 1e-10, n_start=20)
     assert isinstance(error, SolverError)
     assert error.n_cutoff == 40
@@ -837,17 +852,6 @@ def fail_cholesky(monkeypatch, params, n_cutoff):
         (dpbtrf(ab, **kwargs)[0], 1) if ab.shape[1] == size else dpbtrf(ab, **kwargs)))
 
 
-def fail_build(monkeypatch, params, n_cutoff):
-    write = dicke_qfi.solver.write_even_block
-
-    def out_of_memory(point, n_cutoff, *band):
-        if point == params:
-            raise MemoryError("no room for the middle block")
-        return write(point, n_cutoff, *band)
-
-    monkeypatch.setattr(dicke_qfi.solver, "write_even_block", out_of_memory)
-
-
 def fail_reshift(monkeypatch, params, n_cutoff):
     # the middle block's first factorization succeeds and its first re-shift fails
     factor_below = dicke_qfi.solver._factor_below
@@ -864,7 +868,6 @@ def fail_reshift(monkeypatch, params, n_cutoff):
 
 
 @pytest.mark.parametrize("failure,message", [(fail_cholesky, "Cholesky"),
-                                             (fail_build, "out of memory"),
                                              (fail_reshift, "re-shift failed")])
 def test_failed_block_fails_alone(failure, message, monkeypatch):
     outcomes, alone = middle_failure(monkeypatch, failure)
@@ -872,6 +875,27 @@ def test_failed_block_fails_alone(failure, message, monkeypatch):
     assert outcomes[1].n_cutoff == 37
     assert_same_bits(alone[0], outcomes[0])
     assert_same_bits(alone[2], outcomes[2])
+
+
+def test_out_of_memory_in_the_band_fails_every_point_of_its_run(monkeypatch):
+    # a round's one allocation is its band: a MemoryError while it is written is
+    # the SolverError of every banded point of the run, each at its own cutoff,
+    # and nothing escapes; lambda = 0 holds no block and keeps its bits
+    points = [ModelParams(1.0, 1.0, lam, 3) for lam in (0.4, 0.0, 0.9, 1.3)]
+    cutoffs = [20, 7, 37, 24]
+    exact = solve(points[1], fock_cutoff=7)
+
+    def out_of_memory(*args):
+        raise MemoryError("no room for the units")
+
+    monkeypatch.setattr(dicke_qfi.model, "_units", out_of_memory)
+    outcomes = ground_states(points, cutoffs)
+    assert_same_bits(exact, outcomes[1])
+    for i in (0, 2, 3):
+        outcome, n_cutoff = outcomes[i], cutoffs[i]
+        assert type(outcome) is SolverError and outcome.n_cutoff == n_cutoff
+        assert str(outcome) == f"out of memory at n_cutoff={n_cutoff}: no room for the units"
+        assert isinstance(outcome.__cause__, MemoryError)
 
 
 def test_unconverged_blocks_fail_alone(monkeypatch):
@@ -993,7 +1017,7 @@ def test_band_charge_is_the_blocks_largest_offset(n_atoms):
     # it solves; N = 1, whose couplings all have offset 1, was charged kd = 2
     params = ModelParams(1.0, 1.0, 0.5, n_atoms)
     for n_cutoff in (2, 20):
-        kd = max(written_round([params], [n_cutoff])[2][0][1])
+        kd = max(even_band([params], [n_cutoff])[2][0][1])
         dim = dicke_qfi.model.even_size(n_atoms, n_cutoff)
         assert solve_bytes(params, n_cutoff) == 8 * dim * (kd + 22)
         cost = (kd + 1) * (dim + kd) + STACK_ELEMENTS // 32
@@ -1023,7 +1047,7 @@ def test_cutoff_takes_any_integer_and_no_float(entry, value, monkeypatch):
         def no_solve(*args, **kwargs):
             raise AssertionError("a cutoff that is not an integer must not be solved")
 
-        monkeypatch.setattr(dicke_qfi.solver, "write_even_block", no_solve)
+        monkeypatch.setattr(dicke_qfi.solver, "even_band", no_solve)
         with pytest.raises(ValueError, match="must be an integer"):
             call(params, value)
         return
@@ -1039,7 +1063,7 @@ def test_cutoff_takes_any_integer_and_no_float(entry, value, monkeypatch):
 @pytest.mark.parametrize("lam", [0.0, 0.5])
 @pytest.mark.parametrize("entry", ["solve", "solve_stack", "ground_states"])
 def test_fixed_cutoff_past_budget_fails_before_allocating(entry, lam, monkeypatch):
-    # a fixed cutoff once bypassed the cutoff limit, its block and skeleton built
+    # a fixed cutoff once bypassed the cutoff limit, its block and units built
     # before anything could fail; now a cutoff past the budget fails first, with
     # its bytes and the budget, and the cutoff below it still solves
     params = ModelParams(1.0, 1.0, lam, 2)
@@ -1124,9 +1148,9 @@ def test_point_past_budget_fails_before_its_round(monkeypatch):
     alone = [solve(params, fock_cutoff=n_cutoff) for params, n_cutoff in zip(points, cutoffs)]
     monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", solve_bytes(points[1], 40))
     built = []
-    write = dicke_qfi.solver.write_even_block
-    monkeypatch.setattr(dicke_qfi.solver, "write_even_block", lambda params, n_cutoff, *band:
-                        built.append(n_cutoff) or write(params, n_cutoff, *band))
+    write = dicke_qfi.solver.even_band
+    monkeypatch.setattr(dicke_qfi.solver, "even_band", lambda points, cutoffs:
+                        built.extend(cutoffs) or write(points, cutoffs))
     outcomes = ground_states(points, cutoffs)
     assert isinstance(outcomes[1], SolverError) and outcomes[1].n_cutoff == 41
     assert "past the memory budget" in str(outcomes[1])
