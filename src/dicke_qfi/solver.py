@@ -273,12 +273,12 @@ def ground_states(
     state is the exact |0>|j,-j>.  Each point gets its GroundState by
     ``_record``, sign-fixed so its largest amplitude is positive, with its
     tail population and ``leakage``, or the SolverError it failed with at
-    its cutoff, neither with steps.  A MemoryError in a point's solve, or
-    while its record is formed, is that point's SolverError, so no error of
-    a point escapes; a failure leaves the other points' results as they
-    are.  ``checked_bytes`` refuses each point past the budget before
-    anything of the round is allocated; the lam > 0 blocks are written and
-    solved in ``fitting_runs``, one band per run.
+    its cutoff, neither with steps.  No error of a point escapes: a
+    MemoryError while its record is formed is its SolverError, and one in a
+    run's band or iteration that of every point of the run not yet settled.
+    ``checked_bytes`` refuses each point past the budget before anything of
+    the round is allocated; the lam > 0 blocks are written and solved in
+    ``fitting_runs``, one band per run.
     """
     cutoffs = [_as_cutoff(n_cutoff, "n_cutoff") for n_cutoff in cutoffs]
     if len(points) != len(cutoffs):
