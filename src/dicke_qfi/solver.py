@@ -23,9 +23,13 @@ about three per solve, and at most MAX_INVERSE_ITERATIONS steps.
 Points are solved in stacks: consecutive points of one N, as ``stacks``
 groups them.  ``model.even_band`` writes the banded blocks of a round end
 to end into one band, each after kd zero rows, so one ``dpbtrs`` and one
-matrix-vector product per iteration serve every point.  Each block keeps its own shift,
-factored by its own ``dpbtrf`` into its columns of the shared factor, its
-own stop and re-shift decisions, and its own failure.  The zero rows give
+matrix-vector product per iteration serve every point.  Each block keeps
+its own shift, factored by its own ``dpbtrf`` into its columns of the
+shared factor, its own stop and re-shift decisions, and its own failure.
+The rule, ``_banded_lowest``, reads only each block's E, r and factor
+outcome; the linear algebra is ``_Band``'s, and its operations
+``factor_below``, ``step``, ``measure``, ``settled`` and ``isolate`` are
+all that the rule calls.  The zero rows give
 every block the same neighbourhood in any stack, so a point's results do
 not depend on the stack it was solved in; ``solve`` is the stacked code on
 a stack of one.  A round whose banded blocks would not fit the budget
@@ -351,91 +355,48 @@ def _banded_lowest(points: Sequence[ModelParams], cutoffs: Sequence[int]) -> lis
     one solve under the near one still shrinks the low-lying error that the
     residual's floor hides.
 
-    The band comes from one ``model.even_band`` call, which lays the round
-    out, each block after kd zero rows and kd zero rows at the end, writes
-    every block and returns them as views of the band.  A MemoryError there,
-    or anywhere in the round, is the SolverError of every point not yet
-    settled, at its cutoff.  Every per-block sum runs over a block and the
-    kd zero rows after it, so it is the same sum in any stack.  A settled
-    block's result is kept and its rows go on being solved, unread.  A
-    failed block's factor becomes the identity and its rows a unit vector:
-    every factor in the band stays valid and every iterate finite, so no
-    0 x inf reaches a neighbour through the zero rows.
+    A MemoryError anywhere in the round, its ``_Band`` included, is the
+    SolverError of every point not yet settled, at its cutoff.
     """
     count = len(points)
     outcomes: list = [None] * count
     try:
-        stack, first, blocks = even_band(points, cutoffs)
-        kd = max(stack[1])
-        total = stack[0].size
-        ends = [row + diagonal.size for row, (diagonal, _) in zip(first, blocks)]
-        vector = np.zeros(total)
-        for row, start in zip(first, start_vectors(points, cutoffs)):
-            vector[row:row + start.size] = start
-        factor = np.zeros((kd + 1, total), order="F")
-        factor[kd] = 1.0
-        # each block's columns of the factor
-        columns = [factor[:, row:end] for row, end in zip(first, ends)]
-        bounds = np.array(first)
-        # rows per block when a per-block value is spread over the band: its own
-        # rows and the kd zero rows after them, the first block's leading ones too
-        spread = np.diff([0, *first[1:], total])
+        band = _Band(points, cutoffs)
         # the blocks still iterating, and per block its shift and last step's E and r
         iterating = list(range(count))
         shift = [0.0] * count
         last_energy = [math.inf] * count
         last_residual = [math.inf] * count
 
-        def isolate(b: int, error: SolverError) -> None:
-            outcomes[b] = error
-            iterating.remove(b)
-            columns[b][:] = 0.0
-            columns[b][kd] = 1.0
-            vector[first[b]:ends[b]] = 0.0
-            vector[first[b]] = 1.0
-
-        vector /= np.sqrt(np.add.reduceat(vector * vector, bounds)).repeat(spread)
-        rayleigh = np.add.reduceat(vector * _block_matvec(stack, vector), bounds).tolist()
-        for b in tuple(iterating):
-            step = (points[b].omega + points[b].omega0) / 8
+        def factor_or_isolate(b: int, target: float, step: float) -> None:
             try:
-                shift[b] = _factor_below(blocks[b], columns[b], rayleigh[b] - step, step,
-                                         cutoffs[b])
+                shift[b] = band.factor_below(b, target, step, cutoffs[b])
             except SolverError as exc:
-                isolate(b, exc)
+                outcomes[b] = exc
+                iterating.remove(b)
+                band.isolate(b)
+
+        rayleigh, _ = band.measure()
+        for b, params in enumerate(points):
+            step = (params.omega + params.omega0) / 8
+            factor_or_isolate(b, rayleigh[b] - step, step)
         for _ in range(MAX_INVERSE_ITERATIONS):
             if not iterating:
                 break
-            # the solve overwrites the iterate, which is not read again
-            vector, _ = lapack.dpbtrs(factor, vector, overwrite_b=1)
-            vector /= np.sqrt(np.add.reduceat(vector * vector, bounds)).repeat(spread)
-            applied = _block_matvec(stack, vector)
-            energies = np.add.reduceat(vector * applied, bounds)
-            # the residual H psi - E psi overwrites H psi, which is not read again
-            applied -= energies.repeat(spread) * vector
-            residuals = np.sqrt(np.add.reduceat(applied * applied, bounds)).tolist()
-            energies = energies.tolist()
+            energies, residuals = band.step()
             for b in tuple(iterating):
                 energy, residual = energies[b], residuals[b]
                 slack = BRACKET_RTOL * max(1.0, abs(energy))
                 bracketed = energy - shift[b] <= 2 * residual + slack
                 stalled = 2 * residual >= last_residual[b]
                 if bracketed and stalled and abs(energy - last_energy[b]) <= slack:
-                    psi = vector[first[b]:ends[b]]
-                    psi = -psi if psi[np.abs(psi).argmax()] < 0 else psi.copy()
-                    outcomes[b] = (energy, psi, residual, shift[b])
+                    outcomes[b] = (energy, band.settled(b), residual, shift[b])
                     iterating.remove(b)
                     continue
                 if not bracketed and 20 * residual >= last_residual[b]:
                     # a failed factorization steps down by r + slack/4, which still
                     # brackets E when r is at its floor, well below the slack
-                    target = energy - 2 * residual - slack / 2
-                    try:
-                        shift[b] = _factor_below(blocks[b], columns[b], target,
-                                                 residual + slack / 4, cutoffs[b])
-                    except SolverError as exc:
-                        isolate(b, exc)
-                        continue
+                    factor_or_isolate(b, energy - 2 * residual - slack / 2, residual + slack / 4)
                 last_energy[b], last_residual[b] = energy, residual
         for b in iterating:
             msg = (f"banded inverse iteration did not converge in {MAX_INVERSE_ITERATIONS} "
@@ -447,56 +408,94 @@ def _banded_lowest(points: Sequence[ModelParams], cutoffs: Sequence[int]) -> lis
     return outcomes
 
 
-def _factor_below(
-    block: tuple, factor: np.ndarray, shift: float, step: float, n_cutoff: int
-) -> float:
-    """Factor H - shift I into ``factor``, stepping the shift down until a factor exists; the shift.
-
-    A failed factorization means the shift was not below E0 (or rounding
-    put it there); the next attempt lies ``step`` lower and the step
-    doubles.  Once a shift below the Gershgorin bound of H, under which
-    H - shift I is positive definite, has failed too, the factorization
-    itself is broken and SolverError is raised.
+class _Band:
+    """A round's band from one ``model.even_band`` call, its factor and its stacked iterate:
+    the linear algebra of ``_banded_lowest``, which names a block by its index b.  Every
+    per-block sum runs over a block and the kd zero rows after it, so it is the same sum
+    in any stack; a settled block's rows go on being solved, unread.
     """
-    floor = None
-    while True:
-        info = _shifted_cholesky(block, factor, shift)
-        if info == 0:
-            return shift
-        if floor is None:
-            diagonal, upper = block
-            # |couplings| times a vector of ones: each row's Gershgorin radius
-            absolute = (np.zeros(diagonal.size), {d: np.abs(c) for d, c in upper.items()})
-            floor = float(np.min(diagonal - _block_matvec(absolute, np.ones(diagonal.size))))
-        if not shift >= floor:
-            msg = f"banded Cholesky factorization failed at n_cutoff={n_cutoff} (info={info})"
-            raise SolverError(msg, n_cutoff)
-        shift -= step
-        step *= 2
 
+    def __init__(self, points: Sequence[ModelParams], cutoffs: Sequence[int]) -> None:
+        self.matrix, first, self.blocks = even_band(points, cutoffs)
+        total = self.matrix[0].size
+        self.rows = [slice(row, row + d.size) for row, (d, _) in zip(first, self.blocks)]
+        self.vector = np.zeros(total)
+        for row, start in zip(first, start_vectors(points, cutoffs)):
+            self.vector[row:row + start.size] = start
+        self.factor = np.zeros((max(self.matrix[1]) + 1, total), order="F")
+        self.factor[-1] = 1.0
+        self.columns = [self.factor[:, rows] for rows in self.rows]
+        self.bounds = np.array(first)
+        # rows per block when a per-block value is spread over the band: its own
+        # rows and the kd zero rows after them, the first block's leading ones too
+        self.spread = np.diff([0, *first[1:], total])
 
-def _shifted_cholesky(block: tuple, factor: np.ndarray, shift: float) -> int:
-    """LAPACK ``dpbtrf`` of H - shift I in place in ``factor``; its info, 0 exactly on success.
+    def measure(self) -> tuple[list[float], list[float]]:
+        """Normalize each block of the iterate; per block its E and r, as lists."""
+        vector, bounds, spread = self.vector, self.bounds, self.spread
+        vector /= np.sqrt(np.add.reduceat(vector * vector, bounds)).repeat(spread)
+        applied = _block_matvec(self.matrix, vector)
+        energies = np.add.reduceat(vector * applied, bounds)
+        # the residual H psi - E psi overwrites H psi, which is not read again
+        applied -= energies.repeat(spread) * vector
+        return energies.tolist(), np.sqrt(np.add.reduceat(applied * applied, bounds)).tolist()
 
-    ``factor`` is a Fortran-ordered (kd + 1, dim) array, H's columns of the
-    stack's factor: it is filled with H - shift I in upper band storage,
-    row kd - d holding offset d and the last row the diagonal, then factored.
-    The block's couplings rewrite the rows of its offsets, a run of
-    consecutive d, so only the rows below its smallest, which hold the last
-    factorization's fill-in, are zeroed: none at N = 1 and 2.
-    """
-    diagonal, upper = block
-    kd = factor.shape[0] - 1
-    # the rows of offsets past the block's largest start at zero and stay so: the
-    # factor of a band matrix has its band, and dpbtrf only rescales their zeros
-    fill = kd + 1 - min(upper)
-    if fill < kd:
-        factor[fill:kd] = 0.0
-    np.subtract(diagonal, shift, out=factor[kd])
-    for d, coupling in upper.items():
-        factor[kd - d, d:] = coupling
-    _, info = lapack.dpbtrf(factor, overwrite_ab=1)
-    return info
+    def step(self) -> tuple[list[float], list[float]]:
+        """One ``dpbtrs`` of the whole iterate by the factor, then ``measure``."""
+        # the solve overwrites the iterate, which is not read again
+        self.vector, _ = lapack.dpbtrs(self.factor, self.vector, overwrite_b=1)
+        return self.measure()
+
+    def settled(self, b: int) -> np.ndarray:
+        """A copy of block b's rows of the iterate, its largest amplitude positive."""
+        psi = self.vector[self.rows[b]]
+        return -psi if psi[np.abs(psi).argmax()] < 0 else psi.copy()
+
+    def isolate(self, b: int) -> None:
+        """Make block b's factor the identity and its rows a unit vector: every factor in the
+        band stays valid and every iterate finite, so no 0 x inf reaches a neighbour."""
+        self.columns[b][:] = 0.0
+        self.columns[b][-1] = 1.0
+        self.vector[self.rows[b]] = 0.0
+        self.vector[self.rows[b].start] = 1.0
+
+    def factor_below(self, b: int, shift: float, step: float, n_cutoff: int) -> float:
+        """LAPACK ``dpbtrf`` of block b's H - shift I in its columns of the factor, stepping the
+        shift down until a factor exists; the shift.
+
+        The columns, Fortran-ordered (kd + 1, dim), are filled with H - shift I
+        in upper band storage, row kd - d holding offset d and the last row the
+        diagonal.  The block's couplings rewrite the rows of its offsets, a run
+        of consecutive d, so only the rows below its smallest, which hold the
+        last factorization's fill-in, are zeroed: none at N = 1 and 2.  A failed
+        factorization means the shift was not below E0 (or rounding put it
+        there); the next attempt lies ``step`` lower and the step doubles.  Once
+        a shift below the Gershgorin bound of H, under which H - shift I is
+        positive definite, has failed too, the factorization itself is broken
+        and SolverError is raised.
+        """
+        (diagonal, upper), factor = self.blocks[b], self.columns[b]
+        floor = None
+        while True:
+            # the rows of offsets past the block's largest start at zero and stay so: the
+            # factor of a band matrix has its band, and dpbtrf only rescales their zeros
+            if min(upper) > 1:
+                factor[-min(upper):-1] = 0.0
+            np.subtract(diagonal, shift, out=factor[-1])
+            for d, coupling in upper.items():
+                factor[-1 - d, d:] = coupling
+            _, info = lapack.dpbtrf(factor, overwrite_ab=1)
+            if info == 0:
+                return shift
+            if floor is None:
+                # |couplings| times a vector of ones: each row's Gershgorin radius
+                absolute = (np.zeros(diagonal.size), {d: np.abs(c) for d, c in upper.items()})
+                floor = float(np.min(diagonal - _block_matvec(absolute, np.ones(diagonal.size))))
+            if not shift >= floor:
+                msg = f"banded Cholesky factorization failed at n_cutoff={n_cutoff} (info={info})"
+                raise SolverError(msg, n_cutoff)
+            shift -= step
+            step *= 2
 
 
 def _block_matvec(block: tuple, x: np.ndarray) -> np.ndarray:

@@ -377,7 +377,7 @@ def test_husimi_memory_does_not_hold_lists(tmp_path, monkeypatch):
     # starts the traced memory lies less than half of one point's float64
     # grids (8 bytes a cell) above where it lay as the first one started; a
     # grid held while the next is formed adds all of them.  Global peaks moved by 100 KB from
-    # run to run, with a cached block skeleton built in the measured run or not.
+    # run to run, so the grids' starts are compared, not the peak.
     points = 81
     array_bytes = 8 * 2 * points**2  # q of the atoms and q of the field
     real = dicke_qfi.cli._husimi_grid

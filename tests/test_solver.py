@@ -7,7 +7,6 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -444,7 +443,8 @@ def test_expectation_nbar_against_doubled_cutoff():
     (20, 1.0, 170), (5, 0.8, 199), (101, 0.8, 40), (102, 0.8, 40),
 ])
 def test_banded_matches_dense_above_threshold(n_atoms, lam, n_cutoff):
-    # N = 101 and 102 lie above N = 100: an odd N (three coupling offsets) and an even N (two)
+    # the banded solve against a dense eigh, twice to the same bits: N = 101 and
+    # 102 are an odd N (three coupling offsets) and an even N (two)
     params = ModelParams(1.0, 1.0, lam, n_atoms)
     indexer = BasisIndexer(n_cutoff, n_atoms)
     energies, vecs = scipy.linalg.eigh(dense_hamiltonian_block(params, indexer),
@@ -464,9 +464,8 @@ def test_banded_matches_dense_above_threshold(n_atoms, lam, n_cutoff):
 ])
 def test_warm_start_matches_cold_dense_solve(n_atoms, lam, monkeypatch):
     # every solve is cold, the converged one included: it starts from the
-    # mean-field state at its first cutoff, where the doubling once started from
-    # the smaller cutoff's state, and must find the state a dense solve finds,
-    # every time (N = 101 at a cutoff small enough for the dense oracle).
+    # mean-field state at its first cutoff and must find the state a dense solve
+    # finds, every time (N = 101 at a cutoff small enough for the dense oracle).
     # The first cutoffs are odd at (1, 1.0), (2, 1.0), (3, 2.0) and (6, 1.0), even
     # at (1, 3.0), (2, 2.0), (3, 1.2) and (6, 1.5)
     starts = []
@@ -601,9 +600,9 @@ def test_banded_factorization_counts(n_atoms, lam_max, steps, max_dpbtrf, parent
 
         monkeypatch.setattr(lapack, name, counted)
     # per block, keyed by its diagonal's id while the block is held: its cutoff
-    # and its factorizations
+    # and its factorizations, the dpbtrf calls made inside its factor_below
     blocks = {}
-    write, factor = dicke_qfi.solver.even_band, dicke_qfi.solver._shifted_cholesky
+    write, factor_below = dicke_qfi.solver.even_band, dicke_qfi.solver._Band.factor_below
 
     def write_recorded(points, cutoffs):
         band, rows, written = write(points, cutoffs)
@@ -611,12 +610,15 @@ def test_banded_factorization_counts(n_atoms, lam_max, steps, max_dpbtrf, parent
             blocks[id(block[0])] = [block, n_cutoff == initial_cutoff(params), 0]
         return band, rows, written
 
-    def factor_counted(block, *args):
-        blocks[id(block[0])][2] += 1
-        return factor(block, *args)
+    def factor_counted(band, b, *args):
+        before = counts["dpbtrf"]
+        try:
+            return factor_below(band, b, *args)
+        finally:
+            blocks[id(band.blocks[b][0])][2] += counts["dpbtrf"] - before
 
     monkeypatch.setattr(dicke_qfi.solver, "even_band", write_recorded)
-    monkeypatch.setattr(dicke_qfi.solver, "_shifted_cholesky", factor_counted)
+    monkeypatch.setattr(dicke_qfi.solver._Band, "factor_below", factor_counted)
     points = [ModelParams(1.0, 1.0, float(lam), n)
               for n in n_atoms for lam in np.linspace(0.0, lam_max, steps)]
     for stack in stacks(points):
@@ -845,26 +847,34 @@ def middle_failure(monkeypatch, failure):
 
 
 def fail_cholesky(monkeypatch, params, n_cutoff):
-    # every factorization of the middle block fails, below the Gershgorin bound too
+    # every factorization of the middle block fails, below the Gershgorin bound
+    # too, and leaves NaN in its columns of the band's factor: the block must be
+    # isolated before the next stacked solve, or the NaN reaches its neighbours
     size = (n_cutoff + 1) * 2
     dpbtrf = lapack.dpbtrf
-    monkeypatch.setattr(lapack, "dpbtrf", lambda ab, **kwargs: (
-        (dpbtrf(ab, **kwargs)[0], 1) if ab.shape[1] == size else dpbtrf(ab, **kwargs)))
+
+    def failed(ab, **kwargs):
+        if ab.shape[1] != size:
+            return dpbtrf(ab, **kwargs)
+        ab[:] = np.nan
+        return ab, 1
+
+    monkeypatch.setattr(lapack, "dpbtrf", failed)
 
 
 def fail_reshift(monkeypatch, params, n_cutoff):
     # the middle block's first factorization succeeds and its first re-shift fails
-    factor_below = dicke_qfi.solver._factor_below
+    factor_below = dicke_qfi.solver._Band.factor_below
     calls = []
 
-    def second_fails(block, factor, shift, step, block_cutoff):
+    def second_fails(band, b, shift, step, block_cutoff):
         if block_cutoff == n_cutoff:
             calls.append(shift)
             if len(calls) == 2:
                 raise SolverError(f"re-shift failed at n_cutoff={block_cutoff}", block_cutoff)
-        return factor_below(block, factor, shift, step, block_cutoff)
+        return factor_below(band, b, shift, step, block_cutoff)
 
-    monkeypatch.setattr(dicke_qfi.solver, "_factor_below", second_fails)
+    monkeypatch.setattr(dicke_qfi.solver._Band, "factor_below", second_fails)
 
 
 @pytest.mark.parametrize("failure,message", [(fail_cholesky, "Cholesky"),
@@ -914,29 +924,29 @@ def test_unconverged_blocks_fail_alone(monkeypatch):
 
 @pytest.mark.parametrize("failing_call", ["first", "last"])
 def test_out_of_memory_in_the_stacked_loop(failing_call, monkeypatch):
-    # a MemoryError in the stack's product fails every block still iterating;
-    # blocks settled before it keep their bits, and so does lambda = 0, which
-    # is exact and never iterated
+    # a MemoryError in the band's measure, the stack's product and sums, fails
+    # every block still iterating; blocks settled before it keep their bits, and
+    # so does lambda = 0, which is exact and never iterated
     points = [ModelParams(1.0, 1.0, lam, 2) for lam in (0.0, 0.2, 1.0, 3.0)]
-    block_matvec = dicke_qfi.solver._block_matvec
+    measure = dicke_qfi.solver._Band.measure
     calls = []
 
-    def counted(*args):
+    def counted(band):
         calls.append(1)
-        return block_matvec(*args)
+        return measure(band)
 
-    monkeypatch.setattr(dicke_qfi.solver, "_block_matvec", counted)
+    monkeypatch.setattr(dicke_qfi.solver._Band, "measure", counted)
     full = ground_states(points, [40] * len(points))
     failing = 1 if failing_call == "first" else len(calls)
     calls.clear()
 
-    def out_of_memory(*args):
+    def out_of_memory(band):
         calls.append(1)
         if len(calls) == failing:
             raise MemoryError("no room for the product")
-        return block_matvec(*args)
+        return measure(band)
 
-    monkeypatch.setattr(dicke_qfi.solver, "_block_matvec", out_of_memory)
+    monkeypatch.setattr(dicke_qfi.solver._Band, "measure", out_of_memory)
     outcomes = ground_states(points, [40] * len(points))
     assert_same_bits(full[0], outcomes[0])
     failed = [isinstance(outcome, SolverError) for outcome in outcomes[1:]]
@@ -1126,13 +1136,9 @@ def test_small_n_is_banded_or_refused(n_atoms, n_cutoff, budget, lam):
             assert held == banded and banded <= budget
 
 
-def test_small_n_past_budget_never_takes_lanczos(monkeypatch):
+def test_small_n_past_budget_is_refused_and_banded_one_cutoff_lower(monkeypatch):
     # N = 10 one byte short of its band is refused; one cutoff lower it is banded
-    # and certified, and ARPACK is never reached
-    def no_lanczos(*args, **kwargs):
-        raise AssertionError("the solver must not fall back to Lanczos")
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_lanczos)
+    # and certified
     params = ModelParams(1.0, 1.0, 0.8, 10)
     monkeypatch.setattr(dicke_qfi.solver, "MEMORY_BUDGET", solve_bytes(params, 60) - 1)
     with pytest.raises(SolverError, match="past the memory budget"):
