@@ -23,6 +23,8 @@ failed points are known.
 ``SweepConfig`` is the single declaration of the settings: each of its
 fields gives a setting's name, default, text parser and help, and the flags,
 the config-file keys and the meta record are all derived from its fields.
+``MODES`` is the single declaration of the modes, each with its help line,
+its run and its table's columns, so one ``_dispatch`` path serves them all.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import json
 import math
 import sys
 from collections.abc import Callable, Iterable, Iterator
+from contextlib import ExitStack
 from dataclasses import astuple, dataclass, field, fields
 from functools import partial
 from itertools import chain, repeat
@@ -80,16 +83,6 @@ HUSIMI_COLUMNS = ("lambda", "n_atoms", "subsystem", "x", "y", "q", "q_norm")
 CONVERGENCE_COLUMNS = ("lambda", "n_atoms", "step", "n_cutoff", "energy", "tail_population")
 
 FORMATS = ("csv", "json")
-
-#: the modes, each with its help line
-MODES = {
-    "sweep": "finite-N observables over a coupling grid",
-    "husimi": "quasi-probability grids for both subsystems",
-    "thermo": "thermodynamic-limit curves over a coupling grid",
-    "scaling": "critical amplitudes on both sides of lambda_cr",
-    "convergence": "Fock-cutoff trajectories, one row per solve: a single row for a "
-                   "point whose tail and leakage pass --tol at its first cutoff",
-}
 
 #: most couplings a grid may hold: at 10^6 the grid alone is 8 MB and a
 #: thermo run's rows some hundreds of MB, and no curve needs a finer one
@@ -247,30 +240,25 @@ def map_points(config: SweepConfig, solve, point, failure, failed: list) -> Iter
     stacked = solver.stacks(points, config.fock_cutoff, -(-len(points) // workers))
     workers = min(workers, len(stacked))
     tasks = (repeat(solve), repeat(point), stacked, repeat(config))
-    if workers == 1:
-        yield from _in_order(chain.from_iterable(map(_attempt, *tasks)), points, failure, failed)
-    else:
-        # imported here: a one-process run never starts a pool, and the
-        # import costs every process 16-25 ms
-        from concurrent.futures import ProcessPoolExecutor
+    with ExitStack() as resources:
+        if workers == 1:
+            outcomes = chain.from_iterable(map(_attempt, *tasks))
+        else:
+            # imported here: a one-process run never starts a pool, and the
+            # import costs every process 16-25 ms
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+            pool = resources.enter_context(ProcessPoolExecutor(max_workers=workers))
             outcomes = chain.from_iterable(pool.map(_attempt_all, *tasks))
-            yield from _in_order(outcomes, points, failure, failed)
-
-
-def _in_order(outcomes, points: list[ModelParams], failure, failed: list) -> Iterator:
-    """The result of each point's ``_attempt`` outcome, in order, ``failure(params, exc)`` for
-    a SolverError once the point is noted in ``failed`` and named on stderr."""
-    for params in points:
-        result = next(outcomes)
-        if isinstance(result, SolverError):
-            failed.append([params.lam, params.n_atoms])
-            print(f"dicke-qfi: lambda={params.lam} N={params.n_atoms} failed: {result}",
-                  file=sys.stderr)
-            result = failure(params, result)
-        yield result
-        del result  # not held while the next point is solved
+        for params in points:
+            result = next(outcomes)
+            if isinstance(result, SolverError):
+                failed.append([params.lam, params.n_atoms])
+                print(f"dicke-qfi: lambda={params.lam} N={params.n_atoms} failed: {result}",
+                      file=sys.stderr)
+                result = failure(params, result)
+            yield result
+            del result  # not held while the next point is solved
 
 
 def _attempt(solve, point, stack: list[ModelParams], config: SweepConfig) -> Iterator:
@@ -419,8 +407,8 @@ def run_convergence(config: SweepConfig) -> tuple[list[tuple], list[list]]:
     return [row for rows in trajectories for row in rows], failed
 
 
-def run_thermo(config: SweepConfig) -> list[tuple]:
-    """Thermodynamic-limit rows over the lambda grid (N-independent)."""
+def run_thermo(config: SweepConfig) -> tuple[list[tuple], list[list]]:
+    """Thermodynamic-limit rows over the lambda grid (N-independent); no point fails."""
     rows = []
     for lam in config.lambda_grid():
         pt = thermo_point(config.omega, config.omega0, float(lam))
@@ -429,13 +417,26 @@ def run_thermo(config: SweepConfig) -> list[tuple]:
             qfi_atoms_thermo(pt, 1.0), 4.0 * quad_variance_thermo(pt),
             qfi_field_scaled_limit(pt), pt.beta_s2_per_n, int(pt.critical),
         ))
-    return rows
+    return rows, []
 
 
-def run_scaling(config: SweepConfig) -> list[tuple]:
-    """The critical amplitudes below and above lambda_cr, one row per side."""
+def run_scaling(config: SweepConfig) -> tuple[list[tuple], list[list]]:
+    """The critical amplitudes below and above lambda_cr, one row per side; no point fails."""
     return [astuple(critical_amplitudes(config.omega, config.omega0, side))
-            for side in ("below", "above")]
+            for side in ("below", "above")], []
+
+
+#: each mode's help line, its run, which gives its results and its failed points, and its
+#: table's columns, None for the Husimi grids of ``write_husimi``
+MODES = {
+    "sweep": ("finite-N observables over a coupling grid", run_sweep, SWEEP_COLUMNS),
+    "husimi": ("quasi-probability grids for both subsystems", run_husimi, None),
+    "thermo": ("thermodynamic-limit curves over a coupling grid", run_thermo, THERMO_COLUMNS),
+    "scaling": ("critical amplitudes on both sides of lambda_cr", run_scaling, SCALING_COLUMNS),
+    "convergence": ("Fock-cutoff trajectories, one row per solve: a single row for a point "
+                    "whose tail and leakage pass --tol at its first cutoff", run_convergence,
+                    CONVERGENCE_COLUMNS),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +561,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("mode", choices=MODES,
-                        help="; ".join(f"{mode}: {blurb}" for mode, blurb in MODES.items()))
+                        help="; ".join(f"{mode}: {blurb}" for mode, (blurb, _, _) in MODES.items()))
     parser.add_argument("--config", help="key = value file; explicit flags override it")
     for name, setting in _SETTINGS.items():
         parser.add_argument("--" + name.replace("_", "-"), **setting.metadata["flag"])
@@ -607,27 +608,19 @@ def resolve_config(args: argparse.Namespace) -> SweepConfig:
 
 
 def _dispatch(config: SweepConfig) -> int:
+    _, run, columns = MODES[config.mode]
     stream, close = _open_output(config.out)
-    meta, fmt = config.meta(), config.format
     try:
-        if config.mode == "thermo":
-            write_table(stream, THERMO_COLUMNS, run_thermo(config), meta, fmt)
-            return 0
-        if config.mode == "scaling":
-            write_table(stream, SCALING_COLUMNS, run_scaling(config), meta, fmt)
-            return 0
-        run = {"sweep": run_sweep, "husimi": run_husimi, "convergence": run_convergence}
-        results, failed = run[config.mode](config)
+        results, failed = run(config)
 
-        def final_meta() -> dict:
+        def meta() -> dict:
             """The meta record, once ``results`` are taken and ``failed`` is complete."""
-            return {**meta, "failed_points": failed} if failed else meta
+            return {**config.meta(), "failed_points": failed} if failed else config.meta()
 
-        if config.mode == "husimi":
-            write_husimi(stream, results, final_meta, fmt)
+        if columns is None:
+            write_husimi(stream, results, meta, config.format)
         else:
-            columns = SWEEP_COLUMNS if config.mode == "sweep" else CONVERGENCE_COLUMNS
-            write_table(stream, columns, results, final_meta(), fmt)
+            write_table(stream, columns, results, meta(), config.format)
         return 4 if failed else 0
     finally:
         if close:

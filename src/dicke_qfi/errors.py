@@ -2,7 +2,8 @@
 
 Argument validation raises plain ``ValueError`` throughout; the classes
 here cover numerical failure modes that callers may want to catch
-separately (the CLI maps them to distinct exit codes).
+separately.  The CLI takes every ``SolverError``, ``ConvergenceError``
+included, as a failed point, named on stderr, with exit code 4.
 """
 
 

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import log_factorials
+from .model import log_factorials, log_spin_amplitudes, spin_ladder
 from .states import SpectralDecomposition
 
 #: points per axis of the default Husimi grids
@@ -145,11 +145,10 @@ def _field_ladder(field: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]
 def _spin_ladder(atoms: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
     """X = Jx and Y = -Jy on the |j,m> basis, m ascending, with L = J- and L' = J+.
 
-    J+|j,m-1> = sqrt(j(j+1) - m(m-1)) |j,m>, and with m = k - j the factor
-    is k (N + 1 - k), an exact integer that vanishes at k = 0 and N + 1.
+    J+|j,m-1> = sqrt(j(j+1) - m(m-1)) |j,m>, and with m = k - j this is
+    ``model.spin_ladder``'s sqrt(k (N + 1 - k)), 0 at k = 0 and N + 1.
     """
-    k = np.arange(atoms.dim + 1.0)
-    return _ladder(atoms.vectors, np.sqrt(k * (atoms.dim - k)))
+    return _ladder(atoms.vectors, spin_ladder(atoms.dim - 1))
 
 
 def _variance(
@@ -344,21 +343,19 @@ def spin_coherent_amplitudes(theta: np.ndarray, phi: np.ndarray, n_atoms: int) -
                       * exp(-i (j+m) phi).
     Returned shape is (len(theta), len(phi), N+1).
 
-    Each is formed whole in log space: sqrt(binom(N, k)) alone overflows from
-    N ~ 2050.  The poles, cos or sin of theta/2 exactly 0, are set apart.
+    Each magnitude is formed whole in log space, by
+    ``model.log_spin_amplitudes``.  The poles, cos or sin of theta/2
+    exactly 0, are set apart.
     """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     k = np.arange(n_atoms + 1)
-    rest = n_atoms - k
     cos_half, sin_half = np.cos(theta / 2), np.sin(theta / 2)
     inside = (cos_half != 0) & (sin_half != 0)
     c, s = cos_half[inside, None], sin_half[inside, None]
-    log_factorial = log_factorials(n_atoms)
-    log_amp = (0.5 * (log_factorial[n_atoms] - log_factorial - log_factorial[::-1])
-               + rest * np.log(np.abs(c)) + k * np.log(np.abs(s)))
+    log_amp = log_spin_amplitudes(n_atoms, np.log(np.abs(c)), np.log(np.abs(s)))
     amp_theta = np.zeros((theta.size, n_atoms + 1))
-    amp_theta[inside] = np.power(np.sign(c), rest) * np.power(np.sign(s), k) * np.exp(log_amp)
+    amp_theta[inside] = np.sign(c) ** (n_atoms - k) * np.sign(s) ** k * np.exp(log_amp)
     amp_theta[sin_half == 0, 0] = np.sign(cos_half[sin_half == 0]) ** n_atoms
     amp_theta[cos_half == 0, -1] = np.sign(sin_half[cos_half == 0]) ** n_atoms
     phase = np.exp(-1j * k[None, :] * phi[:, None])

@@ -25,10 +25,9 @@ The part that does not depend on omega, omega0 or lam, the couplings at
 g = 1, has a closed form.  The basis at cutoff c is a prefix of any larger
 one, so ``even_band`` forms these units, and the diagonal, which does not
 depend on lam either, once per round at its largest cutoff; each block
-copies prefixes of them.  No block is cached: only ``leakage`` keeps its
-ladder coefficients, for each of the last four (N, C mod 2).  The odd
-sector is never built: the block does not couple it, and the ground state
-has no weight there.
+copies prefixes of them.  No block is cached: only ``spin_ladder`` is
+kept, for each of the last four N.  The odd sector is never built: the
+block does not couple it, and the ground state has no weight there.
 """
 
 from __future__ import annotations
@@ -57,12 +56,7 @@ class ModelParams:
     n_atoms: int
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.omega, self.omega0, self.lam)):
-            raise ValueError("omega, omega0 and lam must be finite")
-        if self.omega <= 0 or self.omega0 <= 0:
-            raise ValueError("omega and omega0 must be positive")
-        if self.lam < 0:
-            raise ValueError("coupling lam must be non-negative")
+        check_couplings(self.omega, self.omega0, self.lam)
         try:
             # any integer, numpy's included, is stored as a Python int; a float is no atom number
             object.__setattr__(self, "n_atoms", operator.index(self.n_atoms))
@@ -80,6 +74,16 @@ class ModelParams:
     def lambda_cr(self) -> float:
         """Critical coupling sqrt(omega0 * omega) / 2."""
         return math.sqrt(self.omega * self.omega0) / 2
+
+
+def check_couplings(omega: float, omega0: float, lam: float = 0.0) -> None:
+    """Raise ValueError unless omega > 0, omega0 > 0 and lam >= 0, all three finite."""
+    if not all(math.isfinite(v) for v in (omega, omega0, lam)):
+        raise ValueError("omega, omega0 and lam must be finite")
+    if omega <= 0 or omega0 <= 0:
+        raise ValueError("omega and omega0 must be positive")
+    if lam < 0:
+        raise ValueError("coupling lam must be non-negative")
 
 
 def _even(n_atoms: int, grids: np.ndarray) -> np.ndarray:
@@ -233,30 +237,29 @@ def leakage(vector: np.ndarray, params: ModelParams, n_cutoff: int) -> float:
     sqrt((k+1)(N-k)) and to k - 1 with sqrt(k(N+1-k)).  The row's even
     positions hold, in ascending order, every k of the parity of C, so each
     move writes distinct entries, every second one, and no block unit is read:
-    the coefficients come from ``_ladder_coefficients``, kept per (N, C mod 2).
+    the coefficients are the slices of ``spin_ladder`` at that parity.
     At g = 0, lam = 0, it is 0.
     """
     n_atoms = params.n_atoms
     parity = n_cutoff % 2
-    raising, lowering = _ladder_coefficients(n_atoms, parity)
+    ladder = spin_ladder(n_atoms)
     top = vector[even_size(n_atoms, n_cutoff - 1):]
     # entry i of the image is its component at k = i - 1, so that k = -1 and N + 1 fit
     image = np.zeros(n_atoms + 3)
-    np.multiply(raising, top, out=image[parity + 2::2])
-    image[parity:n_atoms + 1:2] += lowering * top
+    np.multiply(ladder[parity + 1::2], top, out=image[parity + 2::2])
+    image[parity:n_atoms + 1:2] += ladder[parity:n_atoms + 1:2] * top
     g = params.lam / math.sqrt(n_atoms)
     # the dot product that np.linalg.norm takes, without its dispatch
     return g * math.sqrt(n_cutoff + 1) * math.sqrt(image @ image)
 
 
 @functools.lru_cache(maxsize=4)
-def _ladder_coefficients(n_atoms: int, parity: int) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only coefficients of J+ and J- on the k = m + j of one parity, ascending:
-    sqrt((k+1)(N-k)) and sqrt(k(N+1-k))."""
-    k = np.arange(parity, n_atoms + 1, 2)
-    ladder = np.sqrt((k + 1.0) * (n_atoms - k)), np.sqrt(k * (n_atoms + 1.0 - k))
-    for coefficients in ladder:
-        coefficients.flags.writeable = False
+def spin_ladder(n_atoms: int) -> np.ndarray:
+    """sqrt(k(N+1-k)) for k = 0 .. N+1, read-only: the J+ factor from k - 1 to k, k = m + j, 0 at
+    both ends; each product is an exact integer, so a slice has the bits of its own formula."""
+    k = np.arange(n_atoms + 2.0)
+    ladder = np.sqrt(k * (n_atoms + 1 - k))
+    ladder.flags.writeable = False
     return ladder
 
 
@@ -296,7 +299,7 @@ def _mean_field_starts(points: Sequence[ModelParams], cutoffs: Sequence[int]) ->
     its start, whatever cutoffs the run mixes.
     """
     n_atoms = points[0].n_atoms
-    log_factorial = log_factorials(max(max(cutoffs), n_atoms))
+    log_factorial = log_factorials(max(cutoffs))
     scalars = []
     for params in points:
         # lam > lambda_cr makes cos(theta) < 1, so every logarithm is finite
@@ -306,12 +309,8 @@ def _mean_field_starts(points: Sequence[ModelParams], cutoffs: Sequence[int]) ->
                         0.5 * math.log((1.0 + cos_theta) / 2),
                         0.5 * math.log((1.0 - cos_theta) / 2)))
     scalars = np.array(scalars)
-    log_alpha, log_cos, log_sin = scalars[:, 0:1], scalars[:, 1:2], scalars[:, 2:3]
-    # sqrt(C(N, k)) cos(theta/2)^(N-k) sin(theta/2)^k
-    k = np.arange(n_atoms + 1)
-    log_spin = (0.5 * (log_factorial[n_atoms] - log_factorial[: n_atoms + 1]
-                       - log_factorial[n_atoms::-1])
-                + (n_atoms - k) * log_cos + k * log_sin)
+    log_alpha = scalars[:, 0:1]
+    log_spin = log_spin_amplitudes(n_atoms, scalars[:, 1:2], scalars[:, 2:3])
     spin = np.exp(log_spin - np.maximum.reduce(log_spin, axis=1, keepdims=True))
     groups: dict[int, list[int]] = {}
     for i, n_cutoff in enumerate(cutoffs):
@@ -330,6 +329,16 @@ def _mean_field_starts(points: Sequence[ModelParams], cutoffs: Sequence[int]) ->
         for i, row, n_cutoff in zip(rows, grid, own.tolist()):
             starts[i] = row[:even_size(n_atoms, n_cutoff)]
     return starts
+
+
+def log_spin_amplitudes(n_atoms: int, log_cos: np.ndarray, log_sin: np.ndarray) -> np.ndarray:
+    """log(sqrt(binom(N, k)) cos(theta/2)^(N-k) sin(theta/2)^k), k = 0 .. N on a last axis, from
+    columns of log|cos(theta/2)| and log|sin(theta/2)|: the spin-coherent magnitudes on
+    |j, m>, k = m + j, whole in log space, as sqrt(binom(N, k)) alone overflows from N ~ 2050."""
+    log_factorial = log_factorials(n_atoms)
+    k = np.arange(n_atoms + 1)
+    return (0.5 * (log_factorial[n_atoms] - log_factorial - log_factorial[::-1])
+            + (n_atoms - k) * log_cos + k * log_sin)
 
 
 def padded_shape(n_atoms: int, n_cutoff: int) -> tuple[int, int]:

@@ -44,6 +44,7 @@ import math
 from dataclasses import dataclass
 
 from .metrology import QfiResult
+from .model import check_couplings
 
 
 @dataclass(frozen=True)
@@ -63,12 +64,7 @@ class ThermoPoint:
 
 def thermo_point(omega: float, omega0: float, lam: float) -> ThermoPoint:
     """Evaluate the order parameters and normal-mode energies at one lambda."""
-    if not all(math.isfinite(v) for v in (omega, omega0, lam)):
-        raise ValueError("omega, omega0 and lam must be finite")
-    if omega <= 0 or omega0 <= 0:
-        raise ValueError("omega and omega0 must be positive")
-    if lam < 0:
-        raise ValueError("coupling lam must be non-negative")
+    check_couplings(omega, omega0, lam)
     lcr = math.sqrt(omega * omega0) / 2
     # lambda_cr^2 - lambda^2, exact before its last rounding; its sign is the phase
     # and agrees with lam <= lcr at every float lam but lcr, which is the critical point
@@ -264,6 +260,7 @@ def critical_amplitudes(omega: float, omega0: float, side: str) -> CriticalAmpli
     (4 omega omega0) and eps2^2 = omega^2 + omega0^2 - eps1^2 write it in
     eps1.  No term overflows for omega and omega0 in [1e-6, 1e6].
     """
+    check_couplings(omega, omega0)
     if side not in ("above", "below"):
         raise ValueError("side must be 'above' or 'below'")
     r = omega / omega0

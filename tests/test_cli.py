@@ -1180,9 +1180,12 @@ def test_parameter_box_corners_run_in_every_mode(mode, omega, omega0, tmp_path):
         for lam in (0.0, lcr, PARAMETER_MAX):
             config = SweepConfig(mode="thermo", omega=omega, omega0=omega0, lambda_min=lam,
                                  lambda_max=lam, lambda_steps=1)
-            assert all(math.isfinite(v) for v in run_thermo(config)[0])
+            rows, failed = run_thermo(config)
+            assert all(math.isfinite(v) for v in rows[0]) and failed == []
             assert initial_cutoff(ModelParams(omega, omega0, lam, MAX_ATOMS)) >= 20
     if mode == "scaling":
         config = SweepConfig(mode="scaling", omega=omega, omega0=omega0)
-        for _, *amplitudes in run_scaling(config):
+        rows, failed = run_scaling(config)
+        assert failed == []
+        for _, *amplitudes in rows:
             assert all(math.isfinite(v) and v != 0 for v in amplitudes)

@@ -371,6 +371,53 @@ def test_cached_block_matches_closed_form_bitwise(n_atoms):
         assert_matches_scratch(points, cutoffs)
 
 
+LADDER_SIZES = [*range(1, 65), 1001, 2060]
+
+
+@pytest.mark.parametrize("n_atoms", range(1, 65))
+def test_spin_ladder_is_the_jplus_matrix_element(n_atoms):
+    # J+|k-1> = sqrt(k(N+1-k)) |k>, k = m + j, and the ladder stops at both ends
+    ladder = model.spin_ladder(n_atoms)
+    jplus = build_spin_ops(n_atoms).jplus
+    assert ladder[0] == ladder[-1] == 0.0
+    assert np.array_equal(ladder[1:-1], np.diag(jplus, -1).real)
+
+
+@pytest.mark.parametrize("n_atoms", LADDER_SIZES)
+def test_spin_ladder_has_the_bits_of_each_formula_it_serves(n_atoms):
+    # leakage's J+ and J- coefficients on each parity of k, and metrology's
+    # factor over k = 0 .. N+1: each an exact integer under the square root
+    ladder = model.spin_ladder(n_atoms)
+    assert not ladder.flags.writeable
+    with pytest.raises(ValueError):
+        ladder[0] = 1.0
+    for parity in (0, 1):
+        k = np.arange(parity, n_atoms + 1, 2)
+        assert np.array_equal(ladder[parity + 1::2], np.sqrt((k + 1.0) * (n_atoms - k)))
+        assert np.array_equal(ladder[parity:n_atoms + 1:2], np.sqrt(k * (n_atoms + 1.0 - k)))
+    dim = n_atoms + 1
+    k = np.arange(dim + 1.0)
+    assert np.array_equal(ladder, np.sqrt(k * (dim - k)))
+
+
+@pytest.mark.parametrize("n_atoms", LADDER_SIZES)
+def test_log_spin_amplitudes_have_the_bits_of_both_forms(n_atoms):
+    # the mean-field start read its factorials from a table longer than N + 1,
+    # the atomic Husimi kernel from one of N + 1; both rounded alike
+    rng = np.random.default_rng(n_atoms)
+    log_cos, log_sin = np.log(rng.uniform(0.01, 1.0, size=(2, 5, 1)))
+    got = model.log_spin_amplitudes(n_atoms, log_cos, log_sin)
+    k = np.arange(n_atoms + 1)
+    longer = model.log_factorials(n_atoms + 77)
+    mean_field = (0.5 * (longer[n_atoms] - longer[: n_atoms + 1] - longer[n_atoms::-1])
+                  + (n_atoms - k) * log_cos + k * log_sin)
+    table = model.log_factorials(n_atoms)
+    husimi = (0.5 * (table[n_atoms] - table - table[::-1])
+              + (n_atoms - k) * log_cos + k * log_sin)
+    assert got.shape == (5, n_atoms + 1)
+    assert np.array_equal(got, mean_field) and np.array_equal(got, husimi)
+
+
 def test_even_block_arrays_are_fresh_and_writable():
     # the blocks are views of their round's band; overwriting them reaches
     # nothing that the next round reads, so its block is the block again

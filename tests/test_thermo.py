@@ -85,6 +85,25 @@ def test_rejects_bad_arguments():
         critical_amplitudes(1.0, 1.0, side="sideways")
 
 
+@pytest.mark.parametrize("omega,omega0", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (math.nan, 1.0),
+                                          (math.inf, 1.0), (1.0, math.inf)])
+def test_every_coupling_check_rejects_alike(omega, omega0):
+    # ModelParams, thermo_point and critical_amplitudes share one check, so each
+    # bad (omega, omega0) gets one ValueError message from all of them, where
+    # critical_amplitudes once divided by zero at (0, 1), took the square root
+    # of a negative at (-1, 1) and returned NaN amplitudes for NaN or inf
+    checks = (lambda: ModelParams(omega, omega0, 0.5, 2),
+              lambda: thermo_point(omega, omega0, 0.5),
+              lambda: critical_amplitudes(omega, omega0, "below"),
+              lambda: critical_amplitudes(omega, omega0, "above"))
+    messages = set()
+    for check in checks:
+        with pytest.raises(ValueError) as raised:
+            check()
+        messages.add(str(raised.value))
+    assert len(messages) == 1, messages
+
+
 def test_xi2_endpoints():
     assert abs(xi2_thermo(thermo_point(1.0, 1.0, 0.0)) - 1.0) < 1e-14
     assert abs(xi2_thermo(thermo_point(1.0, 1.0, 0.5)) - 1 / SQRT2) < 1e-14
