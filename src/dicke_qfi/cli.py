@@ -194,8 +194,6 @@ class SweepConfig:
             raise ValueError(f"workers must be between 1 and {MAX_WORKERS}")
 
     def lambda_grid(self) -> np.ndarray:
-        if self.lambda_steps == 1:
-            return np.array([self.lambda_min])
         return np.linspace(self.lambda_min, self.lambda_max, self.lambda_steps)
 
     def points(self) -> list[ModelParams]:
@@ -308,15 +306,15 @@ def compute_sweep_records(states: list[GroundState], config: SweepConfig) -> Ite
 
     Each ``states.schmidt_runs`` run's observables are formed in one batched pass,
     when its first row is asked for: ``sweep_observables`` gives one array per
-    ``metrology.SWEEP_OBSERVABLES`` name, in that order.
+    ``metrology.SWEEP_OBSERVABLES`` name, in that order.  The field and the
+    atoms share one discarded mass, the weight the Schmidt step drops.
     """
     for run, field, atoms in schmidt_runs(states):
         observed = zip(*(column.tolist() for column in sweep_observables(field, atoms)))
-        masses = zip(atoms.discarded_mass.tolist(), field.discarded_mass.tolist())
-        for gs, values, (mass_a, mass_b) in zip(run, observed, masses):
+        for gs, values, mass in zip(run, observed, field.discarded_mass.tolist()):
             # parity_expect is <P>: the state lives in the even sector, so P acts on it as 1
             yield (gs.params.lam, gs.params.n_atoms, gs.n_cutoff, gs.energy, *values,
-                   float(gs.vector @ gs.vector), mass_a, mass_b)
+                   float(gs.vector @ gs.vector), mass, mass)
 
 
 def _failed_sweep_record(params: ModelParams, exc: SolverError) -> tuple:
@@ -353,6 +351,9 @@ def _husimi_grid(params: ModelParams, field: SpectralDecomposition, atoms: Spect
     """Husimi grids of one point's reduced states on the given (theta, phi) and
     (re_alpha, im_alpha, alpha) axes.
 
+    A function of its own so that its Q arrays die as it returns: as locals of
+    the generator ``compute_husimi_grids`` they would hold one point's grids
+    while the next point's form (``test_husimi_memory_does_not_hold_lists``).
     Arrays take a quarter of the memory of lists.  The atoms'
     ``q_normalized`` is not stored: ``write_husimi`` forms q / q_max as it
     writes.

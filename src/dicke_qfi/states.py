@@ -47,7 +47,8 @@ class SpectralDecomposition:
     and ``discarded_mass`` and ``levels`` are numbers; a stack adds a
     leading axis to each.  ``levels`` is the dimension of each state's
     truncated space: its vectors' rows from there on are zero padding, and
-    no operator acts across them.  None means every row.
+    no operator acts across them.  Left out, it is filled in as every row,
+    one count per state of a stack.
     """
 
     weights: np.ndarray
@@ -55,6 +56,11 @@ class SpectralDecomposition:
     space: Space
     discarded_mass: float | np.ndarray
     levels: int | np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if self.levels is None:
+            levels = self.dim if self.weights.ndim == 1 else np.full(len(self.weights), self.dim)
+            object.__setattr__(self, "levels", levels)
 
     @property
     def dim(self) -> int:
@@ -67,14 +73,13 @@ class SpectralDecomposition:
             return self
         return SpectralDecomposition(
             self.weights[None], self.vectors[None], self.space,
-            np.reshape(self.discarded_mass, 1),
-            None if self.levels is None else np.reshape(self.levels, 1))
+            np.reshape(self.discarded_mass, 1), np.reshape(self.levels, 1))
 
     def __getitem__(self, i: int) -> SpectralDecomposition:
         """State ``i`` of a stack, as a decomposition of one state."""
         return SpectralDecomposition(
             self.weights[i], self.vectors[i], self.space, float(self.discarded_mass[i]),
-            None if self.levels is None else int(self.levels[i]))
+            int(self.levels[i]))
 
 
 def schmidt_bytes(gs: GroundState) -> int:

@@ -98,6 +98,18 @@ def test_sweep_decoupled_row_values(tmp_path):
     assert abs(float(first["parity_expect"]) - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize("mode", ["sweep", "thermo"])
+@pytest.mark.parametrize("steps", ["1", "2"])
+def test_negative_zero_coupling_reads_zero_at_any_step_count(mode, steps, tmp_path):
+    # the grid is np.linspace's, which starts at lambda-min + 0.0 for one step
+    # as for two, so a lambda-min of -0.0 reads 0.0 in either
+    out = tmp_path / "s.csv"
+    assert main([mode, "--n-atoms", "1", "--lambda-min", "-0.0", "--lambda-steps", steps,
+                 "--out", str(out)]) == 0
+    _, rows, _ = read_csv_rows(out)
+    assert rows[0][0] == "0.0"
+
+
 def test_sweep_json_payload(tmp_path):
     out = tmp_path / "s.json"
     assert main(["sweep", *SMALL_SWEEP, "--format", "json", "--out", str(out)]) == 0

@@ -145,7 +145,7 @@ def test_schmidt_matches_partial_trace_spectra(n_atoms, n_cutoff, stacked, lam):
     tail = np.sum(grid[math.ceil(0.9 * (n_cutoff + 1)):] ** 2)
     assert abs(tail_population(gs.vector, n_atoms, n_cutoff) - tail) <= 1e-15 * tail
     field, atoms = schmidt_decompose(gs)
-    assert field.levels == n_cutoff + 1 and atoms.levels is None
+    assert field.levels == n_cutoff + 1 and atoms.levels == n_atoms + 1
     for schmidt, rho, space in ((field, partial_trace_atoms(gs), "boson"),
                                 (atoms, partial_trace_field(gs), "spin")):
         oracle = spectral_decompose(rho, space)
@@ -169,3 +169,19 @@ def test_schmidt_stack_takes_one_padded_shape():
         schmidt_stack(states)
     field, atoms = schmidt_stack(states[:1])
     assert field.weights.shape[0] == atoms.weights.shape[0] == 1
+    # the field spans 21 of its 33 rows, the atoms all N + 1 of theirs, and both
+    # carry the one array of masses the Schmidt step drops
+    assert field.levels.tolist() == [21] and atoms.levels.tolist() == [3]
+    assert field.discarded_mass is atoms.discarded_mass
+
+
+def test_hand_built_levels_are_the_rows():
+    # left out, levels is every row: a number for one state, one count per state
+    # of a stack, kept by indexing and by as_stack
+    vectors = np.eye(5)[:, :2]
+    one = SpectralDecomposition(np.array([0.7, 0.3]), vectors, "boson", 0.0)
+    assert one.levels == 5 and one.as_stack().levels.tolist() == [5]
+    stack = SpectralDecomposition(np.full((3, 2), 0.5), np.stack([vectors] * 3), "spin",
+                                  np.zeros(3))
+    assert stack.levels.tolist() == [5, 5, 5] and stack[2].levels == 5
+    assert SpectralDecomposition(np.ones(1), vectors[:, :1], "boson", 0.0, 3).levels == 3
