@@ -7,24 +7,20 @@ produce byte-identical files at a fixed BLAS thread count (threaded BLAS
 may move a last digit).  Exit codes: 0 success, 2 invalid argument,
 3 I/O error, 4 a failed (N, lambda) point, each named on stderr with its
 reason.
-``map_points`` solves the points of ``sweep``, ``husimi`` and ``convergence``
-in stacks, runs of consecutive points of one N that the solver solves
-together, hands each stack's solved states to the mode's point function,
-and yields each point's result in output order.  ``sweep`` and ``husimi``
-decompose each of a stack's ``states.schmidt_runs`` with one batched
-Schmidt SVD; a sweep forms the run's rows in one batched observable pass,
-and ``husimi`` forms and writes one point's grids at a time, so it holds
-one point's grids and the Schmidt decompositions of one run.
-The JSON writers give the bytes of json.dump(indent=2, sort_keys=True)
-without building the document: table rows are formatted from repr, one
-write per row, and ``meta`` is written after the Husimi grids, once the
-failed points are known.
+``sweep``, ``husimi`` and ``convergence`` share one run, ``run_points``:
+their points are solved in stacks, each point gives a list of items, and a
+failed point gives its NaN row, no grid, or the rows of its completed solves.
+Every run gives its items as the writer takes them and its failed points,
+complete once they are taken; every writer calls ``meta()`` last, so a CSV
+table is written as its points finish, and a JSON table holds its rows until
+its meta is written.  The JSON writers give the bytes of
+json.dump(indent=2, sort_keys=True) without building the document.
 
 ``SweepConfig`` is the single declaration of the settings: each of its
 fields gives a setting's name, default, text parser and help, and the flags,
 the config-file keys and the meta record are all derived from its fields.
 ``MODES`` is the single declaration of the modes, each with its help line,
-its run and its table's columns, so one ``_dispatch`` path serves them all.
+its run, its columns and its writer, so one ``_dispatch`` path serves them all.
 """
 
 from __future__ import annotations
@@ -36,7 +32,6 @@ import sys
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import ExitStack
 from dataclasses import astuple, dataclass, field, fields
-from functools import partial
 from itertools import chain, repeat
 
 import numpy as np
@@ -211,27 +206,33 @@ class SweepConfig:
 _SETTINGS = {f.name: f for f in fields(SweepConfig) if f.name != "mode"}
 
 
-def map_points(config: SweepConfig, solve, point, failure, failed: list) -> Iterator:
-    """Yield the result of every (N, lambda) point's ground state, in output order.
+def run_points(config: SweepConfig, solve, point, failure) -> tuple[Iterator, list[list]]:
+    """``map_points``' items, formed as they are taken, and the failed points, which are
+    complete once the items are taken."""
+    failed: list[list] = []
+    return map_points(config, solve, point, failure, failed), failed
 
-    The points are cut into stacks by ``solver.stacks``, and ``solve(stack)``
-    gives each point of a stack its GroundState or the SolverError it failed
-    with: the solver returns every failure, a MemoryError included.
-    ``point(states, config)`` yields one result for each of a stack's solved
-    states, in order.  A point whose solve failed, or whose result raised
-    SolverError or MemoryError alone (``_one_at_a_time``), yields
-    ``failure(params, exc)`` instead:
-    before it is yielded, [lambda, N] is appended to ``failed`` and one line
-    naming the point and the error's message is printed to stderr.  Serially
-    each stack is solved when its first result is asked for, and a result
-    is not held once the next one is asked for, so a ``point`` that forms
-    its results one at a time, as ``compute_husimi_grids`` does, and a
-    consumer that writes and drops each one hold one point's at a time.  A
-    pool takes all stacks at once, each at most ceil(points / workers)
-    points, so that every process gets work, and yields the results in
-    order, each failure sent back as its SolverError; results that finish
-    before they are asked for wait in this process.  A result depends on its
-    point alone, so not on the stacks or the worker count.
+
+def map_points(config: SweepConfig, solve, point, failure, failed: list) -> Iterator:
+    """Yield the items of every (N, lambda) point's ground state, in output order.
+
+    The points are cut into stacks by ``solver.stacks``, and
+    ``solve(stack, config.tol, config.fock_cutoff)`` gives each point of a
+    stack its GroundState or the SolverError it failed with, a MemoryError
+    included.  ``point(states, config)`` yields a list of items for each of
+    a stack's solved states, in order.  A point whose solve failed, or whose
+    list raised SolverError or MemoryError alone (``_one_at_a_time``), gives
+    the list ``failure(params, exc)``, once [lambda, N] is appended to
+    ``failed`` and a line naming the point and the error is printed to
+    stderr.  Serially each stack is solved when its first item is asked for,
+    and a point's list is dropped before the next point's is formed, so a
+    ``point`` that forms its lists one at a time, as ``compute_husimi_grids``
+    does, and a consumer that writes and drops each item hold one point's
+    items at a time.  A pool takes all stacks at once, each at most
+    ceil(points / workers) points, so that every process gets work, each
+    failure sent back as its SolverError; lists that finish before they are
+    asked for wait in this process.  A point's items depend on the point
+    alone, so not on the stacks or the worker count.
     """
     points = config.points()
     workers = min(config.workers, len(points))
@@ -249,19 +250,19 @@ def map_points(config: SweepConfig, solve, point, failure, failed: list) -> Iter
             pool = resources.enter_context(ProcessPoolExecutor(max_workers=workers))
             outcomes = chain.from_iterable(pool.map(_attempt_all, *tasks))
         for params in points:
-            result = next(outcomes)
-            if isinstance(result, SolverError):
+            items = next(outcomes)
+            if isinstance(items, SolverError):
                 failed.append([params.lam, params.n_atoms])
-                print(f"dicke-qfi: lambda={params.lam} N={params.n_atoms} failed: {result}",
+                print(f"dicke-qfi: lambda={params.lam} N={params.n_atoms} failed: {items}",
                       file=sys.stderr)
-                result = failure(params, result)
-            yield result
-            del result  # not held while the next point is solved
+                items = failure(params, items)
+            yield from items
+            del items  # not held while the next point is solved
 
 
 def _attempt(solve, point, stack: list[ModelParams], config: SweepConfig) -> Iterator:
-    """Each point's result, or the SolverError that failed it, formed as it is taken."""
-    states = solve(stack)
+    """Each point's list of items, or the SolverError that failed it, formed as it is taken."""
+    states = solve(stack, config.tol, config.fock_cutoff)
     results = _one_at_a_time(point, [gs for gs in states if not isinstance(gs, SolverError)],
                              config)
     for gs in states:
@@ -269,13 +270,13 @@ def _attempt(solve, point, stack: list[ModelParams], config: SweepConfig) -> Ite
 
 
 def _one_at_a_time(point, states: list[GroundState], config: SweepConfig) -> Iterator:
-    """``point(states, config)``'s result for each of ``states``, in order, or the
-    SolverError that failed it.
+    """``point(states, config)``'s list of items for each of ``states``, in order, or
+    the SolverError that failed it.
 
     When ``point`` raises SolverError or MemoryError, the states it has not
-    yet given a result for are taken again one at a time, so only a state
-    whose result fails alone gets an error: at its cutoff, with its steps
-    and its own solve last.  The others get the bits they would have had.
+    yet given a list for are taken again one at a time, so only a state
+    whose list fails alone gets an error: at its cutoff, with its steps and
+    its own solve last.  The others get the bits they would have had.
     """
     done = 0
     try:
@@ -301,8 +302,8 @@ def _attempt_all(solve, point, stack: list[ModelParams], config: SweepConfig) ->
     return list(_attempt(solve, point, stack, config))
 
 
-def compute_sweep_records(states: list[GroundState], config: SweepConfig) -> Iterator[tuple]:
-    """The sweep row of each solved (N, lambda) point, in order: its SWEEP_COLUMNS values.
+def compute_sweep_records(states: list[GroundState], config: SweepConfig) -> Iterator[list]:
+    """A list of the one sweep row, its SWEEP_COLUMNS values, of each solved point, in order.
 
     Each ``states.schmidt_runs`` run's observables are formed in one batched pass,
     when its first row is asked for: ``sweep_observables`` gives one array per
@@ -313,25 +314,22 @@ def compute_sweep_records(states: list[GroundState], config: SweepConfig) -> Ite
         observed = zip(*(column.tolist() for column in sweep_observables(field, atoms)))
         for gs, values, mass in zip(run, observed, field.discarded_mass.tolist()):
             # parity_expect is <P>: the state lives in the even sector, so P acts on it as 1
-            yield (gs.params.lam, gs.params.n_atoms, gs.n_cutoff, gs.energy, *values,
-                   float(gs.vector @ gs.vector), mass, mass)
+            yield [(gs.params.lam, gs.params.n_atoms, gs.n_cutoff, gs.energy, *values,
+                    float(gs.vector @ gs.vector), mass, mass)]
 
 
-def _failed_sweep_record(params: ModelParams, exc: SolverError) -> tuple:
+def _failed_sweep_record(params: ModelParams, exc: SolverError) -> list[tuple]:
     """A failed point's NaN row; its n_cutoff is that of the solve that failed or was refused."""
-    return (params.lam, params.n_atoms, exc.n_cutoff, *[math.nan] * (len(SWEEP_COLUMNS) - 3))
+    return [(params.lam, params.n_atoms, exc.n_cutoff, *[math.nan] * (len(SWEEP_COLUMNS) - 3))]
 
 
-def run_sweep(config: SweepConfig) -> tuple[list[tuple], list[list]]:
+def run_sweep(config: SweepConfig) -> tuple[Iterator[tuple], list[list]]:
     """Every (N, lambda) record in output order, NaN where a point failed, and the failed points."""
-    failed: list[list] = []
-    solve = partial(solve_stack, tol=config.tol, fock_cutoff=config.fock_cutoff)
-    records = map_points(config, solve, compute_sweep_records, _failed_sweep_record, failed)
-    return list(records), failed
+    return run_points(config, solve_stack, compute_sweep_records, _failed_sweep_record)
 
 
-def compute_husimi_grids(states: list[GroundState], config: SweepConfig) -> Iterator[dict]:
-    """Husimi grids of both subsystems at each solved point, in order, as float64 arrays.
+def compute_husimi_grids(states: list[GroundState], config: SweepConfig) -> Iterator[list]:
+    """A list of the one dict of both subsystems' float64 Husimi grids of each solved point.
 
     Each point's grids are formed from its ``states.schmidt_runs`` run when
     they are asked for, so one point's grids are held at a time.
@@ -343,7 +341,7 @@ def compute_husimi_grids(states: list[GroundState], config: SweepConfig) -> Iter
         for i, gs in enumerate(run):
             state = field[i]
             field_axes = default_field_grid(mean_number(state), field_points)
-            yield _husimi_grid(gs.params, state, atoms[i], atom_axes, field_axes)
+            yield [_husimi_grid(gs.params, state, atoms[i], atom_axes, field_axes)]
 
 
 def _husimi_grid(params: ModelParams, field: SpectralDecomposition, atoms: SpectralDecomposition,
@@ -368,21 +366,9 @@ def _husimi_grid(params: ModelParams, field: SpectralDecomposition, atoms: Spect
                       "q_max": float(q_b.max())}}
 
 
-def _skipped(params: ModelParams, exc: SolverError) -> None:
-    """A failed Husimi point leaves no grid."""
-
-
 def run_husimi(config: SweepConfig) -> tuple[Iterator[dict], list[list]]:
-    """The grids of every (N, lambda) point but the failed ones, and the failed points.
-
-    The grids are solved as they are taken, in output order, and the failed
-    points are complete once the grids are.
-    """
-    failed: list[list] = []
-    # filter, unlike a generator expression, keeps no reference to the last grid
-    solve = partial(solve_stack, tol=config.tol, fock_cutoff=config.fock_cutoff)
-    grids = map_points(config, solve, compute_husimi_grids, _skipped, failed)
-    return filter(None, grids), failed
+    """The grids of every (N, lambda) point but the failed ones, and the failed points."""
+    return run_points(config, solve_stack, compute_husimi_grids, lambda params, exc: [])
 
 
 def compute_trajectories(states: list[GroundState], config: SweepConfig) -> Iterator[list[tuple]]:
@@ -399,13 +385,10 @@ def _trajectory_rows(params: ModelParams, solved: GroundState | SolverError) -> 
             for i, step in enumerate(steps)]
 
 
-def run_convergence(config: SweepConfig) -> tuple[list[tuple], list[list]]:
-    """Every point's cutoff-trajectory rows in output order, and the failed points."""
-    failed: list[list] = []
-    # fock_cutoff, when given, is each point's first cutoff
-    solve = partial(converge_stack, tol=config.tol, n_start=config.fock_cutoff)
-    trajectories = map_points(config, solve, compute_trajectories, _trajectory_rows, failed)
-    return [row for rows in trajectories for row in rows], failed
+def run_convergence(config: SweepConfig) -> tuple[Iterator[tuple], list[list]]:
+    """Every point's cutoff-trajectory rows in output order, from its first cutoff
+    ``fock_cutoff`` when given, and the failed points, each with its completed solves."""
+    return run_points(config, converge_stack, compute_trajectories, _trajectory_rows)
 
 
 def run_thermo(config: SweepConfig) -> tuple[list[tuple], list[list]]:
@@ -427,16 +410,20 @@ def run_scaling(config: SweepConfig) -> tuple[list[tuple], list[list]]:
             for side in ("below", "above")], []
 
 
-#: each mode's help line, its run, which gives its results and its failed points, and its
-#: table's columns, None for the Husimi grids of ``write_husimi``
+#: each mode's help line, the name of its run, which gives its items and its failed points,
+#: its columns, and the name of its writer
 MODES = {
-    "sweep": ("finite-N observables over a coupling grid", run_sweep, SWEEP_COLUMNS),
-    "husimi": ("quasi-probability grids for both subsystems", run_husimi, None),
-    "thermo": ("thermodynamic-limit curves over a coupling grid", run_thermo, THERMO_COLUMNS),
-    "scaling": ("critical amplitudes on both sides of lambda_cr", run_scaling, SCALING_COLUMNS),
+    "sweep": ("finite-N observables over a coupling grid",
+              "run_sweep", SWEEP_COLUMNS, "write_table"),
+    "husimi": ("quasi-probability grids for both subsystems",
+               "run_husimi", HUSIMI_COLUMNS, "write_husimi"),
+    "thermo": ("thermodynamic-limit curves over a coupling grid",
+               "run_thermo", THERMO_COLUMNS, "write_table"),
+    "scaling": ("critical amplitudes on both sides of lambda_cr",
+                "run_scaling", SCALING_COLUMNS, "write_table"),
     "convergence": ("Fock-cutoff trajectories, one row per solve: a single row for a point "
-                    "whose tail and leakage pass --tol at its first cutoff", run_convergence,
-                    CONVERGENCE_COLUMNS),
+                    "whose tail and leakage pass --tol at its first cutoff",
+                    "run_convergence", CONVERGENCE_COLUMNS, "write_table"),
 }
 
 
@@ -476,24 +463,27 @@ def _meta_footer(meta: dict) -> str:
     return "# meta " + " ".join(parts)
 
 
-def write_table(stream, columns, rows: Iterable, meta: dict, fmt: str) -> None:
+def write_table(stream, columns, rows: Iterable, meta: Callable[[], dict], fmt: str) -> None:
     """Write ``rows`` with one ``write`` per row, as CSV with a meta footer or as JSON.
 
-    The JSON is the bytes of json.dump(indent=2, sort_keys=True) over
-    {"meta", "rows"}, each row an object of its columns, but no row object
-    is built and no row goes through json's indenting encoder.
+    ``meta()`` is called once the rows are taken, so it may hold the failed
+    points: JSON writes it first, so it holds every row.  The JSON is the
+    bytes of json.dump(indent=2, sort_keys=True) over {"meta", "rows"}, each
+    row an object of its columns, but no row object is built and no row goes
+    through json's indenting encoder.
     """
     if fmt == "csv":
         stream.write(",".join(columns) + "\n")
         for row in rows:
             stream.write(",".join(format_value(v) for v in row) + "\n")
-        stream.write(_meta_footer(meta) + "\n")
+        stream.write(_meta_footer(meta()) + "\n")
         return
+    rows = list(rows)
     # a row is an object at depth 2, its members in sorted-key order
     order = sorted(range(len(columns)), key=columns.__getitem__)
     members = ",\n".join(f"      {json.dumps(columns[i]).replace('%', '%%')}: %s" for i in order)
     row_text = f"    {{\n{members}\n    }}"
-    stream.write(f'{{\n  "meta": {_json_member(meta)},\n  "rows": [')
+    stream.write(f'{{\n  "meta": {_json_member(meta())},\n  "rows": [')
     separator = "\n"
     for row in rows:
         stream.write(separator + row_text % tuple([_json_value(row[i]) for i in order]))
@@ -501,7 +491,8 @@ def write_table(stream, columns, rows: Iterable, meta: dict, fmt: str) -> None:
     stream.write("]\n}\n" if separator == "\n" else "\n  ]\n}\n")
 
 
-def write_husimi(stream, grids: Iterable[dict], meta: Callable[[], dict], fmt: str) -> None:
+def write_husimi(stream, columns, grids: Iterable[dict], meta: Callable[[], dict],
+                 fmt: str) -> None:
     """Write ``run_husimi`` grids as they are taken, each array a list only while it is written.
 
     ``meta()`` is called once the grids are exhausted, as both formats write it
@@ -525,7 +516,7 @@ def write_husimi(stream, grids: Iterable[dict], meta: Callable[[], dict], fmt: s
         stream.write("]" if separator == "\n" else "\n  ]")
         stream.write(f',\n  "meta": {_json_member(meta())}\n}}\n')
         return
-    stream.write(",".join(HUSIMI_COLUMNS) + "\n")
+    stream.write(",".join(columns) + "\n")
     maxima = {}
     for grid in grids:
         lam, n = grid["lambda"], grid["n_atoms"]
@@ -562,7 +553,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("mode", choices=MODES,
-                        help="; ".join(f"{mode}: {blurb}" for mode, (blurb, _, _) in MODES.items()))
+                        help="; ".join(f"{mode}: {blurb}" for mode, (blurb, *_) in MODES.items()))
     parser.add_argument("--config", help="key = value file; explicit flags override it")
     for name, setting in _SETTINGS.items():
         parser.add_argument("--" + name.replace("_", "-"), **setting.metadata["flag"])
@@ -609,19 +600,17 @@ def resolve_config(args: argparse.Namespace) -> SweepConfig:
 
 
 def _dispatch(config: SweepConfig) -> int:
-    _, run, columns = MODES[config.mode]
+    _, run, columns, write = MODES[config.mode]
     stream, close = _open_output(config.out)
     try:
-        results, failed = run(config)
+        # looked up by name as the run starts, so a function replaced since import is called
+        results, failed = globals()[run](config)
 
         def meta() -> dict:
             """The meta record, once ``results`` are taken and ``failed`` is complete."""
             return {**config.meta(), "failed_points": failed} if failed else config.meta()
 
-        if columns is None:
-            write_husimi(stream, results, meta, config.format)
-        else:
-            write_table(stream, columns, results, meta(), config.format)
+        globals()[write](stream, columns, results, meta, config.format)
         return 4 if failed else 0
     finally:
         if close:

@@ -190,7 +190,7 @@ def _as_cutoff(value: int, name: str) -> int:
     except TypeError:
         raise ValueError(f"{name} must be an integer, not {value!r}") from None
     if cutoff < 1:
-        raise ValueError("n_cutoff must be >= 1")
+        raise ValueError(f"{name} must be >= 1")
     return cutoff
 
 
@@ -544,7 +544,6 @@ def initial_cutoff(params: ModelParams) -> int:
 def converge_stack(
     points: Sequence[ModelParams],
     tol: float = DEFAULT_TOL,
-    *,
     n_start: int | None = None,
 ) -> list[GroundState | SolverError]:
     """Each point's ground state at the first cutoff its own certificate accepts, or its
@@ -566,6 +565,7 @@ def converge_stack(
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
+    n_start = None if n_start is None else _as_cutoff(n_start, "n_start")
     converged: list = [None] * len(points)
     # per open point: its index, cutoff and rejected steps
     open_points = [(i, initial_cutoff(params) if n_start is None else n_start, ())

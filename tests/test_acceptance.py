@@ -68,9 +68,10 @@ def finite_sweep():
     )
     start = time.perf_counter()
     records, failed = run_sweep(config)
+    # the run is lazy: its failed points are complete once its records are taken
+    rows = [dict(zip(SWEEP_COLUMNS, record)) for record in records]
     elapsed = time.perf_counter() - start
     assert failed == []
-    rows = [dict(zip(SWEEP_COLUMNS, record)) for record in records]
     by_n = {
         n: [r for r in rows if r["n_atoms"] == n] for n in config.n_atoms
     }

@@ -60,7 +60,7 @@ def sweep_config(**settings):
 
 def sweep_record(params, config):
     """One point's sweep row, solved alone as the configuration asks, keyed by column."""
-    [record] = compute_sweep_records([solve(params, config.tol, config.fock_cutoff)], config)
+    [[record]] = compute_sweep_records([solve(params, config.tol, config.fock_cutoff)], config)
     return dict(zip(SWEEP_COLUMNS, record))
 
 
@@ -370,7 +370,7 @@ def test_husimi_array_grids_write_list_bytes(fmt, tmp_path):
     config = SweepConfig(mode="husimi", n_atoms=(1, 2), lambda_min=0.0, lambda_max=1.0,
                          lambda_steps=3, grid_points=11)
     grids = [grid for params in config.points()
-             for grid in compute_husimi_grids([solve(params, config.tol)], config)]
+             for [grid] in compute_husimi_grids([solve(params, config.tol)], config)]
     assert all(isinstance(g["atoms"]["q"], np.ndarray) for g in grids)
     reference = io.StringIO()
     _write_husimi_lists(reference, _as_lists(grids), config.meta(), fmt)
@@ -412,6 +412,26 @@ def test_husimi_memory_does_not_hold_lists(tmp_path, monkeypatch):
         assert max(starts[1:]) - starts[0] < array_bytes / 2, fmt
 
 
+def test_csv_sweep_writes_rows_before_the_last_stack_is_solved(monkeypatch):
+    # a run forms its rows as the writer takes them: N = 1's stack of three
+    # points is on the stream before N = 2's stack is solved, and the header
+    # before either
+    out = io.StringIO()
+    lines_at_solve = []
+    real = dicke_qfi.solver.ground_states
+
+    def traced(*args):
+        lines_at_solve.append(out.getvalue().count("\n"))
+        return real(*args)
+
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(dicke_qfi.solver, "ground_states", traced)
+    assert main(["sweep", "--n-atoms", "1", "--n-atoms", "2", "--lambda-steps", "3",
+                 "--fock-cutoff", "10"]) == 0
+    assert lines_at_solve == [1, 4]
+    assert out.getvalue().count("\n") == 8  # the header, six rows and the meta footer
+
+
 def _write_table_json_dump(stream, columns, rows, meta):
     """Reference JSON table writer: one payload of row dicts through json.dump."""
     def plain(value):
@@ -445,7 +465,7 @@ def test_write_table_json_matches_json_dump(args, tmp_path, monkeypatch):
     assert main([*args, "--format", "json", "--out", str(out)]) in (0, 4)
     [(columns, rows, meta)] = calls
     reference = io.StringIO()
-    _write_table_json_dump(reference, columns, rows, meta)
+    _write_table_json_dump(reference, columns, rows, meta())
     assert out.read_text() == reference.getvalue()
 
 
@@ -461,7 +481,7 @@ def test_write_table_json_values_match_json_dump(rows):
     meta = {"mode": "scaling", "n_atoms": [1, 2], "fock_cutoff": None, "tol": 1e-10,
             "failed_points": [[0.5, 2]]}
     written, reference = io.StringIO(), io.StringIO()
-    write_table(written, columns, rows, meta, "json")
+    write_table(written, columns, rows, lambda: meta, "json")
     _write_table_json_dump(reference, columns, rows, meta)
     assert written.getvalue() == reference.getvalue()
 
@@ -1198,6 +1218,6 @@ def test_parameter_box_corners_run_in_every_mode(mode, omega, omega0, tmp_path):
     if mode == "scaling":
         config = SweepConfig(mode="scaling", omega=omega, omega0=omega0)
         rows, failed = run_scaling(config)
-        assert failed == []
         for _, *amplitudes in rows:
             assert all(math.isfinite(v) and v != 0 for v in amplitudes)
+        assert failed == []

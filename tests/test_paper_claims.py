@@ -39,8 +39,8 @@ def _sweep(omega0: float, n_max: int, lambda_max: float, steps: int) -> dict:
     config = SweepConfig(mode="sweep", omega0=omega0, lambda_max=lambda_max,
                          lambda_steps=steps, n_atoms=tuple(range(1, n_max + 1)))
     records, failed = run_sweep(config)
-    assert failed == []
     rows = [dict(zip(SWEEP_COLUMNS, record)) for record in records]
+    assert failed == []  # complete once the records are taken
     return {n: [r for r in rows if r["n_atoms"] == n] for n in config.n_atoms}
 
 

@@ -347,7 +347,7 @@ def husimi_grids(states, config):
     return [[(grid["lambda"], grid["n_atoms"])] + [
         (subsystem, key, value.tobytes() if isinstance(value, np.ndarray) else value)
         for subsystem in ("atoms", "field") for key, value in grid[subsystem].items()]
-        for grid in compute_husimi_grids(states, config)]
+        for [grid] in compute_husimi_grids(states, config)]
 
 
 def trajectory_rows(states, config):

@@ -999,8 +999,15 @@ def test_stacks_follow_atom_number_budget_and_cap():
     for n_cutoff in (0, -5):
         with pytest.raises(ValueError, match="n_cutoff must be >= 1"):
             ground_states(points[:2], [20, n_cutoff])
-        with pytest.raises(ValueError, match="n_cutoff must be >= 1"):
+        # each error names the argument it was given, before anything is solved
+        with pytest.raises(ValueError, match="n_start must be >= 1"):
             stacks(points, n_start=n_cutoff)
+        with pytest.raises(ValueError, match="n_start must be >= 1"):
+            converge_stack(points[:2], n_start=n_cutoff)
+        with pytest.raises(ValueError, match="fock_cutoff must be >= 1"):
+            solve(points[0], fock_cutoff=n_cutoff)
+    with pytest.raises(ValueError, match="n_start must be an integer, not 2.5"):
+        converge_stack(points[:2], n_start=2.5)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
