@@ -999,7 +999,8 @@ def test_stacks_follow_atom_number_budget_and_cap():
     for n_cutoff in (0, -5):
         with pytest.raises(ValueError, match="n_cutoff must be >= 1"):
             ground_states(points[:2], [20, n_cutoff])
-        # each error names the argument it was given, before anything is solved
+        # each error names the argument it was given: converge_stack checks n_start
+        # before its first round, where ground_states would blame n_cutoff
         with pytest.raises(ValueError, match="n_start must be >= 1"):
             stacks(points, n_start=n_cutoff)
         with pytest.raises(ValueError, match="n_start must be >= 1"):
